@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.aggregation.tree import TreeBuildResult
@@ -50,19 +48,10 @@ from repro.core.clustering import (
     ClusteringResult,
 )
 from repro.core.config import IcpdaConfig
+from repro.core.replay import EPS, Columns, FrameReplay
 from repro.errors import ClusterFormationError
 from repro.net.packet import BROADCAST, HEADER_BYTES
 from repro.net.transport import Transport
-
-#: Nominal one-hop control-plane latency assumed by the in-process
-#: cascade. Matches ``LoopbackTransport.latency_s`` — the lossless
-#: transport the scalar-equality contract is stated against.
-EPS = 1e-4
-
-#: Replayed frames are grouped into buckets of this many virtual
-#: seconds, so a 100k-node round schedules a few hundred emission
-#: callbacks instead of one simulator event per frame.
-EMIT_BUCKET_S = 0.05
 
 _INT = 4  # wire size of one small-int payload field
 _BOOL = 1  # wire size of one bool payload field
@@ -107,14 +96,13 @@ class BatchedClusterFormation:
         self._merge_phase = False
         self._heap: List[tuple] = []
         self._seq = itertools.count()
-        # bucket time -> [(src, dst, kind, size_bytes)] for flat frames;
-        # census chains are kept as head ids and expanded at emission
-        # time by walking the parent chain (a 100k round relays ~1M+
-        # census hops — materializing each as a tuple would dominate
-        # the engine's memory footprint).
-        self._frames: Dict[float, List[Tuple[int, int, str, int]]] = {}
-        self._census_chains: Dict[float, List[int]] = {}
-        self._t0 = 0.0
+        # Flat frames go straight to the replay; census chains are kept
+        # as head ids per replay bucket and expanded at emission time by
+        # walking the parent chain (a 100k round relays ~1M+ census hops
+        # — materializing each as a frame would dominate the engine's
+        # memory footprint).
+        self._replay: Optional[FrameReplay] = None
+        self._census_chains: Dict[int, List[int]] = {}
         self.result = ClusteringResult()
 
     # -- public API -----------------------------------------------------------
@@ -131,7 +119,8 @@ class BatchedClusterFormation:
             raise ClusterFormationError("cannot cluster an empty tree")
         sim = self._stack.sim
         cfg = self._config
-        t0 = self._t0 = sim.now
+        t0 = sim.now
+        self._replay = FrameReplay(self._stack, t0, expand=self._expand_census)
 
         # Wave 1: election draws in tree order (stream parity with the
         # scalar engine), then every heard list in one announce-time-
@@ -140,7 +129,7 @@ class BatchedClusterFormation:
         bs = self._tree.root
         self._heads.add(bs)
         announce_order: List[Tuple[float, int]] = [(t0, bs)]
-        self._record_frame(t0, bs, BROADCAST, ANNOUNCE_KIND, HEADER_BYTES + _INT)
+        self._replay.record(t0, bs, BROADCAST, ANNOUNCE_KIND, HEADER_BYTES + _INT)
         for node in self._tree.parents:
             if node == bs:
                 continue
@@ -150,7 +139,7 @@ class BatchedClusterFormation:
                 self._heads.add(node)
                 at = t0 + float(self._rng.uniform(0.05, cfg.window_announce_s * 0.8))
                 announce_order.append((at, node))
-                self._record_frame(
+                self._replay.record(
                     at, node, BROADCAST, ANNOUNCE_KIND, HEADER_BYTES + _INT
                 )
         announce_order.sort()
@@ -174,8 +163,7 @@ class BatchedClusterFormation:
 
         # Replay the cascade's frames through the transport seam and
         # advance the clock to the same phase deadline as scalar.
-        for bucket in sorted(set(self._frames) | set(self._census_chains)):
-            sim.schedule_at(bucket, partial(self._emit_bucket, bucket))
+        self._replay.schedule(self._census_chains)
         sim.run(until=t_end)
         self._release()
         return self.result
@@ -236,7 +224,7 @@ class BatchedClusterFormation:
                 # Heard nothing: self-elect so sparse regions still form.
                 self._heads.add(node)
                 t = at + float(self._rng.uniform(0.05, cfg.window_join_s * 0.3))
-                self._record_frame(
+                self._replay.record(
                     t, node, BROADCAST, ANNOUNCE_KIND, HEADER_BYTES + _INT
                 )
                 self._push(t + EPS, _E_ANNOUNCE, node, 0)
@@ -256,7 +244,7 @@ class BatchedClusterFormation:
         head = int(choices[self._rng.integers(0, len(choices))])
         self._joined[node] = head
         t = at + float(self._rng.uniform(0.02, window))
-        self._record_frame(t, node, head, JOIN_KIND, HEADER_BYTES + _INT)
+        self._replay.record(t, node, head, JOIN_KIND, HEADER_BYTES + _INT)
         self._push(t + EPS, _E_JOIN_ARRIVE, node, head)
 
     def _announce_deliver(self, at: float, head: int) -> None:
@@ -279,7 +267,7 @@ class BatchedClusterFormation:
             ):
                 joined[node] = head
                 t = at + float(self._rng.uniform(0.05, 0.3))
-                self._record_frame(t, node, head, JOIN_KIND, HEADER_BYTES + _INT)
+                self._replay.record(t, node, head, JOIN_KIND, HEADER_BYTES + _INT)
                 self._push(t + EPS, _E_JOIN_ARRIVE, node, head)
 
     def _join_arrive(self, at: float, member: int, head: int) -> None:
@@ -290,7 +278,7 @@ class BatchedClusterFormation:
             return
         if len(queue) >= self._config.k_max - 1:
             # Full: bounce immediately so the joiner can retry elsewhere.
-            self._record_frame(
+            self._replay.record(
                 at, head, member, JOIN_REJECT_KIND, HEADER_BYTES + _INT
             )
             self._push(at + EPS, _E_REJECT_ARRIVE, member, head)
@@ -315,7 +303,7 @@ class BatchedClusterFormation:
                 continue
             self._dissolved.add(head)
             self._hd(head).add(head)
-            self._record_frame(at, head, BROADCAST, DISSOLVE_KIND, HEADER_BYTES + _INT)
+            self._replay.record(at, head, BROADCAST, DISSOLVE_KIND, HEADER_BYTES + _INT)
             self._push(at + EPS, _E_DISSOLVE_DELIVER, head, 0)
             self._push(at + float(self._rng.uniform(0.1, 0.5)), _E_REJOIN, head, 0)
         if self._dissolved:
@@ -356,14 +344,14 @@ class BatchedClusterFormation:
                 self._heads.add(node)
                 self._dissolved.discard(node)
                 self._join_queue.pop(node, None)
-                self._record_frame(
+                self._replay.record(
                     at, node, BROADCAST, ANNOUNCE_KIND, HEADER_BYTES + _INT
                 )
                 self._push(at + EPS, _E_ANNOUNCE, node, 0)
             return
         head = int(choices[self._rng.integers(0, len(choices))])
         self._joined[node] = head
-        self._record_frame(at, node, head, JOIN_KIND, HEADER_BYTES + _INT)
+        self._replay.record(at, node, head, JOIN_KIND, HEADER_BYTES + _INT)
         self._push(at + EPS, _E_JOIN_ARRIVE, node, head)
 
     def _close(self, at: float) -> None:
@@ -376,8 +364,8 @@ class BatchedClusterFormation:
             cluster.active = cluster.size >= cfg.k_min
             self.result.clusters[head] = cluster
             list_size = HEADER_BYTES + _INT + _INT * len(members) + _BOOL
-            self._record_frame(at, head, BROADCAST, MEMBER_LIST_KIND, list_size)
-            self._record_frame(
+            self._replay.record(at, head, BROADCAST, MEMBER_LIST_KIND, list_size)
+            self._replay.record(
                 at + 0.6 + float(self._rng.uniform(0.0, 0.4)),
                 head,
                 BROADCAST,
@@ -394,9 +382,9 @@ class BatchedClusterFormation:
             census_at = at + 1.2 + float(self._rng.uniform(0.0, 0.6))
             self.result.census_at_bs[head] = (cluster.size, cluster.active)
             if head != root:
-                self._census_chains.setdefault(self._bucket(census_at), []).append(
-                    head
-                )
+                self._census_chains.setdefault(
+                    self._replay.bucket_of(census_at), []
+                ).append(head)
         self._stack.sim.trace.emit(
             "cluster.closed",
             f"{len(self._heads - self._dissolved)} clusters closed",
@@ -416,51 +404,29 @@ class BatchedClusterFormation:
 
     # -- frame replay ---------------------------------------------------------
 
-    def _bucket(self, at: float) -> float:
-        return self._t0 + math.floor((at - self._t0) / EMIT_BUCKET_S) * EMIT_BUCKET_S
-
-    def _record_frame(
-        self, at: float, src: int, dst: int, kind: str, size: int
-    ) -> None:
-        self._frames.setdefault(self._bucket(at), []).append((src, dst, kind, size))
-
-    def _emit_bucket(self, bucket: float) -> None:
-        # One send_many per kind: the bulk backend seals each batch
-        # vectorized, so a census wave costs per-kind work instead of
-        # one Python round-trip per relayed frame. Per-frame backends
-        # run the same per-row loop this replaces; outcomes only read
-        # order-insensitive aggregates, so kind grouping is safe.
-        stack = self._stack
-        by_kind: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
-        for src, dst, kind, size in self._frames.pop(bucket, ()):
-            cols = by_kind.get(kind)
-            if cols is None:
-                cols = by_kind[kind] = ([], [], [])
-            cols[0].append(src)
-            cols[1].append(dst)
-            cols[2].append(size)
+    def _expand_census(self, bucket: int, by_kind: Dict[str, Columns]) -> None:
+        """Walk the census chains due in ``bucket`` up the tree: one
+        census frame and one ack per hop."""
         chains = self._census_chains.pop(bucket, ())
-        if chains:
-            parents = self._tree.parents
-            census = by_kind.setdefault(CENSUS_KIND, ([], [], []))
-            acks = by_kind.setdefault(CENSUS_ACK_KIND, ([], [], []))
-            census_size = HEADER_BYTES + 2 * _INT + _BOOL
-            ack_size = HEADER_BYTES + _INT
-            for head in chains:
-                node = head
+        if not chains:
+            return
+        parents = self._tree.parents
+        census = by_kind.setdefault(CENSUS_KIND, ([], [], []))
+        acks = by_kind.setdefault(CENSUS_ACK_KIND, ([], [], []))
+        census_size = HEADER_BYTES + 2 * _INT + _BOOL
+        ack_size = HEADER_BYTES + _INT
+        for head in chains:
+            node = head
+            parent = parents.get(node)
+            while parent is not None:
+                census[0].append(node)
+                census[1].append(parent)
+                census[2].append(census_size)
+                acks[0].append(parent)
+                acks[1].append(node)
+                acks[2].append(ack_size)
+                node = parent
                 parent = parents.get(node)
-                while parent is not None:
-                    census[0].append(node)
-                    census[1].append(parent)
-                    census[2].append(census_size)
-                    acks[0].append(parent)
-                    acks[1].append(node)
-                    acks[2].append(ack_size)
-                    node = parent
-                    parent = parents.get(node)
-        for kind, (srcs, dsts, sizes) in by_kind.items():
-            stack.send_many(kind, srcs, dsts, sizes)
-        stack.flush()
 
     def _release(self) -> None:
         """Drop the cascade's working state so the engine object does not
@@ -471,5 +437,5 @@ class BatchedClusterFormation:
         self._heard_dissolves = {}
         self._rejected_from = {}
         self._heap = []
-        self._frames = {}
+        self._replay = None
         self._census_chains = {}

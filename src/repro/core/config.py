@@ -72,13 +72,18 @@ class IcpdaConfig:
     # Intra-cluster exchange
     share_retries: int = 3
     ack_timeout_s: float = 0.35
-    #: "scalar": per-member pure-Python share algebra, byte-identical to
-    #: the historical (golden-traced) behaviour. "batched": all clusters'
-    #: share matrices, F-values, and Lagrange recoveries precomputed at
-    #: window start with vectorized Mersenne-61 numpy kernels (grouped by
-    #: cluster size). Aggregates are identical either way; the *event
-    #: schedule* is not byte-identical across modes because the mask
-    #: draws move to a dedicated RNG stream (see docs/PERF.md).
+    #: "scalar": the event-driven exchange (per-frame handlers, ARQ,
+    #: per-member pure-Python share algebra), byte-identical to the
+    #: historical (golden-traced) behaviour. "batched": the whole phase
+    #: computed in-process (repro.core.intracluster_batched) — shares,
+    #: F-values and Lagrange recoveries with vectorized Mersenne-61
+    #: kernels grouped by cluster size, member timelines in closed form
+    #: under a reliable control plane — with every frame replayed
+    #: through the Transport seam at its scalar-equivalent instant. On a
+    #: lossless transport states, sums, witness sums, the share log and
+    #: per-kind byte totals equal scalar; on lossy ones only seeded
+    #: determinism holds (no ARQ retransmits are replayed; see
+    #: docs/PERF.md).
     share_backend: str = "scalar"
 
     # Cluster formation + report backends

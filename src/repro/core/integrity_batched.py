@@ -2,12 +2,12 @@
 
 :class:`BatchedReportAndVerdictPhase` computes Phase IV in-process
 instead of as per-frame simulator events, then replays the frames the
-wave would have put on the air through the Transport seam (same
-bucketized replay as :mod:`repro.core.clustering_batched`).
+wave would have put on the air through the Transport seam
+(:class:`~repro.core.replay.FrameReplay`, shared by every batched engine).
 
 Two regimes, both under the reliable-control-plane assumption
 (every frame delivered exactly once, one-hop latency
-:data:`~repro.core.clustering_batched.EPS`):
+:data:`~repro.core.replay.EPS`):
 
 * **Honest rounds** (no attack plan, no F-set conflicts): no witness can
   ever fire — every armed expectation is resolved by the absorber's own
@@ -36,11 +36,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from functools import partial
 from typing import Dict, List, Tuple
 
-from repro.core.clustering_batched import EMIT_BUCKET_S, EPS
 from repro.core.integrity import (
     ALARM_KIND,
     REPORT_ABORT_KIND,
@@ -48,6 +45,7 @@ from repro.core.integrity import (
     REPORT_KIND,
     ReportAndVerdictPhase,
 )
+from repro.core.replay import EPS, FrameReplay
 from repro.core.results import AlarmReason, AlarmRecord, RoundResult
 from repro.net.packet import HEADER_BYTES, Packet, payload_size
 
@@ -73,9 +71,9 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
     def run(self, true_value: float, total_sensors: int) -> RoundResult:
         sim = self._stack.sim
         cfg = self._config
-        t0 = self._t0 = sim.now
+        t0 = sim.now
         self._now = t0
-        self._frames: Dict[float, List[Tuple[int, int, str, int]]] = {}
+        self._replay = FrameReplay(self._stack, t0)
         self._witness_fns: Dict[int, object] = {}
 
         # Draw order matches the scalar run(): abort delays, F-set alarm
@@ -112,10 +110,9 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         else:
             self._simulate_report_wave(send_times, fset_events, phase_end)
 
-        for bucket in sorted(self._frames):
-            sim.schedule_at(bucket, partial(self._emit_bucket, bucket))
+        self._replay.schedule()
         sim.run(until=phase_end)
-        self._frames = {}
+        self._replay = None
         self._witness_fns = {}
         return self._verdict(true_value, total_sensors, sim.now - t0)
 
@@ -177,8 +174,8 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             size = HEADER_BYTES + payload_size(payload)
             at = send_times[head]
             for k in range(len(path) - 1):
-                self._record_frame(at + k * EPS, path[k], path[k + 1], REPORT_KIND, size)
-                self._record_frame(
+                self._replay.record(at + k * EPS, path[k], path[k + 1], REPORT_KIND, size)
+                self._replay.record(
                     at + (k + 1) * EPS,
                     path[k + 1],
                     path[k],
@@ -200,10 +197,10 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         parent = parents.get(node)
         hop = 0
         while parent is not None:
-            self._record_frame(
+            self._replay.record(
                 at + hop * EPS, node, parent, REPORT_ABORT_KIND, HEADER_BYTES + _INT
             )
-            self._record_frame(
+            self._replay.record(
                 at + (hop + 1) * EPS, parent, node, REPORT_ACK_KIND, HEADER_BYTES + _INT
             )
             node = parent
@@ -267,7 +264,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         # enqueue the (guaranteed) delivery. No ARQ timers — the
         # reliable control plane never loses the first copy.
         size = HEADER_BYTES + payload_size(payload)
-        self._record_frame(self._now, sender, target, kind, size)
+        self._replay.record(self._now, sender, target, kind, size)
         if kind == REPORT_KIND:
             self._push(self._now + EPS, _E_RPT, (sender, target, payload))
 
@@ -295,7 +292,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
     def _receive_report(self, at: float, src: int, dst: int, payload: dict) -> None:
         payload = dict(payload)
         cluster = int(payload["cluster"])
-        self._record_frame(at, dst, src, REPORT_ACK_KIND, HEADER_BYTES + _INT)
+        self._replay.record(at, dst, src, REPORT_ACK_KIND, HEADER_BYTES + _INT)
         self._push(at + EPS, _E_ACK, (dst, src, cluster))
         if cluster in self._processed_reports[dst]:
             return
@@ -384,7 +381,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             targets.append(int(neighbors[self._rng.integers(0, len(neighbors))]))
         key = (witness, suspect, reason.value, cluster)
         for target in targets:
-            self._record_frame(at, witness, target, ALARM_KIND, size)
+            self._replay.record(at, witness, target, ALARM_KIND, size)
             node = target
             while True:
                 seen = self._alarm_seen[node]
@@ -411,32 +408,5 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
                 nxt = parents.get(node)
                 if nxt is None:
                     break
-                self._record_frame(at, node, nxt, ALARM_KIND, size)
+                self._replay.record(at, node, nxt, ALARM_KIND, size)
                 node = nxt
-
-    # -- frame replay ---------------------------------------------------------
-
-    def _bucket(self, at: float) -> float:
-        return self._t0 + math.floor((at - self._t0) / EMIT_BUCKET_S) * EMIT_BUCKET_S
-
-    def _record_frame(
-        self, at: float, src: int, dst: int, kind: str, size: int
-    ) -> None:
-        self._frames.setdefault(self._bucket(at), []).append((src, dst, kind, size))
-
-    def _emit_bucket(self, bucket: float) -> None:
-        # One send_many per kind (see the clustering engine): outcomes
-        # are decided in-engine, so the replay only feeds accounting and
-        # kind grouping within a bucket is unobservable.
-        stack = self._stack
-        by_kind: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
-        for src, dst, kind, size in self._frames.pop(bucket, ()):
-            cols = by_kind.get(kind)
-            if cols is None:
-                cols = by_kind[kind] = ([], [], [])
-            cols[0].append(src)
-            cols[1].append(dst)
-            cols[2].append(size)
-        for kind, (srcs, dsts, sizes) in by_kind.items():
-            stack.send_many(kind, srcs, dsts, sizes)
-        stack.flush()

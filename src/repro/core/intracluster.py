@@ -34,7 +34,6 @@ from repro.core.config import IcpdaConfig
 from repro.core.field import PrimeField
 from repro.core.shares import (
     ShareBundle,
-    batched_cluster_shares,
     generate_share_bundles,
     recover_cluster_sums,
     seed_for_node,
@@ -170,14 +169,7 @@ class IntraClusterExchange:
         self._rng = stack.sim.rng.stream(f"exchange.{round_id}")
         self.result = ExchangeResult()
 
-        # Batched backend: the whole share pipeline precomputed at window
-        # start (see _precompute_batched). Empty in scalar mode.
-        self._batched = config.share_backend == "batched"
-        self._batched_bundles: Dict[int, Dict[int, ShareBundle]] = {}
-        self._batched_fvalues: Dict[int, Tuple[int, ...]] = {}
-        self._batched_sums: Dict[int, Tuple[int, ...]] = {}
-
-        # Per-node exchange bookkeeping.
+        # Per-node bookkeeping of the event-driven (scalar) exchange.
         self._cluster_of: Dict[int, int] = {}
         # Per-cluster seed maps, computed once at window start: member id
         # -> seed and the full expected seed set. These are consulted on
@@ -195,11 +187,38 @@ class IntraClusterExchange:
     # -- public API ------------------------------------------------------------
 
     def run(self) -> ExchangeResult:
-        """Run the exchange window to completion and compile results."""
-        sim = self._stack.sim
-        cfg = self._config
-        t0 = sim.now
+        """Run the exchange window to completion and compile results.
 
+        The census below is shared; the exchange itself runs as
+        per-frame events (``share_backend="scalar"``, the golden-traced
+        reference) or in-process
+        (:class:`~repro.core.intracluster_batched.BatchedShareExchange`).
+        """
+        live = self._census()
+        if self._config.share_backend == "batched":
+            # Imported here: the engine builds on this module's types.
+            from repro.core.intracluster_batched import BatchedShareExchange
+
+            BatchedShareExchange(
+                self._stack,
+                self._config,
+                self._linksec,
+                self._aggregate,
+                self._readings,
+                self._field,
+                self._rng,
+                self._round_id,
+            ).run(live, self.result)
+        else:
+            self._run_events(live)
+        self._compile()
+        return self.result
+
+    def _census(self) -> List[ClusterExchangeState]:
+        """Open a state per participating cluster; return the ones that
+        may exchange (not aborted for member-list loss or a contested
+        member), in census order."""
+        cfg = self._config
         # Pass 1: per-cluster participant lists (the claim census over
         # them is taken vectorized below, so membership conflicts are
         # resolved symmetrically).
@@ -239,6 +258,7 @@ class IntraClusterExchange:
             contested = set(uniq[counts > 1].tolist())
         else:
             contested = set()
+        live: List[ClusterExchangeState] = []
         for head, participants in candidates:
             if contested and any(m in contested for m in participants):
                 self.result.states[head] = ClusterExchangeState(
@@ -249,22 +269,29 @@ class IntraClusterExchange:
                 )
                 continue
             contributors = sum(1 for m in participants if m in self._readings)
-            self.result.states[head] = ClusterExchangeState(
+            state = self.result.states[head] = ClusterExchangeState(
                 head=head,
                 participants=participants,
                 contributors=contributors,
             )
-            seeds = {m: seed_for_node(m) for m in participants}
-            self._seeds_of[head] = seeds
-            self._expected_seeds[head] = frozenset(seeds.values())
-            for member in participants:
-                self._cluster_of[member] = head
-                self._expected_origins[member] = set(participants)
+            live.append(state)
+        return live
+
+    # -- event-driven exchange ------------------------------------------------------
+
+    def _run_events(self, live: List[ClusterExchangeState]) -> None:
+        sim = self._stack.sim
+        cfg = self._config
+        t0 = sim.now
+        for state in live:
+            seeds = {m: seed_for_node(m) for m in state.participants}
+            self._seeds_of[state.head] = seeds
+            self._expected_seeds[state.head] = frozenset(seeds.values())
+            for member in state.participants:
+                self._cluster_of[member] = state.head
+                self._expected_origins[member] = set(state.participants)
                 self._held_bundles[member] = {}
                 self._witness_fvalues[member] = {}
-
-        if self._batched:
-            self._precompute_batched()
 
         for node in self._stack.node_ids():
             self._stack.register_handler(node, SHARE_KIND, self._make_on_share(node))
@@ -283,9 +310,7 @@ class IntraClusterExchange:
                 node, self._make_overhear(node), kinds=(FVALUE_KIND,)
             )
 
-        for state in self.result.states.values():
-            if state.aborted_reason:
-                continue
+        for state in live:
             for member in state.participants:
                 delay = float(self._rng.uniform(0.1, cfg.window_exchange_s * 0.25))
                 sim.schedule(
@@ -293,97 +318,21 @@ class IntraClusterExchange:
                 )
 
         sim.run(until=t0 + cfg.window_exchange_s)
-        self._compile()
-        return self.result
-
-    # -- batched precompute -------------------------------------------------------
-
-    def _precompute_batched(self) -> None:
-        """Run the whole share pipeline for every non-aborted cluster in
-        vectorized batches (one per cluster size) before the window opens.
-
-        Masks are drawn from a dedicated ``exchange.batched.*`` stream so
-        the delay/jitter draws on the main exchange stream keep their
-        sequence; within each size bucket clusters keep ``run()``'s
-        iteration order, which makes a seeded batched run reproducible
-        (same seeds -> same shares -> same aggregates). The precomputed
-        values are what the event-driven exchange then *transmits*; the
-        per-packet algebra (generation, F-assembly, Lagrange recovery)
-        collapses to dictionary lookups.
-        """
-        groups: Dict[int, List[ClusterExchangeState]] = {}
-        order: List[int] = []
-        for state in self.result.states.values():
-            if state.aborted_reason:
-                continue
-            m = len(state.participants)
-            if m not in groups:
-                order.append(m)
-                groups[m] = []
-            groups[m].append(state)
-        if not groups:
-            return
-        rng = self._stack.sim.rng.stream(f"exchange.batched.{self._round_id}")
-        arity = self._aggregate.arity
-        identity = self._aggregate.identity()
-        for m in order:
-            states = groups[m]
-            member_ids = np.array(
-                [state.participants for state in states], dtype=np.int64
-            )
-            components = np.empty((len(states), m, arity), dtype=np.int64)
-            for c, state in enumerate(states):
-                for i, member in enumerate(state.participants):
-                    reading = self._readings.get(member)
-                    components[c, i] = (
-                        self._aggregate.components(reading)
-                        if reading is not None
-                        else identity
-                    )
-            batch = batched_cluster_shares(
-                self._field, member_ids, components, rng
-            )
-            # Transpose once in numpy so the per-bundle loops below read
-            # contiguous slices instead of hopping axes per element:
-            # shares (C, sender, A, recipient) -> (C, sender, recipient, A)
-            # and fvalues (C, A, member) -> (C, member, A).
-            shares = batch.shares.transpose(0, 1, 3, 2).tolist()
-            fvalues = batch.fvalues.transpose(0, 2, 1).tolist()
-            sums = batch.sums.tolist()
-            seeds = batch.seeds.tolist()
-            for c, state in enumerate(states):
-                participants = state.participants
-                cluster_seeds = seeds[c]
-                cluster_shares = shares[c]
-                cluster_fvalues = fvalues[c]
-                for i, member in enumerate(participants):
-                    rows = cluster_shares[i]  # (m recipients, arity)
-                    self._batched_bundles[member] = {
-                        recipient: ShareBundle(
-                            member, cluster_seeds[j], tuple(rows[j])
-                        )
-                        for j, recipient in enumerate(participants)
-                    }
-                    self._batched_fvalues[member] = tuple(cluster_fvalues[i])
-                self._batched_sums[state.head] = tuple(sums[c])
 
     # -- sending shares -----------------------------------------------------------
 
     def _make_share_sender(self, member: int, state: ClusterExchangeState):
         def send_shares() -> None:
-            if self._batched:
-                bundles = self._batched_bundles[member]
-            else:
-                seeds = self._seeds_of[state.head]
-                reading = self._readings.get(member)
-                components = (
-                    self._aggregate.components(reading)
-                    if reading is not None
-                    else self._aggregate.identity()
-                )
-                bundles = generate_share_bundles(
-                    self._field, member, components, seeds, self._rng
-                )
+            seeds = self._seeds_of[state.head]
+            reading = self._readings.get(member)
+            components = (
+                self._aggregate.components(reading)
+                if reading is not None
+                else self._aggregate.identity()
+            )
+            bundles = generate_share_bundles(
+                self._field, member, components, seeds, self._rng
+            )
             self._accept_bundle(member, bundles[member])
             for recipient, bundle in bundles.items():
                 if recipient == member:
@@ -509,14 +458,8 @@ class IntraClusterExchange:
             return
         self._fvalue_sent.add(node)
         head = self._cluster_of[node]
-        if self._batched:
-            # Precomputed F(x_node): equal to summing the held bundles —
-            # share values are generated (never mutated) by this object,
-            # so the received copies are the precomputed ones.
-            fvalue = self._batched_fvalues[node]
-        else:
-            bundles = list(self._held_bundles[node].values())
-            fvalue = sum_share_values(self._field, bundles)
+        bundles = list(self._held_bundles[node].values())
+        fvalue = sum_share_values(self._field, bundles)
         self._witness_fvalues[node][seed_for_node(node)] = fvalue
         self._maybe_recover_witness(node)
         self._publish_fvalue(node, head, fvalue, 0)
@@ -586,10 +529,8 @@ class IntraClusterExchange:
         state.fvalues_at_head[seed] = fvalue
         expected = self._expected_seeds[head]
         if frozenset(state.fvalues_at_head) == expected and not state.completed:
-            state.cluster_sums = (
-                self._batched_sums[head]
-                if self._batched
-                else recover_cluster_sums(self._field, state.fvalues_at_head)
+            state.cluster_sums = recover_cluster_sums(
+                self._field, state.fvalues_at_head
             )
             state.completed = True
             self._stack.sim.trace.emit(
@@ -676,14 +617,9 @@ class IntraClusterExchange:
         expected = self._expected_seeds[head]
         known = self._witness_fvalues[node]
         if known.keys() >= expected:
-            sums = (
-                self._batched_sums[head]
-                if self._batched
-                else recover_cluster_sums(
-                    self._field, {s: known[s] for s in expected}
-                )
+            self.result.witness_sums[node] = recover_cluster_sums(
+                self._field, {s: known[s] for s in expected}
             )
-            self.result.witness_sums[node] = sums
 
     # -- compile -----------------------------------------------------------
 

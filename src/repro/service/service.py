@@ -140,6 +140,10 @@ class AggregationService:
         self._auto_exclude = auto_exclude
         self._cache_epochs = cache_epochs
         self.epoch = 0
+        #: Newest epoch whose round has finished (answered or failed).
+        #: ``epoch`` runs one ahead of it while a round is in flight, and
+        #: cache freshness counts back from here, not from ``epoch``.
+        self.completed_epoch = 0
         self.stats = ServiceStats()
         self.history: List[EpochReport] = []
         self._cache: Dict[Tuple[Query, int], ServedAnswer] = {}
@@ -171,15 +175,15 @@ class AggregationService:
         """The freshest cached answer for ``query`` no older than
         ``max_age_epochs`` served epochs, or ``None``.
 
-        ``max_age_epochs=1`` accepts only the most recently served
-        epoch; ``0`` never serves from cache. An answer is only ever
-        returned for the epoch it was computed in — the key *is*
-        ``(query, epoch)`` — so a cache hit can never smuggle epoch
-        ``k``'s value into a caller that asked while epoch ``k+1`` was
-        already served.
+        ``max_age_epochs=1`` accepts only the most recently completed
+        epoch — also while the next epoch's round is still running; ``0``
+        never serves from cache. An answer is only ever returned for the
+        epoch it was computed in — the key *is* ``(query, epoch)`` — so a
+        cache hit can never smuggle epoch ``k``'s value into a caller
+        that asked while epoch ``k+1`` was already served.
         """
         query = parse_query(query)
-        newest = self.epoch
+        newest = self.completed_epoch
         oldest = max(1, newest - max_age_epochs + 1)
         for epoch in range(newest, oldest - 1, -1):
             answer = self._cache.get((query, epoch))
@@ -224,6 +228,7 @@ class AggregationService:
             # The epoch number stays consumed (it has no answers).
             self.stats.rounds_failed += 1
             self.protocol.sim.discard_pending()
+            self.completed_epoch = self.epoch
             raise
 
         values: Dict[Query, Optional[float]] = dict.fromkeys(batch_order)
@@ -244,6 +249,8 @@ class AggregationService:
         self._cache.update(
             {(query, self.epoch): answer for query, answer in answers.items()}
         )
+        # Only now, with its answers cached, may lookups start here.
+        self.completed_epoch = self.epoch
         self._prune_cache()
 
         newly_excluded: Tuple[int, ...] = ()

@@ -1,23 +1,30 @@
-"""Protocol-level contracts of the batched share backend.
+"""Protocol-level contracts of the batched share-exchange engine.
 
-Three layers:
+Four layers:
 
-1. **Exact equality on a lossless transport** — on the loopback fake
-   every cluster completes, and cluster aggregates are mask-independent,
-   so scalar and batched modes must produce *identical* exchange results
-   (states, sums, witness sums), even though their mask streams differ.
+1. **Exact equality on a lossless transport** — on the loopback fake the
+   in-process engine must reproduce the event-driven exchange: per-cluster
+   states and sums, witness sums, the ``share_log`` multiset, and the
+   per-kind message and byte totals of every exchange frame (the replay
+   sends the scalar frames at their scalar instants). Only mask-dependent
+   values (shares, F-values) differ, because the engine draws its masks
+   from its own stream.
 2. **Seeded reproducibility** — a batched run is a pure function of
-   (seed, config, deployment): running it twice gives the same
-   aggregates. This is the batched determinism contract documented in
-   docs/PERF.md (byte-identity of the *event schedule* is only promised
-   by the scalar backend).
-3. **Membership-conflict symmetry** — the regression for the
-   asymmetric-abort bug: a member claimed by two clusters aborts *both*
-   clusters, on either backend, while disjoint clusters proceed.
+   (seed, config, deployment).
+3. **Membership-conflict symmetry** — a member claimed by two clusters
+   aborts *both* clusters, on either backend, while disjoint clusters
+   proceed.
+4. **The documented divergence on a lossy transport** — on ``fluid-bulk``
+   with the same clustering, completed clusters and sums equal scalar,
+   and exchange bytes differ only by the ARQ retransmits the engine does
+   not replay.
 """
 
 from __future__ import annotations
 
+import collections
+
+import numpy as np
 import pytest
 
 from repro.aggregation.functions import FixedPointCodec, make_aggregate
@@ -25,18 +32,62 @@ from repro.aggregation.tree import build_aggregation_tree
 from repro.core.clustering import Cluster, ClusterFormation, ClusteringResult
 from repro.core.config import IcpdaConfig
 from repro.core.field import DEFAULT_FIELD
-from repro.core.intracluster import IntraClusterExchange
+from repro.core.intracluster import (
+    FSET_KIND,
+    FVALUE_ACK_KIND,
+    FVALUE_KIND,
+    SHARE_ACK_KIND,
+    SHARE_KIND,
+    SHARE_RELAY_KIND,
+    IntraClusterExchange,
+)
+from repro.core.protocol import IcpdaProtocol
 from repro.crypto.keys import PairwiseKeyScheme
 from repro.crypto.linksec import LinkSecurity
+from repro.crypto.predistribution import RandomPredistributionScheme
 from repro.errors import ConfigError
+from repro.topology.deploy import uniform_deployment
 from tests.net.loopback import FakeSim, LoopbackTransport, grid_topology
 
+EXCHANGE_KINDS = (
+    SHARE_KIND,
+    SHARE_RELAY_KIND,
+    SHARE_ACK_KIND,
+    FVALUE_KIND,
+    FVALUE_ACK_KIND,
+    FSET_KIND,
+)
 
-def _run_exchange(cfg: IcpdaConfig, seed: int = 5):
-    """One formation + exchange over a lossless 6x6 grid."""
-    fake = LoopbackTransport(grid_topology(6), sim=FakeSim(seed=seed))
-    tree = build_aggregation_tree(fake)
-    clustering = ClusterFormation(fake, tree, cfg, round_id=0).run()
+
+class _RecordingTrace:
+    """Trace sink keeping (category, fields) of every record."""
+
+    on = True
+
+    def __init__(self) -> None:
+        self.records = []
+
+    def emit(self, category, message, **fields) -> None:
+        self.records.append((category, tuple(sorted(fields.items()))))
+
+
+def _run_exchange(
+    cfg: IcpdaConfig,
+    seed: int = 5,
+    side: int = 6,
+    linksec=None,
+    participating=None,
+    clustering=None,
+):
+    """One formation + exchange over a lossless ``side`` x ``side`` grid;
+    returns (exchange result, transport, trace)."""
+    fake = LoopbackTransport(grid_topology(side), sim=FakeSim(seed=seed))
+    trace = fake.sim._trace = _RecordingTrace()
+    if clustering is None:
+        tree = build_aggregation_tree(fake)
+        clustering = ClusterFormation(fake, tree, cfg, round_id=0).run()
+    if participating is not None:
+        participating = participating(clustering)
     readings = {i: 10.0 + (i % 7) for i in fake.node_ids() if i != 0}
     aggregate = make_aggregate(
         cfg.aggregate_name, FixedPointCodec(scale=cfg.fixed_point_scale)
@@ -45,13 +96,14 @@ def _run_exchange(cfg: IcpdaConfig, seed: int = 5):
         fake,
         clustering,
         cfg,
-        LinkSecurity(PairwiseKeyScheme()),
+        linksec if linksec is not None else LinkSecurity(PairwiseKeyScheme()),
         aggregate,
         readings,
         DEFAULT_FIELD,
+        participating_heads=participating,
         round_id=0,
     ).run()
-    return exchange
+    return exchange, fake, trace
 
 
 def _summary(exchange):
@@ -66,42 +118,152 @@ def _summary(exchange):
     )
 
 
+def _full_summary(exchange, fake, trace):
+    """Everything the engine promises to reproduce on loopback."""
+    counters = fake.counters
+    return (
+        {
+            head: (s.completed, s.aborted_reason, s.contributors, s.cluster_sums)
+            for head, s in exchange.states.items()
+        },
+        dict(exchange.witness_sums),
+        collections.Counter(exchange.share_log),
+        {kind: (counters.kind_messages(kind), counters.kind_bytes(kind)) for kind in EXCHANGE_KINDS},
+        (counters.total_rx_messages, counters.total_rx_bytes),
+        exchange.fset_conflicts,
+        collections.Counter(
+            record for record in trace.records if record[0].startswith("exchange.")
+        ),
+    )
+
+
+def _both(make_cfg=IcpdaConfig, **kwargs):
+    return [
+        _full_summary(*_run_exchange(make_cfg(share_backend=backend), **kwargs))
+        for backend in ("scalar", "batched")
+    ]
+
+
 class TestScalarBatchedEquality:
     def test_lossless_transport_identical_results(self) -> None:
-        scalar = _run_exchange(IcpdaConfig(share_backend="scalar"))
-        batched = _run_exchange(IcpdaConfig(share_backend="batched"))
+        scalar, fake_s, trace_s = _run_exchange(IcpdaConfig(share_backend="scalar"))
+        batched, fake_b, trace_b = _run_exchange(IcpdaConfig(share_backend="batched"))
         assert scalar.completed_clusters  # the comparison is non-vacuous
         assert _summary(scalar) == _summary(batched)
+        assert _full_summary(scalar, fake_s, trace_s) == _full_summary(
+            batched, fake_b, trace_b
+        )
 
     @pytest.mark.parametrize("aggregate_name", ["average", "variance"])
     def test_multi_component_aggregates(self, aggregate_name: str) -> None:
-        scalar = _run_exchange(
+        scalar, fake_s, trace_s = _run_exchange(
             IcpdaConfig(share_backend="scalar", aggregate_name=aggregate_name)
         )
-        batched = _run_exchange(
+        batched, fake_b, trace_b = _run_exchange(
             IcpdaConfig(share_backend="batched", aggregate_name=aggregate_name)
         )
         assert scalar.completed_clusters
         assert _summary(scalar) == _summary(batched)
+        assert _full_summary(scalar, fake_s, trace_s) == _full_summary(
+            batched, fake_b, trace_b
+        )
+
+    @pytest.mark.parametrize("seed,side", [(9, 8), (3, 7)])
+    def test_frames_log_and_traces_identical(self, seed: int, side: int) -> None:
+        scalar, batched = _both(seed=seed, side=side)
+        assert scalar[2]  # shares were logged
+        assert scalar[3][SHARE_RELAY_KIND][0] > 0  # relays are exercised
+        assert scalar == batched
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_integrity_mode_none(self, seed: int) -> None:
+        def make_cfg(**kwargs):
+            return IcpdaConfig(integrity_mode="none", **kwargs)
+
+        scalar, batched = _both(make_cfg, seed=seed, side=7)
+        assert scalar[3][FSET_KIND] == (0, 0)
+        # Without the F-set only members hearing every F-value recover:
+        # on a 4-connected grid that is fewer than the witnessed mode's.
+        witnessed, _, _ = _run_exchange(IcpdaConfig(), seed=seed, side=7)
+        assert 0 < len(scalar[1]) < len(witnessed.witness_sums)
+        assert scalar == batched
+
+    def test_restricted_participation(self) -> None:
+        def every_other_cluster(clustering):
+            heads = sorted(h for h, c in clustering.clusters.items() if c.active)
+            return set(heads[::2])
+
+        scalar, batched = _both(participating=every_other_cluster, seed=9, side=8)
+        assert 0 < len(scalar[0]) < 13
+        assert scalar == batched
+
+    def test_membership_conflict(self) -> None:
+        scalar, batched = _both(clustering=_forged_conflict_clustering(), seed=2)
+        assert scalar[0][1][1] == "membership_conflict"
+        assert scalar == batched
+
+    @pytest.mark.parametrize("pool,ring", [(40, 8), (30, 6)])
+    def test_unsecurable_link(self, pool: int, ring: int) -> None:
+        """EG predistribution leaves some links without a shared key: the
+        members whose row hits one stop there and abort their cluster,
+        on both backends alike."""
+
+        def run(backend: str):
+            scheme = RandomPredistributionScheme(pool, ring, rng=np.random.default_rng(1))
+            scheme.provision_all(list(range(36)))
+            return _full_summary(
+                *_run_exchange(
+                    IcpdaConfig(share_backend=backend), linksec=LinkSecurity(scheme)
+                )
+            )
+
+        scalar, batched = run("scalar"), run("batched")
+        reasons = collections.Counter(state[1] for state in scalar[0].values())
+        assert reasons["no_shared_key"] and reasons[""]
+        assert scalar == batched
+
+
+class TestFullRoundEquality:
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_all_batched_engines_match_scalar(self, seed: int) -> None:
+        """All three in-process engines together reproduce the scalar
+        round on loopback: verdict, value and every byte counter."""
+        from tests.core.test_report_batched import _run_round, _summary as round_summary
+
+        def run(backend: str):
+            cfg = IcpdaConfig(share_backend=backend, clustering_backend=backend)
+            return round_summary(*_run_round(cfg, seed))
+
+        scalar = run("scalar")
+        assert scalar[3] > 0
+        assert scalar == run("batched")
 
 
 class TestBatchedDeterminism:
     def test_same_seed_same_aggregates(self) -> None:
         cfg = IcpdaConfig(share_backend="batched")
-        assert _summary(_run_exchange(cfg, seed=9)) == _summary(
-            _run_exchange(cfg, seed=9)
+        assert _summary(_run_exchange(cfg, seed=9)[0]) == _summary(
+            _run_exchange(cfg, seed=9)[0]
         )
 
     def test_different_seed_different_schedule(self) -> None:
         cfg = IcpdaConfig(share_backend="batched")
-        a = _run_exchange(cfg, seed=9)
-        b = _run_exchange(cfg, seed=10)
+        a, _, _ = _run_exchange(cfg, seed=9)
+        b, _, _ = _run_exchange(cfg, seed=10)
         # Clustering differs with the seed, so so does the outcome shape.
         assert _summary(a) != _summary(b)
 
     def test_rejects_unknown_backend(self) -> None:
         with pytest.raises(ConfigError, match="share_backend"):
             IcpdaConfig(share_backend="gpu")
+
+    def test_block_delay_draws_equal_sequential_draws(self) -> None:
+        """The engine draws all send delays in one block; the scalar run
+        draws them one by one. Both must read the same stream values."""
+        block = np.random.default_rng(4).uniform(0.1, 6.25, size=50)
+        rng = np.random.default_rng(4)
+        sequential = [float(rng.uniform(0.1, 6.25)) for _ in range(50)]
+        assert block.tolist() == sequential
 
 
 def _forged_conflict_clustering():
@@ -188,3 +350,39 @@ class TestMembershipConflictRegression:
         reversed_ = _forged_conflict_clustering()
         reversed_.clusters = dict(reversed(list(reversed_.clusters.items())))
         assert run_with(forward) == run_with(reversed_)
+
+
+class TestLossyTransportDivergence:
+    def test_fluid_bulk_same_clustering(self) -> None:
+        """N=1000 on fluid-bulk, same (batched) clustering on both sides:
+        the engine completes the clusters the event-driven exchange
+        completes, with the same sums; its bytes differ only by the share
+        and F-value retransmits it does not replay."""
+        deployment = uniform_deployment(
+            1000, field_size=672.0, rng=np.random.default_rng(12)
+        )
+        readings = dict(
+            zip(range(1, 1000), np.random.default_rng(13).uniform(10, 30, 999).tolist())
+        )
+        runs = {}
+        for backend in ("scalar", "batched"):
+            protocol = IcpdaProtocol(
+                deployment,
+                IcpdaConfig(share_backend=backend, clustering_backend="batched"),
+                seed=12,
+                transport="fluid-bulk",
+            )
+            protocol.setup()
+            protocol.run_round(readings, round_id=1)
+            runs[backend] = protocol
+        scalar, batched = runs["scalar"], runs["batched"]
+        assert scalar.last_clustering.clusters.keys() == batched.last_clustering.clusters.keys()
+        assert len(scalar.last_exchange.completed_clusters) > 100
+        assert scalar.last_exchange.completed_clusters == batched.last_exchange.completed_clusters
+        for head in scalar.last_exchange.completed_clusters:
+            assert (
+                scalar.last_exchange.states[head].cluster_sums
+                == batched.last_exchange.states[head].cluster_sums
+            )
+        ratio = batched.phase_bytes["exchange"] / scalar.phase_bytes["exchange"]
+        assert 0.97 <= ratio <= 1.0

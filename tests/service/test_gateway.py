@@ -9,6 +9,7 @@ smoke job drive the gateway.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -150,6 +151,41 @@ class TestCaching:
         service, other = asyncio.run(scenario())
         assert other.epoch == 2
         assert service.epoch == 2
+
+    def test_query_admitted_mid_round_hits_previous_epoch(self):
+        """Regression: ``serve_batch`` bumps ``epoch`` before its round
+        runs, and the cache used to count freshness from there, so under
+        load a ``max_age_epochs=1`` query only ever looked up the epoch
+        still in flight and missed."""
+        in_round = threading.Event()
+        release = threading.Event()
+
+        def provider(epoch):
+            if epoch == 2:
+                in_round.set()
+                release.wait(timeout=30)
+            return readings_for(epoch)
+
+        async def scenario():
+            service = make_service(readings_provider=provider)
+            gateway = AggregationGateway(service)
+            await gateway.start()
+            first = await gateway.query("sum")
+            busy = asyncio.create_task(gateway.query("avg"))
+            await asyncio.get_running_loop().run_in_executor(
+                None, in_round.wait, 30
+            )
+            assert service.epoch == 2  # epoch 2's round is in flight
+            cached = await gateway.query("sum", max_age_epochs=1)
+            release.set()
+            second = await busy
+            await gateway.stop()
+            return gateway, first, cached, second
+
+        gateway, first, cached, second = asyncio.run(scenario())
+        assert cached is first
+        assert gateway.stats.cache_hits == 1
+        assert second.epoch == 2
 
 
 class TestErrorsAndShutdown:

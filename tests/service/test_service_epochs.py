@@ -20,7 +20,7 @@ from repro.aggregation.functions import MaxApproxAggregate
 from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
 from repro.core.results import Verdict
-from repro.errors import ProtocolError
+from repro.errors import AggregationError, ProtocolError
 from repro.service.queries import (
     QUERY_KINDS,
     Query,
@@ -196,6 +196,34 @@ class TestServiceEpochsAndCache:
         assert stale_ok is not None and stale_ok.epoch == 1
         # Freshness 0 never serves from cache at all.
         assert service.answer_from_cache(sum_query, max_age_epochs=0) is None
+
+    def test_mid_round_lookup_counts_from_the_completed_epoch(self):
+        """While epoch 2's round runs (``epoch`` already 2), freshness 1
+        means the newest *completed* epoch — epoch 1 — and a failed
+        epoch counts as completed, with no answers to serve."""
+        seen = {}
+        service = None
+
+        def provider(epoch):
+            if epoch == 2:
+                seen["mid_round"] = service.answer_from_cache(
+                    "sum", max_age_epochs=1
+                )
+            if epoch == 3:
+                # The MAX encoding rejects non-positive readings mid-round.
+                return {i: -1.0 for i in range(1, NUM_NODES)}
+            return readings_for(epoch)
+
+        service = make_service(readings_provider=provider)
+        first = service.serve_batch(("sum",))[Query("sum")]
+        service.serve_batch(("avg",))
+        assert seen["mid_round"] is first
+        assert service.completed_epoch == 2
+        with pytest.raises(AggregationError):
+            service.serve_batch(("max",))
+        assert service.completed_epoch == 3
+        assert service.answer_from_cache("avg", max_age_epochs=1) is None
+        assert service.answer_from_cache("avg", max_age_epochs=2).epoch == 2
 
     def test_cache_pruned_beyond_retention(self):
         service = make_service(cache_epochs=2)
