@@ -69,11 +69,10 @@ class Scenario:
     (how many radios overhear each frame): sparse ~8, dense ~16-20.
     ``transport`` selects the network backend — ``"des"``, ``"fluid"``
     or ``"fluid-bulk"`` (see ``docs/TRANSPORT.md``); scenarios
-    differing only in it form a backend comparison pair. ``share_backend`` selects the share
-    pipeline (``"scalar"`` or ``"batched"``, see ``docs/PERF.md``);
-    scenarios differing only in it form a scalar-vs-batched pair.
-    ``clustering_backend`` likewise selects the clustering + report
-    phase engines (``"scalar"`` or ``"batched"``, see ``docs/PERF.md``).
+    differing only in it form a backend comparison pair. ``engine``
+    selects the Phase II-IV engines (``"scalar"`` or ``"batched"``, see
+    ``docs/PERF.md``); scenarios differing only in it form a
+    scalar-vs-batched pair.
     ``repeats`` overrides the global ``--repeats`` for scenarios too
     expensive to time more than once (the N=20000 rounds).
     """
@@ -83,8 +82,7 @@ class Scenario:
     field_size: float
     seed: int
     transport: str = "des"
-    share_backend: str = "scalar"
-    clustering_backend: str = "scalar"
+    engine: str = "scalar"
     repeats: Optional[int] = None
 
 
@@ -96,39 +94,33 @@ def _scenarios(scale: str) -> Dict[str, Scenario]:
             "tag_dense_small": Scenario("tag", 120, 250.0, 12),
             "icpda_dense_small": Scenario("icpda", 120, 250.0, 12),
             "icpda_dense_small_fluid": Scenario("icpda", 120, 250.0, 12, "fluid"),
+            # Batched pair for the same cell: the gate baseline watches
+            # this row so the batched engines can't silently regress at
+            # CI scale.
             "icpda_dense_small_batched": Scenario(
-                "icpda", 120, 250.0, 12, share_backend="batched"
-            ),
-            # Batched clustering/report pair for the same cell: the gate
-            # baseline watches this row so the batched phase engines
-            # can't silently regress at CI scale.
-            "icpda_dense_small_batched_cluster": Scenario(
-                "icpda", 120, 250.0, 12,
-                share_backend="batched", clustering_backend="batched",
+                "icpda", 120, 250.0, 12, engine="batched"
             ),
             "storm_dense_small": Scenario("storm", 120, 150.0, 14),
             "storm_dense_small_fluid": Scenario("storm", 120, 150.0, 14, "fluid"),
             # The paper-scale 20k round, once: proves the grid neighbor
-            # engine + batched share algebra keep huge fields tractable
+            # engine + batched phase engines keep huge fields tractable
             # in CI (O(N^2) anywhere and this times out instead).
             "icpda_huge_fluid": Scenario(
                 "icpda", 20000, 3000.0, 15, "fluid",
-                share_backend="batched", repeats=1,
+                engine="batched", repeats=1,
             ),
             # Same round through the bulk (tick-grid, vectorized) fluid
             # path with the batched phase engines: the fully vectorized
             # stack the 100k row depends on.
             "icpda_huge_fluid_bulk": Scenario(
                 "icpda", 20000, 3000.0, 15, "fluid-bulk",
-                share_backend="batched", clustering_backend="batched",
-                repeats=1,
+                engine="batched", repeats=1,
             ),
             # The 100k-node round only the bulk path makes tractable:
             # same density (degree ~17), one full iCPDA round.
             "icpda_mega_fluid_bulk": Scenario(
                 "icpda", 100000, 6708.0, 16, "fluid-bulk",
-                share_backend="batched", clustering_backend="batched",
-                repeats=1,
+                engine="batched", repeats=1,
             ),
         }
     return {
@@ -139,34 +131,22 @@ def _scenarios(scale: str) -> Dict[str, Scenario]:
         "tag_dense_large": Scenario("tag", 2000, 950.0, 13),
         "icpda_dense_large": Scenario("icpda", 2000, 950.0, 13),
         "icpda_dense_large_batched": Scenario(
-            "icpda", 2000, 950.0, 13, share_backend="batched"
-        ),
-        # Clustering/report engine pair against the row above (differs
-        # only in clustering_backend).
-        "icpda_dense_large_batched_cluster": Scenario(
-            "icpda", 2000, 950.0, 13,
-            share_backend="batched", clustering_backend="batched",
+            "icpda", 2000, 950.0, 13, engine="batched"
         ),
         "icpda_dense_large_fluid": Scenario("icpda", 2000, 950.0, 13, "fluid"),
         "icpda_huge_fluid": Scenario(
             "icpda", 20000, 3000.0, 15, "fluid", repeats=1
         ),
-        "icpda_huge_fluid_batched": Scenario(
-            "icpda", 20000, 3000.0, 15, "fluid",
-            share_backend="batched", repeats=1,
-        ),
-        # The fully vectorized 20k row (bulk transport + batched share
-        # and phase engines), plus the 100k round that exists only
-        # because of that stack.
+        # The fully vectorized 20k row (bulk transport + batched
+        # engines), plus the 100k round that exists only because of
+        # that stack.
         "icpda_huge_fluid_bulk": Scenario(
             "icpda", 20000, 3000.0, 15, "fluid-bulk",
-            share_backend="batched", clustering_backend="batched",
-            repeats=1,
+            engine="batched", repeats=1,
         ),
         "icpda_mega_fluid_bulk": Scenario(
             "icpda", 100000, 6708.0, 16, "fluid-bulk",
-            share_backend="batched", clustering_backend="batched",
-            repeats=1,
+            engine="batched", repeats=1,
         ),
         "storm_dense_large": Scenario("storm", 2000, 250.0, 14),
         "storm_dense_large_fluid": Scenario("storm", 2000, 250.0, 14, "fluid"),
@@ -207,10 +187,7 @@ def _run_icpda(scenario: Scenario, deployment) -> Tuple[float, dict]:
     start = time.perf_counter()
     protocol = IcpdaProtocol(
         deployment,
-        IcpdaConfig(
-            share_backend=scenario.share_backend,
-            clustering_backend=scenario.clustering_backend,
-        ),
+        IcpdaConfig(engine=scenario.engine),
         seed=scenario.seed,
         transport=scenario.transport,
     )
@@ -331,8 +308,7 @@ def _measure(scenario: Scenario, repeats: int) -> dict:
     entry = {
         "protocol": scenario.protocol,
         "transport": scenario.transport,
-        "share_backend": scenario.share_backend,
-        "clustering_backend": scenario.clustering_backend,
+        "engine": scenario.engine,
         "num_nodes": scenario.num_nodes,
         "field_size_m": scenario.field_size,
         "mean_degree": round(degree, 2),

@@ -1,4 +1,4 @@
-"""Batched cluster formation — the ``clustering_backend="batched"`` engine.
+"""Batched cluster formation — Phase II of ``engine="batched"``.
 
 Runs the full election / join / dissolve / merge / close cascade of
 :class:`repro.core.clustering.ClusterFormation` **in-process**, over all
@@ -71,7 +71,7 @@ _E_REJOIN = 8
 class BatchedClusterFormation:
     """Drop-in replacement for ``ClusterFormation`` (same constructor,
     same ``run()`` -> :class:`ClusteringResult` API), selected by
-    ``IcpdaConfig.clustering_backend == "batched"``."""
+    ``IcpdaConfig.engine == "batched"``."""
 
     def __init__(
         self,

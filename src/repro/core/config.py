@@ -9,7 +9,7 @@ loss-tolerance threshold ``Th`` at the base station.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Optional, Tuple
 
 from repro.errors import ConfigError
@@ -72,33 +72,26 @@ class IcpdaConfig:
     # Intra-cluster exchange
     share_retries: int = 3
     ack_timeout_s: float = 0.35
-    #: "scalar": the event-driven exchange (per-frame handlers, ARQ,
-    #: per-member pure-Python share algebra), byte-identical to the
-    #: historical (golden-traced) behaviour. "batched": the whole phase
-    #: computed in-process (repro.core.intracluster_batched) — shares,
-    #: F-values and Lagrange recoveries with vectorized Mersenne-61
-    #: kernels grouped by cluster size, member timelines in closed form
-    #: under a reliable control plane — with every frame replayed
-    #: through the Transport seam at its scalar-equivalent instant. On a
-    #: lossless transport states, sums, witness sums, the share log and
-    #: per-kind byte totals equal scalar; on lossy ones only seeded
-    #: determinism holds (no ARQ retransmits are replayed; see
-    #: docs/PERF.md).
-    share_backend: str = "scalar"
 
-    # Cluster formation + report backends
-    #: "scalar": per-node event-driven clustering and report phases,
-    #: byte-identical to the historical (golden-traced) behaviour.
-    #: "batched": the same elections, join resolution, merge waves,
-    #: member lists, census, report absorption, witnessing and verdict
-    #: computed as array/loop operations over all nodes at once under a
-    #: reliable-control-plane assumption, with the resulting frames
-    #: replayed through the Transport seam so byte/energy accounting
-    #: stays truthful. On a lossless transport the batched outcomes
-    #: (clusters, verdicts, aggregates) are *equal* to scalar; on lossy
-    #: transports only seeded determinism is guaranteed (same seeds ->
-    #: same clusters, verdicts and aggregates; see docs/PERF.md).
-    clustering_backend: str = "scalar"
+    # Phase engines
+    #: Engines of Phases II-IV (cluster formation, share exchange,
+    #: report + verdict), switched together. "scalar": per-node
+    #: event-driven phases, byte-identical to the historical
+    #: (golden-traced) behaviour. "batched": each phase computed
+    #: in-process under a reliable control plane (clustering_batched,
+    #: intracluster_batched with vectorized Mersenne-61 share algebra,
+    #: integrity_batched), its frames replayed through the Transport
+    #: seam at their scalar-equivalent instants so byte/energy
+    #: accounting stays truthful. On a lossless transport clusters,
+    #: sums, share log, verdicts and per-kind byte totals equal scalar;
+    #: on lossy ones only seeded determinism holds (no ARQ retransmits
+    #: are replayed; see docs/PERF.md). ``None`` means "scalar".
+    engine: Optional[str] = None
+    #: Deprecated init-only aliases of ``engine``, never stored (reading
+    #: one gives None); an unset one counts as "scalar". Together with
+    #: ``engine`` they must name one engine, else ``ConfigError``.
+    share_backend: InitVar[Optional[str]] = None
+    clustering_backend: InitVar[Optional[str]] = None
 
     # Integrity
     #: "witnessed": the full peer-monitoring layer (itemized reports,
@@ -135,7 +128,19 @@ class IcpdaConfig:
     # bounded-impact attack the paper scopes out.
     excluded_heads: Tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
+    def __post_init__(
+        self, share_backend: Optional[str], clustering_backend: Optional[str]
+    ) -> None:
+        engines = {self.engine} - {None}
+        if share_backend is not None or clustering_backend is not None:
+            engines |= {share_backend or "scalar", clustering_backend or "scalar"}
+        if len(engines) > 1:
+            raise ConfigError(
+                f"engine={self.engine!r}, share_backend={share_backend!r} and "
+                f"clustering_backend={clustering_backend!r} name more than one "
+                f"engine; mixed pipelines no longer exist"
+            )
+        object.__setattr__(self, "engine", engines.pop() if engines else "scalar")
         if not 0.0 < self.p_c <= 1.0:
             raise ConfigError(f"p_c must be in (0, 1], got {self.p_c}")
         if self.k_min < 2:
@@ -162,15 +167,9 @@ class IcpdaConfig:
             raise ConfigError(f"share_retries must be >= 0, got {self.share_retries}")
         if self.ack_timeout_s <= 0:
             raise ConfigError(f"ack_timeout_s must be positive, got {self.ack_timeout_s}")
-        if self.share_backend not in ("scalar", "batched"):
+        if self.engine not in ("scalar", "batched"):
             raise ConfigError(
-                f"share_backend must be 'scalar' or 'batched', "
-                f"got {self.share_backend!r}"
-            )
-        if self.clustering_backend not in ("scalar", "batched"):
-            raise ConfigError(
-                f"clustering_backend must be 'scalar' or 'batched', "
-                f"got {self.clustering_backend!r}"
+                f"engine must be 'scalar' or 'batched', got {self.engine!r}"
             )
         if self.count_threshold < 0:
             raise ConfigError(

@@ -1,4 +1,4 @@
-"""Batched report aggregation + verdict — ``clustering_backend="batched"``.
+"""Batched report aggregation + verdict — Phase IV of ``engine="batched"``.
 
 :class:`BatchedReportAndVerdictPhase` computes Phase IV in-process
 instead of as per-frame simulator events, then replays the frames the
@@ -62,7 +62,7 @@ _E_DOG = 4  # the watchdog deadline fires
 class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
     """Drop-in replacement for ``ReportAndVerdictPhase`` (same
     constructor and ``run()`` API), selected by
-    ``IcpdaConfig.clustering_backend == "batched"``.
+    ``IcpdaConfig.engine == "batched"``.
 
     Inherits all phase state and the verdict rendering from the scalar
     engine; only the event plumbing is replaced.

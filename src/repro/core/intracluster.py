@@ -190,12 +190,12 @@ class IntraClusterExchange:
         """Run the exchange window to completion and compile results.
 
         The census below is shared; the exchange itself runs as
-        per-frame events (``share_backend="scalar"``, the golden-traced
+        per-frame events (``engine="scalar"``, the golden-traced
         reference) or in-process
         (:class:`~repro.core.intracluster_batched.BatchedShareExchange`).
         """
         live = self._census()
-        if self._config.share_backend == "batched":
+        if self._config.engine == "batched":
             # Imported here: the engine builds on this module's types.
             from repro.core.intracluster_batched import BatchedShareExchange
 

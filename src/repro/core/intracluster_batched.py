@@ -1,4 +1,4 @@
-"""In-process share exchange — the ``share_backend="batched"`` engine.
+"""In-process share exchange — Phase III of ``engine="batched"``.
 
 :class:`BatchedShareExchange` runs Phase III for every cluster that
 survived :class:`~repro.core.intracluster.IntraClusterExchange`'s census

@@ -188,6 +188,12 @@ class IcpdaProtocol:
         takes effect at the next :meth:`run_round` (clustering re-reads
         it every round).
 
+        A change of ``engine`` clears every addressed handler: the scalar
+        phases leave theirs registered after a round (each round
+        registers them afresh), and the batched engines' replayed frames
+        would otherwise run them. The tree's HELLO handlers are only
+        used inside :meth:`setup`, which registers them again.
+
         If ``aggregate_name`` or ``fixed_point_scale`` changed, the
         aggregate is rebuilt to match — unless a custom ``aggregate``
         instance was supplied (at construction or via
@@ -201,6 +207,9 @@ class IcpdaProtocol:
             config.aggregate_name != self.config.aggregate_name
             or config.fixed_point_scale != self.config.fixed_point_scale
         )
+        if config.engine != self.config.engine:
+            for node_id in self.stack.node_ids():
+                self.stack.clear_handlers(node_id)
         self.config = config
         if rebuild_aggregate:
             codec = FixedPointCodec(scale=config.fixed_point_scale)
@@ -268,15 +277,16 @@ class IcpdaProtocol:
             self.stack.clear_overhear(node_id)
 
         counters = self.stack.counters
+        # The exchange engine is picked inside IntraClusterExchange.run().
+        formation_cls, report_cls = (
+            (BatchedClusterFormation, BatchedReportAndVerdictPhase)
+            if self.config.engine == "batched"
+            else (ClusterFormation, ReportAndVerdictPhase)
+        )
 
         # Phase II: cluster formation.
         before = counters.total_bytes
         with self.profiler.phase("clustering"):
-            formation_cls = (
-                BatchedClusterFormation
-                if self.config.clustering_backend == "batched"
-                else ClusterFormation
-            )
             formation = formation_cls(
                 self.stack, self.tree, self.config, round_id
             )
@@ -311,11 +321,6 @@ class IcpdaProtocol:
         # Phase IV: witnessed report aggregation + verdict.
         before = counters.total_bytes
         with self.profiler.phase("report"):
-            report_cls = (
-                BatchedReportAndVerdictPhase
-                if self.config.clustering_backend == "batched"
-                else ReportAndVerdictPhase
-            )
             report_phase = report_cls(
                 self.stack,
                 self.tree,

@@ -197,27 +197,16 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--share-backend",
+        "--engine",
         choices=("scalar", "batched"),
         default="scalar",
         help=(
-            "share pipeline for every cell (default: scalar). 'batched' "
-            "switches the vectorized cross-cluster share algebra on "
-            "(identical aggregates, see docs/PERF.md); like --transport "
-            "it enters each cell's cache key via the spec context."
-        ),
-    )
-    parser.add_argument(
-        "--clustering-backend",
-        choices=("scalar", "batched"),
-        default="scalar",
-        help=(
-            "clustering + report phase engines for every cell (default: "
-            "scalar). 'batched' computes cluster formation and the "
-            "report/verdict wave in-process and replays the frames "
-            "through the transport (equal outcomes on lossless "
+            "Phase II-IV engines for every cell (default: scalar). "
+            "'batched' computes cluster formation, the share exchange "
+            "and the report/verdict wave in-process and replays the "
+            "frames through the transport (equal outcomes on lossless "
             "transports, seeded determinism otherwise, see "
-            "docs/PERF.md); like --share-backend it enters each cell's "
+            "docs/PERF.md); like --transport it enters each cell's "
             "cache key via the spec context."
         ),
     )
@@ -300,21 +289,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # implicit default, so only the non-default choice lands in the
         # context. Config objects in the context are rewritten in place
         # — that is how every experiment that takes its IcpdaConfig
-        # from the spec context picks the backend up.
-        if args.share_backend != "scalar":
-            spec.context["share_backend"] = args.share_backend
+        # from the spec context picks the engine up.
+        if args.engine != "scalar":
+            spec.context["engine"] = args.engine
             for key, value in spec.context.items():
                 if isinstance(value, IcpdaConfig):
-                    spec.context[key] = replace(
-                        value, share_backend=args.share_backend
-                    )
-        if args.clustering_backend != "scalar":
-            spec.context["clustering_backend"] = args.clustering_backend
-            for key, value in spec.context.items():
-                if isinstance(value, IcpdaConfig):
-                    spec.context[key] = replace(
-                        value, clustering_backend=args.clustering_backend
-                    )
+                    spec.context[key] = replace(value, engine=args.engine)
         report = execute(
             spec,
             jobs=args.jobs,

@@ -553,6 +553,10 @@ class FluidTransport:
             raise SimulationError("handler kind must be non-empty")
         self._handlers[node_id][kind] = handler
 
+    def clear_handlers(self, node_id: int) -> None:
+        """Remove every addressed handler at ``node_id``."""
+        self._handlers[node_id].clear()
+
     def register_overhear(
         self,
         node_id: int,

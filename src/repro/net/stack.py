@@ -239,6 +239,10 @@ class NetworkStack:
         """Route addressed ``kind`` frames at ``node_id`` to ``handler``."""
         self.nodes[node_id].register_handler(kind, handler)
 
+    def clear_handlers(self, node_id: int) -> None:
+        """Remove every addressed handler at ``node_id``."""
+        self.nodes[node_id]._handlers.clear()
+
     def register_overhear(
         self,
         node_id: int,

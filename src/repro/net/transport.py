@@ -183,6 +183,8 @@ class Transport(Protocol):
         self, node_id: int, kind: str, handler: PacketHandler
     ) -> None: ...
 
+    def clear_handlers(self, node_id: int) -> None: ...
+
     def register_overhear(
         self,
         node_id: int,

@@ -10,13 +10,11 @@ tools (ns-2 was the paper family's substrate). It provides:
 * :class:`~repro.sim.rng.RngRegistry` — named, independently seeded random
   streams so protocol randomness, topology randomness and channel
   randomness never interleave (full-run reproducibility from one seed).
-* :class:`~repro.sim.process.PeriodicTimer` — recurring timers.
 * :class:`~repro.sim.trace.TraceLog` — structured, filterable tracing.
 """
 
 from repro.sim.events import Event, EventHandle
 from repro.sim.kernel import Simulator
-from repro.sim.process import PeriodicTimer, delayed_call
 from repro.sim.profiling import PhaseProfiler, PhaseSpan
 from repro.sim.rng import RngRegistry
 from repro.sim.telemetry import TelemetryCollector, collect
@@ -26,8 +24,6 @@ __all__ = [
     "Event",
     "EventHandle",
     "Simulator",
-    "PeriodicTimer",
-    "delayed_call",
     "PhaseProfiler",
     "PhaseSpan",
     "RngRegistry",

@@ -11,7 +11,7 @@ Mirrors ``test_exchange_batched.py`` for phase II:
    topologies, including ones where two heads claim the same member.
 2. **Seeded reproducibility** — a batched formation is a pure function
    of (seed, config, topology).
-3. **Config guardrail** — unknown backend names fail fast at config
+3. **Config guardrail** — unknown engine names fail fast at config
    construction (the same check the cell-cache key relies on).
 """
 
@@ -46,7 +46,7 @@ def _run_formation(cfg: IcpdaConfig, adjacency, seed: int):
     tree = build_aggregation_tree(fake)
     formation_cls = (
         BatchedClusterFormation
-        if cfg.clustering_backend == "batched"
+        if cfg.engine == "batched"
         else ClusterFormation
     )
     clustering = formation_cls(fake, tree, cfg, round_id=0).run()
@@ -70,7 +70,7 @@ def _summary(fake, clustering):
 
 def _run_summary(backend: str, adjacency, seed: int):
     fake, clustering = _run_formation(
-        IcpdaConfig(clustering_backend=backend), adjacency, seed
+        IcpdaConfig(engine=backend), adjacency, seed
     )
     return _summary(fake, clustering)
 
@@ -102,7 +102,7 @@ class TestScalarBatchedEquality:
         test_report_batched.py and test_exchange_batched.py."""
         for seed in RANDOM_TOPOLOGY_SEEDS:
             _, clustering = _run_formation(
-                IcpdaConfig(clustering_backend=backend),
+                IcpdaConfig(engine=backend),
                 _random_adjacency(seed),
                 seed,
             )
@@ -128,5 +128,5 @@ class TestBatchedDeterminism:
         )
 
     def test_rejects_unknown_backend(self) -> None:
-        with pytest.raises(ConfigError, match="clustering_backend"):
-            IcpdaConfig(clustering_backend="gpu")
+        with pytest.raises(ConfigError, match="engine"):
+            IcpdaConfig(engine="gpu")

@@ -30,6 +30,7 @@ import pytest
 from repro.aggregation.functions import FixedPointCodec, make_aggregate
 from repro.aggregation.tree import build_aggregation_tree
 from repro.core.clustering import Cluster, ClusterFormation, ClusteringResult
+from repro.core.clustering_batched import BatchedClusterFormation
 from repro.core.config import IcpdaConfig
 from repro.core.field import DEFAULT_FIELD
 from repro.core.intracluster import (
@@ -139,15 +140,15 @@ def _full_summary(exchange, fake, trace):
 
 def _both(make_cfg=IcpdaConfig, **kwargs):
     return [
-        _full_summary(*_run_exchange(make_cfg(share_backend=backend), **kwargs))
+        _full_summary(*_run_exchange(make_cfg(engine=backend), **kwargs))
         for backend in ("scalar", "batched")
     ]
 
 
 class TestScalarBatchedEquality:
     def test_lossless_transport_identical_results(self) -> None:
-        scalar, fake_s, trace_s = _run_exchange(IcpdaConfig(share_backend="scalar"))
-        batched, fake_b, trace_b = _run_exchange(IcpdaConfig(share_backend="batched"))
+        scalar, fake_s, trace_s = _run_exchange(IcpdaConfig(engine="scalar"))
+        batched, fake_b, trace_b = _run_exchange(IcpdaConfig(engine="batched"))
         assert scalar.completed_clusters  # the comparison is non-vacuous
         assert _summary(scalar) == _summary(batched)
         assert _full_summary(scalar, fake_s, trace_s) == _full_summary(
@@ -157,10 +158,10 @@ class TestScalarBatchedEquality:
     @pytest.mark.parametrize("aggregate_name", ["average", "variance"])
     def test_multi_component_aggregates(self, aggregate_name: str) -> None:
         scalar, fake_s, trace_s = _run_exchange(
-            IcpdaConfig(share_backend="scalar", aggregate_name=aggregate_name)
+            IcpdaConfig(engine="scalar", aggregate_name=aggregate_name)
         )
         batched, fake_b, trace_b = _run_exchange(
-            IcpdaConfig(share_backend="batched", aggregate_name=aggregate_name)
+            IcpdaConfig(engine="batched", aggregate_name=aggregate_name)
         )
         assert scalar.completed_clusters
         assert _summary(scalar) == _summary(batched)
@@ -213,7 +214,7 @@ class TestScalarBatchedEquality:
             scheme.provision_all(list(range(36)))
             return _full_summary(
                 *_run_exchange(
-                    IcpdaConfig(share_backend=backend), linksec=LinkSecurity(scheme)
+                    IcpdaConfig(engine=backend), linksec=LinkSecurity(scheme)
                 )
             )
 
@@ -231,8 +232,8 @@ class TestFullRoundEquality:
         from tests.core.test_report_batched import _run_round, _summary as round_summary
 
         def run(backend: str):
-            cfg = IcpdaConfig(share_backend=backend, clustering_backend=backend)
-            return round_summary(*_run_round(cfg, seed))
+            cfg = IcpdaConfig(engine=backend)
+            return round_summary(*_run_round(cfg, seed, exchange_engine=backend))
 
         scalar = run("scalar")
         assert scalar[3] > 0
@@ -241,21 +242,21 @@ class TestFullRoundEquality:
 
 class TestBatchedDeterminism:
     def test_same_seed_same_aggregates(self) -> None:
-        cfg = IcpdaConfig(share_backend="batched")
+        cfg = IcpdaConfig(engine="batched")
         assert _summary(_run_exchange(cfg, seed=9)[0]) == _summary(
             _run_exchange(cfg, seed=9)[0]
         )
 
     def test_different_seed_different_schedule(self) -> None:
-        cfg = IcpdaConfig(share_backend="batched")
+        cfg = IcpdaConfig(engine="batched")
         a, _, _ = _run_exchange(cfg, seed=9)
         b, _, _ = _run_exchange(cfg, seed=10)
         # Clustering differs with the seed, so so does the outcome shape.
         assert _summary(a) != _summary(b)
 
     def test_rejects_unknown_backend(self) -> None:
-        with pytest.raises(ConfigError, match="share_backend"):
-            IcpdaConfig(share_backend="gpu")
+        with pytest.raises(ConfigError, match="engine"):
+            IcpdaConfig(engine="gpu")
 
     def test_block_delay_draws_equal_sequential_draws(self) -> None:
         """The engine draws all send delays in one block; the scalar run
@@ -290,7 +291,7 @@ def _forged_conflict_clustering():
 class TestMembershipConflictRegression:
     @pytest.mark.parametrize("backend", ["scalar", "batched"])
     def test_both_claiming_clusters_abort(self, backend: str) -> None:
-        cfg = IcpdaConfig(share_backend=backend)
+        cfg = IcpdaConfig(engine=backend)
         fake = LoopbackTransport(grid_topology(6), sim=FakeSim(seed=2))
         readings = {i: 1.0 for i in fake.node_ids() if i != 0}
         aggregate = make_aggregate(
@@ -364,25 +365,42 @@ class TestLossyTransportDivergence:
         readings = dict(
             zip(range(1, 1000), np.random.default_rng(13).uniform(10, 30, 999).tolist())
         )
-        runs = {}
-        for backend in ("scalar", "batched"):
-            protocol = IcpdaProtocol(
-                deployment,
-                IcpdaConfig(share_backend=backend, clustering_backend="batched"),
-                seed=12,
-                transport="fluid-bulk",
-            )
-            protocol.setup()
-            protocol.run_round(readings, round_id=1)
-            runs[backend] = protocol
-        scalar, batched = runs["scalar"], runs["batched"]
-        assert scalar.last_clustering.clusters.keys() == batched.last_clustering.clusters.keys()
-        assert len(scalar.last_exchange.completed_clusters) > 100
-        assert scalar.last_exchange.completed_clusters == batched.last_exchange.completed_clusters
-        for head in scalar.last_exchange.completed_clusters:
-            assert (
-                scalar.last_exchange.states[head].cluster_sums
-                == batched.last_exchange.states[head].cluster_sums
-            )
-        ratio = batched.phase_bytes["exchange"] / scalar.phase_bytes["exchange"]
-        assert 0.97 <= ratio <= 1.0
+        clustering_s, scalar, bytes_s = _exchange_on_batched_clustering(
+            deployment, readings, "scalar"
+        )
+        clustering_b, batched, bytes_b = _exchange_on_batched_clustering(
+            deployment, readings, "batched"
+        )
+        assert clustering_s.clusters.keys() == clustering_b.clusters.keys()
+        assert len(scalar.completed_clusters) > 100
+        assert scalar.completed_clusters == batched.completed_clusters
+        for head in scalar.completed_clusters:
+            assert scalar.states[head].cluster_sums == batched.states[head].cluster_sums
+        assert 0.97 <= bytes_b / bytes_s <= 1.0
+
+
+def _exchange_on_batched_clustering(deployment, readings, engine: str):
+    """Set up on fluid-bulk, form clusters with the batched engine, then
+    run the exchange on ``engine`` — a mixed pipeline the ``engine``
+    knob does not offer, built phase by phase. Returns (clustering,
+    exchange result, exchange bytes)."""
+    protocol = IcpdaProtocol(
+        deployment, IcpdaConfig(engine="batched"), seed=12, transport="fluid-bulk"
+    )
+    protocol.setup()
+    clustering = BatchedClusterFormation(
+        protocol.stack, protocol.tree, protocol.config, round_id=1
+    ).run()
+    counters = protocol.stack.counters
+    before = counters.total_bytes
+    exchange = IntraClusterExchange(
+        protocol.stack,
+        clustering,
+        IcpdaConfig(engine=engine),
+        protocol.linksec,
+        protocol.aggregate,
+        readings,
+        protocol.field,
+        round_id=1,
+    ).run()
+    return clustering, exchange, counters.total_bytes - before

@@ -14,6 +14,8 @@ bit stream exactly like ``n`` sequential ``random()`` calls.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,22 @@ from repro.crypto.linksec import LinkSecurity
 from tests.net.loopback import FakeSim, LoopbackTransport, grid_topology
 
 
-def _run_round(cfg: IcpdaConfig, seed: int, side: int = 8, attack=None):
-    """All four phases over a lossless ``side`` x ``side`` grid."""
+def _run_round(
+    cfg: IcpdaConfig,
+    seed: int,
+    side: int = 8,
+    attack=None,
+    exchange_engine: str = "scalar",
+):
+    """All four phases over a lossless ``side`` x ``side`` grid.
+
+    ``cfg.engine`` picks the formation and report engines; the exchange
+    runs on ``exchange_engine`` (scalar by default, so the comparisons
+    here isolate the clustering and report engines)."""
     fake = LoopbackTransport(grid_topology(side), sim=FakeSim(seed=seed))
     tree = build_aggregation_tree(fake)
     formation_cls = (
-        BatchedClusterFormation
-        if cfg.clustering_backend == "batched"
-        else ClusterFormation
+        BatchedClusterFormation if cfg.engine == "batched" else ClusterFormation
     )
     clustering = formation_cls(fake, tree, cfg, round_id=0).run()
     readings = {i: 10.0 + (i % 7) for i in fake.node_ids() if i != 0}
@@ -49,7 +59,7 @@ def _run_round(cfg: IcpdaConfig, seed: int, side: int = 8, attack=None):
     exchange = IntraClusterExchange(
         fake,
         clustering,
-        cfg,
+        replace(cfg, engine=exchange_engine),
         LinkSecurity(PairwiseKeyScheme()),
         aggregate,
         readings,
@@ -58,7 +68,7 @@ def _run_round(cfg: IcpdaConfig, seed: int, side: int = 8, attack=None):
     ).run()
     report_cls = (
         BatchedReportAndVerdictPhase
-        if cfg.clustering_backend == "batched"
+        if cfg.engine == "batched"
         else ReportAndVerdictPhase
     )
     result = report_cls(
@@ -100,7 +110,7 @@ def _summary(fake, result):
 
 def _run_summary(backend: str, seed: int, attack=None):
     fake, result = _run_round(
-        IcpdaConfig(clustering_backend=backend), seed, attack=attack
+        IcpdaConfig(engine=backend), seed, attack=attack
     )
     return _summary(fake, result)
 
@@ -155,7 +165,7 @@ class TestContestedMembershipEquality:
         )
 
         def run(backend: str):
-            cfg = IcpdaConfig(clustering_backend=backend)
+            cfg = IcpdaConfig(engine=backend)
             fake = LoopbackTransport(grid_topology(6), sim=FakeSim(seed=seed))
             tree = build_aggregation_tree(fake)
             clustering = _forged_conflict_clustering()
@@ -166,7 +176,7 @@ class TestContestedMembershipEquality:
             exchange = IntraClusterExchange(
                 fake,
                 clustering,
-                cfg,
+                IcpdaConfig(),
                 LinkSecurity(PairwiseKeyScheme()),
                 aggregate,
                 readings,

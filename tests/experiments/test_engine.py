@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.core.config import IcpdaConfig
 from repro.errors import ReproError
 from repro.experiments.engine import (
     CellSpec,
@@ -76,15 +77,15 @@ class TestSeedsAndKeys:
         )
 
     def test_cell_key_depends_on_backend_selection(self):
-        """The CLI lands non-default --share-backend/--clustering-backend
-        choices in the spec context; cached cells must not be shared
-        across backends."""
-        default = _spec(square_cell, 1)
-        keys = {cell_key(default, default.cells[0])}
+        """The CLI lands a non-default --engine choice in the spec context
+        and rewrites context configs; cached cells must not be shared
+        across engines."""
+        keys = set()
         for context in (
-            {"share_backend": "batched"},
-            {"clustering_backend": "batched"},
-            {"share_backend": "batched", "clustering_backend": "batched"},
+            {},
+            {"engine": "batched"},
+            {"config": IcpdaConfig()},
+            {"config": IcpdaConfig(engine="batched"), "engine": "batched"},
         ):
             spec = _spec(square_cell, 1, context=context)
             keys.add(cell_key(spec, spec.cells[0]))

@@ -132,26 +132,22 @@ class TestCli:
         assert "mean_degree" in out
         assert (tmp_path / "t1.json").exists()
 
-    def test_clustering_backend_flag_lands_in_cache_key(self, tmp_path, capsys):
-        """--clustering-backend batched must run green AND key its cached
-        cells apart from the scalar default (regression: a shared key
-        would let one backend's artifact satisfy the other's --resume)."""
-        assert main(["run", "T1", "--quick", "--out", str(tmp_path)]) == 0
-        cache = tmp_path / ".cellcache"
-        scalar_cells = set(cache.rglob("*.json"))
-        assert main(
-            [
-                "run",
-                "T1",
-                "--quick",
-                "--clustering-backend",
-                "batched",
-                "--out",
-                str(tmp_path),
-            ]
-        ) == 0
-        capsys.readouterr()
-        batched_cells = set(cache.rglob("*.json")) - scalar_cells
+    def test_engine_flag_lands_in_cache_key(self, tmp_path, capsys):
+        """--engine batched must run green AND key its cached cells apart
+        from the scalar default (regression: a shared key would let one
+        engine's artifact satisfy the other's --resume), while an
+        explicit --engine scalar reuses the default's cells."""
+
+        def run_t1(*flags: str) -> set:
+            argv = ["run", "T1", "--quick", *flags, "--out", str(tmp_path)]
+            assert main(argv) == 0
+            capsys.readouterr()
+            return set((tmp_path / ".cellcache").rglob("*.json"))
+
+        scalar_cells = run_t1()
+        assert scalar_cells
+        assert run_t1("--engine", "scalar") == scalar_cells
+        batched_cells = run_t1("--engine", "batched") - scalar_cells
         assert batched_cells  # fresh cells, not scalar-cache hits
 
     def test_run_all_executes_every_entry(

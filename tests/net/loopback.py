@@ -268,6 +268,9 @@ class LoopbackTransport:
     ) -> None:
         self._handlers[node_id][kind] = handler
 
+    def clear_handlers(self, node_id: int) -> None:
+        self._handlers[node_id].clear()
+
     def register_overhear(
         self,
         node_id: int,

@@ -53,6 +53,27 @@ def test_real_backends_satisfy_transport_protocol(small_deployment):
         assert isinstance(stack, Transport), kind
 
 
+@pytest.mark.parametrize("kind", ["des", "fluid", "fluid-bulk"])
+def test_clear_handlers_stops_addressed_delivery(small_deployment, kind):
+    """Only the cleared node loses its handlers; a frame addressed to it
+    reaches no stale one."""
+    from repro.sim.kernel import Simulator
+
+    stack = create_transport(kind, Simulator(seed=1), small_deployment)
+    src = next(n for n in stack.node_ids() if len(stack.neighbors(n)) >= 2)
+    cleared, kept = stack.neighbors(src)[:2]
+    heard = {cleared: [], kept: []}
+    for node in (cleared, kept):
+        stack.register_handler(node, "ping", heard[node].append)
+    stack.clear_handlers(cleared)
+    for _ in range(5):
+        for node in (cleared, kept):
+            stack.send(src, node, "ping")
+    stack.sim.run()
+    assert heard[cleared] == []
+    assert heard[kept]
+
+
 def test_loopback_overhears_before_handler():
     fake = LoopbackTransport(line_topology(4, reach=1))
     order = []
