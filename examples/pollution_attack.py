@@ -8,15 +8,26 @@ example shows the full defensive arc the paper describes:
    station, the round is rejected;
 2. the base station binary-searches cluster subsets over subsequent
    rounds and isolates the attacking cluster in O(log C) probes;
-3. with the attacker excluded, aggregation is accepted again.
+3. a live service bars the attacker from the head role and aggregates
+   again; the attacker can still join a cluster as a member, so no
+   cluster's readings are sacrificed.
 
 Run:  python examples/pollution_attack.py
 """
 
+import dataclasses
+
 import numpy as np
 
-from repro import IcpdaConfig, IcpdaProtocol, localize_polluter, uniform_deployment
-from repro.attacks.pollution import PollutionAttack, TamperStrategy
+from repro import (
+    AggregationService,
+    IcpdaConfig,
+    IcpdaProtocol,
+    localize_polluter,
+    uniform_deployment,
+)
+from repro.attacks.pollution import TamperStrategy
+from repro.attacks.scenario import AttackScenario
 from repro.core.localization import expected_probe_bound
 
 SEED = 19
@@ -38,12 +49,9 @@ def main() -> None:
     print(f"{len(heads)} reporting clusters; compromising head {attacker}")
 
     # 1. The attacked round is rejected and the attacker named.
-    attack = PollutionAttack(
-        {attacker}, TamperStrategy.CONSISTENT_OWN, magnitude=500_000
-    )
-    attacked = IcpdaProtocol(deployment, config, seed=SEED, attack_plan=attack)
-    attacked.setup()
-    result = attacked.run_round(readings)
+    scenario = AttackScenario(deployment, config, readings=readings, seed=SEED)
+    strategy = TamperStrategy.CONSISTENT_OWN
+    result, attack = scenario.run_attacked({attacker}, strategy, magnitude=500_000)
     print(f"\nAttacked round verdict: {result.verdict.value}")
     print(f"Witness alarms: "
           f"{[(a.witness, a.suspect, a.reason.value) for a in result.alarms]}")
@@ -51,21 +59,13 @@ def main() -> None:
     assert result.detected_pollution
 
     # 2. Localization by subset re-aggregation.
-    probes_run = []
-
     def probe(subset):
-        probe_attack = PollutionAttack(
-            {attacker}, TamperStrategy.CONSISTENT_OWN, magnitude=500_000
+        restricted = dataclasses.replace(
+            scenario, config=config.with_restriction(subset)
         )
-        protocol = IcpdaProtocol(
-            deployment,
-            config.with_restriction(subset),
-            seed=SEED,
-            attack_plan=probe_attack,
+        outcome, _ = restricted.run_attacked(
+            {attacker}, strategy, magnitude=500_000
         )
-        protocol.setup()
-        outcome = protocol.run_round(readings, round_id=0)
-        probes_run.append(len(subset))
         return outcome.detected_pollution
 
     search = localize_polluter(probe, heads)
@@ -74,19 +74,23 @@ def main() -> None:
           f"{search.probes_used} probes (log2 bound: {bound})")
     assert search.suspects == (attacker,)
 
-    # 3. Exclude the attacker's cluster and aggregate cleanly.
-    surviving = tuple(h for h in heads if h != attacker)
-    clean_cfg = config.with_restriction(surviving)
-    recovered = IcpdaProtocol(
-        deployment, clean_cfg, seed=SEED, attack_plan=attack
+    # 3. Bar the culprit from the head role on a live service and collect.
+    service = AggregationService(
+        deployment,
+        config,
+        seed=SEED,
+        readings_provider=lambda epoch: readings,
+        attack_plan=attack,
     )
-    recovered.setup()
-    final = recovered.run_round(readings, round_id=0)
-    print(f"\nPost-exclusion round: {final.verdict.value}, "
-          f"accuracy {final.accuracy:.4f} "
-          f"(attacker's cluster sacrificed: "
-          f"participation {final.participation:.3f})")
-    assert final.verdict.accepted
+    service.exclude(search.suspects)
+    answer = service.collect("sum")
+    final = service.history[-1].result
+    print(f"\nPost-exclusion epoch {answer.epoch}: {answer.verdict.value}, "
+          f"accuracy {final.accuracy:.4f}, "
+          f"participation {answer.participation:.3f} "
+          f"(node {attacker} barred from the head role)")
+    assert answer.accepted
+    assert attacker not in service.protocol.last_clustering.clusters
     print("\nOK: pollution detected, attacker localized in O(log C) "
           "rounds, service restored.")
 

@@ -57,8 +57,8 @@ _EXPORTS = {
     "Verdict": "repro.core",
     "localize_polluter": "repro.core",
     "LocalizationResult": "repro.core",
-    "AggregationService": "repro.core",
-    "CollectOutcome": "repro.core",
+    # service
+    "AggregationService": "repro.service",
 }
 
 __all__ = ["__version__", *_EXPORTS]

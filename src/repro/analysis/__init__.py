@@ -11,7 +11,7 @@ can show analysis-vs-simulation agreement the way the paper does.
 * :mod:`repro.analysis.privacy` — the privacy capacity
   ``P_disclose(p_x, m)`` under link eavesdropping and collusion.
 * :mod:`repro.analysis.detection` — detection probability of the
-  peer-monitoring layer and the localization round bound.
+  peer-monitoring layer.
 """
 
 from repro.analysis.coverage import (
@@ -19,10 +19,7 @@ from repro.analysis.coverage import (
     expected_cluster_count,
     prob_hears_head,
 )
-from repro.analysis.detection import (
-    localization_rounds_bound,
-    prob_detect_head_tamper,
-)
+from repro.analysis.detection import prob_detect_head_tamper
 from repro.analysis.overhead import (
     CostModel,
     icpda_bytes_per_node,
@@ -51,5 +48,4 @@ __all__ = [
     "p_disclose_collusion",
     "p_disclose_combined",
     "prob_detect_head_tamper",
-    "localization_rounds_bound",
 ]

@@ -20,8 +20,6 @@ no colluders that is near-certain and folded into ``p_o`` if desired).
 
 from __future__ import annotations
 
-from math import ceil, log2
-
 from repro.errors import ReproError
 
 
@@ -58,13 +56,3 @@ def prob_detect_multiple(
         raise ReproError(f"num_attackers must be >= 1, got {num_attackers}")
     p_single = prob_detect_head_tamper(m, witness_fraction, p_know_sum, p_overhear)
     return 1.0 - (1.0 - p_single) ** num_attackers
-
-
-def localization_rounds_bound(num_clusters: int) -> int:
-    """``ceil(log2 C)`` probes isolate one polluter among ``C`` clusters
-    — the O(log N) claim in closed form."""
-    if num_clusters < 1:
-        raise ReproError(f"num_clusters must be >= 1, got {num_clusters}")
-    if num_clusters == 1:
-        return 0
-    return int(ceil(log2(num_clusters)))

@@ -33,8 +33,6 @@ _EXPORTS = {
     "PrimeField": "repro.core.field",
     "LocalizationResult": "repro.core.localization",
     "localize_polluter": "repro.core.localization",
-    "AggregationService": "repro.core.operator",
-    "CollectOutcome": "repro.core.operator",
     "IcpdaProtocol": "repro.core.protocol",
     "AlarmRecord": "repro.core.results",
     "RoundResult": "repro.core.results",
@@ -71,6 +69,4 @@ __all__ = [
     "Verdict",
     "LocalizationResult",
     "localize_polluter",
-    "AggregationService",
-    "CollectOutcome",
 ]

@@ -9,16 +9,15 @@ identical across probes (the restriction names cluster heads).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.detection import localization_rounds_bound
-from repro.attacks.pollution import PollutionAttack, TamperStrategy
+from repro.attacks.pollution import TamperStrategy
 from repro.attacks.scenario import AttackScenario
 from repro.core.config import IcpdaConfig
-from repro.core.localization import localize_polluter
-from repro.core.protocol import IcpdaProtocol
+from repro.core.localization import expected_probe_bound, localize_polluter
 from repro.errors import ReproError
 from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
 from repro.topology.deploy import uniform_deployment
@@ -46,20 +45,12 @@ def localize_one(
     attacker = int(rng.choice(candidates))
 
     def probe(subset: Tuple[int, ...]) -> bool:
-        attack = PollutionAttack(attackers={attacker}, strategy=strategy)
-        protocol = IcpdaProtocol(
-            deployment,
-            cfg.with_restriction(subset),
-            seed=seed,
-            attack_plan=attack,
-            transport=transport,
-        )
-        protocol.setup()
-        result = protocol.run_round(scenario.readings, round_id=0)
+        restricted = replace(scenario, config=cfg.with_restriction(subset))
+        result, _ = restricted.run_attacked({attacker}, strategy)
         return result.detected_pollution
 
     outcome = localize_polluter(probe, candidates)
-    bound = localization_rounds_bound(len(candidates))
+    bound = expected_probe_bound(len(candidates))
     found = outcome.converged and outcome.suspects == (attacker,)
     return found, outcome.probes_used, bound, len(candidates)
 

@@ -10,6 +10,8 @@ serving many epochs of queries over one persistent deployment:
   caches answers keyed by ``(query, epoch)``, and drives operator
   exclusion of localized polluters on the live instance (no rebuild, so
   energy/byte/phase ledgers and RNG streams accumulate truthfully).
+  Its ``collect`` method is the paper's operator loop: serve epochs,
+  barring each witness-named culprit, until one is accepted.
 * :class:`~repro.service.gateway.AggregationGateway` — the asyncio
   front-end: accepts SUM/AVG/VAR/MIN/MAX/COUNT queries from many
   concurrent clients, applies admission control (bounded queue, explicit
@@ -17,9 +19,6 @@ serving many epochs of queries over one persistent deployment:
   resolves every waiter.
 
 The protocol/semantics contract is documented in ``docs/SERVICE.md``.
-(The older :class:`repro.core.operator.AggregationService` is the
-*collect-until-accepted operator loop* and rebuilds a protocol per
-round; this package is the long-lived serving layer the ROADMAP names.)
 """
 
 from importlib import import_module

@@ -2,11 +2,8 @@
 
 One :class:`AggregationService` owns one live
 :class:`~repro.core.protocol.IcpdaProtocol` for the whole deployment
-lifetime. Compare :class:`repro.core.operator.AggregationService`, the
-collect-until-accepted loop that builds a *fresh* protocol per round:
-that resets the simulator clock, RNG streams, and every energy/byte
-ledger each time, which is fine for a one-shot query but wrong for a
-monitoring deployment whose budget is the whole point. Here:
+lifetime, so the simulator clock, RNG streams and every energy/byte
+ledger run on across epochs instead of resetting per query. Here:
 
 * Phase I (tree flood) runs once and is amortized over every epoch
   (:class:`~repro.sim.profiling.PhaseProfiler` shows it dominating short
@@ -16,6 +13,9 @@ monitoring deployment whose budget is the whole point. Here:
   suite (``tests/service/``) pins.
 * Operator exclusion of a localized polluter mutates the live instance
   (:meth:`IcpdaProtocol.exclude_heads`); the deployment is never rebuilt.
+  :meth:`AggregationService.collect` is the paper's operator loop on top
+  of it: serve, bar the witness-named culprit, re-cluster, until an
+  epoch is accepted.
 * Every distinct query kind pending at round start rides one composite
   aggregate, so a batch of SUM/AVG/VAR/MIN/MAX costs one round.
 * Answers are cached keyed by ``(query, epoch)``; the cache can serve a
@@ -37,6 +37,10 @@ from repro.topology.deploy import Deployment
 
 #: readings_provider signature: epoch number -> {sensor id: reading}.
 ReadingsProvider = Callable[[int], Dict[int, float]]
+
+#: Most epochs one :meth:`AggregationService.collect` call serves before
+#: it gives up and returns the last, unaccepted answer.
+COLLECT_MAX_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -283,6 +287,26 @@ class AggregationService:
             if cached is not None:
                 return cached
         return self.serve_batch((parsed,))[parsed]
+
+    def collect(self, query) -> ServedAnswer:
+        """Serve ``query`` epoch after epoch until one is accepted.
+
+        The paper's operator response to pollution: a rejected epoch
+        whose witnesses name a suspect bars it from the head role (under
+        ``auto_exclude``), and the next epoch re-clusters without it; an
+        unattributed rejection simply re-clusters. Stops at the first
+        accepted or ``INSUFFICIENT`` epoch (retrying cannot help a
+        network too sparse to answer), or after
+        :data:`COLLECT_MAX_ROUNDS` epochs, and returns the last answer.
+        Every epoch it ran is in :attr:`history`; the exclusions it made
+        are in :attr:`excluded`.
+        """
+        parsed = parse_query(query)
+        for _ in range(COLLECT_MAX_ROUNDS):
+            answer = self.serve_batch((parsed,))[parsed]
+            if answer.accepted or answer.verdict is Verdict.INSUFFICIENT:
+                break
+        return answer
 
     # -- accounting --------------------------------------------------------------
 

@@ -10,7 +10,6 @@ from repro.analysis.coverage import (
     prob_hears_head,
 )
 from repro.analysis.detection import (
-    localization_rounds_bound,
     prob_detect_head_tamper,
     prob_detect_multiple,
 )
@@ -138,10 +137,3 @@ class TestDetection:
         single = prob_detect_multiple(1, 3, 1.0, 0.8, 0.8)
         triple = prob_detect_multiple(3, 3, 1.0, 0.8, 0.8)
         assert triple > single
-
-    def test_localization_bound(self):
-        assert localization_rounds_bound(1) == 0
-        assert localization_rounds_bound(16) == 4
-        assert localization_rounds_bound(17) == 5
-        with pytest.raises(ReproError):
-            localization_rounds_bound(0)

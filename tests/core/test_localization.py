@@ -86,7 +86,8 @@ class TestNoisyProbe:
 
 class TestBound:
     @pytest.mark.parametrize(
-        "n,expected", [(1, 0), (2, 1), (3, 2), (8, 3), (9, 4), (100, 7)]
+        "n,expected",
+        [(1, 0), (2, 1), (3, 2), (8, 3), (9, 4), (16, 4), (17, 5), (100, 7)],
     )
     def test_bound_values(self, n, expected):
         assert expected_probe_bound(n) == expected

@@ -1,10 +1,12 @@
 """Integration tests: attacks against the full protocol stack."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.attacks.eavesdrop import EavesdropAnalysis
-from repro.attacks.pollution import PollutionAttack, TamperStrategy
+from repro.attacks.pollution import TamperStrategy
 from repro.attacks.scenario import AttackScenario
 from repro.core.config import IcpdaConfig
 from repro.core.localization import localize_polluter
@@ -69,15 +71,12 @@ class TestLocalizationEndToEnd:
         attacker = candidates[len(candidates) // 2]
 
         def probe(subset):
-            attack = PollutionAttack({attacker}, TamperStrategy.NAIVE_TOTAL)
-            protocol = IcpdaProtocol(
-                scenario.deployment,
-                scenario.config.with_restriction(subset),
-                seed=scenario.seed,
-                attack_plan=attack,
+            restricted = dataclasses.replace(
+                scenario, config=scenario.config.with_restriction(subset)
             )
-            protocol.setup()
-            result = protocol.run_round(scenario.readings, round_id=0)
+            result, _ = restricted.run_attacked(
+                {attacker}, TamperStrategy.NAIVE_TOTAL
+            )
             return result.detected_pollution
 
         outcome = localize_polluter(probe, candidates)

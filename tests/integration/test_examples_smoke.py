@@ -36,6 +36,22 @@ class TestExamples:
         assert "iCPDA vs TAG" in out
         assert "120" in out
 
+    def test_pollution_attack(self, capsys):
+        run_example("pollution_attack.py")
+        out = capsys.readouterr().out
+        assert "isolated (102,) in 5 probes" in out
+        assert "OK: pollution detected" in out
+
+    def test_continuous_monitoring(self, capsys):
+        run_example("continuous_monitoring.py")
+        assert "OK: every tampered epoch was rejected" in capsys.readouterr().out
+
+    def test_smart_metering(self, capsys):
+        run_example("smart_metering.py")
+        assert "OK: household-level consumption stays private" in (
+            capsys.readouterr().out
+        )
+
     @pytest.mark.slow
     def test_privacy_analysis(self, capsys):
         run_example("privacy_analysis.py")

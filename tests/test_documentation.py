@@ -43,9 +43,9 @@ class TestDocstrings:
         assert not undocumented, undocumented
 
     def test_public_methods_documented_on_core_classes(self):
-        from repro.core.operator import AggregationService
         from repro.core.protocol import IcpdaProtocol
         from repro.net.stack import NetworkStack
+        from repro.service.service import AggregationService
         from repro.sim.kernel import Simulator
 
         undocumented = []
@@ -56,6 +56,11 @@ class TestDocstrings:
                 if not (inspect.getdoc(member) or "").strip():
                     undocumented.append(f"{cls.__name__}.{name}")
         assert not undocumented, undocumented
+
+    def test_top_level_service_is_the_live_service(self):
+        import repro.service
+
+        assert repro.AggregationService is repro.service.AggregationService
 
     def test_version_is_exposed(self):
         assert repro.__version__

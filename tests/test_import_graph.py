@@ -21,12 +21,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
-#: Modules allowed to stay unreached. ``repro.core.operator`` is the older
-#: ``AggregationService``, waiting to be folded into ``repro.service``
-#: (ROADMAP, "One `AggregationService`").
-EXEMPT = {"repro.core.operator"}
-
-
 def _module_files() -> Dict[str, pathlib.Path]:
     modules = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
@@ -129,12 +123,7 @@ def reachable_modules() -> Set[str]:
 
 
 def test_every_module_is_reachable_from_an_entry_point() -> None:
-    unreached = sorted(set(MODULES) - reachable_modules() - EXEMPT)
+    unreached = sorted(set(MODULES) - reachable_modules())
     assert not unreached, (
         f"modules no entry point imports (only their tests do?): {unreached}"
     )
-
-
-def test_exemptions_are_still_needed() -> None:
-    assert EXEMPT <= set(MODULES)
-    assert not EXEMPT & reachable_modules()
