@@ -7,14 +7,17 @@ member suffices).
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.ablation import run_witness_ablation
+from repro.experiments.ablation import witness_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_a1_witness_fraction(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_witness_ablation(
-            fractions=(0.25, 0.75, 1.0), num_nodes=250, trials=3, base_seed=7
+        lambda: run_serial(
+            witness_spec(
+                fractions=(0.25, 0.75, 1.0), num_nodes=250, trials=3, base_seed=7
+            )
         ),
         rounds=1,
         iterations=1,

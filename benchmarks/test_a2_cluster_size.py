@@ -7,14 +7,15 @@ cannot assemble a full cluster.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.ablation import run_cluster_size_ablation
+from repro.experiments.ablation import cluster_size_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_a2_cluster_size(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_cluster_size_ablation(
-            cluster_sizes=(2, 3, 4, 5), num_nodes=300, base_seed=0
+        lambda: run_serial(
+            cluster_size_spec(cluster_sizes=(2, 3, 4, 5), num_nodes=300, base_seed=0)
         ),
         rounds=1,
         iterations=1,

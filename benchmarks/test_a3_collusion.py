@@ -9,13 +9,14 @@ defers collusive attacks to future work.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.detection import run_collusion_boundary
+from repro.experiments.detection import collusion_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_a3_collusion_boundary(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_collusion_boundary(num_nodes=220, trials=3, base_seed=3),
+        lambda: run_serial(collusion_spec(num_nodes=220, trials=3, base_seed=3)),
         rounds=1,
         iterations=1,
     )

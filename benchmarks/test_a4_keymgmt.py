@@ -8,14 +8,15 @@ links simultaneously).
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.keymgmt import run_eg_experiment
+from repro.experiments.engine import run_serial
+from repro.experiments.keymgmt import eg_spec
 from repro.metrics.report import render_table
 
 
 def test_a4_eg_predistribution(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_eg_experiment(
-            ring_sizes=(8, 20, 40), pool_size=200, num_nodes=200, base_seed=0
+        lambda: run_serial(
+            eg_spec(ring_sizes=(8, 20, 40), pool_size=200, num_nodes=200, base_seed=0)
         ),
         rounds=1,
         iterations=1,

@@ -13,13 +13,14 @@ see the clustering tests).
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.election import run_election_ablation
+from repro.experiments.election import election_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_a5_election_modes(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_election_ablation(sizes=(150, 400), base_seed=2),
+        lambda: run_serial(election_spec(sizes=(150, 400), base_seed=2)),
         rounds=1,
         iterations=1,
     )

@@ -9,14 +9,15 @@ quality guarantee.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.fading import run_fading_experiment
+from repro.experiments.engine import run_serial
+from repro.experiments.fading import fading_spec
 from repro.metrics.report import render_table
 
 
 def test_a6_fading(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_fading_experiment(
-            fading_levels=(0.0, 0.3, 0.6), num_nodes=200, seed=1
+        lambda: run_serial(
+            fading_spec(fading_levels=(0.0, 0.3, 0.6), num_nodes=200, seed=1)
         ),
         rounds=1,
         iterations=1,

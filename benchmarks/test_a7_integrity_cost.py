@@ -9,13 +9,14 @@ answer.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.integrity_cost import run_integrity_cost_experiment
+from repro.experiments.engine import run_serial
+from repro.experiments.integrity_cost import integrity_cost_spec
 from repro.metrics.report import render_table
 
 
 def test_a7_integrity_cost(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_integrity_cost_experiment(num_nodes=250, seed=4),
+        lambda: run_serial(integrity_cost_spec(num_nodes=250, seed=4)),
         rounds=1,
         iterations=1,
     )

@@ -14,14 +14,15 @@ data quality, it cannot mint energy.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.lifetime import run_lifetime_experiment
+from repro.experiments.engine import run_serial
+from repro.experiments.lifetime import lifetime_spec
 from repro.metrics.report import render_table
 
 
 def test_f10_lifetime(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_lifetime_experiment(
-            num_nodes=120, capacity_j=1.0, max_rounds=25, seed=2
+        lambda: run_serial(
+            lifetime_spec(num_nodes=120, capacity_j=1.0, max_rounds=25, seed=2)
         ),
         rounds=1,
         iterations=1,

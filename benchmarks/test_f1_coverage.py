@@ -7,15 +7,14 @@ clustered fraction.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.coverage import run_coverage_experiment
+from repro.experiments.coverage import coverage_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_f1_coverage(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_coverage_experiment(
-            sizes=(200, 300, 400), trials=2, base_seed=0
-        ),
+        lambda: run_serial(coverage_spec(sizes=(200, 300, 400), trials=2, base_seed=0)),
         rounds=1,
         iterations=1,
     )

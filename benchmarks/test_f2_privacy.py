@@ -14,18 +14,21 @@ member entirely). The bench asserts exactly this sandwich.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.privacy import run_privacy_experiment
+from repro.experiments.engine import run_serial
+from repro.experiments.privacy import privacy_spec
 from repro.metrics.report import render_table
 
 
 def test_f2_privacy_capacity(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_privacy_experiment(
-            cluster_sizes=(3, 4, 5),
-            px_grid=(0.02, 0.05, 0.10),
-            num_nodes=300,
-            draws=200,
-            seed=0,
+        lambda: run_serial(
+            privacy_spec(
+                cluster_sizes=(3, 4, 5),
+                px_grid=(0.02, 0.05, 0.10),
+                num_nodes=300,
+                draws=200,
+                seed=0,
+            )
         ),
         rounds=1,
         iterations=1,

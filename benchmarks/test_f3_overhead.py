@@ -7,14 +7,15 @@ dominant iCPDA phase.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.overhead import run_overhead_experiment
+from repro.experiments.engine import run_serial
+from repro.experiments.overhead import overhead_spec
 from repro.metrics.report import render_table
 
 
 def test_f3_overhead(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_overhead_experiment(
-            sizes=(200, 300, 400), cluster_sizes=(3, 4), trials=1
+        lambda: run_serial(
+            overhead_spec(sizes=(200, 300, 400), cluster_sizes=(3, 4), trials=1)
         ),
         rounds=1,
         iterations=1,

@@ -8,15 +8,14 @@ i.i.d. readings).
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.accuracy import run_accuracy_experiment
+from repro.experiments.accuracy import accuracy_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_f4_accuracy(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_accuracy_experiment(
-            sizes=(200, 300, 400), trials=2, base_seed=0
-        ),
+        lambda: run_serial(accuracy_spec(sizes=(200, 300, 400), trials=2, base_seed=0)),
         rounds=1,
         iterations=1,
     )

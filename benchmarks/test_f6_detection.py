@@ -10,19 +10,22 @@ paper's documented blind spot).
 
 from benchmarks.conftest import emit
 from repro.experiments.detection import (
-    run_detection_experiment,
+    detection_spec,
     run_strategy_matrix,
 )
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_f6_detection_vs_attackers(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_detection_experiment(
-            attacker_counts=(1, 2, 3),
-            num_nodes=250,
-            trials=3,
-            base_seed=100,
+        lambda: run_serial(
+            detection_spec(
+                attacker_counts=(1, 2, 3),
+                num_nodes=250,
+                trials=3,
+                base_seed=100,
+            )
         ),
         rounds=1,
         iterations=1,

@@ -6,15 +6,14 @@ not linearly — in network size.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.localization import run_localization_experiment
+from repro.experiments.engine import run_serial
+from repro.experiments.localization import localization_spec
 from repro.metrics.report import render_table
 
 
 def test_f7_localization(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_localization_experiment(
-            sizes=(150, 250), trials=2, base_seed=0
-        ),
+        lambda: run_serial(localization_spec(sizes=(150, 250), trials=2, base_seed=0)),
         rounds=1,
         iterations=1,
     )

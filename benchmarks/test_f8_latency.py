@@ -8,13 +8,14 @@ its byte overhead.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.latency import run_latency_experiment
+from repro.experiments.engine import run_serial
+from repro.experiments.latency import latency_spec
 from repro.metrics.report import render_table
 
 
 def test_f8_latency(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_latency_experiment(sizes=(200, 300, 400), base_seed=0),
+        lambda: run_serial(latency_spec(sizes=(200, 300, 400), base_seed=0)),
         rounds=1,
         iterations=1,
     )

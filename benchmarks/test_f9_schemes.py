@@ -8,13 +8,14 @@ All schemes' accepted accuracy stays in the same band.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.compare_schemes import run_scheme_comparison
+from repro.experiments.compare_schemes import compare_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_f9_scheme_comparison(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_scheme_comparison(num_nodes=250, p_x=0.05, seed=4),
+        lambda: run_serial(compare_spec(num_nodes=250, p_x=0.05, seed=4)),
         rounds=1,
         iterations=1,
     )

@@ -6,13 +6,14 @@ Expected shape: mean degree grows linearly in N (200 -> ~8.8, 600 ->
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.density import run_density_table
+from repro.experiments.density import density_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 
 
 def test_t1_density_table(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_density_table(trials=3, seed=0), rounds=1, iterations=1
+        lambda: run_serial(density_spec(trials=3, seed=0)), rounds=1, iterations=1
     )
     emit("t1_density", render_table(rows, title="T1: network size vs density"))
     degrees = [row["mean_degree"] for row in rows]

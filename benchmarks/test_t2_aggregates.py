@@ -13,17 +13,26 @@ from benchmarks.conftest import emit
 from repro.aggregation.functions import FixedPointCodec, MaxApproxAggregate
 from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
-from repro.experiments.accuracy import run_aggregate_comparison
+from repro.experiments.accuracy import aggregate_comparison_spec
+from repro.experiments.engine import run_serial
 from repro.metrics.report import render_table
 from repro.topology.deploy import uniform_deployment
 
 
 def test_t2_aggregate_functions(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_aggregate_comparison(
-            num_nodes=250,
-            aggregates=("sum", "count", "average", "variance", "sum+count+variance"),
-            seed=8,
+        lambda: run_serial(
+            aggregate_comparison_spec(
+                num_nodes=250,
+                aggregates=(
+                    "sum",
+                    "count",
+                    "average",
+                    "variance",
+                    "sum+count+variance",
+                ),
+                seed=8,
+            )
         ),
         rounds=1,
         iterations=1,

@@ -83,7 +83,6 @@ def main() -> None:
         seed=SEED,
         readings_provider=readings_provider,
         attack_plan=attack,
-        auto_exclude=True,
     )
     service.start()
     protocol = service.protocol  # one live instance, never replaced

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.attacks.collusion import CollusionAnalysis
 from repro.core.intracluster import ExchangeResult, ShareTransmission
 from repro.crypto.adversary_keys import LinkBreakModel
 from repro.metrics.privacy import DisclosureStats
@@ -139,10 +138,6 @@ class EavesdropAnalysis:
                 disclosed += 1
         stats = DisclosureStats.from_counts(disclosed, len(participants))
         return stats, verdicts
-
-    def collusion_view(self) -> CollusionAnalysis:
-        """The structural collusion analysis for the same round."""
-        return CollusionAnalysis(self._exchange, self._colluders)
 
 
 def monte_carlo_disclosure(

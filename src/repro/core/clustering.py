@@ -100,26 +100,6 @@ class ClusteringResult:
         """Clusters big enough to run the privacy algebra."""
         return [c for c in self.clusters.values() if c.active]
 
-    def expected_participants(self) -> int:
-        """Sensors the census promises (active clusters, heads included,
-        base station excluded) — what the BS will compare ``Th`` against."""
-        total = 0
-        for head, (size, active) in self.census_at_bs.items():
-            if active:
-                total += size if head != 0 else size - 1
-        return total
-
-    def cluster_of(self, node: int) -> Optional[int]:
-        """Head id of ``node``'s cluster, or None."""
-        return self.membership.get(node)
-
-    def size_distribution(self) -> Dict[int, int]:
-        """cluster size -> number of clusters of that size."""
-        histogram: Dict[int, int] = {}
-        for cluster in self.clusters.values():
-            histogram[cluster.size] = histogram.get(cluster.size, 0) + 1
-        return dict(sorted(histogram.items()))
-
 
 class ClusterFormation:
     """One execution of the cluster-formation phase.

@@ -22,7 +22,8 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Set
 
 from repro.aggregation.functions import (
     AdditiveAggregate,
@@ -156,17 +157,25 @@ class IcpdaProtocol:
         accounting periods with :meth:`reset_phase_bytes` — so Phase-I
         overhead is never silently overwritten mid-deployment.
         """
-        before = self.stack.counters.total_bytes
-        with self.profiler.phase("tree"):
+        with self._phase("tree"):
             self.tree = build_aggregation_tree(
                 self.stack, query=self.config.aggregate_name
             )
-        self.phase_bytes["tree"] = (
-            self.phase_bytes.get("tree", 0)
-            + self.stack.counters.total_bytes
-            - before
-        )
         return self.tree
+
+    @contextmanager
+    def _phase(self, name: str) -> Iterator[None]:
+        """Profile one phase and *add* its radio bytes to
+        ``phase_bytes[name]``. A phase that raises leaves the ledger
+        untouched, so the ledger always sums to the bytes of the phases
+        that completed."""
+        counters = self.stack.counters
+        before = counters.total_bytes
+        with self.profiler.phase(name):
+            yield
+        self.phase_bytes[name] = (
+            self.phase_bytes.get(name, 0) + counters.total_bytes - before
+        )
 
     def reset_phase_bytes(self) -> None:
         """Start a fresh per-phase byte ledger (new accounting period on
@@ -276,7 +285,6 @@ class IcpdaProtocol:
         for node_id in self.stack.node_ids():
             self.stack.clear_overhear(node_id)
 
-        counters = self.stack.counters
         # The exchange engine is picked inside IntraClusterExchange.run().
         formation_cls, report_cls = (
             (BatchedClusterFormation, BatchedReportAndVerdictPhase)
@@ -285,22 +293,17 @@ class IcpdaProtocol:
         )
 
         # Phase II: cluster formation.
-        before = counters.total_bytes
-        with self.profiler.phase("clustering"):
+        with self._phase("clustering"):
             formation = formation_cls(
                 self.stack, self.tree, self.config, round_id
             )
             clustering = formation.run()
         self.last_clustering = clustering
-        self.phase_bytes["clustering"] = (
-            self.phase_bytes.get("clustering", 0) + counters.total_bytes - before
-        )
 
         participating = self._participating_heads(clustering)
 
         # Phase III: intra-cluster share exchange.
-        before = counters.total_bytes
-        with self.profiler.phase("exchange"):
+        with self._phase("exchange"):
             exchange_phase = IntraClusterExchange(
                 self.stack,
                 clustering,
@@ -314,13 +317,9 @@ class IcpdaProtocol:
             )
             exchange = exchange_phase.run()
         self.last_exchange = exchange
-        self.phase_bytes["exchange"] = (
-            self.phase_bytes.get("exchange", 0) + counters.total_bytes - before
-        )
 
         # Phase IV: witnessed report aggregation + verdict.
-        before = counters.total_bytes
-        with self.profiler.phase("report"):
+        with self._phase("report"):
             report_phase = report_cls(
                 self.stack,
                 self.tree,
@@ -333,9 +332,6 @@ class IcpdaProtocol:
             )
             true_value = self.aggregate.true_value(list(readings.values()))
             result = report_phase.run(true_value, total_sensors=len(readings))
-        self.phase_bytes["report"] = (
-            self.phase_bytes.get("report", 0) + counters.total_bytes - before
-        )
         return result
 
     # -- helpers -----------------------------------------------------------------

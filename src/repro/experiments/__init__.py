@@ -1,24 +1,38 @@
 """Experiment implementations for the reproduced evaluation suite.
 
-One module per experiment id from DESIGN.md; each returns plain rows or
-:class:`~repro.metrics.report.Series` so the benchmark harness (and the
-examples) can print the same tables/series shape the paper reports.
+One module per experiment id from DESIGN.md. Each experiment's single
+entry point is its ``*_spec`` builder, an
+:class:`~repro.experiments.engine.ExperimentSpec`: the CLI runs it
+through :func:`~repro.experiments.engine.execute`, and library callers
+get the rows with ``run_serial(density_spec(...))``.
 
-==========  ==========================================  =================
-Experiment  What it reproduces                          Module
-==========  ==========================================  =================
-T1          network size vs average degree              density
-F1          cluster coverage vs size (sim vs bound)     coverage
-F2          P_disclose vs p_x per cluster size          privacy
-F3          bytes vs size: TAG vs iCPDA                 overhead
-F4          accuracy vs size: TAG vs iCPDA              accuracy
-F5          |contributors - census| -> Th selection     threshold
-F6          detection/false-alarm vs attackers          detection
-F7          localization rounds vs cluster count        localization
-F8          epoch latency vs size                       latency
-A1          witness-fraction ablation                   ablation
-A2          cluster-size-bounds ablation                ablation
-==========  ==========================================  =================
+==========  ==========================================  =========================================
+Experiment  What it reproduces                          Spec builder
+==========  ==========================================  =========================================
+T1          network size vs average degree              density.density_spec
+T2          every aggregate function through one round  accuracy.aggregate_comparison_spec
+F1          cluster coverage vs size (sim vs bound)     coverage.coverage_spec
+F2          P_disclose vs p_x per cluster size          privacy.privacy_spec
+F3          bytes vs size: TAG vs iCPDA                 overhead.overhead_spec
+F4          accuracy vs size: TAG vs iCPDA              accuracy.accuracy_spec
+F5          |contributors - census| -> Th selection     threshold.threshold_spec
+F6          detection/false-alarm vs attackers          detection.detection_spec
+F7          localization rounds vs cluster count        localization.localization_spec
+F8          epoch latency vs size                       latency.latency_spec
+F9          TAG vs slicing vs iCPDA                     compare_schemes.compare_spec
+F10         network lifetime under a radio budget       lifetime.lifetime_spec
+A1          witness-fraction ablation                   ablation.witness_spec
+A2          cluster-size-bounds ablation                ablation.cluster_size_spec
+A3          collusion boundary                          detection.collusion_spec
+A4          EG key predistribution                      keymgmt.eg_spec
+A5          fixed vs adaptive head election             election.election_spec
+A6          robustness under channel fading             fading.fading_spec
+A7          integrity layer cost and value              integrity_cost.integrity_cost_spec
+==========  ==========================================  =========================================
+
+F5 adds ``threshold.run_threshold_experiment`` (gap quantiles on top of
+the rows) and F6 adds ``detection.run_strategy_matrix`` (one row per
+tamper strategy).
 """
 
 from repro.experiments.common import (

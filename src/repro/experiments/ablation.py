@@ -11,6 +11,7 @@ exponentially (``p_x^{2(m-1)}``) and pay O(m²) share traffic; too-large
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Sequence
 
 from repro.analysis.privacy import p_disclose_link
@@ -18,7 +19,8 @@ from repro.attacks.pollution import TamperStrategy
 from repro.attacks.scenario import run_detection_trials
 from repro.core.config import IcpdaConfig
 from repro.experiments.common import fixed_cluster_config, run_icpda_round
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.detection import _pool_ratios
+from repro.experiments.engine import CellSpec, ExperimentSpec
 
 
 def witness_cell(params: dict, seed: int, context: dict) -> dict:
@@ -32,12 +34,7 @@ def witness_cell(params: dict, seed: int, context: dict) -> dict:
         config=cfg,
         base_seed=seed,
     )
-    return {
-        "attacked_rounds": stats.attacked_rounds,
-        "detected": stats.detected,
-        "clean_rounds": stats.clean_rounds,
-        "false_alarms": stats.false_alarms,
-    }
+    return dataclasses.asdict(stats)
 
 
 def witness_spec(
@@ -46,7 +43,10 @@ def witness_spec(
     trials: int = 3,
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per ``(fraction, trial)``; reduce: pooled ratios."""
+    """A1 rows: witness fraction -> detection ratio, false alarms.
+
+    Cells: one per ``(fraction, trial)``; reduce: pooled ratios.
+    """
     fractions = tuple(fractions)
     cells = tuple(
         CellSpec(
@@ -66,42 +66,11 @@ def witness_spec(
             ]
             if not values:
                 continue
-            attacked = sum(v["attacked_rounds"] for v in values)
-            detected = sum(v["detected"] for v in values)
-            clean = sum(v["clean_rounds"] for v in values)
-            false_alarms = sum(v["false_alarms"] for v in values)
-            rows.append(
-                {
-                    "witness_fraction": fraction,
-                    "detection_ratio": round(detected / attacked, 3)
-                    if attacked
-                    else None,
-                    "false_alarm_ratio": round(false_alarms / clean, 3)
-                    if clean
-                    else 0.0,
-                }
-            )
+            rows.append({"witness_fraction": fraction, **_pool_ratios(values)})
         return rows
 
     return ExperimentSpec(
         "A1", witness_cell, cells, reduce, context={"num_nodes": num_nodes}
-    )
-
-
-def run_witness_ablation(
-    fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    num_nodes: int = 300,
-    trials: int = 3,
-    base_seed: int = 0,
-) -> List[dict]:
-    """A1 rows: witness fraction -> detection ratio, false alarms."""
-    return run_serial(
-        witness_spec(
-            fractions=fractions,
-            num_nodes=num_nodes,
-            trials=trials,
-            base_seed=base_seed,
-        )
     )
 
 
@@ -131,7 +100,11 @@ def cluster_size_spec(
     p_x: float = 0.05,
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one round per cluster size."""
+    """A2 rows: m -> participation, bytes per round, analytic
+    P_disclose at the reference ``p_x``.
+
+    Cells: one round per cluster size.
+    """
     cells = tuple(CellSpec({"m": m}, base_seed + m) for m in cluster_sizes)
     return ExperimentSpec(
         "A2",
@@ -139,22 +112,4 @@ def cluster_size_spec(
         cells,
         lambda outcomes: [o.value for o in outcomes],
         context={"num_nodes": num_nodes, "p_x": p_x},
-    )
-
-
-def run_cluster_size_ablation(
-    cluster_sizes: Sequence[int] = (2, 3, 4, 5, 6),
-    num_nodes: int = 400,
-    p_x: float = 0.05,
-    base_seed: int = 0,
-) -> List[dict]:
-    """A2 rows: m -> participation, bytes per round, analytic
-    P_disclose at the reference ``p_x``."""
-    return run_serial(
-        cluster_size_spec(
-            cluster_sizes=cluster_sizes,
-            num_nodes=num_nodes,
-            p_x=p_x,
-            base_seed=base_seed,
-        )
     )

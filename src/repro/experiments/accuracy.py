@@ -18,7 +18,7 @@ from repro.experiments.common import (
     run_icpda_round,
     run_tag_round_on,
 )
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec
 from repro.metrics.accuracy import summarize_accuracy
 
 
@@ -49,7 +49,11 @@ def accuracy_spec(
     workload: str = "metering",
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per ``(size, trial)``; reduce: per-size summaries."""
+    """Rows per size: TAG and iCPDA SUM accuracy (mean over trials),
+    iCPDA participation (== COUNT accuracy), and rejected-round count.
+
+    Cells: one per ``(size, trial)``; reduce: per-size summaries.
+    """
     sizes = tuple(sizes)
     cfg = config if config is not None else IcpdaConfig()
     cells = tuple(
@@ -94,26 +98,6 @@ def accuracy_spec(
     )
 
 
-def run_accuracy_experiment(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    trials: int = 3,
-    config: Optional[IcpdaConfig] = None,
-    workload: str = "metering",
-    base_seed: int = 0,
-) -> List[dict]:
-    """Rows per size: TAG and iCPDA SUM accuracy (mean over trials),
-    iCPDA participation (== COUNT accuracy), and rejected-round count."""
-    return run_serial(
-        accuracy_spec(
-            sizes=sizes,
-            trials=trials,
-            config=config,
-            workload=workload,
-            base_seed=base_seed,
-        )
-    )
-
-
 def aggregate_comparison_cell(params: dict, seed: int, context: dict) -> dict:
     """One iCPDA round with one aggregate function."""
     cfg = IcpdaConfig(aggregate_name=params["aggregate"])
@@ -139,7 +123,12 @@ def aggregate_comparison_spec(
     aggregates: Sequence[str] = ("sum", "count", "average", "variance"),
     seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per aggregate function on the same deployment."""
+    """Accuracy of every supported aggregate function on one network —
+    demonstrates that the share algebra carries arbitrary additive
+    aggregates exactly (residual error is pure data loss).
+
+    Cells: one per aggregate function on the same deployment.
+    """
     cells = tuple(CellSpec({"aggregate": name}, seed) for name in aggregates)
     return ExperimentSpec(
         "F4-aggregates",
@@ -147,19 +136,4 @@ def aggregate_comparison_spec(
         cells,
         lambda outcomes: [o.value for o in outcomes],
         context={"num_nodes": num_nodes},
-    )
-
-
-def run_aggregate_comparison(
-    num_nodes: int = 400,
-    aggregates: Sequence[str] = ("sum", "count", "average", "variance"),
-    seed: int = 0,
-) -> List[dict]:
-    """Accuracy of every supported aggregate function on one network —
-    demonstrates that the share algebra carries arbitrary additive
-    aggregates exactly (residual error is pure data loss)."""
-    return run_serial(
-        aggregate_comparison_spec(
-            num_nodes=num_nodes, aggregates=aggregates, seed=seed
-        )
     )

@@ -10,7 +10,7 @@ cluster-size-dependent overhead.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.core.protocol import IcpdaProtocol
 from repro.crypto.adversary_keys import LinkBreakModel
 from repro.crypto.keys import PairwiseKeyScheme
 from repro.crypto.linksec import LinkSecurity
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec
 from repro.metrics.privacy import DisclosureStats
 from repro.net.transport import create_transport
 from repro.sim.kernel import Simulator
@@ -112,7 +112,10 @@ def compare_spec(
     seed: int = 0,
     config: Optional[IcpdaConfig] = None,
 ) -> ExperimentSpec:
-    """Cells: one per scheme; reduce: rows in :data:`SCHEMES` order."""
+    """Rows: one per scheme (tag, slicing l=2, slicing l=3, icpda).
+
+    Cells: one per scheme; reduce: rows in :data:`SCHEMES` order.
+    """
     cfg = config if config is not None else IcpdaConfig()
     cells = tuple(CellSpec({"scheme": scheme}, seed) for scheme in SCHEMES)
     return ExperimentSpec(
@@ -121,16 +124,4 @@ def compare_spec(
         cells,
         lambda outcomes: [o.value for o in outcomes],
         context={"num_nodes": num_nodes, "p_x": p_x, "config": cfg},
-    )
-
-
-def run_scheme_comparison(
-    num_nodes: int = 300,
-    p_x: float = 0.05,
-    seed: int = 0,
-    config: Optional[IcpdaConfig] = None,
-) -> List[dict]:
-    """Rows: one per scheme (tag, slicing l=2, slicing l=3, icpda)."""
-    return run_serial(
-        compare_spec(num_nodes=num_nodes, p_x=p_x, seed=seed, config=config)
     )

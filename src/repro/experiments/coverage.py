@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.coverage import coverage_lower_bound
 from repro.core.config import IcpdaConfig
 from repro.experiments.common import DEFAULT_SIZES, run_icpda_round
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec
 
 
 def coverage_cell(params: dict, seed: int, context: dict) -> dict:
@@ -49,7 +49,11 @@ def coverage_spec(
     config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per ``(size, trial)``; reduce: per-size trial means."""
+    """Rows per size: clustered fraction, participation, analytic bound,
+    cluster count, mean active-cluster size.
+
+    Cells: one per ``(size, trial)``; reduce: per-size trial means.
+    """
     sizes = tuple(sizes)
     cfg = config if config is not None else IcpdaConfig()
     cells = tuple(
@@ -88,16 +92,3 @@ def coverage_spec(
         return rows
 
     return ExperimentSpec("F1", coverage_cell, cells, reduce, context={"config": cfg})
-
-
-def run_coverage_experiment(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    trials: int = 3,
-    config: Optional[IcpdaConfig] = None,
-    base_seed: int = 0,
-) -> List[dict]:
-    """Rows per size: clustered fraction, participation, analytic bound,
-    cluster count, mean active-cluster size."""
-    return run_serial(
-        coverage_spec(sizes=sizes, trials=trials, config=config, base_seed=base_seed)
-    )

@@ -12,7 +12,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.experiments.common import DEFAULT_SIZES
-from repro.experiments.engine import CellSpec, ExperimentSpec, derive_seed, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec, derive_seed
 from repro.topology.deploy import uniform_deployment
 from repro.topology.stats import density_stats
 
@@ -41,7 +41,11 @@ def density_spec(
     field_size: float = 400.0,
     radio_range: float = 50.0,
 ) -> ExperimentSpec:
-    """Cells: one per ``(size, trial)``; reduce: per-size field means."""
+    """Rows: nodes, mean_degree (simulated), isolated node count,
+    largest-component fraction, expected_degree (analytic).
+
+    Cells: one per ``(size, trial)``; reduce: per-size field means.
+    """
     sizes = tuple(sizes)
     cells = tuple(
         CellSpec(
@@ -82,13 +86,3 @@ def density_spec(
         reduce,
         context={"field_size": field_size, "radio_range": radio_range},
     )
-
-
-def run_density_table(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    trials: int = 5,
-    seed: int = 0,
-) -> List[dict]:
-    """Rows: nodes, mean_degree (simulated), expected_degree (analytic),
-    isolated node count, largest-component fraction."""
-    return run_serial(density_spec(sizes=sizes, trials=trials, seed=seed))

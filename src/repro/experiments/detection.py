@@ -8,13 +8,14 @@ detection model.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.analysis.detection import prob_detect_multiple
 from repro.attacks.pollution import TamperStrategy
 from repro.attacks.scenario import run_detection_trials
 from repro.core.config import IcpdaConfig
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec
 
 
 def detection_cell(params: dict, seed: int, context: dict) -> dict:
@@ -28,12 +29,7 @@ def detection_cell(params: dict, seed: int, context: dict) -> dict:
         base_seed=seed,
         transport=context.get("transport", "des"),
     )
-    return {
-        "attacked_rounds": stats.attacked_rounds,
-        "detected": stats.detected,
-        "clean_rounds": stats.clean_rounds,
-        "false_alarms": stats.false_alarms,
-    }
+    return dataclasses.asdict(stats)
 
 
 def _pool_ratios(values: Sequence[dict]) -> dict:
@@ -55,8 +51,12 @@ def detection_spec(
     config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per ``(attacker count, trial)``; reduce: pooled ratios
-    plus the analytic detection probability per count."""
+    """Rows per attacker count: detection ratio, false-alarm ratio,
+    analytic detection probability.
+
+    Cells: one per ``(attacker count, trial)``; reduce: pooled ratios
+    plus the analytic detection probability per count.
+    """
     attacker_counts = tuple(attacker_counts)
     cfg = config if config is not None else IcpdaConfig()
     mean_m = (cfg.k_min + cfg.k_max) / 2.0
@@ -100,28 +100,6 @@ def detection_spec(
         cells,
         reduce,
         context={"num_nodes": num_nodes, "config": cfg},
-    )
-
-
-def run_detection_experiment(
-    attacker_counts: Sequence[int] = (1, 2, 3, 5),
-    strategy: TamperStrategy = TamperStrategy.NAIVE_TOTAL,
-    num_nodes: int = 300,
-    trials: int = 4,
-    config: Optional[IcpdaConfig] = None,
-    base_seed: int = 0,
-) -> List[dict]:
-    """Rows per attacker count: detection ratio, false-alarm ratio,
-    analytic detection probability."""
-    return run_serial(
-        detection_spec(
-            attacker_counts=attacker_counts,
-            strategy=strategy,
-            num_nodes=num_nodes,
-            trials=trials,
-            config=config,
-            base_seed=base_seed,
-        )
     )
 
 
@@ -172,7 +150,17 @@ def collusion_spec(
     config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per ``(colluding fraction, trial)``."""
+    """The paper's future-work boundary, measured: detection of a
+    tampering head as an increasing fraction of its own cluster
+    colludes (performs the protocol but never witnesses).
+
+    Expected: detection stays high while >= 1 honest member remains and
+    collapses when the whole cluster colludes — quantifying exactly why
+    the paper scopes collusive attacks out.
+
+    Rows per colluding fraction: detection ratio and trial count.
+    Cells: one per ``(colluding fraction, trial)``.
+    """
     cfg = config if config is not None else IcpdaConfig()
     fractions = (0.0, 0.5, 1.0)
     cells = tuple(
@@ -210,27 +198,6 @@ def collusion_spec(
         cells,
         reduce,
         context={"num_nodes": num_nodes, "config": cfg},
-    )
-
-
-def run_collusion_boundary(
-    num_nodes: int = 250,
-    trials: int = 3,
-    config: Optional[IcpdaConfig] = None,
-    base_seed: int = 0,
-) -> List[dict]:
-    """The paper's future-work boundary, measured: detection of a
-    tampering head as an increasing fraction of its own cluster
-    colludes (performs the protocol but never witnesses).
-
-    Expected: detection stays high while >= 1 honest member remains and
-    collapses when the whole cluster colludes — quantifying exactly why
-    the paper scopes collusive attacks out.
-    """
-    return run_serial(
-        collusion_spec(
-            num_nodes=num_nodes, trials=trials, config=config, base_seed=base_seed
-        )
     )
 
 

@@ -11,7 +11,7 @@ parameter.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,11 @@ def election_spec(
     config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ):
-    """Cells: one per ``(size, election mode)`` on the same deployment."""
+    """Rows per (size, mode): participation, active clusters, mean and
+    spread of active-cluster sizes.
+
+    Cells: one per ``(size, election mode)`` on the same deployment.
+    """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
     base = config if config is not None else IcpdaConfig()
@@ -64,18 +68,4 @@ def election_spec(
         cells,
         lambda outcomes: [o.value for o in outcomes],
         context={"config": base},
-    )
-
-
-def run_election_ablation(
-    sizes: Sequence[int] = (150, 300, 500),
-    config: Optional[IcpdaConfig] = None,
-    base_seed: int = 0,
-) -> List[dict]:
-    """Rows per (size, mode): participation, active clusters, mean and
-    spread of active-cluster sizes."""
-    from repro.experiments.engine import run_serial
-
-    return run_serial(
-        election_spec(sizes=sizes, config=config, base_seed=base_seed)
     )

@@ -546,8 +546,7 @@ def failure_rows(report: RunReport) -> List[dict]:
 
 def serial_outcomes(spec: ExperimentSpec) -> List[CellOutcome]:
     """Strict in-process execution: no isolation, a raising cell
-    propagates — the historical behaviour of the public ``run_*``
-    experiment functions."""
+    propagates."""
     return [
         CellOutcome(
             index=index,
@@ -561,5 +560,9 @@ def serial_outcomes(spec: ExperimentSpec) -> List[CellOutcome]:
 
 
 def run_serial(spec: ExperimentSpec) -> List[dict]:
-    """Strict serial execution reduced to rows (see :func:`serial_outcomes`)."""
+    """Strict serial execution reduced to rows (see :func:`serial_outcomes`).
+
+    The library entry point for every experiment:
+    ``run_serial(accuracy_spec(sizes=..., trials=...))``.
+    """
     return spec.reduce(serial_outcomes(spec))

@@ -10,7 +10,7 @@ loses data — while TAG, ack-less by design, sheds readings linearly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,7 +68,11 @@ def fading_spec(
     config: Optional[IcpdaConfig] = None,
     seed: int = 0,
 ):
-    """Cells: one fading level each (same deployment seed throughout)."""
+    """Rows per fading level: TAG accuracy, iCPDA accuracy and
+    participation, verdict, and channel-level loss counts.
+
+    Cells: one fading level each (same deployment seed throughout).
+    """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
     cfg = config if config is not None else IcpdaConfig()
@@ -81,24 +85,4 @@ def fading_spec(
         cells,
         lambda outcomes: [o.value for o in outcomes],
         context={"num_nodes": num_nodes, "config": cfg},
-    )
-
-
-def run_fading_experiment(
-    fading_levels: Sequence[float] = (0.0, 0.3, 0.6),
-    num_nodes: int = 250,
-    config: Optional[IcpdaConfig] = None,
-    seed: int = 0,
-) -> List[dict]:
-    """Rows per fading level: TAG accuracy, iCPDA accuracy and
-    participation, verdict, and channel-level loss counts."""
-    from repro.experiments.engine import run_serial
-
-    return run_serial(
-        fading_spec(
-            fading_levels=fading_levels,
-            num_nodes=num_nodes,
-            config=config,
-            seed=seed,
-        )
     )

@@ -11,7 +11,7 @@ polluted aggregate with a straight face.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -79,7 +79,11 @@ def integrity_cost_spec(
     seed: int = 0,
     tamper_magnitude: int = 10_000_000,
 ):
-    """Cells: one per integrity mode."""
+    """Rows per mode: bytes, mJ/node, clean verdict, attacked verdict,
+    and the attacked round's reported error when it was accepted.
+
+    Cells: one per integrity mode.
+    """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
     base = config if config is not None else IcpdaConfig()
@@ -96,24 +100,4 @@ def integrity_cost_spec(
             "config": base,
             "tamper_magnitude": tamper_magnitude,
         },
-    )
-
-
-def run_integrity_cost_experiment(
-    num_nodes: int = 250,
-    config: Optional[IcpdaConfig] = None,
-    seed: int = 0,
-    tamper_magnitude: int = 10_000_000,
-) -> List[dict]:
-    """Rows per mode: bytes, mJ/node, clean verdict, attacked verdict,
-    and the attacked round's reported error when it was accepted."""
-    from repro.experiments.engine import run_serial
-
-    return run_serial(
-        integrity_cost_spec(
-            num_nodes=num_nodes,
-            config=config,
-            seed=seed,
-            tamper_magnitude=tamper_magnitude,
-        )
     )

@@ -13,7 +13,7 @@ Under Eschenauer–Gligor random predistribution:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -106,7 +106,12 @@ def eg_spec(
     config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ):
-    """Cells: one full EG round per ring size."""
+    """Rows per ring size: analytic ring-overlap probability,
+    participation under EG keys, clusters aborted for missing keys, and
+    the empirical disclosure a single captured ring achieves.
+
+    Cells: one full EG round per ring size.
+    """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
     cfg = config if config is not None else IcpdaConfig()
@@ -120,27 +125,4 @@ def eg_spec(
         cells,
         lambda outcomes: [o.value for o in outcomes],
         context={"num_nodes": num_nodes, "pool_size": pool_size, "config": cfg},
-    )
-
-
-def run_eg_experiment(
-    ring_sizes: Sequence[int] = (8, 15, 25, 40),
-    pool_size: int = 200,
-    num_nodes: int = 250,
-    config: Optional[IcpdaConfig] = None,
-    base_seed: int = 0,
-) -> List[dict]:
-    """Rows per ring size: analytic ring-overlap probability,
-    participation under EG keys, clusters aborted for missing keys, and
-    the empirical disclosure a single captured ring achieves."""
-    from repro.experiments.engine import run_serial
-
-    return run_serial(
-        eg_spec(
-            ring_sizes=ring_sizes,
-            pool_size=pool_size,
-            num_nodes=num_nodes,
-            config=config,
-            base_seed=base_seed,
-        )
     )

@@ -10,7 +10,7 @@ growth term in both protocols. Energy per round is reported alongside
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import IcpdaConfig
 from repro.experiments.common import (
@@ -19,7 +19,7 @@ from repro.experiments.common import (
     make_readings,
     run_tag_round_on,
 )
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec
 
 import numpy as np
 
@@ -62,8 +62,12 @@ def latency_spec(
     config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per size (no trial dimension — latency is a per-round
-    deterministic quantity at a fixed seed)."""
+    """Rows per size: TAG epoch seconds, iCPDA round seconds (by phase),
+    and per-node mean radio energy for each protocol.
+
+    Cells: one per size (no trial dimension — latency is a per-round
+    deterministic quantity at a fixed seed).
+    """
     cfg = config if config is not None else IcpdaConfig()
     cells = tuple(
         CellSpec({"nodes": size}, base_seed + size) for size in sizes
@@ -75,13 +79,3 @@ def latency_spec(
         lambda outcomes: [o.value for o in outcomes],
         context={"config": cfg},
     )
-
-
-def run_latency_experiment(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    config: Optional[IcpdaConfig] = None,
-    base_seed: int = 0,
-) -> List[dict]:
-    """Rows per size: TAG epoch seconds, iCPDA round seconds (by phase),
-    and per-node mean radio energy for each protocol."""
-    return run_serial(latency_spec(sizes=sizes, config=config, base_seed=base_seed))

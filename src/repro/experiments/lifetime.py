@@ -228,7 +228,11 @@ def lifetime_spec(
     seed: int = 0,
     field_size: float = 400.0,
 ):
-    """Cells: one full lifetime run per scheme."""
+    """Summary rows for every scheme in :data:`LIFETIME_SCHEMES` under
+    the same battery budget.
+
+    Cells: one full lifetime run per scheme.
+    """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
     cells = tuple(
@@ -245,25 +249,4 @@ def lifetime_spec(
             "max_rounds": max_rounds,
             "field_size": field_size,
         },
-    )
-
-
-def run_lifetime_experiment(
-    num_nodes: int = 150,
-    capacity_j: float = 2.0,
-    max_rounds: int = 40,
-    seed: int = 0,
-    field_size: float = 400.0,
-) -> List[dict]:
-    """Summary rows for both schemes under the same battery budget."""
-    from repro.experiments.engine import run_serial
-
-    return run_serial(
-        lifetime_spec(
-            num_nodes=num_nodes,
-            capacity_j=capacity_j,
-            max_rounds=max_rounds,
-            seed=seed,
-            field_size=field_size,
-        )
     )

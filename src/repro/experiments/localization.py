@@ -19,7 +19,7 @@ from repro.attacks.scenario import AttackScenario
 from repro.core.config import IcpdaConfig
 from repro.core.localization import expected_probe_bound, localize_polluter
 from repro.errors import ReproError
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec
 from repro.topology.deploy import uniform_deployment
 
 
@@ -77,8 +77,11 @@ def localization_spec(
     config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per ``(size, trial)``; reduce: per-size success/probe
-    averages against the log2 bound."""
+    """Rows per size: isolation success rate, mean probes, log2 bound.
+
+    Cells: one per ``(size, trial)``; reduce: per-size success/probe
+    averages against the log2 bound.
+    """
     sizes = tuple(sizes)
     cells = tuple(
         CellSpec({"nodes": size, "trial": trial}, base_seed + trial * 31 + size)
@@ -107,18 +110,4 @@ def localization_spec(
 
     return ExperimentSpec(
         "F7", localization_cell, cells, reduce, context={"config": config}
-    )
-
-
-def run_localization_experiment(
-    sizes: Sequence[int] = (200, 300, 400),
-    trials: int = 2,
-    config: Optional[IcpdaConfig] = None,
-    base_seed: int = 0,
-) -> List[dict]:
-    """Rows per size: isolation success rate, mean probes, log2 bound."""
-    return run_serial(
-        localization_spec(
-            sizes=sizes, trials=trials, config=config, base_seed=base_seed
-        )
     )

@@ -18,7 +18,7 @@ from repro.experiments.common import (
     run_icpda_round,
     run_tag_round_on,
 )
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec
 
 _PHASES = ("clustering", "exchange", "report")
 
@@ -44,8 +44,12 @@ def overhead_spec(
     trials: int = 2,
     base_seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: per size, one TAG cell per trial and one iCPDA cell per
-    (cluster size, trial); reduce: the combined per-size row."""
+    """Rows per size: TAG bytes, iCPDA bytes per cluster-size setting,
+    measured and analytic ratios, and the iCPDA exchange-phase share.
+
+    Cells: per size, one TAG cell per trial and one iCPDA cell per
+    (cluster size, trial); reduce: the combined per-size row.
+    """
     sizes = tuple(sizes)
     cluster_sizes = tuple(cluster_sizes)
     cells: List[CellSpec] = []
@@ -98,21 +102,3 @@ def overhead_spec(
         return rows
 
     return ExperimentSpec("F3", overhead_cell, tuple(cells), reduce)
-
-
-def run_overhead_experiment(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    cluster_sizes: Sequence[int] = (3, 4),
-    trials: int = 2,
-    base_seed: int = 0,
-) -> List[dict]:
-    """Rows per size: TAG bytes, iCPDA bytes per cluster-size setting,
-    measured and analytic ratios, and the iCPDA phase breakdown."""
-    return run_serial(
-        overhead_spec(
-            sizes=sizes,
-            cluster_sizes=cluster_sizes,
-            trials=trials,
-            base_seed=base_seed,
-        )
-    )

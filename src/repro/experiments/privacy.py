@@ -17,7 +17,7 @@ from repro.analysis.privacy import p_disclose_link
 from repro.attacks.eavesdrop import EavesdropAnalysis
 from repro.crypto.adversary_keys import LinkBreakModel
 from repro.experiments.common import fixed_cluster_config, run_icpda_round
-from repro.experiments.engine import CellSpec, ExperimentSpec, run_serial
+from repro.experiments.engine import CellSpec, ExperimentSpec
 from repro.metrics.privacy import DisclosureStats
 
 #: The p_x grid the paper family plots (0.01 .. 0.1).
@@ -73,7 +73,11 @@ def privacy_spec(
     draws: int = 300,
     seed: int = 0,
 ) -> ExperimentSpec:
-    """Cells: one per cluster size (the p_x grid runs inside the cell)."""
+    """Rows: (m, p_x) -> simulated P_disclose (pooled over ``draws``
+    break-model draws), its standard error, and the analytic value.
+
+    Cells: one per cluster size (the p_x grid runs inside the cell).
+    """
     cells = tuple(CellSpec({"m": m}, seed + m) for m in cluster_sizes)
 
     def reduce(outcomes) -> List[dict]:
@@ -90,26 +94,6 @@ def privacy_spec(
             "draws": draws,
             "base_seed": seed,
         },
-    )
-
-
-def run_privacy_experiment(
-    cluster_sizes: Sequence[int] = (3, 4, 5),
-    px_grid: Sequence[float] = DEFAULT_PX_GRID,
-    num_nodes: int = 400,
-    draws: int = 300,
-    seed: int = 0,
-) -> List[dict]:
-    """Rows: (m, p_x) -> simulated P_disclose (pooled over ``draws``
-    break-model draws), its standard error, and the analytic value."""
-    return run_serial(
-        privacy_spec(
-            cluster_sizes=cluster_sizes,
-            px_grid=px_grid,
-            num_nodes=num_nodes,
-            draws=draws,
-            seed=seed,
-        )
     )
 
 

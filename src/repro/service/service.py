@@ -31,7 +31,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
 from repro.core.results import RoundResult, Verdict
-from repro.errors import ProtocolError
 from repro.service.queries import Query, build_batch_aggregate, parse_query
 from repro.topology.deploy import Deployment
 
@@ -41,6 +40,10 @@ ReadingsProvider = Callable[[int], Dict[int, float]]
 #: Most epochs one :meth:`AggregationService.collect` call serves before
 #: it gives up and returns the last, unaccepted answer.
 COLLECT_MAX_ROUNDS = 4
+
+#: Answers this many epochs old are pruned from the cache (they could
+#: never be served anyway; this bounds memory).
+CACHE_EPOCHS = 8
 
 
 @dataclass(frozen=True)
@@ -107,14 +110,11 @@ class AggregationService:
         epoch's sensor readings (base station excluded).
     attack_plan / linksec / transport:
         Forwarded to the protocol instance.
-    auto_exclude:
-        When a served round is rejected and the witnesses name a
-        suspect, bar it from the head role on the live instance before
-        the next epoch (the paper's operator response). Exclusions are
-        recorded in :attr:`excluded` and per-epoch reports.
-    cache_epochs:
-        Answers this many epochs old are pruned from the cache (they
-        could never be served anyway; this bounds memory).
+
+    When a served round is rejected and the witnesses name a suspect,
+    the service bars it from the head role on the live instance before
+    the next epoch (the paper's operator response). Exclusions are
+    recorded in :attr:`excluded` and per-epoch reports.
     """
 
     def __init__(
@@ -127,11 +127,7 @@ class AggregationService:
         attack_plan=None,
         linksec=None,
         transport: str = "des",
-        auto_exclude: bool = True,
-        cache_epochs: int = 8,
     ) -> None:
-        if cache_epochs < 1:
-            raise ProtocolError(f"cache_epochs must be >= 1, got {cache_epochs}")
         self.protocol = IcpdaProtocol(
             deployment,
             config if config is not None else IcpdaConfig(),
@@ -141,8 +137,6 @@ class AggregationService:
             transport=transport,
         )
         self._readings_provider = readings_provider
-        self._auto_exclude = auto_exclude
-        self._cache_epochs = cache_epochs
         self.epoch = 0
         #: Newest epoch whose round has finished (answered or failed).
         #: ``epoch`` runs one ahead of it while a round is in flight, and
@@ -197,7 +191,7 @@ class AggregationService:
         return None
 
     def _prune_cache(self) -> None:
-        floor = self.epoch - self._cache_epochs
+        floor = self.epoch - CACHE_EPOCHS
         if floor > 0:
             for key in [k for k in self._cache if k[1] <= floor]:
                 del self._cache[key]
@@ -210,9 +204,8 @@ class AggregationService:
         Advances the epoch, pulls that epoch's readings from the
         provider, runs Phases II–IV once with a composite aggregate
         covering every distinct kind, caches each answer under
-        ``(query, epoch)``, and (under ``auto_exclude``) applies
-        operator exclusion when the round is rejected with a named
-        suspect. Deterministic: a fixed (deployment, config, seed,
+        ``(query, epoch)``, and applies operator exclusion when the round
+        is rejected with a named suspect. Deterministic: a fixed (deployment, config, seed,
         readings, batch-composition) sequence reproduces byte-identical
         epochs — see docs/SERVICE.md.
         """
@@ -258,7 +251,7 @@ class AggregationService:
         self._prune_cache()
 
         newly_excluded: Tuple[int, ...] = ()
-        if self._auto_exclude and result.detected_pollution:
+        if result.detected_pollution:
             suspect = result.top_suspect()
             if suspect is not None and suspect not in self.excluded:
                 self.exclude((suspect,))
@@ -292,9 +285,9 @@ class AggregationService:
         """Serve ``query`` epoch after epoch until one is accepted.
 
         The paper's operator response to pollution: a rejected epoch
-        whose witnesses name a suspect bars it from the head role (under
-        ``auto_exclude``), and the next epoch re-clusters without it; an
-        unattributed rejection simply re-clusters. Stops at the first
+        whose witnesses name a suspect bars it from the head role, and
+        the next epoch re-clusters without it; an unattributed rejection
+        simply re-clusters. Stops at the first
         accepted or ``INSUFFICIENT`` epoch (retrying cannot help a
         network too sparse to answer), or after
         :data:`COLLECT_MAX_ROUNDS` epochs, and returns the last answer.

@@ -27,7 +27,7 @@ from repro.topology.spatial import (
     neighbor_pairs,
     pair_lengths,
 )
-from repro.topology.stats import DensityStats, degree_sequence, density_table
+from repro.topology.stats import DensityStats, degree_sequence
 
 __all__ = [
     "adjacency_from_pairs",
@@ -46,5 +46,4 @@ __all__ = [
     "is_connected_to",
     "DensityStats",
     "degree_sequence",
-    "density_table",
 ]

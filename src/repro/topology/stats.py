@@ -1,18 +1,20 @@
 """Density and degree statistics for deployments.
 
-Reproduces the paper family's "network size vs average degree" table
-(Table I in the iPDA/iCPDA evaluations): for a 400 m × 400 m field with a
-50 m range, N in {200..600} yields average degrees of roughly 8.8 to 28.4.
+The per-deployment numbers behind the paper family's "network size vs
+average degree" table (Table I in the iPDA/iCPDA evaluations): for a
+400 m × 400 m field with a 50 m range, N in {200..600} yields average
+degrees of roughly 8.8 to 28.4. Experiment T1
+(:func:`repro.experiments.density.density_spec`) builds the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.topology.deploy import Deployment, uniform_deployment
+from repro.topology.deploy import Deployment
 from repro.topology.graphs import connectivity_graph, largest_component
 
 
@@ -71,47 +73,3 @@ def density_stats(deployment: Deployment) -> DensityStats:
         largest_component_fraction=len(lcc) / deployment.num_nodes,
     )
 
-
-def density_table(
-    sizes: Sequence[int],
-    *,
-    trials: int = 5,
-    field_size: float = 400.0,
-    radio_range: float = 50.0,
-    rng: Optional[np.random.Generator] = None,
-) -> List[dict]:
-    """Average-degree table across network sizes (experiment **T1**).
-
-    For each size, averages ``trials`` uniform deployments and reports the
-    mean of each :class:`DensityStats` field.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    rows: List[dict] = []
-    for size in sizes:
-        stats = [
-            density_stats(
-                uniform_deployment(
-                    size, field_size=field_size, radio_range=radio_range, rng=rng
-                )
-            )
-            for _ in range(trials)
-        ]
-        rows.append(
-            {
-                "nodes": size,
-                "mean_degree": round(float(np.mean([s.mean_degree for s in stats])), 2),
-                "isolated": float(np.mean([s.isolated_nodes for s in stats])),
-                "lcc_fraction": round(
-                    float(np.mean([s.largest_component_fraction for s in stats])), 4
-                ),
-                "expected_degree": round(
-                    (size - 1) * np.pi * radio_range**2 / (field_size**2), 2
-                ),
-            }
-        )
-    return rows
-
-
-def mean_degrees(rows: Iterable[dict]) -> List[float]:
-    """Convenience extractor of the ``mean_degree`` column."""
-    return [row["mean_degree"] for row in rows]

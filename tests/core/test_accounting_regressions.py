@@ -117,6 +117,28 @@ class TestRoundPhaseBytesAccumulateWithReset:
         assert set(protocol.phase_bytes) == {"clustering", "exchange", "report"}
         assert sum(protocol.phase_bytes.values()) < protocol.total_bytes()
 
+    def test_phase_that_raises_leaves_its_ledger_key_untouched(self, monkeypatch):
+        from repro.core.integrity import ReportAndVerdictPhase
+
+        protocol = make_protocol()
+        protocol.setup()
+        readings = {i: 1.0 for i in range(1, 30)}
+        protocol.run_round(readings, round_id=1)
+        before = dict(protocol.phase_bytes)
+        original = ReportAndVerdictPhase.run
+
+        def run_then_fail(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            raise RuntimeError("report phase failed after sending")
+
+        monkeypatch.setattr(ReportAndVerdictPhase, "run", run_then_fail)
+        with pytest.raises(RuntimeError):
+            protocol.run_round(readings, round_id=2)
+        assert protocol.phase_bytes["report"] == before["report"]
+        assert protocol.phase_bytes["exchange"] > before["exchange"]
+        # The profiler still closes the failed span.
+        assert protocol.profiler.snapshot()["report.count"] == 2
+
 
 class TestParticipatingHeadsSemantics:
     def test_unrestricted_config_imposes_no_filter(self):

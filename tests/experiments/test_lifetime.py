@@ -1,8 +1,9 @@
 """Smoke tests for the lifetime experiment."""
 
+from repro.experiments.engine import run_serial
 from repro.experiments.lifetime import (
+    lifetime_spec,
     run_icpda_lifetime,
-    run_lifetime_experiment,
     run_tag_lifetime,
 )
 
@@ -38,8 +39,10 @@ class TestLifetime:
         assert death(tag) >= death(icpda)
 
     def test_summary_rows_shape(self):
-        rows = run_lifetime_experiment(
-            num_nodes=80, capacity_j=0.5, max_rounds=4, seed=1, field_size=220.0
+        rows = run_serial(
+            lifetime_spec(
+                num_nodes=80, capacity_j=0.5, max_rounds=4, seed=1, field_size=220.0
+            )
         )
         assert [row["scheme"] for row in rows] == [
             "tag",

@@ -27,7 +27,7 @@ from repro.service.queries import (
     build_batch_aggregate,
     parse_query,
 )
-from repro.service.service import AggregationService
+from repro.service.service import CACHE_EPOCHS, AggregationService
 from repro.topology.deploy import uniform_deployment
 
 NUM_NODES = 60
@@ -226,11 +226,11 @@ class TestServiceEpochsAndCache:
         assert service.answer_from_cache("avg", max_age_epochs=2).epoch == 2
 
     def test_cache_pruned_beyond_retention(self):
-        service = make_service(cache_epochs=2)
-        for _ in range(4):
+        service = make_service()
+        for _ in range(CACHE_EPOCHS + 2):
             service.serve_batch(("sum",))
         cached_epochs = {epoch for _, epoch in service._cache}
-        assert cached_epochs == {3, 4}
+        assert cached_epochs == set(range(3, CACHE_EPOCHS + 3))
 
     def test_serve_uses_cache_only_when_allowed(self):
         service = make_service()
@@ -279,7 +279,6 @@ class TestServiceEpochsAndCache:
             attack_plan=PollutionAttack(
                 compromised, TamperStrategy.CONSISTENT_OWN, magnitude=10_000
             ),
-            auto_exclude=True,
         )
         rejected = None
         for _ in range(6):

@@ -105,9 +105,12 @@ class TestBfsTree:
 
 class TestStats:
     def test_density_table_columns(self):
-        from repro.topology.stats import density_table
+        # The T1 table is built from these per-deployment statistics by
+        # the experiment's spec builder.
+        from repro.experiments.engine import run_serial
+        from repro.experiments.density import density_spec
 
-        rows = density_table([50, 100], trials=2, field_size=200.0)
+        rows = run_serial(density_spec(sizes=(50, 100), trials=2, field_size=200.0))
         assert [r["nodes"] for r in rows] == [50, 100]
         assert rows[1]["mean_degree"] > rows[0]["mean_degree"]
         assert all("expected_degree" in r for r in rows)
