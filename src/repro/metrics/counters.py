@@ -4,12 +4,30 @@ The communication-overhead experiments (F3) compare total bytes put on
 the air by TAG vs iCPDA across network sizes, and the ablations break the
 totals down by protocol phase — so counters key on ``(node, kind)`` and
 can be rolled up either way.
+
+Storage is columnar: for transmit and for receive, one row of int64
+message and byte counts per kind, indexed by node id. Batched transports
+record a whole batch with one :meth:`MessageCounters.record_tx_columns` /
+:meth:`~MessageCounters.record_rx_columns` call per kind. The per-frame
+:meth:`~MessageCounters.record_tx` / :meth:`~MessageCounters.record_rx`
+append to a per-kind buffer that is folded into the rows on the next
+read (or once it grows long), which keeps them cheaper than a dict cell
+update. Every
+read is an array reduction and returns a plain Python ``int``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Union
+
+import numpy as np
+
+#: Buffer length (two entries per scalar record) that forces a fold,
+#: bounding the buffers' memory between reads.
+_FOLD_AT = 1 << 15
+
+Counts = Union[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -29,131 +47,183 @@ class KindBreakdown:
     bytes: int
 
 
-@dataclass
-class MessageCounters:
-    """Accumulates transmit/receive totals for a protocol run."""
+class _Columns:
+    """One direction's counts: ``messages[row, node]`` and
+    ``bytes[row, node]``, one row per kind in first-recorded order,
+    both dimensions grown by doubling. ``pending[kind]`` buffers scalar
+    records not yet folded in, as a flat ``[node, bytes, node, ...]``
+    list."""
 
-    _tx: Dict[Tuple[int, str], List[int]] = field(default_factory=dict)
-    _rx: Dict[Tuple[int, str], List[int]] = field(default_factory=dict)
+    __slots__ = ("rows", "pending", "messages", "bytes")
+
+    def __init__(self) -> None:
+        self.rows: Dict[str, int] = {}
+        self.pending: Dict[str, List[int]] = {}
+        self.messages = np.zeros((0, 0), dtype=np.int64)
+        self.bytes = np.zeros((0, 0), dtype=np.int64)
+
+    def open(self, kind: str) -> List[int]:
+        """Give a first-seen ``kind`` its row; returns its buffer."""
+        self.rows[kind] = len(self.rows)
+        buffer: List[int] = []
+        self.pending[kind] = buffer
+        return buffer
+
+    def add(
+        self, kind: str, nodes: np.ndarray, messages: Counts, num_bytes: Counts
+    ) -> None:
+        if nodes.size == 0:
+            return
+        if int(nodes.min()) < 0:
+            raise ValueError("message counters take non-negative node ids")
+        if kind not in self.rows:
+            self.open(kind)
+        row = self.rows[kind]
+        max_node = int(nodes.max())
+        old_rows, old_nodes = self.messages.shape
+        if row >= old_rows or max_node >= old_nodes:
+            shape = (
+                old_rows if row < old_rows else max(row + 1, 2 * old_rows, 8),
+                old_nodes
+                if max_node < old_nodes
+                else max(max_node + 1, 2 * old_nodes, 64),
+            )
+            for name in ("messages", "bytes"):
+                grown = np.zeros(shape, dtype=np.int64)
+                grown[:old_rows, :old_nodes] = getattr(self, name)
+                setattr(self, name, grown)
+        np.add.at(self.messages[row], nodes, messages)
+        np.add.at(self.bytes[row], nodes, num_bytes)
+
+    def fold(self) -> "_Columns":
+        """Move every buffered scalar record into the columns."""
+        for kind, buffer in self.pending.items():
+            if buffer:
+                flat = np.array(buffer, dtype=np.intp)
+                buffer.clear()
+                self.add(kind, flat[0::2], 1, flat[1::2])
+        return self
+
+    def clear(self) -> None:
+        self.rows.clear()
+        self.pending.clear()
+        self.messages.fill(0)
+        self.bytes.fill(0)
+
+
+def _node_sum(table: np.ndarray, node_id: int) -> int:
+    """Column ``node_id`` of ``table`` summed over kinds (0 if unseen)."""
+    if 0 <= node_id < table.shape[1]:
+        return int(table[:, node_id].sum())
+    return 0
+
+
+class MessageCounters:
+    """Accumulates transmit/receive totals for a protocol run.
+
+    Node ids must be non-negative integers (they index the columns)."""
+
+    def __init__(self) -> None:
+        self._tx = _Columns()
+        self._rx = _Columns()
 
     # -- recording ----------------------------------------------------------
 
     def record_tx(self, node_id: int, kind: str, num_bytes: int) -> None:
         """Count one transmitted frame."""
-        cell = self._tx.setdefault((node_id, kind), [0, 0])
-        cell[0] += 1
-        cell[1] += num_bytes
+        buffer = self._tx.pending.get(kind)
+        if buffer is None:
+            buffer = self._tx.open(kind)
+        buffer.append(node_id)
+        buffer.append(num_bytes)
+        if len(buffer) >= _FOLD_AT:
+            self._tx.fold()
 
     def record_rx(self, node_id: int, kind: str, num_bytes: int) -> None:
         """Count one received (addressed, clean) frame."""
-        cell = self._rx.setdefault((node_id, kind), [0, 0])
-        cell[0] += 1
-        cell[1] += num_bytes
+        buffer = self._rx.pending.get(kind)
+        if buffer is None:
+            buffer = self._rx.open(kind)
+        buffer.append(node_id)
+        buffer.append(num_bytes)
+        if len(buffer) >= _FOLD_AT:
+            self._rx.fold()
 
-    def record_tx_many(
-        self, node_id: int, kind: str, messages: int, num_bytes: int
+    def record_tx_columns(
+        self, kind: str, nodes: np.ndarray, messages: Counts, num_bytes: Counts
     ) -> None:
-        """Count ``messages`` transmitted frames totalling ``num_bytes``.
+        """Count a batch of ``kind`` transmissions: row ``i`` adds
+        ``messages[i]`` frames totalling ``num_bytes[i]`` bytes at
+        ``nodes[i]`` (node ids may repeat; a scalar count applies to
+        every row). Equivalent to the matching :meth:`record_tx` calls."""
+        self._tx.add(kind, np.asarray(nodes, dtype=np.intp), messages, num_bytes)
 
-        Batch equivalent of ``messages`` :meth:`record_tx` calls — used
-        by batched transports to pay one dict access per (node, kind)
-        cell instead of one per frame."""
-        cell = self._tx.setdefault((node_id, kind), [0, 0])
-        cell[0] += messages
-        cell[1] += num_bytes
-
-    def record_rx_many(
-        self, node_id: int, kind: str, messages: int, num_bytes: int
+    def record_rx_columns(
+        self, kind: str, nodes: np.ndarray, messages: Counts, num_bytes: Counts
     ) -> None:
-        """Count ``messages`` received frames totalling ``num_bytes``
-        (batch equivalent of :meth:`record_rx`, see
-        :meth:`record_tx_many`)."""
-        cell = self._rx.setdefault((node_id, kind), [0, 0])
-        cell[0] += messages
-        cell[1] += num_bytes
+        """Count a batch of ``kind`` receptions (see
+        :meth:`record_tx_columns`)."""
+        self._rx.add(kind, np.asarray(nodes, dtype=np.intp), messages, num_bytes)
 
     # -- rollups -------------------------------------------------------------
 
     @property
     def total_messages(self) -> int:
         """All frames transmitted in the run."""
-        return sum(cell[0] for cell in self._tx.values())
+        return int(self._tx.fold().messages.sum())
 
     @property
     def total_bytes(self) -> int:
         """All bytes transmitted in the run (headers included)."""
-        return sum(cell[1] for cell in self._tx.values())
+        return int(self._tx.fold().bytes.sum())
 
     def node_tx_bytes(self, node_id: int) -> int:
         """Bytes transmitted by one node."""
-        return sum(
-            cell[1] for (node, _), cell in self._tx.items() if node == node_id
-        )
+        return _node_sum(self._tx.fold().bytes, node_id)
 
     def node_tx_messages(self, node_id: int) -> int:
         """Frames transmitted by one node."""
-        return sum(
-            cell[0] for (node, _), cell in self._tx.items() if node == node_id
-        )
+        return _node_sum(self._tx.fold().messages, node_id)
 
     def node_rx_bytes(self, node_id: int) -> int:
         """Bytes received (addressed) by one node."""
-        return sum(
-            cell[1] for (node, _), cell in self._rx.items() if node == node_id
-        )
+        return _node_sum(self._rx.fold().bytes, node_id)
 
     def by_kind(self) -> List[KindBreakdown]:
-        """Transmit totals per message kind, sorted by descending bytes."""
-        rollup: Dict[str, List[int]] = {}
-        for (_, kind), cell in self._tx.items():
-            agg = rollup.setdefault(kind, [0, 0])
-            agg[0] += cell[0]
-            agg[1] += cell[1]
+        """Transmit totals per message kind, sorted by descending bytes
+        (ties in first-recorded order)."""
+        tx = self._tx.fold()
+        used = len(tx.rows)
+        messages = tx.messages[:used].sum(axis=1).tolist()
+        byte_sums = tx.bytes[:used].sum(axis=1).tolist()
         breakdown = [
-            KindBreakdown(kind=kind, messages=cell[0], bytes=cell[1])
-            for kind, cell in rollup.items()
+            KindBreakdown(kind=kind, messages=messages[row], bytes=byte_sums[row])
+            for kind, row in tx.rows.items()
         ]
         breakdown.sort(key=lambda b: -b.bytes)
         return breakdown
 
     def kind_bytes(self, kind: str) -> int:
         """Bytes transmitted under one message kind."""
-        return sum(cell[1] for (_, k), cell in self._tx.items() if k == kind)
+        tx = self._tx.fold()
+        row = tx.rows.get(kind)
+        return 0 if row is None else int(tx.bytes[row].sum())
 
     def kind_messages(self, kind: str) -> int:
         """Frames transmitted under one message kind."""
-        return sum(cell[0] for (_, k), cell in self._tx.items() if k == kind)
-
-    def messages_per_node(self) -> Dict[int, int]:
-        """Node id -> frames transmitted."""
-        result: Dict[int, int] = {}
-        for (node, _), cell in self._tx.items():
-            result[node] = result.get(node, 0) + cell[0]
-        return result
-
-    def merged(self, other: "MessageCounters") -> "MessageCounters":
-        """Return a new counter set combining this and ``other``."""
-        merged = MessageCounters()
-        for source in (self, other):
-            for key, cell in source._tx.items():
-                agg = merged._tx.setdefault(key, [0, 0])
-                agg[0] += cell[0]
-                agg[1] += cell[1]
-            for key, cell in source._rx.items():
-                agg = merged._rx.setdefault(key, [0, 0])
-                agg[0] += cell[0]
-                agg[1] += cell[1]
-        return merged
+        tx = self._tx.fold()
+        row = tx.rows.get(kind)
+        return 0 if row is None else int(tx.messages[row].sum())
 
     @property
     def total_rx_messages(self) -> int:
         """All addressed, clean frames received in the run."""
-        return sum(cell[0] for cell in self._rx.values())
+        return int(self._rx.fold().messages.sum())
 
     @property
     def total_rx_bytes(self) -> int:
         """All bytes received (addressed, clean) in the run."""
-        return sum(cell[1] for cell in self._rx.values())
+        return int(self._rx.fold().bytes.sum())
 
     def snapshot(self) -> dict:
         """Run totals as a plain dict (metrics-registry provider)."""
@@ -165,16 +235,6 @@ class MessageCounters:
         }
 
     def reset(self) -> None:
-        """Zero everything."""
+        """Zero everything (in place: bound recorders stay valid)."""
         self._tx.clear()
         self._rx.clear()
-
-    def summary(self, label: Optional[str] = None) -> dict:
-        """One-line dict summary for result tables."""
-        row = {
-            "messages": self.total_messages,
-            "bytes": self.total_bytes,
-        }
-        if label is not None:
-            row["label"] = label
-        return row

@@ -290,6 +290,10 @@ class FluidTransport:
         self._tx_cell: Dict[int, int] = {
             node: int(cell) for node, cell in enumerate(cell_ids)
         }
+        # Same metrics namespaces as the DES stack (which adds ``mac``).
+        sim.metrics.register("medium", self.stats.snapshot, replace=True)
+        sim.metrics.register("counters", self.counters.snapshot, replace=True)
+        sim.metrics.register("energy", self.energy.snapshot, replace=True)
 
     # -- topology ---------------------------------------------------------------
 
@@ -880,8 +884,9 @@ class BulkFluidTransport(FluidTransport):
         Accounting-equivalent to one :meth:`send`/:meth:`broadcast` per
         row followed by :meth:`flush` — same tx counters, energy, banked
         rx bytes, contention gating, and resolve-tick scheduling — but
-        paying one counter/energy touch per distinct sender and one
-        jitter block for the whole batch instead of per-frame Python.
+        paying one columnar counter record for the whole batch, one
+        energy/rx-bank touch per distinct sender and one jitter block
+        instead of per-frame Python.
         Any unsealed per-frame burst is sealed first so the
         ``fluid.bulk.delay`` stream stays in frame emission order;
         within the batch, draws follow row order."""
@@ -914,15 +919,17 @@ class BulkFluidTransport(FluidTransport):
                     return
         count = int(src_arr.size)
         now = self.sim.now
+        self.counters.record_tx_columns(kind, src_arr, 1, sizes)
+        # Energy and banked rx bytes stay per distinct sender, in
+        # ascending sender order, so the float ledger sums exactly as
+        # the per-row loop's per-sender totals.
         senders, inverse = np.unique(src_arr, return_inverse=True)
-        messages = np.bincount(inverse)
         byte_sums = np.bincount(inverse, weights=sizes.astype(np.float64))
-        record_tx_many = self.counters.record_tx_many
         account_tx = self.energy.account_tx
         pending = self._pending_rx
-        for position, node in enumerate(senders.tolist()):
-            node_bytes = int(byte_sums[position])
-            record_tx_many(node, kind, int(messages[position]), node_bytes)
+        for node, node_bytes in zip(
+            senders.tolist(), byte_sums.astype(np.int64).tolist()
+        ):
             account_tx(node, node_bytes)
             pending[node] = pending.get(node, 0) + node_bytes
         self.stats.transmissions += count
@@ -1107,34 +1114,23 @@ class BulkFluidTransport(FluidTransport):
         self.stats.deliveries += int(surv_frame.size)
 
         # Addressed receptions (broadcast neighbors + unicast addressees)
-        # hit the message counters, grouped per (receiver, kind) so the
-        # dict work is one call per distinct cell, not per reception.
+        # hit the message counters with one columnar record per kind.
         addressed = pair_broadcast[pair_idx][survivors] | (
             surv_recv == dst[surv_frame]
         )
         if addressed.any():
             rx_frame = surv_frame[addressed]
             rx_recv = surv_recv[addressed]
-            sizes = np.asarray(size_list, dtype=np.float64)
-            record_rx_many = self.counters.record_rx_many
-            for kind, frame_ids in kinds.items():
-                frame_mask = np.zeros(count, dtype=bool)
-                frame_mask[frame_ids] = True
-                in_kind = frame_mask[rx_frame]
-                if not in_kind.any():
-                    continue
-                k_recv = rx_recv[in_kind]
-                k_bytes = sizes[rx_frame[in_kind]]
-                nodes, inverse = np.unique(k_recv, return_inverse=True)
-                counts = np.bincount(inverse)
-                byte_sums = np.bincount(inverse, weights=k_bytes)
-                for position, node in enumerate(nodes.tolist()):
-                    record_rx_many(
-                        node,
-                        kind,
-                        int(counts[position]),
-                        int(byte_sums[position]),
-                    )
+            rx_bytes = np.asarray(size_list, dtype=np.int64)[rx_frame]
+            record_rx_columns = self.counters.record_rx_columns
+            if len(kinds) == 1:
+                record_rx_columns(kind_list[0], rx_recv, 1, rx_bytes)
+            else:
+                for kind, frame_ids in kinds.items():
+                    frame_mask = np.zeros(count, dtype=bool)
+                    frame_mask[frame_ids] = True
+                    in_kind = frame_mask[rx_frame]
+                    record_rx_columns(kind, rx_recv[in_kind], 1, rx_bytes[in_kind])
 
         # Frames of a kind with no registered handler and no matching
         # listener have nobody to call: skip the per-pair dispatch pass

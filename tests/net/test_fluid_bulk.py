@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.net.fluid import BulkFluidTransport, FluidParams
+from repro.net.packet import BROADCAST
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import uniform_deployment
 
@@ -239,6 +240,74 @@ def test_flush_and_lazy_seal_sample_identical_streams():
         )
 
     assert run(True) == run(False)
+
+
+def test_send_many_counts_like_per_row_sends():
+    """One ``send_many`` batch per kind records the same per-node,
+    per-kind tx and rx counters as the equivalent per-row
+    ``send``/``broadcast`` loop: same jitter block, same loss block."""
+    seed = 21
+    rng = np.random.default_rng(5)
+    batches = []
+    for kind in ("share", "hello", "share"):
+        src = rng.integers(0, 80, size=40)
+        dst = [
+            BROADCAST if rng.random() < 0.3 else int(rng.integers(0, 80))
+            for _ in src
+        ]
+        sizes = rng.integers(20, 90, size=40)
+        batches.append((kind, src.tolist(), dst, sizes.tolist()))
+
+    def run(bulk: bool):
+        stack = make_bulk(seed=seed)
+        # Handlers see exactly the addressed receptions: an independent
+        # tally of what the rx counters must hold.
+        heard = {node: [0, 0] for node in stack.node_ids()}
+
+        def tally(packet, node):
+            heard[node][0] += 1
+            heard[node][1] += packet.size_bytes
+
+        for node in stack.node_ids():
+            for kind in ("share", "hello"):
+                stack.register_handler(
+                    node, kind, lambda packet, node=node: tally(packet, node)
+                )
+        for kind, src, dst, sizes in batches:
+            if bulk:
+                stack.send_many(kind, src, dst, sizes)
+            else:
+                for row_src, row_dst, row_size in zip(src, dst, sizes):
+                    if row_dst == BROADCAST:
+                        stack.broadcast(row_src, kind, None, size_bytes=row_size)
+                    else:
+                        stack.send(row_src, row_dst, kind, None, size_bytes=row_size)
+                stack.flush()
+            stack.sim.run()
+        counters = stack.counters
+        assert sum(count for count, _ in heard.values()) == counters.total_rx_messages
+        assert all(
+            counters.node_rx_bytes(node) == rx_bytes
+            for node, (_, rx_bytes) in heard.items()
+        )
+        return (
+            [
+                (
+                    counters.node_tx_messages(node),
+                    counters.node_tx_bytes(node),
+                    counters.node_rx_bytes(node),
+                )
+                for node in stack.node_ids()
+            ],
+            counters.by_kind(),
+            counters.snapshot(),
+            stack.stats.snapshot(),
+        )
+
+    per_row = run(False)
+    assert per_row == run(True)
+    assert per_row[2]["rx_messages"] > 0
+    assert {b.kind for b in per_row[1]} == {"share", "hello"}
 
 
 def test_reset_accounting_clears_all_namespaces():

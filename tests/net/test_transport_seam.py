@@ -53,6 +53,37 @@ def test_real_backends_satisfy_transport_protocol(small_deployment):
         assert isinstance(stack, Transport), kind
 
 
+def test_every_backend_registers_the_same_telemetry(small_deployment):
+    """``medium``/``counters``/``energy`` snapshot the same keys on every
+    backend, so fluid runs write channel, byte and energy metrics into
+    trace manifests too; ``mac`` is DES-only."""
+    from repro.sim.kernel import Simulator
+
+    keys = {}
+    for kind in ("des", "fluid", "fluid-bulk"):
+        stack = create_transport(kind, Simulator(seed=1), small_deployment)
+        src = next(iter(stack.node_ids()))
+        stack.broadcast(src, "ping")
+        stack.sim.run()
+        snapshot = stack.sim.metrics.snapshot()
+        assert snapshot["counters.messages"] == 1, kind
+        assert snapshot["medium.transmissions"] == 1, kind
+        assert snapshot["energy.total_j"] > 0.0, kind
+        namespaces = set(stack.sim.metrics.namespaces())
+        assert ("mac" in namespaces) == (kind == "des")
+        keys[kind] = {
+            key
+            for key in snapshot
+            if key.split(".")[0] in ("medium", "counters", "energy")
+        }
+    assert keys["des"] == keys["fluid"] == keys["fluid-bulk"]
+    assert {key.split(".")[0] for key in keys["des"]} == {
+        "medium",
+        "counters",
+        "energy",
+    }
+
+
 @pytest.mark.parametrize("kind", ["des", "fluid", "fluid-bulk"])
 def test_clear_handlers_stops_addressed_delivery(small_deployment, kind):
     """Only the cleared node loses its handlers; a frame addressed to it
