@@ -17,6 +17,11 @@ Run from the repo root::
 
     PYTHONPATH=src python benchmarks/run_e2e_bench.py              # full scale
     PYTHONPATH=src python benchmarks/run_e2e_bench.py --scale quick
+    PYTHONPATH=src python benchmarks/run_e2e_bench.py --only icpda_huge_fluid_bulk
+
+``--only NAME...`` times just the named scenarios and merges their rows
+into the existing report (other rows are kept as they are), so a
+before/after pair does not need the whole suite.
 
 Each scenario is measured as best-of-``--repeats`` wall-clock passes
 (deployment generation excluded; everything from Simulator construction
@@ -406,22 +411,38 @@ def main(argv=None) -> None:
         action="store_true",
         help=f"skip the secondary copy under {RESULTS_COPY.parent}/",
     )
+    parser.add_argument(
+        "--only",
+        nargs="+",
+        metavar="NAME",
+        default=None,
+        help="time only these scenarios and merge them into the existing report",
+    )
     args = parser.parse_args(argv)
 
     scenarios = _scenarios(args.scale)
+    output = args.output if args.output is not None else OUTPUT
+    rows: Dict[str, dict] = {}
+    if args.only is not None:
+        unknown = sorted(set(args.only) - set(scenarios))
+        if unknown:
+            parser.error(f"unknown scenario(s) for --scale {args.scale}: {unknown}")
+        scenarios = {name: scenarios[name] for name in args.only}
+        if output.exists():
+            previous = json.loads(output.read_text())
+            if previous.get("scale") == args.scale:
+                rows = previous["scenarios"]
+    for name, scenario in scenarios.items():
+        rows[name] = run_scenario(name, scenario, args.repeats)
     report = {
         "schema": "bench-e2e/1",
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scale": args.scale,
-        "scenarios": {
-            name: run_scenario(name, scenario, args.repeats)
-            for name, scenario in scenarios.items()
-        },
+        "scenarios": rows,
     }
 
-    output = args.output if args.output is not None else OUTPUT
     output.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(report, indent=2) + "\n"
     output.write_text(payload)

@@ -48,6 +48,11 @@ class FrameReplay:
         Optional ``expand(bucket, by_kind)`` hook run just before a
         bucket is emitted, to add rows the engine kept compact (the
         clustering engine's census relay chains).
+
+    The transport is flushed once, after the last bucket: the bulk
+    backend logs replayed batches nobody observes and settles them a
+    few thousand rows at a time (see ``BulkFluidTransport.send_many``);
+    a flush per bucket would settle every bucket on its own.
     """
 
     def __init__(
@@ -60,6 +65,7 @@ class FrameReplay:
         self._t0 = t0
         self._expand = expand
         self._buckets: Dict[int, Dict[str, Columns]] = {}
+        self._last: Optional[int] = None
 
     def bucket_of(self, at: float) -> int:
         """Index of the bucket holding instant ``at``."""
@@ -110,7 +116,9 @@ class FrameReplay:
         """Schedule one emission callback per non-empty bucket (plus
         ``extra_buckets``, filled only by the ``expand`` hook)."""
         sim = self._stack.sim
-        for bucket in sorted(set(self._buckets) | set(extra_buckets)):
+        buckets = sorted(set(self._buckets) | set(extra_buckets))
+        self._last = buckets[-1] if buckets else None
+        for bucket in buckets:
             sim.schedule_at(
                 self._t0 + bucket * EMIT_BUCKET_S, partial(self._emit, bucket)
             )
@@ -127,4 +135,5 @@ class FrameReplay:
         stack = self._stack
         for kind, (srcs, dsts, sizes) in by_kind.items():
             stack.send_many(kind, srcs, dsts, sizes)
-        stack.flush()
+        if bucket == self._last:
+            stack.flush()

@@ -12,14 +12,15 @@ record a whole batch with one :meth:`MessageCounters.record_tx_columns` /
 :meth:`~MessageCounters.record_tx` / :meth:`~MessageCounters.record_rx`
 append to a per-kind buffer that is folded into the rows on the next
 read (or once it grows long), which keeps them cheaper than a dict cell
-update. Every
-read is an array reduction and returns a plain Python ``int``.
+update. Every read first calls the ``before_read`` hook (a transport
+that defers its accounting settles it there), then is an array
+reduction and returns a plain Python ``int``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Callable, Dict, List, Union
 
 import numpy as np
 
@@ -126,6 +127,13 @@ class MessageCounters:
     def __init__(self) -> None:
         self._tx = _Columns()
         self._rx = _Columns()
+        #: Called before every read (the bulk fluid transport settles
+        #: its replay log here).
+        self.before_read: Callable[[], None] = lambda: None
+
+    def _read(self, columns: _Columns) -> _Columns:
+        self.before_read()
+        return columns.fold()
 
     # -- recording ----------------------------------------------------------
 
@@ -170,29 +178,29 @@ class MessageCounters:
     @property
     def total_messages(self) -> int:
         """All frames transmitted in the run."""
-        return int(self._tx.fold().messages.sum())
+        return int(self._read(self._tx).messages.sum())
 
     @property
     def total_bytes(self) -> int:
         """All bytes transmitted in the run (headers included)."""
-        return int(self._tx.fold().bytes.sum())
+        return int(self._read(self._tx).bytes.sum())
 
     def node_tx_bytes(self, node_id: int) -> int:
         """Bytes transmitted by one node."""
-        return _node_sum(self._tx.fold().bytes, node_id)
+        return _node_sum(self._read(self._tx).bytes, node_id)
 
     def node_tx_messages(self, node_id: int) -> int:
         """Frames transmitted by one node."""
-        return _node_sum(self._tx.fold().messages, node_id)
+        return _node_sum(self._read(self._tx).messages, node_id)
 
     def node_rx_bytes(self, node_id: int) -> int:
         """Bytes received (addressed) by one node."""
-        return _node_sum(self._rx.fold().bytes, node_id)
+        return _node_sum(self._read(self._rx).bytes, node_id)
 
     def by_kind(self) -> List[KindBreakdown]:
         """Transmit totals per message kind, sorted by descending bytes
         (ties in first-recorded order)."""
-        tx = self._tx.fold()
+        tx = self._read(self._tx)
         used = len(tx.rows)
         messages = tx.messages[:used].sum(axis=1).tolist()
         byte_sums = tx.bytes[:used].sum(axis=1).tolist()
@@ -205,25 +213,25 @@ class MessageCounters:
 
     def kind_bytes(self, kind: str) -> int:
         """Bytes transmitted under one message kind."""
-        tx = self._tx.fold()
+        tx = self._read(self._tx)
         row = tx.rows.get(kind)
         return 0 if row is None else int(tx.bytes[row].sum())
 
     def kind_messages(self, kind: str) -> int:
         """Frames transmitted under one message kind."""
-        tx = self._tx.fold()
+        tx = self._read(self._tx)
         row = tx.rows.get(kind)
         return 0 if row is None else int(tx.messages[row].sum())
 
     @property
     def total_rx_messages(self) -> int:
         """All addressed, clean frames received in the run."""
-        return int(self._rx.fold().messages.sum())
+        return int(self._read(self._rx).messages.sum())
 
     @property
     def total_rx_bytes(self) -> int:
         """All bytes received (addressed, clean) in the run."""
-        return int(self._rx.fold().bytes.sum())
+        return int(self._read(self._rx).bytes.sum())
 
     def snapshot(self) -> dict:
         """Run totals as a plain dict (metrics-registry provider)."""
@@ -236,5 +244,6 @@ class MessageCounters:
 
     def reset(self) -> None:
         """Zero everything (in place: bound recorders stay valid)."""
+        self.before_read()
         self._tx.clear()
         self._rx.clear()

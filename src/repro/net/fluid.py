@@ -39,6 +39,7 @@ and asserted by the analysis test suite at overlapping scales.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -66,6 +67,13 @@ from repro.topology.spatial import compact_cell_ids
 #: Handler / listener signatures (mirror the transport seam).
 PacketHandler = Callable[[Packet], None]
 OverhearListener = Callable[[Packet], None]
+
+#: One logged ``send_many`` call: (instant, kind, src, dst, size).
+_Call = Tuple[float, str, np.ndarray, np.ndarray, np.ndarray]
+
+#: Row bound of the bulk backend's replay log: a log this long is
+#: settled when a batch arrives at a new instant (bounds its memory).
+_LOG_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -151,17 +159,6 @@ class FluidStats:
         self.half_duplex_losses = 0
 
 
-class _StatsView:
-    """``stack.medium.stats`` compatibility shim: callers that read
-    channel statistics (benchmarks, the fading experiment) work unchanged
-    against the fluid backend."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self, stats: FluidStats) -> None:
-        self.stats = stats
-
-
 class _LazyRxEnergy(EnergyModel):
     """Energy ledger that defers receive-side charges.
 
@@ -242,8 +239,8 @@ class FluidTransport:
             node: tuple(neighbors)
             for node, neighbors in neighbors_within_range(deployment).items()
         }
-        self.stats = FluidStats()
-        self.medium = _StatsView(self.stats)
+        self._stats = FluidStats()
+        self.medium = self  # ``stack.medium.stats`` readers get ``stats``
 
         # Per-link (loss probability, congestion share) rows, lazily
         # computed per sender (fixed geometry: computed once, cached),
@@ -291,9 +288,20 @@ class FluidTransport:
             node: int(cell) for node, cell in enumerate(cell_ids)
         }
         # Same metrics namespaces as the DES stack (which adds ``mac``).
-        sim.metrics.register("medium", self.stats.snapshot, replace=True)
+        sim.metrics.register(
+            "medium", lambda: self.stats.snapshot(), replace=True
+        )
         sim.metrics.register("counters", self.counters.snapshot, replace=True)
         sim.metrics.register("energy", self.energy.snapshot, replace=True)
+
+    @property
+    def stats(self) -> FluidStats:
+        """Channel statistics (settled first, see :meth:`_settle`)."""
+        self._settle()
+        return self._stats
+
+    def _settle(self) -> None:
+        """Book deferred frames before a read (the per-frame path has none)."""
 
     # -- topology ---------------------------------------------------------------
 
@@ -384,7 +392,7 @@ class FluidTransport:
         size = packet.size_bytes
         self.counters.record_tx(src, packet.kind, size)
         self.energy.account_tx(src, size)
-        self.stats.transmissions += 1
+        self._stats.transmissions += 1
         # Receive energy at every live in-range radio, deferred: the
         # bytes are banked against the sender and flushed on read.
         self._pending_rx[src] = self._pending_rx.get(src, 0) + size
@@ -473,9 +481,9 @@ class FluidTransport:
         if draw >= probability:
             return False
         if draw < probability * congestion_share:
-            self.stats.collisions += 1
+            self._stats.collisions += 1
         else:
-            self.stats.ambient_losses += 1
+            self._stats.ambient_losses += 1
         return True
 
     def _deliver(self, packet: Packet, contended: bool) -> None:
@@ -494,7 +502,7 @@ class FluidTransport:
             for index, receiver in enumerate(neighbors):
                 if receiver in dead or self._lost(loss_row[index], contended):
                     continue
-                self.stats.deliveries += 1
+                self._stats.deliveries += 1
                 record_rx(receiver, kind, size)
                 if wild:
                     for listener in self._wild_overhear.get(receiver, ()):
@@ -524,7 +532,7 @@ class FluidTransport:
                     continue
                 if self._lost(loss_row[index], contended):
                     continue
-                self.stats.deliveries += 1
+                self._stats.deliveries += 1
                 for listener in wilds:
                     listener(packet)
                 for listener in overhearers:
@@ -537,7 +545,7 @@ class FluidTransport:
             return  # destination out of range: the frame dies in the air
         if self._lost(loss_row[index], contended):
             return
-        self.stats.deliveries += 1
+        self._stats.deliveries += 1
         self.counters.record_rx(dst, kind, packet.size_bytes)
         if wild:
             for listener in self._wild_overhear.get(dst, ()):
@@ -633,10 +641,11 @@ class FluidTransport:
 
     def reset_accounting(self) -> None:
         """Zero every accounting namespace (new round, same network)."""
+        self._settle()
         self._pending_rx.clear()
         self.counters.reset()
         self.energy.reset()
-        self.stats.reset()
+        self._stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -666,12 +675,17 @@ class BulkFluidTransport(FluidTransport):
       (``FluidParams.bulk_tick_s``): one
       :meth:`~repro.sim.kernel.Simulator.schedule_batch` macro-event
       per tick with traffic resolves every frame due at its fire time —
-      CSR fan-out expansion, candidate masking (addressed receiver,
-      kind/wildcard listeners, live nodes), one vectorized loss block
-      (stream ``fluid.bulk.loss``, in (delivery, adjacency) order over
+      CSR fan-out expansion (one edge lookup for a unicast nobody
+      overhears), candidate masking (addressed receiver, kind/wildcard
+      listeners, live nodes), one vectorized loss block (stream
+      ``fluid.bulk.loss``, in (delivery, adjacency) order over
       candidate pairs), stats/counter accumulation as array ops, then
       one Python pass dispatching handlers over the surviving
       (receiver, frame) pairs.
+
+    A :meth:`send_many` batch nobody can observe is only *logged*, and
+    the log is settled (sealed and resolved) in one pass; see
+    :meth:`send_many` and :meth:`_settle`.
 
     Determinism contract (mirrors the batched share backend): a seeded
     bulk run is exactly reproducible, and coherence with the DES holds
@@ -712,6 +726,11 @@ class BulkFluidTransport(FluidTransport):
         radio = self.radio
         positions = self.deployment.positions
         edge_src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
+        # Sorted ``src * N + dst`` key per edge (plus a sentinel), for
+        # one-searchsorted unicast edge lookups.
+        self._edge_key = np.append(
+            edge_src * num_nodes + self._indices, np.iinfo(np.int64).max
+        )
         delta = positions[self._indices] - positions[edge_src]
         distances = np.hypot(delta[:, 0], delta[:, 1])
         congestion = self._congestion[self._indices]
@@ -742,18 +761,26 @@ class BulkFluidTransport(FluidTransport):
         self._q_src: List[int] = []
         self._q_dst: List[int] = []
         self._q_contended: List[bool] = []
-        self._q_kind: List[str] = []
+        self._q_kind: List[int] = []
+        #: kind -> its code in ``_q_kind``, in first-queued order.
+        self._kind_codes: Dict[str, int] = {}
         self._q_size: List[int] = []
         self._q_packet: List[Optional[Packet]] = []
+        # Replay log of unobservable send_many calls and their latest
+        # delivery bound; while it holds rows, burst and batch are empty.
+        self._log: List[_Call] = []
+        self._log_rows = 0
+        self._log_latest = -math.inf
+        self.counters.before_read = self._settle
         # Node id -> contention cell, as an array for the bulk path, and
-        # the set of kinds with at least one registered handler (used to
-        # skip the dispatch pass for pure-accounting replay frames).
+        # kind -> nodes with a handler for it (a kind nobody handles
+        # skips the dispatch pass and may be logged).
         self._cell_of = np.fromiter(
             (self._tx_cell[node] for node in range(num_nodes)),
             dtype=np.int64,
             count=num_nodes,
         )
-        self._handled_kinds: Set[str] = set()
+        self._handler_count: Counter[str] = Counter()
         self._flush_horizon = -math.inf
         self._tick_s = self.params.bulk_tick_s
         # Bulk contention state: same radio-range grid cells as the
@@ -766,6 +793,14 @@ class BulkFluidTransport(FluidTransport):
         self._wild_mask = np.zeros(num_nodes, dtype=bool)
 
     # -- sending ----------------------------------------------------------------
+
+    def _schedule_tick(self, latest: float) -> None:
+        """Schedule a resolve macro-event at the first tick after instant
+        ``latest``, unless one at or after it is already pending."""
+        tick = (math.floor(latest / self._tick_s) + 1) * self._tick_s
+        if tick > self._flush_horizon:
+            self._flush_horizon = tick
+            self.sim.schedule_batch(tick - self.sim.now, self._resolve_batch, ())
 
     def _transmit(self, packet: Packet) -> None:
         src = packet.src
@@ -781,6 +816,8 @@ class BulkFluidTransport(FluidTransport):
                 kind=packet.kind,
             )
             return
+        if self._log:
+            self._settle()
         now = self.sim.now
         airtime = self.radio.airtime(packet)
         self._burst.append((packet, now, airtime))
@@ -788,21 +825,18 @@ class BulkFluidTransport(FluidTransport):
         # macro-event at or after its latest possible delivery instant.
         # One schedule_batch per *tick with traffic* — quiet ticks cost
         # nothing, busy ticks absorb every frame due in their window.
-        latest = now + self.params.access_jitter_s + airtime
-        tick_s = self._tick_s
-        tick = (math.floor(latest / tick_s) + 1) * tick_s
-        if tick > self._flush_horizon:
-            self._flush_horizon = tick
-            self.sim.schedule_batch(tick - now, self._resolve_batch, ())
+        self._schedule_tick(now + self.params.access_jitter_s + airtime)
 
     def flush(self) -> None:
-        """Seal the pending burst now (idempotent, cheap when empty).
+        """Settle the replay log and seal the pending burst now
+        (idempotent, cheap when empty).
 
         Protocol senders call this at burst boundaries (end of a share
         spray, after a flood rebroadcast) so the burst's tx accounting
         lands at its emission instant and its jitter draws form one
         block. Unsealed frames are otherwise sealed lazily by the next
         resolve tick — not calling flush is never incorrect."""
+        self._settle()
         if self._burst:
             self._seal_burst()
 
@@ -842,6 +876,7 @@ class BulkFluidTransport(FluidTransport):
         q_dst = self._q_dst
         q_contended = self._q_contended
         q_kind = self._q_kind
+        kind_codes = self._kind_codes
         q_size = self._q_size
         q_packet = self._q_packet
         # One vectorized jitter block per seal; draw order == frame
@@ -866,10 +901,10 @@ class BulkFluidTransport(FluidTransport):
             q_src.append(src)
             q_dst.append(packet.dst)
             q_contended.append(contended)
-            q_kind.append(packet.kind)
+            q_kind.append(kind_codes.setdefault(packet.kind, len(kind_codes)))
             q_size.append(size)
             q_packet.append(packet)
-        self.stats.transmissions += count
+        self._stats.transmissions += count
 
     def send_many(
         self,
@@ -878,8 +913,8 @@ class BulkFluidTransport(FluidTransport):
         dst: Sequence[int],
         size_bytes: Sequence[int],
     ) -> None:
-        """Vectorized bulk submission: seal ``len(src)`` payload-free
-        frames keyed up at the current instant in one pass.
+        """Vectorized bulk submission of ``len(src)`` payload-free frames
+        keyed up at the current instant.
 
         Accounting-equivalent to one :meth:`send`/:meth:`broadcast` per
         row followed by :meth:`flush` — same tx counters, energy, banked
@@ -889,7 +924,12 @@ class BulkFluidTransport(FluidTransport):
         instead of per-frame Python.
         Any unsealed per-frame burst is sealed first so the
         ``fluid.bulk.delay`` stream stays in frame emission order;
-        within the batch, draws follow row order."""
+        within the batch, draws follow row order.
+
+        A batch nobody can observe is only logged while no sealed frame
+        awaits its tick; the log is settled once it holds
+        :data:`_LOG_ROWS` rows and a batch arrives at a new instant, or
+        before anything else happens or is read (see :meth:`_settle`)."""
         if self._burst:
             self._seal_burst()
         src_arr = np.ascontiguousarray(src, dtype=np.int64)
@@ -917,27 +957,66 @@ class BulkFluidTransport(FluidTransport):
                 sizes = sizes[alive]
                 if src_arr.size == 0:
                     return
-        count = int(src_arr.size)
         now = self.sim.now
-        self.counters.record_tx_columns(kind, src_arr, 1, sizes)
-        # Energy and banked rx bytes stay per distinct sender, in
-        # ascending sender order, so the float ledger sums exactly as
-        # the per-row loop's per-sender totals.
-        senders, inverse = np.unique(src_arr, return_inverse=True)
+        radio = self.radio
+        longest = radio.turnaround_s + (8.0 * int(sizes.max())) / radio.bitrate_bps
+        latest = now + self.params.access_jitter_s + longest
+        call = (now, kind, src_arr, dst_arr, sizes)
+        if self._log_rows >= _LOG_ROWS and now > self._log[-1][0]:
+            self._settle()
+        if self._q_time or self._observable(kind):
+            self._settle()
+            self._seal_calls([call], latest)
+            return
+        self._log.append(call)
+        self._log_rows += int(src_arr.size)
+        self._log_latest = max(self._log_latest, latest)
+
+    def _observable(self, kind: str) -> bool:
+        """True if resolving a ``kind`` frame could call anyone."""
+        return bool(
+            self._wild_count
+            or kind in self._handler_count
+            or self._kind_overhear.get(kind)
+        )
+
+    def _seal_calls(self, calls: List[_Call], latest: float) -> None:
+        """Seal ``send_many`` calls into the batch exactly as one call at
+        a time would (energy and rx bank per call and ascending sender,
+        jitter at each row's instant); ticks for ``latest`` if in flight."""
+        rows = [call[2].size for call in calls]
+        instants = np.repeat([call[0] for call in calls], rows)
+        src_arr = np.concatenate([call[2] for call in calls])
+        dst_arr = np.concatenate([call[3] for call in calls])
+        sizes = np.concatenate([call[4] for call in calls])
+        count = int(src_arr.size)
+        by_kind: Dict[str, List[_Call]] = {}
+        for call in calls:
+            by_kind.setdefault(call[1], []).append(call)
+        for kind, group in by_kind.items():
+            self.counters.record_tx_columns(
+                kind,
+                np.concatenate([call[2] for call in group]),
+                1,
+                np.concatenate([call[4] for call in group]),
+            )
+        call_of = np.repeat(np.arange(len(calls), dtype=np.int64), rows)
+        keys, inverse = np.unique(
+            call_of * self._num_nodes + src_arr, return_inverse=True
+        )
         byte_sums = np.bincount(inverse, weights=sizes.astype(np.float64))
         account_tx = self.energy.account_tx
         pending = self._pending_rx
         for node, node_bytes in zip(
-            senders.tolist(), byte_sums.astype(np.int64).tolist()
+            (keys % self._num_nodes).tolist(), byte_sums.astype(np.int64).tolist()
         ):
             account_tx(node, node_bytes)
             pending[node] = pending.get(node, 0) + node_bytes
-        self.stats.transmissions += count
+        self._stats.transmissions += count
         radio = self.radio
         airtime = radio.turnaround_s + (8.0 * sizes) / radio.bitrate_bps
-        jitter_s = self.params.access_jitter_s
         coins = self.sim.rng.uniform_block("fluid.bulk.delay", count)
-        keyup = now + coins * jitter_s
+        keyup = instants + coins * self.params.access_jitter_s
         end = keyup + airtime
         # Per-cell contention gate in row order — the busy horizon is
         # loop-carried state per cell, so this stays a (tight) loop.
@@ -956,15 +1035,23 @@ class BulkFluidTransport(FluidTransport):
         self._q_src.extend(src_arr.tolist())
         self._q_dst.extend(dst_arr.tolist())
         self._q_contended.extend(contended)
-        self._q_kind.extend([kind] * count)
+        kind_codes = self._kind_codes
+        for call in calls:
+            code = kind_codes.setdefault(call[1], len(kind_codes))
+            self._q_kind.extend([code] * int(call[2].size))
         self._q_size.extend(sizes.tolist())
         self._q_packet.extend([None] * count)
-        latest = now + jitter_s + float(airtime.max())
-        tick_s = self._tick_s
-        tick = (math.floor(latest / tick_s) + 1) * tick_s
-        if tick > self._flush_horizon:
-            self._flush_horizon = tick
-            self.sim.schedule_batch(tick - now, self._resolve_batch, ())
+        if float(end.max()) > self.sim.now:
+            self._schedule_tick(latest)
+
+    def _settle(self) -> None:
+        """Seal the replay log and resolve what is already due, crediting
+        the kernel as the skipped resolve ticks would have."""
+        if self._log:
+            resolved = self._resolve_batch()
+            stats = self.sim.stats
+            stats.scheduled += resolved
+            stats.fired += resolved
 
     # -- delivery ---------------------------------------------------------------
 
@@ -980,99 +1067,95 @@ class BulkFluidTransport(FluidTransport):
         return mask
 
     def _resolve_batch(self) -> int:
-        """Resolve every queued frame due now; returns the frame count.
-
-        The return value is the macro-event's logical event count (see
-        :meth:`~repro.sim.kernel.Simulator.schedule_batch`)."""
+        """Resolve tick: seal what is pending, resolve what is due, return
+        the frame count (see :meth:`~repro.sim.kernel.Simulator.schedule_batch`)."""
+        if self._log:
+            log, latest = self._log, self._log_latest
+            self._log, self._log_rows, self._log_latest = [], 0, -math.inf
+            self._seal_calls(log, latest)
         if self._burst:
             self._seal_burst()
-        total = len(self._q_time)
-        if not total:
-            return 0
-        now = self.sim.now
-        times = np.array(self._q_time, dtype=np.float64)
-        due = times <= now
-        if due.all():
-            src = np.array(self._q_src, dtype=np.int64)
-            dst = np.array(self._q_dst, dtype=np.int64)
-            contended = np.array(self._q_contended, dtype=bool)
-            kind_list = self._q_kind
-            size_list = self._q_size
-            packets = self._q_packet
-            due_times = times
-            self._q_time = []
-            self._q_src = []
-            self._q_dst = []
-            self._q_contended = []
-            self._q_kind = []
-            self._q_size = []
-            self._q_packet = []
-        else:
-            due_list = np.flatnonzero(due).tolist()
-            keep_list = np.flatnonzero(~due).tolist()
-            src = np.array([self._q_src[i] for i in due_list], dtype=np.int64)
-            dst = np.array([self._q_dst[i] for i in due_list], dtype=np.int64)
-            contended = np.array(
-                [self._q_contended[i] for i in due_list], dtype=bool
-            )
-            kind_list = [self._q_kind[i] for i in due_list]
-            size_list = [self._q_size[i] for i in due_list]
-            packets = [self._q_packet[i] for i in due_list]
-            due_times = times[due]
-            self._q_time = [self._q_time[i] for i in keep_list]
-            self._q_src = [self._q_src[i] for i in keep_list]
-            self._q_dst = [self._q_dst[i] for i in keep_list]
-            self._q_contended = [self._q_contended[i] for i in keep_list]
-            self._q_kind = [self._q_kind[i] for i in keep_list]
-            self._q_size = [self._q_size[i] for i in keep_list]
-            self._q_packet = [self._q_packet[i] for i in keep_list]
-        count = len(packets)
-        # Deterministic resolution order: (delivery instant, seal order).
-        order = np.argsort(due_times, kind="stable")
-        if not (order == np.arange(count)).all():
-            src = src[order]
-            dst = dst[order]
-            contended = contended[order]
-            order_list = order.tolist()
-            kind_list = [kind_list[i] for i in order_list]
-            size_list = [size_list[i] for i in order_list]
-            packets = [packets[i] for i in order_list]
+        count = self._resolve_due()
+        self._ensure_resolvable()
+        return count
 
-        # CSR fan-out expansion: one (frame, neighbor) pair per edge.
-        indptr = self._indptr
-        degrees = indptr[src + 1] - indptr[src]
-        total_pairs = int(degrees.sum())
-        if total_pairs == 0:
-            self._dispatch([], [], packets)
-            self._ensure_resolvable()
-            return count
-        frame_of = np.repeat(np.arange(count, dtype=np.int64), degrees)
-        starts = np.zeros(count, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=starts[1:])
-        edge = indptr[src[frame_of]] + (
-            np.arange(total_pairs, dtype=np.int64) - starts[frame_of]
-        )
-        recv = self._indices[edge]
+    def _resolve_due(self) -> int:
+        if not self._q_time:
+            return 0
+        times = np.array(self._q_time)
+        due = times <= self.sim.now
+        if not due.any():
+            return 0
+        src = np.array(self._q_src, dtype=np.int64)
+        dst = np.array(self._q_dst, dtype=np.int64)
+        contended = np.array(self._q_contended, dtype=bool)
+        codes = np.array(self._q_kind, dtype=np.int64)
+        sizes = np.array(self._q_size, dtype=np.int64)
+        packets = self._q_packet
+        keep = np.flatnonzero(~due)
+        self._q_time = times[keep].tolist()
+        self._q_src = src[keep].tolist()
+        self._q_dst = dst[keep].tolist()
+        self._q_contended = contended[keep].tolist()
+        self._q_kind = codes[keep].tolist()
+        self._q_size = sizes[keep].tolist()
+        self._q_packet = [packets[i] for i in keep.tolist()]
+        # Deterministic resolution order: (delivery instant, seal order);
+        # ``position`` maps each due frame back to its queue slot.
+        position = np.flatnonzero(due)
+        position = position[np.argsort(times[position], kind="stable")]
+        count = int(position.size)
+        src = src[position]
+        dst = dst[position]
+        contended = contended[position]
+        codes = codes[position]
+        sizes = sizes[position]
 
         # Candidate pairs: broadcast frames reach every neighbor; a
         # unicast reaches its addressee plus any neighbor with a
         # matching kind/wildcard listener. Dead receivers are excluded
         # *before* the draw (they consume no coin, as per frame).
         is_broadcast = dst == BROADCAST
+        names = list(self._kind_codes)
+        kinds = {
+            names[code]: np.flatnonzero(codes == code)
+            for code in np.flatnonzero(np.bincount(codes)).tolist()
+        }
+        kind_overhear = self._kind_overhear
+        overheard = [kind for kind in kinds if kind_overhear.get(kind)]
+        fan_out = is_broadcast | bool(self._wild_count)
+        for kind in overheard:
+            fan_out[kinds[kind]] = True
+        # A fan-out frame expands over its sender's CSR row; any other
+        # unicast is one edge lookup (no pair if the addressee is out of
+        # range). Pairs stay in (frame, adjacency position) order.
+        indptr = self._indptr
+        first = indptr[src]
+        pairs_of = np.where(fan_out, indptr[src + 1] - first, 0)
+        direct = np.flatnonzero(~fan_out)
+        if direct.size:
+            wanted = src[direct] * self._num_nodes + dst[direct]
+            slot = np.searchsorted(self._edge_key, wanted)
+            pairs_of[direct] = self._edge_key[slot] == wanted
+            first[direct] = slot
+        total_pairs = int(pairs_of.sum())
+        if total_pairs == 0:
+            return count
+        frame_of = np.repeat(np.arange(count, dtype=np.int64), pairs_of)
+        starts = np.zeros(count, dtype=np.int64)
+        np.cumsum(pairs_of[:-1], out=starts[1:])
+        edge = first[frame_of] + (
+            np.arange(total_pairs, dtype=np.int64) - starts[frame_of]
+        )
+        recv = self._indices[edge]
+
         pair_broadcast = is_broadcast[frame_of]
         candidates = pair_broadcast | (recv == dst[frame_of])
-        kinds: Dict[str, List[int]] = {}
-        for index, frame_kind in enumerate(kind_list):
-            kinds.setdefault(frame_kind, []).append(index)
-        kind_overhear = self._kind_overhear
-        for kind, frame_ids in kinds.items():
-            by_node = kind_overhear.get(kind)
-            if not by_node:
-                continue
-            frame_mask = np.zeros(count, dtype=bool)
-            frame_mask[frame_ids] = True
+        for kind in overheard:
             candidates |= (
-                frame_mask[frame_of] & ~pair_broadcast & self._kind_mask(kind)[recv]
+                (codes[frame_of] == self._kind_codes[kind])
+                & ~pair_broadcast
+                & self._kind_mask(kind)[recv]
             )
         if self._wild_count:
             candidates |= ~pair_broadcast & self._wild_mask[recv]
@@ -1085,8 +1168,6 @@ class BulkFluidTransport(FluidTransport):
         pair_recv = recv[pair_idx]
         pair_count = pair_idx.size
         if pair_count == 0:
-            self._dispatch([], [], packets)
-            self._ensure_resolvable()
             return count
 
         # One vectorized loss block per resolve; draw order == candidate
@@ -1105,13 +1186,13 @@ class BulkFluidTransport(FluidTransport):
         share = np.where(pair_contended, self._edge_share[pair_edge], 0.0)
         collided = draws < probability * share
         num_collisions = int(np.count_nonzero(collided))
-        self.stats.collisions += num_collisions
-        self.stats.ambient_losses += int(np.count_nonzero(lost)) - num_collisions
+        self._stats.collisions += num_collisions
+        self._stats.ambient_losses += int(np.count_nonzero(lost)) - num_collisions
 
         survivors = ~lost
         surv_frame = pair_frame[survivors]
         surv_recv = pair_recv[survivors]
-        self.stats.deliveries += int(surv_frame.size)
+        self._stats.deliveries += int(surv_frame.size)
 
         # Addressed receptions (broadcast neighbors + unicast addressees)
         # hit the message counters with one columnar record per kind.
@@ -1121,16 +1202,13 @@ class BulkFluidTransport(FluidTransport):
         if addressed.any():
             rx_frame = surv_frame[addressed]
             rx_recv = surv_recv[addressed]
-            rx_bytes = np.asarray(size_list, dtype=np.int64)[rx_frame]
-            record_rx_columns = self.counters.record_rx_columns
-            if len(kinds) == 1:
-                record_rx_columns(kind_list[0], rx_recv, 1, rx_bytes)
-            else:
-                for kind, frame_ids in kinds.items():
-                    frame_mask = np.zeros(count, dtype=bool)
-                    frame_mask[frame_ids] = True
-                    in_kind = frame_mask[rx_frame]
-                    record_rx_columns(kind, rx_recv[in_kind], 1, rx_bytes[in_kind])
+            rx_bytes = sizes[rx_frame]
+            rx_codes = codes[rx_frame]
+            for kind in kinds:
+                in_kind = rx_codes == self._kind_codes[kind]
+                self.counters.record_rx_columns(
+                    kind, rx_recv[in_kind], 1, rx_bytes[in_kind]
+                )
 
         # Frames of a kind with no registered handler and no matching
         # listener have nobody to call: skip the per-pair dispatch pass
@@ -1141,31 +1219,32 @@ class BulkFluidTransport(FluidTransport):
             disp_frame, disp_recv = surv_frame, surv_recv
         else:
             wanted = np.zeros(count, dtype=bool)
-            handled = self._handled_kinds
             for kind, frame_ids in kinds.items():
-                if kind in handled or kind_overhear.get(kind):
+                if self._observable(kind):
                     wanted[frame_ids] = True
             pair_wanted = wanted[surv_frame]
             disp_frame = surv_frame[pair_wanted]
             disp_recv = surv_recv[pair_wanted]
         if disp_frame.size:
+            frame_packets = {}
             for frame in np.unique(disp_frame).tolist():
-                if packets[frame] is None:
-                    packets[frame] = Packet(
+                packet = packets[int(position[frame])]
+                if packet is None:
+                    packet = Packet(
                         src=int(src[frame]),
                         dst=int(dst[frame]),
-                        kind=kind_list[frame],
-                        size_bytes=size_list[frame],
+                        kind=names[codes[frame]],
+                        size_bytes=int(sizes[frame]),
                     )
-            self._dispatch(disp_frame.tolist(), disp_recv.tolist(), packets)
-        self._ensure_resolvable()
+                frame_packets[frame] = packet
+            self._dispatch(disp_frame.tolist(), disp_recv.tolist(), frame_packets)
         return count
 
     def _dispatch(
         self,
         surv_frame: List[int],
         surv_recv: List[int],
-        packets: List[Packet],
+        packets: Mapping[int, Packet],
     ) -> None:
         """One pass over surviving (receiver, frame) pairs: listeners
         first, then the addressed handler — per-receiver ordering
@@ -1205,19 +1284,22 @@ class BulkFluidTransport(FluidTransport):
         float rounding at a tick boundary), schedule one at the latest
         queued delivery instant."""
         if self._q_time and self._flush_horizon <= self.sim.now:
-            latest = max(self._q_time)
-            tick_s = self._tick_s
-            tick = (math.floor(latest / tick_s) + 1) * tick_s
-            self._flush_horizon = tick
-            self.sim.schedule_batch(tick - self.sim.now, self._resolve_batch, ())
+            self._schedule_tick(max(self._q_time))
 
     # -- receiving ----------------------------------------------------------------
 
     def register_handler(self, node_id: int, kind: str, handler: PacketHandler) -> None:
+        self._settle()
+        new = kind not in self._handlers[node_id]
         super().register_handler(node_id, kind, handler)
-        # Grow-only: used to skip dispatch for kinds never handled, so a
-        # stale entry costs a redundant pass, never a missed delivery.
-        self._handled_kinds.add(kind)
+        if new:
+            self._handler_count[kind] += 1
+
+    def clear_handlers(self, node_id: int) -> None:
+        self._settle()
+        self._handler_count.subtract(self._handlers[node_id].keys())
+        self._handler_count = +self._handler_count  # drop retired kinds
+        super().clear_handlers(node_id)
 
     def register_overhear(
         self,
@@ -1225,6 +1307,7 @@ class BulkFluidTransport(FluidTransport):
         listener: OverhearListener,
         kinds: Optional[Sequence[str]] = None,
     ) -> None:
+        self._settle()
         super().register_overhear(node_id, listener, kinds)
         if kinds is None:
             self._wild_mask[node_id] = True
@@ -1233,6 +1316,7 @@ class BulkFluidTransport(FluidTransport):
                 self._kind_mask_cache.pop(kind, None)
 
     def clear_overhear(self, node_id: int) -> None:
+        self._settle()
         super().clear_overhear(node_id)
         self._wild_mask[node_id] = False
         self._kind_mask_cache.clear()
@@ -1240,8 +1324,12 @@ class BulkFluidTransport(FluidTransport):
     # -- lifecycle / accounting ----------------------------------------------------
 
     def fail_node(self, node_id: int) -> None:
-        super().fail_node(node_id)
+        super().fail_node(node_id)  # settles via _flush_rx_energy first
         self._dead_mask[node_id] = True
+
+    def _flush_rx_energy(self) -> None:  # every energy read lands here
+        self._settle()
+        super()._flush_rx_energy()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -75,3 +75,38 @@ class TestLiveEngineSwitch:
             assert result.verdict.accepted
             assert result.alarms == []
             assert result.contributors > 0
+
+    def test_replayed_kinds_are_logged_after_scalar_to_batched(self) -> None:
+        """The scalar round leaves its handlers registered; the switch
+        clears them, and the bulk transport must notice: every replayed
+        batch that finds no frame awaiting its tick is logged for one
+        settle pass, not sealed and queued on its own."""
+        protocol = build_icpda(
+            300, IcpdaConfig(engine="scalar"), seed=3, transport="fluid-bulk"
+        )
+        readings = make_readings(300, rng=np.random.default_rng(3))
+        protocol.run_round(readings, round_id=0)
+        stack = protocol.stack
+        assert len(stack._handler_count) > 1
+        protocol.apply_config(replace(protocol.config, engine="batched"))
+        assert stack._handler_count == {}
+
+        batches = []
+        send_many = stack.send_many
+
+        def spy(kind, src, dst, size_bytes):
+            queued = bool(stack._q_time)
+            send_many(kind, src, dst, size_bytes)
+            last = stack._log[-1] if stack._log else None
+            logged = (
+                last is not None
+                and last[:2] == (stack.sim.now, kind)
+                and last[2].size == len(src)
+            )
+            batches.append((queued, logged))
+
+        stack.send_many = spy
+        result = protocol.run_round(readings, round_id=1)
+        assert result.verdict.accepted
+        assert sum(logged for _, logged in batches) > 10
+        assert all(logged for queued, logged in batches if not queued)
