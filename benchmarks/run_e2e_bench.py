@@ -259,7 +259,7 @@ def _run_storm(scenario: Scenario, deployment) -> Tuple[float, dict]:
     stack = create_transport(scenario.transport, sim, deployment)
     received = [0]
 
-    def on_storm(_packet) -> None:
+    def on_storm(_node, _packet) -> None:
         received[0] += 1
 
     jitter = sim.rng.stream("storm.jitter")

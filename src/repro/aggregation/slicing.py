@@ -151,20 +151,20 @@ class SlicingAggregation:
         participants = [
             node for node in self._tree.parents if node in readings
         ]
+        on_slice, on_slice_ack = self._on_slice, self._on_slice_ack
         for node in self._tree.parents:
             self._assembled[node] = [0] * arity
             self._contributes[node] = 0
             self._received_keys[node] = set()
-            self._stack.register_handler(node, SLICE_KIND, self._make_on_slice(node))
-            self._stack.register_handler(
-                node, SLICE_ACK_KIND, self._make_on_slice_ack(node)
-            )
+            self._stack.register_handler(node, SLICE_KIND, on_slice)
+            self._stack.register_handler(node, SLICE_ACK_KIND, on_slice_ack)
 
         for node in participants:
             delay = float(self._rng.uniform(0.05, self._window * 0.3))
             sim.schedule(
                 delay,
-                self._make_slicer(node, readings[node]),
+                self._slice_and_send,
+                args=(node, readings[node]),
                 name="slice-send",
             )
 
@@ -189,43 +189,40 @@ class SlicingAggregation:
 
     # -- slicing ----------------------------------------------------------------
 
-    def _make_slicer(self, node: int, reading: float):
-        def slice_and_send() -> None:
-            components = self._aggregate.components(reading)
-            arity = len(components)
-            neighbors = [
-                n
-                for n in self._stack.neighbors(node)
-                if n in self._tree.parents and self._linksec.can_secure(node, n)
-            ]
-            count = min(self._num_slices - 1, len(neighbors))
-            kept = list(components)
-            self._contributes[node] += 1
-            if count > 0:
-                picked = self._rng.choice(neighbors, size=count, replace=False)
-                for recipient in picked:
-                    piece = [
-                        int(self._rng.integers(-self._mask, self._mask + 1))
-                        for _ in range(arity)
-                    ]
-                    for k in range(arity):
-                        kept[k] -= piece[k]
-                    try:
-                        ciphertext = self._linksec.seal(node, int(recipient), piece)
-                    except NoSharedKeyError:  # pragma: no cover - filtered above
-                        continue
-                    self._dispatch_slice(node, int(recipient), ciphertext, 0)
-                    self.slice_log.append(
-                        ShareTransmission(
-                            origin=node,
-                            recipient=int(recipient),
-                            links=((node, int(recipient)),),
-                        )
+    def _slice_and_send(self, node: int, reading: float) -> None:
+        components = self._aggregate.components(reading)
+        arity = len(components)
+        neighbors = [
+            n
+            for n in self._stack.neighbors(node)
+            if n in self._tree.parents and self._linksec.can_secure(node, n)
+        ]
+        count = min(self._num_slices - 1, len(neighbors))
+        kept = list(components)
+        self._contributes[node] += 1
+        if count > 0:
+            picked = self._rng.choice(neighbors, size=count, replace=False)
+            for recipient in picked:
+                piece = [
+                    int(self._rng.integers(-self._mask, self._mask + 1))
+                    for _ in range(arity)
+                ]
+                for k in range(arity):
+                    kept[k] -= piece[k]
+                try:
+                    ciphertext = self._linksec.seal(node, int(recipient), piece)
+                except NoSharedKeyError:  # pragma: no cover - filtered above
+                    continue
+                self._dispatch_slice(node, int(recipient), ciphertext, 0)
+                self.slice_log.append(
+                    ShareTransmission(
+                        origin=node,
+                        recipient=int(recipient),
+                        links=((node, int(recipient)),),
                     )
-            for k in range(arity):
-                self._assembled[node][k] += kept[k]
-
-        return slice_and_send
+                )
+        for k in range(arity):
+            self._assembled[node][k] += kept[k]
 
     def _dispatch_slice(
         self, sender: int, recipient: int, ciphertext: Ciphertext, attempt: int
@@ -243,7 +240,8 @@ class SlicingAggregation:
             timeout = self._ack_timeout * (1.0 + 0.5 * attempt)
             self._stack.sim.schedule(
                 timeout,
-                lambda: self._retry_slice(sender, recipient, ciphertext, attempt),
+                self._retry_slice,
+                args=(sender, recipient, ciphertext, attempt),
                 name="slice-arq",
             )
 
@@ -254,27 +252,21 @@ class SlicingAggregation:
             return
         self._dispatch_slice(sender, recipient, ciphertext, attempt + 1)
 
-    def _make_on_slice(self, node: int):
-        def on_slice(packet: Packet) -> None:
-            if int(packet.payload["dst"]) != node:
-                return
-            origin = int(packet.payload["origin"])
-            self._stack.send(
-                node, packet.src, SLICE_ACK_KIND, {"origin": origin, "dst": node}
-            )
-            if origin in self._received_keys[node]:
-                return  # retransmission after a lost ack
-            self._received_keys[node].add(origin)
-            piece = self._linksec.open(node, packet.payload["ct"])
-            for k, value in enumerate(piece):
-                self._assembled[node][k] += int(value)
-            self.delivered += 1
+    def _on_slice(self, node: int, packet: Packet) -> None:
+        if int(packet.payload["dst"]) != node:
+            return
+        origin = int(packet.payload["origin"])
+        self._stack.send(
+            node, packet.src, SLICE_ACK_KIND, {"origin": origin, "dst": node}
+        )
+        if origin in self._received_keys[node]:
+            return  # retransmission after a lost ack
+        self._received_keys[node].add(origin)
+        piece = self._linksec.open(node, packet.payload["ct"])
+        for k, value in enumerate(piece):
+            self._assembled[node][k] += int(value)
+        self.delivered += 1
 
-        return on_slice
-
-    def _make_on_slice_ack(self, node: int):
-        def on_slice_ack(packet: Packet) -> None:
-            if int(packet.payload["origin"]) == node:
-                self._acked[(node, int(packet.payload["dst"]))] = True
-
-        return on_slice_ack
+    def _on_slice_ack(self, node: int, packet: Packet) -> None:
+        if int(packet.payload["origin"]) == node:
+            self._acked[(node, int(packet.payload["dst"]))] = True

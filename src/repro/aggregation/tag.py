@@ -165,14 +165,15 @@ class TagProtocol:
                 contributors = 0
             self._states[node] = _NodeState(partial=partial, contributors=contributors)
 
+        on_partial = self._on_partial
         for node in self._tree.parents:
-            self._stack.register_handler(node, PARTIAL_KIND, self._make_handler(node))
+            self._stack.register_handler(node, PARTIAL_KIND, on_partial)
 
         for node, depth in self._tree.depths.items():
             if node == root:
                 continue
             at = schedule.send_time(depth, float(self._rng.random()))
-            sim.schedule_at(at, self._make_sender(node), name="tag-send")
+            sim.schedule_at(at, self._send_partial, args=(node,), name="tag-send")
 
         sim.run(until=schedule.epoch_end)
 
@@ -191,36 +192,30 @@ class TagProtocol:
 
     # -- internal ------------------------------------------------------------
 
-    def _make_handler(self, node_id: int):
-        def on_partial(packet: Packet) -> None:
-            state = self._states.get(node_id)
-            if state is None or state.sent:
-                return  # late partial after our slot: lost, as in TAG
-            components = tuple(packet.payload["components"])
-            state.partial = self._aggregate.combine(state.partial, components)
-            state.contributors += int(packet.payload["contributors"])
-            state.received_from.append(packet.src)
+    def _on_partial(self, node_id: int, packet: Packet) -> None:
+        state = self._states.get(node_id)
+        if state is None or state.sent:
+            return  # late partial after our slot: lost, as in TAG
+        components = tuple(packet.payload["components"])
+        state.partial = self._aggregate.combine(state.partial, components)
+        state.contributors += int(packet.payload["contributors"])
+        state.received_from.append(packet.src)
 
-        return on_partial
-
-    def _make_sender(self, node_id: int):
-        def send_partial() -> None:
-            state = self._states[node_id]
-            state.sent = True
-            parent = self._tree.parents[node_id]
-            if parent is None:
-                return
-            self._stack.send(
-                node_id,
-                parent,
-                PARTIAL_KIND,
-                {
-                    "components": list(state.partial),
-                    "contributors": state.contributors,
-                },
-            )
-
-        return send_partial
+    def _send_partial(self, node_id: int) -> None:
+        state = self._states[node_id]
+        state.sent = True
+        parent = self._tree.parents[node_id]
+        if parent is None:
+            return
+        self._stack.send(
+            node_id,
+            parent,
+            PARTIAL_KIND,
+            {
+                "components": list(state.partial),
+                "contributors": state.contributors,
+            },
+        )
 
 
 def run_tag_round(

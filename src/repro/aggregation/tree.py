@@ -97,8 +97,9 @@ class _TreeBuilder:
         self._query = query
         self._rng = stack.sim.rng.stream("tree.forward_jitter")
         self.result = TreeBuildResult(root=root)
+        on_hello = self._on_hello
         for node_id in stack.node_ids():
-            stack.register_handler(node_id, HELLO_KIND, self._make_handler(node_id))
+            stack.register_handler(node_id, HELLO_KIND, on_hello)
 
     def start(self) -> None:
         self.result.parents[self._root] = None
@@ -113,37 +114,34 @@ class _TreeBuilder:
         self._stack.flush()
         self._stack.sim.trace.emit("tree.start", "hello flood started", root=self._root)
 
-    def _make_handler(self, node_id: int):
-        def on_hello(packet: Packet) -> None:
-            if node_id == self._root:
-                return
-            if node_id in self.result.parents:
-                return
-            depth = int(packet.payload["depth"]) + 1
-            query = str(packet.payload.get("query", ""))
-            parent = packet.src
-            self.result.parents[node_id] = parent
-            self.result.depths[node_id] = depth
-            self.result.query_at[node_id] = query
-            self.result.children.setdefault(parent, []).append(node_id)
-            self.result.children.setdefault(node_id, [])
-            delay = self._rng.uniform(0.5, 1.5) * self._forward_delay_s
-            # Bound method + args payload: no per-hello closure allocation.
-            self._stack.sim.schedule(
-                delay,
-                self._forward,
-                args=(node_id, HELLO_KIND, {"depth": depth, "query": query}),
-                name="hello-forward",
-            )
-            self._stack.sim.trace.emit(
-                "tree.join",
-                f"node {node_id} joined at depth {depth}",
-                node=node_id,
-                parent=parent,
-                depth=depth,
-            )
-
-        return on_hello
+    def _on_hello(self, node_id: int, packet: Packet) -> None:
+        if node_id == self._root:
+            return
+        if node_id in self.result.parents:
+            return
+        depth = int(packet.payload["depth"]) + 1
+        query = str(packet.payload.get("query", ""))
+        parent = packet.src
+        self.result.parents[node_id] = parent
+        self.result.depths[node_id] = depth
+        self.result.query_at[node_id] = query
+        self.result.children.setdefault(parent, []).append(node_id)
+        self.result.children.setdefault(node_id, [])
+        delay = self._rng.uniform(0.5, 1.5) * self._forward_delay_s
+        # Bound method + args payload: no per-hello closure allocation.
+        self._stack.sim.schedule(
+            delay,
+            self._forward,
+            args=(node_id, HELLO_KIND, {"depth": depth, "query": query}),
+            name="hello-forward",
+        )
+        self._stack.sim.trace.emit(
+            "tree.join",
+            f"node {node_id} joined at depth {depth}",
+            node=node_id,
+            parent=parent,
+            depth=depth,
+        )
 
     def _forward(self, node_id: int, kind: str, payload: dict) -> None:
         """Rebroadcast a hello and mark the burst boundary (one flood

@@ -128,6 +128,7 @@ class ClusterFormation:
         self._config = config
         self._round_id = round_id
         self._rng = stack.sim.rng.stream(f"cluster.{round_id}")
+        self._excluded = set(config.excluded_heads)
         self._heads: Set[int] = set()
         self._heard: Dict[int, List[int]] = {n: [] for n in tree.parents}
         self._joined: Dict[int, Optional[int]] = {n: None for n in tree.parents}
@@ -154,35 +155,32 @@ class ClusterFormation:
         cfg = self._config
         t0 = sim.now
 
+        handlers = (
+            (ANNOUNCE_KIND, self._on_announce),
+            (JOIN_KIND, self._on_join),
+            (JOIN_REJECT_KIND, self._on_join_reject),
+            (DISSOLVE_KIND, self._on_dissolve),
+            (MEMBER_LIST_KIND, self._on_member_list),
+            (CENSUS_KIND, self._on_census),
+            (CENSUS_ACK_KIND, self._on_census_ack),
+        )
         for node in self._tree.parents:
-            self._stack.register_handler(node, ANNOUNCE_KIND, self._make_on_announce(node))
-            self._stack.register_handler(node, JOIN_KIND, self._make_on_join(node))
-            self._stack.register_handler(
-                node, JOIN_REJECT_KIND, self._make_on_join_reject(node)
-            )
-            self._stack.register_handler(node, DISSOLVE_KIND, self._make_on_dissolve(node))
-            self._stack.register_handler(
-                node, MEMBER_LIST_KIND, self._make_on_member_list(node)
-            )
-            self._stack.register_handler(node, CENSUS_KIND, self._make_on_census(node))
-            self._stack.register_handler(
-                node, CENSUS_ACK_KIND, self._make_on_census_ack(node)
-            )
+            for kind, handler in handlers:
+                self._stack.register_handler(node, kind, handler)
 
         # Wave 1: election + announce.
         bs = self._tree.root
         self._heads.add(bs)
-        sim.schedule(0.0, lambda: self._announce(bs), name="announce-bs")
-        excluded = set(cfg.excluded_heads)
+        sim.schedule(0.0, self._announce, args=(bs,), name="announce-bs")
         for node in self._tree.parents:
             if node == bs:
                 continue
             if self._rng.random() < self._election_probability(node) and (
-                node not in excluded
+                node not in self._excluded
             ):
                 self._heads.add(node)
                 delay = float(self._rng.uniform(0.05, cfg.window_announce_s * 0.8))
-                sim.schedule(delay, self._make_announcer(node), name="announce")
+                sim.schedule(delay, self._announce, args=(node,), name="announce")
 
         # Decision point: join or second-wave self-elect.
         sim.schedule_at(t0 + cfg.window_announce_s, self._wave2_decisions)
@@ -227,9 +225,6 @@ class ClusterFormation:
             "cluster.announce", f"node {node} announces head", head=node
         )
 
-    def _make_announcer(self, node: int):
-        return lambda: self._announce(node)
-
     def _wave2_decisions(self) -> None:
         cfg = self._config
         sim = self._stack.sim
@@ -238,11 +233,11 @@ class ClusterFormation:
                 continue
             if self._heard[node]:
                 self._schedule_join(node, cfg.window_join_s * 0.4)
-            elif node not in set(cfg.excluded_heads):
+            elif node not in self._excluded:
                 # Heard nothing: self-elect so sparse regions still form.
                 self._heads.add(node)
                 delay = float(self._rng.uniform(0.05, cfg.window_join_s * 0.3))
-                sim.schedule(delay, self._make_announcer(node), name="announce-w2")
+                sim.schedule(delay, self._announce, args=(node,), name="announce-w2")
 
     def _late_join_decisions(self) -> None:
         cfg = self._config
@@ -259,11 +254,10 @@ class ClusterFormation:
         head = int(choices[self._rng.integers(0, len(choices))])
         self._joined[node] = head
         delay = float(self._rng.uniform(0.02, window))
-        self._stack.sim.schedule(
-            delay,
-            lambda: self._stack.send(node, head, JOIN_KIND, {"member": node}),
-            name="join",
-        )
+        self._stack.sim.schedule(delay, self._send_join, args=(node, head), name="join")
+
+    def _send_join(self, node: int, head: int) -> None:
+        self._stack.send(node, head, JOIN_KIND, {"member": node})
 
     def _dissolve_undersized(self) -> None:
         """Merge wave: heads that cannot reach ``k_min`` dissolve and
@@ -282,7 +276,7 @@ class ClusterFormation:
             self._heard_dissolves[head].add(head)
             self._stack.broadcast(head, DISSOLVE_KIND, {"head": head})
             delay = float(self._rng.uniform(0.1, 0.5))
-            sim.schedule(delay, self._make_rejoiner(head), name="rejoin-head")
+            sim.schedule(delay, self._rejoin, args=(head,), name="rejoin-head")
         if self._dissolved:
             sim.trace.emit(
                 "cluster.dissolve",
@@ -290,33 +284,30 @@ class ClusterFormation:
                 dissolved=len(self._dissolved),
             )
 
-    def _make_rejoiner(self, node: int):
-        def rejoin() -> None:
-            if self._joined.get(node) is not None:
-                return  # already re-homed (e.g. via a merge-window announce)
-            choices = [
-                h
-                for h in self._heard[node]
-                if h not in self._heard_dissolves[node]
-                and h not in self._rejected_from[node]
-                and h != node
-            ]
-            if not choices:
-                # Nowhere to go: self-elect (wave 3) and recruit other
-                # leftovers of the merge window.
-                if node in set(self._config.excluded_heads):
-                    return
-                if node not in self._heads or node in self._dissolved:
-                    self._heads.add(node)
-                    self._dissolved.discard(node)
-                    self._join_queue.pop(node, None)
-                    self._announce(node)
+    def _rejoin(self, node: int) -> None:
+        if self._joined.get(node) is not None:
+            return  # already re-homed (e.g. via a merge-window announce)
+        choices = [
+            h
+            for h in self._heard[node]
+            if h not in self._heard_dissolves[node]
+            and h not in self._rejected_from[node]
+            and h != node
+        ]
+        if not choices:
+            # Nowhere to go: self-elect (wave 3) and recruit other
+            # leftovers of the merge window.
+            if node in self._excluded:
                 return
-            head = int(choices[self._rng.integers(0, len(choices))])
-            self._joined[node] = head
-            self._stack.send(node, head, JOIN_KIND, {"member": node})
-
-        return rejoin
+            if node not in self._heads or node in self._dissolved:
+                self._heads.add(node)
+                self._dissolved.discard(node)
+                self._join_queue.pop(node, None)
+                self._announce(node)
+            return
+        head = int(choices[self._rng.integers(0, len(choices))])
+        self._joined[node] = head
+        self._send_join(node, head)
 
     def _close(self) -> None:
         cfg = self._config
@@ -335,14 +326,16 @@ class ClusterFormation:
             self._stack.broadcast(head, MEMBER_LIST_KIND, payload)
             sim.schedule(
                 0.6 + float(self._rng.uniform(0.0, 0.4)),
-                self._make_list_rebroadcast(head, dict(payload)),
+                self._rebroadcast_list,
+                args=(head, dict(payload)),
                 name="memberlist-repeat",
             )
             # Census toward the base station (hop-acknowledged).
             census = {"head": head, "size": cluster.size, "active": cluster.active}
             sim.schedule(
                 1.2 + float(self._rng.uniform(0.0, 0.6)),
-                self._make_census_sender(head, census),
+                self._send_census,
+                args=(head, census),
                 name="census",
             )
         sim.trace.emit(
@@ -351,17 +344,14 @@ class ClusterFormation:
             clusters=len(self._heads - self._dissolved),
         )
 
-    def _make_list_rebroadcast(self, head: int, payload: dict):
-        return lambda: self._stack.broadcast(head, MEMBER_LIST_KIND, payload)
+    def _rebroadcast_list(self, head: int, payload: dict) -> None:
+        self._stack.broadcast(head, MEMBER_LIST_KIND, payload)
 
-    def _make_census_sender(self, head: int, census: dict):
-        def send_census() -> None:
-            if head == self._tree.root:
-                self._record_census(census)
-                return
-            self._send_census_hop(head, census, attempt=0)
-
-        return send_census
+    def _send_census(self, head: int, census: dict) -> None:
+        if head == self._tree.root:
+            self._record_census(census)
+            return
+        self._send_census_hop(head, census, attempt=0)
 
     def _send_census_hop(self, sender: int, census: dict, attempt: int) -> None:
         parent = self._tree.parents.get(sender)
@@ -374,7 +364,8 @@ class ClusterFormation:
             timeout = self._config.ack_timeout_s * (1.5 + 0.5 * attempt)
             self._stack.sim.schedule(
                 timeout,
-                lambda: self._retry_census(sender, census, attempt),
+                self._retry_census,
+                args=(sender, census, attempt),
                 name="census-arq",
             )
 
@@ -385,118 +376,93 @@ class ClusterFormation:
 
     # -- handlers -------------------------------------------------------------
 
-    def _make_on_announce(self, node: int):
-        def on_announce(packet: Packet) -> None:
-            head = int(packet.payload["head"])
-            if head == node or head in set(self._config.excluded_heads):
-                return
-            if head not in self._heard[node]:
-                self._heard[node].append(head)
-            if not self._merge_phase:
-                return
-            # A re-announce during the merge window supersedes an
-            # earlier dissolve, and leftovers join it directly.
-            self._heard_dissolves[node].discard(head)
-            if (
-                node not in self._heads
-                and self._joined.get(node) is None
-                and head not in self._rejected_from[node]
-            ):
-                self._joined[node] = head
-                delay = float(self._rng.uniform(0.05, 0.3))
-                self._stack.sim.schedule(
-                    delay,
-                    lambda: self._stack.send(
-                        node, head, JOIN_KIND, {"member": node}
-                    ),
-                    name="join-w3",
-                )
+    def _on_announce(self, node: int, packet: Packet) -> None:
+        head = int(packet.payload["head"])
+        if head == node or head in self._excluded:
+            return
+        if head not in self._heard[node]:
+            self._heard[node].append(head)
+        if not self._merge_phase:
+            return
+        # A re-announce during the merge window supersedes an
+        # earlier dissolve, and leftovers join it directly.
+        self._heard_dissolves[node].discard(head)
+        if (
+            node not in self._heads
+            and self._joined.get(node) is None
+            and head not in self._rejected_from[node]
+        ):
+            self._joined[node] = head
+            delay = float(self._rng.uniform(0.05, 0.3))
+            self._stack.sim.schedule(
+                delay, self._send_join, args=(node, head), name="join-w3"
+            )
 
-        return on_announce
+    def _on_join(self, node: int, packet: Packet) -> None:
+        member = int(packet.payload["member"])
+        if node not in self._heads or node in self._dissolved:
+            return  # stale join to a non-head or dissolved head
+        queue = self._join_queue.setdefault(node, [])
+        if member in queue:
+            return
+        if len(queue) >= self._config.k_max - 1:
+            # Full: bounce immediately so the joiner can retry
+            # elsewhere while the window is still open.
+            self._stack.send(node, member, JOIN_REJECT_KIND, {"member": member})
+            return
+        queue.append(member)
 
-    def _make_on_join(self, node: int):
-        def on_join(packet: Packet) -> None:
-            member = int(packet.payload["member"])
-            if node not in self._heads or node in self._dissolved:
-                return  # stale join to a non-head or dissolved head
-            queue = self._join_queue.setdefault(node, [])
-            if member in queue:
-                return
-            if len(queue) >= self._config.k_max - 1:
-                # Full: bounce immediately so the joiner can retry
-                # elsewhere while the window is still open.
-                self._stack.send(node, member, JOIN_REJECT_KIND, {"member": member})
-                return
-            queue.append(member)
+    def _on_join_reject(self, node: int, packet: Packet) -> None:
+        if int(packet.payload["member"]) != node or node in self._heads:
+            return
+        self._rejected_from[node].add(packet.src)
+        if self._joined.get(node) == packet.src:
+            self._joined[node] = None
+            delay = float(self._rng.uniform(0.1, 0.5))
+            self._stack.sim.schedule(
+                delay, self._rejoin, args=(node,), name="rejoin-bounced"
+            )
 
-        return on_join
+    def _on_dissolve(self, node: int, packet: Packet) -> None:
+        head = int(packet.payload["head"])
+        self._heard_dissolves[node].add(head)
+        if self._joined.get(node) == head and node not in self._heads:
+            self._joined[node] = None
+            delay = float(self._rng.uniform(0.1, 0.5))
+            self._stack.sim.schedule(
+                delay, self._rejoin, args=(node,), name="rejoin"
+            )
 
-    def _make_on_join_reject(self, node: int):
-        def on_join_reject(packet: Packet) -> None:
-            if int(packet.payload["member"]) != node or node in self._heads:
-                return
-            self._rejected_from[node].add(packet.src)
-            if self._joined.get(node) == packet.src:
-                self._joined[node] = None
-                delay = float(self._rng.uniform(0.1, 0.5))
-                self._stack.sim.schedule(
-                    delay, self._make_rejoiner(node), name="rejoin-bounced"
-                )
+    def _on_member_list(self, node: int, packet: Packet) -> None:
+        members = [int(m) for m in packet.payload["members"]]
+        if node not in members:
+            return
+        head = int(packet.payload["head"])
+        if node != head and self._joined.get(node) != head:
+            # A stale queue entry at a head this node no longer
+            # considers its own (double-join races). Accepting both
+            # would corrupt two clusters' share algebra; declining
+            # costs at most this cluster's round (it aborts when the
+            # member's shares never arrive).
+            return
+        cluster = self.result.clusters.get(head)
+        if cluster is not None:
+            cluster.informed_members.add(node)
+        self.result.membership[node] = head
 
-        return on_join_reject
+    def _on_census(self, node: int, packet: Packet) -> None:
+        head = int(packet.payload["head"])
+        self._stack.send(node, packet.src, CENSUS_ACK_KIND, {"head": head})
+        if head in self._census_processed[node]:
+            return  # duplicate after a lost ack: re-acked above
+        self._census_processed[node].add(head)
+        if node == self._tree.root:
+            self._record_census(dict(packet.payload))
+            return
+        self._send_census_hop(node, dict(packet.payload), attempt=0)
 
-    def _make_on_dissolve(self, node: int):
-        def on_dissolve(packet: Packet) -> None:
-            head = int(packet.payload["head"])
-            self._heard_dissolves[node].add(head)
-            if self._joined.get(node) == head and node not in self._heads:
-                self._joined[node] = None
-                delay = float(self._rng.uniform(0.1, 0.5))
-                self._stack.sim.schedule(
-                    delay, self._make_rejoiner(node), name="rejoin"
-                )
-
-        return on_dissolve
-
-    def _make_on_member_list(self, node: int):
-        def on_member_list(packet: Packet) -> None:
-            members = [int(m) for m in packet.payload["members"]]
-            if node not in members:
-                return
-            head = int(packet.payload["head"])
-            if node != head and self._joined.get(node) != head:
-                # A stale queue entry at a head this node no longer
-                # considers its own (double-join races). Accepting both
-                # would corrupt two clusters' share algebra; declining
-                # costs at most this cluster's round (it aborts when the
-                # member's shares never arrive).
-                return
-            cluster = self.result.clusters.get(head)
-            if cluster is not None:
-                cluster.informed_members.add(node)
-            self.result.membership[node] = head
-
-        return on_member_list
-
-    def _make_on_census(self, node: int):
-        def on_census(packet: Packet) -> None:
-            head = int(packet.payload["head"])
-            self._stack.send(node, packet.src, CENSUS_ACK_KIND, {"head": head})
-            if head in self._census_processed[node]:
-                return  # duplicate after a lost ack: re-acked above
-            self._census_processed[node].add(head)
-            if node == self._tree.root:
-                self._record_census(dict(packet.payload))
-                return
-            self._send_census_hop(node, dict(packet.payload), attempt=0)
-
-        return on_census
-
-    def _make_on_census_ack(self, node: int):
-        def on_census_ack(packet: Packet) -> None:
-            self._census_acked[(node, int(packet.payload["head"]))] = True
-
-        return on_census_ack
+    def _on_census_ack(self, node: int, packet: Packet) -> None:
+        self._census_acked[(node, int(packet.payload["head"]))] = True
 
     def _record_census(self, census: dict) -> None:
         self.result.census_at_bs[int(census["head"])] = (

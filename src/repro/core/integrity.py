@@ -49,6 +49,9 @@ REPORT_ABORT_KIND = "report_abort"
 REPORT_ACK_KIND = "report_ack"
 ALARM_KIND = "alarm"
 
+#: Alarm detail for a head whose published F-set contradicts a member.
+FSET_DETAIL = "published F-set contradicts a first-hand F-value"
+
 
 class AttackPlan(Protocol):
     """Hook points a pollution adversary can implement.
@@ -254,9 +257,9 @@ class ReportAndVerdictPhase:
         }
         self._report_acked: Dict[Tuple[int, int], bool] = {}
         self._alarms: Dict[Tuple[int, int, str, int], AlarmRecord] = {}
-        self._alarm_seen: Dict[int, Set[Tuple[int, int, str, int]]] = {
-            n: set() for n in stack.node_ids()
-        }
+        # node -> alarm keys already relayed; created on a node's first
+        # alarm (most nodes never see one).
+        self._alarm_seen: Dict[int, Set[Tuple[int, int, str, int]]] = {}
 
     # -- public API --------------------------------------------------------------
 
@@ -266,25 +269,24 @@ class ReportAndVerdictPhase:
         cfg = self._config
         t0 = sim.now
 
+        handlers = (
+            (REPORT_KIND, self._on_report),
+            (REPORT_ABORT_KIND, self._on_report_abort),
+            (REPORT_ACK_KIND, self._on_report_ack),
+            (ALARM_KIND, self._on_alarm),
+        )
+        witness = self._witness
         for node in self._stack.node_ids():
-            self._stack.register_handler(node, REPORT_KIND, self._make_on_report(node))
-            self._stack.register_handler(
-                node, REPORT_ABORT_KIND, self._make_on_report_abort(node)
-            )
-            self._stack.register_handler(
-                node, REPORT_ACK_KIND, self._make_on_report_ack(node)
-            )
-            self._stack.register_handler(node, ALARM_KIND, self._make_on_alarm(node))
+            for kind, handler in handlers:
+                self._stack.register_handler(node, kind, handler)
             if self._witness_flags.get(node):
                 self._stack.register_overhear(
-                    node,
-                    self._make_witness(node),
-                    kinds=(REPORT_KIND, REPORT_ACK_KIND),
+                    node, witness, kinds=(REPORT_KIND, REPORT_ACK_KIND)
                 )
 
         for head in self._aborted_heads:
             delay = float(self._rng.uniform(0.1, 1.5))
-            sim.schedule(delay, self._make_abort_sender(head), name="report-abort")
+            sim.schedule(delay, self._send_abort, args=(head,), name="report-abort")
 
         # Conflicts detected during the exchange (a head publishing a
         # falsified F-set) become hard alarms immediately — from honest
@@ -295,7 +297,8 @@ class ReportAndVerdictPhase:
             delay = float(self._rng.uniform(0.1, 1.0))
             sim.schedule(
                 delay,
-                self._make_fset_alarm(member, head),
+                self._raise_alarm,
+                args=(member, head, AlarmReason.FSET_TAMPERED, FSET_DETAIL, head),
                 name="fset-alarm",
             )
 
@@ -304,7 +307,9 @@ class ReportAndVerdictPhase:
             depth = self._tree.depths.get(head, max_depth)
             slots = max_depth - depth + 1
             at = t0 + slots * cfg.slot_s + float(self._rng.uniform(0, cfg.slot_s * 0.5))
-            sim.schedule_at(at, self._make_head_sender(head), name="head-report")
+            sim.schedule_at(
+                at, self._send_head_report, args=(head,), name="head-report"
+            )
 
         phase_end = t0 + (max_depth + 2) * cfg.slot_s + cfg.window_verdict_s
         sim.schedule_at(phase_end - 1.0, self._fire_watchdogs, name="watchdogs")
@@ -323,46 +328,43 @@ class ReportAndVerdictPhase:
 
     # -- head sending ---------------------------------------------------------------
 
-    def _make_head_sender(self, head: int):
-        def send_report() -> None:
-            state = self._head_states[head]
-            state.sent = True
-            totals = list(state.own)
-            contributors = state.contributors
-            children_payload = []
-            included = [head]
-            for child_id, child_totals, child_contrib, child_ids in state.children:
-                for k in range(self._arity):
-                    totals[k] += child_totals[k]
-                contributors += child_contrib
-                children_payload.append(
-                    [child_id, list(child_totals), child_contrib]
-                )
-                included.extend(child_ids)
-            if self._config.integrity_mode == "witnessed":
-                payload = {
-                    "cluster": head,
-                    "own": list(state.own),
-                    "children": children_payload,
-                    "total": totals,
-                    "contributors": contributors,
-                    "ids": included,
-                }
-            else:
-                # Privacy-only: no itemization for witnesses to check.
-                payload = {
-                    "cluster": head,
-                    "total": totals,
-                    "contributors": contributors,
-                }
-            if self._attack is not None:
-                payload = self._attack.mutate_report(head, payload)
-            parent = self._tree.parents.get(head)
-            if parent is None:
-                return
-            self._send_report_hop(head, parent, payload, attempt=0)
-
-        return send_report
+    def _send_head_report(self, head: int) -> None:
+        state = self._head_states[head]
+        state.sent = True
+        totals = list(state.own)
+        contributors = state.contributors
+        children_payload = []
+        included = [head]
+        for child_id, child_totals, child_contrib, child_ids in state.children:
+            for k in range(self._arity):
+                totals[k] += child_totals[k]
+            contributors += child_contrib
+            children_payload.append(
+                [child_id, list(child_totals), child_contrib]
+            )
+            included.extend(child_ids)
+        if self._config.integrity_mode == "witnessed":
+            payload = {
+                "cluster": head,
+                "own": list(state.own),
+                "children": children_payload,
+                "total": totals,
+                "contributors": contributors,
+                "ids": included,
+            }
+        else:
+            # Privacy-only: no itemization for witnesses to check.
+            payload = {
+                "cluster": head,
+                "total": totals,
+                "contributors": contributors,
+            }
+        if self._attack is not None:
+            payload = self._attack.mutate_report(head, payload)
+        parent = self._tree.parents.get(head)
+        if parent is None:
+            return
+        self._send_report_hop(head, parent, payload, attempt=0)
 
     def _plan_colludes(self, node: int) -> bool:
         """Backwards-compatible probe of the optional colludes() hook."""
@@ -371,26 +373,14 @@ class ReportAndVerdictPhase:
             return False
         return bool(colludes(node))
 
-    def _make_fset_alarm(self, member: int, head: int):
-        return lambda: self._raise_alarm(
-            member,
-            head,
-            AlarmReason.FSET_TAMPERED,
-            "published F-set contradicts a first-hand F-value",
-            cluster=head,
+    def _send_abort(self, head: int) -> None:
+        parent = self._tree.parents.get(head)
+        if parent is None:
+            return
+        payload = {"cluster": head}
+        self._send_report_hop(
+            head, parent, payload, attempt=0, kind=REPORT_ABORT_KIND
         )
-
-    def _make_abort_sender(self, head: int):
-        def send_abort() -> None:
-            parent = self._tree.parents.get(head)
-            if parent is None:
-                return
-            payload = {"cluster": head}
-            self._send_report_hop(
-                head, parent, payload, attempt=0, kind=REPORT_ABORT_KIND
-            )
-
-        return send_abort
 
     def _send_report_hop(
         self,
@@ -408,7 +398,8 @@ class ReportAndVerdictPhase:
             timeout = self._config.ack_timeout_s * (1.5 + 0.5 * attempt)
             self._stack.sim.schedule(
                 timeout,
-                lambda: self._retry_report(sender, target, payload, attempt, kind),
+                self._retry_report,
+                args=(sender, target, payload, attempt, kind),
                 name="report-arq",
             )
 
@@ -426,75 +417,66 @@ class ReportAndVerdictPhase:
 
     # -- report relaying / absorption ---------------------------------------------------
 
-    def _make_on_report(self, node: int):
-        def on_report(packet: Packet) -> None:
-            payload = dict(packet.payload)
-            cluster = int(payload["cluster"])
-            self._stack.send(node, packet.src, REPORT_ACK_KIND, {"cluster": cluster})
-            if cluster in self._processed_reports[node]:
-                return  # duplicate from a lost ack: re-acked above, done
-            self._processed_reports[node].add(cluster)
+    def _on_report(self, node: int, packet: Packet) -> None:
+        payload = dict(packet.payload)
+        cluster = int(payload["cluster"])
+        self._stack.send(node, packet.src, REPORT_ACK_KIND, {"cluster": cluster})
+        if cluster in self._processed_reports[node]:
+            return  # duplicate from a lost ack: re-acked above, done
+        self._processed_reports[node].add(cluster)
 
-            ids = tuple(int(i) for i in payload.get("ids", (cluster,)))
-            if node == self._tree.root:
-                self._absorb_at_bs(
+        ids = tuple(int(i) for i in payload.get("ids", (cluster,)))
+        if node == self._tree.root:
+            self._absorb_at_bs(
+                cluster,
+                tuple(int(v) for v in payload["total"]),
+                int(payload["contributors"]),
+                ids,
+            )
+            return
+
+        head_state = self._head_states.get(node)
+        if head_state is not None and not head_state.sent:
+            head_state.children.append(
+                (
                     cluster,
                     tuple(int(v) for v in payload["total"]),
                     int(payload["contributors"]),
                     ids,
                 )
-                return
+            )
+            return
 
-            head_state = self._head_states.get(node)
-            if head_state is not None and not head_state.sent:
-                head_state.children.append(
-                    (
-                        cluster,
-                        tuple(int(v) for v in payload["total"]),
-                        int(payload["contributors"]),
-                        ids,
-                    )
-                )
-                return
+        if self._attack is not None and self._attack.drops_report(node, payload):
+            self._stack.sim.trace.emit(
+                "attack.drop_report", f"node {node} dropped report {cluster}",
+                node=node, cluster=cluster,
+            )
+            return
+        if self._attack is not None:
+            payload = self._attack.mutate_forward(node, payload)
+        parent = self._tree.parents.get(node)
+        if parent is not None:
+            self._send_report_hop(node, parent, payload, attempt=0)
 
-            if self._attack is not None and self._attack.drops_report(node, payload):
-                self._stack.sim.trace.emit(
-                    "attack.drop_report", f"node {node} dropped report {cluster}",
-                    node=node, cluster=cluster,
-                )
-                return
-            if self._attack is not None:
-                payload = self._attack.mutate_forward(node, payload)
-            parent = self._tree.parents.get(node)
-            if parent is not None:
-                self._send_report_hop(node, parent, payload, attempt=0)
+    def _on_report_abort(self, node: int, packet: Packet) -> None:
+        cluster = int(packet.payload["cluster"])
+        self._stack.send(node, packet.src, REPORT_ACK_KIND, {"cluster": cluster})
+        if cluster in self._processed_reports[node]:
+            return
+        self._processed_reports[node].add(cluster)
+        if node == self._tree.root:
+            self._bs_aborted.add(cluster)
+            return
+        parent = self._tree.parents.get(node)
+        if parent is not None:
+            self._send_report_hop(
+                node, parent, dict(packet.payload), attempt=0,
+                kind=REPORT_ABORT_KIND,
+            )
 
-        return on_report
-
-    def _make_on_report_abort(self, node: int):
-        def on_report_abort(packet: Packet) -> None:
-            cluster = int(packet.payload["cluster"])
-            self._stack.send(node, packet.src, REPORT_ACK_KIND, {"cluster": cluster})
-            if cluster in self._processed_reports[node]:
-                return
-            self._processed_reports[node].add(cluster)
-            if node == self._tree.root:
-                self._bs_aborted.add(cluster)
-                return
-            parent = self._tree.parents.get(node)
-            if parent is not None:
-                self._send_report_hop(
-                    node, parent, dict(packet.payload), attempt=0,
-                    kind=REPORT_ABORT_KIND,
-                )
-
-        return on_report_abort
-
-    def _make_on_report_ack(self, node: int):
-        def on_report_ack(packet: Packet) -> None:
-            self._report_acked[(node, int(packet.payload["cluster"]))] = True
-
-        return on_report_ack
+    def _on_report_ack(self, node: int, packet: Packet) -> None:
+        self._report_acked[(node, int(packet.payload["cluster"]))] = True
 
     def _absorb_at_bs(
         self,
@@ -513,62 +495,61 @@ class ReportAndVerdictPhase:
 
     # -- witnessing -----------------------------------------------------------------
 
-    def _make_witness(self, node: int):
-        adjacency = set(self._stack.neighbors(node))
-
-        def witness(packet: Packet) -> None:
-            if packet.kind == REPORT_ACK_KIND:
-                cluster = int(packet.payload["cluster"])
-                entries = self._armed_by_cw.get((cluster, node))
-                if entries is None:
-                    return
-                for suspect, expectation in entries:
-                    if expectation.resolved:
-                        continue
-                    if packet.src == suspect:
-                        expectation.acked = True
-                    elif packet.src != expectation.sender:
-                        # A third party acknowledged this cluster's report:
-                        # it moved past the suspect. Resolve silently.
-                        expectation.resolved = True
-                        self._unresolved[(suspect, node)] -= 1
+    def _witness(self, node: int, packet: Packet) -> None:
+        if packet.kind == REPORT_ACK_KIND:
+            cluster = int(packet.payload["cluster"])
+            entries = self._armed_by_cw.get((cluster, node))
+            if entries is None:
                 return
-            if packet.kind != REPORT_KIND:
-                return
-            payload = packet.payload
-            cluster = int(payload["cluster"])
+            for suspect, expectation in entries:
+                if expectation.resolved:
+                    continue
+                if packet.src == suspect:
+                    expectation.acked = True
+                elif packet.src != expectation.sender:
+                    # A third party acknowledged this cluster's report:
+                    # it moved past the suspect. Resolve silently.
+                    expectation.resolved = True
+                    self._unresolved[(suspect, node)] -= 1
+            return
+        if packet.kind != REPORT_KIND:
+            return
+        payload = packet.payload
+        cluster = int(payload["cluster"])
 
-            # 1. Member witness: my head's own report.
-            if packet.src == self._head_of.get(node) and cluster == packet.src:
-                self._check_head_report(node, packet.src, payload)
+        # 1. Member witness: my head's own report.
+        if packet.src == self._head_of.get(node) and cluster == packet.src:
+            self._check_head_report(node, packet.src, payload)
 
-            # 2. Resolve expectations this frame bears on.
-            self._resolve_expectations(node, packet.src, payload)
+        # 2. Resolve expectations this frame bears on.
+        self._resolve_expectations(node, packet.src, payload)
 
-            # 3. Arm a watchdog for the next hop, if it is my neighbor.
-            # The totals/contributors parse is deferred to here: most
-            # overheard report frames arm nothing.
-            target = packet.dst
-            if target != node and target in adjacency and target != self._tree.root:
-                slot = self._expectations.setdefault(cluster, {})
-                key = (target, node)
-                if key not in slot:
-                    expectation = _Expectation(
-                        sender=packet.src,
-                        totals=tuple(int(v) for v in payload["total"]),
-                        contributors=int(payload["contributors"]),
-                    )
-                    slot[key] = expectation
-                    self._armed_by_pair.setdefault(key, []).append(
-                        (cluster, expectation)
-                    )
-                    self._armed_by_cw.setdefault((cluster, node), []).append(
-                        (target, expectation)
-                    )
-                    unresolved = self._unresolved
-                    unresolved[key] = unresolved.get(key, 0) + 1
-
-        return witness
+        # 3. Arm a watchdog for the next hop, if it is my neighbor.
+        # The totals/contributors parse is deferred to here: most
+        # overheard report frames arm nothing.
+        target = packet.dst
+        if (
+            target != node
+            and target != self._tree.root
+            and target in self._stack.neighbors(node)
+        ):
+            slot = self._expectations.setdefault(cluster, {})
+            key = (target, node)
+            if key not in slot:
+                expectation = _Expectation(
+                    sender=packet.src,
+                    totals=tuple(int(v) for v in payload["total"]),
+                    contributors=int(payload["contributors"]),
+                )
+                slot[key] = expectation
+                self._armed_by_pair.setdefault(key, []).append(
+                    (cluster, expectation)
+                )
+                self._armed_by_cw.setdefault((cluster, node), []).append(
+                    (target, expectation)
+                )
+                unresolved = self._unresolved
+                unresolved[key] = unresolved.get(key, 0) + 1
 
     def _check_head_report(self, witness: int, head: int, payload: dict) -> None:
         my_sums = self._member_sums.get(witness)
@@ -713,39 +694,37 @@ class ReportAndVerdictPhase:
         for target in targets:
             self._stack.send(witness, target, ALARM_KIND, dict(payload))
 
-    def _make_on_alarm(self, node: int):
-        def on_alarm(packet: Packet) -> None:
-            payload = packet.payload
-            key = (
-                int(payload["witness"]),
-                int(payload["suspect"]),
-                str(payload["reason"]),
-                int(payload.get("cluster", -1)),
-            )
-            if key in self._alarm_seen[node]:
-                return
-            self._alarm_seen[node].add(key)
-            if node == self._tree.root:
-                if key not in self._alarms:
-                    self._alarms[key] = AlarmRecord(
-                        witness=key[0],
-                        suspect=key[1],
-                        reason=AlarmReason(key[2]),
-                        detail=str(payload["detail"]),
-                        cluster=key[3],
-                    )
-                return
-            if self._attack is not None and self._attack.suppresses_alarm(node):
-                self._stack.sim.trace.emit(
-                    "attack.suppress_alarm", f"node {node} swallowed an alarm",
-                    node=node,
+    def _on_alarm(self, node: int, packet: Packet) -> None:
+        payload = packet.payload
+        key = (
+            int(payload["witness"]),
+            int(payload["suspect"]),
+            str(payload["reason"]),
+            int(payload.get("cluster", -1)),
+        )
+        seen = self._alarm_seen.setdefault(node, set())
+        if key in seen:
+            return
+        seen.add(key)
+        if node == self._tree.root:
+            if key not in self._alarms:
+                self._alarms[key] = AlarmRecord(
+                    witness=key[0],
+                    suspect=key[1],
+                    reason=AlarmReason(key[2]),
+                    detail=str(payload["detail"]),
+                    cluster=key[3],
                 )
-                return
-            parent = self._tree.parents.get(node)
-            if parent is not None:
-                self._stack.send(node, parent, ALARM_KIND, dict(payload))
-
-        return on_alarm
+            return
+        if self._attack is not None and self._attack.suppresses_alarm(node):
+            self._stack.sim.trace.emit(
+                "attack.suppress_alarm", f"node {node} swallowed an alarm",
+                node=node,
+            )
+            return
+        parent = self._tree.parents.get(node)
+        if parent is not None:
+            self._stack.send(node, parent, ALARM_KIND, dict(payload))
 
     # -- verdict -----------------------------------------------------------------
 

@@ -19,7 +19,7 @@ Two regimes, both under the reliable-control-plane assumption
   base station. This is the path the 100k-node benchmarks exercise.
 * **Attacked rounds**: a compact in-engine event loop replays each
   report handoff chronologically and drives the *scalar* witness logic
-  (inherited ``_make_witness`` / ``_check_head_report`` /
+  (inherited ``_witness`` / ``_check_head_report`` /
   ``_resolve_expectations`` / ``_fire_watchdogs``) with synthesized
   packets, so arming, resolution, alarm draws and verdicts follow the
   scalar semantics — and the scalar RNG stream — exactly.
@@ -40,6 +40,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.integrity import (
     ALARM_KIND,
+    FSET_DETAIL,
     REPORT_ABORT_KIND,
     REPORT_ACK_KIND,
     REPORT_KIND,
@@ -74,7 +75,6 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         t0 = sim.now
         self._now = t0
         self._replay = FrameReplay(self._stack, t0)
-        self._witness_fns: Dict[int, object] = {}
 
         # Draw order matches the scalar run(): abort delays, F-set alarm
         # delays, then per-head report jitters; event-time draws (alarm
@@ -113,7 +113,6 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         self._replay.schedule()
         sim.run(until=phase_end)
         self._replay = None
-        self._witness_fns = {}
         return self._verdict(true_value, total_sensors, sim.now - t0)
 
     # -- honest fast path -----------------------------------------------------
@@ -235,14 +234,14 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             elif code == _E_ACK:
                 self._deliver_ack(*data)
             elif code == _E_HEAD:
-                self._make_head_sender(data[0])()
+                self._send_head_report(data[0])
             elif code == _E_FSET:
                 member, head = data
                 self._raise_alarm(
                     member,
                     head,
                     AlarmReason.FSET_TAMPERED,
-                    "published F-set contradicts a first-hand F-value",
+                    FSET_DETAIL,
                     cluster=head,
                 )
             else:
@@ -268,12 +267,6 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         if kind == REPORT_KIND:
             self._push(self._now + EPS, _E_RPT, (sender, target, payload))
 
-    def _witness_fn(self, node: int):
-        fn = self._witness_fns.get(node)
-        if fn is None:
-            fn = self._witness_fns[node] = self._make_witness(node)
-        return fn
-
     def _deliver_report(self, at: float, src: int, dst: int, payload: dict) -> None:
         # Mirrors the lossless-transport delivery order: every audible
         # receiver overhears (in adjacency order), the addressee's
@@ -285,7 +278,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         flags = self._witness_flags
         for receiver in self._stack.neighbors(src):
             if flags.get(receiver):
-                self._witness_fn(receiver)(packet)
+                self._witness(receiver, packet)
             if receiver == dst:
                 self._receive_report(at, src, dst, payload)
 
@@ -337,7 +330,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         flags = self._witness_flags
         for receiver in self._stack.neighbors(acker):
             if flags.get(receiver):
-                self._witness_fn(receiver)(packet)
+                self._witness(receiver, packet)
 
     def _raise_alarm(
         self,
@@ -384,7 +377,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             self._replay.record(at, witness, target, ALARM_KIND, size)
             node = target
             while True:
-                seen = self._alarm_seen[node]
+                seen = self._alarm_seen.setdefault(node, set())
                 if key in seen:
                     break  # another path already carried it onward
                 seen.add(key)

@@ -177,7 +177,7 @@ class IntraClusterExchange:
         # packet would dominate the exchange hot path.
         self._seeds_of: Dict[int, Dict[int, int]] = {}
         self._expected_seeds: Dict[int, frozenset] = {}
-        self._expected_origins: Dict[int, Set[int]] = {}
+        self._expected_origins: Dict[int, frozenset] = {}
         self._held_bundles: Dict[int, Dict[int, ShareBundle]] = {}
         self._share_acked: Dict[Tuple[int, int], bool] = {}
         self._fvalue_acked: Dict[int, bool] = {}
@@ -287,73 +287,68 @@ class IntraClusterExchange:
             seeds = {m: seed_for_node(m) for m in state.participants}
             self._seeds_of[state.head] = seeds
             self._expected_seeds[state.head] = frozenset(seeds.values())
+            origins = frozenset(state.participants)
             for member in state.participants:
                 self._cluster_of[member] = state.head
-                self._expected_origins[member] = set(state.participants)
+                self._expected_origins[member] = origins
                 self._held_bundles[member] = {}
                 self._witness_fvalues[member] = {}
 
+        handlers = (
+            (SHARE_KIND, self._on_share),
+            (SHARE_RELAY_KIND, self._on_share_relay),
+            (SHARE_ACK_KIND, self._on_share_ack),
+            (FVALUE_KIND, self._on_fvalue),
+            (FVALUE_ACK_KIND, self._on_fvalue_ack),
+            (FSET_KIND, self._on_fset),
+        )
+        overhear = self._overhear_fvalue
         for node in self._stack.node_ids():
-            self._stack.register_handler(node, SHARE_KIND, self._make_on_share(node))
-            self._stack.register_handler(
-                node, SHARE_RELAY_KIND, self._make_on_share_relay(node)
-            )
-            self._stack.register_handler(
-                node, SHARE_ACK_KIND, self._make_on_share_ack(node)
-            )
-            self._stack.register_handler(node, FVALUE_KIND, self._make_on_fvalue(node))
-            self._stack.register_handler(
-                node, FVALUE_ACK_KIND, self._make_on_fvalue_ack(node)
-            )
-            self._stack.register_handler(node, FSET_KIND, self._make_on_fset(node))
-            self._stack.register_overhear(
-                node, self._make_overhear(node), kinds=(FVALUE_KIND,)
-            )
+            for kind, handler in handlers:
+                self._stack.register_handler(node, kind, handler)
+            self._stack.register_overhear(node, overhear, kinds=(FVALUE_KIND,))
 
         for state in live:
             for member in state.participants:
                 delay = float(self._rng.uniform(0.1, cfg.window_exchange_s * 0.25))
                 sim.schedule(
-                    delay, self._make_share_sender(member, state), name="share-gen"
+                    delay, self._send_shares, args=(member, state), name="share-gen"
                 )
 
         sim.run(until=t0 + cfg.window_exchange_s)
 
     # -- sending shares -----------------------------------------------------------
 
-    def _make_share_sender(self, member: int, state: ClusterExchangeState):
-        def send_shares() -> None:
-            seeds = self._seeds_of[state.head]
-            reading = self._readings.get(member)
-            components = (
-                self._aggregate.components(reading)
-                if reading is not None
-                else self._aggregate.identity()
-            )
-            bundles = generate_share_bundles(
-                self._field, member, components, seeds, self._rng
-            )
-            self._accept_bundle(member, bundles[member])
-            for recipient, bundle in bundles.items():
-                if recipient == member:
-                    continue
-                try:
-                    ciphertext = self._linksec.seal(member, recipient, list(bundle.values))
-                except NoSharedKeyError:
-                    state.aborted_reason = "no_shared_key"
-                    self._stack.sim.trace.emit(
-                        "exchange.abort",
-                        f"cluster {state.head}: no key {member}->{recipient}",
-                        head=state.head,
-                    )
-                    return
-                self._dispatch_share(member, recipient, state.head, ciphertext, 0)
-            # Burst boundary: one member's whole share spray (m-1
-            # frames) is a single burst — the bulk backend seals it in
-            # one vectorized draw; per-frame backends no-op.
-            self._stack.flush()
-
-        return send_shares
+    def _send_shares(self, member: int, state: ClusterExchangeState) -> None:
+        seeds = self._seeds_of[state.head]
+        reading = self._readings.get(member)
+        components = (
+            self._aggregate.components(reading)
+            if reading is not None
+            else self._aggregate.identity()
+        )
+        bundles = generate_share_bundles(
+            self._field, member, components, seeds, self._rng
+        )
+        self._accept_bundle(member, bundles[member])
+        for recipient, bundle in bundles.items():
+            if recipient == member:
+                continue
+            try:
+                ciphertext = self._linksec.seal(member, recipient, list(bundle.values))
+            except NoSharedKeyError:
+                state.aborted_reason = "no_shared_key"
+                self._stack.sim.trace.emit(
+                    "exchange.abort",
+                    f"cluster {state.head}: no key {member}->{recipient}",
+                    head=state.head,
+                )
+                return
+            self._dispatch_share(member, recipient, state.head, ciphertext, 0)
+        # Burst boundary: one member's whole share spray (m-1
+        # frames) is a single burst — the bulk backend seals it in
+        # one vectorized draw; per-frame backends no-op.
+        self._stack.flush()
 
     def _dispatch_share(
         self,
@@ -383,7 +378,8 @@ class IntraClusterExchange:
             timeout = self._config.ack_timeout_s * (1.0 + 0.5 * attempt)
             self._stack.sim.schedule(
                 timeout,
-                lambda: self._retry_share(sender, recipient, head, ciphertext, attempt),
+                self._retry_share,
+                args=(sender, recipient, head, ciphertext, attempt),
                 name="share-arq",
             )
 
@@ -401,47 +397,38 @@ class IntraClusterExchange:
 
     # -- share reception ------------------------------------------------------------
 
-    def _make_on_share(self, node: int):
-        def on_share(packet: Packet) -> None:
-            if int(packet.payload["dst"]) != node:
-                return
-            origin = int(packet.payload["origin"])
-            ciphertext: Ciphertext = packet.payload["ct"]
-            if node not in self._expected_origins:
-                return
-            values = tuple(self._linksec.open(node, ciphertext))
-            bundle = ShareBundle(
-                origin=origin, eval_seed=seed_for_node(node), values=values
-            )
+    def _on_share(self, node: int, packet: Packet) -> None:
+        if int(packet.payload["dst"]) != node:
+            return
+        origin = int(packet.payload["origin"])
+        ciphertext: Ciphertext = packet.payload["ct"]
+        if node not in self._expected_origins:
+            return
+        values = tuple(self._linksec.open(node, ciphertext))
+        bundle = ShareBundle(
+            origin=origin, eval_seed=seed_for_node(node), values=values
+        )
+        self._stack.send(
+            node, packet.src, SHARE_ACK_KIND, {"origin": origin, "dst": node}
+        )
+        self._accept_bundle(node, bundle)
+
+    def _on_share_relay(self, node: int, packet: Packet) -> None:
+        recipient = int(packet.payload["dst"])
+        # The head forwards ciphertext it cannot read.
+        self._stack.send(node, recipient, SHARE_KIND, dict(packet.payload))
+
+    def _on_share_ack(self, node: int, packet: Packet) -> None:
+        origin = int(packet.payload["origin"])
+        recipient = int(packet.payload["dst"])
+        if origin == node:
+            self._share_acked[(origin, recipient)] = True
+        else:
+            # We relayed the share for `origin`; relay the ack back
+            # so it stops retransmitting.
             self._stack.send(
-                node, packet.src, SHARE_ACK_KIND, {"origin": origin, "dst": node}
+                node, origin, SHARE_ACK_KIND, dict(packet.payload)
             )
-            self._accept_bundle(node, bundle)
-
-        return on_share
-
-    def _make_on_share_relay(self, node: int):
-        def on_share_relay(packet: Packet) -> None:
-            recipient = int(packet.payload["dst"])
-            # The head forwards ciphertext it cannot read.
-            self._stack.send(node, recipient, SHARE_KIND, dict(packet.payload))
-
-        return on_share_relay
-
-    def _make_on_share_ack(self, node: int):
-        def on_share_ack(packet: Packet) -> None:
-            origin = int(packet.payload["origin"])
-            recipient = int(packet.payload["dst"])
-            if origin == node:
-                self._share_acked[(origin, recipient)] = True
-            else:
-                # We relayed the share for `origin`; relay the ack back
-                # so it stops retransmitting.
-                self._stack.send(
-                    node, origin, SHARE_ACK_KIND, dict(packet.payload)
-                )
-
-        return on_share_ack
 
     def _accept_bundle(self, node: int, bundle: ShareBundle) -> None:
         held = self._held_bundles.get(node)
@@ -481,7 +468,8 @@ class IntraClusterExchange:
             if attempt == 0:
                 self._stack.sim.schedule(
                     self._config.ack_timeout_s,
-                    lambda: self._stack.broadcast(node, FVALUE_KIND, payload),
+                    self._rebroadcast,
+                    args=(node, FVALUE_KIND, payload),
                     name="fvalue-head-repeat",
                 )
             return
@@ -489,7 +477,8 @@ class IntraClusterExchange:
             timeout = self._config.ack_timeout_s * (1.0 + 0.5 * attempt)
             self._stack.sim.schedule(
                 timeout,
-                lambda: self._retry_fvalue(node, head, fvalue, attempt),
+                self._retry_fvalue,
+                args=(node, head, fvalue, attempt),
                 name="fvalue-arq",
             )
 
@@ -500,25 +489,19 @@ class IntraClusterExchange:
             return
         self._publish_fvalue(node, head, fvalue, attempt + 1)
 
-    def _make_on_fvalue(self, node: int):
-        def on_fvalue(packet: Packet) -> None:
-            head = int(packet.payload["cluster"])
-            if node != head:
-                return
-            member = int(packet.payload["member"])
-            seed = int(packet.payload["seed"])
-            fvalue = tuple(int(v) for v in packet.payload["f"])
-            self._stack.send(node, member, FVALUE_ACK_KIND, {"member": member})
-            self._store_fvalue_at_head(head, seed, fvalue)
+    def _on_fvalue(self, node: int, packet: Packet) -> None:
+        head = int(packet.payload["cluster"])
+        if node != head:
+            return
+        member = int(packet.payload["member"])
+        seed = int(packet.payload["seed"])
+        fvalue = tuple(int(v) for v in packet.payload["f"])
+        self._stack.send(node, member, FVALUE_ACK_KIND, {"member": member})
+        self._store_fvalue_at_head(head, seed, fvalue)
 
-        return on_fvalue
-
-    def _make_on_fvalue_ack(self, node: int):
-        def on_fvalue_ack(packet: Packet) -> None:
-            if int(packet.payload["member"]) == node:
-                self._fvalue_acked[node] = True
-
-        return on_fvalue_ack
+    def _on_fvalue_ack(self, node: int, packet: Packet) -> None:
+        if int(packet.payload["member"]) == node:
+            self._fvalue_acked[node] = True
 
     def _store_fvalue_at_head(
         self, head: int, seed: int, fvalue: Tuple[int, ...]
@@ -556,56 +539,55 @@ class IntraClusterExchange:
             self._stack.broadcast(head, FSET_KIND, payload)
             self._stack.sim.schedule(
                 0.3 + float(self._rng.uniform(0.0, 0.3)),
-                lambda: self._stack.broadcast(head, FSET_KIND, payload),
+                self._rebroadcast,
+                args=(head, FSET_KIND, payload),
                 name="fset-repeat",
             )
 
-    def _make_on_fset(self, node: int):
-        def on_fset(packet: Packet) -> None:
-            head = int(packet.payload["cluster"])
-            if self._cluster_of.get(node) != head or node == head:
-                return
-            seeds = [int(s) for s in packet.payload["seeds"]]
-            fs = [tuple(int(v) for v in f) for f in packet.payload["fs"]]
-            known = self._witness_fvalues[node]
-            conflict = False
-            for seed, fvalue in zip(seeds, fs):
-                mine = known.get(seed)
-                if mine is not None and mine != fvalue:
-                    conflict = True
-                    self.result.fset_conflicts.append((node, head))
-                    self._stack.sim.trace.emit(
-                        "exchange.fset_conflict",
-                        f"member {node}: head {head} published a wrong F({seed})",
-                        member=node,
-                        head=head,
-                        seed=seed,
-                    )
-                    break
-            if conflict:
-                return
-            for seed, fvalue in zip(seeds, fs):
-                known.setdefault(seed, fvalue)
-            self._maybe_recover_witness(node)
+    def _rebroadcast(self, node: int, kind: str, payload: dict) -> None:
+        """Repeat an earlier broadcast (F-value or F-set) for lossy links."""
+        self._stack.broadcast(node, kind, payload)
 
-        return on_fset
+    def _on_fset(self, node: int, packet: Packet) -> None:
+        head = int(packet.payload["cluster"])
+        if self._cluster_of.get(node) != head or node == head:
+            return
+        seeds = [int(s) for s in packet.payload["seeds"]]
+        fs = [tuple(int(v) for v in f) for f in packet.payload["fs"]]
+        known = self._witness_fvalues[node]
+        conflict = False
+        for seed, fvalue in zip(seeds, fs):
+            mine = known.get(seed)
+            if mine is not None and mine != fvalue:
+                conflict = True
+                self.result.fset_conflicts.append((node, head))
+                self._stack.sim.trace.emit(
+                    "exchange.fset_conflict",
+                    f"member {node}: head {head} published a wrong F({seed})",
+                    member=node,
+                    head=head,
+                    seed=seed,
+                )
+                break
+        if conflict:
+            return
+        for seed, fvalue in zip(seeds, fs):
+            known.setdefault(seed, fvalue)
+        self._maybe_recover_witness(node)
 
     # -- witness overhearing -----------------------------------------------------------
 
-    def _make_overhear(self, node: int):
-        def overhear(packet: Packet) -> None:
-            if packet.kind != FVALUE_KIND:
-                return
-            my_head = self._cluster_of.get(node)
-            if my_head is None or int(packet.payload["cluster"]) != my_head:
-                return
-            seed = int(packet.payload["seed"])
-            self._witness_fvalues[node][seed] = tuple(
-                int(v) for v in packet.payload["f"]
-            )
-            self._maybe_recover_witness(node)
-
-        return overhear
+    def _overhear_fvalue(self, node: int, packet: Packet) -> None:
+        if packet.kind != FVALUE_KIND:
+            return
+        my_head = self._cluster_of.get(node)
+        if my_head is None or int(packet.payload["cluster"]) != my_head:
+            return
+        seed = int(packet.payload["seed"])
+        self._witness_fvalues[node][seed] = tuple(
+            int(v) for v in packet.payload["f"]
+        )
+        self._maybe_recover_witness(node)
 
     def _maybe_recover_witness(self, node: int) -> None:
         head = self._cluster_of.get(node)

@@ -61,12 +61,9 @@ from repro.metrics.counters import MessageCounters
 from repro.net.energy import EnergyModel
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
+from repro.net.transport import OverhearListener, PacketHandler
 from repro.topology.graphs import neighbors_within_range
 from repro.topology.spatial import compact_cell_ids
-
-#: Handler / listener signatures (mirror the transport seam).
-PacketHandler = Callable[[Packet], None]
-OverhearListener = Callable[[Packet], None]
 
 #: One logged ``send_many`` call: (instant, kind, src, dst, size).
 _Call = Tuple[float, str, np.ndarray, np.ndarray, np.ndarray]
@@ -506,13 +503,13 @@ class FluidTransport:
                 record_rx(receiver, kind, size)
                 if wild:
                     for listener in self._wild_overhear.get(receiver, ()):
-                        listener(packet)
+                        listener(receiver, packet)
                 if kind_listeners is not None:
                     for listener in kind_listeners.get(receiver, ()):
-                        listener(packet)
+                        listener(receiver, packet)
                 handler = self._handlers[receiver].get(kind)
                 if handler is not None:
-                    handler(packet)
+                    handler(receiver, packet)
             return
 
         # Unicast: the addressed receiver, plus any interested overhearers
@@ -534,9 +531,9 @@ class FluidTransport:
                     continue
                 self._stats.deliveries += 1
                 for listener in wilds:
-                    listener(packet)
+                    listener(receiver, packet)
                 for listener in overhearers:
-                    listener(packet)
+                    listener(receiver, packet)
 
         if dst in dead:
             return
@@ -549,13 +546,13 @@ class FluidTransport:
         self.counters.record_rx(dst, kind, packet.size_bytes)
         if wild:
             for listener in self._wild_overhear.get(dst, ()):
-                listener(packet)
+                listener(dst, packet)
         if kind_listeners is not None:
             for listener in kind_listeners.get(dst, ()):
-                listener(packet)
+                listener(dst, packet)
         handler = self._handlers[dst].get(kind)
         if handler is not None:
-            handler(packet)
+            handler(dst, packet)
 
     # -- receiving ----------------------------------------------------------------
 
@@ -1269,14 +1266,14 @@ class BulkFluidTransport(FluidTransport):
                 position += 1
                 if wild:
                     for listener in wild_overhear.get(receiver, ()):
-                        listener(packet)
+                        listener(receiver, packet)
                 if kind_listeners is not None:
                     for listener in kind_listeners.get(receiver, ()):
-                        listener(packet)
+                        listener(receiver, packet)
                 if broadcast or receiver == dst:
                     handler = handlers[receiver].get(kind)
                     if handler is not None:
-                        handler(packet)
+                        handler(receiver, packet)
 
     def _ensure_resolvable(self) -> None:
         """Safety net against stranded frames: if queued frames remain

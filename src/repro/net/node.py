@@ -14,15 +14,11 @@ upstream report by listening promiscuously.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.net.packet import BROADCAST, Packet
-
-#: Handler signature for addressed frames.
-PacketHandler = Callable[[Packet], None]
-#: Listener signature for promiscuous frames.
-OverhearListener = Callable[[Packet], None]
+from repro.net.transport import OverhearListener, PacketHandler
 
 
 class Node:
@@ -94,7 +90,10 @@ class Node:
         self._wild_overhear.clear()
 
     def deliver(self, packet: Packet) -> None:
-        """Entry point called by the medium for each clean frame."""
+        """Entry point called by the medium for each clean frame.
+
+        Listeners and handlers are called as ``callback(node_id, packet)``."""
+        node_id = self.node_id
         if self._kind_overhear:
             listeners = self._kind_overhear.get(packet.kind)
             if listeners:
@@ -102,22 +101,22 @@ class Node:
                 # none, and a fresh list per delivery is allocation churn.
                 for listener in tuple(listeners):
                     self.overheard += 1
-                    listener(packet)
+                    listener(node_id, packet)
         if self._wild_overhear:
             for listener in tuple(self._wild_overhear):
                 self.overheard += 1
-                listener(packet)
+                listener(node_id, packet)
         dst = packet.dst
-        if dst != BROADCAST and dst != self.node_id:
+        if dst != BROADCAST and dst != node_id:
             # Inlined packet.addressed_to(): this runs once per audible
             # frame network-wide, and most frames are not for this node.
             return
         self.received += 1
         handler = self._handlers.get(packet.kind)
         if handler is not None:
-            handler(packet)
+            handler(node_id, packet)
         elif self._on_unhandled is not None:
-            self._on_unhandled(packet)
+            self._on_unhandled(node_id, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Node({self.node_id}, handlers={sorted(self._handlers)})"

@@ -21,9 +21,10 @@ from repro.metrics.counters import MessageCounters
 from repro.net.energy import EnergyModel
 from repro.net.mac import CsmaMac, MacParams
 from repro.net.medium import WirelessMedium
-from repro.net.node import Node, OverhearListener, PacketHandler
+from repro.net.node import Node
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
+from repro.net.transport import OverhearListener, PacketHandler
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import Deployment
 from repro.topology.graphs import neighbors_within_range
@@ -113,7 +114,9 @@ class NetworkStack:
         # The fused per-node receive path: energy accounting, overhear
         # dispatch, and handler dispatch in ONE closure — this runs for
         # every clean reception in the network (O(N * degree) per round),
-        # so each avoided call frame matters. The bound containers are
+        # so each avoided call frame matters. Listeners and handlers get
+        # the receiver's id first (the seam's ``callback(node_id, packet)``
+        # contract). The bound containers are
         # mutated in place by Node registration and EnergyModel.reset()
         # (.clear(), never rebind), so the bindings stay live.
         node_id = node.node_id
@@ -144,11 +147,11 @@ class NetworkStack:
                 if listeners:
                     for listener in tuple(listeners):
                         node.overheard += 1
-                        listener(packet)
+                        listener(node_id, packet)
             if wild_overhear:
                 for listener in tuple(wild_overhear):
                     node.overheard += 1
-                    listener(packet)
+                    listener(node_id, packet)
             dst = packet.dst
             if dst != BROADCAST and dst != node_id:
                 return
@@ -156,7 +159,7 @@ class NetworkStack:
             node.received += 1
             handler = handlers.get(kind)
             if handler is not None:
-                handler(packet)
+                handler(node_id, packet)
 
         return deliver
 

@@ -36,10 +36,12 @@ from typing import (
 
 from repro.net.packet import Packet
 
-#: Handler signature for addressed frames.
-PacketHandler = Callable[[Packet], None]
-#: Listener signature for promiscuous (overheard) frames.
-OverhearListener = Callable[[Packet], None]
+#: Handler signature for addressed frames: ``handler(node_id, packet)``,
+#: called with the receiving node's id.
+PacketHandler = Callable[[int, Packet], None]
+#: Listener signature for promiscuous (overheard) frames:
+#: ``listener(node_id, packet)``, called with the overhearing node's id.
+OverhearListener = Callable[[int, Packet], None]
 
 
 class SimulatorLike(Protocol):
@@ -97,6 +99,9 @@ class Transport(Protocol):
     * Addressed frames reach the handler registered for their kind at the
       destination; every frame audible at a node is additionally offered
       to that node's overhear listeners *before* the addressed handler.
+    * Handlers and listeners are called as ``callback(node_id, packet)``
+      with the receiving node's id, so a phase registers one bound
+      method per kind for every node instead of a closure per node.
     * ``register_overhear(..., kinds=...)`` is a filter *hint*: listeners
       must still tolerate other kinds (the DES backend delivers every
       audible frame; the fluid backend uses the hint to skip fan-out).

@@ -79,7 +79,7 @@ class TestPrivacyStructure:
         for node in stack.nodes:
             stack.register_overhear(
                 node,
-                lambda p: captured.append(p) if p.kind == "slice" else None,
+                lambda _node, p: captured.append(p) if p.kind == "slice" else None,
             )
         readings = {i: 10.0 for i in range(1, small_deployment.num_nodes)}
         protocol.run(readings)

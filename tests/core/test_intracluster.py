@@ -108,7 +108,7 @@ class TestPrivacyOnTheWire:
         for node in stack.nodes:
             stack.register_overhear(
                 node,
-                lambda p: captured.append(p) if p.kind == "share" else None,
+                lambda _node, p: captured.append(p) if p.kind == "share" else None,
             )
         exchange = IntraClusterExchange(
             stack,

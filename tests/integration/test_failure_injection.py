@@ -35,7 +35,7 @@ class TestMediumKill:
         sim = Simulator(seed=1)
         stack = NetworkStack(sim, make_line_deployment(3))
         got = []
-        stack.register_handler(1, "x", got.append)
+        stack.register_handler(1, "x", lambda _node, p: got.append(p))
         stack.fail_node(0)
         stack.send(0, 1, "x")
         sim.run()
@@ -46,7 +46,7 @@ class TestMediumKill:
         sim = Simulator(seed=1)
         stack = NetworkStack(sim, make_line_deployment(3))
         got = []
-        stack.register_handler(1, "x", got.append)
+        stack.register_handler(1, "x", lambda _node, p: got.append(p))
         stack.fail_node(1)
         stack.send(0, 1, "x")
         sim.run()
@@ -56,7 +56,7 @@ class TestMediumKill:
         sim = Simulator(seed=1)
         stack = NetworkStack(sim, make_line_deployment(3))
         got = []
-        stack.register_handler(2, "x", got.append)
+        stack.register_handler(2, "x", lambda _node, p: got.append(p))
         stack.fail_node(0)
         stack.send(1, 2, "x")
         sim.run()

@@ -24,7 +24,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.metrics.counters import MessageCounters
+from repro.metrics.registry import MetricsRegistry
 from repro.net.packet import BROADCAST, Packet
+from repro.net.transport import OverhearListener, PacketHandler
 
 
 class _FakeTrace:
@@ -62,6 +64,7 @@ class FakeSim:
         self._seq = itertools.count()
         self._rng = _FakeRngRegistry(seed)
         self._trace = _FakeTrace()
+        self.metrics = MetricsRegistry()
 
     @property
     def now(self) -> float:
@@ -127,6 +130,9 @@ class _NullEnergy:
     def spent(self, node_id: int) -> float:
         return 0.0
 
+    def snapshot(self) -> Dict[str, Any]:
+        return {"total_j": 0.0, "max_node_j": 0.0, "nodes_charged": 0}
+
     def reset(self) -> None:
         pass
 
@@ -142,7 +148,7 @@ class _FakeDeployment:
 
 @dataclass
 class _Overhear:
-    listener: Callable[[Packet], None]
+    listener: OverhearListener
     kinds: Optional[frozenset] = None
 
     def wants(self, kind: str) -> bool:
@@ -157,7 +163,11 @@ class LoopbackTransport:
     scheduler (never synchronously: the seam promises fire-and-forget
     sends, and phases schedule their own callbacks against the same
     clock). Every frame audible at a node is offered to its overhear
-    listeners before the addressed handler, matching the seam contract.
+    listeners before the addressed handler, matching the seam contract;
+    both are called as ``callback(node_id, packet)`` with the receiver.
+    Like the real backends it registers ``medium``/``counters``/``energy``
+    metric providers on its simulator (a lossless channel: no collisions,
+    no losses, zero energy).
     """
 
     adjacency: Mapping[int, Sequence[int]]
@@ -171,12 +181,26 @@ class LoopbackTransport:
         self.deployment = _FakeDeployment(num_nodes=len(self._adjacency))
         self.counters = MessageCounters()
         self.energy = _NullEnergy()
-        self._handlers: Dict[int, Dict[str, Callable[[Packet], None]]] = {
+        self._handlers: Dict[int, Dict[str, PacketHandler]] = {
             node: {} for node in self._adjacency
         }
         self._overhear: Dict[int, List[_Overhear]] = {}
         self._dead: set = set()
+        self.transmitted: int = 0
         self.delivered: int = 0
+        metrics = self.sim.metrics
+        metrics.register("medium", self._medium_snapshot, replace=True)
+        metrics.register("counters", self.counters.snapshot, replace=True)
+        metrics.register("energy", self.energy.snapshot, replace=True)
+
+    def _medium_snapshot(self) -> Dict[str, int]:
+        return {
+            "transmissions": self.transmitted,
+            "deliveries": self.delivered,
+            "collisions": 0,
+            "ambient_losses": 0,
+            "half_duplex_losses": 0,
+        }
 
     # -- identity / topology -------------------------------------------------
 
@@ -243,6 +267,7 @@ class LoopbackTransport:
         if packet.src in self._dead:
             return  # dead radios key up nothing, uncounted
         self.counters.record_tx(packet.src, packet.kind, packet.size_bytes)
+        self.transmitted += 1
         self.sim.schedule_at(
             self.sim.now + self.latency_s, self._deliver, args=(packet,)
         )
@@ -253,18 +278,18 @@ class LoopbackTransport:
                 continue
             for entry in self._overhear.get(receiver, ()):
                 if entry.wants(packet.kind):
-                    entry.listener(packet)
+                    entry.listener(receiver, packet)
             if packet.dst == BROADCAST or packet.dst == receiver:
                 self.counters.record_rx(receiver, packet.kind, packet.size_bytes)
                 self.delivered += 1
                 handler = self._handlers[receiver].get(packet.kind)
                 if handler is not None:
-                    handler(packet)
+                    handler(receiver, packet)
 
     # -- receiving -----------------------------------------------------------
 
     def register_handler(
-        self, node_id: int, kind: str, handler: Callable[[Packet], None]
+        self, node_id: int, kind: str, handler: PacketHandler
     ) -> None:
         self._handlers[node_id][kind] = handler
 
@@ -274,7 +299,7 @@ class LoopbackTransport:
     def register_overhear(
         self,
         node_id: int,
-        listener: Callable[[Packet], None],
+        listener: OverhearListener,
         kinds: Optional[Sequence[str]] = None,
     ) -> None:
         entry = _Overhear(

@@ -196,7 +196,7 @@ def _drive(logged: bool, probe=None, log_rows=None, monkeypatch=None):
     stack = make_bulk(seed=11)
     if not logged:
         for kind in ("share", "report"):
-            stack.register_handler(0, kind, lambda packet: None)
+            stack.register_handler(0, kind, lambda _node, packet: None)
     rng = np.random.default_rng(4)
     seen = []
     for step in range(3):
@@ -253,7 +253,7 @@ def test_state_changes_settle_the_log_first(action):
     def run(logged: bool):
         stack = make_bulk(seed=11)
         if not logged:
-            stack.register_handler(0, "share", lambda packet: None)
+            stack.register_handler(0, "share", lambda _node, packet: None)
         heard = []
         src, dst, sizes = _batch(stack, np.random.default_rng(9))
         stack.send_many("share", src, dst, sizes)
@@ -263,11 +263,13 @@ def test_state_changes_settle_the_log_first(action):
             stack.fail_node(victim)
         elif action == "handler":
             for node in stack.node_ids():
-                stack.register_handler(node, "share", heard.append)
+                stack.register_handler(node, "share", lambda _node, p: heard.append(p))
         elif action == "overhear":
-            stack.register_overhear(victim, heard.append, kinds=("share",))
+            stack.register_overhear(
+                victim, lambda _node, p: heard.append(p), kinds=("share",)
+            )
         else:
-            stack.register_overhear(victim, heard.append)
+            stack.register_overhear(victim, lambda _node, p: heard.append(p))
         assert not stack._log
         stack.sim.run()
         return len(heard), _books(stack)
@@ -296,7 +298,7 @@ def test_handled_kind_through_send_many_dispatches_at_its_tick():
     calls = []
     for node in stack.node_ids():
         stack.register_handler(
-            node, "share", lambda packet: calls.append(stack.sim.now)
+            node, "share", lambda _node, packet: calls.append(stack.sim.now)
         )
     stack.sim.run(until=0.0123)
     stack.send_many("share", *_batch(stack, np.random.default_rng(3)))
@@ -310,7 +312,7 @@ def test_handled_kind_through_send_many_dispatches_at_its_tick():
 
 def test_clear_handlers_retires_kinds():
     stack = make_bulk(seed=11)
-    handler = lambda packet: None  # noqa: E731
+    handler = lambda _node, packet: None  # noqa: E731
     stack.register_handler(1, "share", handler)
     stack.register_handler(1, "share", handler)  # replacement, not a second
     stack.register_handler(2, "share", handler)
@@ -348,9 +350,11 @@ def test_unicast_edge_lookup_matches_fan_out():
         ]
         heard = []
         for node in stack.node_ids():
-            stack.register_handler(node, "share", heard.append)
+            stack.register_handler(node, "share", lambda _node, p: heard.append(p))
         if listener:
-            stack.register_overhear(quiet, heard.append, kinds=("share",))
+            stack.register_overhear(
+                quiet, lambda _node, p: heard.append(p), kinds=("share",)
+            )
         stack.send_many("share", src, dst, [50] * len(src))
         stack.sim.run()
         return len(heard), _books(stack)[:4]

@@ -49,7 +49,7 @@ class TestFadingOnTheMedium:
             radio=RadioParams(range_m=50.0, edge_fading=fading),
         )
         got = []
-        stack.register_handler(1, "x", got.append)
+        stack.register_handler(1, "x", lambda _node, p: got.append(p))
         for index in range(frames):
             sim.schedule(
                 index * 0.01, lambda: stack.send(0, 1, "x"), name="probe"

@@ -24,7 +24,7 @@ def test_broadcast_reaches_neighbors_and_counts():
     src = 1
     heard = []
     for peer in stack.neighbors(src):
-        stack.register_handler(peer, "hello", heard.append)
+        stack.register_handler(peer, "hello", lambda _node, p: heard.append(p))
     stack.broadcast(src, "hello", {"depth": 0})
     stack.sim.run()
     assert stack.stats.transmissions == 1
@@ -43,9 +43,9 @@ def test_unicast_delivers_to_destination_only():
     src = 1
     dst = stack.neighbors(src)[0]
     got = []
-    stack.register_handler(dst, "share", got.append)
+    stack.register_handler(dst, "share", lambda _node, p: got.append(p))
     other = stack.neighbors(src)[-1]
-    stack.register_handler(other, "share", got.append)
+    stack.register_handler(other, "share", lambda _node, p: got.append(p))
     stack.send(src, dst, "share", {"v": 3})
     stack.sim.run()
     assert len(got) == 1 and got[0].dst == dst
@@ -56,7 +56,7 @@ def test_same_seed_same_outcome_different_seed_differs():
         stack = make_fluid(seed=seed)
         received = []
         for node in stack.node_ids():
-            stack.register_handler(node, "ping", received.append)
+            stack.register_handler(node, "ping", lambda _node, p: received.append(p))
         for node in stack.node_ids():
             for peer in stack.neighbors(node)[:2]:
                 stack.send(node, peer, "ping", {"n": node})
@@ -78,7 +78,9 @@ def test_kind_scoped_overhear_filters_unicasts():
     witness = stack.neighbors(src)[-1]
     assert witness != dst
     overheard = []
-    stack.register_overhear(witness, overheard.append, kinds=("report",))
+    stack.register_overhear(
+        witness, lambda _node, p: overheard.append(p), kinds=("report",)
+    )
     stack.send(src, dst, "report", {"v": 1})
     stack.send(src, dst, "share", {"v": 2})
     stack.sim.run()
@@ -95,7 +97,7 @@ def test_dead_nodes_neither_send_nor_receive():
     src = 1
     dst = stack.neighbors(src)[0]
     got = []
-    stack.register_handler(dst, "ping", got.append)
+    stack.register_handler(dst, "ping", lambda _node, p: got.append(p))
 
     stack.fail_node(dst)
     stack.send(src, dst, "ping")

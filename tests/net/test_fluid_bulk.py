@@ -37,7 +37,7 @@ def test_broadcast_reaches_neighbors_and_counts():
     src = 1
     heard = []
     for peer in stack.neighbors(src):
-        stack.register_handler(peer, "hello", heard.append)
+        stack.register_handler(peer, "hello", lambda _node, p: heard.append(p))
     stack.broadcast(src, "hello", {"depth": 0})
     stack.sim.run()
     assert stack.stats.transmissions == 1
@@ -54,9 +54,9 @@ def test_unicast_delivers_to_destination_only():
     src = 1
     dst = stack.neighbors(src)[0]
     got = []
-    stack.register_handler(dst, "share", got.append)
+    stack.register_handler(dst, "share", lambda _node, p: got.append(p))
     other = stack.neighbors(src)[-1]
-    stack.register_handler(other, "share", got.append)
+    stack.register_handler(other, "share", lambda _node, p: got.append(p))
     stack.send(src, dst, "share", {"v": 3})
     stack.sim.run()
     assert len(got) == 1 and got[0].dst == dst
@@ -69,7 +69,7 @@ def test_delivery_without_explicit_flush():
     src = 1
     dst = stack.neighbors(src)[0]
     got = []
-    stack.register_handler(dst, "ping", got.append)
+    stack.register_handler(dst, "ping", lambda _node, p: got.append(p))
     stack.send(src, dst, "ping", {"v": 1})
     assert got == []  # fire-and-forget: nothing delivers synchronously
     stack.sim.run()
@@ -84,7 +84,7 @@ def test_delivery_latency_bounded_by_tick_grid():
     src = 1
     dst = stack.neighbors(src)[0]
     seen_at = []
-    stack.register_handler(dst, "ping", lambda p: seen_at.append(stack.sim.now))
+    stack.register_handler(dst, "ping", lambda _node, p: seen_at.append(stack.sim.now))
     packet = stack.send(src, dst, "ping", {"v": 1})
     stack.sim.run()
     assert len(seen_at) == 1
@@ -103,7 +103,9 @@ def test_kind_scoped_overhear_filters_unicasts():
     witness = stack.neighbors(src)[-1]
     assert witness != dst
     overheard = []
-    stack.register_overhear(witness, overheard.append, kinds=("report",))
+    stack.register_overhear(
+        witness, lambda _node, p: overheard.append(p), kinds=("report",)
+    )
     stack.send(src, dst, "report", {"v": 1})
     stack.send(src, dst, "share", {"v": 2})
     stack.sim.run()
@@ -120,7 +122,7 @@ def test_same_seed_same_outcome_different_seed_differs():
         stack = make_bulk(seed=seed)
         received = []
         for node in stack.node_ids():
-            stack.register_handler(node, "ping", received.append)
+            stack.register_handler(node, "ping", lambda _node, p: received.append(p))
         for node in stack.node_ids():
             for peer in stack.neighbors(node)[:2]:
                 stack.send(node, peer, "ping", {"n": node})
@@ -145,7 +147,7 @@ def test_dead_nodes_neither_send_nor_receive():
     src = 1
     dst = stack.neighbors(src)[0]
     got = []
-    stack.register_handler(dst, "ping", got.append)
+    stack.register_handler(dst, "ping", lambda _node, p: got.append(p))
 
     stack.fail_node(dst)
     stack.send(src, dst, "ping")
@@ -172,7 +174,7 @@ def test_dead_sender_burst_drops_without_shifting_streams():
         doomed, live = 1, 2
         received = []
         for node in stack.node_ids():
-            stack.register_handler(node, "ping", received.append)
+            stack.register_handler(node, "ping", lambda _node, p: received.append(p))
         if with_doomed_sender:
             stack.send(doomed, stack.neighbors(doomed)[0], "ping", {"v": 0})
             stack.fail_node(doomed)  # burst still unsealed: no draws yet
@@ -228,7 +230,7 @@ def test_flush_and_lazy_seal_sample_identical_streams():
         stack = make_bulk(seed=seed)
         received = []
         for node in stack.node_ids():
-            stack.register_handler(node, "ping", received.append)
+            stack.register_handler(node, "ping", lambda _node, p: received.append(p))
         for node in (1, 2, 3):
             stack.broadcast(node, "ping", {"n": node})
             if eager:
@@ -264,15 +266,13 @@ def test_send_many_counts_like_per_row_sends():
         # tally of what the rx counters must hold.
         heard = {node: [0, 0] for node in stack.node_ids()}
 
-        def tally(packet, node):
+        def tally(node, packet):
             heard[node][0] += 1
             heard[node][1] += packet.size_bytes
 
         for node in stack.node_ids():
             for kind in ("share", "hello"):
-                stack.register_handler(
-                    node, kind, lambda packet, node=node: tally(packet, node)
-                )
+                stack.register_handler(node, kind, tally)
         for kind, src, dst, sizes in batches:
             if bulk:
                 stack.send_many(kind, src, dst, sizes)

@@ -37,7 +37,7 @@ class TestWiring:
 class TestMessaging:
     def test_unicast_delivery_and_counting(self, line_stack):
         got = []
-        line_stack.register_handler(1, "x", got.append)
+        line_stack.register_handler(1, "x", lambda _node, p: got.append(p))
         line_stack.send(0, 1, "x", {"v": 5})
         line_stack.sim.run()
         assert len(got) == 1
@@ -48,7 +48,7 @@ class TestMessaging:
     def test_broadcast_reaches_neighbors_only(self, line_stack):
         got = {n: [] for n in range(5)}
         for n in range(5):
-            line_stack.register_handler(n, "x", got[n].append)
+            line_stack.register_handler(n, "x", lambda node, p: got[node].append(p))
         line_stack.broadcast(2, "x")
         line_stack.sim.run()
         assert len(got[1]) == 1 and len(got[3]) == 1
@@ -56,7 +56,7 @@ class TestMessaging:
 
     def test_overhearing_via_stack(self, line_stack):
         heard = []
-        line_stack.register_overhear(2, heard.append)
+        line_stack.register_overhear(2, lambda _node, p: heard.append(p))
         line_stack.send(1, 0, "x")  # addressed away from 2, audible at 2
         line_stack.sim.run()
         assert len(heard) == 1
@@ -85,22 +85,19 @@ class TestMultiHopScenario:
         the next until the end of the chain."""
         arrived = []
 
-        def make_forwarder(node_id):
-            def forward(packet):
-                if node_id == 4:
-                    arrived.append(packet.payload["hops"])
-                else:
-                    line_stack.send(
-                        node_id,
-                        node_id + 1,
-                        "relay",
-                        {"hops": packet.payload["hops"] + 1},
-                    )
-
-            return forward
+        def forward(node_id, packet):
+            if node_id == 4:
+                arrived.append(packet.payload["hops"])
+            else:
+                line_stack.send(
+                    node_id,
+                    node_id + 1,
+                    "relay",
+                    {"hops": packet.payload["hops"] + 1},
+                )
 
         for n in range(1, 5):
-            line_stack.register_handler(n, "relay", make_forwarder(n))
+            line_stack.register_handler(n, "relay", forward)
         line_stack.send(0, 1, "relay", {"hops": 1})
         line_stack.sim.run()
         assert arrived == [4]

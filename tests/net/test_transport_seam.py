@@ -1,20 +1,25 @@
 """The transport seam: phases run on any Transport, backends stay behind it.
 
-Three layers of protection:
+Four layers of protection:
 
-1. **Loopback unit tests** — every protocol phase (tree flood, cluster
+1. **Dispatch contract** — every backend (and the loopback fake) calls
+   handlers and overhear listeners as ``callback(node_id, packet)`` with
+   the receiving node, so one callable serves every node; the phases
+   register exactly one bound method per kind.
+2. **Loopback unit tests** — every protocol phase (tree flood, cluster
    formation, share exchange, report/verdict) executes against the
    in-memory :class:`~tests.net.loopback.LoopbackTransport` fake.
-2. **Import isolation** — a subprocess proves the phase modules plus the
+3. **Import isolation** — a subprocess proves the phase modules plus the
    fake load without ``repro.sim.kernel`` or ``repro.net.stack`` ever
    entering ``sys.modules``.
-3. **Import contract** — a source scan asserts no phase module imports
+4. **Import contract** — a source scan asserts no phase module imports
    the DES backend directly; only the seam (``repro.net.transport``) and
    the protocol orchestrator may name it.
 """
 
 from __future__ import annotations
 
+import inspect
 import pathlib
 import re
 import subprocess
@@ -36,6 +41,25 @@ from tests.net.loopback import FakeSim, LoopbackTransport, grid_topology, line_t
 
 REPO_SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
+#: Every transport the seam contract is checked on.
+SEAM_KINDS = ("des", "fluid", "fluid-bulk", "loopback")
+
+
+def _seam_transport(kind, deployment):
+    """A fresh transport of ``kind`` over ``deployment``."""
+    if kind == "loopback":
+        from repro.topology.graphs import neighbors_within_range
+
+        return LoopbackTransport(neighbors_within_range(deployment))
+    from repro.sim.kernel import Simulator
+
+    return create_transport(kind, Simulator(seed=1), deployment)
+
+
+def _busy_sender(stack, peers=3):
+    """A node with at least ``peers`` radio neighbors."""
+    return next(n for n in stack.node_ids() if len(stack.neighbors(n)) >= peers)
+
 
 # -- the fake satisfies the seam ------------------------------------------------
 
@@ -56,19 +80,18 @@ def test_real_backends_satisfy_transport_protocol(small_deployment):
 def test_every_backend_registers_the_same_telemetry(small_deployment):
     """``medium``/``counters``/``energy`` snapshot the same keys on every
     backend, so fluid runs write channel, byte and energy metrics into
-    trace manifests too; ``mac`` is DES-only."""
-    from repro.sim.kernel import Simulator
-
+    trace manifests too; ``mac`` is DES-only. The loopback fake registers
+    the same namespaces (its lossless channel spends no energy)."""
     keys = {}
-    for kind in ("des", "fluid", "fluid-bulk"):
-        stack = create_transport(kind, Simulator(seed=1), small_deployment)
+    for kind in SEAM_KINDS:
+        stack = _seam_transport(kind, small_deployment)
         src = next(iter(stack.node_ids()))
         stack.broadcast(src, "ping")
         stack.sim.run()
         snapshot = stack.sim.metrics.snapshot()
         assert snapshot["counters.messages"] == 1, kind
         assert snapshot["medium.transmissions"] == 1, kind
-        assert snapshot["energy.total_j"] > 0.0, kind
+        assert (snapshot["energy.total_j"] > 0.0) == (kind != "loopback"), kind
         namespaces = set(stack.sim.metrics.namespaces())
         assert ("mac" in namespaces) == (kind == "des")
         keys[kind] = {
@@ -76,7 +99,7 @@ def test_every_backend_registers_the_same_telemetry(small_deployment):
             for key in snapshot
             if key.split(".")[0] in ("medium", "counters", "energy")
         }
-    assert keys["des"] == keys["fluid"] == keys["fluid-bulk"]
+    assert keys["des"] == keys["fluid"] == keys["fluid-bulk"] == keys["loopback"]
     assert {key.split(".")[0] for key in keys["des"]} == {
         "medium",
         "counters",
@@ -84,18 +107,67 @@ def test_every_backend_registers_the_same_telemetry(small_deployment):
     }
 
 
-@pytest.mark.parametrize("kind", ["des", "fluid", "fluid-bulk"])
-def test_clear_handlers_stops_addressed_delivery(small_deployment, kind):
-    """Only the cleared node loses its handlers; a frame addressed to it
-    reaches no stale one."""
-    from repro.sim.kernel import Simulator
+@pytest.mark.parametrize("kind", SEAM_KINDS)
+def test_broadcast_handler_receives_each_receivers_id(small_deployment, kind):
+    """One handler registered on several nodes learns, per call, which
+    node received the broadcast."""
+    stack = _seam_transport(kind, small_deployment)
+    src = _busy_sender(stack)
+    listening = set(stack.neighbors(src)[:3])
+    calls = []
+    handler = lambda node, packet: calls.append((node, packet.src))  # noqa: E731
+    for node in listening:
+        stack.register_handler(node, "ping", handler)
+    for _ in range(5):
+        stack.broadcast(src, "ping")
+    stack.sim.run()
+    assert {node for node, _ in calls} == listening
+    assert all(sender == src for _, sender in calls)
 
-    stack = create_transport(kind, Simulator(seed=1), small_deployment)
-    src = next(n for n in stack.node_ids() if len(stack.neighbors(n)) >= 2)
+
+@pytest.mark.parametrize("kind", SEAM_KINDS)
+def test_unicast_handler_receives_dst(small_deployment, kind):
+    stack = _seam_transport(kind, small_deployment)
+    src = _busy_sender(stack)
+    dst, other = stack.neighbors(src)[:2]
+    calls = []
+    handler = lambda node, packet: calls.append(node)  # noqa: E731
+    stack.register_handler(dst, "ping", handler)
+    stack.register_handler(other, "ping", handler)
+    for _ in range(5):
+        stack.send(src, dst, "ping")
+    stack.sim.run()
+    assert calls and set(calls) == {dst}
+
+
+@pytest.mark.parametrize("kind", SEAM_KINDS)
+def test_overhear_listener_receives_the_overhearing_node(small_deployment, kind):
+    stack = _seam_transport(kind, small_deployment)
+    src = _busy_sender(stack)
+    dst, *overhearers = stack.neighbors(src)[:3]
+    calls = []
+    listener = lambda node, packet: calls.append((node, packet.dst))  # noqa: E731
+    for node in overhearers:
+        stack.register_overhear(node, listener, kinds=("ping",))
+    for _ in range(5):
+        stack.send(src, dst, "ping")
+    stack.sim.run()
+    assert {node for node, _ in calls} == set(overhearers)
+    assert all(addressed == dst for _, addressed in calls)
+
+
+@pytest.mark.parametrize("kind", SEAM_KINDS)
+def test_clear_handlers_stops_addressed_delivery(small_deployment, kind):
+    """Only the cleared node loses its handler — even when the same
+    callable is registered on both; a frame addressed to it reaches no
+    stale one."""
+    stack = _seam_transport(kind, small_deployment)
+    src = _busy_sender(stack, peers=2)
     cleared, kept = stack.neighbors(src)[:2]
     heard = {cleared: [], kept: []}
+    handler = lambda node, packet: heard[node].append(packet)  # noqa: E731
     for node in (cleared, kept):
-        stack.register_handler(node, "ping", heard[node].append)
+        stack.register_handler(node, "ping", handler)
     stack.clear_handlers(cleared)
     for _ in range(5):
         for node in (cleared, kept):
@@ -105,11 +177,36 @@ def test_clear_handlers_stops_addressed_delivery(small_deployment, kind):
     assert heard[kept]
 
 
+def test_phases_register_one_plain_callable_per_kind():
+    """After setup and one round, every (phase, kind) is served by one
+    shared callable — a bound method, never a per-node closure."""
+    from repro.experiments.common import run_icpda_round
+
+    _, protocol = run_icpda_round(150, seed=1, transport="fluid")
+    stack = protocol.stack
+    by_kind = {}
+    for table in stack._handlers.values():
+        for kind, handler in table.items():
+            by_kind.setdefault(("handler", kind), set()).add(handler)
+    for kind, by_node in stack._kind_overhear.items():
+        for listeners in by_node.values():
+            by_kind.setdefault(("overhear", kind), set()).update(listeners)
+    for listeners in stack._wild_overhear.values():
+        by_kind.setdefault(("overhear", None), set()).update(listeners)
+    assert ("handler", "share") in by_kind and ("overhear", "report") in by_kind
+    for key, callables in by_kind.items():
+        assert len(callables) == 1, (key, len(callables))
+        (callable_,) = callables
+        assert inspect.ismethod(callable_) or callable_.__closure__ is None, key
+
+
 def test_loopback_overhears_before_handler():
     fake = LoopbackTransport(line_topology(4, reach=1))
     order = []
-    fake.register_overhear(1, lambda p: order.append("overhear"), kinds=("ping",))
-    fake.register_handler(1, "ping", lambda p: order.append("handler"))
+    fake.register_overhear(
+        1, lambda _node, p: order.append("overhear"), kinds=("ping",)
+    )
+    fake.register_handler(1, "ping", lambda _node, p: order.append("handler"))
     fake.send(0, 1, "ping", {"x": 1})
     fake.sim.run()
     assert order == ["overhear", "handler"]
@@ -118,7 +215,7 @@ def test_loopback_overhears_before_handler():
 def test_loopback_dead_sender_is_silent():
     fake = LoopbackTransport(line_topology(4, reach=1))
     heard = []
-    fake.register_handler(1, "ping", heard.append)
+    fake.register_handler(1, "ping", lambda _node, p: heard.append(p))
     fake.fail_node(0)
     fake.send(0, 1, "ping")
     fake.sim.run()
