@@ -270,10 +270,9 @@ def _run_storm(scenario: Scenario, deployment) -> Tuple[float, dict]:
         if not neighbors:
             continue
         for index in range(frames_per_node):
-            # schedule_callback: the kernel's cheapest path (no Event
-            # allocation) — this is driver overhead shared by both
-            # backends, kept off the books as far as possible.
-            sim.schedule_callback(
+            # Driver overhead shared by both backends: one bound method
+            # plus args per frame, no closure.
+            sim.schedule(
                 float(jitter.random()) * window_s,
                 stack.send,
                 (node, neighbors[index % len(neighbors)], "storm"),

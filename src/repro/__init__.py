@@ -19,7 +19,7 @@ Quickstart
 >>> from repro import IcpdaConfig, IcpdaProtocol, uniform_deployment
 >>> deployment = uniform_deployment(150, rng=np.random.default_rng(42))
 >>> protocol = IcpdaProtocol(deployment, IcpdaConfig(), seed=42)
->>> protocol.setup()
+>>> tree = protocol.setup()
 >>> readings = {i: 20.0 + (i % 7) for i in range(1, deployment.num_nodes)}
 >>> result = protocol.run_round(readings)
 >>> result.verdict.accepted, round(result.accuracy, 2)  # doctest: +SKIP

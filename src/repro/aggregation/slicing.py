@@ -26,9 +26,7 @@ on the family's own axes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.aggregation.functions import AdditiveAggregate
 from repro.aggregation.tag import TagProtocol, TagResult
@@ -165,7 +163,6 @@ class SlicingAggregation:
                 delay,
                 self._slice_and_send,
                 args=(node, readings[node]),
-                name="slice-send",
             )
 
         sim.run(until=sim.now + self._window)
@@ -242,7 +239,6 @@ class SlicingAggregation:
                 timeout,
                 self._retry_slice,
                 args=(sender, recipient, ciphertext, attempt),
-                name="slice-arq",
             )
 
     def _retry_slice(

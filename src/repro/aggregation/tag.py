@@ -14,7 +14,7 @@ participation can be reported independently of the aggregate value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.aggregation.epoch import EpochSchedule
 from repro.aggregation.functions import AdditiveAggregate
@@ -173,7 +173,7 @@ class TagProtocol:
             if node == root:
                 continue
             at = schedule.send_time(depth, float(self._rng.random()))
-            sim.schedule_at(at, self._send_partial, args=(node,), name="tag-send")
+            sim.schedule_at(at, self._send_partial, args=(node,))
 
         sim.run(until=schedule.epoch_end)
 

@@ -133,7 +133,6 @@ class _TreeBuilder:
             delay,
             self._forward,
             args=(node_id, HELLO_KIND, {"depth": depth, "query": query}),
-            name="hello-forward",
         )
         self._stack.sim.trace.emit(
             "tree.join",

@@ -171,7 +171,7 @@ class ClusterFormation:
         # Wave 1: election + announce.
         bs = self._tree.root
         self._heads.add(bs)
-        sim.schedule(0.0, self._announce, args=(bs,), name="announce-bs")
+        sim.schedule(0.0, self._announce, args=(bs,))
         for node in self._tree.parents:
             if node == bs:
                 continue
@@ -180,7 +180,7 @@ class ClusterFormation:
             ):
                 self._heads.add(node)
                 delay = float(self._rng.uniform(0.05, cfg.window_announce_s * 0.8))
-                sim.schedule(delay, self._announce, args=(node,), name="announce")
+                sim.schedule(delay, self._announce, args=(node,))
 
         # Decision point: join or second-wave self-elect.
         sim.schedule_at(t0 + cfg.window_announce_s, self._wave2_decisions)
@@ -237,7 +237,7 @@ class ClusterFormation:
                 # Heard nothing: self-elect so sparse regions still form.
                 self._heads.add(node)
                 delay = float(self._rng.uniform(0.05, cfg.window_join_s * 0.3))
-                sim.schedule(delay, self._announce, args=(node,), name="announce-w2")
+                sim.schedule(delay, self._announce, args=(node,))
 
     def _late_join_decisions(self) -> None:
         cfg = self._config
@@ -254,7 +254,7 @@ class ClusterFormation:
         head = int(choices[self._rng.integers(0, len(choices))])
         self._joined[node] = head
         delay = float(self._rng.uniform(0.02, window))
-        self._stack.sim.schedule(delay, self._send_join, args=(node, head), name="join")
+        self._stack.sim.schedule(delay, self._send_join, args=(node, head))
 
     def _send_join(self, node: int, head: int) -> None:
         self._stack.send(node, head, JOIN_KIND, {"member": node})
@@ -276,7 +276,7 @@ class ClusterFormation:
             self._heard_dissolves[head].add(head)
             self._stack.broadcast(head, DISSOLVE_KIND, {"head": head})
             delay = float(self._rng.uniform(0.1, 0.5))
-            sim.schedule(delay, self._rejoin, args=(head,), name="rejoin-head")
+            sim.schedule(delay, self._rejoin, args=(head,))
         if self._dissolved:
             sim.trace.emit(
                 "cluster.dissolve",
@@ -328,7 +328,6 @@ class ClusterFormation:
                 0.6 + float(self._rng.uniform(0.0, 0.4)),
                 self._rebroadcast_list,
                 args=(head, dict(payload)),
-                name="memberlist-repeat",
             )
             # Census toward the base station (hop-acknowledged).
             census = {"head": head, "size": cluster.size, "active": cluster.active}
@@ -336,7 +335,6 @@ class ClusterFormation:
                 1.2 + float(self._rng.uniform(0.0, 0.6)),
                 self._send_census,
                 args=(head, census),
-                name="census",
             )
         sim.trace.emit(
             "cluster.closed",
@@ -366,7 +364,6 @@ class ClusterFormation:
                 timeout,
                 self._retry_census,
                 args=(sender, census, attempt),
-                name="census-arq",
             )
 
     def _retry_census(self, sender: int, census: dict, attempt: int) -> None:
@@ -394,9 +391,7 @@ class ClusterFormation:
         ):
             self._joined[node] = head
             delay = float(self._rng.uniform(0.05, 0.3))
-            self._stack.sim.schedule(
-                delay, self._send_join, args=(node, head), name="join-w3"
-            )
+            self._stack.sim.schedule(delay, self._send_join, args=(node, head))
 
     def _on_join(self, node: int, packet: Packet) -> None:
         member = int(packet.payload["member"])
@@ -419,9 +414,7 @@ class ClusterFormation:
         if self._joined.get(node) == packet.src:
             self._joined[node] = None
             delay = float(self._rng.uniform(0.1, 0.5))
-            self._stack.sim.schedule(
-                delay, self._rejoin, args=(node,), name="rejoin-bounced"
-            )
+            self._stack.sim.schedule(delay, self._rejoin, args=(node,))
 
     def _on_dissolve(self, node: int, packet: Packet) -> None:
         head = int(packet.payload["head"])
@@ -429,9 +422,7 @@ class ClusterFormation:
         if self._joined.get(node) == head and node not in self._heads:
             self._joined[node] = None
             delay = float(self._rng.uniform(0.1, 0.5))
-            self._stack.sim.schedule(
-                delay, self._rejoin, args=(node,), name="rejoin"
-            )
+            self._stack.sim.schedule(delay, self._rejoin, args=(node,))
 
     def _on_member_list(self, node: int, packet: Packet) -> None:
         members = [int(m) for m in packet.payload["members"]]

@@ -286,7 +286,7 @@ class ReportAndVerdictPhase:
 
         for head in self._aborted_heads:
             delay = float(self._rng.uniform(0.1, 1.5))
-            sim.schedule(delay, self._send_abort, args=(head,), name="report-abort")
+            sim.schedule(delay, self._send_abort, args=(head,))
 
         # Conflicts detected during the exchange (a head publishing a
         # falsified F-set) become hard alarms immediately — from honest
@@ -299,7 +299,6 @@ class ReportAndVerdictPhase:
                 delay,
                 self._raise_alarm,
                 args=(member, head, AlarmReason.FSET_TAMPERED, FSET_DETAIL, head),
-                name="fset-alarm",
             )
 
         max_depth = self._tree.max_depth()
@@ -307,12 +306,10 @@ class ReportAndVerdictPhase:
             depth = self._tree.depths.get(head, max_depth)
             slots = max_depth - depth + 1
             at = t0 + slots * cfg.slot_s + float(self._rng.uniform(0, cfg.slot_s * 0.5))
-            sim.schedule_at(
-                at, self._send_head_report, args=(head,), name="head-report"
-            )
+            sim.schedule_at(at, self._send_head_report, args=(head,))
 
         phase_end = t0 + (max_depth + 2) * cfg.slot_s + cfg.window_verdict_s
-        sim.schedule_at(phase_end - 1.0, self._fire_watchdogs, name="watchdogs")
+        sim.schedule_at(phase_end - 1.0, self._fire_watchdogs)
         sim.run(until=phase_end)
 
         return self._verdict(true_value, total_sensors, sim.now - t0)
@@ -400,7 +397,6 @@ class ReportAndVerdictPhase:
                 timeout,
                 self._retry_report,
                 args=(sender, target, payload, attempt, kind),
-                name="report-arq",
             )
 
     def _retry_report(

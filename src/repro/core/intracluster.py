@@ -311,9 +311,7 @@ class IntraClusterExchange:
         for state in live:
             for member in state.participants:
                 delay = float(self._rng.uniform(0.1, cfg.window_exchange_s * 0.25))
-                sim.schedule(
-                    delay, self._send_shares, args=(member, state), name="share-gen"
-                )
+                sim.schedule(delay, self._send_shares, args=(member, state))
 
         sim.run(until=t0 + cfg.window_exchange_s)
 
@@ -380,7 +378,6 @@ class IntraClusterExchange:
                 timeout,
                 self._retry_share,
                 args=(sender, recipient, head, ciphertext, attempt),
-                name="share-arq",
             )
 
     def _retry_share(
@@ -470,7 +467,6 @@ class IntraClusterExchange:
                     self._config.ack_timeout_s,
                     self._rebroadcast,
                     args=(node, FVALUE_KIND, payload),
-                    name="fvalue-head-repeat",
                 )
             return
         if attempt < self._config.share_retries:
@@ -479,7 +475,6 @@ class IntraClusterExchange:
                 timeout,
                 self._retry_fvalue,
                 args=(node, head, fvalue, attempt),
-                name="fvalue-arq",
             )
 
     def _retry_fvalue(
@@ -541,7 +536,6 @@ class IntraClusterExchange:
                 0.3 + float(self._rng.uniform(0.0, 0.3)),
                 self._rebroadcast,
                 args=(head, FSET_KIND, payload),
-                name="fset-repeat",
             )
 
     def _rebroadcast(self, node: int, kind: str, payload: dict) -> None:

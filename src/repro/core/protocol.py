@@ -9,11 +9,12 @@ Wires the four phases over one simulated network:
 
 Example
 -------
+>>> import numpy as np
 >>> from repro.topology import uniform_deployment
 >>> from repro.core import IcpdaConfig, IcpdaProtocol
 >>> deployment = uniform_deployment(120, rng=np.random.default_rng(1))
 >>> protocol = IcpdaProtocol(deployment, IcpdaConfig(), seed=7)
->>> protocol.setup()
+>>> tree = protocol.setup()
 >>> readings = {i: 20.0 for i in range(1, 120)}
 >>> result = protocol.run_round(readings)
 >>> result.verdict.accepted

@@ -9,7 +9,7 @@ probabilistic alternative lives in :mod:`repro.crypto.predistribution`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.errors import NoSharedKeyError

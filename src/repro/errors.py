@@ -26,10 +26,6 @@ class ScheduleInPastError(SimulationError):
     """An event was scheduled at a time earlier than the current clock."""
 
 
-class EventCancelledError(SimulationError):
-    """An operation was attempted on an event that was already cancelled."""
-
-
 class KernelStateError(SimulationError):
     """The kernel was driven through an invalid state transition."""
 

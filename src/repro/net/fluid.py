@@ -408,7 +408,7 @@ class FluidTransport:
         airtime_end = keyup + airtime
         if airtime_end > busy[cell]:
             busy[cell] = airtime_end
-        self.sim.schedule_callback(
+        self.sim.schedule(
             airtime_end - self.sim.now, self._deliver, (packet, contended)
         )
 

@@ -135,7 +135,7 @@ class CsmaMac:
         if not self._busy:
             self._busy = True
             jitter = self._rng.uniform(0.0, self._params.initial_jitter_s)
-            self._sim.schedule(jitter, self._attempt, name="mac-jitter")
+            self._sim.schedule(jitter, self._attempt)
 
     # -- internal ------------------------------------------------------------
 
@@ -168,7 +168,7 @@ class CsmaMac:
                 self._params.backoff_max_s,
             )
             backoff = self._rng.uniform(self._params.backoff_min_s, window)
-            self._sim.schedule(backoff, self._attempt, name="mac-backoff")
+            self._sim.schedule(backoff, self._attempt)
             return
         self._queue.popleft()
         self.stats.sent += 1
@@ -181,6 +181,6 @@ class CsmaMac:
 
     def _schedule_next(self, delay: float) -> None:
         if self._queue:
-            self._sim.schedule(delay, self._attempt, name="mac-next")
+            self._sim.schedule(delay, self._attempt)
         else:
             self._busy = False

@@ -279,9 +279,8 @@ class WirelessMedium:
                 counts[receiver] = 1
         active.append(tx)
 
-        # Fire-and-forget: completion events are never cancelled (even a
-        # killed node's in-flight frame still completes), so no handle.
-        self._sim.schedule_callback(airtime, self._complete, (tx,))
+        # Even a killed node's in-flight frame still completes.
+        self._sim.schedule(airtime, self._complete, (tx,))
 
     # -- internal ------------------------------------------------------------
 
@@ -317,7 +316,7 @@ class WirelessMedium:
                     callback(packet)
             else:
                 delay_row = self._delay_row(sender, receivers)
-                schedule_callback = self._sim.schedule_callback
+                schedule = self._sim.schedule
                 packet_args = (packet,)
                 for receiver in receivers:
                     counts[receiver] -= 1
@@ -330,7 +329,7 @@ class WirelessMedium:
                     stats.deliveries += 1
                     delay = delay_row[receiver]
                     if delay > 0:
-                        schedule_callback(delay, callback, packet_args)
+                        schedule(delay, callback, packet_args)
                     else:
                         callback(packet)
         else:
@@ -425,6 +424,6 @@ class WirelessMedium:
         if self._distances is not None:
             delay = self._delay_row(tx.sender, self._adjacency[tx.sender])[receiver]
         if delay > 0:
-            self._sim.schedule_callback(delay, callback, (tx.packet,))
+            self._sim.schedule(delay, callback, (tx.packet,))
         else:
             callback(tx.packet)

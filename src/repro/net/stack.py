@@ -4,12 +4,24 @@
 one shared :class:`~repro.net.medium.WirelessMedium`, one
 :class:`~repro.net.mac.CsmaMac` and :class:`~repro.net.node.Node` per
 sensor, plus byte/energy accounting. Protocol layers (TAG, iCPDA) talk
-only to this facade:
+only to this facade (``send``/``broadcast`` out, ``register_handler``/
+``register_overhear`` in):
 
->>> stack.send(src=5, dst=2, kind="report", payload={"value": 17})
->>> stack.broadcast(src=0, kind="hello", payload={"depth": 0})
->>> stack.register_handler(2, "report", my_handler)
->>> stack.register_overhear(7, my_witness_listener)
+>>> import numpy as np
+>>> from repro.sim.kernel import Simulator
+>>> from repro.topology.deploy import Deployment
+>>> pair = Deployment(
+...     positions=np.array([[0.0, 0.0], [30.0, 0.0]]),
+...     field_size=100.0,
+...     radio_range=50.0,
+... )
+>>> stack = NetworkStack(Simulator(seed=1), pair)
+>>> got = []
+>>> stack.register_handler(1, "report", lambda node, p: got.append(p.payload))
+>>> packet = stack.send(src=0, dst=1, kind="report", payload={"value": 17})
+>>> stack.sim.run()
+>>> got
+[{'value': 17}]
 """
 
 from __future__ import annotations

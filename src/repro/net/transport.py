@@ -69,23 +69,17 @@ class SimulatorLike(Protocol):
         self,
         delay: float,
         callback: Callable[..., None],
-        *,
         args: Tuple[Any, ...] = (),
-        priority: int = 0,
-        name: str = "",
-    ) -> Any: ...
+    ) -> None: ...
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., None],
-        *,
         args: Tuple[Any, ...] = (),
-        priority: int = 0,
-        name: str = "",
-    ) -> Any: ...
+    ) -> None: ...
 
-    def run(self, until: float = ..., max_events: Optional[int] = None) -> None: ...
+    def run(self, until: float = ...) -> None: ...
 
 
 @runtime_checkable

@@ -2,10 +2,12 @@
 
 The kernel is intentionally small and deterministic:
 
-* events fire in ``(time, priority, seq)`` order;
+* events fire in ``(time, seq)`` order, so callbacks scheduled for one
+  instant fire in call order whichever entry point scheduled them;
 * the clock never moves backwards;
-* cancellation is O(1) (lazy deletion: cancelled events are skipped when
-  popped);
+* events are fire-and-forget: scheduling returns nothing and an event,
+  once scheduled, fires (only :meth:`Simulator.discard_pending` drops
+  events, all at once);
 * every run is reproducible because all randomness is drawn from the
   kernel's :class:`~repro.sim.rng.RngRegistry`.
 
@@ -13,8 +15,8 @@ Example
 -------
 >>> sim = Simulator(seed=7)
 >>> fired = []
->>> _ = sim.schedule(2.0, lambda: fired.append(sim.now))
->>> _ = sim.schedule(1.0, lambda: fired.append(sim.now))
+>>> sim.schedule(2.0, lambda: fired.append(sim.now))
+>>> sim.schedule(1.0, lambda: fired.append(sim.now))
 >>> sim.run()
 >>> fired
 [1.0, 2.0]
@@ -23,6 +25,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
@@ -30,18 +33,12 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import KernelStateError, ScheduleInPastError
 from repro.metrics.registry import MetricsRegistry
 from repro.sim import telemetry
-from repro.sim.events import PRIORITY_NORMAL, Event, EventHandle, next_seq
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 
-#: Heap entry: ``(time, priority, seq, event)`` — or, for the
-#: fire-and-forget path, ``(time, priority, seq, None, callback, args)``.
-#: Tuples order entirely in C — ``seq`` is unique, so a comparison never
-#: falls through past index 2 — which removes the per-comparison
-#: ``Event.__lt__`` calls that used to dominate dense-field runs. The
-#: two shapes share one sequence counter, so ordering is deterministic
-#: across both.
-_HeapEntry = Tuple[float, int, int, Optional[Event]]
+#: Heap entry: ``(time, seq, callback, args)``. Tuples order entirely in
+#: C, and ``seq`` is unique, so a comparison never reaches the callback.
+_HeapEntry = Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]
 
 
 @dataclass
@@ -55,7 +52,7 @@ class KernelStats:
     fired:
         Events whose callbacks were executed.
     cancelled:
-        Events popped after cancellation (skipped).
+        Events dropped unfired by :meth:`Simulator.discard_pending`.
     """
 
     scheduled: int = 0
@@ -92,6 +89,7 @@ class Simulator:
     def __init__(self, seed: int = 0, trace: Optional[TraceLog] = None) -> None:
         self._now = 0.0
         self._heap: List[_HeapEntry] = []
+        self._next_seq = itertools.count().__next__
         self._running = False
         self.stats = KernelStats()
         self.rng = RngRegistry(seed)
@@ -115,22 +113,14 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still on the heap (including cancelled ones)."""
-        return len(self._heap)
-
     # -- scheduling --------------------------------------------------------
 
     def schedule(
         self,
         delay: float,
         callback: Callable[..., None],
-        *,
         args: Tuple[Any, ...] = (),
-        priority: int = PRIORITY_NORMAL,
-        name: str = "",
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
 
         Passing a bound method plus ``args`` avoids the per-event closure
@@ -146,51 +136,37 @@ class Simulator:
         # call on the hot path.
         if not delay >= 0:
             raise ScheduleInPastError(f"cannot schedule with delay {delay!r}")
-        # Inlined push (rather than delegating to schedule_at): this is
-        # the kernel's hottest entry point — one call frame matters.
-        event = Event(
-            self._now + delay, priority, None, callback, args, name
-        )
-        heapq.heappush(self._heap, (event.time, priority, event.seq, event))
+        # Inlined _push: this is the kernel's hottest entry point (the
+        # delivery fan-out) — one call frame matters.
+        heap = self._heap
+        heapq.heappush(heap, (self._now + delay, self._next_seq(), callback, args))
         stats = self.stats
         stats.scheduled += 1
-        queue_len = len(self._heap)
-        if queue_len > stats.max_queue_len:
-            stats.max_queue_len = queue_len
-        return EventHandle(event)
+        if len(heap) > stats.max_queue_len:
+            stats.max_queue_len = len(heap)
 
-    def schedule_callback(
+    #: Alias of :meth:`schedule`. The benchmark's tracer
+    #: (``perfbench/tracing.py``) patches all four scheduler names.
+    schedule_callback = schedule
+
+    def schedule_at(
         self,
-        delay: float,
+        time: float,
         callback: Callable[..., None],
         args: Tuple[Any, ...] = (),
     ) -> None:
-        """Schedule ``callback(*args)`` fire-and-forget: no handle, no
-        cancellation, normal priority.
-
-        This is the kernel's cheapest scheduling path — the heap entry
-        *is* the event (no :class:`Event` or :class:`EventHandle` is
-        allocated), which matters on the medium's delivery fan-out where
-        most of a dense run's events are scheduled and none are ever
-        cancelled. Ordering is identical to :meth:`schedule` because both
-        paths draw from the same sequence counter.
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
 
         Raises
         ------
         ScheduleInPastError
-            If ``delay`` is negative (NaN is also rejected).
+            If ``time`` precedes the current clock (NaN is also rejected).
         """
-        if not delay >= 0:  # single NaN-safe comparison, as in schedule()
-            raise ScheduleInPastError(f"cannot schedule with delay {delay!r}")
-        heapq.heappush(
-            self._heap,
-            (self._now + delay, PRIORITY_NORMAL, next_seq(), None, callback, args),
-        )
-        stats = self.stats
-        stats.scheduled += 1
-        queue_len = len(self._heap)
-        if queue_len > stats.max_queue_len:
-            stats.max_queue_len = queue_len
+        if not time >= self._now:
+            raise ScheduleInPastError(
+                f"cannot schedule at t={time!r} (now={self._now!r})"
+            )
+        self._push(time, callback, args)
 
     def schedule_batch(
         self,
@@ -212,8 +188,7 @@ class Simulator:
 
         A resolver that returns ``0``, ``1``, or ``None`` credits
         nothing extra (the macro-event itself is already counted by the
-        run loop). Like :meth:`schedule_callback`, this is
-        fire-and-forget: no handle, no cancellation.
+        run loop).
 
         Raises
         ------
@@ -222,22 +197,17 @@ class Simulator:
         """
         if not delay >= 0:  # single NaN-safe comparison, as in schedule()
             raise ScheduleInPastError(f"cannot schedule with delay {delay!r}")
-        heapq.heappush(
-            self._heap,
-            (
-                self._now + delay,
-                PRIORITY_NORMAL,
-                next_seq(),
-                None,
-                self._fire_batch,
-                (resolver, args),
-            ),
-        )
+        self._push(self._now + delay, self._fire_batch, (resolver, args))
+
+    def _push(
+        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]
+    ) -> None:
+        heap = self._heap
+        heapq.heappush(heap, (time, self._next_seq(), callback, args))
         stats = self.stats
         stats.scheduled += 1
-        queue_len = len(self._heap)
-        if queue_len > stats.max_queue_len:
-            stats.max_queue_len = queue_len
+        if len(heap) > stats.max_queue_len:
+            stats.max_queue_len = len(heap)
 
     def _fire_batch(
         self, resolver: Callable[..., int], args: Tuple[Any, ...]
@@ -250,65 +220,10 @@ class Simulator:
             stats.scheduled += extra
             stats.fired += extra
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *,
-        args: Tuple[Any, ...] = (),
-        priority: int = PRIORITY_NORMAL,
-        name: str = "",
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
-
-        Raises
-        ------
-        ScheduleInPastError
-            If ``time`` precedes the current clock.
-        """
-        if math.isnan(time) or time < self._now:
-            raise ScheduleInPastError(
-                f"cannot schedule at t={time!r} (now={self._now!r})"
-            )
-        event = Event(time, priority, None, callback, args, name)
-        heapq.heappush(self._heap, (time, priority, event.seq, event))
-        stats = self.stats
-        stats.scheduled += 1
-        queue_len = len(self._heap)
-        if queue_len > stats.max_queue_len:
-            stats.max_queue_len = queue_len
-        return EventHandle(event)
-
     # -- execution ---------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the single next non-cancelled event.
-
-        Returns
-        -------
-        bool
-            True if an event fired; False if the queue was empty.
-        """
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            event = entry[3]
-            if event is None:
-                self._now = entry[0]
-                entry[4](*entry[5])
-                self.stats.fired += 1
-                return True
-            if event.cancelled:
-                self.stats.cancelled += 1
-                continue
-            self._now = event.time
-            event.fire()
-            self.stats.fired += 1
-            return True
-        return False
-
-    def run(self, until: float = math.inf, max_events: Optional[int] = None) -> None:
-        """Run events until the queue drains, ``until`` passes, or
-        ``max_events`` have fired.
+    def run(self, until: float = math.inf) -> None:
+        """Run events until the queue drains or ``until`` passes.
 
         The clock is advanced to ``until`` (when finite) even if the queue
         drains earlier, so back-to-back phased protocols observe a
@@ -324,54 +239,19 @@ class Simulator:
         if math.isnan(until) or until < self._now:
             raise KernelStateError(f"cannot run until t={until!r} (now={self._now!r})")
         self._running = True
-        # -1 sentinel = unbounded; only positive budgets ever decrement,
-        # so the sentinel never reaches the loop's == 0 stop.
-        remaining = max_events if max_events is not None else -1
         heap = self._heap
         stats = self.stats
         heappop = heapq.heappop
         try:
-            while heap and remaining != 0:
-                head = heap[0]
-                event = head[3]
-                if event is None:
-                    # Fire-and-forget entry: most events in a dense run
-                    # (the delivery fan-out) take this branch, so it is
-                    # checked first and skips the cancellation test —
-                    # these entries cannot be cancelled.
-                    if head[0] > until:
-                        break
-                    heappop(heap)
-                    self._now = head[0]
-                    head[4](*head[5])
-                elif event.cancelled:
-                    heappop(heap)
-                    stats.cancelled += 1
-                    continue
-                else:
-                    if head[0] > until:
-                        break
-                    heappop(heap)
-                    self._now = head[0]
-                    # Inlined Event.fire(): cancellation was checked above
-                    # and nothing can cancel the event between there and
-                    # here.
-                    callback = event.callback
-                    if callback is not None:
-                        callback(*event.args)
+            while heap and heap[0][0] <= until:
+                time, _, callback, args = heappop(heap)
+                self._now = time
+                callback(*args)
                 stats.fired += 1
-                if remaining > 0:
-                    remaining -= 1
         finally:
             self._running = False
         if math.isfinite(until):
             self._now = max(self._now, until)
-
-    def drain(self) -> int:
-        """Run to quiescence (empty queue); return the number of events fired."""
-        before = self.stats.fired
-        self.run()
-        return self.stats.fired - before
 
     def discard_pending(self) -> int:
         """Drop every scheduled event without firing it; returns the count.
@@ -393,12 +273,6 @@ class Simulator:
         self._heap.clear()
         self.stats.cancelled += dropped
         return dropped
-
-    def advance(self, delta: float) -> None:
-        """Advance the clock by ``delta`` seconds, firing due events."""
-        if math.isnan(delta) or delta < 0:
-            raise KernelStateError(f"cannot advance by {delta!r}")
-        self.run(until=self._now + delta)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

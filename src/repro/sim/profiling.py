@@ -21,43 +21,17 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.sim.trace import TraceLog
 
 
-@dataclass(frozen=True)
-class PhaseSpan:
-    """One closed phase interval.
-
-    Attributes
-    ----------
-    name:
-        Qualified phase name; nested phases join with ``/``
-        (``"round/exchange"``).
-    virtual_start / virtual_end:
-        Simulation-clock bounds of the span.
-    wall_s:
-        Host CPU wall-clock seconds spent inside the span.
-    depth:
-        Nesting depth at open time (0 = top level).
-    """
-
-    name: str
-    virtual_start: float
-    virtual_end: float
-    wall_s: float
-    depth: int
-
-    @property
-    def virtual_s(self) -> float:
-        """Span length in virtual seconds."""
-        return self.virtual_end - self.virtual_start
-
-
 class PhaseProfiler:
-    """Records :class:`PhaseSpan` entries via a ``with`` context.
+    """Totals virtual and wall-clock time per phase via a ``with`` context.
+
+    Only the running totals are kept (one entry per distinct phase name),
+    so a long-lived profiler stays the same size however many phases it
+    times.
 
     Parameters
     ----------
@@ -77,7 +51,6 @@ class PhaseProfiler:
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._trace = trace
         self._stack: List[str] = []
-        self.spans: List[PhaseSpan] = []
         #: qualified name -> [virtual_s total, wall_s total, count]
         self._totals: Dict[str, List[float]] = {}
 
@@ -88,11 +61,6 @@ class PhaseProfiler:
         profiler = cls(clock=lambda: sim.now, trace=sim.trace)
         sim.metrics.register("phases", profiler.snapshot, replace=True)
         return profiler
-
-    @property
-    def current_phase(self) -> Optional[str]:
-        """Qualified name of the innermost open phase, or None."""
-        return "/".join(self._stack) if self._stack else None
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -106,18 +74,10 @@ class PhaseProfiler:
             yield
         finally:
             wall_s = time.perf_counter() - wall_start
-            virtual_end = self._clock()
+            virtual_s = self._clock() - virtual_start
             self._stack.pop()
-            span = PhaseSpan(
-                name=qualified,
-                virtual_start=virtual_start,
-                virtual_end=virtual_end,
-                wall_s=wall_s,
-                depth=depth,
-            )
-            self.spans.append(span)
             totals = self._totals.setdefault(qualified, [0.0, 0.0, 0])
-            totals[0] += span.virtual_s
+            totals[0] += virtual_s
             totals[1] += wall_s
             totals[2] += 1
             if self._trace is not None:
@@ -125,7 +85,7 @@ class PhaseProfiler:
                     "profile.phase",
                     "phase %(phase)s took %(virtual_s).6fs virtual",
                     phase=qualified,
-                    virtual_s=span.virtual_s,
+                    virtual_s=virtual_s,
                     wall_s=wall_s,
                     depth=depth,
                 )
@@ -143,8 +103,3 @@ class PhaseProfiler:
             out[f"{name}.wall_s"] = wall_s
             out[f"{name}.count"] = count
         return out
-
-    def clear(self) -> None:
-        """Drop recorded spans and totals (open phases stay open)."""
-        self.spans.clear()
-        self._totals.clear()

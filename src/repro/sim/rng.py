@@ -12,7 +12,7 @@ from a *named stream* (``"topology"``, ``"mac.backoff"``, ``"protocol.42"``
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict
 
 import numpy as np
 
@@ -23,26 +23,21 @@ class RngRegistry:
     Parameters
     ----------
     master_seed:
-        Seed for the root :class:`~numpy.random.SeedSequence`.
+        Seed every stream's :class:`~numpy.random.SeedSequence` is
+        derived from.
 
     Example
     -------
     >>> rngs = RngRegistry(123)
     >>> a = rngs.stream("topology").integers(0, 10, 3)
     >>> b = RngRegistry(123).stream("topology").integers(0, 10, 3)
-    >>> (a == b).all()
+    >>> bool((a == b).all())
     True
     """
 
     def __init__(self, master_seed: int = 0) -> None:
         self._master_seed = int(master_seed)
-        self._root = np.random.SeedSequence(self._master_seed)
         self._streams: Dict[str, np.random.Generator] = {}
-
-    @property
-    def master_seed(self) -> int:
-        """The master seed this registry was constructed with."""
-        return self._master_seed
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically.
@@ -83,23 +78,6 @@ class RngRegistry:
         if count < 0:
             raise ValueError(f"uniform_block count must be >= 0, got {count}")
         return self.stream(name).random(count)
-
-    def streams(self, names: Iterable[str]) -> List[np.random.Generator]:
-        """Return generators for several names at once."""
-        return [self.stream(name) for name in names]
-
-    def known_streams(self) -> List[str]:
-        """Names of all streams created so far (sorted, for reports)."""
-        return sorted(self._streams)
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """Derive an independent registry (e.g. one per Monte-Carlo trial).
-
-        The fork's streams are unrelated to the parent's but fully
-        determined by ``(master_seed, salt)``.
-        """
-        mixed = np.random.SeedSequence([self._master_seed, int(salt)])
-        return RngRegistry(int(mixed.generate_state(1, np.uint64)[0]))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngRegistry(seed={self._master_seed}, streams={len(self._streams)})"

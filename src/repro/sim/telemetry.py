@@ -88,10 +88,6 @@ class TelemetryCollector:
                 totals[category] = totals.get(category, 0) + count
         return totals
 
-    def record_count(self) -> int:
-        """Total trace records kept across simulators."""
-        return sum(self.category_counts().values())
-
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Merged registry snapshots across simulators.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 import networkx as nx
-import numpy as np
 
 from repro.errors import DisconnectedNetworkError
 from repro.topology.deploy import Deployment

@@ -5,8 +5,6 @@ protocol really puts on the air; these tests build the real payloads
 and compare them against :class:`repro.analysis.overhead.CostModel`.
 """
 
-import pytest
-
 from repro.analysis.overhead import CostModel
 from repro.core.field import DEFAULT_FIELD
 from repro.core.shares import ShareBundle

@@ -2,11 +2,10 @@
 loss, never corruption or a hang."""
 
 import numpy as np
-import pytest
 
 from repro.aggregation.functions import SumAggregate
 from repro.aggregation.tree import build_aggregation_tree
-from repro.core.clustering import Cluster, ClusterFormation, ClusteringResult
+from repro.core.clustering import ClusterFormation
 from repro.core.config import IcpdaConfig
 from repro.core.field import DEFAULT_FIELD
 from repro.core.intracluster import IntraClusterExchange

@@ -1,6 +1,5 @@
 """Tests for adaptive election and head exclusion."""
 
-import numpy as np
 import pytest
 
 from repro.aggregation.tree import build_aggregation_tree

@@ -26,7 +26,6 @@ class TestCollector:
             sim.schedule(1.0, lambda: sim.trace.emit("x", "tick"))
             sim.run()
         assert collector.simulators == [sim]
-        assert collector.record_count() == 1
         assert collector.category_counts() == {"x": 1}
         # Outside the context, fresh simulators revert to disabled traces.
         assert not Simulator(seed=1).trace.enabled

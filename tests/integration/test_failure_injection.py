@@ -11,7 +11,6 @@ import pytest
 from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
 from repro.core.results import Verdict
-from repro.net.packet import Packet
 from repro.net.stack import NetworkStack
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import uniform_deployment

@@ -55,8 +55,6 @@ class TestPartitionInvariant:
         """Seed 1 at N=200 with the metering workload reproduced the
         corruption before the fix; it must aggregate exactly now."""
         result, protocol, readings = run_once(1)
-        from repro.aggregation.functions import SumAggregate
-
         aggregate = protocol.aggregate
         for head, state in protocol.last_exchange.states.items():
             if not state.completed:

@@ -60,7 +60,7 @@ class FakeSim:
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
-        self._heap: List[Tuple[float, int, int, Callable, Tuple]] = []
+        self._heap: List[Tuple[float, int, Callable, Tuple]] = []
         self._seq = itertools.count()
         self._rng = _FakeRngRegistry(seed)
         self._trace = _FakeTrace()
@@ -79,41 +79,22 @@ class FakeSim:
         return self._trace
 
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *,
-        args: Tuple = (),
-        priority: int = 0,
-        name: str = "",
+        self, delay: float, callback: Callable[..., None], args: Tuple = ()
     ) -> None:
-        self.schedule_at(
-            self._now + delay, callback, args=args, priority=priority, name=name
-        )
+        self.schedule_at(self._now + delay, callback, args)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *,
-        args: Tuple = (),
-        priority: int = 0,
-        name: str = "",
+        self, time: float, callback: Callable[..., None], args: Tuple = ()
     ) -> None:
         heapq.heappush(
-            self._heap,
-            (max(time, self._now), priority, next(self._seq), callback, args),
+            self._heap, (max(time, self._now), next(self._seq), callback, args)
         )
 
-    def run(self, until: float = math.inf, max_events: Optional[int] = None) -> None:
-        fired = 0
+    def run(self, until: float = math.inf) -> None:
         while self._heap and self._heap[0][0] <= until:
-            if max_events is not None and fired >= max_events:
-                return
-            time, _, _, callback, args = heapq.heappop(self._heap)
+            time, _, callback, args = heapq.heappop(self._heap)
             self._now = time
             callback(*args)
-            fired += 1
         if until != math.inf:
             self._now = max(self._now, until)
 

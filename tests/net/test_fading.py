@@ -51,9 +51,7 @@ class TestFadingOnTheMedium:
         got = []
         stack.register_handler(1, "x", lambda _node, p: got.append(p))
         for index in range(frames):
-            sim.schedule(
-                index * 0.01, lambda: stack.send(0, 1, "x"), name="probe"
-            )
+            sim.schedule(index * 0.01, lambda: stack.send(0, 1, "x"))
         sim.run()
         return len(got) / frames
 

@@ -28,26 +28,32 @@ class TestKernelOrdering:
     @given(
         st.lists(
             st.tuples(
-                st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-                st.booleans(),
+                st.sampled_from(
+                    ["schedule", "schedule_at", "schedule_batch", "schedule_callback"]
+                ),
+                st.one_of(
+                    st.sampled_from([0.0, 1.0, 2.5]),
+                    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+                ),
             ),
             min_size=1,
             max_size=50,
         )
     )
     @settings(max_examples=50)
-    def test_cancelled_events_never_fire(self, schedule):
+    def test_mixed_entry_points_fire_in_time_then_call_order(self, calls):
         sim = Simulator(seed=0)
+        sim.run(until=1.0)
         fired = []
-        for index, (delay, cancel) in enumerate(schedule):
-            handle = sim.schedule(delay, lambda i=index: fired.append(i))
-            if cancel:
-                handle.cancel()
+        for index, (entry_point, delay) in enumerate(calls):
+            when = sim.now + delay
+            if entry_point == "schedule_at":
+                sim.schedule_at(when, fired.append, ((when, index),))
+            else:
+                getattr(sim, entry_point)(delay, fired.append, ((when, index),))
         sim.run()
-        expected = {
-            i for i, (_, cancel) in enumerate(schedule) if not cancel
-        }
-        assert set(fired) == expected
+        assert fired == sorted(fired)
+        assert len(fired) == len(calls)
 
     @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     @settings(max_examples=50)
@@ -55,7 +61,7 @@ class TestKernelOrdering:
         sim = Simulator(seed=0)
         sim.schedule(until / 2 if until > 0 else 0.0, lambda: None)
         sim.run(until=until)
-        assert sim.now >= until or sim.pending_events == 0
+        assert sim.now == until
 
 
 json_like = st.recursive(

@@ -1,6 +1,5 @@
 """Property-based conservation tests for the MAC layer."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

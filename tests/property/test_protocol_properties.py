@@ -11,7 +11,6 @@ topology, seed, and configuration in range:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

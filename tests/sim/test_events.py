@@ -1,74 +1,23 @@
-"""Unit tests for event ordering and handles."""
+"""Unit tests for event ordering and firing.
 
-import pytest
-
-from repro.errors import EventCancelledError
-from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, Event, EventHandle
+An event is a plain ``(time, seq, callback, args)`` heap entry inside the
+kernel, so both properties are checked through the scheduling API.
+"""
 
 
 class TestEventOrdering:
-    def test_orders_by_time(self):
-        early = Event(time=1.0)
-        late = Event(time=2.0)
-        assert early < late
-
-    def test_same_time_orders_by_priority(self):
-        high = Event(time=1.0, priority=PRIORITY_HIGH)
-        low = Event(time=1.0, priority=PRIORITY_LOW)
-        assert high < low
-
-    def test_same_time_same_priority_orders_by_seq(self):
-        first = Event(time=1.0)
-        second = Event(time=1.0)
-        assert first < second  # seq is monotone
-
-    def test_seq_is_unique(self):
-        events = [Event(time=0.0) for _ in range(100)]
-        assert len({e.seq for e in events}) == 100
+    def test_orders_by_time(self, sim):
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append(("late", sim.now)))
+        sim.schedule_at(1.0, lambda: fired.append(("early", sim.now)))
+        sim.run()
+        assert fired == [("early", 1.0), ("late", 2.0)]
 
 
 class TestEventFiring:
-    def test_fire_invokes_callback(self):
+    def test_fire_invokes_callback(self, sim):
         fired = []
-        Event(time=0.0, callback=lambda: fired.append(1)).fire()
-        assert fired == [1]
-
-    def test_cancelled_event_does_not_fire(self):
-        fired = []
-        event = Event(time=0.0, callback=lambda: fired.append(1))
-        event.cancel()
-        event.fire()
-        assert fired == []
-
-    def test_fire_without_callback_is_noop(self):
-        Event(time=0.0).fire()  # must not raise
-
-
-class TestEventHandle:
-    def test_pending_initially(self):
-        handle = EventHandle(Event(time=3.0, name="x"))
-        assert handle.pending
-        assert not handle.fired
-        assert not handle.cancelled
-        assert handle.time == 3.0
-        assert handle.name == "x"
-
-    def test_cancel_marks_event(self):
-        event = Event(time=1.0)
-        handle = EventHandle(event)
-        handle.cancel()
-        assert handle.cancelled
-        assert not handle.pending
-        assert event.cancelled
-
-    def test_cancel_after_fire_raises(self):
-        handle = EventHandle(Event(time=1.0))
-        handle._mark_fired()
-        with pytest.raises(EventCancelledError):
-            handle.cancel()
-
-    def test_double_cancel_is_noop(self):
-        handle = EventHandle(Event(time=1.0))
-        handle.cancel()
-        handle.cancel()  # must not raise
-        assert handle.cancelled
+        sim.schedule(0.0, lambda: fired.append(1))
+        sim.schedule(0.0, fired.append, (2,))
+        sim.run()
+        assert fired == [1, 2]

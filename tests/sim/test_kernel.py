@@ -47,6 +47,35 @@ class TestScheduling:
         sim.run()
         assert order == list("abcde")
 
+    def test_same_instant_fifo_across_entry_points(self, sim):
+        order = []
+
+        def batch(label):
+            order.append(label)
+            return 1
+
+        sim.schedule(1.0, order.append, ("schedule-a",))
+        sim.schedule_at(1.0, order.append, ("schedule_at-b",))
+        sim.schedule_batch(1.0, batch, ("schedule_batch-c",))
+        sim.schedule_callback(1.0, order.append, ("schedule_callback-d",))
+        sim.schedule_at(1.0, order.append, ("schedule_at-e",))
+        sim.schedule(1.0, order.append, ("schedule-f",))
+        sim.run()
+        assert order == [
+            "schedule-a",
+            "schedule_at-b",
+            "schedule_batch-c",
+            "schedule_callback-d",
+            "schedule_at-e",
+            "schedule-f",
+        ]
+
+    def test_scheduling_returns_nothing(self, sim):
+        assert sim.schedule(1.0, lambda: None) is None
+        assert sim.schedule_at(1.0, lambda: None) is None
+        assert sim.schedule_batch(1.0, lambda: None) is None
+        assert sim.schedule_callback(1.0, lambda: None) is None
+
 
 class TestRun:
     def test_run_until_leaves_future_events(self, sim):
@@ -55,18 +84,14 @@ class TestRun:
         sim.schedule(5.0, lambda: fired.append(2))
         sim.run(until=2.0)
         assert fired == [1]
-        assert sim.pending_events == 1
         assert sim.now == 2.0
+        sim.run()
+        assert fired == [1, 2]
+        assert sim.now == 5.0
 
     def test_run_until_advances_clock_without_events(self, sim):
         sim.run(until=10.0)
         assert sim.now == 10.0
-
-    def test_max_events_stops_early(self, sim):
-        for i in range(10):
-            sim.schedule(float(i + 1), lambda: None)
-        sim.run(max_events=3)
-        assert sim.stats.fired == 3
 
     def test_run_is_not_reentrant(self, sim):
         failures = []
@@ -97,46 +122,14 @@ class TestRun:
         assert order == ["outer", "inner"]
 
 
-class TestCancellation:
-    def test_cancelled_event_skipped(self, sim):
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
-        sim.run()
-        assert fired == []
-        assert sim.stats.cancelled == 1
-
-    def test_cancel_one_of_many(self, sim):
-        fired = []
-        handles = [
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i)) for i in range(5)
-        ]
-        handles[2].cancel()
-        sim.run()
-        assert fired == [0, 1, 3, 4]
-
-
 class TestStepAndDrain:
-    def test_step_fires_exactly_one(self, sim):
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step()
-        assert fired == [1]
-
-    def test_step_on_empty_returns_false(self, sim):
-        assert not sim.step()
-
-    def test_drain_returns_fired_count(self, sim):
-        for i in range(7):
-            sim.schedule(float(i + 1), lambda: None)
-        assert sim.drain() == 7
+    """Moving the clock forward and emptying the queue."""
 
     def test_advance_moves_clock(self, sim):
-        sim.advance(3.0)
+        sim.run(until=3.0)
         assert sim.now == 3.0
         with pytest.raises(KernelStateError):
-            sim.advance(-1.0)
+            sim.run(until=2.0)
 
     def test_discard_pending_drops_everything_unfired(self, sim):
         fired = []
@@ -144,14 +137,14 @@ class TestStepAndDrain:
         sim.schedule(2.0, lambda: fired.append(2))
         sim.schedule(3.0, fired.append, args=(3,))
         assert sim.discard_pending() == 3
-        assert sim.pending_events == 0
+        assert sim.discard_pending() == 0
         sim.run()
         assert fired == []
         assert sim.stats.cancelled == 3
         assert sim.stats.fired == 0
 
     def test_discard_pending_keeps_clock_and_future_scheduling(self, sim):
-        sim.advance(5.0)
+        sim.run(until=5.0)
         sim.schedule(1.0, lambda: None)
         sim.discard_pending()
         assert sim.now == 5.0
@@ -176,10 +169,10 @@ class TestStepAndDrain:
 
 class TestStats:
     def test_counters_track_activity(self, sim):
-        h = sim.schedule(1.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        h.cancel()
-        sim.run()
+        sim.run(until=1.5)
+        sim.discard_pending()
         assert sim.stats.scheduled == 2
         assert sim.stats.fired == 1
         assert sim.stats.cancelled == 1

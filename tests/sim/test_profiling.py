@@ -1,33 +1,73 @@
-"""Unit tests for phase profiling (virtual/wall spans, nesting)."""
+"""Unit tests for phase profiling (virtual/wall totals, nesting, traces)."""
+
+import gc
+import types
 
 from repro.sim.kernel import Simulator
 from repro.sim.profiling import PhaseProfiler
 from repro.sim.trace import TraceLog
 
 
+def _traced(clock):
+    """A profiler on ``clock`` plus the trace log its spans land in."""
+    trace = TraceLog()
+    trace.bind_clock(lambda: clock["t"])
+    return PhaseProfiler(clock=lambda: clock["t"], trace=trace), trace
+
+
+def _phases(trace):
+    return [record.fields for record in trace.records("profile.phase")]
+
+
+def _reachable_count(root) -> int:
+    """GC-tracked objects reachable from ``root``, not descending into
+    functions, classes or modules (a clock lambda would otherwise pull in
+    globals). Untracked leaves (numbers, strings) are skipped: whether two
+    equal totals share one int object is an interpreter detail."""
+    seen = {id(root)}
+    stack = [root]
+    opaque = (types.FunctionType, types.ModuleType, type)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, opaque):
+            continue
+        for child in gc.get_referents(obj):
+            if gc.is_tracked(child) and id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return len(seen)
+
+
 class TestSpans:
     def test_span_records_virtual_interval(self):
         clock = {"t": 1.0}
-        profiler = PhaseProfiler(clock=lambda: clock["t"])
+        profiler, trace = _traced(clock)
         with profiler.phase("build"):
             clock["t"] = 4.5
-        (span,) = profiler.spans
-        assert span.name == "build"
-        assert span.virtual_start == 1.0
-        assert span.virtual_end == 4.5
-        assert span.virtual_s == 3.5
-        assert span.wall_s >= 0.0
-        assert span.depth == 0
+        (record,) = trace.records("profile.phase")
+        assert record.fields["phase"] == "build"
+        assert record.time == 4.5  # emitted at the span's virtual end
+        assert record.fields["virtual_s"] == 3.5
+        assert record.fields["wall_s"] >= 0.0
+        assert record.fields["depth"] == 0
+        snap = profiler.snapshot()
+        assert snap["build.virtual_s"] == 3.5
+        assert snap["build.count"] == 1
 
     def test_span_recorded_even_when_body_raises(self):
-        profiler = PhaseProfiler()
+        profiler, trace = _traced({"t": 0.0})
         try:
             with profiler.phase("boom"):
                 raise ValueError("inside")
         except ValueError:
             pass
-        assert [s.name for s in profiler.spans] == ["boom"]
-        assert profiler.current_phase is None
+        assert [fields["phase"] for fields in _phases(trace)] == ["boom"]
+        assert profiler.snapshot()["boom.count"] == 1
+        # The stack unwound: the next phase is top level again.
+        with profiler.phase("after"):
+            pass
+        assert _phases(trace)[-1]["phase"] == "after"
+        assert _phases(trace)[-1]["depth"] == 0
 
     def test_snapshot_totals_accumulate(self):
         clock = {"t": 0.0}
@@ -40,43 +80,48 @@ class TestSpans:
         assert snap["round.virtual_s"] == 6.0
         assert snap["round.wall_s"] >= 0.0
 
-    def test_clear(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("x"):
-            pass
-        profiler.clear()
-        assert profiler.spans == []
-        assert profiler.snapshot() == {}
+    def test_live_state_does_not_grow_with_phases(self):
+        clock = {"t": 0.0}
+        profiler = PhaseProfiler(clock=lambda: clock["t"])
+
+        def one_epoch():
+            with profiler.phase("round"):
+                with profiler.phase("exchange"):
+                    clock["t"] += 1.0
+
+        one_epoch()
+        after_one = _reachable_count(profiler)
+        for _ in range(999):
+            one_epoch()
+        assert _reachable_count(profiler) == after_one
+        assert profiler.snapshot()["round/exchange.count"] == 1000
 
 
 class TestNesting:
     def test_nested_phases_get_qualified_names(self):
         clock = {"t": 0.0}
-        profiler = PhaseProfiler(clock=lambda: clock["t"])
+        profiler, trace = _traced(clock)
         with profiler.phase("round"):
             clock["t"] = 1.0
             with profiler.phase("exchange"):
                 clock["t"] = 3.0
             with profiler.phase("report"):
                 clock["t"] = 4.0
-        names = [s.name for s in profiler.spans]
+        spans = _phases(trace)
         # Inner spans close first; the outer span covers both.
-        assert names == ["round/exchange", "round/report", "round"]
-        spans = {s.name: s for s in profiler.spans}
-        assert spans["round/exchange"].virtual_s == 2.0
-        assert spans["round/exchange"].depth == 1
-        assert spans["round"].virtual_s == 4.0
-        assert spans["round"].depth == 0
-
-    def test_current_phase_tracks_stack(self):
-        profiler = PhaseProfiler()
-        assert profiler.current_phase is None
-        with profiler.phase("a"):
-            assert profiler.current_phase == "a"
-            with profiler.phase("b"):
-                assert profiler.current_phase == "a/b"
-            assert profiler.current_phase == "a"
-        assert profiler.current_phase is None
+        assert [fields["phase"] for fields in spans] == [
+            "round/exchange",
+            "round/report",
+            "round",
+        ]
+        by_name = {fields["phase"]: fields for fields in spans}
+        assert by_name["round/exchange"]["virtual_s"] == 2.0
+        assert by_name["round/exchange"]["depth"] == 1
+        assert by_name["round"]["virtual_s"] == 4.0
+        assert by_name["round"]["depth"] == 0
+        snap = profiler.snapshot()
+        assert snap["round/exchange.virtual_s"] == 2.0
+        assert snap["round.virtual_s"] == 4.0
 
 
 class TestTraceAndRegistry:

@@ -36,35 +36,6 @@ class TestStreams:
         with pytest.raises(ValueError):
             RngRegistry(1).stream("")
 
-    def test_streams_bulk_accessor(self):
-        registry = RngRegistry(1)
-        generators = registry.streams(["a", "b", "c"])
-        assert len(generators) == 3
-        assert registry.known_streams() == ["a", "b", "c"]
-
-
-class TestFork:
-    def test_fork_is_deterministic(self):
-        a = RngRegistry(7).fork(3).stream("x").random(4)
-        b = RngRegistry(7).fork(3).stream("x").random(4)
-        assert (a == b).all()
-
-    def test_fork_differs_from_parent(self):
-        parent = RngRegistry(7)
-        fork = parent.fork(3)
-        assert not (
-            parent.stream("x").random(4) == fork.stream("x").random(4)
-        ).all()
-
-    def test_different_salts_differ(self):
-        parent = RngRegistry(7)
-        a = parent.fork(1).stream("x").random(4)
-        b = parent.fork(2).stream("x").random(4)
-        assert not (a == b).all()
-
-    def test_master_seed_exposed(self):
-        assert RngRegistry(99).master_seed == 99
-
 
 class TestUniformBlock:
     """The vectorized-draw contract: a block of n draws is the same
