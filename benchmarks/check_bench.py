@@ -14,7 +14,11 @@ hot-path regressions:
    checkout and compares each scenario's best wall-clock against the
    committed quick baseline (``benchmarks/baselines/BENCH_e2e_quick.json``
    — *baselines*, not the gitignored ``results/``) — any scenario slower
-   than ``--max-ratio`` (default 2.0) times the baseline fails the job;
+   than ``--max-ratio`` (default 2.0) times the baseline fails the job,
+   and so does a ``des`` scenario whose seeded counters
+   (``transmissions``, ``deliveries``, ``events_fired``) differ from the
+   baseline's at all: the event-simulated rounds are byte-deterministic,
+   so any drift there is a behaviour change, not noise;
 3. does the same for the aggregation-service benchmark
    (``run_service_bench.py`` at quick scale against
    ``benchmarks/baselines/BENCH_service_quick.json``), so the serving
@@ -266,6 +270,34 @@ def compare(
     return regressions
 
 
+#: Seeded counters a fresh ``des`` quick scenario must reproduce exactly.
+DES_COUNTERS = ("transmissions", "deliveries", "events_fired")
+
+
+def compare_counters(baseline: dict, fresh: dict) -> int:
+    """Print drifted ``des`` counters; return the number of scenarios
+    whose seeded counters differ from the baseline.
+
+    Only ``des`` scenarios are held to exact counters: the fluid and
+    bulk rows draw their frames from closed-form models whose committed
+    counts are not pinned here.
+    """
+    drifted = 0
+    for name, base_entry in sorted(baseline.items()):
+        fresh_entry = fresh.get(name)
+        if fresh_entry is None or base_entry.get("transport") != "des":
+            continue
+        changes = [
+            f"{key} {base_entry[key]} -> {fresh_entry.get(key)}"
+            for key in DES_COUNTERS
+            if fresh_entry.get(key) != base_entry[key]
+        ]
+        if changes:
+            print(f"FAIL {name}: seeded counters drifted: {', '.join(changes)}")
+            drifted += 1
+    return drifted
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -309,6 +341,7 @@ def main(argv=None) -> int:
     baseline = check_e2e_report(QUICK_BASELINE)
     fresh = run_quick_bench(args.repeats)
     regressions = compare(baseline, fresh, args.max_ratio, args.min_slack)
+    regressions += compare_counters(baseline, fresh)
 
     service_baseline = check_service_report(SERVICE_QUICK_BASELINE)
     service_fresh = run_quick_service_bench(args.repeats)

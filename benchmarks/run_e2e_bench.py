@@ -241,8 +241,9 @@ def _run_storm(scenario: Scenario, deployment) -> Tuple[float, dict]:
     Every node sprays frames at its radio neighbors round-robin with
     jittered start times and trivial receive handlers — no protocol
     logic at all. This isolates the per-frame transport cost, which is
-    exactly where the backends differ: the DES schedules O(degree)
-    delivery events per frame (every in-range radio hears it), the
+    exactly where the backends differ: the DES delivers every frame to
+    O(degree) receivers, one kernel event each (every in-range radio
+    hears it; they share one heap entry per frame), the
     fluid backend samples loss/delay in closed form and pays O(1) for a
     unicast nobody overhears. The dense storm pair is the headline
     DES-vs-fluid speedup number; the icpda pairs show the end-to-end

@@ -2,7 +2,7 @@
 
 The DES backend (:class:`~repro.net.stack.NetworkStack`) simulates every
 carrier sense, backoff, collision and per-receiver delivery — faithful,
-but ~20 kernel events per frame in dense fields. This backend replaces
+but one kernel event per receiver of every frame. This backend replaces
 the medium/MAC pair with *sampled closed-form distributions*:
 
 * **Delay.** One event per frame: MAC access jitter (uniform, matching

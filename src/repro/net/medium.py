@@ -11,11 +11,20 @@ is *corrupted* if
 * ``r`` itself transmits during the reception (half-duplex radios), or
 * an independent ambient-loss coin flips against it.
 
-Clean receptions are delivered to ``r``'s receive callback at the frame's
-end time. Delivery happens for **every** in-range node — addressing is a
-link-layer filter, so promiscuous listeners (iCPDA witnesses) observe
-frames not addressed to them. This shared-medium behaviour is exactly the
-physical property the paper's integrity mechanism exploits.
+Clean receptions are delivered to ``r`` when the frame reaches it: its
+end time plus the propagation delay. Delivery happens for **every**
+in-range node — addressing is a link-layer filter, so promiscuous
+listeners (iCPDA witnesses) observe frames not addressed to them. This
+shared-medium behaviour is exactly the physical property the paper's
+integrity mechanism exploits.
+
+Delivery
+--------
+With a distance lookup, a frame's end reserves one kernel key per
+receiver it reaches, ``(t_end + delay, seq)`` with seqs in adjacency
+order, and one heap entry hands them all to the sweep registered with
+:meth:`WirelessMedium.attach_sweep`. Without distances, frames go to
+per-node :meth:`WirelessMedium.attach` callbacks at their end time.
 
 Hot path
 --------
@@ -34,6 +43,7 @@ that guarantee this are documented in ``docs/PERF.md``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -44,6 +54,9 @@ from repro.sim.kernel import Simulator
 
 #: Signature of a node's frame-delivery callback.
 ReceiveCallback = Callable[[Packet], None]
+
+#: One reception of a frame: ``(propagation delay, seq offset, receiver)``.
+DeliveryEntry = Tuple[float, int, int]
 
 #: Corruption causes, recorded the moment a frame is corrupted (not
 #: inferred at completion, where the channel state may have moved on).
@@ -154,13 +167,10 @@ class WirelessMedium:
         self._distances = distances
         #: sender -> (receiver -> meters), lazily filled; geometry is fixed.
         self._distance_cache: Dict[int, Dict[int, float]] = {}
-        #: sender -> (receiver -> seconds): the propagation delays the
-        #: delivery sweep needs, precomputed from the distance row with
-        #: the exact same ``d / c`` division the per-delivery call made
-        #: (so scheduled times stay bit-identical) — a dict probe per
-        #: delivery instead of a method call and a float division.
-        self._delay_cache: Dict[int, Dict[int, float]] = {}
+        #: sender -> ``(entries, min_gap)``, see :meth:`_delivery_order`.
+        self._order_cache: Dict[int, Tuple[Tuple[DeliveryEntry, ...], float]] = {}
         self._receivers: Dict[int, ReceiveCallback] = {}
+        self._sweep: Optional[Callable[..., None]] = None
         #: node -> number of in-flight transmissions audible there. The
         #: O(1) replacement for a per-node set of transmission objects.
         self._audible_count: Dict[int, int] = {node: 0 for node in self._adjacency}
@@ -188,10 +198,27 @@ class WirelessMedium:
         return self._radio
 
     def attach(self, node_id: int, callback: ReceiveCallback) -> None:
-        """Register the frame-delivery callback for ``node_id``."""
+        """Register ``node_id``'s frame-delivery callback (a medium without
+        distances: frames arrive at their end time)."""
         if node_id not in self._adjacency:
             raise SimulationError(f"node {node_id} not in medium adjacency")
+        if self._distances is not None:
+            raise SimulationError(
+                "a propagation-delayed medium delivers through attach_sweep"
+            )
         self._receivers[node_id] = callback
+
+    def attach_sweep(self, sweep: Callable[..., None]) -> None:
+        """Register the callback that delivers every frame of a medium
+        with distances. ``sweep(packet, t_end, entries, first, index)``
+        runs as the event of ``entries[index]`` and delivers the rest in
+        order, ``(delay, offset, receiver)`` at ``(t_end + delay, first +
+        offset)``, via :meth:`Simulator.claim` or ``schedule_at(..., seq)``;
+        it skips receivers dead on arrival and counts the others in
+        ``stats.deliveries``. Distance-zero arrivals come as direct calls."""
+        if self._distances is None:
+            raise SimulationError("a medium without distances delivers through attach")
+        self._sweep = sweep
 
     def neighbors(self, node_id: int) -> Tuple[int, ...]:
         """Node ids within radio range of ``node_id`` (immutable tuple —
@@ -200,8 +227,9 @@ class WirelessMedium:
 
     def kill_node(self, node_id: int) -> None:
         """Crash-stop ``node_id``: it transmits nothing and receives
-        nothing from now on (fail-silent model). In-flight frames it
-        already sent still propagate — the radio wave is out there."""
+        nothing from now on, not even a frame already on its way to it
+        (fail-silent model). In-flight frames it already sent still
+        propagate — the radio wave is out there."""
         if node_id not in self._adjacency:
             raise SimulationError(f"unknown node {node_id}")
         self._dead.add(node_id)
@@ -288,55 +316,66 @@ class WirelessMedium:
         self._transmitting[tx.sender] = None
         counts = self._audible_count
         receivers = self._adjacency[tx.sender]
-        # Fast pass: nothing got corrupted and the channel cannot lose a
-        # clean frame, so this is a pure delivery sweep — no dict probes,
-        # no RNG, no trace. Receivers are still processed strictly in
-        # adjacency order and the overlap counter is decremented *before*
-        # each delivery, so a re-entrant transmit out of a delivery
-        # callback observes exactly the channel state the reference
-        # implementation would have shown it. ``corrupted_at`` is
-        # re-checked per receiver for the same reason.
-        if tx.corrupted_at is None and not self._lossy:
-            dead = self._dead
-            callbacks = self._receivers
-            stats = self.stats
-            distances = self._distances
-            packet = tx.packet
-            sender = tx.sender
-            if distances is None:
+        sweep = self._sweep
+        if sweep is not None and receivers:
+            row = self._order_cache.get(tx.sender)
+            entries, min_gap = row or self._delivery_order(tx.sender, receivers)
+            if entries[0][0] > 0:
+                # No callback runs before _complete returns, so the
+                # overlap counters may all drop first.
                 for receiver in receivers:
                     counts[receiver] -= 1
-                    if tx.corrupted_at is not None:
-                        self._finish_reception(tx, receiver)
-                        continue
-                    callback = callbacks.get(receiver)
-                    if callback is None or receiver in dead:
-                        continue
-                    stats.deliveries += 1
-                    callback(packet)
+                if tx.corrupted_at is not None or self._lossy or self._dead:
+                    # Reference pass. The receivers the frame reaches
+                    # take consecutive seq offsets in adjacency order.
+                    offsets: Dict[int, int] = {}
+                    for position, receiver in enumerate(receivers):
+                        if self._finish_reception(tx, receiver):
+                            offsets[position] = len(offsets)
+                    entries = [
+                        (d, offsets[p], r) for d, p, r in entries if p in offsets
+                    ]
+                if entries:
+                    self._propagate(tx.packet, entries, min_gap)
+                self._active.remove(tx)
+                return
+        # Instant delivery (no distances, or a receiver at distance zero):
+        # receivers strictly in adjacency order, the overlap counter
+        # decremented *before* each delivery, so a re-entrant transmit out
+        # of a delivery callback sees the per-receiver channel state.
+        for receiver in receivers:
+            counts[receiver] -= 1
+            if not self._finish_reception(tx, receiver):
+                continue
+            if sweep is None:
+                callback = self._receivers.get(receiver)
+                if callback is not None:
+                    self.stats.deliveries += 1
+                    callback(tx.packet)
+                continue
+            distance = self._distance_row(tx.sender, receivers)[receiver]
+            entry = ((self._radio.propagation_delay(distance), 0, receiver),)
+            if entry[0][0] > 0:
+                self._propagate(tx.packet, entry, math.inf)
             else:
-                delay_row = self._delay_row(sender, receivers)
-                schedule = self._sim.schedule
-                packet_args = (packet,)
-                for receiver in receivers:
-                    counts[receiver] -= 1
-                    if tx.corrupted_at is not None:
-                        self._finish_reception(tx, receiver)
-                        continue
-                    callback = callbacks.get(receiver)
-                    if callback is None or receiver in dead:
-                        continue
-                    stats.deliveries += 1
-                    delay = delay_row[receiver]
-                    if delay > 0:
-                        schedule(delay, callback, packet_args)
-                    else:
-                        callback(packet)
-        else:
-            for receiver in receivers:
-                counts[receiver] -= 1
-                self._finish_reception(tx, receiver)
+                sweep(tx.packet, self._sim.now, entry, 0, 0)
         self._active.remove(tx)
+
+    def _propagate(
+        self, packet: Packet, entries: Sequence[DeliveryEntry], min_gap: float
+    ) -> None:
+        """Reserve one kernel key per entry and put the sweep on the heap
+        at the earliest."""
+        sim = self._sim
+        now = sim.now
+        if len(entries) > 1 and min_gap <= 2.0 * math.ulp(now):
+            # Two arrivals may round to one instant, which the kernel
+            # orders by seq, not by delay: sort by the kernel's own key.
+            entries = sorted(entries, key=lambda e: (now + e[0], e[1]))
+        first = sim.reserve(len(entries))
+        delay, offset, _ = entries[0]
+        args = (packet, now, entries, first, 0)
+        sim.schedule_at(now + delay, self._sweep, args, first + offset)
 
     def _distance_row(
         self, sender: int, receivers: Tuple[int, ...]
@@ -349,22 +388,28 @@ class WirelessMedium:
             self._distance_cache[sender] = row
         return row
 
-    def _delay_row(
+    def _delivery_order(
         self, sender: int, receivers: Tuple[int, ...]
-    ) -> Dict[int, float]:
-        """Cached ``receiver -> propagation seconds`` for ``sender``."""
-        row = self._delay_cache.get(sender)
+    ) -> Tuple[Tuple[DeliveryEntry, ...], float]:
+        """Cached ``(entries, min_gap)`` for ``sender``: one ``(delay,
+        adjacency position, receiver)`` per receiver, sorted, and the
+        smallest non-zero gap between two delays. The delay is the exact
+        ``d / c`` division, so arrival times stay bit-identical."""
+        row = self._order_cache.get(sender)
         if row is None:
-            propagation_delay = self._radio.propagation_delay
+            delay = self._radio.propagation_delay
             dist_row = self._distance_row(sender, receivers)
-            row = {
-                receiver: propagation_delay(dist_row[receiver])
-                for receiver in receivers
-            }
-            self._delay_cache[sender] = row
+            entries = tuple(
+                sorted((delay(dist_row[r]), p, r) for p, r in enumerate(receivers))
+            )
+            gaps = [b[0] - a[0] for a, b in zip(entries, entries[1:]) if b[0] > a[0]]
+            row = (entries, min(gaps, default=math.inf))
+            self._order_cache[sender] = row
         return row
 
-    def _finish_reception(self, tx: _Transmission, receiver: int) -> None:
+    def _finish_reception(self, tx: _Transmission, receiver: int) -> bool:
+        """Count and trace ``tx``'s fate at ``receiver``; True if a live
+        receiver gets the frame (delivering it is the caller's job)."""
         # A crashed receiver observes nothing: its losses must not enter
         # MediumStats (collision/loss rates are per *live* radio). The
         # ambient-loss coin is still flipped below so the shared RNG
@@ -375,7 +420,7 @@ class WirelessMedium:
         cause = corrupted.get(receiver) if corrupted is not None else None
         if cause is not None:
             if dead:
-                return
+                return False
             if cause == CAUSE_HALF_DUPLEX:
                 self.stats.half_duplex_losses += 1
             else:
@@ -390,7 +435,7 @@ class WirelessMedium:
                     kind=tx.packet.kind,
                     cause=cause,
                 )
-            return
+            return False
         radio = self._radio
         loss_probability = radio.ambient_loss
         if radio.edge_fading > 0 and self._distances is not None:
@@ -404,7 +449,7 @@ class WirelessMedium:
             )
         if loss_probability > 0 and self._loss_rng.random() < loss_probability:
             if dead:
-                return
+                return False
             self.stats.ambient_losses += 1
             trace = self._trace
             if trace.on:
@@ -415,15 +460,5 @@ class WirelessMedium:
                     receiver=receiver,
                     kind=tx.packet.kind,
                 )
-            return
-        callback = self._receivers.get(receiver)
-        if callback is None or dead:
-            return
-        self.stats.deliveries += 1
-        delay = 0.0
-        if self._distances is not None:
-            delay = self._delay_row(tx.sender, self._adjacency[tx.sender])[receiver]
-        if delay > 0:
-            self._sim.schedule(delay, callback, (tx.packet,))
-        else:
-            callback(tx.packet)
+            return False
+        return not dead

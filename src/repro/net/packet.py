@@ -75,7 +75,13 @@ def payload_size(value: Any) -> int:
     if kind is int:
         return 4 if -2147483648 <= value < 2147483648 else 8
     if kind is tuple or kind is list:
-        return sum(payload_size(v) for v in value)
+        total = 0
+        for item in value:  # a loop, not sum(genexpr): int items sized in place
+            if type(item) is int:
+                total += 4 if -2147483648 <= item < 2147483648 else 8
+            else:
+                total += payload_size(item)
+        return total
     if kind is float:
         return 4
     if kind is str:

@@ -26,13 +26,13 @@ only to this facade (``send``/``broadcast`` out, ``register_handler``/
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.metrics.counters import MessageCounters
 from repro.net.energy import EnergyModel
 from repro.net.mac import CsmaMac, MacParams
-from repro.net.medium import WirelessMedium
+from repro.net.medium import DeliveryEntry, WirelessMedium
 from repro.net.node import Node
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
@@ -97,10 +97,21 @@ class NetworkStack:
         self.macs: Dict[int, CsmaMac] = {}
         params = mac_params if mac_params is not None else MacParams()
         for node_id in range(deployment.num_nodes):
-            node = Node(node_id)
-            self.nodes[node_id] = node
+            self.nodes[node_id] = Node(node_id)
             self.macs[node_id] = CsmaMac(sim, self.medium, node_id, params)
-            self.medium.attach(node_id, self._make_delivery(node))
+        # Overhear listeners, laid out as in the fluid transports: kind ->
+        # node -> listeners (kinds= hint), node -> listeners (no hint).
+        self._kind_overhear: Dict[str, Dict[int, List[OverhearListener]]] = {}
+        self._wild_overhear: Dict[int, List[OverhearListener]] = {}
+        # The sweep's per-node views, indexed by node id. Node and
+        # EnergyModel mutate these containers in place, never rebind.
+        self._node_list = list(self.nodes.values())
+        self._handlers = [node._handlers for node in self._node_list]
+        self._dead = self.medium._dead
+        self._spent = self.energy._spent if type(self.energy) is EnergyModel else None
+        self._record_rx = self.counters.record_rx
+        self._claim = sim.claim
+        self.medium.attach_sweep(self._sweep)
         # One merged, namespaced snapshot per run: every accounting
         # object this stack owns reports through the kernel's registry
         # (replace=True: a rebuilt stack on the same simulator wins).
@@ -122,58 +133,83 @@ class NetworkStack:
         totals["queued"] = queued
         return totals
 
-    def _make_delivery(self, node: Node) -> Callable[[Packet], None]:
-        # The fused per-node receive path: energy accounting, overhear
-        # dispatch, and handler dispatch in ONE closure — this runs for
-        # every clean reception in the network (O(N * degree) per round),
-        # so each avoided call frame matters. Listeners and handlers get
-        # the receiver's id first (the seam's ``callback(node_id, packet)``
-        # contract). The bound containers are
-        # mutated in place by Node registration and EnergyModel.reset()
-        # (.clear(), never rebind), so the bindings stay live.
-        node_id = node.node_id
-        energy = self.energy
-        if type(energy) is EnergyModel:
-            spent = energy._spent
-            rx_j_per_byte = energy.rx_j_per_byte
-            account_rx = None
+    def _sweep(
+        self,
+        packet: Packet,
+        start: float,
+        entries: Sequence[DeliveryEntry],
+        first: int,
+        index: int,
+    ) -> None:
+        """Deliver ``packet`` to ``entries[index:]`` in arrival order, as
+        the medium's sweep (:meth:`WirelessMedium.attach_sweep`).
+
+        Per live receiver: rx energy, then kind-scoped and wildcard
+        overhear listeners, then — if addressed to it — the rx counters
+        and the handler, each called as ``callback(node_id, packet)``.
+        A receiver nobody listens on pays the energy add only.
+        """
+        claim = self._claim
+        dead = self._dead
+        nodes = self._node_list
+        handlers_of = self._handlers
+        kind = packet.kind
+        kind_overhear = self._kind_overhear.get(kind)
+        if kind_overhear is None:  # a live view: handlers may register mid-sweep
+            kind_overhear = self._kind_overhear[kind] = {}
+        wild_overhear = self._wild_overhear
+        record_rx = self._record_rx
+        size = packet.size_bytes
+        spent = self._spent
+        if spent is not None:
+            spent_get = spent.get
+            rx_j = self.energy.rx_j_per_byte * size
         else:  # externally-supplied accounting object: keep the seam
-            spent = {}
-            rx_j_per_byte = 0.0
-            account_rx = energy.account_rx
-        record_rx = self.counters.record_rx
-        kind_overhear = node._kind_overhear
-        wild_overhear = node._wild_overhear
-        handlers = node._handlers
-        spent_get = spent.get
-
-        def deliver(packet: Packet) -> None:
-            size = packet.size_bytes
-            if account_rx is None:
-                spent[node_id] = spent_get(node_id, 0.0) + rx_j_per_byte * size
-            else:
-                account_rx(node_id, size)
-            kind = packet.kind
-            if kind_overhear:
-                listeners = kind_overhear.get(kind)
-                if listeners:
-                    for listener in tuple(listeners):
+            account_rx = self.energy.account_rx
+        dst = packet.dst
+        broadcast = dst == BROADCAST
+        start_index = index
+        skipped = 0
+        due = True  # the first entry's own kernel event is running
+        try:
+            for delay, offset, receiver in entries[index:]:
+                if due:
+                    due = False
+                elif not claim(start + delay, first + offset):
+                    return
+                index += 1
+                if receiver in dead:
+                    skipped += 1
+                    continue
+                if spent is not None:
+                    spent[receiver] = spent_get(receiver, 0.0) + rx_j
+                else:
+                    account_rx(receiver, size)
+                if receiver in kind_overhear:
+                    node = nodes[receiver]
+                    for listener in tuple(kind_overhear[receiver]):
                         node.overheard += 1
-                        listener(node_id, packet)
-            if wild_overhear:
-                for listener in tuple(wild_overhear):
-                    node.overheard += 1
-                    listener(node_id, packet)
-            dst = packet.dst
-            if dst != BROADCAST and dst != node_id:
-                return
-            record_rx(node_id, kind, size)
-            node.received += 1
-            handler = handlers.get(kind)
-            if handler is not None:
-                handler(node_id, packet)
-
-        return deliver
+                        listener(receiver, packet)
+                if wild_overhear and receiver in wild_overhear:
+                    node = nodes[receiver]
+                    for listener in tuple(wild_overhear[receiver]):
+                        node.overheard += 1
+                        listener(receiver, packet)
+                if broadcast or dst == receiver:
+                    record_rx(receiver, kind, size)
+                    nodes[receiver].received += 1
+                    handler = handlers_of[receiver].get(kind)
+                    if handler is not None:
+                        handler(receiver, packet)
+        finally:
+            self.medium.stats.deliveries += index - start_index - skipped
+            # A key that was not claimed — the next one is not due, or a
+            # listener or handler raised — goes back on the heap with the
+            # rest of the frame behind it, pending as its own event would be.
+            if index < len(entries):
+                delay, offset, _ = entries[index]
+                args = (packet, start, entries, first, index)
+                self.sim.schedule_at(start + delay, self._sweep, args, first + offset)
 
     # -- sending ----------------------------------------------------------------
 
@@ -274,11 +310,20 @@ class NetworkStack:
         themselves; the hint never changes what a listener can observe,
         only spares the no-op calls.
         """
-        self.nodes[node_id].register_overhear(listener, kinds)
+        if node_id not in self.nodes:
+            raise KeyError(node_id)
+        if kinds is None:
+            self._wild_overhear.setdefault(node_id, []).append(listener)
+            return
+        for kind in kinds:
+            by_node = self._kind_overhear.setdefault(kind, {})
+            by_node.setdefault(node_id, []).append(listener)
 
     def clear_overhear(self, node_id: int) -> None:
         """Remove every promiscuous listener at ``node_id``."""
-        self.nodes[node_id].clear_overhear()
+        self._wild_overhear.pop(node_id, None)
+        for by_node in self._kind_overhear.values():
+            by_node.pop(node_id, None)
 
     def node_ids(self) -> Iterable[int]:
         """All node ids in ascending order (the iteration order every

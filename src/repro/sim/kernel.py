@@ -8,6 +8,9 @@ The kernel is intentionally small and deterministic:
 * events are fire-and-forget: scheduling returns nothing and an event,
   once scheduled, fires (only :meth:`Simulator.discard_pending` drops
   events, all at once);
+* many events (a frame's receptions) may stand behind one heap entry
+  via :meth:`~Simulator.reserve` and :meth:`~Simulator.claim`, still
+  firing and counting each at its own ``(time, seq)``;
 * every run is reproducible because all randomness is drawn from the
   kernel's :class:`~repro.sim.rng.RngRegistry`.
 
@@ -48,11 +51,14 @@ class KernelStats:
     Attributes
     ----------
     scheduled:
-        Total events ever pushed onto the heap.
+        Total events ever scheduled, reserved keys included.
     fired:
-        Events whose callbacks were executed.
+        Events whose callbacks were executed, claimed keys included.
     cancelled:
         Events dropped unfired by :meth:`Simulator.discard_pending`.
+    max_queue_len:
+        Most events ever pending at once. Reserved keys count one each,
+        whether or not an entry stands on the heap for them.
     """
 
     scheduled: int = 0
@@ -90,6 +96,9 @@ class Simulator:
         self._now = 0.0
         self._heap: List[_HeapEntry] = []
         self._next_seq = itertools.count().__next__
+        #: Reserved keys with no heap entry: pending = len(_heap) + this.
+        self._reserved = 0
+        self._until = math.inf
         self._running = False
         self.stats = KernelStats()
         self.rng = RngRegistry(seed)
@@ -136,14 +145,15 @@ class Simulator:
         # call on the hot path.
         if not delay >= 0:
             raise ScheduleInPastError(f"cannot schedule with delay {delay!r}")
-        # Inlined _push: this is the kernel's hottest entry point (the
-        # delivery fan-out) — one call frame matters.
+        # Inlined _push: this is the kernel's hottest entry point (MAC
+        # backoffs and protocol timers) — one call frame matters.
         heap = self._heap
         heapq.heappush(heap, (self._now + delay, self._next_seq(), callback, args))
         stats = self.stats
         stats.scheduled += 1
-        if len(heap) > stats.max_queue_len:
-            stats.max_queue_len = len(heap)
+        queued = len(heap) + self._reserved
+        if queued > stats.max_queue_len:
+            stats.max_queue_len = queued
 
     #: Alias of :meth:`schedule`. The benchmark's tracer
     #: (``perfbench/tracing.py``) patches all four scheduler names.
@@ -154,8 +164,11 @@ class Simulator:
         time: float,
         callback: Callable[..., None],
         args: Tuple[Any, ...] = (),
+        seq: Optional[int] = None,
     ) -> None:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        ``seq`` places the entry at a key from :meth:`reserve`.
 
         Raises
         ------
@@ -166,7 +179,47 @@ class Simulator:
             raise ScheduleInPastError(
                 f"cannot schedule at t={time!r} (now={self._now!r})"
             )
-        self._push(time, callback, args)
+        if seq is None:
+            self._push(time, callback, args)
+        else:
+            heapq.heappush(self._heap, (time, seq, callback, args))
+            self._reserved -= 1
+
+    def reserve(self, count: int) -> int:
+        """Reserve ``count`` consecutive seqs, scheduled as of now; returns
+        the first. The caller fires each reserved key once, placed with
+        ``schedule_at(time, callback, args, seq)`` or in place through
+        :meth:`claim`: one heap entry can stand for many events."""
+        first = self._next_seq()
+        if count > 1:
+            self._next_seq = itertools.count(first + count).__next__
+        stats = self.stats
+        stats.scheduled += count
+        self._reserved += count
+        queued = len(self._heap) + self._reserved
+        if queued > stats.max_queue_len:
+            stats.max_queue_len = queued
+        return first
+
+    def claim(self, time: float, seq: int) -> bool:
+        """Fire the reserved key ``(time, seq)`` from inside the running
+        callback, if it is due: no heap entry precedes it and ``time`` is
+        within the :meth:`run` window. Then the clock moves to ``time``
+        and the event counts as fired; otherwise nothing changes and the
+        caller places the key with ``schedule_at(..., seq)``."""
+        heap = self._heap
+        if heap:
+            # The head's key precedes (time, seq)? Element-wise: cheaper
+            # than building a tuple, and seq is unique, so no tie.
+            head = heap[0]
+            if head[0] <= time and (head[0] < time or head[1] < seq):
+                return False
+        if time > self._until:
+            return False
+        self._reserved -= 1
+        self.stats.fired += 1
+        self._now = time
+        return True
 
     def schedule_batch(
         self,
@@ -206,8 +259,9 @@ class Simulator:
         heapq.heappush(heap, (time, self._next_seq(), callback, args))
         stats = self.stats
         stats.scheduled += 1
-        if len(heap) > stats.max_queue_len:
-            stats.max_queue_len = len(heap)
+        queued = len(heap) + self._reserved
+        if queued > stats.max_queue_len:
+            stats.max_queue_len = queued
 
     def _fire_batch(
         self, resolver: Callable[..., int], args: Tuple[Any, ...]
@@ -239,6 +293,7 @@ class Simulator:
         if math.isnan(until) or until < self._now:
             raise KernelStateError(f"cannot run until t={until!r} (now={self._now!r})")
         self._running = True
+        self._until = until
         heap = self._heap
         stats = self.stats
         heappop = heapq.heappop
@@ -269,8 +324,9 @@ class Simulator:
             raise KernelStateError(
                 "cannot discard events from inside an event callback"
             )
-        dropped = len(self._heap)
+        dropped = len(self._heap) + self._reserved
         self._heap.clear()
+        self._reserved = 0
         self.stats.cancelled += dropped
         return dropped
 

@@ -114,6 +114,50 @@ class TestPeakRssCeiling:
         assert check_bench.compare(baseline, fresh, 2.0, 0.05) == 0
 
 
+def _counted(transport, **counters):
+    entry = {
+        "best_seconds": 0.1,
+        "transport": transport,
+        "transmissions": 100,
+        "deliveries": 900,
+        "events_fired": 1200,
+    }
+    entry.update(counters)
+    return entry
+
+
+class TestSeededCounters:
+    """A fresh ``des`` quick row must reproduce the baseline's seeded
+    transmissions, deliveries and events exactly."""
+
+    def test_identical_counters_pass(self, check_bench, capsys):
+        scenarios = {"a": _counted("des"), "b": _counted("fluid")}
+        assert check_bench.compare_counters(scenarios, scenarios) == 0
+
+    @pytest.mark.parametrize("key", ["transmissions", "deliveries", "events_fired"])
+    def test_any_drifted_des_counter_fails(self, check_bench, capsys, key):
+        baseline = {"a": _counted("des")}
+        fresh = {"a": _counted("des", **{key: 1})}
+        assert check_bench.compare_counters(baseline, fresh) == 1
+        assert key in capsys.readouterr().out
+
+    def test_non_des_rows_are_not_pinned(self, check_bench, capsys):
+        baseline = {"a": _counted("fluid"), "b": _counted("fluid-bulk")}
+        fresh = {
+            "a": _counted("fluid", deliveries=1),
+            "b": _counted("fluid-bulk", events_fired=1),
+        }
+        assert check_bench.compare_counters(baseline, fresh) == 0
+
+    def test_committed_quick_baseline_pins_every_des_row(self, check_bench):
+        baseline = check_bench.check_e2e_report(check_bench.QUICK_BASELINE)
+        des = {name for name, e in baseline.items() if e["transport"] == "des"}
+        assert len(des) >= 5
+        for name in des:
+            for key in check_bench.DES_COUNTERS:
+                assert baseline[name][key] > 0
+
+
 def _service_entry(**overrides):
     entry = {
         "num_nodes": 120,

@@ -78,10 +78,11 @@ class TestSoak:
 
     def test_overhear_listeners_do_not_accumulate(self, soak):
         _, _, protocol = soak
-        for node in protocol.stack.nodes.values():
+        stack = protocol.stack
+        for node in stack.nodes:
             # Exchange + integrity each register at most one listener
             # per round; after N rounds there must not be ~2N.
-            registered = len(node._wild_overhear) + sum(
-                len(listeners) for listeners in node._kind_overhear.values()
+            registered = len(stack._wild_overhear.get(node, ())) + sum(
+                len(by_node.get(node, ())) for by_node in stack._kind_overhear.values()
             )
             assert registered <= 4

@@ -35,7 +35,10 @@ FIELD_M = 250.0
 RANGE_M = 50.0
 SEED = 42
 
-#: Goldens captured on the pre-optimization revision (commit 8e1c7b5).
+#: Goldens captured on the pre-optimization revision (commit 8e1c7b5);
+#: the full kernel snapshot (``max_queue_len`` included) was recorded
+#: later, on the last revision that scheduled one kernel event per
+#: receiver of a frame.
 GOLDEN_CLEAN = {
     "trace_sha256": "3a15c4ad2d9f3a784b9510cde2567df394d67349cbf895bdadb399f48b40e990",
     "medium": {
@@ -45,7 +48,12 @@ GOLDEN_CLEAN = {
         "ambient_losses": 0,
         "half_duplex_losses": 0,
     },
-    "kernel_fired": 51687,
+    "kernel": {
+        "scheduled": 51687,
+        "fired": 51687,
+        "cancelled": 0,
+        "max_queue_len": 208,
+    },
     "value": 74259.71,
     "contributors": 135,
 }
@@ -58,7 +66,12 @@ GOLDEN_LOSSY = {
         "ambient_losses": 6776,
         "half_duplex_losses": 0,
     },
-    "kernel_fired": 47538,
+    "kernel": {
+        "scheduled": 47538,
+        "fired": 47538,
+        "cancelled": 0,
+        "max_queue_len": 194,
+    },
     "value": None,
     "contributors": 107,
 }
@@ -89,8 +102,7 @@ def _run_dense_round(radio=None, kill=None):
         "trace_sha256": hashlib.sha256(trace_bytes).hexdigest(),
         "trace_bytes": trace_bytes,
         "medium": proto.stack.medium.stats.snapshot(),
-        "kernel_fired": proto.sim.stats.fired,
-        "kernel_scheduled": proto.sim.stats.scheduled,
+        "kernel": proto.sim.stats.snapshot(),
         "result_repr": repr(result),
         "verdict": result.verdict,
         "value": result.value,
@@ -101,14 +113,13 @@ def _run_dense_round(radio=None, kill=None):
 def _assert_same_run(first, second):
     assert first["trace_bytes"] == second["trace_bytes"]
     assert first["medium"] == second["medium"]
-    assert first["kernel_fired"] == second["kernel_fired"]
-    assert first["kernel_scheduled"] == second["kernel_scheduled"]
+    assert first["kernel"] == second["kernel"]
     assert first["result_repr"] == second["result_repr"]
 
 
 def _assert_matches_golden(run, golden):
     assert run["medium"] == golden["medium"]
-    assert run["kernel_fired"] == golden["kernel_fired"]
+    assert run["kernel"] == golden["kernel"]
     assert run["value"] == golden["value"]
     assert run["contributors"] == golden["contributors"]
     assert run["trace_sha256"] == golden["trace_sha256"]

@@ -1,57 +1,73 @@
-"""Unit tests for node dispatch and overhearing."""
+"""Unit tests for node dispatch and overhearing, driven through the stack.
 
+Three radios in mutual range: node 0 sends, node 1 is the node under
+test, and node 2 is another destination that node 1 still hears.
+"""
+
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.net.node import Node
-from repro.net.packet import BROADCAST, Packet
+from repro.net.packet import BROADCAST
+from repro.net.stack import NetworkStack
+from repro.sim.kernel import Simulator
+from repro.topology.deploy import Deployment
+
+
+@pytest.fixture
+def stack():
+    triangle = Deployment(
+        positions=np.array([[0.0, 0.0], [30.0, 0.0], [15.0, 20.0]]),
+        field_size=100.0,
+        radio_range=50.0,
+    )
+    return NetworkStack(Simulator(seed=3), triangle)
+
+
+def deliver(stack, dst, kind="x"):
+    """Send one frame from node 0 to ``dst`` and run it to completion."""
+    if dst == BROADCAST:
+        stack.broadcast(0, kind)
+    else:
+        stack.send(0, dst, kind)
+    stack.sim.run()
 
 
 class TestHandlerDispatch:
-    def test_addressed_frame_reaches_handler(self):
-        node = Node(5)
+    def test_addressed_frame_reaches_handler(self, stack):
         got = []
-        node.register_handler("x", lambda _node, p: got.append(p))
-        node.deliver(Packet(src=1, dst=5, kind="x"))
+        stack.register_handler(1, "x", lambda _node, p: got.append(p))
+        deliver(stack, 1)
         assert len(got) == 1
-        assert node.received == 1
+        assert stack.nodes[1].received == 1
 
-    def test_broadcast_reaches_handler(self):
-        node = Node(5)
+    def test_broadcast_reaches_handler(self, stack):
         got = []
-        node.register_handler("x", lambda _node, p: got.append(p))
-        node.deliver(Packet(src=1, dst=BROADCAST, kind="x"))
+        stack.register_handler(1, "x", lambda _node, p: got.append(p))
+        deliver(stack, BROADCAST)
         assert len(got) == 1
 
-    def test_frame_for_other_node_ignored(self):
-        node = Node(5)
+    def test_frame_for_other_node_ignored(self, stack):
         got = []
-        node.register_handler("x", lambda _node, p: got.append(p))
-        node.deliver(Packet(src=1, dst=6, kind="x"))
+        stack.register_handler(1, "x", lambda _node, p: got.append(p))
+        deliver(stack, 2)
         assert got == []
-        assert node.received == 0
+        assert stack.nodes[1].received == 0
 
-    def test_unknown_kind_goes_to_fallback(self):
-        fallback = []
-        node = Node(5, on_unhandled=lambda _node, p: fallback.append(p))
-        node.deliver(Packet(src=1, dst=5, kind="mystery"))
-        assert len(fallback) == 1
-
-    def test_reregistering_replaces_handler(self):
-        node = Node(5)
+    def test_reregistering_replaces_handler(self, stack):
         first, second = [], []
-        node.register_handler("x", lambda _node, p: first.append(p))
-        node.register_handler("x", lambda _node, p: second.append(p))
-        node.deliver(Packet(src=1, dst=5, kind="x"))
+        stack.register_handler(1, "x", lambda _node, p: first.append(p))
+        stack.register_handler(1, "x", lambda _node, p: second.append(p))
+        deliver(stack, 1)
         assert first == []
         assert len(second) == 1
 
-    def test_unregister(self):
-        node = Node(5)
+    def test_unregister(self, stack):
         got = []
-        node.register_handler("x", lambda _node, p: got.append(p))
-        node.unregister_handler("x")
-        node.deliver(Packet(src=1, dst=5, kind="x"))
+        stack.register_handler(1, "x", lambda _node, p: got.append(p))
+        stack.nodes[1].unregister_handler("x")
+        deliver(stack, 1)
         assert got == []
 
     def test_empty_kind_rejected(self):
@@ -60,41 +76,36 @@ class TestHandlerDispatch:
 
 
 class TestOverhearing:
-    def test_overhear_sees_frames_for_others(self):
-        node = Node(5)
+    def test_overhear_sees_frames_for_others(self, stack):
         heard = []
-        node.register_overhear(lambda _node, p: heard.append(p))
-        node.deliver(Packet(src=1, dst=6, kind="x"))
+        stack.register_overhear(1, lambda _node, p: heard.append(p))
+        deliver(stack, 2)
         assert len(heard) == 1
-        assert node.overheard == 1
+        assert stack.nodes[1].overheard == 1
 
-    def test_overhear_sees_own_frames_too(self):
-        node = Node(5)
+    def test_overhear_sees_own_frames_too(self, stack):
         heard = []
-        node.register_overhear(lambda _node, p: heard.append(p))
-        node.deliver(Packet(src=1, dst=5, kind="x"))
+        stack.register_overhear(1, lambda _node, p: heard.append(p))
+        deliver(stack, 1)
         assert len(heard) == 1
 
-    def test_multiple_listeners_all_called(self):
-        node = Node(5)
+    def test_multiple_listeners_all_called(self, stack):
         a, b = [], []
-        node.register_overhear(lambda _node, p: a.append(p))
-        node.register_overhear(lambda _node, p: b.append(p))
-        node.deliver(Packet(src=1, dst=9, kind="x"))
+        stack.register_overhear(1, lambda _node, p: a.append(p))
+        stack.register_overhear(1, lambda _node, p: b.append(p))
+        deliver(stack, 2)
         assert len(a) == 1 and len(b) == 1
 
-    def test_clear_overhear(self):
-        node = Node(5)
+    def test_clear_overhear(self, stack):
         heard = []
-        node.register_overhear(lambda _node, p: heard.append(p))
-        node.clear_overhear()
-        node.deliver(Packet(src=1, dst=9, kind="x"))
+        stack.register_overhear(1, lambda _node, p: heard.append(p))
+        stack.clear_overhear(1)
+        deliver(stack, 2)
         assert heard == []
 
-    def test_overhear_runs_before_handler(self):
-        node = Node(5)
+    def test_overhear_runs_before_handler(self, stack):
         order = []
-        node.register_overhear(lambda _node, p: order.append("overhear"))
-        node.register_handler("x", lambda _node, p: order.append("handler"))
-        node.deliver(Packet(src=1, dst=5, kind="x"))
+        stack.register_overhear(1, lambda _node, p: order.append("overhear"))
+        stack.register_handler(1, "x", lambda _node, p: order.append("handler"))
+        deliver(stack, 1)
         assert order == ["overhear", "handler"]

@@ -45,6 +45,20 @@ class TestPayloadSize:
     def test_nested_structures(self):
         assert payload_size({"a": [1, [2, 3]], "b": "xy"}) == 14
 
+    def test_nested_int_sequences_at_the_32_bit_boundary(self):
+        inside = (2**31 - 1, -(2**31))
+        outside = (2**31, -(2**31) - 1)
+        assert payload_size(inside) == 8
+        assert payload_size(outside) == 16
+        assert payload_size([inside, (outside, [2**31 - 1])]) == 8 + 16 + 4
+        assert payload_size((True, (1, False), [2**31, 1.0])) == 1 + 5 + 12
+
+    def test_int_subclasses_in_sequences_size_like_the_general_path(self):
+        class Tagged(int):
+            pass
+
+        assert payload_size((Tagged(2**31), Tagged(5))) == 12
+
     def test_object_with_wire_size(self):
         class Sized:
             def wire_size(self):

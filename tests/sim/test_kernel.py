@@ -265,3 +265,94 @@ class TestScheduleBatch:
 
         with _pytest.raises(SimulationError):
             sim.schedule_batch(-1.0, lambda: None)
+
+
+class TestReservedKeys:
+    """``reserve``/``claim``: many logical events behind one heap entry,
+    fired and counted exactly as separately scheduled events would be."""
+
+    @staticmethod
+    def sweep_over(sim, keys, log):
+        """A callback firing ``keys[index:]`` in place while they are due."""
+
+        def sweep(index):
+            while True:
+                log.append(("key", index, sim.now))
+                index += 1
+                if index == len(keys):
+                    return
+                time, seq = keys[index]
+                if not sim.claim(time, seq):
+                    sim.schedule_at(time, sweep, (index,), seq)
+                    return
+
+        return sweep
+
+    def test_reserve_counts_like_separate_schedules(self, sim):
+        sim.schedule(5.0, lambda: None)
+        first = sim.reserve(3)
+        assert sim.stats.scheduled == 4
+        assert sim.stats.max_queue_len == 4
+        sim.schedule_at(1.0, lambda: None, (), first)
+        assert sim.stats.scheduled == 4  # a placed key is not a new event
+        assert sim.stats.max_queue_len == 4
+
+    def test_reserved_seqs_are_consecutive_and_skipped_by_later_draws(self, sim):
+        log = []
+        first = sim.reserve(2)
+        sim.schedule(1.0, log.append, ("after",))
+        sim.schedule_at(1.0, log.append, ("second",), first + 1)
+        sim.schedule_at(1.0, log.append, ("first",), first)
+        sim.run()
+        assert log == ["first", "second", "after"]
+
+    def test_claimed_keys_interleave_with_heap_entries(self, sim):
+        log = []
+        first = sim.reserve(3)
+        keys = [(1.0, first), (2.0, first + 1), (4.0, first + 2)]
+        sim.schedule(3.0, log.append, (("timer", 3.0),))
+        sim.schedule_at(1.0, self.sweep_over(sim, keys, log), (0,), first)
+        sim.run()
+        assert log == [
+            ("key", 0, 1.0),
+            ("key", 1, 2.0),
+            ("timer", 3.0),
+            ("key", 2, 4.0),
+        ]
+        assert sim.stats.scheduled == sim.stats.fired == 4
+
+    def test_claim_respects_the_run_window(self, sim):
+        log = []
+        first = sim.reserve(2)
+        keys = [(1.0, first), (2.0, first + 1)]
+        sim.schedule_at(1.0, self.sweep_over(sim, keys, log), (0,), first)
+        sim.run(until=1.5)
+        assert log == [("key", 0, 1.0)]
+        assert sim.now == 1.5
+        assert sim.stats.fired == 1
+        sim.run()
+        assert log[-1] == ("key", 1, 2.0)
+        assert sim.stats.fired == 2
+
+    def test_discard_counts_reserved_keys_behind_one_entry(self, sim):
+        log = []
+        first = sim.reserve(3)
+        keys = [(1.0, first), (2.0, first + 1), (3.0, first + 2)]
+        sim.schedule_at(1.0, self.sweep_over(sim, keys, log), (0,), first)
+        sim.run(until=0.5)
+        assert sim.discard_pending() == 3
+        assert sim.stats.cancelled == 3
+        assert sim.discard_pending() == 0
+        sim.run()
+        assert log == []
+
+    def test_queue_length_counts_pending_reserved_keys(self, sim):
+        first = sim.reserve(3)
+        keys = [(1.0, first), (2.0, first + 1), (3.0, first + 2)]
+        sim.schedule_at(1.0, self.sweep_over(sim, keys, []), (0,), first)
+        sim.run(until=1.5)  # one key fired, two pending behind one entry
+        for delay in (1.0, 1.0):
+            sim.schedule(delay, lambda: None)
+        assert sim.stats.max_queue_len == 4
+        sim.schedule(1.0, lambda: None)
+        assert sim.stats.max_queue_len == 5
