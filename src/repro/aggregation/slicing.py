@@ -26,13 +26,14 @@ on the family's own axes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.aggregation.functions import AdditiveAggregate
 from repro.aggregation.tag import TagProtocol, TagResult
 from repro.aggregation.tree import TreeBuildResult
+from repro.core.arq import StopAndWait
 from repro.core.intracluster import ShareTransmission
-from repro.crypto.linksec import Ciphertext, LinkSecurity
+from repro.crypto.linksec import LinkSecurity
 from repro.errors import AggregationError, NoSharedKeyError
 from repro.net.packet import Packet
 from repro.net.transport import Transport
@@ -48,6 +49,11 @@ SLICE_ACK_KIND = "slice_ack"
 #: field-exact shares do not have. The default suits readings up to
 #: ~100.0 at the default fixed-point scale.
 DEFAULT_SLICE_MASK = 10**4
+
+#: Slice hop ARQ: the first retransmit waits this long, and a slice is
+#: sent again at most ``SLICE_RETRIES`` times (the iCPDA share defaults).
+SLICE_ACK_TIMEOUT_S = 0.35
+SLICE_RETRIES = 3
 
 
 @dataclass
@@ -80,6 +86,9 @@ class SlicingResult:
 class SlicingAggregation:
     """One slicing round bound to a network, tree, and aggregate.
 
+    Each slice crosses its hop under stop-and-wait ARQ with fixed
+    settings (:data:`SLICE_ACK_TIMEOUT_S`, :data:`SLICE_RETRIES`).
+
     Parameters
     ----------
     stack, tree, aggregate:
@@ -93,8 +102,6 @@ class SlicingAggregation:
         cover the public data range (see :data:`DEFAULT_SLICE_MASK`).
     slicing_window_s:
         Virtual-time budget for slice delivery before TAG starts.
-    ack_timeout_s / retries:
-        Slice ARQ parameters.
     """
 
     def __init__(
@@ -107,8 +114,6 @@ class SlicingAggregation:
         num_slices: int = 2,
         slice_mask: int = DEFAULT_SLICE_MASK,
         slicing_window_s: float = 10.0,
-        ack_timeout_s: float = 0.35,
-        retries: int = 3,
         slot_s: float = 0.5,
     ) -> None:
         if num_slices < 1:
@@ -122,14 +127,11 @@ class SlicingAggregation:
         self._linksec = linksec
         self._num_slices = num_slices
         self._window = slicing_window_s
-        self._ack_timeout = ack_timeout_s
-        self._retries = retries
         self._slot_s = slot_s
         self._rng = stack.sim.rng.stream("slicing")
         self._assembled: Dict[int, List[int]] = {}
         self._contributes: Dict[int, int] = {}
-        self._acked: Dict[Tuple[int, int], bool] = {}
-        self._received_keys: Dict[int, set] = {}
+        self._arq = StopAndWait(stack, SLICE_ACK_TIMEOUT_S, SLICE_RETRIES, base=1.0)
         self.sent = 0
         self.delivered = 0
         self.slice_log: List[ShareTransmission] = []
@@ -153,7 +155,6 @@ class SlicingAggregation:
         for node in self._tree.parents:
             self._assembled[node] = [0] * arity
             self._contributes[node] = 0
-            self._received_keys[node] = set()
             self._stack.register_handler(node, SLICE_KIND, on_slice)
             self._stack.register_handler(node, SLICE_ACK_KIND, on_slice_ack)
 
@@ -199,7 +200,7 @@ class SlicingAggregation:
         self._contributes[node] += 1
         if count > 0:
             picked = self._rng.choice(neighbors, size=count, replace=False)
-            for recipient in picked:
+            for recipient in picked.tolist():
                 piece = [
                     int(self._rng.integers(-self._mask, self._mask + 1))
                     for _ in range(arity)
@@ -207,46 +208,24 @@ class SlicingAggregation:
                 for k in range(arity):
                     kept[k] -= piece[k]
                 try:
-                    ciphertext = self._linksec.seal(node, int(recipient), piece)
+                    ciphertext = self._linksec.seal(node, recipient, piece)
                 except NoSharedKeyError:  # pragma: no cover - filtered above
                     continue
-                self._dispatch_slice(node, int(recipient), ciphertext, 0)
+                payload = {"origin": node, "dst": recipient, "ct": ciphertext}
+                self._arq.send(
+                    node,
+                    recipient,
+                    self._stack.send,
+                    (node, recipient, SLICE_KIND, payload),
+                )
+                self.sent += 1
                 self.slice_log.append(
                     ShareTransmission(
-                        origin=node,
-                        recipient=int(recipient),
-                        links=((node, int(recipient)),),
+                        origin=node, recipient=recipient, links=((node, recipient),)
                     )
                 )
         for k in range(arity):
             self._assembled[node][k] += kept[k]
-
-    def _dispatch_slice(
-        self, sender: int, recipient: int, ciphertext: Ciphertext, attempt: int
-    ) -> None:
-        self._stack.send(
-            sender,
-            recipient,
-            SLICE_KIND,
-            {"origin": sender, "dst": recipient, "ct": ciphertext},
-        )
-        self.sent += attempt == 0
-        key = (sender, recipient)
-        self._acked.setdefault(key, False)
-        if attempt < self._retries:
-            timeout = self._ack_timeout * (1.0 + 0.5 * attempt)
-            self._stack.sim.schedule(
-                timeout,
-                self._retry_slice,
-                args=(sender, recipient, ciphertext, attempt),
-            )
-
-    def _retry_slice(
-        self, sender: int, recipient: int, ciphertext: Ciphertext, attempt: int
-    ) -> None:
-        if self._acked.get((sender, recipient)):
-            return
-        self._dispatch_slice(sender, recipient, ciphertext, attempt + 1)
 
     def _on_slice(self, node: int, packet: Packet) -> None:
         if int(packet.payload["dst"]) != node:
@@ -255,9 +234,8 @@ class SlicingAggregation:
         self._stack.send(
             node, packet.src, SLICE_ACK_KIND, {"origin": origin, "dst": node}
         )
-        if origin in self._received_keys[node]:
+        if not self._arq.take(node, origin):
             return  # retransmission after a lost ack
-        self._received_keys[node].add(origin)
         piece = self._linksec.open(node, packet.payload["ct"])
         for k, value in enumerate(piece):
             self._assembled[node][k] += int(value)
@@ -265,4 +243,4 @@ class SlicingAggregation:
 
     def _on_slice_ack(self, node: int, packet: Packet) -> None:
         if int(packet.payload["origin"]) == node:
-            self._acked[(node, int(packet.payload["dst"]))] = True
+            self._arq.ack(node, int(packet.payload["dst"]))

@@ -7,10 +7,12 @@ Layers, bottom-up:
   and Lagrange recovery of a share polynomial's constant term.
 * :mod:`repro.core.shares` — CPDA polynomial share generation: a private
   reading is split into ``m`` shares such that any ``m-1`` reveal nothing.
+* :mod:`repro.core.arq` — the stop-and-wait hop ARQ every acknowledged
+  census, share, F-value and report hop runs under.
 * :mod:`repro.core.clustering` — randomized distributed cluster formation
   (self-election with probability ``p_c``, join, size bounds, census).
 * :mod:`repro.core.intracluster` — the in-cluster share exchange and
-  cluster-sum recovery protocol with ARQ.
+  cluster-sum recovery protocol.
 * :mod:`repro.core.integrity` — peer monitoring: witnesses overhear the
   head's itemized report and raise alarms; the base station renders a
   verdict under the loss-tolerance threshold ``Th``.

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.aggregation.tree import TreeBuildResult
+from repro.core.arq import StopAndWait
 from repro.core.config import IcpdaConfig
 from repro.errors import ClusterFormationError
 from repro.net.packet import Packet
@@ -137,8 +138,9 @@ class ClusterFormation:
         self._heard_dissolves: Dict[int, Set[int]] = {n: set() for n in tree.parents}
         self._rejected_from: Dict[int, Set[int]] = {n: set() for n in tree.parents}
         self._merge_phase = False
-        self._census_acked: Dict[tuple, bool] = {}
-        self._census_processed: Dict[int, Set[int]] = {n: set() for n in tree.parents}
+        self._census_arq = StopAndWait(
+            stack, config.ack_timeout_s, config.share_retries, base=1.5
+        )
         self.result = ClusteringResult()
 
     def run(self) -> ClusteringResult:
@@ -349,27 +351,18 @@ class ClusterFormation:
         if head == self._tree.root:
             self._record_census(census)
             return
-        self._send_census_hop(head, census, attempt=0)
+        self._send_census_hop(head, census)
 
-    def _send_census_hop(self, sender: int, census: dict, attempt: int) -> None:
+    def _send_census_hop(self, sender: int, census: dict) -> None:
         parent = self._tree.parents.get(sender)
         if parent is None:
             return
-        self._stack.send(sender, parent, CENSUS_KIND, dict(census))
-        key = (sender, int(census["head"]))
-        self._census_acked.setdefault(key, False)
-        if attempt < self._config.share_retries:
-            timeout = self._config.ack_timeout_s * (1.5 + 0.5 * attempt)
-            self._stack.sim.schedule(
-                timeout,
-                self._retry_census,
-                args=(sender, census, attempt),
-            )
-
-    def _retry_census(self, sender: int, census: dict, attempt: int) -> None:
-        if self._census_acked.get((sender, int(census["head"]))):
-            return
-        self._send_census_hop(sender, census, attempt + 1)
+        self._census_arq.send(
+            sender,
+            int(census["head"]),
+            self._stack.send,
+            (sender, parent, CENSUS_KIND, dict(census)),
+        )
 
     # -- handlers -------------------------------------------------------------
 
@@ -444,16 +437,15 @@ class ClusterFormation:
     def _on_census(self, node: int, packet: Packet) -> None:
         head = int(packet.payload["head"])
         self._stack.send(node, packet.src, CENSUS_ACK_KIND, {"head": head})
-        if head in self._census_processed[node]:
+        if not self._census_arq.take(node, head):
             return  # duplicate after a lost ack: re-acked above
-        self._census_processed[node].add(head)
         if node == self._tree.root:
             self._record_census(dict(packet.payload))
             return
-        self._send_census_hop(node, dict(packet.payload), attempt=0)
+        self._send_census_hop(node, dict(packet.payload))
 
     def _on_census_ack(self, node: int, packet: Packet) -> None:
-        self._census_acked[(node, int(packet.payload["head"]))] = True
+        self._census_arq.ack(node, int(packet.payload["head"]))
 
     def _record_census(self, census: dict) -> None:
         self.result.census_at_bs[int(census["head"])] = (

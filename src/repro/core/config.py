@@ -32,9 +32,11 @@ class IcpdaConfig:
     Intra-cluster exchange
     ----------------------
     share_retries:
-        ARQ retransmissions for share and F-value frames.
+        Hop ARQ retransmissions for census, share, F-value and report
+        frames (:class:`~repro.core.arq.StopAndWait`).
     ack_timeout_s:
-        Retransmit timer.
+        Retransmit timer: attempt ``a`` waits ``ack_timeout_s * (base +
+        0.5 * a)``, with base 1.0 inside a cluster and 1.5 up the tree.
 
     Integrity
     ---------

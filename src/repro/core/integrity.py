@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.aggregation.functions import AdditiveAggregate
 from repro.aggregation.tree import TreeBuildResult
+from repro.core.arq import StopAndWait
 from repro.core.clustering import ClusteringResult
 from repro.core.config import IcpdaConfig
 from repro.core.intracluster import ExchangeResult
@@ -252,10 +253,11 @@ class ReportAndVerdictPhase:
         self._armed_by_pair: Dict[Tuple[int, int], List[Tuple[int, _Expectation]]] = {}
         # (cluster, witness) -> [(suspect, expectation), ...]
         self._armed_by_cw: Dict[Tuple[int, int], List[Tuple[int, _Expectation]]] = {}
-        self._processed_reports: Dict[int, Set[int]] = {
-            n: set() for n in stack.node_ids()
-        }
-        self._report_acked: Dict[Tuple[int, int], bool] = {}
+        # Reports and aborts of one cluster share an ARQ key, so one ack
+        # or one take covers both kinds.
+        self._report_arq = StopAndWait(
+            stack, config.ack_timeout_s, config.share_retries, base=1.5
+        )
         self._alarms: Dict[Tuple[int, int, str, int], AlarmRecord] = {}
         # node -> alarm keys already relayed; created on a node's first
         # alarm (most nodes never see one).
@@ -361,7 +363,7 @@ class ReportAndVerdictPhase:
         parent = self._tree.parents.get(head)
         if parent is None:
             return
-        self._send_report_hop(head, parent, payload, attempt=0)
+        self._send_report_hop(head, parent, payload)
 
     def _plan_colludes(self, node: int) -> bool:
         """Backwards-compatible probe of the optional colludes() hook."""
@@ -374,42 +376,17 @@ class ReportAndVerdictPhase:
         parent = self._tree.parents.get(head)
         if parent is None:
             return
-        payload = {"cluster": head}
-        self._send_report_hop(
-            head, parent, payload, attempt=0, kind=REPORT_ABORT_KIND
-        )
+        self._send_report_hop(head, parent, {"cluster": head}, REPORT_ABORT_KIND)
 
     def _send_report_hop(
-        self,
-        sender: int,
-        target: int,
-        payload: dict,
-        attempt: int,
-        kind: str = REPORT_KIND,
+        self, sender: int, target: int, payload: dict, kind: str = REPORT_KIND
     ) -> None:
-        cluster = int(payload["cluster"])
-        self._stack.send(sender, target, kind, payload)
-        key = (sender, cluster)
-        self._report_acked.setdefault(key, False)
-        if attempt < self._config.share_retries:
-            timeout = self._config.ack_timeout_s * (1.5 + 0.5 * attempt)
-            self._stack.sim.schedule(
-                timeout,
-                self._retry_report,
-                args=(sender, target, payload, attempt, kind),
-            )
-
-    def _retry_report(
-        self,
-        sender: int,
-        target: int,
-        payload: dict,
-        attempt: int,
-        kind: str = REPORT_KIND,
-    ) -> None:
-        if self._report_acked.get((sender, int(payload["cluster"]))):
-            return
-        self._send_report_hop(sender, target, payload, attempt + 1, kind)
+        self._report_arq.send(
+            sender,
+            int(payload["cluster"]),
+            self._stack.send,
+            (sender, target, kind, payload),
+        )
 
     # -- report relaying / absorption ---------------------------------------------------
 
@@ -417,9 +394,8 @@ class ReportAndVerdictPhase:
         payload = dict(packet.payload)
         cluster = int(payload["cluster"])
         self._stack.send(node, packet.src, REPORT_ACK_KIND, {"cluster": cluster})
-        if cluster in self._processed_reports[node]:
+        if not self._report_arq.take(node, cluster):
             return  # duplicate from a lost ack: re-acked above, done
-        self._processed_reports[node].add(cluster)
 
         ids = tuple(int(i) for i in payload.get("ids", (cluster,)))
         if node == self._tree.root:
@@ -453,26 +429,24 @@ class ReportAndVerdictPhase:
             payload = self._attack.mutate_forward(node, payload)
         parent = self._tree.parents.get(node)
         if parent is not None:
-            self._send_report_hop(node, parent, payload, attempt=0)
+            self._send_report_hop(node, parent, payload)
 
     def _on_report_abort(self, node: int, packet: Packet) -> None:
         cluster = int(packet.payload["cluster"])
         self._stack.send(node, packet.src, REPORT_ACK_KIND, {"cluster": cluster})
-        if cluster in self._processed_reports[node]:
+        if not self._report_arq.take(node, cluster):
             return
-        self._processed_reports[node].add(cluster)
         if node == self._tree.root:
             self._bs_aborted.add(cluster)
             return
         parent = self._tree.parents.get(node)
         if parent is not None:
             self._send_report_hop(
-                node, parent, dict(packet.payload), attempt=0,
-                kind=REPORT_ABORT_KIND,
+                node, parent, dict(packet.payload), REPORT_ABORT_KIND
             )
 
     def _on_report_ack(self, node: int, packet: Packet) -> None:
-        self._report_acked[(node, int(packet.payload["cluster"]))] = True
+        self._report_arq.ack(node, int(packet.payload["cluster"]))
 
     def _absorb_at_bs(
         self,

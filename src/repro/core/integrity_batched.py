@@ -252,12 +252,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         heapq.heappush(self._heap, (at, next(self._seq), code, data))
 
     def _send_report_hop(
-        self,
-        sender: int,
-        target: int,
-        payload: dict,
-        attempt: int,
-        kind: str = REPORT_KIND,
+        self, sender: int, target: int, payload: dict, kind: str = REPORT_KIND
     ) -> None:
         # Overrides the scalar hop: record the frame for replay and
         # enqueue the (guaranteed) delivery. No ARQ timers — the
@@ -287,9 +282,8 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         cluster = int(payload["cluster"])
         self._replay.record(at, dst, src, REPORT_ACK_KIND, HEADER_BYTES + _INT)
         self._push(at + EPS, _E_ACK, (dst, src, cluster))
-        if cluster in self._processed_reports[dst]:
+        if not self._report_arq.take(dst, cluster):
             return
-        self._processed_reports[dst].add(cluster)
         ids = tuple(int(i) for i in payload.get("ids", (cluster,)))
         if dst == self._tree.root:
             self._absorb_at_bs(
@@ -320,7 +314,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             payload = self._attack.mutate_forward(dst, payload)
         parent = self._tree.parents.get(dst)
         if parent is not None:
-            self._send_report_hop(dst, parent, payload, attempt=0)
+            self._send_report_hop(dst, parent, payload)
 
     def _deliver_ack(self, acker: int, orig: int, cluster: int) -> None:
         packet = Packet(

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.aggregation.functions import AdditiveAggregate
+from repro.core.arq import StopAndWait
 from repro.core.clustering import ClusteringResult
 from repro.core.config import IcpdaConfig
 from repro.core.field import PrimeField
@@ -179,8 +180,14 @@ class IntraClusterExchange:
         self._expected_seeds: Dict[int, frozenset] = {}
         self._expected_origins: Dict[int, frozenset] = {}
         self._held_bundles: Dict[int, Dict[int, ShareBundle]] = {}
-        self._share_acked: Dict[Tuple[int, int], bool] = {}
-        self._fvalue_acked: Dict[int, bool] = {}
+        # Two tables: a member's share to its head and its F-value are
+        # both keyed (member, head).
+        self._share_arq = StopAndWait(
+            stack, config.ack_timeout_s, config.share_retries, base=1.0
+        )
+        self._fvalue_arq = StopAndWait(
+            stack, config.ack_timeout_s, config.share_retries, base=1.0
+        )
         self._fvalue_sent: Set[int] = set()
         self._witness_fvalues: Dict[int, Dict[int, Tuple[int, ...]]] = {}
 
@@ -342,55 +349,28 @@ class IntraClusterExchange:
                     head=state.head,
                 )
                 return
-            self._dispatch_share(member, recipient, state.head, ciphertext, 0)
+            self._dispatch_share(member, recipient, state.head, ciphertext)
         # Burst boundary: one member's whole share spray (m-1
         # frames) is a single burst — the bulk backend seals it in
         # one vectorized draw; per-frame backends no-op.
         self._stack.flush()
 
     def _dispatch_share(
-        self,
-        sender: int,
-        recipient: int,
-        head: int,
-        ciphertext: Ciphertext,
-        attempt: int,
+        self, sender: int, recipient: int, head: int, ciphertext: Ciphertext
     ) -> None:
         """Send one encrypted share, directly or relayed via the head,
-        and arm the ARQ timer."""
-        direct = recipient in self._stack.neighbors(sender)
+        under hop ARQ."""
         payload = {"origin": sender, "dst": recipient, "ct": ciphertext}
-        if direct:
-            self._stack.send(sender, recipient, SHARE_KIND, payload)
+        if recipient in self._stack.neighbors(sender):
+            frame = (sender, recipient, SHARE_KIND, payload)
             links: Tuple[Tuple[int, int], ...] = ((sender, recipient),)
         else:
-            self._stack.send(sender, head, SHARE_RELAY_KIND, payload)
+            frame = (sender, head, SHARE_RELAY_KIND, payload)
             links = ((sender, head), (head, recipient))
-        if attempt == 0:
-            self.result.share_log.append(
-                ShareTransmission(origin=sender, recipient=recipient, links=links)
-            )
-        key = (sender, recipient)
-        self._share_acked.setdefault(key, False)
-        if attempt < self._config.share_retries:
-            timeout = self._config.ack_timeout_s * (1.0 + 0.5 * attempt)
-            self._stack.sim.schedule(
-                timeout,
-                self._retry_share,
-                args=(sender, recipient, head, ciphertext, attempt),
-            )
-
-    def _retry_share(
-        self,
-        sender: int,
-        recipient: int,
-        head: int,
-        ciphertext: Ciphertext,
-        attempt: int,
-    ) -> None:
-        if self._share_acked.get((sender, recipient)):
-            return
-        self._dispatch_share(sender, recipient, head, ciphertext, attempt + 1)
+        self._share_arq.send(sender, recipient, self._stack.send, frame)
+        self.result.share_log.append(
+            ShareTransmission(origin=sender, recipient=recipient, links=links)
+        )
 
     # -- share reception ------------------------------------------------------------
 
@@ -419,7 +399,7 @@ class IntraClusterExchange:
         origin = int(packet.payload["origin"])
         recipient = int(packet.payload["dst"])
         if origin == node:
-            self._share_acked[(origin, recipient)] = True
+            self._share_arq.ack(origin, recipient)
         else:
             # We relayed the share for `origin`; relay the ack back
             # so it stops retransmitting.
@@ -446,43 +426,29 @@ class IntraClusterExchange:
         fvalue = sum_share_values(self._field, bundles)
         self._witness_fvalues[node][seed_for_node(node)] = fvalue
         self._maybe_recover_witness(node)
-        self._publish_fvalue(node, head, fvalue, 0)
+        self._publish_fvalue(node, head, fvalue)
 
-    def _publish_fvalue(
-        self, node: int, head: int, fvalue: Sequence[int], attempt: int
-    ) -> None:
+    def _publish_fvalue(self, node: int, head: int, fvalue: Sequence[int]) -> None:
         payload = {
             "cluster": head,
             "seed": seed_for_node(node),
             "member": node,
             "f": list(fvalue),
         }
-        self._stack.broadcast(node, FVALUE_KIND, payload)
-        if node == head:
-            self._store_fvalue_at_head(head, seed_for_node(node), tuple(fvalue))
-            # The head's own F-value needs no ack; rebroadcast once for
-            # the witnesses' benefit.
-            if attempt == 0:
-                self._stack.sim.schedule(
-                    self._config.ack_timeout_s,
-                    self._rebroadcast,
-                    args=(node, FVALUE_KIND, payload),
-                )
-            return
-        if attempt < self._config.share_retries:
-            timeout = self._config.ack_timeout_s * (1.0 + 0.5 * attempt)
-            self._stack.sim.schedule(
-                timeout,
-                self._retry_fvalue,
-                args=(node, head, fvalue, attempt),
+        if node != head:
+            self._fvalue_arq.send(
+                node, head, self._stack.broadcast, (node, FVALUE_KIND, payload)
             )
-
-    def _retry_fvalue(
-        self, node: int, head: int, fvalue: Sequence[int], attempt: int
-    ) -> None:
-        if self._fvalue_acked.get(node):
             return
-        self._publish_fvalue(node, head, fvalue, attempt + 1)
+        self._stack.broadcast(node, FVALUE_KIND, payload)
+        self._store_fvalue_at_head(head, seed_for_node(node), tuple(fvalue))
+        # The head's own F-value needs no ack; rebroadcast once for the
+        # witnesses' benefit.
+        self._stack.sim.schedule(
+            self._config.ack_timeout_s,
+            self._rebroadcast,
+            args=(node, FVALUE_KIND, payload),
+        )
 
     def _on_fvalue(self, node: int, packet: Packet) -> None:
         head = int(packet.payload["cluster"])
@@ -496,7 +462,7 @@ class IntraClusterExchange:
 
     def _on_fvalue_ack(self, node: int, packet: Packet) -> None:
         if int(packet.payload["member"]) == node:
-            self._fvalue_acked[node] = True
+            self._fvalue_arq.ack(node, packet.src)
 
     def _store_fvalue_at_head(
         self, head: int, seed: int, fvalue: Tuple[int, ...]

@@ -307,6 +307,7 @@ _PHASE_MODULES = (
     "repro.aggregation.tree",
     "repro.aggregation.tag",
     "repro.aggregation.slicing",
+    "repro.core.arq",
     "repro.core.clustering",
     "repro.core.intracluster",
     "repro.core.integrity",
