@@ -13,9 +13,6 @@ with per-node jitter inside the slot to decorrelate MAC contention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-import numpy as np
 
 from repro.errors import AggregationError
 
@@ -68,12 +65,3 @@ class EpochSchedule:
     def epoch_end(self) -> float:
         """When the root has heard every level (end of the root's slot)."""
         return self.epoch_start + (self.max_depth + 2) * self.slot_s
-
-    def schedule_all(
-        self, depths: Dict[int, int], rng: np.random.Generator
-    ) -> Dict[int, float]:
-        """Jittered send time for every node in ``depths``."""
-        return {
-            node: self.send_time(depth, float(rng.random()))
-            for node, depth in depths.items()
-        }

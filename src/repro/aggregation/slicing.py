@@ -31,7 +31,7 @@ from typing import Dict, List
 from repro.aggregation.functions import AdditiveAggregate
 from repro.aggregation.tag import TagProtocol, TagResult
 from repro.aggregation.tree import TreeBuildResult
-from repro.core.arq import StopAndWait
+from repro.core.arq import ACK_TIMEOUT_S, RETRIES, StopAndWait
 from repro.core.intracluster import ShareTransmission
 from repro.crypto.linksec import LinkSecurity
 from repro.errors import AggregationError, NoSharedKeyError
@@ -41,19 +41,16 @@ from repro.net.transport import Transport
 SLICE_KIND = "slice"
 SLICE_ACK_KIND = "slice_ack"
 
-#: Default masking half-range for slice values, in fixed-point units.
+#: Masking half-range for slice values, in fixed-point units.
 #: Slices are uniform in [-MASK, MASK]. Privacy wants the mask to cover
 #: the public data range (so a piece reveals nothing); robustness wants
 #: it small (a lost slice or lost TAG partial corrupts the sum by up to
 #: the mask) — a real trade-off of the slicing scheme that iCPDA's
-#: field-exact shares do not have. The default suits readings up to
-#: ~100.0 at the default fixed-point scale.
-DEFAULT_SLICE_MASK = 10**4
-
-#: Slice hop ARQ: the first retransmit waits this long, and a slice is
-#: sent again at most ``SLICE_RETRIES`` times (the iCPDA share defaults).
-SLICE_ACK_TIMEOUT_S = 0.35
-SLICE_RETRIES = 3
+#: field-exact shares do not have. It suits readings up to ~100.0 at
+#: the default fixed-point scale.
+SLICE_MASK = 10**4
+#: Virtual-time budget for slice delivery before TAG starts (seconds).
+SLICING_WINDOW_S = 10.0
 
 
 @dataclass
@@ -86,8 +83,8 @@ class SlicingResult:
 class SlicingAggregation:
     """One slicing round bound to a network, tree, and aggregate.
 
-    Each slice crosses its hop under stop-and-wait ARQ with fixed
-    settings (:data:`SLICE_ACK_TIMEOUT_S`, :data:`SLICE_RETRIES`).
+    Each slice crosses its hop under the iCPDA share hops' stop-and-wait
+    ARQ (:data:`repro.core.arq.ACK_TIMEOUT_S`, :data:`~repro.core.arq.RETRIES`).
 
     Parameters
     ----------
@@ -97,11 +94,6 @@ class SlicingAggregation:
         Link encryption for the slices.
     num_slices:
         ``l``: pieces per reading (one kept + ``l-1`` sent).
-    slice_mask:
-        Half-range of the uniform slice mask, fixed-point units; should
-        cover the public data range (see :data:`DEFAULT_SLICE_MASK`).
-    slicing_window_s:
-        Virtual-time budget for slice delivery before TAG starts.
     """
 
     def __init__(
@@ -112,26 +104,20 @@ class SlicingAggregation:
         linksec: LinkSecurity,
         *,
         num_slices: int = 2,
-        slice_mask: int = DEFAULT_SLICE_MASK,
-        slicing_window_s: float = 10.0,
         slot_s: float = 0.5,
     ) -> None:
         if num_slices < 1:
             raise AggregationError(f"num_slices must be >= 1, got {num_slices}")
-        if slice_mask < 1:
-            raise AggregationError(f"slice_mask must be >= 1, got {slice_mask}")
-        self._mask = slice_mask
         self._stack = stack
         self._tree = tree
         self._aggregate = aggregate
         self._linksec = linksec
         self._num_slices = num_slices
-        self._window = slicing_window_s
         self._slot_s = slot_s
         self._rng = stack.sim.rng.stream("slicing")
         self._assembled: Dict[int, List[int]] = {}
         self._contributes: Dict[int, int] = {}
-        self._arq = StopAndWait(stack, SLICE_ACK_TIMEOUT_S, SLICE_RETRIES, base=1.0)
+        self._arq = StopAndWait(stack, ACK_TIMEOUT_S, RETRIES, base=1.0)
         self.sent = 0
         self.delivered = 0
         self.slice_log: List[ShareTransmission] = []
@@ -159,14 +145,14 @@ class SlicingAggregation:
             self._stack.register_handler(node, SLICE_ACK_KIND, on_slice_ack)
 
         for node in participants:
-            delay = float(self._rng.uniform(0.05, self._window * 0.3))
+            delay = float(self._rng.uniform(0.05, SLICING_WINDOW_S * 0.3))
             sim.schedule(
                 delay,
                 self._slice_and_send,
                 args=(node, readings[node]),
             )
 
-        sim.run(until=sim.now + self._window)
+        sim.run(until=sim.now + SLICING_WINDOW_S)
 
         true_value = self._aggregate.true_value(list(readings.values()))
         initial = {
@@ -202,7 +188,7 @@ class SlicingAggregation:
             picked = self._rng.choice(neighbors, size=count, replace=False)
             for recipient in picked.tolist():
                 piece = [
-                    int(self._rng.integers(-self._mask, self._mask + 1))
+                    int(self._rng.integers(-SLICE_MASK, SLICE_MASK + 1))
                     for _ in range(arity)
                 ]
                 for k in range(arity):

@@ -216,15 +216,3 @@ class TagProtocol:
                 "contributors": state.contributors,
             },
         )
-
-
-def run_tag_round(
-    stack: Transport,
-    tree: TreeBuildResult,
-    aggregate: AdditiveAggregate,
-    readings: Dict[int, float],
-    *,
-    slot_s: float = 0.5,
-) -> TagResult:
-    """Convenience wrapper: construct and run a single TAG epoch."""
-    return TagProtocol(stack, tree, aggregate, slot_s=slot_s).run(readings)

@@ -26,6 +26,12 @@ from repro.net.transport import Transport
 #: Message kind used by the flood.
 HELLO_KIND = "hello"
 
+#: Mean per-hop HELLO forwarding delay (seconds); each hop's delay is
+#: jittered uniformly in [0.5x, 1.5x].
+FORWARD_DELAY_S = 0.02
+#: Virtual-time budget for the flood; generous for <=1000 nodes.
+SETTLE_TIME_S = 30.0
+
 
 @dataclass
 class TreeBuildResult:
@@ -71,15 +77,6 @@ class TreeBuildResult:
             node for node in self.parents if not self.children.get(node)
         )
 
-    def subtree_sizes(self) -> Dict[int, int]:
-        """node -> size of its subtree (itself included)."""
-        sizes = {node: 1 for node in self.parents}
-        for node in sorted(self.depths, key=lambda n: -self.depths[n]):
-            parent = self.parents[node]
-            if parent is not None:
-                sizes[parent] += sizes[node]
-        return sizes
-
 
 class _TreeBuilder:
     """Per-run state machine driving the HELLO flood."""
@@ -88,12 +85,10 @@ class _TreeBuilder:
         self,
         stack: Transport,
         root: int,
-        forward_delay_s: float,
         query: str = "",
     ) -> None:
         self._stack = stack
         self._root = root
-        self._forward_delay_s = forward_delay_s
         self._query = query
         self._rng = stack.sim.rng.stream("tree.forward_jitter")
         self.result = TreeBuildResult(root=root)
@@ -127,7 +122,7 @@ class _TreeBuilder:
         self.result.query_at[node_id] = query
         self.result.children.setdefault(parent, []).append(node_id)
         self.result.children.setdefault(node_id, [])
-        delay = self._rng.uniform(0.5, 1.5) * self._forward_delay_s
+        delay = self._rng.uniform(0.5, 1.5) * FORWARD_DELAY_S
         # Bound method + args payload: no per-hello closure allocation.
         self._stack.sim.schedule(
             delay,
@@ -153,8 +148,6 @@ def build_aggregation_tree(
     stack: Transport,
     *,
     root: Optional[int] = None,
-    forward_delay_s: float = 0.02,
-    settle_time_s: float = 30.0,
     query: str = "",
 ) -> TreeBuildResult:
     """Run the HELLO flood to completion and return the tree.
@@ -165,11 +158,6 @@ def build_aggregation_tree(
         The radio network to flood.
     root:
         Root node (default: the deployment's base station, node 0).
-    forward_delay_s:
-        Mean per-hop forwarding delay; actual delays are jittered
-        uniformly in [0.5x, 1.5x].
-    settle_time_s:
-        Virtual time budget for the flood; generous for <=1000 nodes.
     query:
         Query description piggybacked on the flood (e.g. the aggregate
         name); every reached node records what it received in
@@ -181,9 +169,9 @@ def build_aggregation_tree(
     iterate deterministically.
     """
     root_id = root if root is not None else stack.deployment.base_station
-    builder = _TreeBuilder(stack, root_id, forward_delay_s, query=query)
+    builder = _TreeBuilder(stack, root_id, query=query)
     builder.start()
-    stack.sim.run(until=stack.sim.now + settle_time_s)
+    stack.sim.run(until=stack.sim.now + SETTLE_TIME_S)
     for node in builder.result.children:
         builder.result.children[node].sort()
     return builder.result

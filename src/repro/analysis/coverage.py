@@ -44,14 +44,6 @@ def coverage_lower_bound(degrees: Sequence[int], p_c: float) -> float:
     return sum(prob_hears_head(d, p_c) for d in degrees) / len(degrees)
 
 
-def all_covered_bound(degrees: Sequence[int], p_c: float) -> float:
-    """The paper-family Φ(G)-style bound: probability *every* node hears
-    a head, ``max(0, 1 - Σ_i (1-p_c)^{d_i})``."""
-    _validate_probability("p_c", p_c)
-    miss_sum = sum((1.0 - p_c) ** d for d in degrees)
-    return max(0.0, 1.0 - miss_sum)
-
-
 def expected_cluster_count(num_nodes: int, p_c: float) -> float:
     """Expected wave-1 cluster-head count: ``1 + (N-1) * p_c`` (the base
     station always elects). The merge wave removes undersized clusters,
@@ -60,8 +52,3 @@ def expected_cluster_count(num_nodes: int, p_c: float) -> float:
         raise ReproError(f"num_nodes must be >= 1, got {num_nodes}")
     _validate_probability("p_c", p_c)
     return 1.0 + (num_nodes - 1) * p_c
-
-
-def expected_cluster_size(num_nodes: int, p_c: float) -> float:
-    """Expected members per wave-1 cluster: ``N / E[#clusters]``."""
-    return num_nodes / expected_cluster_count(num_nodes, p_c)

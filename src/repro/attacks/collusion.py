@@ -12,7 +12,7 @@ which the analysis section quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.core.intracluster import ExchangeResult
 from repro.metrics.privacy import DisclosureStats
@@ -93,11 +93,3 @@ class CollusionAnalysis:
                 1 for p in state.participants if p not in self._colluders
             )
         return DisclosureStats.from_counts(len(self.victims()), honest)
-
-    def knowledge_map(self) -> Dict[int, Set[int]]:
-        """cluster head -> colluders inside it (diagnostics)."""
-        return {
-            v.head: set(v.colluders)
-            for v in self.cluster_verdicts()
-            if v.colluders
-        }

@@ -19,7 +19,7 @@ free; see :mod:`repro.attacks.collusion` for that extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.intracluster import ExchangeResult, ShareTransmission
 from repro.crypto.adversary_keys import LinkBreakModel
@@ -138,28 +138,3 @@ class EavesdropAnalysis:
                 disclosed += 1
         stats = DisclosureStats.from_counts(disclosed, len(participants))
         return stats, verdicts
-
-
-def monte_carlo_disclosure(
-    exchange: ExchangeResult,
-    p_x: float,
-    rngs: Iterable,
-) -> DisclosureStats:
-    """Pool disclosure stats over several independent break-model draws.
-
-    Parameters
-    ----------
-    exchange:
-        One round's share traffic (reused across draws — the adversary's
-        luck varies, the protocol run does not).
-    p_x:
-        Per-link break probability.
-    rngs:
-        One :class:`numpy.random.Generator` per draw.
-    """
-    parts = []
-    for rng in rngs:
-        model = LinkBreakModel(p_x, rng=rng)
-        stats, _ = EavesdropAnalysis(exchange, model).run()
-        parts.append(stats)
-    return DisclosureStats.pooled(parts)

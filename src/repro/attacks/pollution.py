@@ -155,10 +155,3 @@ class PollutionAttack:
     def acted(self) -> bool:
         """True if the attack actually touched any traffic this round."""
         return self.tampers_performed > 0 or self.drops_performed > 0
-
-    def reset_counters(self) -> None:
-        """Zero the bookkeeping between rounds."""
-        self.tampers_performed = 0
-        self.drops_performed = 0
-        self.alarms_suppressed = 0
-        self._tampered_nodes.clear()

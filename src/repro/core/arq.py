@@ -15,6 +15,12 @@ from typing import Any, Callable, Hashable, Set, Tuple
 
 from repro.net.transport import Transport
 
+#: The first retransmit of a hop waits ``ACK_TIMEOUT_S * base``; each
+#: later one waits half an ``ACK_TIMEOUT_S`` longer than the one before.
+ACK_TIMEOUT_S = 0.35
+#: Retransmissions per hop after the first send.
+RETRIES = 3
+
 
 class StopAndWait:
     """One phase instance's ARQ state: the acked ``(sender, key)`` pairs,

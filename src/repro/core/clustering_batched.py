@@ -44,6 +44,10 @@ from repro.core.clustering import (
     JOIN_KIND,
     JOIN_REJECT_KIND,
     MEMBER_LIST_KIND,
+    ADAPTIVE_TARGET_K,
+    WINDOW_ANNOUNCE_S,
+    WINDOW_JOIN_S,
+    WINDOW_MEMBERLIST_S,
     Cluster,
     ClusteringResult,
 )
@@ -118,7 +122,6 @@ class BatchedClusterFormation:
         if not self._tree.parents:
             raise ClusterFormationError("cannot cluster an empty tree")
         sim = self._stack.sim
-        cfg = self._config
         t0 = sim.now
         self._replay = FrameReplay(self._stack, t0, expand=self._expand_census)
 
@@ -137,7 +140,7 @@ class BatchedClusterFormation:
                 node not in self._excluded
             ):
                 self._heads.add(node)
-                at = t0 + float(self._rng.uniform(0.05, cfg.window_announce_s * 0.8))
+                at = t0 + float(self._rng.uniform(0.05, WINDOW_ANNOUNCE_S * 0.8))
                 announce_order.append((at, node))
                 self._replay.record(
                     at, node, BROADCAST, ANNOUNCE_KIND, HEADER_BYTES + _INT
@@ -150,12 +153,12 @@ class BatchedClusterFormation:
                 if lst is not None:
                     lst.append(head)
 
-        t_wave2 = t0 + cfg.window_announce_s
-        t_dissolve = t_wave2 + cfg.window_join_s
-        t_close = t_dissolve + cfg.window_join_s * 0.7
-        t_end = t_close + cfg.window_memberlist_s
+        t_wave2 = t0 + WINDOW_ANNOUNCE_S
+        t_dissolve = t_wave2 + WINDOW_JOIN_S
+        t_close = t_dissolve + WINDOW_JOIN_S * 0.7
+        t_end = t_close + WINDOW_MEMBERLIST_S
         self._push(t_wave2, _E_WAVE2, 0, 0)
-        self._push(t_wave2 + cfg.window_join_s * 0.5, _E_LATE, 0, 0)
+        self._push(t_wave2 + WINDOW_JOIN_S * 0.5, _E_LATE, 0, 0)
         self._push(t_dissolve, _E_DISSOLVE, 0, 0)
         self._push(t_close, _E_CLOSE, 0, 0)
         self._drain(t_end)
@@ -203,7 +206,7 @@ class BatchedClusterFormation:
         if cfg.election_mode == "fixed":
             return cfg.p_c
         neighborhood = self._stack.degree(node) + 1
-        return 1.0 / max(1, min(cfg.adaptive_target_k, neighborhood))
+        return 1.0 / max(1, min(ADAPTIVE_TARGET_K, neighborhood))
 
     def _hd(self, node: int) -> Set[int]:
         got = self._heard_dissolves.get(node)
@@ -214,28 +217,26 @@ class BatchedClusterFormation:
     # -- wave logic (scalar-equivalent, same draw order) ----------------------
 
     def _wave2(self, at: float) -> None:
-        cfg = self._config
         for node in self._tree.parents:
             if node in self._heads or node == self._tree.root:
                 continue
             if self._heard[node]:
-                self._join_decide(at, node, cfg.window_join_s * 0.4)
+                self._join_decide(at, node, WINDOW_JOIN_S * 0.4)
             elif node not in self._excluded:
                 # Heard nothing: self-elect so sparse regions still form.
                 self._heads.add(node)
-                t = at + float(self._rng.uniform(0.05, cfg.window_join_s * 0.3))
+                t = at + float(self._rng.uniform(0.05, WINDOW_JOIN_S * 0.3))
                 self._replay.record(
                     t, node, BROADCAST, ANNOUNCE_KIND, HEADER_BYTES + _INT
                 )
                 self._push(t + EPS, _E_ANNOUNCE, node, 0)
 
     def _late(self, at: float) -> None:
-        cfg = self._config
         for node in self._tree.parents:
             if node in self._heads or self._joined[node] is not None:
                 continue
             if self._heard[node]:
-                self._join_decide(at, node, cfg.window_join_s * 0.3)
+                self._join_decide(at, node, WINDOW_JOIN_S * 0.3)
             else:
                 self.result.unclustered.add(node)
 

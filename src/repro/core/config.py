@@ -29,34 +29,20 @@ class IcpdaConfig:
     k_max:
         Maximum members a head accepts (bounds the O(m^2) share traffic).
 
-    Intra-cluster exchange
-    ----------------------
-    share_retries:
-        Hop ARQ retransmissions for census, share, F-value and report
-        frames (:class:`~repro.core.arq.StopAndWait`).
-    ack_timeout_s:
-        Retransmit timer: attempt ``a`` waits ``ack_timeout_s * (base +
-        0.5 * a)``, with base 1.0 inside a cluster and 1.5 up the tree.
-
     Integrity
     ---------
     count_threshold:
         ``Th``: maximum |reported contributors − census participants| the
         base station tolerates before rejecting (absorbs genuine loss).
-    alarm_quorum_value:
-        Value-mismatch alarms needed to reject (these are hard evidence;
-        default 1).
-    alarm_quorum_drop:
-        Drop-watchdog alarms naming the same suspect needed to reject
-        (soft evidence — a witness can miss a frame; default 2).
     witness_fraction:
         Fraction of cluster members that act as witnesses (1.0 = all;
         ablation A1 sweeps this).
 
-    Timing
-    ------
-    Every ``window_*`` is a virtual-time budget for one phase; ``slot_s``
-    is the per-depth report slot, as in TAG.
+    The protocol's fixed constants live with the phases that read them:
+    hop ARQ timing in :mod:`repro.core.arq`, the formation windows in
+    :mod:`repro.core.clustering`, the exchange window in
+    :mod:`repro.core.intracluster`, and the report slot, verdict window
+    and alarm quorums in :mod:`repro.core.integrity`.
     """
 
     # Cluster formation
@@ -64,16 +50,11 @@ class IcpdaConfig:
     k_min: int = 3
     k_max: int = 6
     #: "fixed": every node elects with ``p_c``. "adaptive": node i
-    #: elects with ``min(1, adaptive_target_k / degree_i)`` — the paper
+    #: elects with ``min(1, ADAPTIVE_TARGET_K / degree_i)`` — the paper
     #: family's density-adaptive parameter (nodes learn their degree
     #: from Phase-I HELLO traffic), which keeps expected cluster size
-    #: near the target across densities.
+    #: near the target across densities (see :mod:`repro.core.clustering`).
     election_mode: str = "fixed"
-    adaptive_target_k: int = 4
-
-    # Intra-cluster exchange
-    share_retries: int = 3
-    ack_timeout_s: float = 0.35
 
     # Phase engines
     #: Engines of Phases II-IV (cluster formation, share exchange,
@@ -103,17 +84,7 @@ class IcpdaConfig:
     #: baseline; ablation A7 measures what the difference costs).
     integrity_mode: str = "witnessed"
     count_threshold: int = 5
-    alarm_quorum_value: int = 1
-    alarm_quorum_drop: int = 2
     witness_fraction: float = 1.0
-
-    # Timing windows (virtual seconds)
-    window_announce_s: float = 3.0
-    window_join_s: float = 3.0
-    window_memberlist_s: float = 3.0
-    window_exchange_s: float = 25.0
-    slot_s: float = 0.6
-    window_verdict_s: float = 10.0
 
     # Aggregate
     aggregate_name: str = "sum"
@@ -161,14 +132,6 @@ class IcpdaConfig:
                 f"election_mode must be 'fixed' or 'adaptive', "
                 f"got {self.election_mode!r}"
             )
-        if self.adaptive_target_k < 2:
-            raise ConfigError(
-                f"adaptive_target_k must be >= 2, got {self.adaptive_target_k}"
-            )
-        if self.share_retries < 0:
-            raise ConfigError(f"share_retries must be >= 0, got {self.share_retries}")
-        if self.ack_timeout_s <= 0:
-            raise ConfigError(f"ack_timeout_s must be positive, got {self.ack_timeout_s}")
         if self.engine not in ("scalar", "batched"):
             raise ConfigError(
                 f"engine must be 'scalar' or 'batched', got {self.engine!r}"
@@ -177,22 +140,10 @@ class IcpdaConfig:
             raise ConfigError(
                 f"count_threshold must be >= 0, got {self.count_threshold}"
             )
-        if self.alarm_quorum_value < 1 or self.alarm_quorum_drop < 1:
-            raise ConfigError("alarm quorums must be >= 1")
         if not 0.0 < self.witness_fraction <= 1.0:
             raise ConfigError(
                 f"witness_fraction must be in (0, 1], got {self.witness_fraction}"
             )
-        for name in (
-            "window_announce_s",
-            "window_join_s",
-            "window_memberlist_s",
-            "window_exchange_s",
-            "slot_s",
-            "window_verdict_s",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         if self.fixed_point_scale < 1:
             raise ConfigError(
                 f"fixed_point_scale must be >= 1, got {self.fixed_point_scale}"
@@ -202,10 +153,6 @@ class IcpdaConfig:
         """Copy of this config restricted to the given clusters (used by
         the attacker-localization search)."""
         return replace(self, restrict_to_clusters=tuple(sorted(cluster_heads)))
-
-    def without_restriction(self) -> "IcpdaConfig":
-        """Copy with any participation restriction removed."""
-        return replace(self, restrict_to_clusters=None)
 
     def with_excluded_heads(self, nodes: Tuple[int, ...]) -> "IcpdaConfig":
         """Copy with ``nodes`` (merged with any existing exclusions)

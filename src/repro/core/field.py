@@ -87,10 +87,6 @@ class PrimeField:
         """``a - b`` in the field."""
         return (a - b) % self.q
 
-    def neg(self, a: int) -> int:
-        """``-a`` in the field."""
-        return (-a) % self.q
-
     def mul(self, a: int, b: int) -> int:
         """``a * b`` in the field."""
         return (a * b) % self.q
@@ -185,16 +181,6 @@ class PrimeField:
 
     # -- polynomial machinery -------------------------------------------------
 
-    def eval_poly(self, coefficients: Sequence[int], x: int) -> int:
-        """Evaluate ``Σ c_k x^k`` (Horner) in the field.
-
-        ``coefficients[0]`` is the constant term.
-        """
-        result = 0
-        for coefficient in reversed(coefficients):
-            result = (result * x + coefficient) % self.q
-        return result
-
     def lagrange_weights(self, xs: Tuple[int, ...]) -> Tuple[int, ...]:
         """Constant-term Lagrange weights ``w_j = Π_{k≠j} x_k / (x_k - x_j)``
         for the evaluation points ``xs``, cached per seed tuple.
@@ -258,40 +244,6 @@ class PrimeField:
         """
         weights = self.lagrange_weights(tuple(x for x, _ in points))
         return sum(y * w for (_, y), w in zip(points, weights)) % self.q
-
-    def solve_vandermonde(self, points: Sequence[Tuple[int, int]]) -> List[int]:
-        """Full coefficient vector of the interpolating polynomial
-        (Newton's divided differences, then expansion). Used by tests and
-        by the adversary model; protocols only need the constant term."""
-        if not points:
-            raise FieldArithmeticError("need at least one interpolation point")
-        xs = [x % self.q for x, _ in points]
-        ys = [y % self.q for _, y in points]
-        if len(set(xs)) != len(xs):
-            raise FieldArithmeticError(f"duplicate evaluation points in {xs}")
-        n = len(points)
-        # Divided-difference table.
-        table = list(ys)
-        for level in range(1, n):
-            for i in range(n - 1, level - 1, -1):
-                numerator = (table[i] - table[i - 1]) % self.q
-                denominator = (xs[i] - xs[i - level]) % self.q
-                table[i] = numerator * self.inv(denominator) % self.q
-        # Expand Newton form into monomial coefficients.
-        coefficients = [0] * n
-        basis = [1] + [0] * (n - 1)  # running product Π (x - x_i)
-        for i in range(n):
-            for k in range(n):
-                coefficients[k] = (coefficients[k] + table[i] * basis[k]) % self.q
-            if i < n - 1:
-                # basis *= (x - xs[i])
-                new_basis = [0] * n
-                for k in range(n - 1):
-                    new_basis[k + 1] = (new_basis[k + 1] + basis[k]) % self.q
-                for k in range(n):
-                    new_basis[k] = (new_basis[k] - basis[k] * xs[i]) % self.q
-                basis = new_basis
-        return coefficients
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PrimeField(q={self.q})"

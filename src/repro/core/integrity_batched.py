@@ -44,6 +44,8 @@ from repro.core.integrity import (
     REPORT_ABORT_KIND,
     REPORT_ACK_KIND,
     REPORT_KIND,
+    SLOT_S,
+    WINDOW_VERDICT_S,
     ReportAndVerdictPhase,
 )
 from repro.core.replay import EPS, FrameReplay
@@ -71,7 +73,6 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
 
     def run(self, true_value: float, total_sensors: int) -> RoundResult:
         sim = self._stack.sim
-        cfg = self._config
         t0 = sim.now
         self._now = t0
         self._replay = FrameReplay(self._stack, t0)
@@ -96,9 +97,9 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             depth = self._tree.depths.get(head, max_depth)
             slots = max_depth - depth + 1
             send_times[head] = (
-                t0 + slots * cfg.slot_s + float(self._rng.uniform(0, cfg.slot_s * 0.5))
+                t0 + slots * SLOT_S + float(self._rng.uniform(0, SLOT_S * 0.5))
             )
-        phase_end = t0 + (max_depth + 2) * cfg.slot_s + cfg.window_verdict_s
+        phase_end = t0 + (max_depth + 2) * SLOT_S + WINDOW_VERDICT_S
 
         # Exchange aborts relay straight to the BS (no hooks, no
         # witnesses fire on abort frames under losslessness).

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.aggregation.functions import AdditiveAggregate
-from repro.core.arq import StopAndWait
+from repro.core.arq import ACK_TIMEOUT_S, RETRIES, StopAndWait
 from repro.core.clustering import ClusteringResult
 from repro.core.config import IcpdaConfig
 from repro.core.field import PrimeField
@@ -51,6 +51,9 @@ SHARE_ACK_KIND = "share_ack"
 FVALUE_KIND = "fvalue"
 FVALUE_ACK_KIND = "fvalue_ack"
 FSET_KIND = "fset"
+
+#: Virtual-time budget of the share exchange (seconds).
+WINDOW_EXCHANGE_S = 25.0
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,6 @@ class ExchangeResult:
         """Heads whose clusters recovered their aggregate."""
         return sorted(h for h, s in self.states.items() if s.completed)
 
-    def total_contributors(self) -> int:
-        """Sensor readings captured by completed clusters."""
-        return sum(s.contributors for s in self.states.values() if s.completed)
-
 
 class IntraClusterExchange:
     """One execution of the share-exchange phase over all clusters.
@@ -182,12 +181,8 @@ class IntraClusterExchange:
         self._held_bundles: Dict[int, Dict[int, ShareBundle]] = {}
         # Two tables: a member's share to its head and its F-value are
         # both keyed (member, head).
-        self._share_arq = StopAndWait(
-            stack, config.ack_timeout_s, config.share_retries, base=1.0
-        )
-        self._fvalue_arq = StopAndWait(
-            stack, config.ack_timeout_s, config.share_retries, base=1.0
-        )
+        self._share_arq = StopAndWait(stack, ACK_TIMEOUT_S, RETRIES, base=1.0)
+        self._fvalue_arq = StopAndWait(stack, ACK_TIMEOUT_S, RETRIES, base=1.0)
         self._fvalue_sent: Set[int] = set()
         self._witness_fvalues: Dict[int, Dict[int, Tuple[int, ...]]] = {}
 
@@ -288,7 +283,6 @@ class IntraClusterExchange:
 
     def _run_events(self, live: List[ClusterExchangeState]) -> None:
         sim = self._stack.sim
-        cfg = self._config
         t0 = sim.now
         for state in live:
             seeds = {m: seed_for_node(m) for m in state.participants}
@@ -317,10 +311,10 @@ class IntraClusterExchange:
 
         for state in live:
             for member in state.participants:
-                delay = float(self._rng.uniform(0.1, cfg.window_exchange_s * 0.25))
+                delay = float(self._rng.uniform(0.1, WINDOW_EXCHANGE_S * 0.25))
                 sim.schedule(delay, self._send_shares, args=(member, state))
 
-        sim.run(until=t0 + cfg.window_exchange_s)
+        sim.run(until=t0 + WINDOW_EXCHANGE_S)
 
     # -- sending shares -----------------------------------------------------------
 
@@ -445,7 +439,7 @@ class IntraClusterExchange:
         # The head's own F-value needs no ack; rebroadcast once for the
         # witnesses' benefit.
         self._stack.sim.schedule(
-            self._config.ack_timeout_s,
+            ACK_TIMEOUT_S,
             self._rebroadcast,
             args=(node, FVALUE_KIND, payload),
         )

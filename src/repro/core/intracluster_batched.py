@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.aggregation.functions import AdditiveAggregate
+from repro.core.arq import ACK_TIMEOUT_S
 from repro.core.config import IcpdaConfig
 from repro.core.field import PrimeField
 from repro.core.intracluster import (
@@ -32,6 +33,7 @@ from repro.core.intracluster import (
     SHARE_ACK_KIND,
     SHARE_KIND,
     SHARE_RELAY_KIND,
+    WINDOW_EXCHANGE_S,
     ClusterExchangeState,
     ExchangeResult,
     ShareTransmission,
@@ -97,16 +99,15 @@ class BatchedShareExchange:
         fill ``result``, replay the frames and advance the clock to the
         end of the exchange window."""
         sim = self._stack.sim
-        cfg = self._config
         t0 = sim.now
-        self._deadline = t0 + cfg.window_exchange_s
+        self._deadline = t0 + WINDOW_EXCHANGE_S
         self._replay = FrameReplay(self._stack, t0)
 
         # Same draws, same order as the scalar run(): one send delay per
         # member, cluster by cluster.
         first = np.cumsum([0] + [len(s.participants) for s in states])
         send_at = t0 + self._rng.uniform(
-            0.1, cfg.window_exchange_s * 0.25, size=int(first[-1])
+            0.1, WINDOW_EXCHANGE_S * 0.25, size=int(first[-1])
         )
 
         by_size: Dict[int, List[int]] = {}
@@ -203,7 +204,7 @@ class BatchedShareExchange:
         frame(
             FVALUE_KIND,
             holds & is_head,
-            held_at + self._config.ack_timeout_s,
+            held_at + ACK_TIMEOUT_S,
             members,
             BROADCAST,
             fvalue_bytes,

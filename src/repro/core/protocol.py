@@ -35,7 +35,7 @@ from repro.aggregation.tree import TreeBuildResult, build_aggregation_tree
 from repro.core.clustering import ClusterFormation, ClusteringResult
 from repro.core.clustering_batched import BatchedClusterFormation
 from repro.core.config import IcpdaConfig
-from repro.core.field import DEFAULT_FIELD, PrimeField
+from repro.core.field import DEFAULT_FIELD
 from repro.core.integrity import AttackPlan, ReportAndVerdictPhase
 from repro.core.integrity_batched import BatchedReportAndVerdictPhase
 from repro.core.intracluster import ExchangeResult, IntraClusterExchange
@@ -68,8 +68,6 @@ class IcpdaProtocol:
     attack_plan:
         Optional pollution adversary hooks (see
         :class:`repro.core.integrity.AttackPlan`).
-    field_:
-        Prime field for the share algebra.
     radio:
         Optional physical-layer override (e.g. an ``edge_fading``
         channel); must match the deployment's radio range.
@@ -94,7 +92,6 @@ class IcpdaProtocol:
         *,
         linksec: Optional[LinkSecurity] = None,
         attack_plan: Optional[AttackPlan] = None,
-        field_: PrimeField = DEFAULT_FIELD,
         radio: Optional["RadioParams"] = None,
         aggregate: Optional[AdditiveAggregate] = None,
         transport: str = "des",
@@ -102,7 +99,6 @@ class IcpdaProtocol:
     ) -> None:
         self.deployment = deployment
         self.config = config
-        self.field = field_
         # trace=False defers to the kernel's default (a telemetry
         # collector, when active, supplies an enabled log); the kernel
         # clock-binds whichever trace it ends up with.
@@ -312,7 +308,7 @@ class IcpdaProtocol:
                 self.linksec,
                 self.aggregate,
                 readings,
-                self.field,
+                DEFAULT_FIELD,
                 participating_heads=participating,
                 round_id=round_id,
             )

@@ -65,10 +65,6 @@ class AlarmRecord:
     detail: str = ""
     cluster: int = -1
 
-    def dedup_key(self) -> Tuple[int, int, str, int]:
-        """Key used by the base station to de-duplicate alarm copies."""
-        return (self.witness, self.suspect, self.reason.value, self.cluster)
-
 
 @dataclass
 class RoundResult:

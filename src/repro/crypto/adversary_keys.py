@@ -19,7 +19,6 @@ from typing import Dict, Optional, Set, Tuple
 import numpy as np
 
 from repro.crypto.keys import KeyRing, PairwiseKeyScheme
-from repro.crypto.linksec import Ciphertext
 from repro.crypto.predistribution import RandomPredistributionScheme
 from repro.errors import CryptoError
 
@@ -69,15 +68,6 @@ class LinkBreakModel:
             self._fate[key] = fate
         return fate
 
-    def broken_links(self) -> Set[Tuple[int, int]]:
-        """All links decided broken so far."""
-        return {link for link, fate in self._fate.items() if fate}
-
-    def can_read(self, sender: int, receiver: int, ciphertext: Ciphertext) -> bool:
-        """Whether the adversary recovers ``ciphertext`` sent on this link."""
-        del ciphertext  # the break is at the key level, content-independent
-        return self.is_broken(sender, receiver)
-
     # -- structural constructions ------------------------------------------
 
     @classmethod
@@ -87,15 +77,14 @@ class LinkBreakModel:
         captured: Set[int],
         links: Set[Tuple[int, int]],
         rng: Optional[np.random.Generator] = None,
-        residual_p_x: float = 0.0,
     ) -> "LinkBreakModel":
         """Build a model where every link touching a captured node is
-        broken (the adversary holds that node's entire ring), plus an
-        optional residual random ``p_x`` on other links."""
+        broken (the adversary holds that node's entire ring) and no other
+        link is."""
         broken = {
             (a, b) for (a, b) in links if a in captured or b in captured
         }
-        return cls(residual_p_x, rng=rng, always_broken=broken)
+        return cls(0.0, rng=rng, always_broken=broken)
 
     @classmethod
     def from_eg_overlap(
@@ -104,7 +93,6 @@ class LinkBreakModel:
         adversary_ring: KeyRing,
         links: Set[Tuple[int, int]],
         rng: Optional[np.random.Generator] = None,
-        residual_p_x: float = 0.0,
     ) -> "LinkBreakModel":
         """Build a model from EG key overlap: a link is broken iff the
         adversary's ring holds the key that link actually uses."""
@@ -114,4 +102,4 @@ class LinkBreakModel:
                 continue
             if scheme.link_key(a, b) in adversary_ring:
                 broken.add((a, b) if a <= b else (b, a))
-        return cls(residual_p_x, rng=rng, always_broken=broken)
+        return cls(0.0, rng=rng, always_broken=broken)

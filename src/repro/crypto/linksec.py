@@ -61,10 +61,6 @@ class Ciphertext:
             raise MissingKeyError(f"ring does not hold key {self.key_id}")
         return self._plaintext
 
-    def openable_by(self, ring: KeyRing) -> bool:
-        """True if ``ring`` holds the sealing key."""
-        return Key(self.key_id) in ring
-
     def wire_size(self) -> int:
         """Bytes on the wire: plaintext size plus AEAD overhead."""
         return payload_size(self._plaintext) + CIPHERTEXT_OVERHEAD_BYTES

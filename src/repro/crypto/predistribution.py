@@ -11,7 +11,7 @@ channels the paper analyzes, and it is reproduced here faithfully.
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -97,18 +97,6 @@ class RandomPredistributionScheme:
         """True if ``a`` and ``b`` share at least one key."""
         return bool(self.ring(a).shared_with(self.ring(b)))
 
-    def third_party_holders(self, key: Key, exclude: Set[int]) -> Set[int]:
-        """Provisioned nodes outside ``exclude`` that hold ``key``.
-
-        These are the nodes that can passively read a link protected by
-        ``key`` — the EG-specific privacy leak.
-        """
-        return {
-            node
-            for node, ring in self._rings.items()
-            if node not in exclude and key in ring
-        }
-
     # -- analysis ------------------------------------------------------------
 
     def connect_probability(self) -> float:
@@ -118,8 +106,3 @@ class RandomPredistributionScheme:
         if k * 2 > p:
             return 1.0
         return 1.0 - comb(p - k, k) / comb(p, k)
-
-    def third_party_probability(self) -> float:
-        """Probability a specific third node holds one specific pool key:
-        ``k / P`` (the per-link eavesdrop exposure per bystander)."""
-        return self.ring_size / self.pool_size

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro import __version__
 from repro.errors import ReproError
@@ -99,44 +99,6 @@ def load_rows(path: PathLike) -> Dict[str, Any]:
         if key not in document:
             raise ReproError(f"artifact at {path} missing {key!r}")
     return document
-
-
-def diff_rows(
-    old: Sequence[Dict[str, Any]],
-    new: Sequence[Dict[str, Any]],
-    *,
-    rel_tolerance: float = 0.05,
-) -> List[str]:
-    """Compare two row sets field by field; returns human-readable
-    difference descriptions (empty = equivalent within tolerance).
-
-    Numeric fields compare with relative tolerance; everything else
-    compares exactly. Non-finite floats compare as their persisted
-    encoding (``None``), so an in-memory NaN row matches its reloaded
-    artifact. Extra/missing rows are reported, not raised.
-    """
-    differences: List[str] = []
-    if len(old) != len(new):
-        differences.append(f"row count {len(old)} -> {len(new)}")
-    for index, (row_old, row_new) in enumerate(zip(old, new)):
-        keys = set(row_old) | set(row_new)
-        for key in sorted(keys):
-            if key not in row_old or key not in row_new:
-                differences.append(f"row {index}: field {key!r} appeared/vanished")
-                continue
-            a = sanitize_json(row_old[key])
-            b = sanitize_json(row_new[key])
-            if a is None or b is None:
-                if a is not b:
-                    differences.append(f"row {index}: {key} {a!r} -> {b!r}")
-                continue
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                scale = max(abs(float(a)), abs(float(b)), 1e-12)
-                if abs(float(a) - float(b)) / scale > rel_tolerance:
-                    differences.append(f"row {index}: {key} {a} -> {b}")
-            elif a != b:
-                differences.append(f"row {index}: {key} {a!r} -> {b!r}")
-    return differences
 
 
 def save_manifest(path: PathLike, manifest: Dict[str, Any]) -> pathlib.Path:

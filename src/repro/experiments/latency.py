@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.clustering import (
+    WINDOW_ANNOUNCE_S,
+    WINDOW_JOIN_S,
+    WINDOW_MEMBERLIST_S,
+)
 from repro.core.config import IcpdaConfig
+from repro.core.intracluster import WINDOW_EXCHANGE_S
 from repro.experiments.common import (
     DEFAULT_SIZES,
     build_icpda,
@@ -39,17 +45,15 @@ def latency_cell(params: dict, seed: int, context: dict) -> dict:
     icpda_seconds = protocol.sim.now - start
     icpda_energy = protocol.stack.energy.report()
 
-    formation_s = cfg.window_announce_s + cfg.window_join_s * 1.7 + (
-        cfg.window_memberlist_s
-    )
+    formation_s = WINDOW_ANNOUNCE_S + WINDOW_JOIN_S * 1.7 + WINDOW_MEMBERLIST_S
     return {
         "nodes": size,
         "tag_epoch_s": round(tag_result.duration_s, 2),
         "icpda_round_s": round(icpda_seconds, 2),
         "icpda_formation_s": round(formation_s, 2),
-        "icpda_exchange_s": round(cfg.window_exchange_s, 2),
+        "icpda_exchange_s": round(WINDOW_EXCHANGE_S, 2),
         "icpda_report_s": round(
-            icpda_seconds - formation_s - cfg.window_exchange_s, 2
+            icpda_seconds - formation_s - WINDOW_EXCHANGE_S, 2
         ),
         "tag_mJ_per_node": round(tag_energy.total_j / size * 1000.0, 3),
         "icpda_mJ_per_node": round(icpda_energy.total_j / size * 1000.0, 3),

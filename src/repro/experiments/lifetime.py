@@ -32,6 +32,9 @@ from repro.topology.deploy import uniform_deployment
 
 #: TAG accuracy below which the answer is considered failed.
 TAG_FAILURE_FLOOR = 0.5
+#: With tree maintenance on, participation below this share of the
+#: alive fraction counts as tree rot and triggers a re-flood.
+REBUILD_BELOW = 0.6
 
 
 def _deplete(stack: Transport, capacity_j: float, dead: set) -> List[int]:
@@ -56,14 +59,13 @@ def run_icpda_lifetime(
     seed: int = 0,
     field_size: float = 400.0,
     rebuild_on_failure: bool = False,
-    rebuild_below: float = 0.6,
     transport: str = "des",
 ) -> Dict:
     """iCPDA rounds until the base station can no longer accept.
 
     With ``rebuild_on_failure`` the base station performs **tree
     maintenance**: whenever a round is rejected, *or* participation
-    falls below ``rebuild_below`` of the alive fraction (tree rot: dead
+    falls below :data:`REBUILD_BELOW` of the alive fraction (tree rot: dead
     relays silently cutting off live subtrees — the census can't see
     nodes the flood never reached), it re-floods the tree and routes
     around the dead. This separates "tree rotted" from "network
@@ -89,7 +91,7 @@ def run_icpda_lifetime(
             break
         result = protocol.run_round(alive_readings, round_id=round_id)
         alive_fraction = len(alive_readings) / (num_nodes - 1)
-        rotted = result.participation < rebuild_below * alive_fraction
+        rotted = result.participation < REBUILD_BELOW * alive_fraction
         if rebuild_on_failure and (not result.verdict.accepted or rotted):
             protocol.rebuild_tree()
             rebuilds += 1

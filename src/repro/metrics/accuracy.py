@@ -37,17 +37,6 @@ class AccuracyResult:
     trials: int
     rejected: int
 
-    def as_row(self) -> dict:
-        """Flatten for table rendering."""
-        return {
-            "accuracy_mean": round(self.mean, 4),
-            "accuracy_std": round(self.std, 4),
-            "accuracy_min": round(self.minimum, 4),
-            "accuracy_max": round(self.maximum, 4),
-            "trials": self.trials,
-            "rejected": self.rejected,
-        }
-
 
 def accuracy_ratio(collected: float, truth: float) -> float:
     """``collected / truth``; NaN when truth is zero.

@@ -112,13 +112,6 @@ class _Columns:
         self.bytes.fill(0)
 
 
-def _node_sum(table: np.ndarray, node_id: int) -> int:
-    """Column ``node_id`` of ``table`` summed over kinds (0 if unseen)."""
-    if 0 <= node_id < table.shape[1]:
-        return int(table[:, node_id].sum())
-    return 0
-
-
 class MessageCounters:
     """Accumulates transmit/receive totals for a protocol run.
 
@@ -185,18 +178,6 @@ class MessageCounters:
         """All bytes transmitted in the run (headers included)."""
         return int(self._read(self._tx).bytes.sum())
 
-    def node_tx_bytes(self, node_id: int) -> int:
-        """Bytes transmitted by one node."""
-        return _node_sum(self._read(self._tx).bytes, node_id)
-
-    def node_tx_messages(self, node_id: int) -> int:
-        """Frames transmitted by one node."""
-        return _node_sum(self._read(self._tx).messages, node_id)
-
-    def node_rx_bytes(self, node_id: int) -> int:
-        """Bytes received (addressed) by one node."""
-        return _node_sum(self._read(self._rx).bytes, node_id)
-
     def by_kind(self) -> List[KindBreakdown]:
         """Transmit totals per message kind, sorted by descending bytes
         (ties in first-recorded order)."""
@@ -210,18 +191,6 @@ class MessageCounters:
         ]
         breakdown.sort(key=lambda b: -b.bytes)
         return breakdown
-
-    def kind_bytes(self, kind: str) -> int:
-        """Bytes transmitted under one message kind."""
-        tx = self._read(self._tx)
-        row = tx.rows.get(kind)
-        return 0 if row is None else int(tx.bytes[row].sum())
-
-    def kind_messages(self, kind: str) -> int:
-        """Frames transmitted under one message kind."""
-        tx = self._read(self._tx)
-        row = tx.rows.get(kind)
-        return 0 if row is None else int(tx.messages[row].sum())
 
     @property
     def total_rx_messages(self) -> int:

@@ -63,16 +63,3 @@ class DetectionStats:
             clean_rounds=len(clean),
             false_alarms=sum(1 for r in clean if r.detected_pollution),
         )
-
-    def as_row(self) -> dict:
-        """Flatten for table rendering."""
-        return {
-            "attacked": self.attacked_rounds,
-            "detected": self.detected,
-            "detection_ratio": round(self.detection_ratio, 4)
-            if self.attacked_rounds
-            else None,
-            "clean": self.clean_rounds,
-            "false_alarms": self.false_alarms,
-            "false_alarm_ratio": round(self.false_alarm_ratio, 4),
-        }

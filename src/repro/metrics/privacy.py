@@ -52,22 +52,9 @@ class DisclosureStats:
         stderr = sqrt(p * (1.0 - p) / exposed)
         return cls(disclosed, exposed, p, stderr)
 
-    def upper_bound(self, z: float = 1.96) -> float:
-        """Upper end of the ~95% normal-approximation interval."""
-        return min(1.0, self.probability + z * self.stderr)
-
     @classmethod
     def pooled(cls, parts: Sequence["DisclosureStats"]) -> "DisclosureStats":
         """Pool several trials' counts into one estimate."""
         disclosed = sum(p.disclosed for p in parts)
         exposed = sum(p.exposed for p in parts)
         return cls.from_counts(disclosed, exposed)
-
-    def as_row(self) -> dict:
-        """Flatten for table rendering."""
-        return {
-            "disclosed": self.disclosed,
-            "exposed": self.exposed,
-            "p_disclose": self.probability,
-            "stderr": round(self.stderr, 6),
-        }

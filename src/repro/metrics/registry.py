@@ -65,10 +65,6 @@ class MetricsRegistry:
             raise ReproError(f"metrics namespace {namespace!r} already registered")
         self._providers[namespace] = provider
 
-    def unregister(self, namespace: str) -> None:
-        """Detach a provider; unknown namespaces are ignored."""
-        self._providers.pop(namespace, None)
-
     def namespaces(self) -> List[str]:
         """Registered namespaces, in registration order."""
         return list(self._providers)

@@ -10,7 +10,7 @@ Defaults approximate a MICA2-class radio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import SimulationError
 
@@ -32,11 +32,6 @@ class EnergyReport:
     total_j: float
     per_node_j: Dict[int, float]
     max_node_j: float
-
-    def top_consumers(self, count: int = 5) -> List[tuple]:
-        """The ``count`` most energy-hungry ``(node, joules)`` pairs."""
-        ranked = sorted(self.per_node_j.items(), key=lambda kv: -kv[1])
-        return ranked[:count]
 
 
 @dataclass

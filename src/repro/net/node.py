@@ -44,9 +44,5 @@ class Node:
             raise SimulationError("handler kind must be non-empty")
         self._handlers[kind] = handler
 
-    def unregister_handler(self, kind: str) -> None:
-        """Remove the handler for ``kind`` if present."""
-        self._handlers.pop(kind, None)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Node({self.node_id}, handlers={sorted(self._handlers)})"

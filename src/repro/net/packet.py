@@ -153,10 +153,6 @@ class Packet:
         """True for local broadcast frames."""
         return self.dst == BROADCAST
 
-    def addressed_to(self, node_id: int) -> bool:
-        """True if ``node_id`` is an intended recipient of this frame."""
-        return self.is_broadcast or self.dst == node_id
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         dst = "*" if self.is_broadcast else str(self.dst)
         return f"Packet({self.src}->{dst} {self.kind} {self.size_bytes}B #{self.seq})"

@@ -51,8 +51,9 @@ class NetworkStack:
         Event kernel the network runs on.
     deployment:
         Geometric ground truth (positions, range).
-    radio / mac_params:
-        Physical and MAC parameters (defaults match the paper's setup).
+    radio:
+        Physical-layer parameters (defaults match the paper's setup); the
+        MAC runs with the default :class:`MacParams`.
     counters / energy:
         Optional externally-owned accounting objects; fresh ones are
         created when omitted.
@@ -64,7 +65,6 @@ class NetworkStack:
         deployment: Deployment,
         *,
         radio: Optional[RadioParams] = None,
-        mac_params: Optional[MacParams] = None,
         counters: Optional[MessageCounters] = None,
         energy: Optional[EnergyModel] = None,
     ) -> None:
@@ -95,7 +95,7 @@ class NetworkStack:
         )
         self.nodes: Dict[int, Node] = {}
         self.macs: Dict[int, CsmaMac] = {}
-        params = mac_params if mac_params is not None else MacParams()
+        params = MacParams()
         for node_id in range(deployment.num_nodes):
             self.nodes[node_id] = Node(node_id)
             self.macs[node_id] = CsmaMac(sim, self.medium, node_id, params)

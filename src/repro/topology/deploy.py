@@ -83,10 +83,6 @@ class Deployment:
         diff = self.positions[a] - self.positions[b]
         return float(np.hypot(diff[0], diff[1]))
 
-    def in_range(self, a: int, b: int) -> bool:
-        """True if ``a`` and ``b`` are within radio range of each other."""
-        return a != b and self.distance(a, b) <= self.radio_range
-
     def expected_degree(self) -> float:
         """Analytic mean degree ``N * pi * r^2 / A`` ignoring edge effects."""
         area = self.field_size * self.field_size

@@ -99,32 +99,3 @@ def bfs_tree_parents(
             f"{missing} node(s) unreachable from root {root}"
         )
     return parents
-
-
-def tree_depths(parents: Dict[int, Optional[int]]) -> Dict[int, int]:
-    """Depth of each node in a parent map (root depth 0)."""
-    depths: Dict[int, int] = {}
-
-    def depth_of(node: int) -> int:
-        if node in depths:
-            return depths[node]
-        parent = parents[node]
-        value = 0 if parent is None else depth_of(parent) + 1
-        depths[node] = value
-        return value
-
-    for node in parents:
-        depth_of(node)
-    return depths
-
-
-def tree_children(parents: Dict[int, Optional[int]]) -> Dict[int, List[int]]:
-    """Invert a parent map into sorted child lists (every node has an
-    entry, leaves map to an empty list)."""
-    children: Dict[int, List[int]] = {node: [] for node in parents}
-    for node, parent in parents.items():
-        if parent is not None:
-            children[parent].append(node)
-    for node in children:
-        children[node].sort()
-    return children

@@ -41,17 +41,6 @@ class DensityStats:
     isolated_nodes: int
     largest_component_fraction: float
 
-    def as_row(self) -> dict:
-        """Flatten to a plain dict for table rendering."""
-        return {
-            "nodes": self.num_nodes,
-            "mean_degree": round(self.mean_degree, 2),
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "isolated": self.isolated_nodes,
-            "lcc_fraction": round(self.largest_component_fraction, 4),
-        }
-
 
 def degree_sequence(deployment: Deployment) -> List[int]:
     """Sorted degree sequence of the deployment's unit-disk graph."""

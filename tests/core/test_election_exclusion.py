@@ -3,7 +3,7 @@
 import pytest
 
 from repro.aggregation.tree import build_aggregation_tree
-from repro.core.clustering import ClusterFormation
+from repro.core.clustering import ADAPTIVE_TARGET_K, ClusterFormation
 from repro.core.config import IcpdaConfig
 from repro.errors import ConfigError
 from repro.net.stack import NetworkStack
@@ -22,8 +22,6 @@ class TestAdaptiveElection:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             IcpdaConfig(election_mode="magic")
-        with pytest.raises(ConfigError):
-            IcpdaConfig(adaptive_target_k=1)
         IcpdaConfig(election_mode="adaptive")  # valid
 
     def test_probability_fixed_mode(self, small_deployment):
@@ -31,12 +29,12 @@ class TestAdaptiveElection:
         assert formation._election_probability(5) == 0.3
 
     def test_probability_adaptive_caps_at_target(self, small_deployment):
-        config = IcpdaConfig(election_mode="adaptive", adaptive_target_k=4)
+        config = IcpdaConfig(election_mode="adaptive")
         formation, stack, _ = form(small_deployment, config)
         for node in range(1, 10):
             p = formation._election_probability(node)
             neighborhood = stack.degree(node) + 1
-            assert p == pytest.approx(1.0 / min(4, neighborhood))
+            assert p == pytest.approx(1.0 / min(ADAPTIVE_TARGET_K, neighborhood))
 
     def test_adaptive_formation_runs(self, small_deployment):
         config = IcpdaConfig(election_mode="adaptive")

@@ -48,6 +48,7 @@ from repro.crypto.linksec import LinkSecurity
 from repro.crypto.predistribution import RandomPredistributionScheme
 from repro.errors import ConfigError
 from repro.topology.deploy import uniform_deployment
+from tests.counter_reads import kind_totals
 from tests.net.loopback import FakeSim, LoopbackTransport, grid_topology
 
 EXCHANGE_KINDS = (
@@ -115,7 +116,7 @@ def _summary(exchange):
             for head, state in exchange.states.items()
         },
         dict(exchange.witness_sums),
-        exchange.total_contributors(),
+        sum(s.contributors for s in exchange.states.values() if s.completed),
     )
 
 
@@ -129,7 +130,7 @@ def _full_summary(exchange, fake, trace):
         },
         dict(exchange.witness_sums),
         collections.Counter(exchange.share_log),
-        {kind: (counters.kind_messages(kind), counters.kind_bytes(kind)) for kind in EXCHANGE_KINDS},
+        {kind: kind_totals(counters, kind) for kind in EXCHANGE_KINDS},
         (counters.total_rx_messages, counters.total_rx_bytes),
         exchange.fset_conflicts,
         collections.Counter(
@@ -400,7 +401,7 @@ def _exchange_on_batched_clustering(deployment, readings, engine: str):
         protocol.linksec,
         protocol.aggregate,
         readings,
-        protocol.field,
+        DEFAULT_FIELD,
         round_id=1,
     ).run()
     return clustering, exchange, counters.total_bytes - before

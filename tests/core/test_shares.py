@@ -11,6 +11,7 @@ from repro.core.shares import (
     sum_share_values,
 )
 from repro.errors import ShareAlgebraError
+from tests.oracles import eval_poly
 
 
 def cluster_seeds(*nodes):
@@ -165,7 +166,7 @@ class TestPrivacyProperty:
         secret = 5
         for mask in range(11):
             # manual polynomial: f(x) = secret + mask*x
-            share_at_member2 = field.eval_poly([secret, mask], members[2])
+            share_at_member2 = eval_poly(field, [secret, mask], members[2])
             counts[share_at_member2] += 1
         assert set(counts.values()) == {1}  # perfectly uniform
 
@@ -182,8 +183,8 @@ class TestPrivacyProperty:
             for m1 in range(11):
                 for m2 in range(11):
                     obs = (
-                        field.eval_poly([secret, m1, m2], 2),
-                        field.eval_poly([secret, m1, m2], 3),
+                        eval_poly(field, [secret, m1, m2], 2),
+                        eval_poly(field, [secret, m1, m2], 3),
                     )
                     observations.add(obs)
             observed_sets[secret] = observations

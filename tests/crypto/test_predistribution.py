@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.crypto.adversary_keys import LinkBreakModel
 from repro.crypto.predistribution import RandomPredistributionScheme
 from repro.errors import CryptoError, NoSharedKeyError
 
@@ -62,21 +63,6 @@ class TestLinkEstablishment:
             assert scheme.link_key(1, 2) == scheme.link_key(1, 2)
 
 
-class TestThirdPartyExposure:
-    def test_third_party_holders_found(self):
-        scheme = make_scheme(pool=10, ring=5, seed=3)
-        scheme.provision_all([1, 2, 3, 4, 5])
-        if scheme.can_secure(1, 2):
-            key = scheme.link_key(1, 2)
-            holders = scheme.third_party_holders(key, exclude={1, 2})
-            for holder in holders:
-                assert key in scheme.ring(holder)
-                assert holder not in (1, 2)
-
-    def test_third_party_probability(self):
-        scheme = make_scheme(pool=100, ring=20)
-        assert scheme.third_party_probability() == pytest.approx(0.2)
-
 
 class TestConnectProbability:
     def test_formula_matches_empirical(self):
@@ -94,3 +80,26 @@ class TestConnectProbability:
     def test_full_overlap_guaranteed(self):
         scheme = make_scheme(pool=10, ring=6)
         assert scheme.connect_probability() == 1.0
+
+
+class TestThirdPartyExposure:
+    def test_third_party_holders_found(self):
+        """A bystander whose ring holds the link key reads the link."""
+        scheme = make_scheme(pool=10, ring=5, seed=3)
+        scheme.provision_all([1, 2, 3, 4, 5])
+        assert scheme.can_secure(1, 2)
+        key = scheme.link_key(1, 2)
+        for bystander in (3, 4, 5):
+            model = LinkBreakModel.from_eg_overlap(
+                scheme, scheme.ring(bystander), {(1, 2)}
+            )
+            assert model.is_broken(1, 2) == (key in scheme.ring(bystander))
+
+    def test_third_party_probability(self):
+        """A given pool key sits in a fraction ``k / P`` of the rings."""
+        scheme = make_scheme(pool=100, ring=20)
+        nodes = list(range(2000))
+        scheme.provision_all(nodes)
+        key = min(scheme.ring(0).as_frozenset(), key=lambda k: k.key_id)
+        holders = sum(key in scheme.ring(node) for node in nodes)
+        assert holders / len(nodes) == pytest.approx(0.2, abs=0.03)

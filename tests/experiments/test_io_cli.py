@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ReproError
 from repro.experiments.cli import main
 from repro.experiments.engine import CellSpec, ExperimentSpec
-from repro.experiments.io import diff_rows, load_rows, save_rows
+from repro.experiments.io import load_rows, save_rows
 
 
 def _rows_cell(params, seed, context):
@@ -75,9 +75,6 @@ class TestSaveLoad:
             {"nodes": 100, "ratio": None},
             {"nodes": 200, "ratio": None, "neg": None},
         ]
-        # And diff_rows treats the in-memory NaN rows as equivalent to
-        # their persisted encoding.
-        assert diff_rows(rows, document["rows"]) == []
 
     def test_legacy_nan_artifact_still_loads(self, tmp_path):
         """Artifacts written before the strict encoding (bare NaN
@@ -88,32 +85,6 @@ class TestSaveLoad:
         )
         document = load_rows(path)
         assert document["rows"] == [{"ratio": None}]
-
-
-class TestDiff:
-    def test_identical_rows_no_diff(self):
-        rows = [{"a": 1.0, "b": "x"}]
-        assert diff_rows(rows, rows) == []
-
-    def test_within_tolerance_no_diff(self):
-        old = [{"accuracy": 0.95}]
-        new = [{"accuracy": 0.96}]
-        assert diff_rows(old, new, rel_tolerance=0.05) == []
-
-    def test_beyond_tolerance_reported(self):
-        old = [{"accuracy": 0.95}]
-        new = [{"accuracy": 0.5}]
-        assert len(diff_rows(old, new)) == 1
-
-    def test_string_fields_compare_exactly(self):
-        assert diff_rows([{"v": "accepted"}], [{"v": "rejected"}])
-
-    def test_row_count_change_reported(self):
-        assert "row count" in diff_rows([{"a": 1}], [])[0]
-
-    def test_field_appearance_reported(self):
-        diffs = diff_rows([{"a": 1}], [{"a": 1, "b": 2}])
-        assert any("appeared" in d for d in diffs)
 
 
 class TestCli:

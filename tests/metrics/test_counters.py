@@ -7,6 +7,7 @@ import pytest
 
 from repro.metrics import counters as counters_module
 from repro.metrics.counters import KindBreakdown, MessageCounters
+from tests.counter_reads import kind_totals, node_rx_bytes, node_tx_bytes, node_tx_messages
 
 
 class TestRollups:
@@ -24,10 +25,10 @@ class TestRollups:
         counters.record_tx(1, "b", 15)
         counters.record_tx(2, "a", 10)
         counters.record_rx(2, "a", 10)
-        assert counters.node_tx_bytes(1) == 25
-        assert counters.node_tx_messages(1) == 2
-        assert counters.node_rx_bytes(2) == 10
-        assert counters.node_tx_bytes(99) == 0
+        assert node_tx_bytes(counters, 1) == 25
+        assert node_tx_messages(counters, 1) == 2
+        assert node_rx_bytes(counters, 2) == 10
+        assert node_tx_bytes(counters, 99) == 0
 
     def test_by_kind_sorted_by_bytes(self):
         counters = MessageCounters()
@@ -36,17 +37,17 @@ class TestRollups:
         breakdown = counters.by_kind()
         assert breakdown[0].kind == "big"
         assert breakdown[1].kind == "small"
-        assert counters.kind_bytes("big") == 500
-        assert counters.kind_messages("small") == 1
+        assert kind_totals(counters, "big")[1] == 500
+        assert kind_totals(counters, "small")[0] == 1
 
     def test_messages_per_node(self):
         counters = MessageCounters()
         counters.record_tx(1, "a", 1)
         counters.record_tx(1, "b", 1)
         counters.record_tx(3, "a", 1)
-        assert counters.node_tx_messages(1) == 2
-        assert counters.node_tx_messages(3) == 1
-        assert counters.node_tx_messages(2) == 0
+        assert node_tx_messages(counters, 1) == 2
+        assert node_tx_messages(counters, 3) == 1
+        assert node_tx_messages(counters, 2) == 0
 
     def test_reset(self):
         counters = MessageCounters()
@@ -62,7 +63,7 @@ class TestRollups:
         counters.reset()
         record_rx(4, "y", 7)
         assert counters.total_rx_bytes == 7
-        assert counters.node_rx_bytes(4) == 7
+        assert node_rx_bytes(counters, 4) == 7
 
     def test_columns_match_scalar_records(self):
         columnar = MessageCounters()
@@ -74,9 +75,9 @@ class TestRollups:
         for node, size in ((7, 25), (7, 25), (7, 9)):
             scalar.record_rx(node, "share", size)
         assert columnar.snapshot() == scalar.snapshot()
-        assert columnar.node_tx_messages(3) == 2
-        assert columnar.node_tx_bytes(3) == 40
-        assert columnar.node_rx_bytes(7) == 59
+        assert node_tx_messages(columnar, 3) == 2
+        assert node_tx_bytes(columnar, 3) == 40
+        assert node_rx_bytes(columnar, 7) == 59
 
     def test_empty_batch_registers_no_kind(self):
         counters = MessageCounters()
@@ -147,11 +148,11 @@ def _reads(counters, nodes, kinds):
         "total_bytes": counters.total_bytes,
         "total_rx_messages": counters.total_rx_messages,
         "total_rx_bytes": counters.total_rx_bytes,
-        "node_tx_bytes": [counters.node_tx_bytes(n) for n in nodes],
-        "node_tx_messages": [counters.node_tx_messages(n) for n in nodes],
-        "node_rx_bytes": [counters.node_rx_bytes(n) for n in nodes],
-        "kind_bytes": [counters.kind_bytes(k) for k in kinds],
-        "kind_messages": [counters.kind_messages(k) for k in kinds],
+        "node_tx_bytes": [node_tx_bytes(counters, n) for n in nodes],
+        "node_tx_messages": [node_tx_messages(counters, n) for n in nodes],
+        "node_rx_bytes": [node_rx_bytes(counters, n) for n in nodes],
+        "kind_bytes": [kind_totals(counters, k)[1] for k in kinds],
+        "kind_messages": [kind_totals(counters, k)[0] for k in kinds],
         "by_kind": counters.by_kind(),
     }
 
@@ -254,11 +255,11 @@ def test_columns_grow_past_several_doublings():
     assert counters.total_bytes == sum(n + 1 for n in nodes) + sum(range(17))
     assert counters.total_messages == len(nodes) + 2 * 17
     for node in nodes:
-        assert counters.node_tx_messages(node) == 1
-        assert counters.node_rx_bytes(node) == 7
-    assert counters.node_tx_messages(16 * 997 + 1) == 2
-    assert counters.node_tx_bytes(70001) == 0
-    assert counters.node_rx_bytes(10**9) == 0
+        assert node_tx_messages(counters, node) == 1
+        assert node_rx_bytes(counters, node) == 7
+    assert node_tx_messages(counters, 16 * 997 + 1) == 2
+    assert node_tx_bytes(counters, 70001) == 0
+    assert node_rx_bytes(counters, 10**9) == 0
     assert counters.total_rx_messages == 2 * len(nodes)
     assert [b.kind for b in counters.by_kind()][:2] == ["hello", "q"]
     # Each dimension grows only when it runs out.

@@ -50,7 +50,6 @@ class TestDisclosure:
         stats = DisclosureStats.from_counts(5, 100)
         assert stats.probability == pytest.approx(0.05)
         assert stats.stderr > 0
-        assert stats.upper_bound() > 0.05
 
     def test_zero_exposed(self):
         stats = DisclosureStats.from_counts(0, 0)

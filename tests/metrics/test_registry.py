@@ -32,14 +32,6 @@ class TestRegistration:
             with pytest.raises(ReproError):
                 registry.register(bad, lambda: {})
 
-    def test_unregister(self):
-        registry = MetricsRegistry()
-        registry.register("mac", lambda: {"sent": 3})
-        registry.unregister("mac")
-        assert "mac" not in registry
-        assert registry.snapshot() == {}
-        registry.unregister("never-there")  # silently ignored
-
 
 class TestSnapshot:
     def test_merged_and_namespaced(self):

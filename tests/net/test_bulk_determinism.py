@@ -27,6 +27,7 @@ from repro.net import fluid
 from repro.net.fluid import BulkFluidTransport
 from repro.net.packet import BROADCAST
 from tests.net.test_fluid_bulk import make_bulk
+from tests.counter_reads import node_rx_bytes, node_tx_bytes, node_tx_messages
 
 NUM_NODES = 300
 SEED = 3
@@ -82,9 +83,9 @@ def _fingerprint(protocol, result) -> tuple:
         sorted(protocol.phase_bytes.items()),
         [
             (
-                counters.node_tx_messages(node),
-                counters.node_tx_bytes(node),
-                counters.node_rx_bytes(node),
+                node_tx_messages(counters, node),
+                node_tx_bytes(counters, node),
+                node_rx_bytes(counters, node),
             )
             for node in nodes
         ],
@@ -168,9 +169,9 @@ def _books(stack: BulkFluidTransport) -> tuple:
     return (
         [
             (
-                counters.node_tx_messages(node),
-                counters.node_tx_bytes(node),
-                counters.node_rx_bytes(node),
+                node_tx_messages(counters, node),
+                node_tx_bytes(counters, node),
+                node_rx_bytes(counters, node),
             )
             for node in nodes
         ],
@@ -224,7 +225,7 @@ def test_logged_batches_settle_like_sealed_ones(log_rows, monkeypatch):
 READS = {
     "counters": lambda stack: stack.counters.snapshot(),
     "counters_node": lambda stack: [
-        stack.counters.node_tx_bytes(node) for node in stack.node_ids()
+        node_tx_bytes(stack.counters, node) for node in stack.node_ids()
     ],
     "energy": lambda stack: repr(stack.energy.snapshot()),
     "stats": lambda stack: stack.stats.snapshot(),

@@ -23,6 +23,7 @@ from repro.net.stack import NetworkStack
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 from tests.conftest import make_line_deployment
+from tests.counter_reads import node_tx_bytes, node_tx_messages
 
 TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
@@ -35,7 +36,7 @@ class TestDeadSenderAccounting:
         stack = NetworkStack(sim, make_line_deployment(3))
         stack.send(1, 0, "x", size_bytes=60)
         sim.run()
-        bytes_before = stack.counters.node_tx_bytes(1)
+        bytes_before = node_tx_bytes(stack.counters, 1)
         energy_before = stack.energy.spent(1)
         assert bytes_before == 60
         assert energy_before > 0.0
@@ -47,8 +48,8 @@ class TestDeadSenderAccounting:
             stack.send(1, 0, "x", size_bytes=60)
         sim.run()
         assert sim.now > crash_at
-        assert stack.counters.node_tx_bytes(1) == bytes_before
-        assert stack.counters.node_tx_messages(1) == 1
+        assert node_tx_bytes(stack.counters, 1) == bytes_before
+        assert node_tx_messages(stack.counters, 1) == 1
         assert stack.energy.spent(1) == energy_before
 
     def test_dead_sender_mac_never_engaged(self):
@@ -75,7 +76,7 @@ class TestDeadSenderAccounting:
         stack.fail_node(0)
         stack.send(1, 2, "x", size_bytes=30)
         sim.run()
-        assert stack.counters.node_tx_bytes(1) == 30
+        assert node_tx_bytes(stack.counters, 1) == 30
         assert stack.energy.spent(1) > 0.0
 
 

@@ -9,6 +9,7 @@ from repro.net.fluid import FluidParams, FluidTransport
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import uniform_deployment
+from tests.counter_reads import node_tx_messages
 
 
 def make_fluid(seed=7, num_nodes=80, params=None, radio=None):
@@ -110,7 +111,7 @@ def test_dead_nodes_neither_send_nor_receive():
     stack.sim.run()
     # A dead radio keys up nothing: uncounted everywhere.
     assert stack.stats.transmissions == tx_before
-    assert stack.counters.node_tx_messages(src) == 1
+    assert node_tx_messages(stack.counters, src) == 1
 
 
 def test_reset_accounting_clears_all_namespaces():

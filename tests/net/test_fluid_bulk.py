@@ -19,6 +19,7 @@ from repro.net.fluid import BulkFluidTransport, FluidParams
 from repro.net.packet import BROADCAST
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import uniform_deployment
+from tests.counter_reads import node_rx_bytes, node_tx_bytes, node_tx_messages
 
 
 def make_bulk(seed=7, num_nodes=80, params=None, radio=None):
@@ -160,7 +161,7 @@ def test_dead_nodes_neither_send_nor_receive():
     stack.sim.run()
     # A dead radio keys up nothing: uncounted everywhere.
     assert stack.stats.transmissions == tx_before
-    assert stack.counters.node_tx_messages(src) == 1
+    assert node_tx_messages(stack.counters, src) == 1
 
 
 def test_dead_sender_burst_drops_without_shifting_streams():
@@ -287,15 +288,15 @@ def test_send_many_counts_like_per_row_sends():
         counters = stack.counters
         assert sum(count for count, _ in heard.values()) == counters.total_rx_messages
         assert all(
-            counters.node_rx_bytes(node) == rx_bytes
+            node_rx_bytes(counters, node) == rx_bytes
             for node, (_, rx_bytes) in heard.items()
         )
         return (
             [
                 (
-                    counters.node_tx_messages(node),
-                    counters.node_tx_bytes(node),
-                    counters.node_rx_bytes(node),
+                    node_tx_messages(counters, node),
+                    node_tx_bytes(counters, node),
+                    node_rx_bytes(counters, node),
                 )
                 for node in stack.node_ids()
             ],

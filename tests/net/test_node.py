@@ -63,13 +63,6 @@ class TestHandlerDispatch:
         assert first == []
         assert len(second) == 1
 
-    def test_unregister(self, stack):
-        got = []
-        stack.register_handler(1, "x", lambda _node, p: got.append(p))
-        stack.nodes[1].unregister_handler("x")
-        deliver(stack, 1)
-        assert got == []
-
     def test_empty_kind_rejected(self):
         with pytest.raises(SimulationError):
             Node(5).register_handler("", lambda _node, p: None)

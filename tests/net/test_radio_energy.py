@@ -54,7 +54,6 @@ class TestEnergyModel:
         report = model.report()
         assert report.total_j == pytest.approx(40.0)
         assert report.max_node_j == pytest.approx(30.0)
-        assert report.top_consumers(1) == [(2, 30.0)]
 
     def test_reset(self):
         model = EnergyModel()

@@ -6,6 +6,7 @@ from repro.errors import SimulationError
 from repro.net.stack import NetworkStack
 from repro.sim.kernel import Simulator
 from tests.conftest import make_line_deployment
+from tests.counter_reads import node_rx_bytes, node_tx_bytes
 
 
 @pytest.fixture
@@ -42,8 +43,8 @@ class TestMessaging:
         line_stack.sim.run()
         assert len(got) == 1
         assert line_stack.counters.total_messages == 1
-        assert line_stack.counters.node_tx_bytes(0) > 0
-        assert line_stack.counters.node_rx_bytes(1) > 0
+        assert node_tx_bytes(line_stack.counters, 0) > 0
+        assert node_rx_bytes(line_stack.counters, 1) > 0
 
     def test_broadcast_reaches_neighbors_only(self, line_stack):
         got = {n: [] for n in range(5)}

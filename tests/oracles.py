@@ -1,0 +1,43 @@
+"""Reference polynomial arithmetic, independent of :mod:`repro.core.field`.
+
+The library only ever needs the constant term of an interpolating
+polynomial (:meth:`PrimeField.lagrange_constant_term`). These plain
+helpers build share points and recover full coefficient vectors another
+way (Horner evaluation; Newton divided differences with Fermat
+inverses), so tests can check the library's Lagrange path against them.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+from repro.core.field import PrimeField
+
+
+def eval_poly(field: PrimeField, coefficients: Sequence[int], x: int) -> int:
+    """``Σ c_k x^k`` mod ``field.q`` (Horner); ``coefficients[0]`` is the
+    constant term."""
+    result = 0
+    for coefficient in reversed(coefficients):
+        result = (result * x + coefficient) % field.q
+    return result
+
+
+def solve_vandermonde(field: PrimeField, points: Sequence[Tuple[int, int]]) -> List[int]:
+    """Full coefficient vector of the polynomial through ``points``."""
+    q = field.q
+    xs = [x % q for x, _ in points]
+    n = len(points)
+    table = [y % q for _, y in points]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            denominator = (xs[i] - xs[i - level]) % q
+            table[i] = (table[i] - table[i - 1]) * pow(denominator, q - 2, q) % q
+    coefficients = [0] * n
+    basis = [1] + [0] * (n - 1)  # running product Π (x - x_i)
+    for i in range(n):
+        coefficients = [(c + table[i] * b) % q for c, b in zip(coefficients, basis)]
+        basis = [
+            ((basis[k - 1] if k else 0) - basis[k] * xs[i]) % q for k in range(n)
+        ]
+    return coefficients

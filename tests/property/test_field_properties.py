@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.field import DEFAULT_FIELD, PrimeField
+from tests.oracles import eval_poly, solve_vandermonde
 
 SMALL = PrimeField(10007)
 
@@ -28,7 +29,7 @@ class TestFieldAxioms:
 
     @given(elements)
     def test_additive_inverse(self, a):
-        assert SMALL.add(a, SMALL.neg(a)) == 0
+        assert SMALL.add(a, (-a) % SMALL.q) == 0
 
     @given(nonzero)
     def test_multiplicative_inverse(self, a):
@@ -36,7 +37,7 @@ class TestFieldAxioms:
 
     @given(elements, elements)
     def test_sub_is_add_neg(self, a, b):
-        assert SMALL.sub(a, b) == SMALL.add(a, SMALL.neg(b))
+        assert SMALL.sub(a, b) == SMALL.add(a, (-b) % SMALL.q)
 
 
 class TestSignedEncoding:
@@ -68,7 +69,7 @@ class TestInterpolation:
                 unique=True,
             )
         )
-        points = [(x, SMALL.eval_poly(coefficients, x)) for x in xs]
+        points = [(x, eval_poly(SMALL, coefficients, x)) for x in xs]
         assert SMALL.lagrange_constant_term(points) == coefficients[0]
 
     @given(st.lists(elements, min_size=1, max_size=5), st.data())
@@ -82,8 +83,8 @@ class TestInterpolation:
                 unique=True,
             )
         )
-        points = [(x, SMALL.eval_poly(coefficients, x)) for x in xs]
-        assert SMALL.solve_vandermonde(points) == list(coefficients)
+        points = [(x, eval_poly(SMALL, coefficients, x)) for x in xs]
+        assert solve_vandermonde(SMALL, points) == list(coefficients)
 
     @given(
         st.integers(min_value=-(10**15), max_value=10**15),
@@ -99,7 +100,7 @@ class TestInterpolation:
             rand.randrange(field.q) for _ in range(degree)
         ]
         xs = rand.sample(range(1, 10_000), degree + 1)
-        points = [(x, field.eval_poly(coefficients, x)) for x in xs]
+        points = [(x, eval_poly(field, coefficients, x)) for x in xs]
         recovered = field.decode_signed(field.lagrange_constant_term(points))
         assert recovered == secret
 
@@ -132,7 +133,7 @@ class TestCachedLagrangeWeights:
         warm = field.lagrange_constant_term(points)  # cache hit
         # solve_vandermonde is an independent Newton-form solver that
         # never touches the weight cache.
-        uncached = field.solve_vandermonde(points)[0]
+        uncached = solve_vandermonde(field, points)[0]
         assert cold == warm == uncached
 
     @given(st.integers(min_value=3, max_value=6), st.data())

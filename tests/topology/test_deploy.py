@@ -11,6 +11,7 @@ from repro.topology.deploy import (
     poisson_deployment,
     uniform_deployment,
 )
+from repro.topology.graphs import neighbors_within_range
 
 
 class TestDeployment:
@@ -25,7 +26,7 @@ class TestDeployment:
 
     def test_in_range_excludes_self(self, rng):
         deployment = uniform_deployment(10, rng=rng)
-        assert not deployment.in_range(3, 3)
+        assert 3 not in neighbors_within_range(deployment)[3]
 
     def test_base_station_is_node_zero(self, rng):
         deployment = uniform_deployment(10, rng=rng)

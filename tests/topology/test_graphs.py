@@ -1,5 +1,6 @@
 """Unit tests for graph construction and tree derivation."""
 
+import networkx as nx
 import pytest
 
 from repro.errors import DisconnectedNetworkError
@@ -10,8 +11,6 @@ from repro.topology.graphs import (
     is_connected_to,
     largest_component,
     neighbors_within_range,
-    tree_children,
-    tree_depths,
 )
 from tests.conftest import make_line_deployment
 
@@ -62,8 +61,11 @@ class TestBfsTree:
     def test_depths_and_children(self):
         graph = connectivity_graph(make_line_deployment(4))
         parents = bfs_tree_parents(graph, 0)
-        assert tree_depths(parents) == {0: 0, 1: 1, 2: 2, 3: 3}
-        assert tree_children(parents) == {0: [1], 1: [2], 2: [3], 3: []}
+        assert nx.single_source_shortest_path_length(graph, 0) == {
+            0: 0, 1: 1, 2: 2, 3: 3
+        }
+        children = {node: sorted(c for c, p in parents.items() if p == node) for node in parents}
+        assert children == {0: [1], 1: [2], 2: [3], 3: []}
 
     def test_unreachable_nodes_absent(self):
         import numpy as np
@@ -95,7 +97,7 @@ class TestBfsTree:
         deployment = uniform_deployment(60, field_size=150.0, rng=rng)
         graph = connectivity_graph(deployment)
         parents = bfs_tree_parents(graph, 0)
-        depths = tree_depths(parents)
+        depths = nx.single_source_shortest_path_length(graph, 0)
         for node, parent in parents.items():
             if parent is None:
                 continue
