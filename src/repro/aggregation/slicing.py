@@ -31,7 +31,7 @@ from typing import Dict, List
 from repro.aggregation.functions import AdditiveAggregate
 from repro.aggregation.tag import TagProtocol, TagResult
 from repro.aggregation.tree import TreeBuildResult
-from repro.core.arq import ACK_TIMEOUT_S, RETRIES, StopAndWait
+from repro.core.arq import StopAndWait
 from repro.core.intracluster import ShareTransmission
 from repro.crypto.linksec import LinkSecurity
 from repro.errors import AggregationError, NoSharedKeyError
@@ -117,7 +117,7 @@ class SlicingAggregation:
         self._rng = stack.sim.rng.stream("slicing")
         self._assembled: Dict[int, List[int]] = {}
         self._contributes: Dict[int, int] = {}
-        self._arq = StopAndWait(stack, ACK_TIMEOUT_S, RETRIES, base=1.0)
+        self._arq = StopAndWait(stack, base=1.0)
         self.sent = 0
         self.delivered = 0
         self.slice_log: List[ShareTransmission] = []

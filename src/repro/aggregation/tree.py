@@ -63,19 +63,9 @@ class TreeBuildResult:
         """Number of nodes in the tree (root included)."""
         return len(self.parents)
 
-    def coverage(self, num_nodes: int) -> float:
-        """Fraction of the network the tree reached."""
-        return self.reached / num_nodes
-
     def max_depth(self) -> int:
         """Deepest hop count in the tree."""
         return max(self.depths.values()) if self.depths else 0
-
-    def leaves(self) -> List[int]:
-        """Nodes with no children."""
-        return sorted(
-            node for node in self.parents if not self.children.get(node)
-        )
 
 
 class _TreeBuilder:

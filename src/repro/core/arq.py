@@ -2,8 +2,8 @@
 
 Census records, shares, F-values, reports and slices cross a hop the
 same way. The sender transmits; while no ack for ``(sender, key)`` has
-arrived, it sends again ``ack_timeout_s * (base + 0.5 * attempt)`` after
-each attempt, at most ``retries`` times. The receiver acks every copy
+arrived, it sends again ``ACK_TIMEOUT_S * (base + 0.5 * attempt)`` after
+each attempt, at most ``RETRIES`` times. The receiver acks every copy
 (the lost frame may have been the ack) but takes only the first. Ack
 frames stay with the phases: their kinds and payloads differ per hop,
 and witnesses overhear report acks.
@@ -28,19 +28,14 @@ class StopAndWait:
     key)`` pairs already taken.
 
     ``base`` scales the first wait: 1.0 inside a cluster, 1.5 up the
-    tree. ``retries`` counts retransmissions; 0 sends once. An ack stays
-    recorded for the instance's life, so frames keyed alike (a report
-    and an abort of one cluster) share one flag.
+    tree. An ack stays recorded for the instance's life, so frames keyed
+    alike (a report and an abort of one cluster) share one flag.
     """
 
-    __slots__ = ("_sim", "_ack_timeout_s", "_retries", "_base", "_acked", "_taken")
+    __slots__ = ("_sim", "_base", "_acked", "_taken")
 
-    def __init__(
-        self, transport: Transport, ack_timeout_s: float, retries: int, base: float
-    ) -> None:
+    def __init__(self, transport: Transport, base: float) -> None:
         self._sim = transport.sim
-        self._ack_timeout_s = ack_timeout_s
-        self._retries = retries
         self._base = base
         self._acked: Set[Tuple[int, Hashable]] = set()
         self._taken: Set[Tuple[int, Hashable]] = set()
@@ -56,8 +51,8 @@ class StopAndWait:
         """Call ``transmit(*args)`` (a transport's ``send`` or
         ``broadcast``) now, and arm the retry timer of ``attempt``."""
         transmit(*args)
-        if attempt < self._retries:
-            timeout = self._ack_timeout_s * (self._base + 0.5 * attempt)
+        if attempt < RETRIES:
+            timeout = ACK_TIMEOUT_S * (self._base + 0.5 * attempt)
             self._sim.schedule(
                 timeout, self._expire, args=(sender, key, transmit, args, attempt)
             )

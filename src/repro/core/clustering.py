@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.aggregation.tree import TreeBuildResult
-from repro.core.arq import ACK_TIMEOUT_S, RETRIES, StopAndWait
+from repro.core.arq import StopAndWait
 from repro.core.config import IcpdaConfig
 from repro.errors import ClusterFormationError
 from repro.net.packet import Packet
@@ -143,10 +143,12 @@ class ClusterFormation:
         self._joined: Dict[int, Optional[int]] = {n: None for n in tree.parents}
         self._join_queue: Dict[int, List[int]] = {}
         self._dissolved: Set[int] = set()
-        self._heard_dissolves: Dict[int, Set[int]] = {n: set() for n in tree.parents}
-        self._rejected_from: Dict[int, Set[int]] = {n: set() for n in tree.parents}
+        # node -> heads it heard dissolve / that rejected it; a node's
+        # set is created by the first such frame it gets.
+        self._heard_dissolves: Dict[int, Set[int]] = {}
+        self._rejected_from: Dict[int, Set[int]] = {}
         self._merge_phase = False
-        self._census_arq = StopAndWait(stack, ACK_TIMEOUT_S, RETRIES, base=1.5)
+        self._census_arq = StopAndWait(stack, base=1.5)
         self.result = ClusteringResult()
 
     def run(self) -> ClusteringResult:
@@ -278,7 +280,7 @@ class ClusterFormation:
             if size >= cfg.k_min:
                 continue
             self._dissolved.add(head)
-            self._heard_dissolves[head].add(head)
+            self._heard_dissolves.setdefault(head, set()).add(head)
             self._stack.broadcast(head, DISSOLVE_KIND, {"head": head})
             delay = float(self._rng.uniform(0.1, 0.5))
             sim.schedule(delay, self._rejoin, args=(head,))
@@ -297,12 +299,12 @@ class ClusterFormation:
             # heard) fired after this node self-elected: it heads its
             # own cluster now and must not join another.
             return
+        dissolved = self._heard_dissolves.get(node, ())
+        rejected = self._rejected_from.get(node, ())
         choices = [
             h
             for h in self._heard[node]
-            if h not in self._heard_dissolves[node]
-            and h not in self._rejected_from[node]
-            and h != node
+            if h not in dissolved and h not in rejected and h != node
         ]
         if not choices:
             # Nowhere to go: self-elect (wave 3) and recruit other
@@ -383,11 +385,13 @@ class ClusterFormation:
             return
         # A re-announce during the merge window supersedes an
         # earlier dissolve, and leftovers join it directly.
-        self._heard_dissolves[node].discard(head)
+        dissolved = self._heard_dissolves.get(node)
+        if dissolved:
+            dissolved.discard(head)
         if (
             node not in self._heads
             and self._joined.get(node) is None
-            and head not in self._rejected_from[node]
+            and head not in self._rejected_from.get(node, ())
         ):
             self._joined[node] = head
             delay = float(self._rng.uniform(0.05, 0.3))
@@ -410,7 +414,7 @@ class ClusterFormation:
     def _on_join_reject(self, node: int, packet: Packet) -> None:
         if int(packet.payload["member"]) != node or node in self._heads:
             return
-        self._rejected_from[node].add(packet.src)
+        self._rejected_from.setdefault(node, set()).add(packet.src)
         if self._joined.get(node) == packet.src:
             self._joined[node] = None
             delay = float(self._rng.uniform(0.1, 0.5))
@@ -418,7 +422,7 @@ class ClusterFormation:
 
     def _on_dissolve(self, node: int, packet: Packet) -> None:
         head = int(packet.payload["head"])
-        self._heard_dissolves[node].add(head)
+        self._heard_dissolves.setdefault(node, set()).add(head)
         if self._joined.get(node) == head and node not in self._heads:
             self._joined[node] = None
             delay = float(self._rng.uniform(0.1, 0.5))

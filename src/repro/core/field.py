@@ -91,19 +91,6 @@ class PrimeField:
         """``a * b`` in the field."""
         return (a * b) % self.q
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat.
-
-        Raises
-        ------
-        FieldArithmeticError
-            For ``a ≡ 0``.
-        """
-        a %= self.q
-        if a == 0:
-            raise FieldArithmeticError("zero has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
-
     def inv_many(self, values: Sequence[int]) -> List[int]:
         """Inverses of several elements with one modular exponentiation
         (Montgomery's trick): invert the running product, then peel the
@@ -135,7 +122,7 @@ class PrimeField:
     def power(self, a: int, k: int) -> int:
         """``a ** k`` in the field (k >= 0)."""
         if k < 0:
-            raise FieldArithmeticError(f"negative exponent {k}; use inv() first")
+            raise FieldArithmeticError(f"negative exponent {k}; use inv_many() first")
         return pow(a % self.q, k, self.q)
 
     def powers(self, x: int, count: int) -> List[int]:
@@ -158,22 +145,10 @@ class PrimeField:
 
     # -- signed encoding -----------------------------------------------------
 
-    def encode_signed(self, value: int) -> int:
-        """Centered lift of a (possibly negative) integer into the field.
-
-        Raises
-        ------
-        FieldArithmeticError
-            If ``|value|`` exceeds the representable half-range.
-        """
-        if abs(value) >= self.q // 2:
-            raise FieldArithmeticError(
-                f"value {value} outside centered range of GF({self.q})"
-            )
-        return value % self.q
-
     def decode_signed(self, element: int) -> int:
-        """Inverse of :meth:`encode_signed`."""
+        """Signed integer of a centered-lift element: ``element - q`` above
+        ``q // 2``, else ``element`` (inputs are lifted as ``value % q``
+        with ``|value| < q // 2``)."""
         element %= self.q
         if element > self.q // 2:
             return element - self.q

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.aggregation.functions import AdditiveAggregate
 from repro.aggregation.tree import TreeBuildResult
-from repro.core.arq import ACK_TIMEOUT_S, RETRIES, StopAndWait
+from repro.core.arq import StopAndWait
 from repro.core.clustering import ClusteringResult
 from repro.core.config import IcpdaConfig
 from repro.core.intracluster import ExchangeResult
@@ -266,7 +266,7 @@ class ReportAndVerdictPhase:
         self._armed_by_cw: Dict[Tuple[int, int], List[Tuple[int, _Expectation]]] = {}
         # Reports and aborts of one cluster share an ARQ key, so one ack
         # or one take covers both kinds.
-        self._report_arq = StopAndWait(stack, ACK_TIMEOUT_S, RETRIES, base=1.5)
+        self._report_arq = StopAndWait(stack, base=1.5)
         self._alarms: Dict[Tuple[int, int, str, int], AlarmRecord] = {}
         # node -> alarm keys already relayed; created on a node's first
         # alarm (most nodes never see one).

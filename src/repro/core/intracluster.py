@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.aggregation.functions import AdditiveAggregate
-from repro.core.arq import ACK_TIMEOUT_S, RETRIES, StopAndWait
+from repro.core.arq import ACK_TIMEOUT_S, StopAndWait
 from repro.core.clustering import ClusteringResult
 from repro.core.config import IcpdaConfig
 from repro.core.field import PrimeField
@@ -181,8 +181,8 @@ class IntraClusterExchange:
         self._held_bundles: Dict[int, Dict[int, ShareBundle]] = {}
         # Two tables: a member's share to its head and its F-value are
         # both keyed (member, head).
-        self._share_arq = StopAndWait(stack, ACK_TIMEOUT_S, RETRIES, base=1.0)
-        self._fvalue_arq = StopAndWait(stack, ACK_TIMEOUT_S, RETRIES, base=1.0)
+        self._share_arq = StopAndWait(stack, base=1.0)
+        self._fvalue_arq = StopAndWait(stack, base=1.0)
         self._fvalue_sent: Set[int] = set()
         self._witness_fvalues: Dict[int, Dict[int, Tuple[int, ...]]] = {}
 

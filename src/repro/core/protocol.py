@@ -151,7 +151,7 @@ class IcpdaProtocol:
 
         Accumulate-with-reset semantics: every flood (initial setup and
         every rebuild) *adds* its cost to the ledger, and callers slice
-        accounting periods with :meth:`reset_phase_bytes` — so Phase-I
+        accounting periods with ``phase_bytes.clear()`` — so Phase-I
         overhead is never silently overwritten mid-deployment.
         """
         with self._phase("tree"):
@@ -173,11 +173,6 @@ class IcpdaProtocol:
         self.phase_bytes[name] = (
             self.phase_bytes.get(name, 0) + counters.total_bytes - before
         )
-
-    def reset_phase_bytes(self) -> None:
-        """Start a fresh per-phase byte ledger (new accounting period on
-        the same network — the reset half of accumulate-with-reset)."""
-        self.phase_bytes.clear()
 
     # -- live reconfiguration ----------------------------------------------------
 
@@ -261,7 +256,7 @@ class IcpdaProtocol:
         ``phase_bytes["clustering"/"exchange"/"report"]`` under the same
         accumulate-with-reset contract as ``phase_bytes["tree"]`` —
         multi-epoch callers keep the full per-phase history and slice
-        accounting periods with :meth:`reset_phase_bytes`. (Historically
+        accounting periods with ``phase_bytes.clear()``. (Historically
         these three keys were overwritten every round while the tree key
         accumulated, so long-lived deployments silently lost all but the
         last round's per-phase costs.)

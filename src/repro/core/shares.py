@@ -130,8 +130,8 @@ def generate_share_bundles(
     for component in components:
         component = int(component)
         if component >= half or -component >= half:
-            # Same contract (and exception) as field.encode_signed, inlined
-            # to skip 1 method call per component on the hot path.
+            # Centered lift: only |component| < q // 2 decodes back
+            # (PrimeField.decode_signed).
             raise FieldArithmeticError(
                 f"value {component} outside centered range of GF({q})"
             )
@@ -364,7 +364,7 @@ def batched_generate_shares(
         ``(C, m)`` public member seeds.
     components:
         ``(C, m, A)`` signed additive inputs (centered-lift encoded on
-        the way in, same range contract as :meth:`PrimeField.encode_signed`).
+        the way in, same range contract as :func:`generate_share_bundles`).
     rng:
         Mask stream; consumed identically to ``C*m`` scalar
         :func:`generate_share_bundles` calls in row-major cluster order.

@@ -7,9 +7,8 @@ is independently broken with probability ``p_x``, decided once per run
 and memoized so repeated questions about the same link are consistent
 (an adversary either has a link's key material or it does not).
 
-The model can also be seeded from *structural* knowledge — keys captured
-from compromised nodes, or EG third-party overlap — via
-:meth:`LinkBreakModel.from_captured_nodes`.
+The model can also be seeded from *structural* knowledge — EG
+third-party key overlap — via :meth:`LinkBreakModel.from_eg_overlap`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.crypto.keys import KeyRing, PairwiseKeyScheme
+from repro.crypto.keys import KeyRing
 from repro.crypto.predistribution import RandomPredistributionScheme
 from repro.errors import CryptoError
 
@@ -69,22 +68,6 @@ class LinkBreakModel:
         return fate
 
     # -- structural constructions ------------------------------------------
-
-    @classmethod
-    def from_captured_nodes(
-        cls,
-        scheme: PairwiseKeyScheme,
-        captured: Set[int],
-        links: Set[Tuple[int, int]],
-        rng: Optional[np.random.Generator] = None,
-    ) -> "LinkBreakModel":
-        """Build a model where every link touching a captured node is
-        broken (the adversary holds that node's entire ring) and no other
-        link is."""
-        broken = {
-            (a, b) for (a, b) in links if a in captured or b in captured
-        }
-        return cls(0.0, rng=rng, always_broken=broken)
 
     @classmethod
     def from_eg_overlap(

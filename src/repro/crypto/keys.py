@@ -108,11 +108,3 @@ class PairwiseKeyScheme:
             self.ring(b).add(key)
         return key
 
-    def holders(self, key: Key) -> Set[int]:
-        """Node ids that hold ``key`` (always exactly two here)."""
-        return {
-            node
-            for pair, pair_key in self._pair_keys.items()
-            if pair_key == key
-            for node in pair
-        }

@@ -7,8 +7,9 @@ self-describing and re-runs can be compared mechanically.
 Artifacts are **strict JSON**: non-finite floats (NaN, ±Infinity) are
 serialized as ``null`` — bare ``NaN``/``Infinity`` tokens are a Python
 extension that jq and most other parsers reject, which would break the
-"compared mechanically" contract. :func:`load_rows` still tolerates
-legacy artifacts containing those tokens by reading them as ``null``.
+"compared mechanically" contract. Artifacts written before this
+encoding hold those tokens; ``json.loads(text, parse_constant=lambda
+token: None)`` reads them as ``null``.
 """
 
 from __future__ import annotations
@@ -75,30 +76,6 @@ def save_rows(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
     return path
-
-
-def load_rows(path: PathLike) -> Dict[str, Any]:
-    """Read a saved artifact; returns the full document.
-
-    Raises
-    ------
-    ReproError
-        On missing files or schema mismatches.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ReproError(f"no results artifact at {path}")
-    # parse_constant: legacy artifacts wrote bare NaN/Infinity tokens;
-    # read them as null, the strict encoding save_rows now emits.
-    document = json.loads(path.read_text(), parse_constant=lambda token: None)
-    if document.get("schema") != SCHEMA_VERSION:
-        raise ReproError(
-            f"artifact schema {document.get('schema')} != {SCHEMA_VERSION}"
-        )
-    for key in ("experiment", "rows"):
-        if key not in document:
-            raise ReproError(f"artifact at {path} missing {key!r}")
-    return document
 
 
 def save_manifest(path: PathLike, manifest: Dict[str, Any]) -> pathlib.Path:

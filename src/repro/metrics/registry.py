@@ -19,7 +19,7 @@ provider's output are flattened with dots (``energy.per_node.3``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Callable, Dict, Mapping
 
 from repro.errors import ReproError
 
@@ -65,10 +65,6 @@ class MetricsRegistry:
             raise ReproError(f"metrics namespace {namespace!r} already registered")
         self._providers[namespace] = provider
 
-    def namespaces(self) -> List[str]:
-        """Registered namespaces, in registration order."""
-        return list(self._providers)
-
     def __contains__(self, namespace: str) -> bool:
         return namespace in self._providers
 
@@ -85,8 +81,16 @@ class MetricsRegistry:
         cleanly.
         """
         merged: Dict[str, Any] = {}
+        for namespace, value in self.nested().items():
+            _flatten(namespace, value, merged)
+        return merged
+
+    def nested(self) -> Dict[str, Dict[str, Any]]:
+        """Namespace -> that provider's (unflattened) snapshot dict, with
+        the providers called in registration order."""
+        views: Dict[str, Dict[str, Any]] = {}
         if not self.enabled:
-            return merged
+            return views
         for namespace, provider in self._providers.items():
             value = provider()
             if not isinstance(value, Mapping):
@@ -94,14 +98,8 @@ class MetricsRegistry:
                     f"provider {namespace!r} returned {type(value).__name__}, "
                     "expected a mapping"
                 )
-            _flatten(namespace, value, merged)
-        return merged
-
-    def nested(self) -> Dict[str, Dict[str, Any]]:
-        """Namespace -> that provider's (unflattened) snapshot dict."""
-        if not self.enabled:
-            return {}
-        return {ns: dict(provider()) for ns, provider in self._providers.items()}
+            views[namespace] = dict(value)
+        return views
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MetricsRegistry(namespaces={list(self._providers)})"

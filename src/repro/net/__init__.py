@@ -8,7 +8,7 @@ on:
   (:mod:`repro.net.medium`), so losses grow with contention/density;
 * **overhearing** — every node in range of a transmission can observe it
   promiscuously, the physical basis of iCPDA's peer-monitoring integrity
-  layer (:mod:`repro.net.node`);
+  layer (:meth:`repro.net.stack.NetworkStack.register_overhear`);
 * **CSMA with random backoff** (:mod:`repro.net.mac`);
 * **byte-level accounting** of every frame (:mod:`repro.net.packet`),
   feeding the communication-overhead experiments;
@@ -29,7 +29,6 @@ _EXPORTS = {
     "CsmaMac": "repro.net.mac",
     "MacParams": "repro.net.mac",
     "WirelessMedium": "repro.net.medium",
-    "Node": "repro.net.node",
     "BROADCAST": "repro.net.packet",
     "HEADER_BYTES": "repro.net.packet",
     "Packet": "repro.net.packet",

@@ -201,10 +201,6 @@ class FluidTransport:
         Physical-layer parameters; must match the deployment's range.
     params:
         Analytic-channel knobs (jitter, congestion calibration).
-    counters / energy:
-        Optional externally-owned accounting objects. A supplied
-        ``energy`` is used as-is (eager rx accounting is then the
-        caller's business); by default a lazily-flushed ledger is built.
     """
 
     def __init__(
@@ -214,8 +210,6 @@ class FluidTransport:
         *,
         radio: Optional[RadioParams] = None,
         params: Optional[FluidParams] = None,
-        counters: Optional[MessageCounters] = None,
-        energy: Optional[EnergyModel] = None,
     ) -> None:
         self.sim = sim
         self.deployment = deployment
@@ -228,10 +222,8 @@ class FluidTransport:
                 f"{self.radio.range_m} != {deployment.radio_range}"
             )
         self.params = params if params is not None else FluidParams()
-        self.counters = counters if counters is not None else MessageCounters()
-        self.energy = (
-            energy if energy is not None else _LazyRxEnergy(self._flush_rx_energy)
-        )
+        self.counters = MessageCounters()
+        self.energy = _LazyRxEnergy(self._flush_rx_energy)
         self.adjacency: Dict[int, Tuple[int, ...]] = {
             node: tuple(neighbors)
             for node, neighbors in neighbors_within_range(deployment).items()

@@ -20,11 +20,11 @@ integrity mechanism exploits.
 
 Delivery
 --------
-With a distance lookup, a frame's end reserves one kernel key per
-receiver it reaches, ``(t_end + delay, seq)`` with seqs in adjacency
-order, and one heap entry hands them all to the sweep registered with
-:meth:`WirelessMedium.attach_sweep`. Without distances, frames go to
-per-node :meth:`WirelessMedium.attach` callbacks at their end time.
+A frame's end reserves one kernel key per receiver it reaches, ``(t_end
++ delay, seq)`` with seqs in adjacency order, and one heap entry hands
+them all to the sweep registered with :meth:`WirelessMedium.attach_sweep`.
+A receiver at distance zero gets the frame at its end time, through a
+direct sweep call.
 
 Hot path
 --------
@@ -51,9 +51,6 @@ from repro.errors import SimulationError
 from repro.net.packet import Packet
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
-
-#: Signature of a node's frame-delivery callback.
-ReceiveCallback = Callable[[Packet], None]
 
 #: One reception of a frame: ``(propagation delay, seq offset, receiver)``.
 DeliveryEntry = Tuple[float, int, int]
@@ -142,9 +139,9 @@ class WirelessMedium:
     radio:
         Physical-layer parameters.
     distances:
-        Optional pairwise distance lookup ``(a, b) -> meters`` used for the
-        symbolic propagation term; zero when absent. Must be a *pure*
-        function of the (fixed) pair — results are cached per sender.
+        Pairwise distance lookup ``(a, b) -> meters`` for the propagation
+        delay and edge fading. Must be a *pure* function of the (fixed)
+        pair — results are cached per sender.
     """
 
     def __init__(
@@ -152,7 +149,7 @@ class WirelessMedium:
         sim: Simulator,
         adjacency: Mapping[int, Sequence[int]],
         radio: RadioParams,
-        distances: Optional[Callable[[int, int], float]] = None,
+        distances: Callable[[int, int], float],
     ) -> None:
         self._sim = sim
         self._trace = sim.trace
@@ -169,7 +166,6 @@ class WirelessMedium:
         self._distance_cache: Dict[int, Dict[int, float]] = {}
         #: sender -> ``(entries, min_gap)``, see :meth:`_delivery_order`.
         self._order_cache: Dict[int, Tuple[Tuple[DeliveryEntry, ...], float]] = {}
-        self._receivers: Dict[int, ReceiveCallback] = {}
         self._sweep: Optional[Callable[..., None]] = None
         #: node -> number of in-flight transmissions audible there. The
         #: O(1) replacement for a per-node set of transmission objects.
@@ -183,9 +179,7 @@ class WirelessMedium:
         self._dead: Set[int] = set()
         #: True when the channel can lose otherwise-clean frames — gates
         #: the ambient/fading RNG machinery off the fast completion pass.
-        self._lossy = radio.ambient_loss > 0 or (
-            radio.edge_fading > 0 and distances is not None
-        )
+        self._lossy = radio.ambient_loss > 0 or radio.edge_fading > 0
         # Per-medium counter: a module-level one would leak monotonically
         # increasing ids across Simulator instances in one process and
         # break run-to-run trace determinism.
@@ -197,27 +191,14 @@ class WirelessMedium:
         """The physical-layer parameters in force."""
         return self._radio
 
-    def attach(self, node_id: int, callback: ReceiveCallback) -> None:
-        """Register ``node_id``'s frame-delivery callback (a medium without
-        distances: frames arrive at their end time)."""
-        if node_id not in self._adjacency:
-            raise SimulationError(f"node {node_id} not in medium adjacency")
-        if self._distances is not None:
-            raise SimulationError(
-                "a propagation-delayed medium delivers through attach_sweep"
-            )
-        self._receivers[node_id] = callback
-
     def attach_sweep(self, sweep: Callable[..., None]) -> None:
-        """Register the callback that delivers every frame of a medium
-        with distances. ``sweep(packet, t_end, entries, first, index)``
+        """Register the callback that delivers every frame.
+        ``sweep(packet, t_end, entries, first, index)``
         runs as the event of ``entries[index]`` and delivers the rest in
         order, ``(delay, offset, receiver)`` at ``(t_end + delay, first +
         offset)``, via :meth:`Simulator.claim` or ``schedule_at(..., seq)``;
         it skips receivers dead on arrival and counts the others in
         ``stats.deliveries``. Distance-zero arrivals come as direct calls."""
-        if self._distances is None:
-            raise SimulationError("a medium without distances delivers through attach")
         self._sweep = sweep
 
     def neighbors(self, node_id: int) -> Tuple[int, ...]:
@@ -316,8 +297,7 @@ class WirelessMedium:
         self._transmitting[tx.sender] = None
         counts = self._audible_count
         receivers = self._adjacency[tx.sender]
-        sweep = self._sweep
-        if sweep is not None and receivers:
+        if receivers:
             row = self._order_cache.get(tx.sender)
             entries, min_gap = row or self._delivery_order(tx.sender, receivers)
             if entries[0][0] > 0:
@@ -339,26 +319,20 @@ class WirelessMedium:
                     self._propagate(tx.packet, entries, min_gap)
                 self._active.remove(tx)
                 return
-        # Instant delivery (no distances, or a receiver at distance zero):
-        # receivers strictly in adjacency order, the overlap counter
-        # decremented *before* each delivery, so a re-entrant transmit out
-        # of a delivery callback sees the per-receiver channel state.
+        # Instant delivery (a receiver at distance zero): receivers
+        # strictly in adjacency order, the overlap counter decremented
+        # *before* each delivery, so a re-entrant transmit out of a
+        # delivery callback sees the per-receiver channel state.
         for receiver in receivers:
             counts[receiver] -= 1
             if not self._finish_reception(tx, receiver):
-                continue
-            if sweep is None:
-                callback = self._receivers.get(receiver)
-                if callback is not None:
-                    self.stats.deliveries += 1
-                    callback(tx.packet)
                 continue
             distance = self._distance_row(tx.sender, receivers)[receiver]
             entry = ((self._radio.propagation_delay(distance), 0, receiver),)
             if entry[0][0] > 0:
                 self._propagate(tx.packet, entry, math.inf)
             else:
-                sweep(tx.packet, self._sim.now, entry, 0, 0)
+                self._sweep(tx.packet, self._sim.now, entry, 0, 0)
         self._active.remove(tx)
 
     def _propagate(
@@ -438,14 +412,10 @@ class WirelessMedium:
             return False
         radio = self._radio
         loss_probability = radio.ambient_loss
-        if radio.edge_fading > 0 and self._distances is not None:
-            distance = self._distance_row(
-                tx.sender, self._adjacency[tx.sender]
-            ).get(receiver)
-            if distance is None:  # pragma: no cover - defensive
-                distance = self._distances(tx.sender, receiver)
+        if radio.edge_fading > 0:
+            row = self._distance_row(tx.sender, self._adjacency[tx.sender])
             loss_probability = 1.0 - (1.0 - loss_probability) * (
-                1.0 - radio.fading_loss_probability(distance)
+                1.0 - radio.fading_loss_probability(row[receiver])
             )
         if loss_probability > 0 and self._loss_rng.random() < loss_probability:
             if dead:

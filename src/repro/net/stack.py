@@ -2,9 +2,9 @@
 
 :class:`NetworkStack` wires a deployment into a working radio network:
 one shared :class:`~repro.net.medium.WirelessMedium`, one
-:class:`~repro.net.mac.CsmaMac` and :class:`~repro.net.node.Node` per
-sensor, plus byte/energy accounting. Protocol layers (TAG, iCPDA) talk
-only to this facade (``send``/``broadcast`` out, ``register_handler``/
+:class:`~repro.net.mac.CsmaMac` and one handler table per sensor, plus
+byte/energy accounting. Protocol layers (TAG, iCPDA) talk only to this
+facade (``send``/``broadcast`` out, ``register_handler``/
 ``register_overhear`` in):
 
 >>> import numpy as np
@@ -33,7 +33,6 @@ from repro.metrics.counters import MessageCounters
 from repro.net.energy import EnergyModel
 from repro.net.mac import CsmaMac, MacParams
 from repro.net.medium import DeliveryEntry, WirelessMedium
-from repro.net.node import Node
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
 from repro.net.transport import OverhearListener, PacketHandler
@@ -54,9 +53,6 @@ class NetworkStack:
     radio:
         Physical-layer parameters (defaults match the paper's setup); the
         MAC runs with the default :class:`MacParams`.
-    counters / energy:
-        Optional externally-owned accounting objects; fresh ones are
-        created when omitted.
     """
 
     def __init__(
@@ -65,8 +61,6 @@ class NetworkStack:
         deployment: Deployment,
         *,
         radio: Optional[RadioParams] = None,
-        counters: Optional[MessageCounters] = None,
-        energy: Optional[EnergyModel] = None,
     ) -> None:
         self.sim = sim
         self.deployment = deployment
@@ -78,8 +72,8 @@ class NetworkStack:
                 "radio range disagrees with deployment radio_range: "
                 f"{self.radio.range_m} != {deployment.radio_range}"
             )
-        self.counters = counters if counters is not None else MessageCounters()
-        self.energy = energy if energy is not None else EnergyModel()
+        self.counters = MessageCounters()
+        self.energy = EnergyModel()
         # Interned as tuples once: per-frame callers (clustering, share
         # exchange, witness selection) read these thousands of times and
         # must never pay for — or rely on — a fresh copy.
@@ -93,22 +87,22 @@ class NetworkStack:
             self.radio,
             distances=deployment.distance,
         )
-        self.nodes: Dict[int, Node] = {}
         self.macs: Dict[int, CsmaMac] = {}
         params = MacParams()
         for node_id in range(deployment.num_nodes):
-            self.nodes[node_id] = Node(node_id)
             self.macs[node_id] = CsmaMac(sim, self.medium, node_id, params)
-        # Overhear listeners, laid out as in the fluid transports: kind ->
-        # node -> listeners (kinds= hint), node -> listeners (no hint).
+        # Handlers and overhear listeners, laid out as in the fluid
+        # transports: node id -> kind -> handler (a list), kind -> node ->
+        # listeners (kinds= hint), node -> listeners (no hint). The sweep
+        # reads these, the medium's dead set and the energy ledger
+        # directly, so all of them are mutated in place, never rebound.
+        self._handlers: List[Dict[str, PacketHandler]] = [
+            {} for _ in range(deployment.num_nodes)
+        ]
         self._kind_overhear: Dict[str, Dict[int, List[OverhearListener]]] = {}
         self._wild_overhear: Dict[int, List[OverhearListener]] = {}
-        # The sweep's per-node views, indexed by node id. Node and
-        # EnergyModel mutate these containers in place, never rebind.
-        self._node_list = list(self.nodes.values())
-        self._handlers = [node._handlers for node in self._node_list]
         self._dead = self.medium._dead
-        self._spent = self.energy._spent if type(self.energy) is EnergyModel else None
+        self._spent = self.energy._spent
         self._record_rx = self.counters.record_rx
         self._claim = sim.claim
         self.medium.attach_sweep(self._sweep)
@@ -151,7 +145,6 @@ class NetworkStack:
         """
         claim = self._claim
         dead = self._dead
-        nodes = self._node_list
         handlers_of = self._handlers
         kind = packet.kind
         kind_overhear = self._kind_overhear.get(kind)
@@ -161,11 +154,8 @@ class NetworkStack:
         record_rx = self._record_rx
         size = packet.size_bytes
         spent = self._spent
-        if spent is not None:
-            spent_get = spent.get
-            rx_j = self.energy.rx_j_per_byte * size
-        else:  # externally-supplied accounting object: keep the seam
-            account_rx = self.energy.account_rx
+        spent_get = spent.get
+        rx_j = self.energy.rx_j_per_byte * size
         dst = packet.dst
         broadcast = dst == BROADCAST
         start_index = index
@@ -181,23 +171,15 @@ class NetworkStack:
                 if receiver in dead:
                     skipped += 1
                     continue
-                if spent is not None:
-                    spent[receiver] = spent_get(receiver, 0.0) + rx_j
-                else:
-                    account_rx(receiver, size)
+                spent[receiver] = spent_get(receiver, 0.0) + rx_j
                 if receiver in kind_overhear:
-                    node = nodes[receiver]
                     for listener in tuple(kind_overhear[receiver]):
-                        node.overheard += 1
                         listener(receiver, packet)
                 if wild_overhear and receiver in wild_overhear:
-                    node = nodes[receiver]
                     for listener in tuple(wild_overhear[receiver]):
-                        node.overheard += 1
                         listener(receiver, packet)
                 if broadcast or dst == receiver:
                     record_rx(receiver, kind, size)
-                    nodes[receiver].received += 1
                     handler = handlers_of[receiver].get(kind)
                     if handler is not None:
                         handler(receiver, packet)
@@ -287,12 +269,19 @@ class NetworkStack:
     # -- receiving ----------------------------------------------------------------
 
     def register_handler(self, node_id: int, kind: str, handler: PacketHandler) -> None:
-        """Route addressed ``kind`` frames at ``node_id`` to ``handler``."""
-        self.nodes[node_id].register_handler(kind, handler)
+        """Route addressed ``kind`` frames at ``node_id`` to ``handler``.
+
+        Re-registering a kind replaces the previous handler (protocol
+        phases hand the same message types to new logic). Addressed
+        frames of a kind with no handler are ignored, like a real stack.
+        """
+        if not kind:
+            raise SimulationError("handler kind must be non-empty")
+        self._handlers[node_id][kind] = handler
 
     def clear_handlers(self, node_id: int) -> None:
         """Remove every addressed handler at ``node_id``."""
-        self.nodes[node_id]._handlers.clear()
+        self._handlers[node_id].clear()
 
     def register_overhear(
         self,
@@ -310,7 +299,7 @@ class NetworkStack:
         themselves; the hint never changes what a listener can observe,
         only spares the no-op calls.
         """
-        if node_id not in self.nodes:
+        if node_id not in self.adjacency:
             raise KeyError(node_id)
         if kinds is None:
             self._wild_overhear.setdefault(node_id, []).append(listener)
@@ -328,7 +317,7 @@ class NetworkStack:
     def node_ids(self) -> Iterable[int]:
         """All node ids in ascending order (the iteration order every
         phase relies on for deterministic handler registration)."""
-        return self.nodes.keys()
+        return self.macs.keys()
 
     def neighbors(self, node_id: int) -> Tuple[int, ...]:
         """Nodes within radio range of ``node_id``, as an immutable tuple

@@ -272,15 +272,6 @@ class AggregationService:
         )
         return answers
 
-    def serve(self, query, *, max_age_epochs: int = 0) -> ServedAnswer:
-        """Answer one query: from cache when allowed, else one round."""
-        parsed = parse_query(query)
-        if max_age_epochs > 0:
-            cached = self.answer_from_cache(parsed, max_age_epochs=max_age_epochs)
-            if cached is not None:
-                return cached
-        return self.serve_batch((parsed,))[parsed]
-
     def collect(self, query) -> ServedAnswer:
         """Serve ``query`` epoch after epoch until one is accepted.
 

@@ -6,12 +6,10 @@ category, message, fields)`` — that protocols emit at interesting points
 Tracing is disabled by default and is designed to cost one attribute check
 per call when off, so protocol code can trace unconditionally.
 
-Beyond in-memory querying, a trace is exportable: :meth:`TraceLog.jsonl_lines`
-/ :meth:`TraceLog.export_jsonl` serialize records as strict JSON Lines
-(one object per record) and :meth:`TraceLog.from_jsonl` reads them back,
-so runs can persist per-cell trace artifacts that any ``jq``-style tool
-parses. Live consumers attach with :meth:`TraceLog.subscribe` and see
-every kept record in emit order.
+Beyond in-memory querying, a trace is exportable: :meth:`TraceRecord.to_json`
+serializes a record as one strict JSON line (the format of the per-cell
+``--trace-out`` artifacts, which any ``jq``-style tool parses), and
+:meth:`TraceLog.from_jsonl` reads such lines back into a log.
 """
 
 from __future__ import annotations
@@ -32,10 +30,6 @@ from typing import (
     Optional,
     Union,
 )
-
-#: Signature of a live trace consumer.
-TraceSubscriber = Callable[["TraceRecord"], None]
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -133,7 +127,6 @@ class TraceLog:
         self._records: Deque[TraceRecord] = deque(maxlen=capacity)
         self._clock: Callable[[], float] = lambda: 0.0
         self._category_totals: Counter = Counter()
-        self._subscribers: List[TraceSubscriber] = []
         self.enabled = enabled
 
     @property
@@ -186,30 +179,10 @@ class TraceLog:
         )
         self._records.append(record)
         self._category_totals[category] += 1
-        for subscriber in self._subscribers:
-            subscriber(record)
 
     #: Class-level fallback so ``TraceLog.emit`` stays introspectable; the
     #: constructor rebinds the instance attribute via the setter above.
     emit = _emit
-
-    # -- live subscribers --------------------------------------------------
-
-    def subscribe(self, subscriber: TraceSubscriber) -> TraceSubscriber:
-        """Attach a callback invoked with every *kept* record, in emit
-        order; multiple subscribers fire in subscription order. Returns
-        the subscriber (handy for later :meth:`unsubscribe`). Records
-        filtered by the whitelist — or dropped entirely while the log is
-        disabled — are never seen."""
-        self._subscribers.append(subscriber)
-        return subscriber
-
-    def unsubscribe(self, subscriber: TraceSubscriber) -> None:
-        """Detach a callback; unknown subscribers are ignored."""
-        try:
-            self._subscribers.remove(subscriber)
-        except ValueError:
-            pass
 
     # -- querying ----------------------------------------------------------
 
@@ -253,21 +226,7 @@ class TraceLog:
         self._records.clear()
         self._category_totals.clear()
 
-    # -- JSONL export / import ---------------------------------------------
-
-    def jsonl_lines(self) -> Iterator[str]:
-        """The retained records as strict-JSON lines, oldest first."""
-        for record in self._records:
-            yield record.to_json()
-
-    def export_jsonl(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the retained records to ``path`` as JSON Lines."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            for line in self.jsonl_lines():
-                handle.write(line + "\n")
-        return path
+    # -- JSONL import -------------------------------------------------------
 
     @classmethod
     def from_jsonl(

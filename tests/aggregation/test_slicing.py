@@ -76,7 +76,7 @@ class TestPrivacyStructure:
 
         protocol, stack = make_round(small_deployment)
         captured = []
-        for node in stack.nodes:
+        for node in stack.node_ids():
             stack.register_overhear(
                 node,
                 lambda _node, p: captured.append(p) if p.kind == "slice" else None,

@@ -19,13 +19,13 @@ class TestTreeConstruction:
         assert tree.parents == {0: None, 1: 0, 2: 1, 3: 2, 4: 3}
         assert tree.depths == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
         assert tree.max_depth() == 4
-        assert tree.leaves() == [4]
+        assert [n for n in tree.parents if not tree.children.get(n)] == [4]
 
     def test_dense_network_full_coverage(self, small_deployment):
         sim = Simulator(seed=2)
         stack = NetworkStack(sim, small_deployment)
         tree = build_aggregation_tree(stack)
-        assert tree.coverage(small_deployment.num_nodes) > 0.9
+        assert tree.reached / small_deployment.num_nodes > 0.9
 
     def test_depths_consistent_with_parents(self, small_deployment):
         sim = Simulator(seed=3)

@@ -90,7 +90,7 @@ class TestNoSharedKey:
         scheme = RandomPredistributionScheme(
             1_000_000, 2, rng=np.random.default_rng(1)
         )
-        scheme.provision_all(list(stack.nodes))
+        scheme.provision_all(list(stack.node_ids()))
         readings = {i: 1.0 for i in range(1, small_deployment.num_nodes)}
         result = run_exchange(
             stack, clustering, readings, linksec=LinkSecurity(scheme)
@@ -112,7 +112,7 @@ class TestNoSharedKey:
         scheme = RandomPredistributionScheme(
             1_000_000, 2, rng=np.random.default_rng(1)
         )
-        scheme.provision_all(list(stack.nodes))
+        scheme.provision_all(list(stack.node_ids()))
         readings = {i: 1.0 for i in range(1, small_deployment.num_nodes)}
         result = run_exchange(
             stack, clustering, readings, linksec=LinkSecurity(scheme)

@@ -7,7 +7,7 @@ Four historical bugs, one test class each:
 * ``phase_bytes["tree"]`` was *overwritten* by :meth:`rebuild_tree`, so
   lifetime experiments that re-flooded after node deaths silently lost
   the earlier floods' overhead. It now accumulates, with
-  :meth:`reset_phase_bytes` as the explicit period boundary.
+  ``phase_bytes.clear()`` as the explicit period boundary.
 * The per-round keys (``clustering``/``exchange``/``report``) had the
   *same* bug one layer up: ``run_round`` overwrote them every epoch
   while the tree key accumulated, so multi-epoch callers (the
@@ -67,7 +67,7 @@ class TestTreeBytesAccumulateWithReset:
     def test_reset_phase_bytes_opens_a_fresh_period(self):
         protocol = make_protocol()
         protocol.setup()
-        protocol.reset_phase_bytes()
+        protocol.phase_bytes.clear()
         assert protocol.phase_bytes == {}
         rebuild_cost = None
         protocol.rebuild_tree()
@@ -112,7 +112,7 @@ class TestRoundPhaseBytesAccumulateWithReset:
         protocol.setup()
         readings = {i: 1.0 for i in range(1, 30)}
         protocol.run_round(readings, round_id=1)
-        protocol.reset_phase_bytes()
+        protocol.phase_bytes.clear()
         protocol.run_round(readings, round_id=2)
         assert set(protocol.phase_bytes) == {"clustering", "exchange", "report"}
         assert sum(protocol.phase_bytes.values()) < protocol.total_bytes()

@@ -2,7 +2,8 @@
 the five acknowledged hops (census, share, F-value, report, slice).
 
 The schedule tests drive :class:`~repro.core.arq.StopAndWait` alone on
-the loopback fake's scheduler. The lost-ack tests run whole phases on a
+the loopback fake's scheduler, with ``ACK_TIMEOUT_S`` = 0.35 and other
+retry counts set by patching ``RETRIES``. The lost-ack tests run whole phases on a
 loopback transport that loses the first ack of every kind, and compare
 them with the same phases on a lossless one.
 """
@@ -16,6 +17,7 @@ import pytest
 from repro.aggregation.functions import FixedPointCodec, make_aggregate
 from repro.aggregation.slicing import SlicingAggregation
 from repro.aggregation.tree import build_aggregation_tree
+from repro.core import arq as arq_module
 from repro.core.arq import StopAndWait
 from repro.core.clustering import ClusterFormation
 from repro.core.config import IcpdaConfig
@@ -26,15 +28,14 @@ from repro.crypto.keys import PairwiseKeyScheme
 from repro.crypto.linksec import LinkSecurity
 from tests.net.loopback import LoopbackTransport, grid_topology, line_topology
 
-TIMEOUT_S = 0.35
 
-
-def _run(retries: int, base: float, ack_at: float = None):
-    """Send instants of one ARQ'd frame (acked at ``ack_at``), and the
-    scheduler after it ran dry."""
+def _run(monkeypatch, retries: int, base: float, ack_at: float = None):
+    """Send instants of one ARQ'd frame (acked at ``ack_at``) with
+    ``retries`` retransmissions, and the scheduler after it ran dry."""
+    monkeypatch.setattr(arq_module, "RETRIES", retries)
     fake = LoopbackTransport(line_topology(2))
     sim = fake.sim
-    arq = StopAndWait(fake, TIMEOUT_S, retries, base)
+    arq = StopAndWait(fake, base)
     instants = []
     arq.send(0, 1, lambda: instants.append(sim.now), ())
     if ack_at is not None:
@@ -51,30 +52,31 @@ class TestSchedule:
             (1.5, [0.0, 0.525, 1.225, 2.1]),
         ],
     )
-    def test_send_instants(self, base, instants):
-        sent, _ = _run(retries=3, base=base)
+    def test_send_instants(self, base, instants, monkeypatch):
+        assert arq_module.ACK_TIMEOUT_S == 0.35 and arq_module.RETRIES == 3
+        sent, _ = _run(monkeypatch, retries=3, base=base)
         assert sent == pytest.approx(instants)
 
-    def test_stops_on_first_ack(self):
-        sent, _ = _run(retries=3, base=1.0, ack_at=0.5)
+    def test_stops_on_first_ack(self, monkeypatch):
+        sent, _ = _run(monkeypatch, retries=3, base=1.0, ack_at=0.5)
         assert sent == pytest.approx([0.0, 0.35])
 
-    def test_stops_after_retries(self):
-        sent, _ = _run(retries=5, base=1.5)
+    def test_stops_after_retries(self, monkeypatch):
+        sent, _ = _run(monkeypatch, retries=5, base=1.5)
         assert len(sent) == 6
 
-    def test_zero_retries_sends_once(self):
-        sent, sim = _run(retries=0, base=1.0)
+    def test_zero_retries_sends_once(self, monkeypatch):
+        sent, sim = _run(monkeypatch, retries=0, base=1.0)
         assert sent == [0.0]
         assert sim.now == 0.0  # no timer was ever armed
 
-    def test_no_timer_after_final_attempt(self):
-        sent, sim = _run(retries=2, base=1.0)
+    def test_no_timer_after_final_attempt(self, monkeypatch):
+        sent, sim = _run(monkeypatch, retries=2, base=1.0)
         assert len(sent) == 3
         assert sim.now == pytest.approx(sent[-1])  # no timer fired later
 
     def test_take_is_true_once_per_receiver_and_key(self):
-        arq = StopAndWait(LoopbackTransport(line_topology(2)), TIMEOUT_S, 3, 1.0)
+        arq = StopAndWait(LoopbackTransport(line_topology(2)), 1.0)
         assert arq.take(1, 7)
         assert not arq.take(1, 7)
         assert arq.take(2, 7) and arq.take(1, 8)

@@ -2,9 +2,12 @@
 
 import pytest
 
+import numpy as np
+
 from repro.core.field import DEFAULT_FIELD, MERSENNE_61, PrimeField
+from repro.core.shares import generate_share_bundles
 from repro.errors import FieldArithmeticError
-from tests.oracles import eval_poly, solve_vandermonde
+from tests.oracles import encode_signed, eval_poly, solve_vandermonde
 
 
 class TestConstruction:
@@ -43,12 +46,13 @@ class TestArithmetic:
         assert self.field.mul(10, 11) == 110 % 101
 
     def test_inverse_property(self):
-        for a in range(1, 101):
-            assert self.field.mul(a, self.field.inv(a)) == 1
+        values = list(range(1, 101))
+        for a, inverse in zip(values, self.field.inv_many(values)):
+            assert self.field.mul(a, inverse) == 1
 
     def test_zero_has_no_inverse(self):
         with pytest.raises(FieldArithmeticError):
-            self.field.inv(0)
+            self.field.inv_many([3, 0])
 
     def test_power(self):
         assert self.field.power(2, 10) == 1024 % 101
@@ -63,24 +67,26 @@ class TestSignedEncoding:
     field = PrimeField(101)
 
     def test_roundtrip_positive(self):
-        assert self.field.decode_signed(self.field.encode_signed(42)) == 42
+        assert self.field.decode_signed(encode_signed(self.field, 42)) == 42
 
     def test_roundtrip_negative(self):
-        assert self.field.decode_signed(self.field.encode_signed(-42)) == -42
+        assert self.field.decode_signed(encode_signed(self.field, -42)) == -42
 
     def test_zero(self):
-        assert self.field.decode_signed(self.field.encode_signed(0)) == 0
+        assert self.field.decode_signed(encode_signed(self.field, 0)) == 0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(FieldArithmeticError):
-            self.field.encode_signed(51)
-        with pytest.raises(FieldArithmeticError):
-            self.field.encode_signed(-51)
+        # Share generation applies the centered lift to every input.
+        for value in (51, -51):
+            with pytest.raises(FieldArithmeticError, match="outside centered range"):
+                generate_share_bundles(
+                    self.field, 0, [value], {0: 1, 1: 2}, np.random.default_rng(0)
+                )
 
     def test_large_field_headroom(self):
         value = 10**17
         assert DEFAULT_FIELD.decode_signed(
-            DEFAULT_FIELD.encode_signed(value)
+            encode_signed(DEFAULT_FIELD, value)
         ) == value
 
 

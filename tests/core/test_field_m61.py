@@ -141,8 +141,8 @@ class TestPowInv:
         values = _random_operands(64, seed=32)
         values[values == 0] = 1
         got = m61_inv(values)
+        assert got.tolist() == field.inv_many(values.tolist())
         for x, z in zip(values.tolist(), got.tolist()):
-            assert z == field.inv(x)
             assert (x * z) % Q == 1
 
     def test_inv_rejects_zero(self) -> None:

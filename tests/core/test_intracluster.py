@@ -105,7 +105,7 @@ class TestPrivacyOnTheWire:
         readings = {i: float(i) for i in range(1, small_deployment.num_nodes)}
         scheme = PairwiseKeyScheme()
         captured = []
-        for node in stack.nodes:
+        for node in stack.node_ids():
             stack.register_overhear(
                 node,
                 lambda _node, p: captured.append(p) if p.kind == "share" else None,

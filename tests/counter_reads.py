@@ -27,6 +27,10 @@ def node_rx_bytes(counters: MessageCounters, node_id: int) -> int:
     return _node_sum(counters._read(counters._rx).bytes, node_id)
 
 
+def node_rx_messages(counters: MessageCounters, node_id: int) -> int:
+    return _node_sum(counters._read(counters._rx).messages, node_id)
+
+
 def kind_totals(counters: MessageCounters, kind: str) -> tuple:
     """``(messages, bytes)`` transmitted under ``kind`` (zeros if unseen)."""
     for breakdown in counters.by_kind():

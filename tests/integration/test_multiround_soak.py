@@ -79,7 +79,7 @@ class TestSoak:
     def test_overhear_listeners_do_not_accumulate(self, soak):
         _, _, protocol = soak
         stack = protocol.stack
-        for node in stack.nodes:
+        for node in stack.node_ids():
             # Exchange + integrity each register at most one listener
             # per round; after N rounds there must not be ~2N.
             registered = len(stack._wild_overhear.get(node, ())) + sum(

@@ -12,7 +12,7 @@ class TestRegistration:
         registry.register("kernel", lambda: {"fired": 1})
         assert "kernel" in registry
         assert len(registry) == 1
-        assert registry.namespaces() == ["kernel"]
+        assert list(registry.nested()) == ["kernel"]
 
     def test_duplicate_namespace_rejected(self):
         registry = MetricsRegistry()

@@ -16,7 +16,6 @@ still happens at dead receivers, so seeded runs stay byte-identical for
 every live node.
 """
 
-from repro.net.medium import WirelessMedium
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
 from repro.net.stack import NetworkStack
@@ -24,6 +23,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 from tests.conftest import make_line_deployment
 from tests.counter_reads import node_tx_bytes, node_tx_messages
+from tests.net.sweep_medium import zero_distance_medium
 
 TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
@@ -87,9 +87,7 @@ class TestDeadReceiverStats:
         # ambient_loss=0.999: every clean reception fades. With both
         # neighbours of the sender dead, the stats must record nothing.
         sim = Simulator(seed=5)
-        medium = WirelessMedium(sim, TRIANGLE, RadioParams(ambient_loss=0.999))
-        for node in TRIANGLE:
-            medium.attach(node, lambda packet: None)
+        medium, _ = zero_distance_medium(sim, TRIANGLE, RadioParams(ambient_loss=0.999))
         medium.kill_node(1)
         medium.kill_node(2)
         medium.transmit(0, Packet(src=0, dst=BROADCAST, kind="x"))
@@ -101,9 +99,7 @@ class TestDeadReceiverStats:
         # With 2 dead, no collision may be recorded (the senders' own
         # half-duplex losses at each other still are).
         sim = Simulator(seed=5)
-        medium = WirelessMedium(sim, TRIANGLE, RadioParams())
-        for node in TRIANGLE:
-            medium.attach(node, lambda packet: None)
+        medium, _ = zero_distance_medium(sim, TRIANGLE, RadioParams())
         medium.kill_node(2)
         medium.transmit(0, Packet(src=0, dst=BROADCAST, kind="a"))
         medium.transmit(1, Packet(src=1, dst=BROADCAST, kind="b"))
@@ -112,9 +108,7 @@ class TestDeadReceiverStats:
 
     def test_alive_receiver_losses_still_counted(self):
         sim = Simulator(seed=5)
-        medium = WirelessMedium(sim, TRIANGLE, RadioParams(ambient_loss=0.999))
-        for node in TRIANGLE:
-            medium.attach(node, lambda packet: None)
+        medium, _ = zero_distance_medium(sim, TRIANGLE, RadioParams(ambient_loss=0.999))
         medium.kill_node(1)
         medium.transmit(0, Packet(src=0, dst=BROADCAST, kind="x"))
         sim.run()
@@ -130,12 +124,9 @@ class TestSeededTraceStability:
     @staticmethod
     def _deliveries_at_node2(kill_node_1: bool, seed: int = 11):
         sim = Simulator(seed=seed)
-        medium = WirelessMedium(sim, TRIANGLE, RadioParams(ambient_loss=0.5))
+        medium, rx = zero_distance_medium(sim, TRIANGLE, RadioParams(ambient_loss=0.5))
         at_two = []
-        for node in TRIANGLE:
-            medium.attach(
-                node, at_two.append if node == 2 else (lambda packet: None)
-            )
+        rx.attach(2, at_two.append)
         if kill_node_1:
             medium.kill_node(1)
         for index in range(20):

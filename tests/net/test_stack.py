@@ -22,7 +22,7 @@ class TestWiring:
         assert line_stack.degree(2) == 2
 
     def test_one_node_and_mac_per_sensor(self, line_stack):
-        assert len(line_stack.nodes) == 5
+        assert len(line_stack.node_ids()) == 5
         assert len(line_stack.macs) == 5
 
     def test_radio_range_mismatch_rejected(self):

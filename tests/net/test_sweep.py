@@ -14,6 +14,7 @@ from repro.net.radio import RadioParams
 from repro.net.stack import NetworkStack
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import Deployment
+from tests.counter_reads import node_rx_messages
 
 POSITIONS = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [30.0, 0.0]]
 RECEIVERS = (1, 2, 3)
@@ -151,7 +152,7 @@ class TestKillDuringPropagation:
         assert stack.medium.stats.deliveries == 2
         assert stack.energy.spent(3) == 0.0
         assert stack.energy.spent(1) > 0.0
-        assert stack.nodes[3].received == 0
+        assert node_rx_messages(stack.counters, 3) == 0
 
 
 def arrivals_over(positions):

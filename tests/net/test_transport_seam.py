@@ -92,8 +92,7 @@ def test_every_backend_registers_the_same_telemetry(small_deployment):
         assert snapshot["counters.messages"] == 1, kind
         assert snapshot["medium.transmissions"] == 1, kind
         assert (snapshot["energy.total_j"] > 0.0) == (kind != "loopback"), kind
-        namespaces = set(stack.sim.metrics.namespaces())
-        assert ("mac" in namespaces) == (kind == "des")
+        assert ("mac" in stack.sim.metrics) == (kind == "des")
         keys[kind] = {
             key
             for key in snapshot
@@ -348,3 +347,22 @@ def test_no_phase_module_imports_des_stack_directly():
                 if pattern.match(line):
                     offenders.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not offenders, "phase modules must import the seam, not the DES stack:\n" + "\n".join(offenders)
+
+
+@pytest.mark.parametrize("backend", ["NetworkStack", "FluidTransport", "BulkFluidTransport"])
+def test_backends_define_registration_in_their_own_class_body(backend):
+    """``perfbench/tracing.py`` wraps ``register_handler`` and
+    ``register_overhear`` found in ``vars(cls)`` of each backend, so the
+    callbacks they register book their time to ``proto.handler``. A
+    method inherited from a shared base would not be in ``vars`` and
+    would drop handler time out of that layer without an error."""
+    from repro.net.fluid import BulkFluidTransport, FluidTransport
+    from repro.net.stack import NetworkStack
+
+    cls = {
+        "NetworkStack": NetworkStack,
+        "FluidTransport": FluidTransport,
+        "BulkFluidTransport": BulkFluidTransport,
+    }[backend]
+    assert "register_handler" in vars(cls)
+    assert "register_overhear" in vars(cls)

@@ -5,6 +5,8 @@ polynomial (:meth:`PrimeField.lagrange_constant_term`). These plain
 helpers build share points and recover full coefficient vectors another
 way (Horner evaluation; Newton divided differences with Fermat
 inverses), so tests can check the library's Lagrange path against them.
+:func:`encode_signed` is the centered lift share generation applies to
+its inputs, one value at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +14,17 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.core.field import PrimeField
+from repro.errors import FieldArithmeticError
+
+
+def encode_signed(field: PrimeField, value: int) -> int:
+    """Centered lift of a signed integer into ``field``: ``value % q`` for
+    ``|value| < q // 2`` (what :meth:`PrimeField.decode_signed` undoes)."""
+    if abs(value) >= field.q // 2:
+        raise FieldArithmeticError(
+            f"value {value} outside centered range of GF({field.q})"
+        )
+    return value % field.q
 
 
 def eval_poly(field: PrimeField, coefficients: Sequence[int], x: int) -> int:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.field import DEFAULT_FIELD, PrimeField
-from tests.oracles import eval_poly, solve_vandermonde
+from tests.oracles import encode_signed, eval_poly, solve_vandermonde
 
 SMALL = PrimeField(10007)
 
@@ -33,7 +33,7 @@ class TestFieldAxioms:
 
     @given(nonzero)
     def test_multiplicative_inverse(self, a):
-        assert SMALL.mul(a, SMALL.inv(a)) == 1
+        assert SMALL.mul(a, SMALL.inv_many([a])[0]) == 1
 
     @given(elements, elements)
     def test_sub_is_add_neg(self, a, b):
@@ -43,14 +43,14 @@ class TestFieldAxioms:
 class TestSignedEncoding:
     @given(st.integers(min_value=-5000, max_value=5000))
     def test_roundtrip(self, value):
-        assert SMALL.decode_signed(SMALL.encode_signed(value)) == value
+        assert SMALL.decode_signed(encode_signed(SMALL, value)) == value
 
     @given(
         st.integers(min_value=-2500, max_value=2500),
         st.integers(min_value=-2500, max_value=2500),
     )
     def test_homomorphic_addition(self, a, b):
-        encoded = SMALL.add(SMALL.encode_signed(a), SMALL.encode_signed(b))
+        encoded = SMALL.add(encode_signed(SMALL, a), encode_signed(SMALL, b))
         assert SMALL.decode_signed(encoded) == a + b
 
 
@@ -96,7 +96,7 @@ class TestInterpolation:
         """Random masking polynomials over the production field always
         interpolate back to the secret."""
         field = DEFAULT_FIELD
-        coefficients = [field.encode_signed(secret)] + [
+        coefficients = [encode_signed(field, secret)] + [
             rand.randrange(field.q) for _ in range(degree)
         ]
         xs = rand.sample(range(1, 10_000), degree + 1)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.mac import CsmaMac, MacParams
-from repro.net.medium import WirelessMedium
 from repro.net.packet import Packet
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
+from tests.net.sweep_medium import zero_distance_medium
 
 TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
@@ -37,7 +37,7 @@ class TestMacConservation:
         or explicitly dropped — none vanish, none duplicate."""
         seed, frames = pattern
         sim = Simulator(seed=seed)
-        medium = WirelessMedium(sim, TRIANGLE, RadioParams())
+        medium, _ = zero_distance_medium(sim, TRIANGLE, RadioParams())
         macs = {n: CsmaMac(sim, medium, n, MacParams()) for n in TRIANGLE}
         for sender, size, delay in frames:
             dst = (sender + 1) % 3
@@ -57,7 +57,7 @@ class TestMacConservation:
     def test_medium_sees_exactly_the_sent_frames(self, pattern):
         seed, frames = pattern
         sim = Simulator(seed=seed)
-        medium = WirelessMedium(sim, TRIANGLE, RadioParams())
+        medium, _ = zero_distance_medium(sim, TRIANGLE, RadioParams())
         macs = {n: CsmaMac(sim, medium, n, MacParams()) for n in TRIANGLE}
         for sender, size, delay in frames:
             sim.schedule(

@@ -101,11 +101,11 @@ class TestRoundInvariants:
         assert counters.total_messages == medium.transmissions
         # Deliveries cannot exceed transmissions times the max degree.
         max_degree = max(
-            protocol.stack.degree(n) for n in protocol.stack.nodes
+            protocol.stack.degree(n) for n in protocol.stack.node_ids()
         )
         assert medium.deliveries <= medium.transmissions * max_degree
         # Addressed receptions are a subset of deliveries.
         total_rx = sum(
-            node_rx_bytes(counters, n) > 0 for n in protocol.stack.nodes
+            node_rx_bytes(counters, n) > 0 for n in protocol.stack.node_ids()
         )
         assert total_rx <= num_nodes

@@ -97,7 +97,7 @@ class TestCrossEpochLedgers:
         protocol = make_protocol()
         protocol.setup()
         protocol.run_round(readings_for(1), round_id=1)
-        protocol.reset_phase_bytes()
+        protocol.phase_bytes.clear()
         protocol.run_round(readings_for(2), round_id=2)
         second_only = dict(protocol.phase_bytes)
         assert "tree" not in second_only  # no flood in this period
@@ -234,11 +234,13 @@ class TestServiceEpochsAndCache:
 
     def test_serve_uses_cache_only_when_allowed(self):
         service = make_service()
-        first = service.serve("avg")
+        avg = parse_query("avg")
+        first = service.serve_batch((avg,))[avg]
         assert first.epoch == 1
-        cached = service.serve("avg", max_age_epochs=1)
-        assert cached is first  # no new round
-        fresh = service.serve("avg")
+        assert service.answer_from_cache(avg, max_age_epochs=1) is first
+        assert service.answer_from_cache(avg, max_age_epochs=0) is None
+        assert service.epoch == 1  # the cache hit ran no round
+        fresh = service.serve_batch((avg,))[avg]
         assert fresh.epoch == 2
 
     def test_batched_answers_match_solo_rounds(self):

@@ -88,55 +88,14 @@ class TestCategoryCounts:
         assert log.category_counts() == {}
 
 
-class TestSubscribers:
-    def test_subscriber_sees_kept_records_in_order(self):
-        log = TraceLog()
-        seen = []
-        log.subscribe(lambda r: seen.append(r.category))
-        log.emit("a", "")
-        log.emit("b", "")
-        assert seen == ["a", "b"]
-
-    def test_multiple_subscribers_fire_in_subscription_order(self):
-        log = TraceLog()
-        order = []
-        log.subscribe(lambda r: order.append("first"))
-        log.subscribe(lambda r: order.append("second"))
-        log.emit("x", "")
-        assert order == ["first", "second"]
-
-    def test_filtered_records_not_delivered(self):
-        log = TraceLog(categories=["mac"])
-        seen = []
-        log.subscribe(seen.append)
-        log.emit("tree.join", "")
-        assert seen == []
-
-    def test_disabled_log_never_notifies(self):
-        log = TraceLog(enabled=False)
-        seen = []
-        log.subscribe(seen.append)
-        log.emit("x", "")
-        assert seen == []
-
-    def test_unsubscribe(self):
-        log = TraceLog()
-        seen = []
-        subscriber = log.subscribe(seen.append)
-        log.emit("x", "")
-        log.unsubscribe(subscriber)
-        log.emit("y", "")
-        assert len(seen) == 1
-        log.unsubscribe(subscriber)  # second removal is a no-op
-
-
 class TestJsonl:
     def test_round_trip_preserves_records(self, tmp_path):
         log = TraceLog()
         log.bind_clock(lambda: 1.25)
         log.emit("medium.tx", "node %(sender)s sends %(kind)s", sender=3, kind="ack")
         log.emit("mac.drop", "dropped", node=7)
-        path = log.export_jsonl(tmp_path / "trace.jsonl")
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(record.to_json() + "\n" for record in log))
         loaded = TraceLog.from_jsonl(path)
         assert len(loaded) == 2
         first, second = loaded.records()
@@ -152,7 +111,7 @@ class TestJsonl:
 
         log = TraceLog()
         log.emit("x", "inf field", value=float("inf"))
-        (line,) = list(log.jsonl_lines())
+        (line,) = [record.to_json() for record in log]
 
         def reject(token):
             raise AssertionError(f"non-strict token {token!r}")
@@ -165,14 +124,14 @@ class TestJsonl:
 
         log = TraceLog()
         log.emit("x", "", obj={1, 2})
-        (line,) = list(log.jsonl_lines())
+        (line,) = [record.to_json() for record in log]
         data = json.loads(line)
         assert isinstance(data["fields"]["obj"], str)
 
     def test_from_jsonl_accepts_lines_and_skips_blanks(self):
         log = TraceLog()
         log.emit("a", "one")
-        lines = list(log.jsonl_lines()) + ["", "   "]
+        lines = [record.to_json() for record in log] + ["", "   "]
         loaded = TraceLog.from_jsonl(lines)
         assert len(loaded) == 1
         assert loaded.last().category == "a"
@@ -180,7 +139,7 @@ class TestJsonl:
     def test_imported_log_starts_disabled(self):
         log = TraceLog()
         log.emit("a", "")
-        loaded = TraceLog.from_jsonl(list(log.jsonl_lines()))
+        loaded = TraceLog.from_jsonl([record.to_json() for record in log])
         assert not loaded.enabled
         loaded.emit("b", "")  # no-op while disabled
         assert len(loaded) == 1

@@ -13,17 +13,18 @@ alive on its own.
 
 One level down, every public top-level function and method under
 ``src/repro`` must be named by a root file or by some ``src`` module. A
-name counts when it appears as an ``ast.Name``, an attribute, or a word
-of a string constant: ``perfbench/tracing.py`` patches ``Simulator`` and
-``AggregationService`` methods by name, and a ``:meth:`` cross-reference
-in a docstring is a deliberate mention. Dunder methods are exempt.
+name counts when it appears as an ``ast.Name`` or an attribute, or when
+a string constant is the name, whole or as its last dotted part
+(``"run"``, ``"Widget.patched"``): ``perfbench/tracing.py`` patches
+``Simulator`` and ``AggregationService`` methods by name. A docstring
+never counts, not even a ``:meth:`` cross-reference in one: prose that
+names a def is not a caller. Dunder methods are exempt.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -146,18 +147,43 @@ def test_every_module_is_reachable_from_an_entry_point() -> None:
 ALLOWED_UNREFERENCED = {
     "is_failed": "Transport seam member every backend offers (docs/TRANSPORT.md)",
     "reset_accounting": "Transport seam member; its accounting regressions stay pinned",
+    "from_jsonl": "Reader for --trace-out files, documented in README and EXPERIMENTS.md",
 }
+
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _docstrings(tree: ast.Module) -> Set[int]:
+    """``id()`` of every module, class and function docstring constant."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, _SCOPES) and node.body:
+            first = node.body[0]
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                found.add(id(first.value))
+    return found
 
 
 def _referenced_names(path: pathlib.Path) -> Set[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = _docstrings(tree)
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(re.findall(r"\w+", node.value))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            names.add(node.value)
+            names.add(node.value.rpartition(".")[2])
     return names
 
 
@@ -253,3 +279,56 @@ def test_scanner_keeps_a_def_a_root_names_in_a_string(tmp_path: pathlib.Path) ->
     modules = _module_files(tmp_path / "src")
     roots = _root_files(tmp_path, modules)
     assert unreferenced_defs(modules, roots) == []
+
+
+def test_scanner_flags_a_def_only_docstrings_name(tmp_path: pathlib.Path) -> None:
+    _plant(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/widget.py": (
+                '"""Widgets; see :func:`documented` and :func:`mentioned`."""\n\n'
+                "def spin():\n    pass\n\n"
+                'def documented():\n    """documented() spins nothing."""\n\n'
+                "def mentioned():\n    pass\n"
+            ),
+            "src/repro/other.py": '"""Calls mentioned() elsewhere."""\n',
+            "examples/demo.py": (
+                '"""Demo: documented, mentioned."""\n'
+                "from repro.widget import spin\n"
+                "spin()\n"
+            ),
+            "tests/test_widget.py": (
+                "from repro.widget import documented, mentioned\n"
+                "documented()\nmentioned()\n"
+            ),
+        },
+    )
+    modules = _module_files(tmp_path / "src")
+    roots = _root_files(tmp_path, modules)
+    assert unreferenced_defs(modules, roots) == [
+        "repro.widget.documented",
+        "repro.widget.mentioned",
+    ]
+
+
+def test_scanner_keeps_a_def_a_root_names_as_a_dotted_string(
+    tmp_path: pathlib.Path,
+) -> None:
+    _plant(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/widget.py": (
+                "class Widget:\n"
+                "    def patched(self):\n        pass\n\n"
+                "    def worded(self):\n        pass\n"
+            ),
+            "perfbench/tracing.py": (
+                'TARGETS = ("repro.widget.Widget.patched", "Widget worded here")\n'
+            ),
+        },
+    )
+    modules = _module_files(tmp_path / "src")
+    roots = _root_files(tmp_path, modules)
+    assert unreferenced_defs(modules, roots) == ["repro.widget.Widget.worded"]
