@@ -37,8 +37,6 @@ _EXPORTS = {
     # topology
     "Deployment": "repro.topology",
     "uniform_deployment": "repro.topology",
-    "grid_deployment": "repro.topology",
-    "hotspot_deployment": "repro.topology",
     # kernel / network
     "Simulator": "repro.sim",
     "NetworkStack": "repro.net",

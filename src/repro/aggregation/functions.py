@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import sqrt
 from typing import Sequence, Tuple
 
 from repro.errors import AggregationError
@@ -160,14 +159,6 @@ class VarianceAggregate(AdditiveAggregate):
 
     name = "variance"
 
-    def __init__(
-        self, codec: FixedPointCodec = FixedPointCodec(), std: bool = False
-    ) -> None:
-        super().__init__(codec)
-        self._std = std
-        if std:
-            self.name = "std"
-
     @property
     def arity(self) -> int:
         return 3
@@ -182,8 +173,7 @@ class VarianceAggregate(AdditiveAggregate):
             raise AggregationError("variance of zero contributors is undefined")
         mean = self.codec.decode(total) / count
         mean_sq = self.codec.decode_power(total_sq, 2) / count
-        variance = max(mean_sq - mean * mean, 0.0)
-        return sqrt(variance) if self._std else variance
+        return max(mean_sq - mean * mean, 0.0)
 
 
 class _PowerMeanAggregate(AdditiveAggregate):
@@ -319,7 +309,7 @@ _REGISTRY = {
 
 
 def make_aggregate(
-    name: str, codec: FixedPointCodec = FixedPointCodec(), **kwargs
+    name: str, codec: FixedPointCodec = FixedPointCodec()
 ) -> AdditiveAggregate:
     """Factory: build an aggregate by name.
 
@@ -333,7 +323,7 @@ def make_aggregate(
     """
     if "+" in name:
         parts = [
-            make_aggregate(part.strip(), codec, **kwargs)
+            make_aggregate(part.strip(), codec)
             for part in name.split("+")
             if part.strip()
         ]
@@ -344,4 +334,4 @@ def make_aggregate(
         raise AggregationError(
             f"unknown aggregate {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
-    return cls(codec, **kwargs)
+    return cls(codec)

@@ -104,7 +104,6 @@ class SlicingAggregation:
         linksec: LinkSecurity,
         *,
         num_slices: int = 2,
-        slot_s: float = 0.5,
     ) -> None:
         if num_slices < 1:
             raise AggregationError(f"num_slices must be >= 1, got {num_slices}")
@@ -113,7 +112,6 @@ class SlicingAggregation:
         self._aggregate = aggregate
         self._linksec = linksec
         self._num_slices = num_slices
-        self._slot_s = slot_s
         self._rng = stack.sim.rng.stream("slicing")
         self._assembled: Dict[int, List[int]] = {}
         self._contributes: Dict[int, int] = {}
@@ -160,9 +158,7 @@ class SlicingAggregation:
             for node in self._tree.parents
             if self._contributes[node] > 0 or any(self._assembled[node])
         }
-        tag = TagProtocol(
-            self._stack, self._tree, self._aggregate, slot_s=self._slot_s
-        )
+        tag = TagProtocol(self._stack, self._tree, self._aggregate)
         tag_result = tag.run_encoded(initial, true_value)
         return SlicingResult(
             tag=tag_result,

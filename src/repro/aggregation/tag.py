@@ -25,6 +25,8 @@ from repro.net.transport import Transport
 
 #: Message kind for TAG partial state records.
 PARTIAL_KIND = "tag_partial"
+#: Epoch slot length per depth level, seconds.
+SLOT_S = 0.5
 
 
 @dataclass
@@ -80,8 +82,6 @@ class TagProtocol:
         :func:`repro.aggregation.tree.build_aggregation_tree`).
     aggregate:
         The additive aggregate to compute.
-    slot_s:
-        Epoch slot length per depth level.
     """
 
     def __init__(
@@ -89,13 +89,10 @@ class TagProtocol:
         stack: Transport,
         tree: TreeBuildResult,
         aggregate: AdditiveAggregate,
-        *,
-        slot_s: float = 0.5,
     ) -> None:
         self._stack = stack
         self._tree = tree
         self._aggregate = aggregate
-        self._slot_s = slot_s
         self._states: Dict[int, _NodeState] = {}
         self._rng = stack.sim.rng.stream("tag.jitter")
 
@@ -143,7 +140,7 @@ class TagProtocol:
         root = self._tree.root
         schedule = EpochSchedule(
             epoch_start=sim.now,
-            slot_s=self._slot_s,
+            slot_s=SLOT_S,
             max_depth=self._tree.max_depth(),
         )
 

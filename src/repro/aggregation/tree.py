@@ -137,17 +137,15 @@ class _TreeBuilder:
 def build_aggregation_tree(
     stack: Transport,
     *,
-    root: Optional[int] = None,
     query: str = "",
 ) -> TreeBuildResult:
-    """Run the HELLO flood to completion and return the tree.
+    """Run the HELLO flood from the base station to completion and return
+    the tree.
 
     Parameters
     ----------
     stack:
         The radio network to flood.
-    root:
-        Root node (default: the deployment's base station, node 0).
     query:
         Query description piggybacked on the flood (e.g. the aggregate
         name); every reached node records what it received in
@@ -158,8 +156,7 @@ def build_aggregation_tree(
     The children lists are sorted before returning so downstream protocols
     iterate deterministically.
     """
-    root_id = root if root is not None else stack.deployment.base_station
-    builder = _TreeBuilder(stack, root_id, query=query)
+    builder = _TreeBuilder(stack, stack.deployment.base_station, query=query)
     builder.start()
     stack.sim.run(until=stack.sim.now + SETTLE_TIME_S)
     for node in builder.result.children:

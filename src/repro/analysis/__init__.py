@@ -16,36 +16,28 @@ can show analysis-vs-simulation agreement the way the paper does.
 
 from repro.analysis.coverage import (
     coverage_lower_bound,
-    expected_cluster_count,
     prob_hears_head,
 )
 from repro.analysis.detection import prob_detect_head_tamper
 from repro.analysis.overhead import (
     CostModel,
     icpda_bytes_per_node,
-    icpda_messages_per_node,
     overhead_ratio,
     tag_bytes_per_node,
-    tag_messages_per_node,
 )
 from repro.analysis.privacy import (
     p_disclose_collusion,
-    p_disclose_combined,
     p_disclose_link,
 )
 
 __all__ = [
     "prob_hears_head",
     "coverage_lower_bound",
-    "expected_cluster_count",
     "CostModel",
-    "tag_messages_per_node",
     "tag_bytes_per_node",
-    "icpda_messages_per_node",
     "icpda_bytes_per_node",
     "overhead_ratio",
     "p_disclose_link",
     "p_disclose_collusion",
-    "p_disclose_combined",
     "prob_detect_head_tamper",
 ]

@@ -42,13 +42,3 @@ def coverage_lower_bound(degrees: Sequence[int], p_c: float) -> float:
     if not degrees:
         raise ReproError("need at least one degree")
     return sum(prob_hears_head(d, p_c) for d in degrees) / len(degrees)
-
-
-def expected_cluster_count(num_nodes: int, p_c: float) -> float:
-    """Expected wave-1 cluster-head count: ``1 + (N-1) * p_c`` (the base
-    station always elects). The merge wave removes undersized clusters,
-    so the realized count is lower; this is the analytic upper curve."""
-    if num_nodes < 1:
-        raise ReproError(f"num_nodes must be >= 1, got {num_nodes}")
-    _validate_probability("p_c", p_c)
-    return 1.0 + (num_nodes - 1) * p_c

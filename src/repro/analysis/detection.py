@@ -23,36 +23,30 @@ from __future__ import annotations
 from repro.errors import ReproError
 
 
-def prob_detect_head_tamper(
-    m: int,
-    witness_fraction: float = 1.0,
-    p_know_sum: float = 0.95,
-    p_overhear: float = 0.95,
-) -> float:
+#: Per-witness probability of knowing the cluster sum (``p_k``).
+P_KNOW_SUM = 0.95
+#: Per-witness probability of cleanly overhearing the report (``p_o``).
+P_OVERHEAR = 0.95
+
+
+def prob_detect_head_tamper(m: int, witness_fraction: float = 1.0) -> float:
     """Probability at least one witness catches a tampering head."""
     if m < 2:
         raise ReproError(f"cluster size must be >= 2, got {m}")
-    for name, value in (
-        ("witness_fraction", witness_fraction),
-        ("p_know_sum", p_know_sum),
-        ("p_overhear", p_overhear),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ReproError(f"{name} must be in [0, 1], got {value}")
-    per_witness = witness_fraction * p_know_sum * p_overhear
+    if not 0.0 <= witness_fraction <= 1.0:
+        raise ReproError(
+            f"witness_fraction must be in [0, 1], got {witness_fraction}"
+        )
+    per_witness = witness_fraction * P_KNOW_SUM * P_OVERHEAR
     return 1.0 - (1.0 - per_witness) ** (m - 1)
 
 
 def prob_detect_multiple(
-    num_attackers: int,
-    m: int,
-    witness_fraction: float = 1.0,
-    p_know_sum: float = 0.95,
-    p_overhear: float = 0.95,
+    num_attackers: int, m: int, witness_fraction: float = 1.0
 ) -> float:
     """Detection probability with several independent (non-colluding)
     attackers: the round is rejected if *any* of them is caught."""
     if num_attackers < 1:
         raise ReproError(f"num_attackers must be >= 1, got {num_attackers}")
-    p_single = prob_detect_head_tamper(m, witness_fraction, p_know_sum, p_overhear)
+    p_single = prob_detect_head_tamper(m, witness_fraction)
     return 1.0 - (1.0 - p_single) ** num_attackers

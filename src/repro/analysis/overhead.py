@@ -1,12 +1,12 @@
 """Communication-cost model: TAG vs iCPDA (experiment F3's analytic
 series).
 
-Counts the frames a node originates per aggregation round, with byte
+Prices the frames a node originates per aggregation round, with byte
 sizes matching :mod:`repro.net.packet` conventions (16-byte header,
 4-byte ints, 8-byte field elements, 8-byte AEAD overhead per ciphertext).
 
-Per-node message model, cluster size ``m`` (ARQ retries excluded — they
-are congestion-dependent and measured, not modelled):
+Per-node frames behind the byte counts, cluster size ``m`` (ARQ retries
+excluded — they are congestion-dependent and measured, not modelled):
 
 =====================  =========================
 TAG                    iCPDA
@@ -23,7 +23,8 @@ partial          1     announce or join      1
 .                      report + acks     ~2h/m
 =====================  =========================
 
-``h`` is the mean hop count from a head to its absorber (typically 1-3).
+``h`` is the mean hop count from a head to its absorber (typically 1-3;
+the model takes ``MEAN_HOPS``).
 The headline ratio the paper family quotes — overhead growing linearly
 in the slice/cluster parameter — appears here as ``≈ (2m + 2) / 2``.
 """
@@ -70,31 +71,31 @@ class CostModel:
         """F-value broadcast: header + cluster + seed + member + values."""
         return self.header + 3 * self.int_bytes + arity * self.field_bytes
 
-    def report_bytes(self, arity: int, children: float = 1.0) -> int:
-        """Head report: header + ids/counters + own + total + children."""
+    def report_bytes(self, arity: int) -> int:
+        """Head report: header + ids/counters + own + total + one child."""
         fixed = self.header + 3 * self.int_bytes + 2 * arity * self.int_bytes
         per_child = (arity + 2) * self.int_bytes
-        return int(fixed + children * per_child)
+        return int(fixed + per_child)
 
     def ack_bytes(self) -> int:
         """Any link ack: header + one id."""
         return self.header + self.int_bytes
 
 
-def tag_messages_per_node() -> float:
-    """TAG frames originated per node per round: hello + partial."""
-    return 2.0
+#: Mean hop count ``h`` from a head to its absorber.
+MEAN_HOPS = 2.0
+#: Components of the aggregate the model prices (SUM has one).
+ARITY = 1
 
 
-def tag_bytes_per_node(arity: int = 1, model: CostModel = CostModel()) -> float:
+def tag_bytes_per_node() -> float:
     """TAG bytes originated per node per round."""
-    if arity < 1:
-        raise ReproError(f"arity must be >= 1, got {arity}")
-    return model.hello_bytes() + model.tag_partial_bytes(arity)
+    model = CostModel()
+    return model.hello_bytes() + model.tag_partial_bytes(ARITY)
 
 
-def icpda_messages_per_node(m: int, mean_hops: float = 2.0) -> float:
-    """iCPDA frames originated per node per round for cluster size ``m``.
+def icpda_bytes_per_node(m: int) -> float:
+    """iCPDA bytes originated per node per round for cluster size ``m``.
 
     Raises
     ------
@@ -103,51 +104,25 @@ def icpda_messages_per_node(m: int, mean_hops: float = 2.0) -> float:
     """
     if m < 2:
         raise ReproError(f"cluster size must be >= 2, got {m}")
-    if mean_hops < 1:
-        raise ReproError(f"mean_hops must be >= 1, got {mean_hops}")
-    per_member = (
-        1.0  # hello
-        + 1.0  # announce or join
-        + 2.0 / m  # member list (head, sent twice)
-        + (m - 1)  # shares out
-        + (m - 1)  # share acks (for shares received)
-        + 1.0  # F-value
-        + (m - 1) / m  # F-value acks issued by the head, amortized
-        + 2.0 / m  # F-set (head, sent twice)
-    )
-    routed = 2.0 * mean_hops / m  # census + report, with their acks
-    return per_member + 2 * routed
-
-
-def icpda_bytes_per_node(
-    m: int,
-    arity: int = 1,
-    mean_hops: float = 2.0,
-    model: CostModel = CostModel(),
-) -> float:
-    """iCPDA bytes originated per node per round."""
-    if arity < 1:
-        raise ReproError(f"arity must be >= 1, got {arity}")
-    if m < 2:
-        raise ReproError(f"cluster size must be >= 2, got {m}")
+    model = CostModel()
     per_member = (
         model.hello_bytes()
         + (model.header + model.int_bytes)  # announce/join
         + 2.0 / m * (model.header + (m + 1) * model.int_bytes)  # member list
-        + (m - 1) * model.share_bytes(arity)
+        + (m - 1) * model.share_bytes(ARITY)
         + (m - 1) * model.ack_bytes()
-        + model.fvalue_bytes(arity)
+        + model.fvalue_bytes(ARITY)
         + (m - 1) / m * model.ack_bytes()
-        + 2.0 / m * (model.header + m * (model.int_bytes + arity * model.field_bytes))
+        + 2.0 / m * (model.header + m * (model.int_bytes + ARITY * model.field_bytes))
     )
     census = model.header + 3 * model.int_bytes
-    report = model.report_bytes(arity)
-    routed_bytes = mean_hops / m * (
+    report = model.report_bytes(ARITY)
+    routed_bytes = MEAN_HOPS / m * (
         census + report + 2 * model.ack_bytes()
     )
     return per_member + routed_bytes
 
 
-def overhead_ratio(m: int, arity: int = 1, mean_hops: float = 2.0) -> float:
+def overhead_ratio(m: int) -> float:
     """Analytic iCPDA/TAG byte ratio — the headline overhead number."""
-    return icpda_bytes_per_node(m, arity, mean_hops) / tag_bytes_per_node(arity)
+    return icpda_bytes_per_node(m) / tag_bytes_per_node()

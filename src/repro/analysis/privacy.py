@@ -54,30 +54,9 @@ def p_disclose_collusion(p_n: float, m: int) -> float:
     return p_n ** (m - 1)
 
 
-def p_disclose_combined(
-    p_x: float, p_n: float, m: int, hops: float = 1.0
-) -> float:
-    """Disclosure when link breaking and collusion cooperate.
-
-    A counterpart's shares are readable if the shared link breaks *or*
-    the counterpart is compromised (either event exposes both
-    directions), so per-counterpart:
-
-        ``p_pair = 1 - (1 - p_n) * (1 - p_share)``
-
-    and ``P_disclose = p_pair^(m-1)`` over the ``m-1`` counterparts.
-    """
-    _check_prob("p_x", p_x)
-    _check_prob("p_n", p_n)
-    _check_cluster(m)
-    p_share = 1.0 - (1.0 - p_x) ** hops
-    p_pair = 1.0 - (1.0 - p_n) * (1.0 - p_share)
-    return p_pair ** (m - 1)
-
-
-def recommended_cluster_size(p_x: float, target: float, hops: float = 1.0) -> int:
+def recommended_cluster_size(p_x: float, target: float) -> int:
     """Smallest cluster size whose ``p_disclose_link`` is below ``target``
-    — the paper-style "we recommend m = ..." helper.
+    with direct delivery — the paper-style "we recommend m = ..." helper.
 
     Raises
     ------
@@ -88,7 +67,7 @@ def recommended_cluster_size(p_x: float, target: float, hops: float = 1.0) -> in
     if not 0.0 < target < 1.0:
         raise ReproError(f"target must be in (0, 1), got {target}")
     for m in range(2, 64):
-        if p_disclose_link(p_x, m, hops) <= target:
+        if p_disclose_link(p_x, m) <= target:
             return m
     raise ReproError(
         f"no cluster size up to 64 achieves target {target} at p_x={p_x}"

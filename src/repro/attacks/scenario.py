@@ -64,11 +64,7 @@ class AttackScenario:
         protocol.setup()
         return protocol.run_round(self.readings, round_id=round_id)
 
-    def candidate_attackers(
-        self,
-        round_id: int = 0,
-        role: str = "head",
-    ) -> List[int]:
+    def candidate_attackers(self, role: str = "head") -> List[int]:
         """Nodes that held an aggregation role in a dry-run round — the
         positions from which pollution is actually possible.
 
@@ -83,7 +79,7 @@ class AttackScenario:
             self.deployment, self.config, seed=self.seed, transport=self.transport
         )
         tree = protocol.setup()
-        protocol.run_round(self.readings, round_id=round_id)
+        protocol.run_round(self.readings)
         assert protocol.last_exchange is not None
         bs = self.deployment.base_station
         heads = {
@@ -108,7 +104,6 @@ class AttackScenario:
         attackers: Set[int],
         strategy: TamperStrategy = TamperStrategy.NAIVE_TOTAL,
         magnitude: int = 10_000,
-        round_id: int = 0,
     ) -> Tuple[RoundResult, PollutionAttack]:
         """One round with the given attackers active."""
         attack = PollutionAttack(
@@ -122,7 +117,7 @@ class AttackScenario:
             transport=self.transport,
         )
         protocol.setup()
-        result = protocol.run_round(self.readings, round_id=round_id)
+        result = protocol.run_round(self.readings)
         return result, attack
 
 

@@ -8,9 +8,8 @@ candidate set on each probe, isolating the malicious cluster in
 
 The search is mechanism-agnostic: it takes a probe callable that runs a
 restricted round and reports whether pollution was detected. With a
-single non-colluding attacker (the paper's model) binary search is exact;
-the implementation also tolerates a *noisy* probe by optionally repeating
-probes and majority-voting.
+single non-colluding attacker (the paper's model) binary search is exact,
+so each subset is probed once.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ class LocalizationResult:
     suspects:
         Cluster heads the search narrowed down to (length 1 on success).
     probes_used:
-        Restricted rounds actually executed (noisy mode stops voting on
-        a subset as soon as a majority is decided, so this can be less
-        than ``votes_per_probe`` per halving).
+        Restricted rounds actually executed (one per halving).
     converged:
         True when a single suspect was isolated.
     history:
@@ -52,9 +49,6 @@ class LocalizationResult:
 def localize_polluter(
     probe: ProbeFn,
     cluster_heads: Sequence[int],
-    *,
-    max_probes: int = 64,
-    votes_per_probe: int = 1,
 ) -> LocalizationResult:
     """Binary-search the polluting cluster.
 
@@ -64,47 +58,25 @@ def localize_polluter(
         Runs one restricted round; True = pollution detected in subset.
     cluster_heads:
         Candidate clusters (typically every head of the rejected round).
-    max_probes:
-        Safety bound on probe count.
-    votes_per_probe:
-        Odd number of repetitions per subset, majority-voted, for noisy
-        detection channels.
+
+    Every probe keeps at most half the candidates (rounded up), so the
+    search ends after at most :func:`expected_probe_bound` probes.
 
     Raises
     ------
     ProtocolError
-        On an empty candidate list or non-positive/even vote count.
+        On an empty candidate list.
     """
     if not cluster_heads:
         raise ProtocolError("localization needs at least one candidate cluster")
-    if votes_per_probe < 1 or votes_per_probe % 2 == 0:
-        raise ProtocolError(
-            f"votes_per_probe must be a positive odd number, got {votes_per_probe}"
-        )
-
-    def vote(subset: Tuple[int, ...]) -> Tuple[bool, int]:
-        # Early-exit majority: stop as soon as either side has the
-        # votes. Each probe is a full restricted aggregation round, so
-        # with a clean detection channel this halves the cost of noisy
-        # mode (ceil(v/2) rounds instead of v per subset).
-        needed = votes_per_probe // 2 + 1
-        positive = negative = 0
-        while positive < needed and negative < needed:
-            if probe(subset):
-                positive += 1
-            else:
-                negative += 1
-        return positive >= needed, positive + negative
 
     candidates: List[int] = sorted(cluster_heads)
     history: List[Tuple[Tuple[int, ...], bool]] = []
-    probes = 0
 
-    while len(candidates) > 1 and probes < max_probes:
+    while len(candidates) > 1:
         half = len(candidates) // 2
         left = tuple(candidates[:half])
-        detected_left, executed = vote(left)
-        probes += executed
+        detected_left = probe(left)
         history.append((left, detected_left))
         if detected_left:
             candidates = list(left)
@@ -114,7 +86,7 @@ def localize_polluter(
     converged = len(candidates) == 1
     return LocalizationResult(
         suspects=tuple(candidates),
-        probes_used=probes,
+        probes_used=len(history),
         converged=converged,
         history=tuple(history),
     )

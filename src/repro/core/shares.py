@@ -31,7 +31,7 @@ from repro.core.field import (
 from repro.errors import FieldArithmeticError, ShareAlgebraError
 
 
-def seed_for_node(node_id: int, modulus: int = MERSENNE_61) -> int:
+def seed_for_node(node_id: int) -> int:
     """Public, distinct, non-zero field seed for a node: ``node_id + 1``.
 
     Node ids are unique and non-negative, so seeds are unique and never
@@ -43,9 +43,9 @@ def seed_for_node(node_id: int, modulus: int = MERSENNE_61) -> int:
     """
     if node_id < 0:
         raise ShareAlgebraError(f"node ids must be >= 0, got {node_id}")
-    if node_id + 1 >= modulus:
+    if node_id + 1 >= MERSENNE_61:
         raise ShareAlgebraError(
-            f"node id {node_id} wraps past the field modulus {modulus}"
+            f"node id {node_id} wraps past the field modulus {MERSENNE_61}"
         )
     return node_id + 1
 

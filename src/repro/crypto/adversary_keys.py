@@ -75,7 +75,6 @@ class LinkBreakModel:
         scheme: RandomPredistributionScheme,
         adversary_ring: KeyRing,
         links: Set[Tuple[int, int]],
-        rng: Optional[np.random.Generator] = None,
     ) -> "LinkBreakModel":
         """Build a model from EG key overlap: a link is broken iff the
         adversary's ring holds the key that link actually uses."""
@@ -85,4 +84,4 @@ class LinkBreakModel:
                 continue
             if scheme.link_key(a, b) in adversary_ring:
                 broken.add((a, b) if a <= b else (b, a))
-        return cls(0.0, rng=rng, always_broken=broken)
+        return cls(0.0, always_broken=broken)

@@ -15,7 +15,7 @@ of nodes. Wire size of a ciphertext = plaintext size + a small constant
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, Union
+from typing import Any, Union
 
 from repro.crypto.keys import Key, KeyRing, PairwiseKeyScheme
 from repro.crypto.predistribution import RandomPredistributionScheme
@@ -24,13 +24,6 @@ from repro.net.packet import payload_size
 
 #: Per-ciphertext byte overhead (IV + truncated MAC), typical for WSN AEAD.
 CIPHERTEXT_OVERHEAD_BYTES = 8
-
-
-class KeyScheme(Protocol):
-    """Anything that can name the key for a link: pairwise or EG."""
-
-    def link_key(self, a: int, b: int) -> Key:  # pragma: no cover - protocol
-        ...
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,9 @@ class LinkSecurity:
     ----------
     scheme:
         A :class:`PairwiseKeyScheme` or
-        :class:`RandomPredistributionScheme` (anything satisfying
-        :class:`KeyScheme` with a ``ring(node_id)`` accessor).
+        :class:`RandomPredistributionScheme`: anything that names a
+        link's key (``link_key(a, b)``) and a node's ring
+        (``ring(node_id)``).
     """
 
     def __init__(

@@ -39,10 +39,6 @@ class TopologyError(ReproError):
     """Base class for deployment and graph construction errors."""
 
 
-class DisconnectedNetworkError(TopologyError):
-    """The generated deployment is not connected (and the caller required it)."""
-
-
 class DeploymentError(TopologyError):
     """Invalid deployment parameters (empty field, non-positive range, ...)."""
 

@@ -22,6 +22,9 @@ from repro.experiments.common import fixed_cluster_config, run_icpda_round
 from repro.experiments.detection import _pool_ratios
 from repro.experiments.engine import CellSpec, ExperimentSpec
 
+#: Per-link break probability A2's analytic P_disclose column uses.
+REFERENCE_P_X = 0.05
+
 
 def witness_cell(params: dict, seed: int, context: dict) -> dict:
     """One paired detection trial at one witness fraction."""
@@ -97,11 +100,10 @@ def cluster_size_cell(params: dict, seed: int, context: dict) -> dict:
 def cluster_size_spec(
     cluster_sizes: Sequence[int] = (2, 3, 4, 5, 6),
     num_nodes: int = 400,
-    p_x: float = 0.05,
     base_seed: int = 0,
 ) -> ExperimentSpec:
     """A2 rows: m -> participation, bytes per round, analytic
-    P_disclose at the reference ``p_x``.
+    P_disclose at the reference ``p_x`` (:data:`REFERENCE_P_X`).
 
     Cells: one round per cluster size.
     """
@@ -111,5 +113,5 @@ def cluster_size_spec(
         cluster_size_cell,
         cells,
         lambda outcomes: [o.value for o in outcomes],
-        context={"num_nodes": num_nodes, "p_x": p_x},
+        context={"num_nodes": num_nodes, "p_x": REFERENCE_P_X},
     )

@@ -10,7 +10,7 @@ COUNT and SUM are both measured (COUNT doubles as participation).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.config import IcpdaConfig
 from repro.experiments.common import (
@@ -45,8 +45,6 @@ def accuracy_cell(params: dict, seed: int, context: dict) -> dict:
 def accuracy_spec(
     sizes: Sequence[int] = DEFAULT_SIZES,
     trials: int = 3,
-    config: Optional[IcpdaConfig] = None,
-    workload: str = "metering",
     base_seed: int = 0,
 ) -> ExperimentSpec:
     """Rows per size: TAG and iCPDA SUM accuracy (mean over trials),
@@ -55,7 +53,7 @@ def accuracy_spec(
     Cells: one per ``(size, trial)``; reduce: per-size summaries.
     """
     sizes = tuple(sizes)
-    cfg = config if config is not None else IcpdaConfig()
+    cfg = IcpdaConfig()
     cells = tuple(
         CellSpec({"nodes": size, "trial": trial}, base_seed + trial * 1009 + size)
         for size in sizes
@@ -94,7 +92,7 @@ def accuracy_spec(
         accuracy_cell,
         cells,
         reduce,
-        context={"config": cfg, "workload": workload},
+        context={"config": cfg, "workload": "metering"},
     )
 
 

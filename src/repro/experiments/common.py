@@ -12,7 +12,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.aggregation.functions import make_aggregate
+from repro.aggregation.functions import SumAggregate
 from repro.aggregation.tag import TagProtocol, TagResult
 from repro.aggregation.tree import build_aggregation_tree
 from repro.core.config import IcpdaConfig
@@ -21,7 +21,7 @@ from repro.core.results import RoundResult
 from repro.errors import ReproError
 from repro.net.transport import Transport, create_transport
 from repro.sim.kernel import Simulator
-from repro.topology.deploy import Deployment, uniform_deployment
+from repro.topology.deploy import uniform_deployment
 
 #: Network sizes the paper family sweeps.
 DEFAULT_SIZES: Tuple[int, ...] = (200, 300, 400, 500, 600)
@@ -63,13 +63,10 @@ def build_icpda(
     num_nodes: int,
     config: Optional[IcpdaConfig] = None,
     seed: int = 0,
-    deployment: Optional[Deployment] = None,
     transport: str = "des",
 ) -> IcpdaProtocol:
     """Deploy a network and return a set-up protocol instance."""
-    if deployment is None:
-        rng = np.random.default_rng(seed)
-        deployment = uniform_deployment(num_nodes, rng=rng)
+    deployment = uniform_deployment(num_nodes, rng=np.random.default_rng(seed))
     protocol = IcpdaProtocol(
         deployment,
         config if config is not None else IcpdaConfig(),
@@ -85,7 +82,6 @@ def run_icpda_round(
     config: Optional[IcpdaConfig] = None,
     seed: int = 0,
     workload: str = "metering",
-    round_id: int = 0,
     transport: str = "des",
 ) -> Tuple[RoundResult, IcpdaProtocol]:
     """One full clean iCPDA round on a fresh deployment."""
@@ -93,7 +89,7 @@ def run_icpda_round(
     readings = make_readings(
         num_nodes, kind=workload, rng=np.random.default_rng(seed + 10_000)
     )
-    result = protocol.run_round(readings, round_id=round_id)
+    result = protocol.run_round(readings)
     return result, protocol
 
 
@@ -101,10 +97,9 @@ def run_tag_round_on(
     num_nodes: int,
     seed: int = 0,
     workload: str = "metering",
-    aggregate_name: str = "sum",
     transport: str = "des",
 ) -> Tuple[TagResult, Transport]:
-    """One TAG epoch on a fresh deployment (the baseline driver).
+    """One TAG SUM epoch on a fresh deployment (the baseline).
 
     Uses the same deployment generator and workload as the iCPDA driver
     so the two are directly comparable at equal seeds.
@@ -117,7 +112,7 @@ def run_tag_round_on(
     readings = make_readings(
         num_nodes, kind=workload, rng=np.random.default_rng(seed + 10_000)
     )
-    protocol = TagProtocol(stack, tree, make_aggregate(aggregate_name))
+    protocol = TagProtocol(stack, tree, SumAggregate())
     result = protocol.run(readings)
     return result, stack
 

@@ -10,8 +10,6 @@ cluster-size-dependent overhead.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.aggregation.functions import SumAggregate
@@ -110,13 +108,12 @@ def compare_spec(
     num_nodes: int = 300,
     p_x: float = 0.05,
     seed: int = 0,
-    config: Optional[IcpdaConfig] = None,
 ) -> ExperimentSpec:
     """Rows: one per scheme (tag, slicing l=2, slicing l=3, icpda).
 
     Cells: one per scheme; reduce: rows in :data:`SCHEMES` order.
     """
-    cfg = config if config is not None else IcpdaConfig()
+    cfg = IcpdaConfig()
     cells = tuple(CellSpec({"scheme": scheme}, seed) for scheme in SCHEMES)
     return ExperimentSpec(
         "F9",

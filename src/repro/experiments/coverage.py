@@ -8,7 +8,7 @@ analytic lower bound from :mod:`repro.analysis.coverage`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.coverage import coverage_lower_bound
 from repro.core.config import IcpdaConfig
@@ -46,7 +46,6 @@ def coverage_cell(params: dict, seed: int, context: dict) -> dict:
 def coverage_spec(
     sizes: Sequence[int] = DEFAULT_SIZES,
     trials: int = 3,
-    config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
     """Rows per size: clustered fraction, participation, analytic bound,
@@ -55,7 +54,7 @@ def coverage_spec(
     Cells: one per ``(size, trial)``; reduce: per-size trial means.
     """
     sizes = tuple(sizes)
-    cfg = config if config is not None else IcpdaConfig()
+    cfg = IcpdaConfig()
     cells = tuple(
         CellSpec({"nodes": size, "trial": trial}, base_seed + trial * 1000 + size)
         for size in sizes

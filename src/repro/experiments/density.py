@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments.common import DEFAULT_SIZES
 from repro.experiments.engine import CellSpec, ExperimentSpec, derive_seed
-from repro.topology.deploy import uniform_deployment
+from repro.topology.deploy import DEFAULT_FIELD_SIZE, DEFAULT_RANGE, uniform_deployment
 from repro.topology.stats import density_stats
 
 
@@ -38,8 +38,6 @@ def density_spec(
     sizes: Sequence[int] = DEFAULT_SIZES,
     trials: int = 5,
     seed: int = 0,
-    field_size: float = 400.0,
-    radio_range: float = 50.0,
 ) -> ExperimentSpec:
     """Rows: nodes, mean_degree (simulated), isolated node count,
     largest-component fraction, expected_degree (analytic).
@@ -73,7 +71,7 @@ def density_spec(
                         float(np.mean([v["lcc_fraction"] for v in values])), 4
                     ),
                     "expected_degree": round(
-                        (size - 1) * np.pi * radio_range**2 / (field_size**2), 2
+                        (size - 1) * np.pi * DEFAULT_RANGE**2 / DEFAULT_FIELD_SIZE**2, 2
                     ),
                 }
             )
@@ -84,5 +82,5 @@ def density_spec(
         density_cell,
         cells,
         reduce,
-        context={"field_size": field_size, "radio_range": radio_range},
+        context={"field_size": DEFAULT_FIELD_SIZE, "radio_range": DEFAULT_RANGE},
     )

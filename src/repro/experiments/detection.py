@@ -9,7 +9,7 @@ detection model.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.detection import prob_detect_multiple
 from repro.attacks.pollution import TamperStrategy
@@ -45,10 +45,8 @@ def _pool_ratios(values: Sequence[dict]) -> dict:
 
 def detection_spec(
     attacker_counts: Sequence[int] = (1, 2, 3, 5),
-    strategy: TamperStrategy = TamperStrategy.NAIVE_TOTAL,
     num_nodes: int = 300,
     trials: int = 4,
-    config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
     """Rows per attacker count: detection ratio, false-alarm ratio,
@@ -58,7 +56,8 @@ def detection_spec(
     plus the analytic detection probability per count.
     """
     attacker_counts = tuple(attacker_counts)
-    cfg = config if config is not None else IcpdaConfig()
+    strategy = TamperStrategy.NAIVE_TOTAL
+    cfg = IcpdaConfig()
     mean_m = (cfg.k_min + cfg.k_max) / 2.0
     cells = tuple(
         CellSpec(
@@ -147,7 +146,6 @@ def collusion_cell(params: dict, seed: int, context: dict) -> dict:
 def collusion_spec(
     num_nodes: int = 250,
     trials: int = 3,
-    config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
     """The paper's future-work boundary, measured: detection of a
@@ -161,7 +159,7 @@ def collusion_spec(
     Rows per colluding fraction: detection ratio and trial count.
     Cells: one per ``(colluding fraction, trial)``.
     """
-    cfg = config if config is not None else IcpdaConfig()
+    cfg = IcpdaConfig()
     fractions = (0.0, 0.5, 1.0)
     cells = tuple(
         CellSpec(
@@ -202,23 +200,20 @@ def collusion_spec(
 
 
 def run_strategy_matrix(
-    strategies: Sequence[TamperStrategy] = tuple(TamperStrategy),
     num_nodes: int = 300,
     trials: int = 3,
-    config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> List[dict]:
     """Detection per tamper strategy with a single attacker — exercises
     every witness check (see the strategy table in
     :mod:`repro.attacks.pollution`)."""
     rows: List[dict] = []
-    for strategy in strategies:
+    for strategy in TamperStrategy:
         stats, _, _ = run_detection_trials(
             num_nodes=num_nodes,
             num_attackers=1,
             strategy=strategy,
             trials=trials,
-            config=config,
             base_seed=base_seed,
         )
         rows.append(

@@ -11,7 +11,7 @@ parameter.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ def election_cell(params: dict, seed: int, context: dict) -> dict:
 
 def election_spec(
     sizes: Sequence[int] = (150, 300, 500),
-    config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ):
     """Rows per (size, mode): participation, active clusters, mean and
@@ -56,7 +55,7 @@ def election_spec(
     """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
-    base = config if config is not None else IcpdaConfig()
+    base = IcpdaConfig()
     cells = tuple(
         CellSpec({"nodes": size, "mode": mode}, base_seed + size)
         for size in sizes

@@ -10,7 +10,7 @@ loses data — while TAG, ack-less by design, sheds readings linearly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +65,6 @@ def fading_cell(params: dict, seed: int, context: dict) -> dict:
 def fading_spec(
     fading_levels: Sequence[float] = (0.0, 0.3, 0.6),
     num_nodes: int = 250,
-    config: Optional[IcpdaConfig] = None,
     seed: int = 0,
 ):
     """Rows per fading level: TAG accuracy, iCPDA accuracy and
@@ -75,7 +74,7 @@ def fading_spec(
     """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
-    cfg = config if config is not None else IcpdaConfig()
+    cfg = IcpdaConfig()
     cells = tuple(
         CellSpec({"edge_fading": fading}, seed) for fading in fading_levels
     )

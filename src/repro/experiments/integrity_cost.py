@@ -11,7 +11,6 @@ polluted aggregate with a straight face.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -20,6 +19,9 @@ from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
 from repro.experiments.common import make_readings
 from repro.topology.deploy import uniform_deployment
+
+#: Units the attacker adds to its cluster's report.
+TAMPER_MAGNITUDE = 10_000_000
 
 
 def integrity_cell(params: dict, seed: int, context: dict) -> dict:
@@ -75,9 +77,7 @@ def integrity_cell(params: dict, seed: int, context: dict) -> dict:
 
 def integrity_cost_spec(
     num_nodes: int = 250,
-    config: Optional[IcpdaConfig] = None,
     seed: int = 0,
-    tamper_magnitude: int = 10_000_000,
 ):
     """Rows per mode: bytes, mJ/node, clean verdict, attacked verdict,
     and the attacked round's reported error when it was accepted.
@@ -86,7 +86,7 @@ def integrity_cost_spec(
     """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
-    base = config if config is not None else IcpdaConfig()
+    base = IcpdaConfig()
     cells = tuple(
         CellSpec({"mode": mode}, seed) for mode in ("witnessed", "none")
     )
@@ -98,6 +98,6 @@ def integrity_cost_spec(
         context={
             "num_nodes": num_nodes,
             "config": base,
-            "tamper_magnitude": tamper_magnitude,
+            "tamper_magnitude": TAMPER_MAGNITUDE,
         },
     )

@@ -13,7 +13,7 @@ Under Eschenauer–Gligor random predistribution:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,7 +103,6 @@ def eg_spec(
     ring_sizes: Sequence[int] = (8, 15, 25, 40),
     pool_size: int = 200,
     num_nodes: int = 250,
-    config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ):
     """Rows per ring size: analytic ring-overlap probability,
@@ -114,7 +113,7 @@ def eg_spec(
     """
     from repro.experiments.engine import CellSpec, ExperimentSpec
 
-    cfg = config if config is not None else IcpdaConfig()
+    cfg = IcpdaConfig()
     cells = tuple(
         CellSpec({"ring_size": ring_size}, base_seed + ring_size)
         for ring_size in ring_sizes

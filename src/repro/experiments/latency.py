@@ -10,7 +10,7 @@ growth term in both protocols. Energy per round is reported alongside
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.clustering import (
     WINDOW_ANNOUNCE_S,
@@ -63,7 +63,6 @@ def latency_cell(params: dict, seed: int, context: dict) -> dict:
 
 def latency_spec(
     sizes: Sequence[int] = DEFAULT_SIZES,
-    config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
     """Rows per size: TAG epoch seconds, iCPDA round seconds (by phase),
@@ -72,7 +71,7 @@ def latency_spec(
     Cells: one per size (no trial dimension — latency is a per-round
     deterministic quantity at a fixed seed).
     """
-    cfg = config if config is not None else IcpdaConfig()
+    cfg = IcpdaConfig()
     cells = tuple(
         CellSpec({"nodes": size}, base_seed + size) for size in sizes
     )

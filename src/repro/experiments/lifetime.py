@@ -28,7 +28,7 @@ from repro.core.protocol import IcpdaProtocol
 from repro.experiments.common import make_readings
 from repro.net.transport import Transport, create_transport
 from repro.sim.kernel import Simulator
-from repro.topology.deploy import uniform_deployment
+from repro.topology.deploy import DEFAULT_FIELD_SIZE, uniform_deployment
 
 #: TAG accuracy below which the answer is considered failed.
 TAG_FAILURE_FLOOR = 0.5
@@ -228,7 +228,6 @@ def lifetime_spec(
     capacity_j: float = 2.0,
     max_rounds: int = 40,
     seed: int = 0,
-    field_size: float = 400.0,
 ):
     """Summary rows for every scheme in :data:`LIFETIME_SCHEMES` under
     the same battery budget.
@@ -249,6 +248,6 @@ def lifetime_spec(
             "num_nodes": num_nodes,
             "capacity_j": capacity_j,
             "max_rounds": max_rounds,
-            "field_size": field_size,
+            "field_size": DEFAULT_FIELD_SIZE,
         },
     )

@@ -10,7 +10,7 @@ identical across probes (the restriction names cluster heads).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from repro.topology.deploy import uniform_deployment
 def localize_one(
     num_nodes: int,
     seed: int,
-    config: Optional[IcpdaConfig] = None,
-    strategy: TamperStrategy = TamperStrategy.NAIVE_TOTAL,
+    config: IcpdaConfig,
     transport: str = "des",
 ) -> Tuple[bool, int, int, int]:
     """One full localization episode.
@@ -35,18 +34,17 @@ def localize_one(
     Returns ``(found, probes_used, bound, num_clusters)`` where ``found``
     means the isolated suspect cluster is the attacker's cluster.
     """
-    cfg = config if config is not None else IcpdaConfig()
     rng = np.random.default_rng(seed)
     deployment = uniform_deployment(num_nodes, rng=rng)
-    scenario = AttackScenario(deployment, cfg, seed=seed, transport=transport)
+    scenario = AttackScenario(deployment, config, seed=seed, transport=transport)
     candidates = scenario.candidate_attackers(role="head")
     if not candidates:
         raise ReproError(f"seed {seed}: no candidate heads to attack")
     attacker = int(rng.choice(candidates))
 
     def probe(subset: Tuple[int, ...]) -> bool:
-        restricted = replace(scenario, config=cfg.with_restriction(subset))
-        result, _ = restricted.run_attacked({attacker}, strategy)
+        restricted = replace(scenario, config=config.with_restriction(subset))
+        result, _ = restricted.run_attacked({attacker}, TamperStrategy.NAIVE_TOTAL)
         return result.detected_pollution
 
     outcome = localize_polluter(probe, candidates)
@@ -74,7 +72,6 @@ def localization_cell(params: dict, seed: int, context: dict) -> dict:
 def localization_spec(
     sizes: Sequence[int] = (200, 300, 400),
     trials: int = 2,
-    config: Optional[IcpdaConfig] = None,
     base_seed: int = 0,
 ) -> ExperimentSpec:
     """Rows per size: isolation success rate, mean probes, log2 bound.
@@ -109,5 +106,5 @@ def localization_spec(
         return rows
 
     return ExperimentSpec(
-        "F7", localization_cell, cells, reduce, context={"config": config}
+        "F7", localization_cell, cells, reduce, context={"config": IcpdaConfig()}
     )

@@ -42,7 +42,6 @@ def overhead_spec(
     sizes: Sequence[int] = DEFAULT_SIZES,
     cluster_sizes: Sequence[int] = (3, 4),
     trials: int = 2,
-    base_seed: int = 0,
 ) -> ExperimentSpec:
     """Rows per size: TAG bytes, iCPDA bytes per cluster-size setting,
     measured and analytic ratios, and the iCPDA exchange-phase share.
@@ -58,7 +57,7 @@ def overhead_spec(
             cells.append(
                 CellSpec(
                     {"nodes": size, "scheme": "tag", "trial": trial},
-                    base_seed + trial * 101 + size,
+                    trial * 101 + size,
                 )
             )
         for m in cluster_sizes:
@@ -66,7 +65,7 @@ def overhead_spec(
                 cells.append(
                     CellSpec(
                         {"nodes": size, "scheme": "icpda", "m": m, "trial": trial},
-                        base_seed + trial * 101 + size,
+                        trial * 101 + size,
                     )
                 )
 

@@ -20,7 +20,7 @@ exists to absorb.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.net.radio import RadioParams
 from repro.topology.deploy import uniform_deployment
 
 #: Candidate Th values the selection table sweeps.
-DEFAULT_CANDIDATE_THS: Sequence[int] = (0, 1, 2, 3, 5, 8, 12)
+CANDIDATE_THS: Sequence[int] = (0, 1, 2, 3, 5, 8, 12)
 
 
 def threshold_cell(params: dict, seed: int, context: dict) -> int:
@@ -66,13 +66,11 @@ def threshold_cell(params: dict, seed: int, context: dict) -> int:
 def threshold_spec(
     num_nodes: int = 400,
     trials: int = 10,
-    config: Optional[IcpdaConfig] = None,
-    candidate_ths: Sequence[int] = DEFAULT_CANDIDATE_THS,
     base_seed: int = 0,
     edge_fading: float = 0.0,
 ) -> ExperimentSpec:
     """Cells: one clean round per trial; reduce: the Th-selection table."""
-    cfg = config if config is not None else IcpdaConfig(count_threshold=10**6)
+    cfg = IcpdaConfig(count_threshold=10**6)
     cells = tuple(
         CellSpec({"trial": trial}, base_seed + trial * 977)
         for trial in range(trials)
@@ -87,7 +85,7 @@ def threshold_spec(
                 "Th": th,
                 "clean_acceptance": round(float((gaps <= th).mean()), 3),
             }
-            for th in candidate_ths
+            for th in CANDIDATE_THS
         ]
 
     return ExperimentSpec(
@@ -106,8 +104,6 @@ def threshold_spec(
 def run_threshold_experiment(
     num_nodes: int = 400,
     trials: int = 10,
-    config: Optional[IcpdaConfig] = None,
-    candidate_ths: Sequence[int] = DEFAULT_CANDIDATE_THS,
     base_seed: int = 0,
     edge_fading: float = 0.0,
 ) -> dict:
@@ -120,8 +116,6 @@ def run_threshold_experiment(
     spec = threshold_spec(
         num_nodes=num_nodes,
         trials=trials,
-        config=config,
-        candidate_ths=candidate_ths,
         base_seed=base_seed,
         edge_fading=edge_fading,
     )

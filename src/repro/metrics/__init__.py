@@ -5,33 +5,25 @@ message/byte counters per node and message kind
 (:mod:`repro.metrics.counters`), aggregation accuracy
 (:mod:`repro.metrics.accuracy`), empirical privacy disclosure
 (:mod:`repro.metrics.privacy`), pollution-detection ratios
-(:mod:`repro.metrics.detection`), and plain-text table/series rendering
+(:mod:`repro.metrics.detection`), and plain-text table/chart rendering
 (:mod:`repro.metrics.report`).
 """
 
-from repro.metrics.accuracy import AccuracyResult, accuracy_ratio, count_accuracy
+from repro.metrics.accuracy import AccuracyResult
 from repro.metrics.counters import KindBreakdown, MessageCounters
 from repro.metrics.detection import DetectionStats
 from repro.metrics.privacy import DisclosureStats
 from repro.metrics.registry import MetricsRegistry
-from repro.metrics.report import (
-    Series,
-    render_chart,
-    render_series,
-    render_table,
-)
+from repro.metrics.report import Series, render_chart, render_table
 
 __all__ = [
     "MessageCounters",
     "MetricsRegistry",
     "KindBreakdown",
     "AccuracyResult",
-    "accuracy_ratio",
-    "count_accuracy",
     "DisclosureStats",
     "DetectionStats",
     "Series",
     "render_table",
-    "render_series",
     "render_chart",
 ]

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from math import isnan
 from typing import List, Optional, Sequence
 
-from repro.errors import AggregationError
-
 
 @dataclass(frozen=True)
 class AccuracyResult:
@@ -36,28 +34,6 @@ class AccuracyResult:
     maximum: float
     trials: int
     rejected: int
-
-
-def accuracy_ratio(collected: float, truth: float) -> float:
-    """``collected / truth``; NaN when truth is zero.
-
-    Raises
-    ------
-    AggregationError
-        If either input is NaN (a bug upstream, not a data condition).
-    """
-    if isnan(collected) or isnan(truth):
-        raise AggregationError("accuracy inputs must not be NaN")
-    if truth == 0:
-        return float("nan")
-    return collected / truth
-
-
-def count_accuracy(contributors: int, total_sensors: int) -> float:
-    """Participation ratio: contributors over all sensors."""
-    if total_sensors <= 0:
-        raise AggregationError(f"total_sensors must be positive, got {total_sensors}")
-    return contributors / total_sensors
 
 
 def summarize_accuracy(values: Sequence[Optional[float]]) -> AccuracyResult:

@@ -30,17 +30,12 @@ SnapshotProvider = Callable[[], Mapping[str, Any]]
 class MetricsRegistry:
     """Named snapshot providers merged into one namespaced dict.
 
-    The plain attribute :attr:`enabled` (default True) is the registry's
-    zero-cost off switch: while False, :meth:`snapshot` and :meth:`nested`
-    return empty dicts without calling any provider, so a run that wants
-    no metrics pays a single predicate — registration itself is always
-    free because providers are only ever invoked at snapshot time.
+    Registration is free: providers are only ever invoked at snapshot
+    time.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._providers: Dict[str, SnapshotProvider] = {}
-        #: When False, snapshots short-circuit to ``{}`` (no provider runs).
-        self.enabled = bool(enabled)
 
     def register(
         self,
@@ -89,8 +84,6 @@ class MetricsRegistry:
         """Namespace -> that provider's (unflattened) snapshot dict, with
         the providers called in registration order."""
         views: Dict[str, Dict[str, Any]] = {}
-        if not self.enabled:
-            return views
         for namespace, provider in self._providers.items():
             value = provider()
             if not isinstance(value, Mapping):

@@ -1,4 +1,4 @@
-"""Plain-text rendering of result tables and series.
+"""Plain-text rendering of result tables and series charts.
 
 The benchmark harness prints the same rows/series shape the paper's
 tables and figures report; these helpers keep that output uniform and
@@ -28,26 +28,21 @@ def _format_cell(value: Any) -> str:
 def render_table(
     rows: Sequence[Dict[str, Any]],
     *,
-    columns: Optional[Sequence[str]] = None,
     title: Optional[str] = None,
 ) -> str:
     """Render dict-rows as an aligned text table.
 
-    Column order: ``columns`` when given, otherwise first-seen key
-    order over the union of all rows — a key that only appears in a
-    later row (e.g. a failure-row field) still gets a column. Missing
-    cells render as ``-``.
+    Column order: first-seen key order over the union of all rows — a
+    key that only appears in a later row (e.g. a failure-row field)
+    still gets a column. Missing cells render as ``-``.
     """
     if not rows:
         return f"{title}\n(empty)" if title else "(empty)"
-    if columns is not None:
-        cols = list(columns)
-    else:
-        cols = []
-        for row in rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
+    cols: List[str] = []
+    for row in rows:
+        for key in row:
+            if key not in cols:
+                cols.append(key)
     rendered = [[_format_cell(row.get(col)) for col in cols] for row in rows]
     widths = [
         max(len(col), *(len(r[i]) for r in rendered)) for i, col in enumerate(cols)
@@ -135,30 +130,3 @@ def render_chart(
             f"{_format_cell(y)}".rstrip()
         )
     return "\n".join(lines)
-
-
-def render_series(
-    series_list: Sequence[Series],
-    *,
-    x_label: str = "x",
-    y_label: str = "y",
-    title: Optional[str] = None,
-) -> str:
-    """Render several series as a joined table keyed by x.
-
-    Produces one row per distinct x, one column per series — the textual
-    equivalent of a multi-line figure.
-    """
-    xs = sorted({x for s in series_list for x in s.xs})
-    rows = []
-    for x in xs:
-        row: Dict[str, Any] = {x_label: x}
-        for s in series_list:
-            try:
-                index = s.xs.index(x)
-                row[s.name] = s.ys[index]
-            except ValueError:
-                row[s.name] = None
-        rows.append(row)
-    heading = title if title else f"{y_label} vs {x_label}"
-    return render_table(rows, title=heading)

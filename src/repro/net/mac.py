@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.net.medium import WirelessMedium
@@ -90,9 +90,6 @@ class CsmaMac:
         Owning node.
     params:
         Tuning knobs (shared across nodes normally).
-    on_drop:
-        Optional callback invoked with the dropped packet when all
-        attempts are exhausted.
     """
 
     def __init__(
@@ -101,14 +98,12 @@ class CsmaMac:
         medium: WirelessMedium,
         node_id: int,
         params: Optional[MacParams] = None,
-        on_drop: Optional[Callable[[Packet], None]] = None,
     ) -> None:
         self._sim = sim
         self._medium = medium
         self._radio = medium.radio
         self._node_id = node_id
         self._params = params if params is not None else MacParams()
-        self._on_drop = on_drop
         self._queue: Deque[Tuple[Packet, int]] = deque()
         self._busy = False
         self._rng = sim.rng.stream(f"mac.{node_id}")
@@ -158,8 +153,6 @@ class CsmaMac:
                         node=self._node_id,
                         kind=packet.kind,
                     )
-                if self._on_drop is not None:
-                    self._on_drop(packet)
                 self._schedule_next(0.0)
                 return
             self._queue[0] = (packet, attempts)

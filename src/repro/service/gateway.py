@@ -77,10 +77,10 @@ class AggregationGateway:
     max_pending:
         Admission bound: maximum queries admitted but not yet answered.
         Further submissions raise :class:`QueryRejected` immediately.
-    batch_window_s:
-        How long the worker lingers after the first pending query to let
-        a batch build up (0 drains only what is already queued — lowest
-        latency, smallest batches).
+
+    The worker drains only what is already queued when a round starts
+    (lowest latency); queries that arrive during a round form the next
+    batch.
 
     Usage::
 
@@ -95,18 +95,12 @@ class AggregationGateway:
         service: AggregationService,
         *,
         max_pending: int = 64,
-        batch_window_s: float = 0.0,
     ) -> None:
         if max_pending < 1:
             raise ProtocolError(f"max_pending must be >= 1, got {max_pending}")
-        if batch_window_s < 0:
-            raise ProtocolError(
-                f"batch_window_s must be >= 0, got {batch_window_s}"
-            )
         self.service = service
         self.stats = GatewayStats()
         self._max_pending = max_pending
-        self._batch_window_s = batch_window_s
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
         self._worker: Optional[asyncio.Task] = None
         self._closing = False
@@ -195,8 +189,6 @@ class AggregationGateway:
             batch: List[Tuple[Query, asyncio.Future, float]] = [
                 await self._queue.get()
             ]
-            if self._batch_window_s > 0:
-                await asyncio.sleep(self._batch_window_s)
             while True:
                 try:
                     batch.append(self._queue.get_nowait())

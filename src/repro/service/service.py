@@ -108,7 +108,7 @@ class AggregationService:
     readings_provider:
         Called once per served epoch with the epoch number; returns that
         epoch's sensor readings (base station excluded).
-    attack_plan / linksec / transport:
+    attack_plan / transport:
         Forwarded to the protocol instance.
 
     When a served round is rejected and the witnesses name a suspect,
@@ -125,7 +125,6 @@ class AggregationService:
         *,
         readings_provider: ReadingsProvider,
         attack_plan=None,
-        linksec=None,
         transport: str = "des",
     ) -> None:
         self.protocol = IcpdaProtocol(
@@ -133,7 +132,6 @@ class AggregationService:
             config if config is not None else IcpdaConfig(),
             seed=seed,
             attack_plan=attack_plan,
-            linksec=linksec,
             transport=transport,
         )
         self._readings_provider = readings_provider

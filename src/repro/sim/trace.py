@@ -192,12 +192,6 @@ class TraceLog:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
-    def records(self, prefix: Optional[str] = None) -> List[TraceRecord]:
-        """All retained records, optionally filtered by category prefix."""
-        if prefix is None:
-            return list(self._records)
-        return [r for r in self._records if r.matches(prefix)]
-
     def count(self, prefix: str) -> int:
         """Number of *retained* records under a category prefix."""
         return sum(1 for r in self._records if r.matches(prefix))
@@ -210,15 +204,6 @@ class TraceLog:
         telemetry layer reports per run.
         """
         return dict(self._category_totals)
-
-    def last(self, prefix: Optional[str] = None) -> Optional[TraceRecord]:
-        """Most recent record (under ``prefix`` if given), or None."""
-        if prefix is None:
-            return self._records[-1] if self._records else None
-        for record in reversed(self._records):
-            if record.matches(prefix):
-                return record
-        return None
 
     def clear(self) -> None:
         """Drop all records and category totals (counters in kernel stats

@@ -10,7 +10,6 @@ generator places it elsewhere explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, sqrt
 from typing import Optional, Tuple
 
 import numpy as np
@@ -95,144 +94,21 @@ def uniform_deployment(
     field_size: float = DEFAULT_FIELD_SIZE,
     radio_range: float = DEFAULT_RANGE,
     rng: Optional[np.random.Generator] = None,
-    bs_position: Optional[Tuple[float, float]] = None,
 ) -> Deployment:
     """Drop ``num_nodes`` sensors uniformly at random over the square field.
 
-    The base station (node 0) is pinned at ``bs_position`` (default: the
-    field center, which maximizes tree balance) and the remaining
-    ``num_nodes - 1`` sensors are i.i.d. uniform.
+    The base station (node 0) is pinned at the field center, which
+    maximizes tree balance, and the remaining ``num_nodes - 1`` sensors
+    are i.i.d. uniform.
     """
     if num_nodes < 2:
         raise DeploymentError("uniform_deployment needs at least 2 nodes")
     rng = rng if rng is not None else np.random.default_rng()
     positions = rng.uniform(0.0, field_size, size=(num_nodes, 2))
-    if bs_position is None:
-        bs_position = (field_size / 2.0, field_size / 2.0)
-    positions[0] = bs_position
+    positions[0] = (field_size / 2.0, field_size / 2.0)
     return Deployment(
         positions=positions,
         field_size=field_size,
         radio_range=radio_range,
         kind="uniform",
-    )
-
-
-def grid_deployment(
-    num_nodes: int,
-    *,
-    field_size: float = DEFAULT_FIELD_SIZE,
-    radio_range: float = DEFAULT_RANGE,
-    jitter: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> Deployment:
-    """Lay sensors on a near-square grid, optionally jittered.
-
-    ``jitter`` is the standard deviation (meters) of Gaussian perturbation
-    applied to each grid point; positions are clipped to the field. The
-    base station replaces the grid point nearest the field center.
-    """
-    if num_nodes < 2:
-        raise DeploymentError("grid_deployment needs at least 2 nodes")
-    if jitter < 0:
-        raise DeploymentError(f"jitter must be >= 0, got {jitter}")
-    side = int(ceil(sqrt(num_nodes)))
-    spacing = field_size / side
-    coords = []
-    for row in range(side):
-        for col in range(side):
-            if len(coords) == num_nodes:
-                break
-            coords.append(((col + 0.5) * spacing, (row + 0.5) * spacing))
-    positions = np.asarray(coords, dtype=float)
-    if jitter > 0:
-        rng = rng if rng is not None else np.random.default_rng()
-        positions = positions + rng.normal(0.0, jitter, size=positions.shape)
-        positions = np.clip(positions, 0.0, field_size)
-    center = np.array([field_size / 2.0, field_size / 2.0])
-    nearest = int(np.argmin(np.linalg.norm(positions - center, axis=1)))
-    positions[[0, nearest]] = positions[[nearest, 0]]
-    return Deployment(
-        positions=positions,
-        field_size=field_size,
-        radio_range=radio_range,
-        kind="grid",
-    )
-
-
-def poisson_deployment(
-    intensity: float,
-    *,
-    field_size: float = DEFAULT_FIELD_SIZE,
-    radio_range: float = DEFAULT_RANGE,
-    rng: Optional[np.random.Generator] = None,
-) -> Deployment:
-    """Sample a homogeneous Poisson point process of the given intensity
-    (nodes per square meter); the base station is added at the center.
-
-    The realized node count is random: ``Poisson(intensity * area) + 1``.
-    """
-    if intensity <= 0:
-        raise DeploymentError(f"intensity must be positive, got {intensity}")
-    rng = rng if rng is not None else np.random.default_rng()
-    area = field_size * field_size
-    count = int(rng.poisson(intensity * area))
-    count = max(count, 1)
-    sensors = rng.uniform(0.0, field_size, size=(count, 2))
-    bs = np.array([[field_size / 2.0, field_size / 2.0]])
-    positions = np.vstack([bs, sensors])
-    return Deployment(
-        positions=positions,
-        field_size=field_size,
-        radio_range=radio_range,
-        kind="poisson",
-    )
-
-
-def hotspot_deployment(
-    num_nodes: int,
-    *,
-    num_hotspots: int = 3,
-    hotspot_sigma: float = 40.0,
-    background_fraction: float = 0.3,
-    field_size: float = DEFAULT_FIELD_SIZE,
-    radio_range: float = DEFAULT_RANGE,
-    rng: Optional[np.random.Generator] = None,
-) -> Deployment:
-    """Clustered deployment: a fraction of sensors uniform, the rest in
-    Gaussian hotspots (stress case for cluster-formation coverage).
-
-    Parameters
-    ----------
-    num_hotspots:
-        Number of Gaussian clusters drawn uniformly over the field.
-    hotspot_sigma:
-        Standard deviation of each hotspot, meters.
-    background_fraction:
-        Fraction of sensors deployed uniformly rather than in hotspots.
-    """
-    if num_nodes < 2:
-        raise DeploymentError("hotspot_deployment needs at least 2 nodes")
-    if num_hotspots < 1:
-        raise DeploymentError(f"num_hotspots must be >= 1, got {num_hotspots}")
-    if not 0.0 <= background_fraction <= 1.0:
-        raise DeploymentError(
-            f"background_fraction must be in [0, 1], got {background_fraction}"
-        )
-    rng = rng if rng is not None else np.random.default_rng()
-    sensors = num_nodes - 1
-    n_background = int(round(sensors * background_fraction))
-    n_hot = sensors - n_background
-    centers = rng.uniform(0.2 * field_size, 0.8 * field_size, size=(num_hotspots, 2))
-    assignments = rng.integers(0, num_hotspots, size=n_hot)
-    hot = centers[assignments] + rng.normal(0.0, hotspot_sigma, size=(n_hot, 2))
-    background = rng.uniform(0.0, field_size, size=(n_background, 2))
-    bs = np.array([[field_size / 2.0, field_size / 2.0]])
-    positions = np.vstack([bs, hot, background])
-    positions = np.clip(positions, 0.0, field_size)
-    return Deployment(
-        positions=positions,
-        field_size=field_size,
-        radio_range=radio_range,
-        kind="hotspot",
     )

@@ -1,18 +1,17 @@
-"""Connectivity-graph construction and tree derivation.
+"""Connectivity-graph construction.
 
 Converts a geometric :class:`~repro.topology.deploy.Deployment` into the
-unit-disk graph the protocols run on, and provides the offline BFS tree
-builder used by analysis code (the *distributed* tree construction lives
-in :mod:`repro.aggregation.tree` and runs on the simulator).
+unit-disk graph the protocols run on (the *distributed* tree
+construction lives in :mod:`repro.aggregation.tree` and runs on the
+simulator).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import networkx as nx
 
-from repro.errors import DisconnectedNetworkError
 from repro.topology.deploy import Deployment
 from repro.topology.spatial import (
     adjacency_from_pairs,
@@ -56,46 +55,3 @@ def largest_component(graph: nx.Graph) -> Set[int]:
     if graph.number_of_nodes() == 0:
         return set()
     return set(max(nx.connected_components(graph), key=len))
-
-
-def is_connected_to(graph: nx.Graph, root: int) -> Set[int]:
-    """All nodes reachable from ``root`` (including ``root``)."""
-    if root not in graph:
-        return set()
-    return set(nx.node_connected_component(graph, root))
-
-
-def bfs_tree_parents(
-    graph: nx.Graph,
-    root: int,
-    *,
-    require_connected: bool = False,
-) -> Dict[int, Optional[int]]:
-    """Parent map of the BFS tree rooted at ``root``.
-
-    The root maps to ``None``. Nodes unreachable from the root are absent
-    from the map (or raise if ``require_connected``). Ties between equal-
-    depth parents break toward the smaller node id, matching the
-    deterministic distributed construction.
-
-    Raises
-    ------
-    DisconnectedNetworkError
-        If ``require_connected`` and some node is unreachable.
-    """
-    parents: Dict[int, Optional[int]] = {root: None}
-    frontier = [root]
-    while frontier:
-        next_frontier: List[int] = []
-        for node in frontier:
-            for neighbor in sorted(graph.neighbors(node)):
-                if neighbor not in parents:
-                    parents[neighbor] = node
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    if require_connected and len(parents) != graph.number_of_nodes():
-        missing = graph.number_of_nodes() - len(parents)
-        raise DisconnectedNetworkError(
-            f"{missing} node(s) unreachable from root {root}"
-        )
-    return parents

@@ -10,7 +10,6 @@ degrees of roughly 8.8 to 28.4. Experiment T1
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -42,12 +41,6 @@ class DensityStats:
     largest_component_fraction: float
 
 
-def degree_sequence(deployment: Deployment) -> List[int]:
-    """Sorted degree sequence of the deployment's unit-disk graph."""
-    graph = connectivity_graph(deployment)
-    return sorted(d for _, d in graph.degree())
-
-
 def density_stats(deployment: Deployment) -> DensityStats:
     """Compute :class:`DensityStats` for one deployment."""
     graph = connectivity_graph(deployment)
@@ -61,4 +54,3 @@ def density_stats(deployment: Deployment) -> DensityStats:
         isolated_nodes=sum(1 for d in degrees if d == 0),
         largest_component_fraction=len(lcc) / deployment.num_nodes,
     )
-

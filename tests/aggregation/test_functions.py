@@ -81,16 +81,6 @@ class TestVariance:
             float(np.var(readings)), rel=1e-9
         )
 
-    def test_std_variant(self):
-        import numpy as np
-
-        readings = [1.0, 2.0, 3.0, 4.0]
-        aggregate = VarianceAggregate(std=True)
-        assert aggregate.true_value(readings) == pytest.approx(
-            float(np.std(readings)), rel=1e-9
-        )
-        assert aggregate.name == "std"
-
     def test_constant_readings_zero_variance(self):
         assert VarianceAggregate().true_value([5.0] * 10) == pytest.approx(0.0)
 

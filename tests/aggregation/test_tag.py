@@ -70,7 +70,7 @@ class TestDenseNetwork:
     def test_duration_matches_epoch_depth(self, small_deployment):
         stack, tree = make_rig(small_deployment, seed=9)
         readings = {i: 1.0 for i in range(1, small_deployment.num_nodes)}
-        result = TagProtocol(stack, tree, SumAggregate(), slot_s=0.5).run(readings)
+        result = TagProtocol(stack, tree, SumAggregate()).run(readings)
         assert result.duration_s == pytest.approx(
             (tree.max_depth() + 2) * 0.5, abs=0.01
         )

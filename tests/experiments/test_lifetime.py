@@ -40,9 +40,7 @@ class TestLifetime:
 
     def test_summary_rows_shape(self):
         rows = run_serial(
-            lifetime_spec(
-                num_nodes=80, capacity_j=0.5, max_rounds=4, seed=1, field_size=220.0
-            )
+            lifetime_spec(num_nodes=100, capacity_j=0.5, max_rounds=4, seed=1)
         )
         assert [row["scheme"] for row in rows] == [
             "tag",

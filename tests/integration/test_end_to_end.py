@@ -7,11 +7,8 @@ from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
 from repro.core.results import Verdict
 from repro.experiments.common import make_readings, run_tag_round_on
-from repro.topology.deploy import (
-    grid_deployment,
-    hotspot_deployment,
-    uniform_deployment,
-)
+from repro.topology.deploy import uniform_deployment
+from tests.layouts import grid_deployment, hotspot_deployment
 
 
 def run_round(deployment, seed=0, config=None, readings=None):

@@ -4,33 +4,14 @@ import math
 
 import pytest
 
-from repro.errors import AggregationError, ReproError
-from repro.metrics.accuracy import (
-    accuracy_ratio,
-    count_accuracy,
-    summarize_accuracy,
-)
+from repro.errors import ReproError
+from repro.metrics.accuracy import summarize_accuracy
 from repro.metrics.detection import DetectionStats
 from repro.metrics.privacy import DisclosureStats
-from repro.metrics.report import Series, render_series, render_table
+from repro.metrics.report import render_table
 
 
 class TestAccuracy:
-    def test_ratio(self):
-        assert accuracy_ratio(95.0, 100.0) == pytest.approx(0.95)
-
-    def test_zero_truth_is_nan(self):
-        assert math.isnan(accuracy_ratio(5.0, 0.0))
-
-    def test_nan_inputs_rejected(self):
-        with pytest.raises(AggregationError):
-            accuracy_ratio(float("nan"), 1.0)
-
-    def test_count_accuracy(self):
-        assert count_accuracy(90, 100) == pytest.approx(0.9)
-        with pytest.raises(AggregationError):
-            count_accuracy(5, 0)
-
     def test_summarize_with_rejections(self):
         summary = summarize_accuracy([0.9, 1.0, None, 0.8])
         assert summary.trials == 3
@@ -102,12 +83,6 @@ class TestRendering:
     def test_empty_table(self):
         assert "empty" in render_table([])
 
-    def test_column_order_override(self):
-        rows = [{"a": 1, "b": 2}]
-        text = render_table(rows, columns=["b", "a"])
-        header = text.splitlines()[0]
-        assert header.index("b") < header.index("a")
-
     def test_late_appearing_keys_get_columns(self):
         """A key first seen in a later row (e.g. a failure-row field)
         must not be silently dropped from the table."""
@@ -117,16 +92,6 @@ class TestRendering:
         assert "error" in header and "late" in header
         assert header.index("a") < header.index("error") < header.index("late")
         assert "boom" in text
-
-    def test_series_join(self):
-        a = Series("tag")
-        a.add(100, 1.0)
-        a.add(200, 2.0)
-        b = Series("icpda")
-        b.add(200, 3.0)
-        text = render_series([a, b], x_label="nodes")
-        assert "tag" in text and "icpda" in text
-        assert len(a) == 2
 
     def test_float_formatting(self):
         rows = [{"v": 0.000012345}, {"v": float("nan")}, {"v": 123456.0}]

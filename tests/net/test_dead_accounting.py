@@ -24,6 +24,7 @@ from repro.sim.trace import TraceLog
 from tests.conftest import make_line_deployment
 from tests.counter_reads import node_tx_bytes, node_tx_messages
 from tests.net.sweep_medium import zero_distance_medium
+from tests.trace_reads import last
 
 TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
@@ -151,18 +152,18 @@ class TestSimulatorClockBinding:
         sim = Simulator(seed=0, trace=TraceLog(enabled=True))
         sim.schedule(5.0, lambda: sim.trace.emit("tick", "at five"))
         sim.run()
-        assert sim.trace.last("tick").time == 5.0
+        assert last(sim.trace, "tick").time == 5.0
 
     def test_prebuilt_trace_gets_bound_too(self):
         prebuilt = TraceLog(enabled=True)
         sim = Simulator(seed=0, trace=prebuilt)
         sim.schedule(2.5, lambda: prebuilt.emit("tick", ""))
         sim.run()
-        assert prebuilt.last("tick").time == 2.5
+        assert last(prebuilt, "tick").time == 2.5
 
     def test_medium_kill_record_carries_time(self):
         sim = Simulator(seed=0, trace=TraceLog(enabled=True))
         stack = NetworkStack(sim, make_line_deployment(3))
         sim.schedule(3.0, lambda: stack.fail_node(1))
         sim.run()
-        assert sim.trace.last("medium.kill").time == 3.0
+        assert last(sim.trace, "medium.kill").time == 3.0

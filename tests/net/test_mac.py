@@ -77,8 +77,7 @@ class TestBackoff:
         params = MacParams(max_attempts=1, initial_jitter_s=0.0)
         sim = Simulator(seed=1)
         medium, _ = zero_distance_medium(sim, TRIANGLE, RadioParams())
-        dropped = []
-        mac0 = CsmaMac(sim, medium, 0, params, on_drop=dropped.append)
+        mac0 = CsmaMac(sim, medium, 0, params)
         mac1 = CsmaMac(sim, medium, 1, params)
         # Node 1 occupies the channel with a huge frame; node 0 senses
         # busy once and drops.
@@ -88,8 +87,8 @@ class TestBackoff:
         )
         sim.run()
         assert mac0.stats.dropped == 1
-        assert len(dropped) == 1
-        assert dropped[0].kind == "x"
+        assert mac0.queue_length == 0
+        assert mac1.stats.dropped == 0
 
 
 class TestMacParams:

@@ -8,6 +8,7 @@ from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
 from tests.net.sweep_medium import zero_distance_medium
+from tests.trace_reads import last
 
 
 def make_medium(adjacency, seed=0, **radio_kwargs):
@@ -246,7 +247,7 @@ class TestDeterminism:
         sim2.trace.bind_clock(lambda: sim2.now)
         medium2.transmit(0, Packet(src=0, dst=1, kind="x"))
         sim2.run()
-        record = sim2.trace.last("medium.tx")
+        record = last(sim2.trace, "medium.tx")
         assert record is not None
         assert record.fields["tx"] == 0
 

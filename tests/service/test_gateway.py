@@ -118,8 +118,6 @@ class TestAdmissionControl:
         service = make_service()
         with pytest.raises(ProtocolError):
             AggregationGateway(service, max_pending=0)
-        with pytest.raises(ProtocolError):
-            AggregationGateway(service, batch_window_s=-1.0)
 
 
 class TestCaching:

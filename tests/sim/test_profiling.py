@@ -6,6 +6,7 @@ import types
 from repro.sim.kernel import Simulator
 from repro.sim.profiling import PhaseProfiler
 from repro.sim.trace import TraceLog
+from tests.trace_reads import last, records
 
 
 def _traced(clock):
@@ -16,7 +17,7 @@ def _traced(clock):
 
 
 def _phases(trace):
-    return [record.fields for record in trace.records("profile.phase")]
+    return [record.fields for record in records(trace, "profile.phase")]
 
 
 def _reachable_count(root) -> int:
@@ -44,7 +45,7 @@ class TestSpans:
         profiler, trace = _traced(clock)
         with profiler.phase("build"):
             clock["t"] = 4.5
-        (record,) = trace.records("profile.phase")
+        (record,) = records(trace, "profile.phase")
         assert record.fields["phase"] == "build"
         assert record.time == 4.5  # emitted at the span's virtual end
         assert record.fields["virtual_s"] == 3.5
@@ -130,7 +131,7 @@ class TestTraceAndRegistry:
         profiler = PhaseProfiler(trace=trace)
         with profiler.phase("tree"):
             pass
-        record = trace.last("profile.phase")
+        record = last(trace, "profile.phase")
         assert record is not None
         assert record.fields["phase"] == "tree"
         assert "wall_s" in record.fields
@@ -145,4 +146,4 @@ class TestTraceAndRegistry:
         assert snap["phases.run.count"] == 1
         assert snap["phases.run.virtual_s"] == 2.0
         # The span's trace record carries the simulator's virtual time.
-        assert sim.trace.last("profile.phase").time == 2.0
+        assert last(sim.trace, "profile.phase").time == 2.0

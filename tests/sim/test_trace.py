@@ -1,6 +1,7 @@
 """Unit tests for the trace log."""
 
 from repro.sim.trace import TraceLog, TraceRecord
+from tests.trace_reads import last, records
 
 
 class TestTraceRecord:
@@ -27,7 +28,7 @@ class TestTraceLog:
         log = TraceLog()
         log.bind_clock(lambda: 42.0)
         log.emit("x", "hello", value=1)
-        record = log.last()
+        record = last(log)
         assert record.time == 42.0
         assert record.fields == {"value": 1}
 
@@ -36,7 +37,7 @@ class TestTraceLog:
         log.emit("mac.drop", "kept")
         log.emit("tree.join", "filtered")
         assert len(log) == 1
-        assert log.last().category == "mac.drop"
+        assert last(log).category == "mac.drop"
 
     def test_capacity_ring(self):
         log = TraceLog(capacity=3)
@@ -51,13 +52,13 @@ class TestTraceLog:
         log.emit("a.two", "")
         log.emit("b.one", "")
         assert log.count("a") == 2
-        assert len(log.records("b")) == 1
-        assert log.last("a").category == "a.two"
+        assert len(records(log, "b")) == 1
+        assert last(log, "a").category == "a.two"
 
     def test_last_on_empty_returns_none(self):
         log = TraceLog()
-        assert log.last() is None
-        assert log.last("anything") is None
+        assert last(log) is None
+        assert last(log, "anything") is None
 
     def test_clear(self):
         log = TraceLog()
@@ -98,7 +99,7 @@ class TestJsonl:
         path.write_text("".join(record.to_json() + "\n" for record in log))
         loaded = TraceLog.from_jsonl(path)
         assert len(loaded) == 2
-        first, second = loaded.records()
+        first, second = records(loaded)
         assert first.time == 1.25
         assert first.category == "medium.tx"
         assert first.message == "node 3 sends ack"
@@ -134,7 +135,7 @@ class TestJsonl:
         lines = [record.to_json() for record in log] + ["", "   "]
         loaded = TraceLog.from_jsonl(lines)
         assert len(loaded) == 1
-        assert loaded.last().category == "a"
+        assert last(loaded).category == "a"
 
     def test_imported_log_starts_disabled(self):
         log = TraceLog()
@@ -157,13 +158,13 @@ class TestFastPath:
     def test_lazy_template_formats_only_when_kept(self):
         log = TraceLog()
         log.emit("medium.tx", "node %(sender)s sends %(kind)s", sender=3, kind="ack")
-        assert log.last().message == "node 3 sends ack"
-        assert log.last().fields == {"sender": 3, "kind": "ack"}
+        assert last(log).message == "node 3 sends ack"
+        assert last(log).fields == {"sender": 3, "kind": "ack"}
 
     def test_plain_message_untouched(self):
         log = TraceLog()
         log.emit("x", "literal 100% plain", value=1)
-        assert log.last().message == "literal 100% plain"
+        assert last(log).message == "literal 100% plain"
 
     def test_disabled_template_never_formats(self):
         log = TraceLog(enabled=False)

@@ -1,34 +1,61 @@
-"""Every ``repro`` module and def must be used by something other than its tests.
+"""Every ``repro`` module, def and option must be used by something other
+than its tests.
 
 Walks the static import graph (stdlib :mod:`ast`, nothing is imported)
 from the library's entry points — the experiment CLI, the example
-scripts, the benchmark harnesses and the perfbench scripts — and fails
-on any module under ``src/repro`` it never reaches. A module only its own
-tests import is dead weight: delete it, or give it a caller.
+scripts, the benchmark harnesses, the perfbench scripts and the inline
+``python - <<'EOF'`` scripts of the CI workflows — and fails on any module
+under ``src/repro`` it never reaches. A module only its own tests import
+is dead weight: delete it, or give it a caller.
 
 A package ``__init__``'s re-exports and lazy export tables are not use:
 importing a package reaches only the names an importer actually asks
 for, so listing a module in ``__all__`` or ``_EXPORTS`` keeps nothing
 alive on its own.
 
-One level down, every public top-level function and method under
-``src/repro`` must be named by a root file or by some ``src`` module. A
-name counts when it appears as an ``ast.Name`` or an attribute, or when
-a string constant is the name, whole or as its last dotted part
-(``"run"``, ``"Widget.patched"``): ``perfbench/tracing.py`` patches
-``Simulator`` and ``AggregationService`` methods by name. A docstring
-never counts, not even a ``:meth:`` cross-reference in one: prose that
-names a def is not a caller. Dunder methods are exempt.
+One level down, every public top-level function and class, and every
+public method of a top-level class, under ``src/repro`` must be named by
+a root or by some ``src`` module. A name counts when it appears as an
+``ast.Name`` or an attribute, or when a string constant is the name,
+whole or as its last dotted part (``"run"``, ``"Widget.patched"``):
+``perfbench/tracing.py`` patches ``Simulator`` and
+``AggregationService`` methods by name. A docstring never counts, not
+even a ``:meth:`` cross-reference in one: prose that names a def is not
+a caller. Neither do the strings of an ``__all__`` or ``_EXPORTS``
+table, in any module. Dunder methods are exempt.
+
+One more level down, every parameter with a default on those functions
+and methods, and on the top-level classes' ``__init__``, must be passed
+by some call in a root or a ``src`` module, by keyword or by position.
+Calls match by name: ``f(...)`` and ``x.f(...)`` for ``f``; for an
+``__init__``, a call to its class or to any subclass that inherits it,
+``cls(...)`` inside such a class, and ``super().__init__(...)`` from a
+direct subclass. A call that unpacks ``*args`` or ``**kwargs`` passes
+every parameter. An option no caller sets is one value: inline it, or
+make it a module constant when it is a tunable.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import re
+import textwrap
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
+
+#: A root: a file, or the text of an inline script in the CI workflow.
+Root = Union[pathlib.Path, str]
+
+_INLINE_SCRIPT = re.compile(r"python - <<'EOF'\n(.*?)\n[ ]*EOF\n", re.DOTALL)
+
+
+def _parse(root: Root) -> ast.Module:
+    if isinstance(root, str):
+        return ast.parse(root)
+    return ast.parse(root.read_text(), filename=str(root))
 
 def _module_files(src: pathlib.Path = SRC) -> Dict[str, pathlib.Path]:
     modules = {}
@@ -49,8 +76,8 @@ def _is_package(name: str) -> bool:
 
 def _root_files(
     repo: pathlib.Path = REPO, modules: Dict[str, pathlib.Path] = MODULES
-) -> List[pathlib.Path]:
-    roots = [
+) -> List[Root]:
+    roots: List[Root] = [
         path
         for name, path in modules.items()
         if name == "repro.experiments.cli" or name.endswith(".__main__")
@@ -62,17 +89,22 @@ def _root_files(
         for path in sorted((repo / "perfbench").rglob("*.py"))
         if "tests" not in path.relative_to(repo / "perfbench").parts
     ]
+    for workflow in sorted((repo / ".github" / "workflows").glob("*.yml")):
+        roots += [
+            textwrap.dedent(script)
+            for script in _INLINE_SCRIPT.findall(workflow.read_text())
+        ]
     return roots
 
 
-def _imports(path: pathlib.Path) -> Iterator[Tuple[str, Tuple[str, ...]]]:
-    """(module, requested names) per import statement in ``path``,
+def _imports(root: Root) -> Iterator[Tuple[str, Tuple[str, ...]]]:
+    """(module, requested names) per import statement in ``root``,
     function-local ones included; relative imports resolved against the
     module's package."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _parse(root)
     package: List[str] = []
-    if SRC in path.parents:
-        package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
+    if isinstance(root, pathlib.Path) and SRC in root.parents:
+        package = list(root.relative_to(SRC).with_suffix("").parts[:-1])
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -150,7 +182,31 @@ ALLOWED_UNREFERENCED = {
     "from_jsonl": "Reader for --trace-out files, documented in README and EXPERIMENTS.md",
 }
 
+#: Defaulted parameters kept although no caller outside tests passes
+#: them: ``"qualname(parameter)"`` -> reason.
+ALLOWED_UNSET = {
+    "ClusterFormation.__init__(round_id)": (
+        "IcpdaProtocol.run_round passes it through formation_cls, a name "
+        "calls cannot be matched by"
+    ),
+    "BatchedClusterFormation.__init__(round_id)": (
+        "IcpdaProtocol.run_round passes it through formation_cls"
+    ),
+    "ReportAndVerdictPhase.__init__(attack_plan)": (
+        "IcpdaProtocol.run_round passes it through report_cls"
+    ),
+    "ReportAndVerdictPhase.__init__(round_id)": (
+        "IcpdaProtocol.run_round passes it through report_cls"
+    ),
+    "IcpdaProtocol.__init__(trace)": (
+        "Traced rounds are the byte-identity reference of "
+        "tests/net/test_hotpath_determinism.py"
+    ),
+}
+
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_EXPORT_TABLES = {"__all__", "_EXPORTS"}
 
 
 def _docstrings(tree: ast.Module) -> Set[int]:
@@ -168,9 +224,23 @@ def _docstrings(tree: ast.Module) -> Set[int]:
     return found
 
 
-def _referenced_names(path: pathlib.Path) -> Set[str]:
-    tree = ast.parse(path.read_text(), filename=str(path))
-    docstrings = _docstrings(tree)
+def _export_tables(tree: ast.Module) -> Set[int]:
+    """``id()`` of every node inside a top-level ``__all__`` or
+    ``_EXPORTS`` assignment's value."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(
+                isinstance(t, ast.Name) and t.id in _EXPORT_TABLES for t in targets
+            ) and node.value is not None:
+                found.update(id(inner) for inner in ast.walk(node.value))
+    return found
+
+
+def _referenced_names(root: Root) -> Set[str]:
+    tree = _parse(root)
+    ignored = _docstrings(tree) | _export_tables(tree)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -180,7 +250,7 @@ def _referenced_names(path: pathlib.Path) -> Set[str]:
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
-            and id(node) not in docstrings
+            and id(node) not in ignored
         ):
             names.add(node.value)
             names.add(node.value.rpartition(".")[2])
@@ -188,28 +258,28 @@ def _referenced_names(path: pathlib.Path) -> Set[str]:
 
 
 def _public_defs(path: pathlib.Path) -> Iterator[str]:
-    """Qualified names of the top-level functions and top-level classes'
-    methods in ``path`` that do not start with an underscore."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(node, functions) and not node.name.startswith("_"):
+    """Qualified names of the top-level functions and classes in ``path``
+    and of the top-level classes' methods that do not start with an
+    underscore."""
+    for node in _parse(path).body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)) and not node.name.startswith(
+            "_"
+        ):
             yield node.name
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, functions) and not item.name.startswith("_"):
+                if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}"
 
 
-def _referenced(modules: Dict[str, pathlib.Path], roots: List[pathlib.Path]) -> Set[str]:
+def _referenced(modules: Dict[str, pathlib.Path], roots: List[Root]) -> Set[str]:
     referenced: Set[str] = set()
-    for path in {*modules.values(), *roots}:
-        referenced |= _referenced_names(path)
+    for root in {*modules.values(), *roots}:
+        referenced |= _referenced_names(root)
     return referenced
 
 
-def unreferenced_defs(
-    modules: Dict[str, pathlib.Path], roots: List[pathlib.Path]
-) -> List[str]:
+def unreferenced_defs(modules: Dict[str, pathlib.Path], roots: List[Root]) -> List[str]:
     """``module.qualname`` of every public def in ``modules`` whose name
     neither a root file nor any module references."""
     kept = _referenced(modules, roots) | set(ALLOWED_UNREFERENCED)
@@ -221,11 +291,185 @@ def unreferenced_defs(
     ]
 
 
+def _is_bound(function: ast.AST) -> bool:
+    return not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in function.decorator_list
+    )
+
+
+def _defaulted_parameters(
+    path: pathlib.Path,
+) -> Iterator[Tuple[str, str, Optional[int]]]:
+    """``(qualname, parameter, position)`` of each parameter with a
+    default on the public top-level functions, the public methods and the
+    ``__init__`` of the top-level classes in ``path``. ``position`` is the
+    parameter's positional slot after ``self``/``cls``, ``None`` when it
+    is keyword-only."""
+    for node in _parse(path).body:
+        if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+            members = [(node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            members = [
+                (f"{node.name}.{item.name}", item, int(_is_bound(item)))
+                for item in node.body
+                if isinstance(item, _FUNCTIONS)
+                and (item.name == "__init__" or not item.name.startswith("_"))
+            ]
+        else:
+            continue
+        for qualname, function, skip in members:
+            args = function.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], start=first):
+                yield qualname, arg.arg, index - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualname, arg.arg, None
+
+
+class _Passed:
+    """What the calls to one name pass: keywords, the most positional
+    arguments, and whether any call unpacks ``*args``/``**kwargs``."""
+
+    def __init__(self) -> None:
+        self.keywords: Set[str] = set()
+        self.positions = 0
+        self.unpacks = False
+
+    def add(self, call: ast.Call) -> None:
+        self.keywords.update(k.arg for k in call.keywords if k.arg is not None)
+        self.positions = max(self.positions, len(call.args))
+        self.unpacks |= any(k.arg is None for k in call.keywords) or any(
+            isinstance(a, ast.Starred) for a in call.args
+        )
+
+    def passes(self, parameter: str, position: Optional[int]) -> bool:
+        return (
+            self.unpacks
+            or parameter in self.keywords
+            or (position is not None and position < self.positions)
+        )
+
+
+def _base_names(node: ast.ClassDef) -> List[str]:
+    return [
+        base.id if isinstance(base, ast.Name) else base.attr
+        for base in node.bases
+        if isinstance(base, (ast.Name, ast.Attribute))
+    ]
+
+
+def _calls(trees: List[ast.Module]) -> Dict[str, _Passed]:
+    """Calls by callee name: ``f(...)`` and ``x.f(...)`` under ``"f"``;
+    ``cls(...)`` inside class ``C`` under ``"C"``; ``super().__init__(...)``
+    inside class ``C`` under ``"super C"``."""
+    calls: Dict[str, _Passed] = {}
+
+    def visit(node: ast.AST, owner: Optional[str]) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            key = None
+            if isinstance(func, ast.Name):
+                key = owner if func.id == "cls" and owner else func.id
+            elif isinstance(func, ast.Attribute):
+                key = func.attr
+                if (
+                    func.attr == "__init__"
+                    and isinstance(func.value, ast.Call)
+                    and isinstance(func.value.func, ast.Name)
+                    and func.value.func.id == "super"
+                    and owner
+                ):
+                    key = f"super {owner}"
+            if key is not None:
+                calls.setdefault(key, _Passed()).add(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for tree in trees:
+        visit(tree, None)
+    return calls
+
+
+def _unset(
+    modules: Dict[str, pathlib.Path], roots: List[Root]
+) -> List[Tuple[str, str]]:
+    """``(module, "qualname(parameter)")`` of every defaulted parameter on
+    a public def in ``modules`` that no call in a root or a module passes."""
+    trees = [_parse(source) for source in {*modules.values(), *roots}]
+    calls = _calls(trees)
+    bases: Dict[str, List[str]] = {}
+    has_init: Set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = _base_names(node)
+                if any(
+                    isinstance(item, _FUNCTIONS) and item.name == "__init__"
+                    for item in node.body
+                ):
+                    has_init.add(node.name)
+
+    def init_owner(name: str) -> Optional[str]:
+        """The class whose ``__init__`` a call to ``name(...)`` runs."""
+        if name in has_init:
+            return name
+        for base in bases.get(name, ()):
+            owner = init_owner(base)
+            if owner is not None:
+                return owner
+        return None
+
+    def callers(qualname: str) -> Iterator[_Passed]:
+        owner, _, member = qualname.rpartition(".")
+        if member != "__init__":
+            if member in calls:
+                yield calls[member]
+            return
+        for name in bases:
+            if init_owner(name) == owner and name in calls:
+                yield calls[name]
+            if f"super {name}" in calls and any(
+                init_owner(base) == owner for base in bases[name]
+            ):
+                yield calls[f"super {name}"]
+
+    return [
+        (module, f"{qualname}({parameter})")
+        for module, path in modules.items()
+        for qualname, parameter, position in _defaulted_parameters(path)
+        if not any(p.passes(parameter, position) for p in callers(qualname))
+    ]
+
+
+def unset_parameters(modules: Dict[str, pathlib.Path], roots: List[Root]) -> List[str]:
+    """``module.qualname(parameter)`` of every defaulted parameter on a
+    public def in ``modules`` that no call in a root or a module passes."""
+    return [
+        f"{module}.{entry}"
+        for module, entry in _unset(modules, roots)
+        if entry not in ALLOWED_UNSET
+    ]
+
+
 def test_every_public_def_is_referenced_outside_tests() -> None:
     unreferenced = unreferenced_defs(MODULES, _root_files())
     assert not unreferenced, (
         f"public defs only tests reference: {unreferenced}; delete them, "
         f"give them a caller, or move a test oracle into tests/"
+    )
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests() -> None:
+    unset = unset_parameters(MODULES, _root_files())
+    assert not unset, (
+        f"defaulted parameters no caller outside tests passes: {unset}; "
+        f"inline the default (a module constant if it is a tunable) or "
+        f"give them a caller"
     )
 
 
@@ -238,6 +482,13 @@ def test_allow_list_holds_only_defined_unreferenced_names() -> None:
     allowed = set(ALLOWED_UNREFERENCED)
     assert allowed <= defined
     assert not allowed & _referenced(MODULES, _root_files())
+    parameters = {
+        f"{qualname}({parameter})"
+        for path in MODULES.values()
+        for qualname, parameter, _ in _defaulted_parameters(path)
+    }
+    unset = {entry for _, entry in _unset(MODULES, _root_files())}
+    assert set(ALLOWED_UNSET) <= parameters & unset
 
 
 def _plant(root: pathlib.Path, files: Dict[str, str]) -> None:
@@ -273,7 +524,11 @@ def test_scanner_keeps_a_def_a_root_names_in_a_string(tmp_path: pathlib.Path) ->
                 "    def patched(self):\n        pass\n\n"
                 "    def _private(self):\n        pass\n"
             ),
-            "perfbench/tracing.py": 'PATCHED = ("Widget.patched",)\n',
+            "perfbench/tracing.py": (
+                "from repro import widget\n"
+                "TARGET = widget.Widget\n"
+                'PATCHED = ("Widget.patched",)\n'
+            ),
         },
     )
     modules = _module_files(tmp_path / "src")
@@ -325,6 +580,8 @@ def test_scanner_keeps_a_def_a_root_names_as_a_dotted_string(
                 "    def worded(self):\n        pass\n"
             ),
             "perfbench/tracing.py": (
+                "from repro import widget\n"
+                "TARGET = widget.Widget\n"
                 'TARGETS = ("repro.widget.Widget.patched", "Widget worded here")\n'
             ),
         },
@@ -332,3 +589,133 @@ def test_scanner_keeps_a_def_a_root_names_as_a_dotted_string(
     modules = _module_files(tmp_path / "src")
     roots = _root_files(tmp_path, modules)
     assert unreferenced_defs(modules, roots) == ["repro.widget.Widget.worded"]
+
+
+def test_scanner_flags_a_def_only_an_export_table_names(tmp_path: pathlib.Path) -> None:
+    _plant(
+        tmp_path,
+        {
+            "src/repro/__init__.py": (
+                '_EXPORTS = {"Exported": "repro.widget", "spin": "repro.widget"}\n'
+                '__all__ = ["listed", *_EXPORTS]\n'
+            ),
+            "src/repro/widget.py": (
+                "def spin():\n    pass\n\n"
+                "def listed():\n    pass\n\n"
+                "class Exported:\n    pass\n"
+            ),
+            "examples/demo.py": "import repro\nrepro.spin()\n",
+            "tests/test_widget.py": (
+                "from repro.widget import Exported, listed\nlisted()\nExported()\n"
+            ),
+        },
+    )
+    modules = _module_files(tmp_path / "src")
+    roots = _root_files(tmp_path, modules)
+    assert unreferenced_defs(modules, roots) == [
+        "repro.widget.listed",
+        "repro.widget.Exported",
+    ]
+
+
+def test_scanner_flags_a_class_only_docstrings_name(tmp_path: pathlib.Path) -> None:
+    _plant(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/widget.py": (
+                "class Scheme:\n    pass\n\n"
+                "class Used:\n"
+                '    """Takes any :class:`Scheme`."""\n'
+            ),
+            "examples/demo.py": "from repro.widget import Used\nUsed()\n",
+        },
+    )
+    modules = _module_files(tmp_path / "src")
+    roots = _root_files(tmp_path, modules)
+    assert unreferenced_defs(modules, roots) == ["repro.widget.Scheme"]
+
+
+def test_scanner_flags_a_parameter_only_a_test_passes(tmp_path: pathlib.Path) -> None:
+    _plant(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/widget.py": (
+                "def spin(speed=1, *, direction='cw', _private=0):\n    pass\n\n"
+                "class Wheel:\n"
+                "    def __init__(self, size=1, color='red'):\n        pass\n\n"
+                "    def turn(self, angle=90):\n        pass\n"
+            ),
+            "examples/demo.py": (
+                "from repro.widget import Wheel, spin\n"
+                "spin(speed=2)\n"
+                "Wheel(3).turn()\n"
+            ),
+            "tests/test_widget.py": (
+                "from repro.widget import Wheel, spin\n"
+                "spin(direction='ccw')\n"
+                "Wheel(color='blue').turn(45)\n"
+            ),
+        },
+    )
+    modules = _module_files(tmp_path / "src")
+    roots = _root_files(tmp_path, modules)
+    assert unset_parameters(modules, roots) == [
+        "repro.widget.spin(direction)",
+        "repro.widget.spin(_private)",
+        "repro.widget.Wheel.__init__(color)",
+        "repro.widget.Wheel.turn(angle)",
+    ]
+
+
+def test_scanner_keeps_parameters_callers_pass_in_any_form(
+    tmp_path: pathlib.Path,
+) -> None:
+    _plant(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/widget.py": (
+                "class Base:\n"
+                "    def __init__(self, a=1, b=2, c=3, d=4):\n        pass\n\n"
+                "class Child(Base):\n"
+                "    def __init__(self, e=5):\n"
+                "        super().__init__(d=e)\n\n"
+                "class Leaf(Base):\n"
+                "    @classmethod\n"
+                "    def make(cls):\n"
+                "        return cls(c=0)\n\n"
+                "    @staticmethod\n"
+                "    def scale(factor=1):\n        pass\n\n"
+                "def spin(x=1, y=2):\n    pass\n\n"
+                "def forward(p=1, q=2):\n    pass\n\n"
+                "def tune(level=0):\n    pass\n\n"
+                "def build(**options):\n"
+                "    Base(b=0)\n"
+                "    forward(**options)\n"
+            ),
+            "examples/demo.py": (
+                "from repro.widget import Child, Leaf, build, spin\n"
+                "Leaf(0)\n"
+                "Leaf.make()\n"
+                "Leaf.scale(2)\n"
+                "Child(e=1)\n"
+                "spin(1, 2)\n"
+                "build()\n"
+            ),
+            ".github/workflows/ci.yml": (
+                "jobs:\n"
+                "  smoke:\n"
+                "    steps:\n"
+                "      - run: |\n"
+                "          python - <<'EOF'\n"
+                "          from repro.widget import tune\n"
+                "          tune(level=2)\n"
+                "          EOF\n"
+            ),
+        },
+    )
+    modules = _module_files(tmp_path / "src")
+    roots = _root_files(tmp_path, modules)
+    assert unset_parameters(modules, roots) == []

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeploymentError
-from repro.topology.deploy import (
-    Deployment,
-    grid_deployment,
-    hotspot_deployment,
-    poisson_deployment,
-    uniform_deployment,
-)
+from repro.topology.deploy import Deployment, uniform_deployment
 from repro.topology.graphs import neighbors_within_range
 
 
@@ -62,12 +56,6 @@ class TestUniform:
         deployment = uniform_deployment(50, field_size=100.0, rng=rng)
         assert deployment.position(0) == (50.0, 50.0)
 
-    def test_bs_position_override(self, rng):
-        deployment = uniform_deployment(
-            50, field_size=100.0, rng=rng, bs_position=(0.0, 0.0)
-        )
-        assert deployment.position(0) == (0.0, 0.0)
-
     def test_deterministic_under_seed(self):
         a = uniform_deployment(30, rng=np.random.default_rng(5)).positions
         b = uniform_deployment(30, rng=np.random.default_rng(5)).positions
@@ -76,59 +64,3 @@ class TestUniform:
     def test_too_few_nodes_rejected(self, rng):
         with pytest.raises(DeploymentError):
             uniform_deployment(1, rng=rng)
-
-
-class TestGrid:
-    def test_exact_count(self):
-        deployment = grid_deployment(17)
-        assert deployment.num_nodes == 17
-
-    def test_no_jitter_is_regular(self):
-        deployment = grid_deployment(16, field_size=100.0)
-        xs = sorted({round(x, 6) for x, _ in deployment.positions})
-        assert len(xs) == 4  # 4x4 grid
-
-    def test_jitter_stays_in_field(self, rng):
-        deployment = grid_deployment(25, field_size=100.0, jitter=30.0, rng=rng)
-        assert (deployment.positions >= 0).all()
-        assert (deployment.positions <= 100.0).all()
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(DeploymentError):
-            grid_deployment(9, jitter=-1.0)
-
-
-class TestPoisson:
-    def test_intensity_controls_count(self, rng):
-        dense = poisson_deployment(0.005, field_size=200.0, rng=rng)
-        # E[N] = 0.005 * 40000 = 200
-        assert 120 < dense.num_nodes < 300
-
-    def test_invalid_intensity_rejected(self, rng):
-        with pytest.raises(DeploymentError):
-            poisson_deployment(0.0, rng=rng)
-
-
-class TestHotspot:
-    def test_count_and_bounds(self, rng):
-        deployment = hotspot_deployment(60, rng=rng)
-        assert deployment.num_nodes == 60
-        assert (deployment.positions >= 0).all()
-        assert (deployment.positions <= deployment.field_size).all()
-
-    def test_clustering_is_denser_than_uniform(self):
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        hot = hotspot_deployment(
-            200, background_fraction=0.0, hotspot_sigma=20.0, rng=rng_a
-        )
-        flat = uniform_deployment(200, rng=rng_b)
-        from repro.topology.stats import density_stats
-
-        assert density_stats(hot).mean_degree > density_stats(flat).mean_degree
-
-    def test_validation(self, rng):
-        with pytest.raises(DeploymentError):
-            hotspot_deployment(60, num_hotspots=0, rng=rng)
-        with pytest.raises(DeploymentError):
-            hotspot_deployment(60, background_fraction=1.5, rng=rng)

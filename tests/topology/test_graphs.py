@@ -1,14 +1,14 @@
-"""Unit tests for graph construction and tree derivation."""
+"""Unit tests for graph construction and the BFS tree over it."""
 
 import networkx as nx
 import pytest
 
-from repro.errors import DisconnectedNetworkError
+from repro.aggregation.tree import build_aggregation_tree
+from repro.net.stack import NetworkStack
+from repro.sim.kernel import Simulator
 from repro.topology.deploy import uniform_deployment
 from repro.topology.graphs import (
-    bfs_tree_parents,
     connectivity_graph,
-    is_connected_to,
     largest_component,
     neighbors_within_range,
 )
@@ -36,7 +36,6 @@ class TestComponents:
     def test_connected_line_is_one_component(self):
         graph = connectivity_graph(make_line_deployment(5))
         assert largest_component(graph) == {0, 1, 2, 3, 4}
-        assert is_connected_to(graph, 0) == {0, 1, 2, 3, 4}
 
     def test_disconnected_node(self):
         import numpy as np
@@ -49,22 +48,26 @@ class TestComponents:
         )
         graph = connectivity_graph(deployment)
         assert largest_component(graph) == {0, 1}
-        assert is_connected_to(graph, 2) == {2}
 
 
 class TestBfsTree:
+    """The distributed HELLO flood builds the BFS tree of the unit-disk
+    graph."""
+
+    @staticmethod
+    def _tree(deployment):
+        return build_aggregation_tree(NetworkStack(Simulator(seed=1), deployment))
+
     def test_line_tree_parents(self):
-        graph = connectivity_graph(make_line_deployment(4))
-        parents = bfs_tree_parents(graph, 0)
-        assert parents == {0: None, 1: 0, 2: 1, 3: 2}
+        tree = self._tree(make_line_deployment(4))
+        assert tree.parents == {0: None, 1: 0, 2: 1, 3: 2}
 
     def test_depths_and_children(self):
-        graph = connectivity_graph(make_line_deployment(4))
-        parents = bfs_tree_parents(graph, 0)
-        assert nx.single_source_shortest_path_length(graph, 0) == {
-            0: 0, 1: 1, 2: 2, 3: 3
-        }
-        children = {node: sorted(c for c, p in parents.items() if p == node) for node in parents}
+        deployment = make_line_deployment(4)
+        tree = self._tree(deployment)
+        graph = connectivity_graph(deployment)
+        assert tree.depths == nx.single_source_shortest_path_length(graph, 0)
+        children = {node: tree.children.get(node, []) for node in tree.parents}
         assert children == {0: [1], 1: [2], 2: [3], 3: []}
 
     def test_unreachable_nodes_absent(self):
@@ -76,33 +79,9 @@ class TestBfsTree:
         deployment = Deployment(
             positions=positions, field_size=600.0, radio_range=50.0
         )
-        graph = connectivity_graph(deployment)
-        parents = bfs_tree_parents(graph, 0)
-        assert 2 not in parents
-
-    def test_require_connected_raises(self):
-        import numpy as np
-
-        from repro.topology.deploy import Deployment
-
-        positions = np.array([[0.0, 0.0], [40.0, 0.0], [500.0, 0.0]])
-        deployment = Deployment(
-            positions=positions, field_size=600.0, radio_range=50.0
-        )
-        graph = connectivity_graph(deployment)
-        with pytest.raises(DisconnectedNetworkError):
-            bfs_tree_parents(graph, 0, require_connected=True)
-
-    def test_bfs_prefers_smaller_parent_id(self, rng):
-        deployment = uniform_deployment(60, field_size=150.0, rng=rng)
-        graph = connectivity_graph(deployment)
-        parents = bfs_tree_parents(graph, 0)
-        depths = nx.single_source_shortest_path_length(graph, 0)
-        for node, parent in parents.items():
-            if parent is None:
-                continue
-            # parent must be exactly one level shallower
-            assert depths[parent] == depths[node] - 1
+        tree = self._tree(deployment)
+        assert 2 not in tree.parents
+        assert tree.reached == 2
 
 
 class TestStats:
@@ -112,15 +91,7 @@ class TestStats:
         from repro.experiments.engine import run_serial
         from repro.experiments.density import density_spec
 
-        rows = run_serial(density_spec(sizes=(50, 100), trials=2, field_size=200.0))
+        rows = run_serial(density_spec(sizes=(50, 100), trials=2))
         assert [r["nodes"] for r in rows] == [50, 100]
         assert rows[1]["mean_degree"] > rows[0]["mean_degree"]
         assert all("expected_degree" in r for r in rows)
-
-    def test_degree_sequence_sorted(self, rng):
-        from repro.topology.stats import degree_sequence
-
-        deployment = uniform_deployment(30, rng=rng)
-        seq = degree_sequence(deployment)
-        assert seq == sorted(seq)
-        assert len(seq) == 30

@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from repro.topology.deploy import (
-    grid_deployment,
-    hotspot_deployment,
-    uniform_deployment,
-)
+from repro.topology.deploy import uniform_deployment
 from repro.topology.graphs import connectivity_graph, neighbors_within_range
 from repro.topology.spatial import (
     adjacency_from_pairs,
@@ -26,6 +22,7 @@ from repro.topology.spatial import (
     neighbor_pairs,
     pair_lengths,
 )
+from tests.layouts import grid_deployment, hotspot_deployment
 
 
 def _kdtree_pairs(positions: np.ndarray, radius: float) -> set:
