@@ -15,10 +15,10 @@ hot-path regressions:
    committed quick baseline (``benchmarks/baselines/BENCH_e2e_quick.json``
    — *baselines*, not the gitignored ``results/``) — any scenario slower
    than ``--max-ratio`` (default 2.0) times the baseline fails the job,
-   and so does a ``des`` scenario whose seeded counters
-   (``transmissions``, ``deliveries``, ``events_fired``) differ from the
-   baseline's at all: the event-simulated rounds are byte-deterministic,
-   so any drift there is a behaviour change, not noise;
+   and so does a ``des`` or per-frame ``fluid`` scenario whose seeded
+   counters (``transmissions``, ``deliveries``, ``events_fired``) differ
+   from the baseline's at all: those rounds are byte-deterministic, so
+   any drift there is a behaviour change, not noise;
 3. does the same for the aggregation-service benchmark
    (``run_service_bench.py`` at quick scale against
    ``benchmarks/baselines/BENCH_service_quick.json``), so the serving
@@ -270,26 +270,28 @@ def compare(
     return regressions
 
 
-#: Seeded counters a fresh ``des`` quick scenario must reproduce exactly.
-DES_COUNTERS = ("transmissions", "deliveries", "events_fired")
+#: Seeded counters a fresh pinned quick scenario must reproduce exactly.
+SEEDED_COUNTERS = ("transmissions", "deliveries", "events_fired")
+#: Transports whose quick rows are held to their seeded counters.
+PINNED_TRANSPORTS = ("des", "fluid")
 
 
 def compare_counters(baseline: dict, fresh: dict) -> int:
-    """Print drifted ``des`` counters; return the number of scenarios
+    """Print drifted seeded counters; return the number of scenarios
     whose seeded counters differ from the baseline.
 
-    Only ``des`` scenarios are held to exact counters: the fluid and
-    bulk rows draw their frames from closed-form models whose committed
-    counts are not pinned here.
+    The ``des`` and per-frame ``fluid`` rows are held to exact counters;
+    the ``fluid-bulk`` rows are not pinned here.
     """
     drifted = 0
     for name, base_entry in sorted(baseline.items()):
         fresh_entry = fresh.get(name)
-        if fresh_entry is None or base_entry.get("transport") != "des":
+        pinned = base_entry.get("transport") in PINNED_TRANSPORTS
+        if fresh_entry is None or not pinned:
             continue
         changes = [
             f"{key} {base_entry[key]} -> {fresh_entry.get(key)}"
-            for key in DES_COUNTERS
+            for key in SEEDED_COUNTERS
             if fresh_entry.get(key) != base_entry[key]
         ]
         if changes:

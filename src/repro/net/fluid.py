@@ -39,8 +39,10 @@ and asserted by the analysis test suite at overlapping scales.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -231,19 +233,68 @@ class FluidTransport:
         self._stats = FluidStats()
         self.medium = self  # ``stack.medium.stats`` readers get ``stats``
 
-        # Per-link (loss probability, congestion share) rows, lazily
-        # computed per sender (fixed geometry: computed once, cached),
-        # plus a receiver -> row-position map for O(1) unicast lookup.
-        self._loss_rows: Dict[int, Tuple[Tuple[float, float], ...]] = {}
-        self._row_index: Dict[int, Dict[int, int]] = {}
-        degrees = np.zeros(len(self.adjacency))
-        for node, neighbors in self.adjacency.items():
-            degrees[node] = len(neighbors)
+        num_nodes = len(self.adjacency)
+        self._num_nodes = num_nodes
+        degrees = np.fromiter(
+            (len(self.adjacency[node]) for node in range(num_nodes)),
+            dtype=np.int64,
+            count=num_nodes,
+        )
         self._congestion = np.minimum(
             self.params.congestion_cap,
             self.params.congestion_coeff
-            * degrees**self.params.congestion_exponent,
+            * degrees.astype(np.float64) ** self.params.congestion_exponent,
         )
+        # Whole-graph link table, built once (fixed geometry): CSR
+        # adjacency (indptr/indices) over ascending node ids, plus flat
+        # per-edge loss columns. Contended frames pay congestion +
+        # ambient + fading; frames alone in the air pay ambient + fading
+        # only. The congestion share partitions the single loss coin, so
+        # statistics attribute losses to congestion vs channel without a
+        # second draw. Both the per-frame and the bulk path and the
+        # expected-value energy ledger read these same floats.
+        self._indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(degrees, out=self._indptr[1:])
+        total_edges = int(self._indptr[-1])
+        self._indices = np.fromiter(
+            chain.from_iterable(self.adjacency[node] for node in range(num_nodes)),
+            dtype=np.int64,
+            count=total_edges,
+        )
+        radio = self.radio
+        positions = deployment.positions
+        edge_src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
+        # Sorted ``src * N + dst`` key per edge (plus a sentinel), for
+        # one-searchsorted unicast edge lookups.
+        self._edge_key = np.append(
+            edge_src * num_nodes + self._indices, np.iinfo(np.int64).max
+        )
+        delta = positions[self._indices] - positions[edge_src]
+        distances = np.hypot(delta[:, 0], delta[:, 1])
+        congestion = self._congestion[self._indices]
+        fading = (
+            radio.edge_fading
+            * np.clip(distances / radio.range_m, 0.0, 1.0) ** 4
+        )
+        keep_channel = (1.0 - radio.ambient_loss) * (1.0 - fading)
+        keep = keep_channel * (1.0 - congestion)
+        channel = radio.ambient_loss + fading
+        denominator = congestion + channel
+        self._edge_share = np.divide(
+            congestion,
+            denominator,
+            out=np.zeros_like(congestion),
+            where=denominator > 0.0,
+        )
+        self._edge_loss_contended = 1.0 - keep
+        self._edge_loss_free = 1.0 - keep_channel
+        # The per-frame path reads the table one edge at a time through
+        # memoryviews: each item is a plain Python number, with neither a
+        # numpy call per frame nor a float-object copy of the columns.
+        self._row_start = memoryview(self._indptr)
+        self._loss_contended = memoryview(self._edge_loss_contended)
+        self._loss_free = memoryview(self._edge_loss_free)
+        self._share = memoryview(self._edge_share)
         self._handlers: Dict[int, Dict[str, PacketHandler]] = {
             node: {} for node in self.adjacency
         }
@@ -406,145 +457,106 @@ class FluidTransport:
 
     # -- delivery ---------------------------------------------------------------
 
-    def _loss_row(self, sender: int) -> Tuple[Tuple[float, float, float], ...]:
-        """Per-receiver ``(contended loss probability, congestion share,
-        uncontended loss probability)`` for ``sender``'s neighbors,
-        vectorized over the whole row. Contended frames pay congestion +
-        ambient + fading; frames alone in the air pay ambient + fading
-        only. The share partitions the single loss coin so statistics
-        attribute losses to congestion vs channel without a second RNG
-        draw."""
-        row = self._loss_rows.get(sender)
-        if row is not None:
-            return row
-        neighbors = self.adjacency[sender]
-        if not neighbors:
-            row = ()
-        else:
-            radio = self.radio
-            indices = np.asarray(neighbors, dtype=np.intp)
-            positions = self.deployment.positions
-            delta = positions[indices] - positions[sender]
-            distances = np.hypot(delta[:, 0], delta[:, 1])
-            congestion = self._congestion[indices]
-            fading = (
-                radio.edge_fading
-                * np.clip(distances / radio.range_m, 0.0, 1.0) ** 4
-            )
-            keep_channel = (1.0 - radio.ambient_loss) * (1.0 - fading)
-            keep = keep_channel * (1.0 - congestion)
-            channel = radio.ambient_loss + fading
-            denominator = congestion + channel
-            share = np.divide(
-                congestion,
-                denominator,
-                out=np.zeros_like(congestion),
-                where=denominator > 0.0,
-            )
-            row = tuple(
-                zip(
-                    (1.0 - keep).tolist(),
-                    share.tolist(),
-                    (1.0 - keep_channel).tolist(),
-                )
-            )
-        self._loss_rows[sender] = row
-        self._row_index[sender] = {
-            receiver: position for position, receiver in enumerate(neighbors)
-        }
-        return row
-
-    def _lost(self, entry: Tuple[float, float, float], contended: bool) -> bool:
-        """Sample one loss coin and attribute the loss cause."""
-        if contended:
-            probability, congestion_share = entry[0], entry[1]
-        else:
-            probability, congestion_share = entry[2], 0.0
-        if probability <= 0.0:
-            return False
-        coins = self._loss_coins
-        if not coins:
-            coins.extend(self._loss_rng.random(4096).tolist())
-            coins.reverse()
-        draw = coins.pop()
-        if draw >= probability:
-            return False
-        if draw < probability * congestion_share:
-            self._stats.collisions += 1
-        else:
-            self._stats.ambient_losses += 1
-        return True
-
     def _deliver(self, packet: Packet, contended: bool) -> None:
+        """Resolve one frame over its sender's slice of the link table.
+
+        One loss coin per live candidate receiver whose link can lose
+        the frame (none where the probability is 0), drawn in adjacency
+        order; a receiver that is dead when the pass reaches it draws
+        none. Counts are summed per frame and booked even if a handler
+        raises."""
         src = packet.src
         kind = packet.kind
         dst = packet.dst
+        broadcast = dst == BROADCAST
         neighbors = self.adjacency[src]
-        loss_row = self._loss_row(src)
+        start = self._row_start[src]
+        # Frames alone in the air lose only to the channel: no share.
+        if contended:
+            loss, share = self._loss_contended, self._share
+        else:
+            loss, share = self._loss_free, None
+        coins = self._loss_coins
         dead = self._dead
         kind_listeners = self._kind_overhear.get(kind)
         wild = self._wild_count > 0
-
-        if dst == BROADCAST:
-            record_rx = self.counters.record_rx
-            size = packet.size_bytes
-            for index, receiver in enumerate(neighbors):
-                if receiver in dead or self._lost(loss_row[index], contended):
-                    continue
-                self._stats.deliveries += 1
-                record_rx(receiver, kind, size)
-                if wild:
-                    for listener in self._wild_overhear.get(receiver, ()):
+        delivered = collided = dropped = 0
+        try:
+            # Broadcast: every neighbor. Unicast: first any interested
+            # overhearers among the sender's other neighbors, visited only
+            # when someone registered for this kind (or a wildcard
+            # listener exists) — ack/share/join traffic, which nobody
+            # overhears, skips the pass — then the addressee.
+            if broadcast or wild or kind_listeners is not None:
+                record_rx = self.counters.record_rx
+                size = packet.size_bytes
+                for edge, receiver in enumerate(neighbors, start):
+                    if receiver in dead or receiver == dst:
+                        continue
+                    wilds = self._wild_overhear.get(receiver, ()) if wild else ()
+                    overhearers = ()
+                    if kind_listeners is not None:
+                        overhearers = kind_listeners.get(receiver, ())
+                    if not broadcast and not overhearers and not wilds:
+                        continue
+                    probability = loss[edge]
+                    if probability > 0.0:
+                        if not coins:
+                            coins.extend(self._loss_rng.random(4096).tolist())
+                            coins.reverse()
+                        draw = coins.pop()
+                        if draw < probability:
+                            if share is not None and draw < probability * share[edge]:
+                                collided += 1
+                            else:
+                                dropped += 1
+                            continue
+                    delivered += 1
+                    if broadcast:
+                        record_rx(receiver, kind, size)
+                    for listener in wilds:
                         listener(receiver, packet)
-                if kind_listeners is not None:
-                    for listener in kind_listeners.get(receiver, ()):
+                    for listener in overhearers:
                         listener(receiver, packet)
-                handler = self._handlers[receiver].get(kind)
-                if handler is not None:
-                    handler(receiver, packet)
-            return
-
-        # Unicast: the addressed receiver, plus any interested overhearers
-        # among the sender's other neighbors. Overhearers are visited
-        # only when someone actually registered for this kind (or a
-        # wildcard listener exists) — the fast path for ack/share/join
-        # traffic, which nobody overhears.
-        if wild or kind_listeners is not None:
-            for index, receiver in enumerate(neighbors):
-                if receiver == dst or receiver in dead:
-                    continue
-                overhearers = ()
-                if kind_listeners is not None:
-                    overhearers = kind_listeners.get(receiver, ())
-                wilds = self._wild_overhear.get(receiver, ()) if wild else ()
-                if not overhearers and not wilds:
-                    continue
-                if self._lost(loss_row[index], contended):
-                    continue
-                self._stats.deliveries += 1
-                for listener in wilds:
-                    listener(receiver, packet)
-                for listener in overhearers:
-                    listener(receiver, packet)
-
-        if dst in dead:
-            return
-        index = self._row_index[src].get(dst)
-        if index is None:
-            return  # destination out of range: the frame dies in the air
-        if self._lost(loss_row[index], contended):
-            return
-        self._stats.deliveries += 1
-        self.counters.record_rx(dst, kind, packet.size_bytes)
-        if wild:
-            for listener in self._wild_overhear.get(dst, ()):
-                listener(dst, packet)
-        if kind_listeners is not None:
-            for listener in kind_listeners.get(dst, ()):
-                listener(dst, packet)
-        handler = self._handlers[dst].get(kind)
-        if handler is not None:
-            handler(dst, packet)
+                    if broadcast:
+                        handler = self._handlers[receiver].get(kind)
+                        if handler is not None:
+                            handler(receiver, packet)
+            if broadcast or dst in dead:
+                return
+            # Adjacency rows are sorted: one bisection finds the link.
+            position = bisect_left(neighbors, dst)
+            if position == len(neighbors) or neighbors[position] != dst:
+                return  # destination out of range: the frame dies in the air
+            edge = start + position
+            probability = loss[edge]
+            if probability > 0.0:
+                if not coins:
+                    coins.extend(self._loss_rng.random(4096).tolist())
+                    coins.reverse()
+                draw = coins.pop()
+                if draw < probability:
+                    if share is not None and draw < probability * share[edge]:
+                        collided += 1
+                    else:
+                        dropped += 1
+                    return
+            delivered += 1
+            self.counters.record_rx(dst, kind, packet.size_bytes)
+            if wild:
+                for listener in self._wild_overhear.get(dst, ()):
+                    listener(dst, packet)
+            if kind_listeners is not None:
+                for listener in kind_listeners.get(dst, ()):
+                    listener(dst, packet)
+            handler = self._handlers[dst].get(kind)
+            if handler is not None:
+                handler(dst, packet)
+        finally:
+            stats = self._stats
+            stats.deliveries += delivered
+            stats.collisions += collided
+            stats.ambient_losses += dropped
 
     # -- receiving ----------------------------------------------------------------
 
@@ -615,11 +627,12 @@ class FluidTransport:
             return
         account_rx = self.energy.account_rx
         dead = self._dead
+        loss = self._loss_contended
         for sender, total_bytes in self._pending_rx.items():
-            row = self._loss_row(sender)
-            for index, receiver in enumerate(self.adjacency[sender]):
+            start = self._row_start[sender]
+            for edge, receiver in enumerate(self.adjacency[sender], start):
                 if receiver not in dead:
-                    account_rx(receiver, total_bytes * (1.0 - row[index][0]))
+                    account_rx(receiver, total_bytes * (1.0 - loss[edge]))
         self._pending_rx.clear()
 
     def flush(self) -> None:
@@ -646,8 +659,8 @@ class FluidTransport:
 class BulkFluidTransport(FluidTransport):
     """Fluid backend resolving frames in vectorized macro-event batches.
 
-    Same analytic channel model as :class:`FluidTransport` — identical
-    per-link loss probabilities, congestion gating, and delay law — but
+    Same analytic channel model as :class:`FluidTransport` — the same
+    link table, congestion gating, and delay law — but
     the hot path is restructured around two batch boundaries:
 
     * **Seal.** Emitted frames accumulate in a burst list, each with
@@ -689,56 +702,7 @@ class BulkFluidTransport(FluidTransport):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        num_nodes = len(self.adjacency)
-        self._num_nodes = num_nodes
-        # CSR adjacency (indptr/indices) over ascending node ids, plus
-        # flat per-edge loss parameters computed once with the *same*
-        # elementwise formulas as _loss_row — identical floats, so the
-        # expected-value energy ledger and the batch agree per link.
-        degrees = np.fromiter(
-            (len(self.adjacency[node]) for node in range(num_nodes)),
-            dtype=np.int64,
-            count=num_nodes,
-        )
-        self._indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self._indptr[1:])
-        total_edges = int(self._indptr[-1])
-        self._indices = np.fromiter(
-            (
-                neighbor
-                for node in range(num_nodes)
-                for neighbor in self.adjacency[node]
-            ),
-            dtype=np.int64,
-            count=total_edges,
-        )
-        radio = self.radio
-        positions = self.deployment.positions
-        edge_src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
-        # Sorted ``src * N + dst`` key per edge (plus a sentinel), for
-        # one-searchsorted unicast edge lookups.
-        self._edge_key = np.append(
-            edge_src * num_nodes + self._indices, np.iinfo(np.int64).max
-        )
-        delta = positions[self._indices] - positions[edge_src]
-        distances = np.hypot(delta[:, 0], delta[:, 1])
-        congestion = self._congestion[self._indices]
-        fading = (
-            radio.edge_fading
-            * np.clip(distances / radio.range_m, 0.0, 1.0) ** 4
-        )
-        keep_channel = (1.0 - radio.ambient_loss) * (1.0 - fading)
-        keep = keep_channel * (1.0 - congestion)
-        channel = radio.ambient_loss + fading
-        denominator = congestion + channel
-        self._edge_share = np.divide(
-            congestion,
-            denominator,
-            out=np.zeros_like(congestion),
-            where=denominator > 0.0,
-        )
-        self._edge_loss_contended = 1.0 - keep
-        self._edge_loss_free = 1.0 - keep_channel
+        num_nodes = self._num_nodes
         # Burst (unsealed frames, each with its transmit instant) and
         # batch (sealed frames awaiting their resolve tick), column-wise.
         # Kind and size ride their own columns so :meth:`send_many` can

@@ -220,7 +220,7 @@ class TraceLog:
         """Rebuild a (disabled) trace log from a JSONL file or lines.
 
         The returned log holds the imported records for querying —
-        ``records()``, ``count()``, ``category_counts()`` — but is not
+        iteration, ``count()``, ``category_counts()`` — but is not
         clock-bound and starts disabled, since it replays a past run.
         """
         if isinstance(source, (str, pathlib.Path)):

@@ -127,8 +127,8 @@ def _counted(transport, **counters):
 
 
 class TestSeededCounters:
-    """A fresh ``des`` quick row must reproduce the baseline's seeded
-    transmissions, deliveries and events exactly."""
+    """A fresh ``des`` or per-frame ``fluid`` quick row must reproduce
+    the baseline's seeded transmissions, deliveries and events exactly."""
 
     def test_identical_counters_pass(self, check_bench, capsys):
         scenarios = {"a": _counted("des"), "b": _counted("fluid")}
@@ -141,12 +141,16 @@ class TestSeededCounters:
         assert check_bench.compare_counters(baseline, fresh) == 1
         assert key in capsys.readouterr().out
 
-    def test_non_des_rows_are_not_pinned(self, check_bench, capsys):
-        baseline = {"a": _counted("fluid"), "b": _counted("fluid-bulk")}
-        fresh = {
-            "a": _counted("fluid", deliveries=1),
-            "b": _counted("fluid-bulk", events_fired=1),
-        }
+    @pytest.mark.parametrize("key", ["transmissions", "deliveries", "events_fired"])
+    def test_any_drifted_fluid_counter_fails(self, check_bench, capsys, key):
+        baseline = {"a": _counted("fluid")}
+        fresh = {"a": _counted("fluid", **{key: 1})}
+        assert check_bench.compare_counters(baseline, fresh) == 1
+        assert key in capsys.readouterr().out
+
+    def test_bulk_rows_are_not_pinned(self, check_bench, capsys):
+        baseline = {"b": _counted("fluid-bulk")}
+        fresh = {"b": _counted("fluid-bulk", events_fired=1)}
         assert check_bench.compare_counters(baseline, fresh) == 0
 
     def test_committed_quick_baseline_pins_every_des_row(self, check_bench):
@@ -154,8 +158,22 @@ class TestSeededCounters:
         des = {name for name, e in baseline.items() if e["transport"] == "des"}
         assert len(des) >= 5
         for name in des:
-            for key in check_bench.DES_COUNTERS:
+            for key in check_bench.SEEDED_COUNTERS:
                 assert baseline[name][key] > 0
+
+    def test_committed_quick_baseline_pins_the_fluid_rows(self, check_bench):
+        baseline = check_bench.check_e2e_report(check_bench.QUICK_BASELINE)
+        fluid = {
+            name: tuple(entry[key] for key in check_bench.SEEDED_COUNTERS)
+            for name, entry in baseline.items()
+            if entry["transport"] in check_bench.PINNED_TRANSPORTS
+            and entry["transport"] != "des"
+        }
+        assert fluid == {
+            "icpda_dense_small_fluid": (1955, 7613, 3144),
+            "storm_dense_small_fluid": (4800, 4798, 9600),
+            "icpda_huge_fluid": (595797, 1657626, 616426),
+        }
 
 
 def _service_entry(**overrides):

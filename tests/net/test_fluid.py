@@ -9,7 +9,11 @@ from repro.net.fluid import FluidParams, FluidTransport
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import uniform_deployment
-from tests.counter_reads import node_tx_messages
+from tests.counter_reads import node_rx_messages, node_tx_messages
+from tests.oracles import fluid_loss_row
+
+#: A radio whose every link can lose a frame, even one flying alone.
+LOSSY = RadioParams(ambient_loss=0.02, edge_fading=0.5)
 
 
 def make_fluid(seed=7, num_nodes=80, params=None, radio=None):
@@ -166,3 +170,89 @@ def test_fluid_params_validation():
         FluidParams(congestion_cap=-0.1)
     with pytest.raises(Exception):
         FluidParams(access_jitter_s=-1.0)
+
+
+def test_link_table_matches_the_per_sender_oracle():
+    """Every edge of the whole-graph table holds exactly the floats the
+    per-sender loss law gives: same neighbors, same order, exact ==."""
+    stack = make_fluid(seed=5, num_nodes=150, radio=LOSSY)
+    table = list(
+        zip(
+            stack._edge_loss_contended.tolist(),
+            stack._edge_share.tolist(),
+            stack._edge_loss_free.tolist(),
+        )
+    )
+    edges = 0
+    for sender in stack.node_ids():
+        start, end = int(stack._indptr[sender]), int(stack._indptr[sender + 1])
+        assert tuple(stack._indices[start:end].tolist()) == stack.neighbors(sender)
+        assert table[start:end] == fluid_loss_row(stack, sender)
+        edges += end - start
+    assert edges == len(table) > 0
+    assert all(free > 0.0 for _, _, free in table)
+
+
+def _hearers(stack, kind):
+    """Register a ``kind`` handler at every node; return what they hear."""
+    heard = []
+    for node in stack.node_ids():
+        stack.register_handler(
+            node, kind, lambda receiver, _packet: heard.append(receiver)
+        )
+    return heard
+
+
+def test_out_of_range_unicast_delivers_nothing_and_draws_no_coin():
+    def run(stray: bool):
+        stack = make_fluid(radio=LOSSY)
+        heard = _hearers(stack, "ping")
+        src = 1
+        far = next(
+            node
+            for node in stack.node_ids()
+            if node != src and node not in stack.neighbors(src)
+        )
+        if stray:
+            stack.send(src, far, "ping")
+            stack.sim.run()
+            assert heard == []
+            assert stack.stats.deliveries == 0
+            assert stack.stats.ambient_losses == stack.stats.collisions == 0
+        # A later lone broadcast samples the same loss coins either way.
+        stack.broadcast(src, "ping")
+        stack.sim.run()
+        stats = stack.stats.snapshot()
+        del stats["transmissions"]
+        return heard, stats
+
+    assert run(stray=True) == run(stray=False)
+
+
+def test_listener_killing_a_later_neighbour_leaves_it_unserved():
+    """One pass in adjacency order: a neighbour killed by an earlier
+    receiver's listener is skipped when the pass reaches it, gets no
+    frame and draws no coin, exactly as if it had died before the send."""
+    src = 1
+
+    def run(kill_mid_fan_out: bool):
+        stack = make_fluid(radio=LOSSY)
+        heard = _hearers(stack, "beacon")
+        first, victim = stack.neighbors(src)[0], stack.neighbors(src)[-1]
+        if kill_mid_fan_out:
+            stack.register_overhear(
+                first,
+                lambda node, p: stack.fail_node(victim),
+                kinds=("beacon",),
+            )
+        else:
+            stack.fail_node(victim)
+        for _ in range(3):
+            stack.broadcast(src, "beacon")
+            stack.sim.run()
+        assert victim not in heard
+        assert node_rx_messages(stack.counters, victim) == 0
+        return heard, stack.stats.snapshot()
+
+    assert len(make_fluid().neighbors(src)) > 2
+    assert run(kill_mid_fan_out=True) == run(kill_mid_fan_out=False)

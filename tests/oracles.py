@@ -1,4 +1,4 @@
-"""Reference polynomial arithmetic, independent of :mod:`repro.core.field`.
+"""Reference computations, independent of the library code they check.
 
 The library only ever needs the constant term of an interpolating
 polynomial (:meth:`PrimeField.lagrange_constant_term`). These plain
@@ -7,11 +7,17 @@ way (Horner evaluation; Newton divided differences with Fermat
 inverses), so tests can check the library's Lagrange path against them.
 :func:`encode_signed` is the centered lift share generation applies to
 its inputs, one value at a time.
+
+:func:`fluid_loss_row` is the fluid channel's per-link loss law worked
+out one sender at a time, to check the transports' whole-graph link
+table against.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.field import PrimeField
 from repro.errors import FieldArithmeticError
@@ -54,3 +60,43 @@ def solve_vandermonde(field: PrimeField, points: Sequence[Tuple[int, int]]) -> L
             ((basis[k - 1] if k else 0) - basis[k] * xs[i]) % q for k in range(n)
         ]
     return coefficients
+
+
+def fluid_loss_row(transport: Any, sender: int) -> List[Tuple[float, float, float]]:
+    """``(contended loss probability, congestion share, uncontended loss
+    probability)`` of each of ``sender``'s links, in adjacency order.
+
+    Contended frames pay congestion (a power law in the receiver's
+    degree, capped) + ambient + fading; frames alone in the air pay
+    ambient + fading only. The share is congestion's part of the
+    contended loss, used to attribute one coin to either cause."""
+    neighbors = transport.adjacency[sender]
+    if not neighbors:
+        return []
+    radio = transport.radio
+    params = transport.params
+    indices = np.asarray(neighbors, dtype=np.intp)
+    degrees = np.array(
+        [float(len(transport.adjacency[node])) for node in neighbors]
+    )
+    congestion = np.minimum(
+        params.congestion_cap,
+        params.congestion_coeff * degrees**params.congestion_exponent,
+    )
+    positions = transport.deployment.positions
+    delta = positions[indices] - positions[sender]
+    distances = np.hypot(delta[:, 0], delta[:, 1])
+    fading = radio.edge_fading * np.clip(distances / radio.range_m, 0.0, 1.0) ** 4
+    keep_channel = (1.0 - radio.ambient_loss) * (1.0 - fading)
+    keep = keep_channel * (1.0 - congestion)
+    channel = radio.ambient_loss + fading
+    denominator = congestion + channel
+    share = np.divide(
+        congestion,
+        denominator,
+        out=np.zeros_like(congestion),
+        where=denominator > 0.0,
+    )
+    return list(
+        zip((1.0 - keep).tolist(), share.tolist(), (1.0 - keep_channel).tolist())
+    )
