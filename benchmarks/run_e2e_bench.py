@@ -174,10 +174,8 @@ def _build_deployment(scenario: Scenario):
 
 
 def _mean_degree(deployment) -> float:
-    from repro.topology.graphs import neighbors_within_range
-
-    adjacency = neighbors_within_range(deployment)
-    return sum(len(v) for v in adjacency.values()) / max(1, len(adjacency))
+    degrees = deployment.links.degrees()
+    return int(degrees.sum()) / max(1, len(degrees))
 
 
 def _run_icpda(scenario: Scenario, deployment) -> Tuple[float, dict]:

@@ -125,17 +125,6 @@ class PrimeField:
             raise FieldArithmeticError(f"negative exponent {k}; use inv_many() first")
         return pow(a % self.q, k, self.q)
 
-    def powers(self, x: int, count: int) -> List[int]:
-        """``[1, x, x^2, ..., x^(count-1)]`` in the field."""
-        if count < 0:
-            raise FieldArithmeticError(f"need a non-negative count, got {count}")
-        q = self.q
-        out = [1] * count if count else []
-        x %= q
-        for k in range(1, count):
-            out[k] = out[k - 1] * x % q
-        return out
-
     def sum(self, values: Iterable[int]) -> int:
         """Field sum of an iterable."""
         total = 0

@@ -43,7 +43,7 @@ from repro.core.config import IcpdaConfig
 from repro.core.intracluster import ExchangeResult
 from repro.core.results import AlarmReason, AlarmRecord, RoundResult, Verdict
 from repro.net.packet import Packet
-from repro.net.transport import Transport
+from repro.net.transport import OverhearListener, Transport
 
 REPORT_KIND = "report"
 REPORT_ABORT_KIND = "report_abort"
@@ -182,6 +182,9 @@ class ReportAndVerdictPhase:
         self._attack = attack_plan
         self._rng = stack.sim.rng.stream(f"report.{round_id}")
         self._arity = aggregate.arity
+        #: ``(node, listener)`` per overhear listener this phase attached,
+        #: as the transport returned it (the protocol detaches them).
+        self.listeners: List[Tuple[int, OverhearListener]] = []
         bs = tree.root
 
         # Reporting heads: completed exchange, participating, not the BS.
@@ -290,9 +293,10 @@ class ReportAndVerdictPhase:
             for kind, handler in handlers:
                 self._stack.register_handler(node, kind, handler)
             if self._witness_flags.get(node):
-                self._stack.register_overhear(
+                listener = self._stack.register_overhear(
                     node, witness, kinds=(REPORT_KIND, REPORT_ACK_KIND)
                 )
+                self.listeners.append((node, listener))
 
         for head in self._aborted_heads:
             delay = float(self._rng.uniform(0.1, 1.5))

@@ -43,7 +43,7 @@ from repro.core.shares import (
 from repro.crypto.linksec import Ciphertext, LinkSecurity
 from repro.errors import NoSharedKeyError
 from repro.net.packet import Packet
-from repro.net.transport import Transport
+from repro.net.transport import OverhearListener, Transport
 
 SHARE_KIND = "share"
 SHARE_RELAY_KIND = "share_relay"
@@ -168,6 +168,9 @@ class IntraClusterExchange:
         self._round_id = round_id
         self._rng = stack.sim.rng.stream(f"exchange.{round_id}")
         self.result = ExchangeResult()
+        #: ``(node, listener)`` per overhear listener this phase attached,
+        #: as the transport returned it (the protocol detaches them).
+        self.listeners: List[Tuple[int, OverhearListener]] = []
 
         # Per-node bookkeeping of the event-driven (scalar) exchange.
         self._cluster_of: Dict[int, int] = {}
@@ -307,7 +310,10 @@ class IntraClusterExchange:
         for node in self._stack.node_ids():
             for kind, handler in handlers:
                 self._stack.register_handler(node, kind, handler)
-            self._stack.register_overhear(node, overhear, kinds=(FVALUE_KIND,))
+            listener = self._stack.register_overhear(
+                node, overhear, kinds=(FVALUE_KIND,)
+            )
+            self.listeners.append((node, listener))
 
         for state in live:
             for member in state.participants:

@@ -24,7 +24,7 @@ True
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.aggregation.functions import (
     AdditiveAggregate,
@@ -44,7 +44,7 @@ from repro.crypto.keys import PairwiseKeyScheme
 from repro.crypto.linksec import LinkSecurity
 from repro.errors import ProtocolError
 from repro.net.radio import RadioParams
-from repro.net.transport import Transport, create_transport
+from repro.net.transport import OverhearListener, Transport, create_transport
 from repro.sim.kernel import Simulator
 from repro.sim.profiling import PhaseProfiler
 from repro.sim.trace import TraceLog
@@ -124,6 +124,10 @@ class IcpdaProtocol:
         self.last_clustering: Optional[ClusteringResult] = None
         self.last_exchange: Optional[ExchangeResult] = None
         self.phase_bytes: Dict[str, int] = {}
+        #: The ``listeners`` lists of the last round's phases: the
+        #: overhear listeners this instance attached, detached when the
+        #: next round starts. Listeners attached from outside stay.
+        self._listeners: List[List[Tuple[int, OverhearListener]]] = []
 
     # -- phase I -----------------------------------------------------------------
 
@@ -274,27 +278,29 @@ class IcpdaProtocol:
         if self.deployment.base_station in readings:
             raise ProtocolError("the base station does not sense")
 
-        for node_id in self.stack.node_ids():
-            self.stack.clear_overhear(node_id)
-
-        # The exchange engine is picked inside IntraClusterExchange.run().
-        formation_cls, report_cls = (
-            (BatchedClusterFormation, BatchedReportAndVerdictPhase)
-            if self.config.engine == "batched"
-            else (ClusterFormation, ReportAndVerdictPhase)
-        )
+        for listeners in self._listeners:
+            for node_id, listener in listeners:
+                self.stack.remove_overhear(node_id, listener)
+        self._listeners = []
+        batched = self.config.engine == "batched"
 
         # Phase II: cluster formation.
         with self._phase("clustering"):
-            formation = formation_cls(
-                self.stack, self.tree, self.config, round_id
-            )
+            if batched:
+                formation = BatchedClusterFormation(
+                    self.stack, self.tree, self.config, round_id=round_id
+                )
+            else:
+                formation = ClusterFormation(
+                    self.stack, self.tree, self.config, round_id=round_id
+                )
             clustering = formation.run()
         self.last_clustering = clustering
 
         participating = self._participating_heads(clustering)
 
-        # Phase III: intra-cluster share exchange.
+        # Phase III: intra-cluster share exchange (the exchange engine is
+        # picked inside IntraClusterExchange.run()).
         with self._phase("exchange"):
             exchange_phase = IntraClusterExchange(
                 self.stack,
@@ -307,21 +313,23 @@ class IcpdaProtocol:
                 participating_heads=participating,
                 round_id=round_id,
             )
+            self._listeners.append(exchange_phase.listeners)
             exchange = exchange_phase.run()
         self.last_exchange = exchange
 
         # Phase IV: witnessed report aggregation + verdict.
         with self._phase("report"):
-            report_phase = report_cls(
-                self.stack,
-                self.tree,
-                clustering,
-                exchange,
-                self.config,
-                self.aggregate,
-                attack_plan=self.attack_plan,
-                round_id=round_id,
-            )
+            if batched:
+                report_phase = BatchedReportAndVerdictPhase(
+                    self.stack, self.tree, clustering, exchange, self.config,
+                    self.aggregate, attack_plan=self.attack_plan, round_id=round_id,
+                )
+            else:
+                report_phase = ReportAndVerdictPhase(
+                    self.stack, self.tree, clustering, exchange, self.config,
+                    self.aggregate, attack_plan=self.attack_plan, round_id=round_id,
+                )
+            self._listeners.append(report_phase.listeners)
             true_value = self.aggregate.true_value(list(readings.values()))
             result = report_phase.run(true_value, total_sensors=len(readings))
         return result

@@ -42,7 +42,6 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -63,8 +62,7 @@ from repro.metrics.counters import MessageCounters
 from repro.net.energy import EnergyModel
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
-from repro.net.transport import OverhearListener, PacketHandler
-from repro.topology.graphs import neighbors_within_range
+from repro.net.transport import OverhearListener, PacketHandler, drop_listener
 from repro.topology.spatial import compact_cell_ids
 
 #: One logged ``send_many`` call: (instant, kind, src, dst, size).
@@ -226,55 +224,41 @@ class FluidTransport:
         self.params = params if params is not None else FluidParams()
         self.counters = MessageCounters()
         self.energy = _LazyRxEnergy(self._flush_rx_energy)
-        self.adjacency: Dict[int, Tuple[int, ...]] = {
-            node: tuple(neighbors)
-            for node, neighbors in neighbors_within_range(deployment).items()
-        }
+        links = deployment.links
+        #: The deployment's shared neighbor tuples (node id -> tuple).
+        self.adjacency: List[Tuple[int, ...]] = links.rows
         self._stats = FluidStats()
         self.medium = self  # ``stack.medium.stats`` readers get ``stats``
 
         num_nodes = len(self.adjacency)
         self._num_nodes = num_nodes
-        degrees = np.fromiter(
-            (len(self.adjacency[node]) for node in range(num_nodes)),
-            dtype=np.int64,
-            count=num_nodes,
-        )
+        degrees = links.degrees()
         self._congestion = np.minimum(
             self.params.congestion_cap,
             self.params.congestion_coeff
             * degrees.astype(np.float64) ** self.params.congestion_exponent,
         )
-        # Whole-graph link table, built once (fixed geometry): CSR
-        # adjacency (indptr/indices) over ascending node ids, plus flat
-        # per-edge loss columns. Contended frames pay congestion +
-        # ambient + fading; frames alone in the air pay ambient + fading
-        # only. The congestion share partitions the single loss coin, so
-        # statistics attribute losses to congestion vs channel without a
-        # second draw. Both the per-frame and the bulk path and the
-        # expected-value energy ledger read these same floats.
-        self._indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self._indptr[1:])
-        total_edges = int(self._indptr[-1])
-        self._indices = np.fromiter(
-            chain.from_iterable(self.adjacency[node] for node in range(num_nodes)),
-            dtype=np.int64,
-            count=total_edges,
-        )
+        # Whole-graph link table over the deployment's CSR (ascending
+        # node ids within each row): flat per-edge loss columns.
+        # Contended frames pay congestion + ambient + fading; frames
+        # alone in the air pay ambient + fading only. The congestion
+        # share partitions the single loss coin, so statistics attribute
+        # losses to congestion vs channel without a second draw. Both
+        # the per-frame and the bulk path and the expected-value energy
+        # ledger read these same floats.
+        self._indptr = links.indptr
+        self._indices = links.indices
         radio = self.radio
-        positions = deployment.positions
         edge_src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
         # Sorted ``src * N + dst`` key per edge (plus a sentinel), for
         # one-searchsorted unicast edge lookups.
         self._edge_key = np.append(
             edge_src * num_nodes + self._indices, np.iinfo(np.int64).max
         )
-        delta = positions[self._indices] - positions[edge_src]
-        distances = np.hypot(delta[:, 0], delta[:, 1])
         congestion = self._congestion[self._indices]
         fading = (
             radio.edge_fading
-            * np.clip(distances / radio.range_m, 0.0, 1.0) ** 4
+            * np.clip(links.lengths / radio.range_m, 0.0, 1.0) ** 4
         )
         keep_channel = (1.0 - radio.ambient_loss) * (1.0 - fading)
         keep = keep_channel * (1.0 - congestion)
@@ -296,7 +280,7 @@ class FluidTransport:
         self._loss_free = memoryview(self._edge_loss_free)
         self._share = memoryview(self._edge_share)
         self._handlers: Dict[int, Dict[str, PacketHandler]] = {
-            node: {} for node in self.adjacency
+            node: {} for node in range(num_nodes)
         }
         #: kind -> receiver -> listeners (registered with a kinds= hint).
         self._kind_overhear: Dict[str, Dict[int, List[OverhearListener]]] = {}
@@ -324,9 +308,7 @@ class FluidTransport:
             deployment.positions, self.radio.range_m
         )
         self._busy_until: List[float] = [-1.0] * num_cells
-        self._tx_cell: Dict[int, int] = {
-            node: int(cell) for node, cell in enumerate(cell_ids)
-        }
+        self._tx_cell: List[int] = cell_ids.tolist()
         # Same metrics namespaces as the DES stack (which adds ``mac``).
         sim.metrics.register(
             "medium", lambda: self.stats.snapshot(), replace=True
@@ -417,7 +399,7 @@ class FluidTransport:
 
     def _transmit(self, packet: Packet) -> None:
         src = packet.src
-        if src not in self.adjacency:
+        if not 0 <= src < self._num_nodes:
             raise SimulationError(f"unknown source node {src}")
         if src in self._dead:
             # Same contract as the DES: a crashed radio keys up nothing
@@ -575,8 +557,9 @@ class FluidTransport:
         node_id: int,
         listener: OverhearListener,
         kinds: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Attach a promiscuous listener at ``node_id``.
+    ) -> OverhearListener:
+        """Attach a promiscuous listener at ``node_id``; returns
+        ``listener``, for :meth:`remove_overhear`.
 
         With a ``kinds`` hint the listener is only offered frames of
         those kinds (the backend exploits the hint to skip fan-out);
@@ -586,25 +569,25 @@ class FluidTransport:
         if kinds is None:
             self._wild_overhear.setdefault(node_id, []).append(listener)
             self._wild_count += 1
-            return
+            return listener
         for kind in kinds:
             self._kind_overhear.setdefault(kind, {}).setdefault(
                 node_id, []
             ).append(listener)
+        return listener
 
-    def clear_overhear(self, node_id: int) -> None:
-        """Remove every promiscuous listener at ``node_id``."""
-        wilds = self._wild_overhear.pop(node_id, None)
-        if wilds:
-            self._wild_count -= len(wilds)
+    def remove_overhear(self, node_id: int, listener: OverhearListener) -> None:
+        """Detach ``listener`` from ``node_id`` (every kind it was
+        registered for); every other listener stays."""
+        self._wild_count -= drop_listener(self._wild_overhear, node_id, listener)
         for by_node in self._kind_overhear.values():
-            by_node.pop(node_id, None)
+            drop_listener(by_node, node_id, listener)
 
     # -- lifecycle / accounting ----------------------------------------------------
 
     def fail_node(self, node_id: int) -> None:
         """Crash-stop a sensor (fail-silent), as in the DES backend."""
-        if node_id not in self.adjacency:
+        if not 0 <= node_id < self._num_nodes:
             raise SimulationError(f"unknown node {node_id}")
         # Settle the energy ledger first: rx bytes banked while the node
         # was alive must still be charged to it.
@@ -728,11 +711,7 @@ class BulkFluidTransport(FluidTransport):
         # Node id -> contention cell, as an array for the bulk path, and
         # kind -> nodes with a handler for it (a kind nobody handles
         # skips the dispatch pass and may be logged).
-        self._cell_of = np.fromiter(
-            (self._tx_cell[node] for node in range(num_nodes)),
-            dtype=np.int64,
-            count=num_nodes,
-        )
+        self._cell_of = np.array(self._tx_cell, dtype=np.int64)
         self._handler_count: Counter[str] = Counter()
         self._flush_horizon = -math.inf
         self._tick_s = self.params.bulk_tick_s
@@ -757,7 +736,7 @@ class BulkFluidTransport(FluidTransport):
 
     def _transmit(self, packet: Packet) -> None:
         src = packet.src
-        if src not in self.adjacency:
+        if not 0 <= src < self._num_nodes:
             raise SimulationError(f"unknown source node {src}")
         if src in self._dead:
             # Same contract as the per-frame paths: a crashed radio keys
@@ -1259,19 +1238,20 @@ class BulkFluidTransport(FluidTransport):
         node_id: int,
         listener: OverhearListener,
         kinds: Optional[Sequence[str]] = None,
-    ) -> None:
+    ) -> OverhearListener:
         self._settle()
-        super().register_overhear(node_id, listener, kinds)
+        listener = super().register_overhear(node_id, listener, kinds)
         if kinds is None:
             self._wild_mask[node_id] = True
         else:
             for kind in kinds:
                 self._kind_mask_cache.pop(kind, None)
+        return listener
 
-    def clear_overhear(self, node_id: int) -> None:
+    def remove_overhear(self, node_id: int, listener: OverhearListener) -> None:
         self._settle()
-        super().clear_overhear(node_id)
-        self._wild_mask[node_id] = False
+        super().remove_overhear(node_id, listener)
+        self._wild_mask[node_id] = node_id in self._wild_overhear
         self._kind_mask_cache.clear()
 
     # -- lifecycle / accounting ----------------------------------------------------

@@ -45,12 +45,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.net.packet import Packet
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
+from repro.topology.graphs import LinkGraph
 
 #: One reception of a frame: ``(propagation delay, seq offset, receiver)``.
 DeliveryEntry = Tuple[float, int, int]
@@ -126,55 +127,48 @@ class MediumStats:
 
 
 class WirelessMedium:
-    """Shared broadcast channel over a fixed adjacency.
+    """Shared broadcast channel over a fixed link graph.
 
     Parameters
     ----------
     sim:
         Event kernel.
-    adjacency:
-        Unit-disk adjacency lists (node id -> in-range node ids), normally
-        from :func:`repro.topology.graphs.neighbors_within_range`. Interned
-        as tuples at construction; the topology must not change afterwards.
+    links:
+        The unit-disk link graph (normally :attr:`Deployment.links`): its
+        rows are the in-range node ids of each node, and its length
+        column gives the propagation delay and edge fading of each link.
+        The topology must not change afterwards.
     radio:
         Physical-layer parameters.
-    distances:
-        Pairwise distance lookup ``(a, b) -> meters`` for the propagation
-        delay and edge fading. Must be a *pure* function of the (fixed)
-        pair — results are cached per sender.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        adjacency: Mapping[int, Sequence[int]],
+        links: LinkGraph,
         radio: RadioParams,
-        distances: Callable[[int, int], float],
     ) -> None:
         self._sim = sim
         self._trace = sim.trace
-        self._adjacency: Dict[int, Tuple[int, ...]] = {
-            node: tuple(neighbors) for node, neighbors in adjacency.items()
-        }
-        self._neighbor_sets: Dict[int, frozenset] = {
-            node: frozenset(neighbors)
-            for node, neighbors in self._adjacency.items()
-        }
+        self._adjacency: List[Tuple[int, ...]] = links.rows
+        num_nodes = len(self._adjacency)
+        self._neighbor_sets: List[frozenset] = [
+            frozenset(neighbors) for neighbors in self._adjacency
+        ]
         self._radio = radio
-        self._distances = distances
-        #: sender -> (receiver -> meters), lazily filled; geometry is fixed.
-        self._distance_cache: Dict[int, Dict[int, float]] = {}
+        #: Edge ``links.indptr[s] + p`` is position ``p`` of sender ``s``'s
+        #: row; both columns are read one plain Python number at a time.
+        self._row_start = memoryview(links.indptr)
+        self._lengths = memoryview(links.lengths)
         #: sender -> ``(entries, min_gap)``, see :meth:`_delivery_order`.
         self._order_cache: Dict[int, Tuple[Tuple[DeliveryEntry, ...], float]] = {}
         self._sweep: Optional[Callable[..., None]] = None
         #: node -> number of in-flight transmissions audible there. The
         #: O(1) replacement for a per-node set of transmission objects.
-        self._audible_count: Dict[int, int] = {node: 0 for node in self._adjacency}
+        self._audible_count: List[int] = [0] * num_nodes
         #: All in-flight transmissions (tiny under CSMA: usually 0 or 1).
         self._active: List[_Transmission] = []
-        self._transmitting: Dict[int, Optional[_Transmission]] = {
-            node: None for node in self._adjacency
-        }
+        self._transmitting: List[Optional[_Transmission]] = [None] * num_nodes
         self._loss_rng = sim.rng.stream("medium.ambient_loss")
         self._dead: Set[int] = set()
         #: True when the channel can lose otherwise-clean frames — gates
@@ -201,17 +195,12 @@ class WirelessMedium:
         ``stats.deliveries``. Distance-zero arrivals come as direct calls."""
         self._sweep = sweep
 
-    def neighbors(self, node_id: int) -> Tuple[int, ...]:
-        """Node ids within radio range of ``node_id`` (immutable tuple —
-        callers on per-frame paths must not expect a fresh copy)."""
-        return self._adjacency[node_id]
-
     def kill_node(self, node_id: int) -> None:
         """Crash-stop ``node_id``: it transmits nothing and receives
         nothing from now on, not even a frame already on its way to it
         (fail-silent model). In-flight frames it already sent still
         propagate — the radio wave is out there."""
-        if node_id not in self._adjacency:
+        if not 0 <= node_id < len(self._adjacency):
             raise SimulationError(f"unknown node {node_id}")
         self._dead.add(node_id)
         if self._trace.on:
@@ -236,7 +225,7 @@ class WirelessMedium:
         the medium faithfully corrupts whatever overlaps.
         """
         adjacency = self._adjacency
-        if sender not in adjacency:
+        if not 0 <= sender < len(adjacency):
             raise SimulationError(f"unknown sender {sender}")
         if sender in self._dead:
             return  # crashed radios stay silent
@@ -309,8 +298,9 @@ class WirelessMedium:
                     # Reference pass. The receivers the frame reaches
                     # take consecutive seq offsets in adjacency order.
                     offsets: Dict[int, int] = {}
+                    start = self._row_start[tx.sender]
                     for position, receiver in enumerate(receivers):
-                        if self._finish_reception(tx, receiver):
+                        if self._finish_reception(tx, receiver, start + position):
                             offsets[position] = len(offsets)
                     entries = [
                         (d, offsets[p], r) for d, p, r in entries if p in offsets
@@ -323,12 +313,12 @@ class WirelessMedium:
         # strictly in adjacency order, the overlap counter decremented
         # *before* each delivery, so a re-entrant transmit out of a
         # delivery callback sees the per-receiver channel state.
-        for receiver in receivers:
+        for edge, receiver in enumerate(receivers, self._row_start[tx.sender]):
             counts[receiver] -= 1
-            if not self._finish_reception(tx, receiver):
+            if not self._finish_reception(tx, receiver, edge):
                 continue
-            distance = self._distance_row(tx.sender, receivers)[receiver]
-            entry = ((self._radio.propagation_delay(distance), 0, receiver),)
+            delay = self._radio.propagation_delay(self._lengths[edge])
+            entry = ((delay, 0, receiver),)
             if entry[0][0] > 0:
                 self._propagate(tx.packet, entry, math.inf)
             else:
@@ -351,17 +341,6 @@ class WirelessMedium:
         args = (packet, now, entries, first, 0)
         sim.schedule_at(now + delay, self._sweep, args, first + offset)
 
-    def _distance_row(
-        self, sender: int, receivers: Tuple[int, ...]
-    ) -> Dict[int, float]:
-        """Cached ``receiver -> meters`` for ``sender`` (fixed geometry)."""
-        row = self._distance_cache.get(sender)
-        if row is None:
-            distances = self._distances
-            row = {receiver: distances(sender, receiver) for receiver in receivers}
-            self._distance_cache[sender] = row
-        return row
-
     def _delivery_order(
         self, sender: int, receivers: Tuple[int, ...]
     ) -> Tuple[Tuple[DeliveryEntry, ...], float]:
@@ -372,18 +351,22 @@ class WirelessMedium:
         row = self._order_cache.get(sender)
         if row is None:
             delay = self._radio.propagation_delay
-            dist_row = self._distance_row(sender, receivers)
+            lengths = self._lengths
+            start = self._row_start[sender]
             entries = tuple(
-                sorted((delay(dist_row[r]), p, r) for p, r in enumerate(receivers))
+                sorted(
+                    (delay(lengths[start + p]), p, r) for p, r in enumerate(receivers)
+                )
             )
             gaps = [b[0] - a[0] for a, b in zip(entries, entries[1:]) if b[0] > a[0]]
             row = (entries, min(gaps, default=math.inf))
             self._order_cache[sender] = row
         return row
 
-    def _finish_reception(self, tx: _Transmission, receiver: int) -> bool:
-        """Count and trace ``tx``'s fate at ``receiver``; True if a live
-        receiver gets the frame (delivering it is the caller's job)."""
+    def _finish_reception(self, tx: _Transmission, receiver: int, edge: int) -> bool:
+        """Count and trace ``tx``'s fate at ``receiver``, over link
+        ``edge``; True if a live receiver gets the frame (delivering it
+        is the caller's job)."""
         # A crashed receiver observes nothing: its losses must not enter
         # MediumStats (collision/loss rates are per *live* radio). The
         # ambient-loss coin is still flipped below so the shared RNG
@@ -413,9 +396,8 @@ class WirelessMedium:
         radio = self._radio
         loss_probability = radio.ambient_loss
         if radio.edge_fading > 0:
-            row = self._distance_row(tx.sender, self._adjacency[tx.sender])
             loss_probability = 1.0 - (1.0 - loss_probability) * (
-                1.0 - radio.fading_loss_probability(row[receiver])
+                1.0 - radio.fading_loss_probability(self._lengths[edge])
             )
         if loss_probability > 0 and self._loss_rng.random() < loss_probability:
             if dead:

@@ -35,10 +35,9 @@ from repro.net.mac import CsmaMac, MacParams
 from repro.net.medium import DeliveryEntry, WirelessMedium
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
-from repro.net.transport import OverhearListener, PacketHandler
+from repro.net.transport import OverhearListener, PacketHandler, drop_listener
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import Deployment
-from repro.topology.graphs import neighbors_within_range
 
 
 class NetworkStack:
@@ -74,19 +73,13 @@ class NetworkStack:
             )
         self.counters = MessageCounters()
         self.energy = EnergyModel()
-        # Interned as tuples once: per-frame callers (clustering, share
-        # exchange, witness selection) read these thousands of times and
-        # must never pay for — or rely on — a fresh copy.
-        self.adjacency: Dict[int, Tuple[int, ...]] = {
-            node: tuple(neighbors)
-            for node, neighbors in neighbors_within_range(deployment).items()
-        }
-        self.medium = WirelessMedium(
-            sim,
-            self.adjacency,
-            self.radio,
-            distances=deployment.distance,
-        )
+        # The deployment's shared neighbor tuples (node id -> tuple):
+        # per-frame callers (clustering, share exchange, witness
+        # selection) read these thousands of times and must never pay
+        # for — or rely on — a fresh copy.
+        links = deployment.links
+        self.adjacency: List[Tuple[int, ...]] = links.rows
+        self.medium = WirelessMedium(sim, links, self.radio)
         self.macs: Dict[int, CsmaMac] = {}
         params = MacParams()
         for node_id in range(deployment.num_nodes):
@@ -288,8 +281,9 @@ class NetworkStack:
         node_id: int,
         listener: OverhearListener,
         kinds: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Attach a promiscuous listener at ``node_id`` (sees all frames).
+    ) -> OverhearListener:
+        """Attach a promiscuous listener at ``node_id`` (sees all frames);
+        returns ``listener``, for :meth:`remove_overhear`.
 
         ``kinds`` is a filter *hint*: the radio still hears every frame
         (the physical medium cannot pre-filter), but listener *dispatch*
@@ -299,20 +293,22 @@ class NetworkStack:
         themselves; the hint never changes what a listener can observe,
         only spares the no-op calls.
         """
-        if node_id not in self.adjacency:
+        if not 0 <= node_id < len(self.adjacency):
             raise KeyError(node_id)
         if kinds is None:
             self._wild_overhear.setdefault(node_id, []).append(listener)
-            return
+            return listener
         for kind in kinds:
             by_node = self._kind_overhear.setdefault(kind, {})
             by_node.setdefault(node_id, []).append(listener)
+        return listener
 
-    def clear_overhear(self, node_id: int) -> None:
-        """Remove every promiscuous listener at ``node_id``."""
-        self._wild_overhear.pop(node_id, None)
+    def remove_overhear(self, node_id: int, listener: OverhearListener) -> None:
+        """Detach ``listener`` from ``node_id`` (every kind it was
+        registered for); every other listener stays."""
+        drop_listener(self._wild_overhear, node_id, listener)
         for by_node in self._kind_overhear.values():
-            by_node.pop(node_id, None)
+            drop_listener(by_node, node_id, listener)
 
     def node_ids(self) -> Iterable[int]:
         """All node ids in ascending order (the iteration order every

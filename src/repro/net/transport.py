@@ -25,7 +25,9 @@ from __future__ import annotations
 from typing import (
     Any,
     Callable,
+    Dict,
     Iterable,
+    List,
     Mapping,
     Optional,
     Protocol,
@@ -42,6 +44,20 @@ PacketHandler = Callable[[int, Packet], None]
 #: Listener signature for promiscuous (overheard) frames:
 #: ``listener(node_id, packet)``, called with the overhearing node's id.
 OverhearListener = Callable[[int, Packet], None]
+
+
+def drop_listener(
+    by_node: Dict[int, List[OverhearListener]],
+    node_id: int,
+    listener: OverhearListener,
+) -> int:
+    """Remove ``listener`` from ``by_node[node_id]``, dropping the entry
+    once it is empty; returns how many registrations went."""
+    listeners = by_node.pop(node_id, [])
+    kept = [other for other in listeners if other != listener]
+    if kept:
+        by_node[node_id] = kept
+    return len(listeners) - len(kept)
 
 
 class SimulatorLike(Protocol):
@@ -189,9 +205,13 @@ class Transport(Protocol):
         node_id: int,
         listener: OverhearListener,
         kinds: Optional[Sequence[str]] = None,
-    ) -> None: ...
+    ) -> OverhearListener:
+        """Attach ``listener``; returns it as stored, for :meth:`remove_overhear`."""
+        ...
 
-    def clear_overhear(self, node_id: int) -> None: ...
+    def remove_overhear(self, node_id: int, listener: OverhearListener) -> None:
+        """Detach ``listener`` from ``node_id``; other listeners stay."""
+        ...
 
     # -- lifecycle / accounting ----------------------------------------------
 

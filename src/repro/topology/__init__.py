@@ -2,19 +2,15 @@
 
 The paper family evaluates on nodes uniformly deployed over a 400 m ×
 400 m field with a 50 m radio range. This subpackage generates such
-deployments, derives the unit-disk connectivity graph, and computes the
+deployments, derives the unit-disk link graph (one CSR table per
+deployment, :attr:`Deployment.links`), and computes the
 density statistics the evaluation tables report (average degree vs node
 count).
 """
 
 from repro.topology.deploy import Deployment, uniform_deployment
-from repro.topology.graphs import (
-    connectivity_graph,
-    largest_component,
-    neighbors_within_range,
-)
+from repro.topology.graphs import LinkGraph
 from repro.topology.spatial import (
-    adjacency_from_pairs,
     compact_cell_ids,
     neighbor_pairs,
     pair_lengths,
@@ -22,14 +18,11 @@ from repro.topology.spatial import (
 from repro.topology.stats import DensityStats
 
 __all__ = [
-    "adjacency_from_pairs",
     "compact_cell_ids",
     "neighbor_pairs",
     "pair_lengths",
     "Deployment",
     "uniform_deployment",
-    "connectivity_graph",
-    "neighbors_within_range",
-    "largest_component",
+    "LinkGraph",
     "DensityStats",
 ]

@@ -10,11 +10,13 @@ generator places it elsewhere explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import DeploymentError
+from repro.topology.graphs import LinkGraph
 
 #: Default field edge (meters), matching the paper family's setup.
 DEFAULT_FIELD_SIZE = 400.0
@@ -72,15 +74,12 @@ class Deployment:
         """Node id of the base station (always 0)."""
         return BASE_STATION_ID
 
-    def position(self, node_id: int) -> Tuple[float, float]:
-        """Coordinates of ``node_id`` as a tuple."""
-        x, y = self.positions[node_id]
-        return (float(x), float(y))
-
-    def distance(self, a: int, b: int) -> float:
-        """Euclidean distance between nodes ``a`` and ``b`` in meters."""
-        diff = self.positions[a] - self.positions[b]
-        return float(np.hypot(diff[0], diff[1]))
+    @cached_property
+    def links(self) -> LinkGraph:
+        """The unit-disk link graph, built on first use and shared by
+        every transport, medium and statistic on this deployment (the
+        geometry is frozen, so it never goes stale)."""
+        return LinkGraph.build(self.positions, self.radio_range)
 
     def expected_degree(self) -> float:
         """Analytic mean degree ``N * pi * r^2 / A`` ignoring edge effects."""

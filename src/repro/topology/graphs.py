@@ -1,57 +1,87 @@
-"""Connectivity-graph construction.
+"""The unit-disk link graph of a deployment, as one CSR table.
 
-Converts a geometric :class:`~repro.topology.deploy.Deployment` into the
-unit-disk graph the protocols run on (the *distributed* tree
-construction lives in :mod:`repro.aggregation.tree` and runs on the
-simulator).
+The DES medium's delay and fading rows, both fluid transports' loss
+columns, the neighbor tuples the protocol phases iterate and the density
+statistics all read the one :class:`LinkGraph` a deployment builds on
+first use (:attr:`Deployment.links`). The *distributed* tree
+construction lives in :mod:`repro.aggregation.tree`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Tuple
 
-import networkx as nx
+import numpy as np
 
-from repro.topology.deploy import Deployment
-from repro.topology.spatial import (
-    adjacency_from_pairs,
-    neighbor_pairs,
-    pair_lengths,
-)
+from repro.topology.spatial import neighbor_pairs, pair_lengths
 
 
-def neighbors_within_range(deployment: Deployment) -> Dict[int, List[int]]:
-    """Adjacency lists of the unit-disk graph, via the grid-bucketed
-    spatial index (:mod:`repro.topology.spatial`).
+@dataclass(frozen=True)
+class LinkGraph:
+    """Symmetric unit-disk graph in compressed sparse row form.
 
-    Returns a dict mapping each node id to the sorted list of node ids
-    within radio range (excluding itself).
+    Row ``i`` spans ``indices[indptr[i]:indptr[i + 1]]``, node ``i``'s
+    neighbors in ascending id order (``indptr`` int64, ``indices``
+    int32). ``lengths`` (float64, aligned with ``indices``) is each
+    edge's Euclidean length: ``hypot`` of its ends' coordinate
+    differences, the same float in either direction.
     """
-    pairs = neighbor_pairs(deployment.positions, deployment.radio_range)
-    return adjacency_from_pairs(pairs, deployment.num_nodes)
 
+    indptr: np.ndarray
+    indices: np.ndarray
+    lengths: np.ndarray
 
-def connectivity_graph(deployment: Deployment) -> nx.Graph:
-    """The unit-disk graph as a :class:`networkx.Graph`.
+    @classmethod
+    def build(cls, positions: np.ndarray, radius: float) -> "LinkGraph":
+        """The graph of ``positions`` under the closed-ball predicate
+        ``dist <= radius`` (see :func:`~repro.topology.spatial.neighbor_pairs`)."""
+        pairs = neighbor_pairs(positions, radius)
+        lengths = pair_lengths(positions, pairs)
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(len(positions) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(positions)), out=indptr[1:])
+        return cls(
+            indptr=indptr,
+            indices=dst[order].astype(np.int32),
+            lengths=np.concatenate([lengths, lengths])[order],
+        )
 
-    Nodes carry a ``pos`` attribute; edges carry their Euclidean
-    ``length``. Edge discovery and the length column are both computed
-    as whole-array operations — no per-pair distance calls.
-    """
-    graph = nx.Graph()
-    for node in range(deployment.num_nodes):
-        graph.add_node(node, pos=deployment.position(node))
-    pairs = neighbor_pairs(deployment.positions, deployment.radio_range)
-    lengths = pair_lengths(deployment.positions, pairs)
-    graph.add_edges_from(
-        (int(a), int(b), {"length": float(length)})
-        for (a, b), length in zip(pairs, lengths)
-    )
-    return graph
+    def degrees(self) -> np.ndarray:
+        """Neighbor count per node (int64)."""
+        return np.diff(self.indptr)
 
+    @cached_property
+    def rows(self) -> List[Tuple[int, ...]]:
+        """Node id -> neighbor tuple of Python ints, for the per-frame
+        paths. Built in one pass; every row refers to one ``int`` object
+        per node id, so a row costs a pointer per edge."""
+        ids = np.arange(len(self.indptr) - 1).astype(object)
+        flat = ids[self.indices].tolist()
+        bounds = self.indptr.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-def largest_component(graph: nx.Graph) -> Set[int]:
-    """Node set of the largest connected component."""
-    if graph.number_of_nodes() == 0:
-        return set()
-    return set(max(nx.connected_components(graph), key=len))
+    def largest_component_size(self) -> int:
+        """Node count of the largest connected component, by breadth-first
+        search over the CSR, one whole frontier per step."""
+        indptr, indices = self.indptr, self.indices
+        seen = np.zeros(len(indptr) - 1, dtype=bool)
+        largest = int(seen.size > 0)  # an isolated node is a component
+        for seed in np.flatnonzero(self.degrees()).tolist():
+            if seen[seed]:
+                continue
+            seen[seed] = True
+            frontier, size = np.array([seed]), 1
+            while frontier.size:
+                starts = indptr[frontier]
+                counts = indptr[frontier + 1] - starts
+                first = np.repeat(starts - np.cumsum(counts) + counts, counts)
+                reached = indices[first + np.arange(first.size)]
+                frontier = np.unique(reached[~seen[reached]])
+                seen[frontier] = True
+                size += frontier.size
+            largest = max(largest, size)
+        return largest

@@ -11,14 +11,13 @@ cross-products, the distance predicate) rather than per-pair Python.
 
 The distance predicate is the *closed* ball ``dx² + dy² <= r²``,
 evaluated in double precision exactly like ``scipy.spatial.cKDTree
-.query_pairs`` — callers that previously used the KD-tree (the
-connectivity graph, hence every golden-traced DES run) see the exact
-same edge set.
+.query_pairs`` — callers that previously used the KD-tree (the link
+graph, hence every golden-traced DES run) see the exact same edge set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -140,24 +139,6 @@ def pair_lengths(positions: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=float)
     delta = positions[pairs[:, 0]] - positions[pairs[:, 1]]
     return np.hypot(delta[:, 0], delta[:, 1])
-
-
-def adjacency_from_pairs(
-    pairs: np.ndarray, num_nodes: int
-) -> Dict[int, List[int]]:
-    """Symmetric adjacency dict (node -> sorted neighbor list) from an
-    (i < j) pair array; every node gets an entry, isolated nodes an
-    empty list."""
-    if len(pairs) == 0:
-        return {node: [] for node in range(num_nodes)}
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    counts = np.bincount(src, minlength=num_nodes)
-    chunks = np.split(dst, np.cumsum(counts)[:-1])
-    return {node: chunk.tolist() for node, chunk in enumerate(chunks)}
 
 
 def compact_cell_ids(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.topology.deploy import Deployment
-from repro.topology.graphs import connectivity_graph, largest_component
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,17 @@ class DensityStats:
 
 
 def density_stats(deployment: Deployment) -> DensityStats:
-    """Compute :class:`DensityStats` for one deployment."""
-    graph = connectivity_graph(deployment)
-    degrees = [d for _, d in graph.degree()]
-    lcc = largest_component(graph)
+    """Compute :class:`DensityStats` for one deployment, from its link
+    graph (:attr:`Deployment.links`)."""
+    links = deployment.links
+    degrees = links.degrees()
     return DensityStats(
         num_nodes=deployment.num_nodes,
-        mean_degree=float(np.mean(degrees)) if degrees else 0.0,
-        min_degree=int(min(degrees)) if degrees else 0,
-        max_degree=int(max(degrees)) if degrees else 0,
-        isolated_nodes=sum(1 for d in degrees if d == 0),
-        largest_component_fraction=len(lcc) / deployment.num_nodes,
+        mean_degree=float(np.mean(degrees)),
+        min_degree=int(degrees.min()),
+        max_degree=int(degrees.max()),
+        isolated_nodes=int(np.count_nonzero(degrees == 0)),
+        largest_component_fraction=(
+            links.largest_component_size() / deployment.num_nodes
+        ),
     )

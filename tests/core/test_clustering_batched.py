@@ -26,7 +26,6 @@ from repro.core.clustering_batched import BatchedClusterFormation
 from repro.core.config import IcpdaConfig
 from repro.errors import ConfigError
 from repro.topology.deploy import uniform_deployment
-from repro.topology.graphs import neighbors_within_range
 from tests.net.loopback import FakeSim, LoopbackTransport, grid_topology
 
 #: Geometric random topologies dense enough to stay connected.
@@ -38,7 +37,7 @@ def _random_adjacency(seed: int, num_nodes: int = 48):
     deployment = uniform_deployment(
         num_nodes, field_size=220.0, radio_range=62.0, rng=rng
     )
-    return neighbors_within_range(deployment)
+    return dict(enumerate(deployment.links.rows))
 
 
 def _run_formation(cfg: IcpdaConfig, adjacency, seed: int):

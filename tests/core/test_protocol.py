@@ -145,3 +145,33 @@ class TestTreeMaintenance:
         protocol.rebuild_tree()
         result = protocol.run_round(readings_for(deployment))
         assert result.verdict.accepted
+
+
+class TestOutsideListeners:
+    """The protocol detaches only the overhear listeners its own phases
+    attached; a listener attached from outside (a monitor, an
+    eavesdropper) keeps hearing every round."""
+
+    @pytest.mark.parametrize("transport", ["des", "fluid", "fluid-bulk"])
+    def test_outside_wildcard_listener_fires_in_round_two(
+        self, deployment, transport
+    ):
+        protocol = IcpdaProtocol(
+            deployment, IcpdaConfig(engine="scalar"), seed=3, transport=transport
+        )
+        heard = []
+        eavesdropper = 5
+        protocol.stack.register_overhear(
+            eavesdropper, lambda node, packet: heard.append(node)
+        )
+        protocol.setup()
+        protocol.run_round(readings_for(deployment), round_id=0)
+        after_first = len(heard)
+        protocol.run_round(readings_for(deployment), round_id=1)
+        assert after_first > 0
+        assert len(heard) > after_first
+        assert set(heard) == {eavesdropper}
+        # The phases' own listeners do not pile up across rounds: one
+        # round's worth is attached, at most one per node and kind.
+        for by_node in protocol.stack._kind_overhear.values():
+            assert all(len(listeners) == 1 for listeners in by_node.values())

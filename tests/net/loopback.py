@@ -282,14 +282,19 @@ class LoopbackTransport:
         node_id: int,
         listener: OverhearListener,
         kinds: Optional[Sequence[str]] = None,
-    ) -> None:
+    ) -> OverhearListener:
         entry = _Overhear(
             listener, frozenset(kinds) if kinds is not None else None
         )
         self._overhear.setdefault(node_id, []).append(entry)
+        return listener
 
-    def clear_overhear(self, node_id: int) -> None:
-        self._overhear.pop(node_id, None)
+    def remove_overhear(self, node_id: int, listener: OverhearListener) -> None:
+        kept = [e for e in self._overhear.get(node_id, ()) if e.listener != listener]
+        if kept:
+            self._overhear[node_id] = kept
+        else:
+            self._overhear.pop(node_id, None)
 
     # -- lifecycle / accounting ------------------------------------------------
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from repro.net.medium import DeliveryEntry, WirelessMedium
 from repro.net.packet import Packet
 from repro.net.radio import RadioParams
 from repro.sim.kernel import Simulator
+from repro.topology.graphs import LinkGraph
 
 
 class SweepReceivers:
@@ -49,6 +52,15 @@ def zero_distance_medium(
     sim: Simulator, adjacency: Mapping[int, Sequence[int]], radio: RadioParams
 ) -> Tuple[WirelessMedium, SweepReceivers]:
     """A medium over ``adjacency`` where every pair is zero meters apart,
-    and the receivers object its frames are delivered through."""
-    medium = WirelessMedium(sim, adjacency, radio, distances=lambda a, b: 0.0)
+    and the receivers object its frames are delivered through. Ids
+    missing from ``adjacency`` below its largest become isolated nodes;
+    rows keep their given order."""
+    rows = [tuple(adjacency.get(node, ())) for node in range(max(adjacency) + 1)]
+    indices = np.array([peer for row in rows for peer in row], dtype=np.int32)
+    links = LinkGraph(
+        indptr=np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
+        indices=indices,
+        lengths=np.zeros(len(indices)),
+    )
+    medium = WirelessMedium(sim, links, radio)
     return medium, SweepReceivers(medium)

@@ -83,7 +83,7 @@ def test_kind_scoped_overhear_filters_unicasts():
     witness = stack.neighbors(src)[-1]
     assert witness != dst
     overheard = []
-    stack.register_overhear(
+    listener = stack.register_overhear(
         witness, lambda _node, p: overheard.append(p), kinds=("report",)
     )
     stack.send(src, dst, "report", {"v": 1})
@@ -91,7 +91,7 @@ def test_kind_scoped_overhear_filters_unicasts():
     stack.sim.run()
     kinds = {p.kind for p in overheard}
     assert "report" in kinds and "share" not in kinds
-    stack.clear_overhear(witness)
+    stack.remove_overhear(witness, listener)
     stack.send(src, dst, "report", {"v": 3})
     stack.sim.run()
     assert len([p for p in overheard if p.kind == "report"]) == 1

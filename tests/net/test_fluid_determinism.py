@@ -83,23 +83,14 @@ GOLDEN = {
 
 
 def _attach_wildcard(protocol: IcpdaProtocol, heard: list) -> None:
-    """Put a wildcard listener on every eavesdropper, re-attached after
-    the per-round listener reset so it hears the whole round."""
-    stack = protocol.stack
+    """Put a wildcard listener on every eavesdropper; the protocol
+    detaches only its own listeners, so it hears both rounds."""
 
     def listener(node: int, packet) -> None:
         heard.append((node, packet.src, packet.dst, packet.kind))
 
-    clear = stack.clear_overhear
-
-    def clear_and_reattach(node_id: int) -> None:
-        clear(node_id)
-        if node_id in EAVESDROPPERS:
-            stack.register_overhear(node_id, listener)
-
-    stack.clear_overhear = clear_and_reattach
     for node in sorted(EAVESDROPPERS):
-        stack.register_overhear(node, listener)
+        protocol.stack.register_overhear(node, listener)
 
 
 def _run(case: str) -> dict:

@@ -88,12 +88,14 @@ class TestOverhearing:
         deliver(stack, 2)
         assert len(a) == 1 and len(b) == 1
 
-    def test_clear_overhear(self, stack):
-        heard = []
-        stack.register_overhear(1, lambda _node, p: heard.append(p))
-        stack.clear_overhear(1)
+    def test_remove_overhear(self, stack):
+        heard, kept = [], []
+        listener = stack.register_overhear(1, lambda _node, p: heard.append(p))
+        stack.register_overhear(1, lambda _node, p: kept.append(p))
+        stack.remove_overhear(1, listener)
         deliver(stack, 2)
         assert heard == []
+        assert len(kept) == 1
 
     def test_overhear_runs_before_handler(self, stack):
         order = []

@@ -48,9 +48,7 @@ SEAM_KINDS = ("des", "fluid", "fluid-bulk", "loopback")
 def _seam_transport(kind, deployment):
     """A fresh transport of ``kind`` over ``deployment``."""
     if kind == "loopback":
-        from repro.topology.graphs import neighbors_within_range
-
-        return LoopbackTransport(neighbors_within_range(deployment))
+        return LoopbackTransport(dict(enumerate(deployment.links.rows)))
     from repro.sim.kernel import Simulator
 
     return create_transport(kind, Simulator(seed=1), deployment)

@@ -10,7 +10,8 @@ its inputs, one value at a time.
 
 :func:`fluid_loss_row` is the fluid channel's per-link loss law worked
 out one sender at a time, to check the transports' whole-graph link
-table against.
+table against; :func:`scalar_distance` is one node pair's length, to
+check the link graph's length column against.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ import numpy as np
 
 from repro.core.field import PrimeField
 from repro.errors import FieldArithmeticError
+
+
+def scalar_distance(deployment: Any, a: int, b: int) -> float:
+    """Euclidean distance between nodes ``a`` and ``b`` in meters, one
+    pair at a time (the per-pair lookup the DES medium once cached)."""
+    diff = deployment.positions[a] - deployment.positions[b]
+    return float(np.hypot(diff[0], diff[1]))
 
 
 def encode_signed(field: PrimeField, value: int) -> int:

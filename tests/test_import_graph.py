@@ -185,19 +185,6 @@ ALLOWED_UNREFERENCED = {
 #: Defaulted parameters kept although no caller outside tests passes
 #: them: ``"qualname(parameter)"`` -> reason.
 ALLOWED_UNSET = {
-    "ClusterFormation.__init__(round_id)": (
-        "IcpdaProtocol.run_round passes it through formation_cls, a name "
-        "calls cannot be matched by"
-    ),
-    "BatchedClusterFormation.__init__(round_id)": (
-        "IcpdaProtocol.run_round passes it through formation_cls"
-    ),
-    "ReportAndVerdictPhase.__init__(attack_plan)": (
-        "IcpdaProtocol.run_round passes it through report_cls"
-    ),
-    "ReportAndVerdictPhase.__init__(round_id)": (
-        "IcpdaProtocol.run_round passes it through report_cls"
-    ),
     "IcpdaProtocol.__init__(trace)": (
         "Traced rounds are the byte-identity reference of "
         "tests/net/test_hotpath_determinism.py"

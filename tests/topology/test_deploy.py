@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import DeploymentError
 from repro.topology.deploy import Deployment, uniform_deployment
-from repro.topology.graphs import neighbors_within_range
 
 
 class TestDeployment:
@@ -15,12 +14,17 @@ class TestDeployment:
             deployment.positions[0, 0] = 5.0
 
     def test_distance_symmetric(self, rng):
-        deployment = uniform_deployment(10, rng=rng)
-        assert deployment.distance(2, 7) == pytest.approx(deployment.distance(7, 2))
+        links = uniform_deployment(60, rng=rng).links
+        length = {}
+        for a, row in enumerate(links.rows):
+            for edge, b in enumerate(row, int(links.indptr[a])):
+                length[a, b] = links.lengths[edge]
+        assert length
+        assert all(length[a, b] == length[b, a] for a, b in length)
 
     def test_in_range_excludes_self(self, rng):
         deployment = uniform_deployment(10, rng=rng)
-        assert 3 not in neighbors_within_range(deployment)[3]
+        assert 3 not in deployment.links.rows[3]
 
     def test_base_station_is_node_zero(self, rng):
         deployment = uniform_deployment(10, rng=rng)
@@ -54,7 +58,7 @@ class TestUniform:
 
     def test_bs_pinned_at_center_by_default(self, rng):
         deployment = uniform_deployment(50, field_size=100.0, rng=rng)
-        assert deployment.position(0) == (50.0, 50.0)
+        assert deployment.positions[0].tolist() == [50.0, 50.0]
 
     def test_deterministic_under_seed(self):
         a = uniform_deployment(30, rng=np.random.default_rng(5)).positions

@@ -15,14 +15,14 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.topology.deploy import uniform_deployment
-from repro.topology.graphs import connectivity_graph, neighbors_within_range
+from repro.topology.graphs import LinkGraph
 from repro.topology.spatial import (
-    adjacency_from_pairs,
     compact_cell_ids,
     neighbor_pairs,
     pair_lengths,
 )
 from tests.layouts import grid_deployment, hotspot_deployment
+from tests.oracles import scalar_distance
 
 
 def _kdtree_pairs(positions: np.ndarray, radius: float) -> set:
@@ -89,28 +89,24 @@ class TestAdjacency:
     def test_matches_kdtree_reference(self) -> None:
         rng = np.random.default_rng(11)
         deployment = uniform_deployment(200, rng=rng)
-        reference: dict = {i: [] for i in range(deployment.num_nodes)}
+        reference: list = [[] for _ in range(deployment.num_nodes)]
         for a, b in _kdtree_pairs(
             deployment.positions, deployment.radio_range
         ):
             reference[a].append(b)
             reference[b].append(a)
-        for node in reference:
-            reference[node].sort()
-        assert neighbors_within_range(deployment) == reference
+        assert deployment.links.rows == [tuple(sorted(r)) for r in reference]
 
     def test_isolated_nodes_get_empty_lists(self) -> None:
         positions = np.asarray([(0.0, 0.0), (1.0, 0.0), (900.0, 900.0)])
-        adjacency = adjacency_from_pairs(neighbor_pairs(positions, 5.0), 3)
-        assert adjacency == {0: [1], 1: [0], 2: []}
+        assert LinkGraph.build(positions, 5.0).rows == [(1,), (0,), ()]
 
     def test_neighbor_ids_are_python_ints(self) -> None:
         """Protocol code sends node ids in payloads; numpy scalars would
         change payload sizes and trace hashes."""
         rng = np.random.default_rng(2)
         deployment = uniform_deployment(40, rng=rng)
-        adjacency = neighbors_within_range(deployment)
-        for neighbors in adjacency.values():
+        for neighbors in deployment.links.rows:
             assert all(type(n) is int for n in neighbors)
 
 
@@ -118,11 +114,11 @@ class TestConnectivityGraph:
     def test_lengths_match_scalar_distance(self) -> None:
         rng = np.random.default_rng(5)
         deployment = uniform_deployment(120, rng=rng)
-        graph = connectivity_graph(deployment)
-        for a, b, data in graph.edges(data=True):
-            assert data["length"] == deployment.distance(a, b)
         pairs = neighbor_pairs(deployment.positions, deployment.radio_range)
-        assert graph.number_of_edges() == len(pairs)
+        lengths = pair_lengths(deployment.positions, pairs)
+        for (a, b), length in zip(pairs.tolist(), lengths.tolist()):
+            assert length == scalar_distance(deployment, a, b)
+        assert len(deployment.links.indices) == 2 * len(pairs)
 
     def test_pair_lengths_empty(self) -> None:
         assert pair_lengths(
