@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Set
 
 from repro.core.intracluster import ExchangeResult
-from repro.metrics.privacy import DisclosureStats
 
 
 @dataclass(frozen=True)
@@ -82,14 +81,3 @@ class CollusionAnalysis:
         for verdict in self.cluster_verdicts():
             result |= verdict.victims
         return result
-
-    def stats(self) -> DisclosureStats:
-        """Disclosure statistics over honest participants."""
-        honest = 0
-        for state in self._exchange.states.values():
-            if not state.completed:
-                continue
-            honest += sum(
-                1 for p in state.participants if p not in self._colluders
-            )
-        return DisclosureStats.from_counts(len(self.victims()), honest)

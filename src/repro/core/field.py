@@ -75,22 +75,6 @@ class PrimeField:
 
     # -- canonical ops -------------------------------------------------------
 
-    def element(self, value: int) -> int:
-        """Reduce an arbitrary integer into ``[0, q)``."""
-        return value % self.q
-
-    def add(self, a: int, b: int) -> int:
-        """``a + b`` in the field."""
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        """``a - b`` in the field."""
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        """``a * b`` in the field."""
-        return (a * b) % self.q
-
     def inv_many(self, values: Sequence[int]) -> List[int]:
         """Inverses of several elements with one modular exponentiation
         (Montgomery's trick): invert the running product, then peel the
@@ -118,12 +102,6 @@ class PrimeField:
             inverses[i] = inv_running * prefix[i] % q
             inv_running = inv_running * reduced[i] % q
         return inverses
-
-    def power(self, a: int, k: int) -> int:
-        """``a ** k`` in the field (k >= 0)."""
-        if k < 0:
-            raise FieldArithmeticError(f"negative exponent {k}; use inv_many() first")
-        return pow(a % self.q, k, self.q)
 
     def sum(self, values: Iterable[int]) -> int:
         """Field sum of an iterable."""

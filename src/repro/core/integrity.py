@@ -124,29 +124,6 @@ class _Expectation:
     resolved: bool = False
 
 
-@dataclass
-class ReportPhaseOutcome:
-    """Raw products of the report phase, pre-verdict.
-
-    Attributes
-    ----------
-    totals:
-        Component sums accumulated at the base station.
-    contributors:
-        Contributor count accumulated at the base station.
-    reports_absorbed:
-        Cluster ids whose reports reached the base station (directly or
-        folded into another head's itemization).
-    alarms:
-        De-duplicated alarms received by the base station.
-    """
-
-    totals: Tuple[int, ...]
-    contributors: int
-    reports_absorbed: Set[int]
-    alarms: List[AlarmRecord]
-
-
 class ReportAndVerdictPhase:
     """Executes Phase IV and renders the verdict.
 
@@ -327,15 +304,6 @@ class ReportAndVerdictPhase:
         sim.run(until=phase_end)
 
         return self._verdict(true_value, total_sensors, sim.now - t0)
-
-    def outcome(self) -> ReportPhaseOutcome:
-        """Raw phase products (useful for tests and diagnostics)."""
-        return ReportPhaseOutcome(
-            totals=tuple(self._bs_totals),
-            contributors=self._bs_contributors,
-            reports_absorbed=set(self._bs_absorbed),
-            alarms=list(self._alarms.values()),
-        )
 
     # -- head sending ---------------------------------------------------------------
 

@@ -114,7 +114,6 @@ class IcpdaProtocol:
             linksec if linksec is not None else LinkSecurity(PairwiseKeyScheme())
         )
         self.attack_plan = attack_plan
-        self._aggregate_overridden = aggregate is not None
         if aggregate is not None:
             self.aggregate: AdditiveAggregate = aggregate
         else:
@@ -180,56 +179,18 @@ class IcpdaProtocol:
 
     # -- live reconfiguration ----------------------------------------------------
 
-    def apply_config(self, config: IcpdaConfig) -> None:
-        """Swap the protocol tunables on the *live* instance.
-
-        The point of this method is what it does **not** do: it keeps the
-        simulator clock, RNG streams, network stack, energy ledger, byte
-        counters, phase-byte ledger, and the Phase-I tree exactly as they
-        are. Long-lived deployments (the continuous-monitoring example,
-        :mod:`repro.service`) reconfigure between rounds — most commonly
-        to bar a localized polluter from the head role — and must never
-        pay for, or be reset by, a full protocol rebuild. The new config
-        takes effect at the next :meth:`run_round` (clustering re-reads
-        it every round).
-
-        A change of ``engine`` clears every addressed handler: the scalar
-        phases leave theirs registered after a round (each round
-        registers them afresh), and the batched engines' replayed frames
-        would otherwise run them. The tree's HELLO handlers are only
-        used inside :meth:`setup`, which registers them again.
-
-        If ``aggregate_name`` or ``fixed_point_scale`` changed, the
-        aggregate is rebuilt to match — unless a custom ``aggregate``
-        instance was supplied (at construction or via
-        :meth:`set_aggregate`), which always wins.
-        """
-        if not isinstance(config, IcpdaConfig):
-            raise ProtocolError(
-                f"apply_config needs an IcpdaConfig, got {type(config).__name__}"
-            )
-        rebuild_aggregate = not self._aggregate_overridden and (
-            config.aggregate_name != self.config.aggregate_name
-            or config.fixed_point_scale != self.config.fixed_point_scale
-        )
-        if config.engine != self.config.engine:
-            for node_id in self.stack.node_ids():
-                self.stack.clear_handlers(node_id)
-        self.config = config
-        if rebuild_aggregate:
-            codec = FixedPointCodec(scale=config.fixed_point_scale)
-            self.aggregate = make_aggregate(config.aggregate_name, codec)
-
     def exclude_heads(self, nodes) -> IcpdaConfig:
         """Bar ``nodes`` from the aggregator role on the live instance
         (merged with any existing exclusions); returns the new config.
 
-        This is the operator's response to a localized polluter. It is
-        an in-place :meth:`apply_config` — accumulated energy, bytes,
-        per-phase ledgers and RNG streams all survive, so cross-epoch
-        accounting stays truthful.
+        This is the operator's response to a localized polluter. Only
+        the config changes: the simulator clock, RNG streams, network
+        stack, energy ledger, byte counters, phase-byte ledger and the
+        Phase-I tree stay as they are, so cross-epoch accounting stays
+        truthful. Clustering re-reads the exclusions at the next
+        :meth:`run_round`.
         """
-        self.apply_config(self.config.with_excluded_heads(tuple(nodes)))
+        self.config = self.config.with_excluded_heads(tuple(nodes))
         return self.config
 
     def set_aggregate(self, aggregate: AdditiveAggregate) -> None:
@@ -237,12 +198,9 @@ class IcpdaProtocol:
 
         Takes effect at the next :meth:`run_round`. Used by the service
         layer to carry several batched queries through one round as a
-        :class:`~repro.aggregation.functions.CompositeAggregate`. Once
-        set, :meth:`apply_config` no longer rebuilds the aggregate from
-        ``aggregate_name``.
+        :class:`~repro.aggregation.functions.CompositeAggregate`.
         """
         self.aggregate = aggregate
-        self._aggregate_overridden = True
 
     # -- rounds -----------------------------------------------------------------
 

@@ -71,10 +71,6 @@ class ShareBundle(NamedTuple):
     eval_seed: int
     values: Tuple[int, ...]
 
-    def wire_size(self) -> int:
-        """Bytes on the wire: 8 per field element plus 2 for the seed."""
-        return 8 * len(self.values) + 2
-
 
 def generate_share_bundles(
     field: PrimeField,

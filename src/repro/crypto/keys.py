@@ -24,11 +24,6 @@ class Key:
 
     key_id: int
 
-    def wire_size(self) -> int:
-        """Keys are never sent in cleartext; referencing one costs 2 bytes
-        (a key index in a predistribution pool)."""
-        return 2
-
 
 class KeyRing:
     """The set of keys one principal holds.
@@ -49,10 +44,6 @@ class KeyRing:
     def add(self, key: Key) -> None:
         """Add one key to the ring."""
         self._keys.add(key)
-
-    def update(self, other: "KeyRing") -> None:
-        """Absorb every key from ``other`` (node-capture semantics)."""
-        self._keys |= other._keys
 
     def shared_with(self, other: "KeyRing") -> FrozenSet[Key]:
         """Keys present in both rings."""

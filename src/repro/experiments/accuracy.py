@@ -129,7 +129,7 @@ def aggregate_comparison_spec(
     """
     cells = tuple(CellSpec({"aggregate": name}, seed) for name in aggregates)
     return ExperimentSpec(
-        "F4-aggregates",
+        "T2",
         aggregate_comparison_cell,
         cells,
         lambda outcomes: [o.value for o in outcomes],

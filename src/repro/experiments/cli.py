@@ -47,7 +47,7 @@ SpecBuilder = Callable[[], ExperimentSpec]
 
 def _registry() -> Dict[str, Tuple[str, SpecBuilder, SpecBuilder]]:
     from repro.experiments.ablation import cluster_size_spec, witness_spec
-    from repro.experiments.accuracy import accuracy_spec
+    from repro.experiments.accuracy import accuracy_spec, aggregate_comparison_spec
     from repro.experiments.compare_schemes import compare_spec
     from repro.experiments.coverage import coverage_spec
     from repro.experiments.density import density_spec
@@ -68,6 +68,11 @@ def _registry() -> Dict[str, Tuple[str, SpecBuilder, SpecBuilder]]:
             "network size vs average degree",
             lambda: density_spec(),
             lambda: density_spec(sizes=(100, 200), trials=2),
+        ),
+        "T2": (
+            "every aggregate function through one round",
+            lambda: aggregate_comparison_spec(),
+            lambda: aggregate_comparison_spec(num_nodes=150),
         ),
         "F1": (
             "cluster coverage vs network size",

@@ -105,12 +105,6 @@ class _Columns:
                 self.add(kind, flat[0::2], 1, flat[1::2])
         return self
 
-    def clear(self) -> None:
-        self.rows.clear()
-        self.pending.clear()
-        self.messages.fill(0)
-        self.bytes.fill(0)
-
 
 class MessageCounters:
     """Accumulates transmit/receive totals for a protocol run.
@@ -210,9 +204,3 @@ class MessageCounters:
             "rx_messages": self.total_rx_messages,
             "rx_bytes": self.total_rx_bytes,
         }
-
-    def reset(self) -> None:
-        """Zero everything (in place: bound recorders stay valid)."""
-        self.before_read()
-        self._tx.clear()
-        self._rx.clear()

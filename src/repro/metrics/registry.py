@@ -3,7 +3,7 @@
 The paper's claims are all *measurements* — bytes on the air, collision
 rates, detection latency, node lifetime — but the instruments live in
 different layers (:class:`~repro.sim.kernel.KernelStats`,
-:class:`~repro.net.medium.MediumStats`,
+:class:`~repro.net.transport.MediumStats`,
 :class:`~repro.metrics.counters.MessageCounters`,
 :class:`~repro.net.energy.EnergyModel`, per-node MAC stats). A
 :class:`MetricsRegistry` gives them a single export surface: each

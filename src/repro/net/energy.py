@@ -85,7 +85,3 @@ class EnergyModel:
         total = sum(per_node.values())
         max_node = max(per_node.values()) if per_node else 0.0
         return EnergyReport(total_j=total, per_node_j=per_node, max_node_j=max_node)
-
-    def reset(self) -> None:
-        """Zero all counters (new round on the same network)."""
-        self._spent.clear()

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -62,7 +61,12 @@ from repro.metrics.counters import MessageCounters
 from repro.net.energy import EnergyModel
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
-from repro.net.transport import OverhearListener, PacketHandler, drop_listener
+from repro.net.transport import (
+    MediumStats,
+    OverhearListener,
+    PacketHandler,
+    drop_listener,
+)
 from repro.topology.spatial import compact_cell_ids
 
 #: One logged ``send_many`` call: (instant, kind, src, dst, size).
@@ -125,37 +129,6 @@ class FluidParams:
             raise SimulationError("bulk_tick_s must be > 0")
 
 
-@dataclass
-class FluidStats:
-    """Channel statistics, key-compatible with
-    :class:`~repro.net.medium.MediumStats` so dashboards and benchmarks
-    read either backend. Congestion losses land in ``collisions``;
-    ambient + fading losses in ``ambient_losses``; ``half_duplex_losses``
-    is always 0 (the model has no half-duplex effect)."""
-
-    transmissions: int = 0
-    deliveries: int = 0
-    collisions: int = 0
-    ambient_losses: int = 0
-    half_duplex_losses: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "transmissions": self.transmissions,
-            "deliveries": self.deliveries,
-            "collisions": self.collisions,
-            "ambient_losses": self.ambient_losses,
-            "half_duplex_losses": self.half_duplex_losses,
-        }
-
-    def reset(self) -> None:
-        self.transmissions = 0
-        self.deliveries = 0
-        self.collisions = 0
-        self.ambient_losses = 0
-        self.half_duplex_losses = 0
-
-
 class _LazyRxEnergy(EnergyModel):
     """Energy ledger that defers receive-side charges.
 
@@ -181,10 +154,6 @@ class _LazyRxEnergy(EnergyModel):
     def report(self):
         self._flush()
         return super().report()
-
-    def reset(self) -> None:
-        self._flush()
-        super().reset()
 
 
 class FluidTransport:
@@ -227,7 +196,7 @@ class FluidTransport:
         links = deployment.links
         #: The deployment's shared neighbor tuples (node id -> tuple).
         self.adjacency: List[Tuple[int, ...]] = links.rows
-        self._stats = FluidStats()
+        self._stats = MediumStats()
         self.medium = self  # ``stack.medium.stats`` readers get ``stats``
 
         num_nodes = len(self.adjacency)
@@ -249,12 +218,6 @@ class FluidTransport:
         self._indptr = links.indptr
         self._indices = links.indices
         radio = self.radio
-        edge_src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
-        # Sorted ``src * N + dst`` key per edge (plus a sentinel), for
-        # one-searchsorted unicast edge lookups.
-        self._edge_key = np.append(
-            edge_src * num_nodes + self._indices, np.iinfo(np.int64).max
-        )
         congestion = self._congestion[self._indices]
         fading = (
             radio.edge_fading
@@ -317,7 +280,7 @@ class FluidTransport:
         sim.metrics.register("energy", self.energy.snapshot, replace=True)
 
     @property
-    def stats(self) -> FluidStats:
+    def stats(self) -> MediumStats:
         """Channel statistics (settled first, see :meth:`_settle`)."""
         self._settle()
         return self._stats
@@ -548,10 +511,6 @@ class FluidTransport:
             raise SimulationError("handler kind must be non-empty")
         self._handlers[node_id][kind] = handler
 
-    def clear_handlers(self, node_id: int) -> None:
-        """Remove every addressed handler at ``node_id``."""
-        self._handlers[node_id].clear()
-
     def register_overhear(
         self,
         node_id: int,
@@ -623,14 +582,6 @@ class FluidTransport:
 
         Part of the transport seam so protocol phases can mark burst
         boundaries unconditionally; only the bulk backend acts on it."""
-
-    def reset_accounting(self) -> None:
-        """Zero every accounting namespace (new round, same network)."""
-        self._settle()
-        self._pending_rx.clear()
-        self.counters.reset()
-        self.energy.reset()
-        self._stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -708,16 +659,21 @@ class BulkFluidTransport(FluidTransport):
         self._log_rows = 0
         self._log_latest = -math.inf
         self.counters.before_read = self._settle
+        # Sorted ``src * N + dst`` key per edge (plus a sentinel), for
+        # one-searchsorted unicast edge lookups.
+        edge_src = np.repeat(
+            np.arange(num_nodes, dtype=np.int64), self.deployment.links.degrees()
+        )
+        self._edge_key = np.append(
+            edge_src * num_nodes + self._indices, np.iinfo(np.int64).max
+        )
         # Node id -> contention cell, as an array for the bulk path, and
-        # kind -> nodes with a handler for it (a kind nobody handles
-        # skips the dispatch pass and may be logged).
+        # the kinds some node ever registered a handler for (a kind
+        # nobody handles skips the dispatch pass and may be logged).
         self._cell_of = np.array(self._tx_cell, dtype=np.int64)
-        self._handler_count: Counter[str] = Counter()
+        self._handled_kinds: Set[str] = set()
         self._flush_horizon = -math.inf
         self._tick_s = self.params.bulk_tick_s
-        # Bulk contention state: same radio-range grid cells as the
-        # per-frame path, tracked in a plain list for the seal loop.
-        self._busy_bulk: List[float] = [-1.0] * len(self._busy_until)
         self._dead_mask = np.zeros(num_nodes, dtype=bool)
         # Receiver masks for candidate selection, invalidated on
         # listener registration changes.
@@ -802,7 +758,7 @@ class BulkFluidTransport(FluidTransport):
         account_tx = self.energy.account_tx
         pending = self._pending_rx
         tx_cell = self._tx_cell
-        busy = self._busy_bulk
+        busy = self._busy_until
         q_time = self._q_time
         q_src = self._q_src
         q_dst = self._q_dst
@@ -908,7 +864,7 @@ class BulkFluidTransport(FluidTransport):
         """True if resolving a ``kind`` frame could call anyone."""
         return bool(
             self._wild_count
-            or kind in self._handler_count
+            or kind in self._handled_kinds
             or self._kind_overhear.get(kind)
         )
 
@@ -952,7 +908,7 @@ class BulkFluidTransport(FluidTransport):
         end = keyup + airtime
         # Per-cell contention gate in row order — the busy horizon is
         # loop-carried state per cell, so this stays a (tight) loop.
-        busy = self._busy_bulk
+        busy = self._busy_until
         cells = self._cell_of[src_arr].tolist()
         keyup_list = keyup.tolist()
         end_list = end.tolist()
@@ -1222,16 +1178,8 @@ class BulkFluidTransport(FluidTransport):
 
     def register_handler(self, node_id: int, kind: str, handler: PacketHandler) -> None:
         self._settle()
-        new = kind not in self._handlers[node_id]
         super().register_handler(node_id, kind, handler)
-        if new:
-            self._handler_count[kind] += 1
-
-    def clear_handlers(self, node_id: int) -> None:
-        self._settle()
-        self._handler_count.subtract(self._handlers[node_id].keys())
-        self._handler_count = +self._handler_count  # drop retired kinds
-        super().clear_handlers(node_id)
+        self._handled_kinds.add(kind)
 
     def register_overhear(
         self,

@@ -71,13 +71,6 @@ class MacStats:
             "busy_senses": self.busy_senses,
         }
 
-    def reset(self) -> None:
-        """Zero all counters (new accounting period, same MAC)."""
-        self.enqueued = 0
-        self.sent = 0
-        self.dropped = 0
-        self.busy_senses = 0
-
 
 class CsmaMac:
     """Carrier-sense MAC instance for a single node.
@@ -108,11 +101,6 @@ class CsmaMac:
         self._busy = False
         self._rng = sim.rng.stream(f"mac.{node_id}")
         self.stats = MacStats()
-
-    @property
-    def node_id(self) -> int:
-        """Owning node id."""
-        return self._node_id
 
     @property
     def queue_length(self) -> int:

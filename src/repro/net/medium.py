@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.net.packet import Packet
 from repro.net.radio import RadioParams
+from repro.net.transport import MediumStats
 from repro.sim.kernel import Simulator
 from repro.topology.graphs import LinkGraph
 
@@ -96,34 +96,6 @@ class _Transmission:
             f"_Transmission(#{self.tx_id} from {self.sender} "
             f"[{self.start:.6f}, {self.end:.6f}])"
         )
-
-
-@dataclass
-class MediumStats:
-    """Aggregate channel statistics for a run."""
-
-    transmissions: int = 0
-    deliveries: int = 0
-    collisions: int = 0
-    ambient_losses: int = 0
-    half_duplex_losses: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "transmissions": self.transmissions,
-            "deliveries": self.deliveries,
-            "collisions": self.collisions,
-            "ambient_losses": self.ambient_losses,
-            "half_duplex_losses": self.half_duplex_losses,
-        }
-
-    def reset(self) -> None:
-        """Zero all counters (new accounting period, same channel)."""
-        self.transmissions = 0
-        self.deliveries = 0
-        self.collisions = 0
-        self.ambient_losses = 0
-        self.half_duplex_losses = 0
 
 
 class WirelessMedium:

@@ -148,11 +148,6 @@ class Packet:
                 f"size_bytes={self.size_bytes} below header size {HEADER_BYTES}"
             )
 
-    @property
-    def is_broadcast(self) -> bool:
-        """True for local broadcast frames."""
-        return self.dst == BROADCAST
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        dst = "*" if self.is_broadcast else str(self.dst)
+        dst = "*" if self.dst == BROADCAST else str(self.dst)
         return f"Packet({self.src}->{dst} {self.kind} {self.size_bytes}B #{self.seq})"

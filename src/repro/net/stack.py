@@ -272,10 +272,6 @@ class NetworkStack:
             raise SimulationError("handler kind must be non-empty")
         self._handlers[node_id][kind] = handler
 
-    def clear_handlers(self, node_id: int) -> None:
-        """Remove every addressed handler at ``node_id``."""
-        self._handlers[node_id].clear()
-
     def register_overhear(
         self,
         node_id: int,
@@ -341,18 +337,6 @@ class NetworkStack:
         events. Part of the transport seam so protocol phases can mark
         burst boundaries unconditionally (the bulk fluid backend seals
         its pending batch here)."""
-
-    def reset_accounting(self) -> None:
-        """Zero every accounting namespace this stack registers (new
-        round, same network): byte counters, the energy ledger, per-node
-        MAC statistics, and medium statistics. Resetting only a subset
-        would pair per-round byte counts with cumulative retry/backoff
-        numbers in multi-round experiments."""
-        self.counters.reset()
-        self.energy.reset()
-        for mac in self.macs.values():
-            mac.stats.reset()
-        self.medium.stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

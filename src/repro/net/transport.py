@@ -22,6 +22,7 @@ against an in-memory fake without pulling in the simulator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -58,6 +59,32 @@ def drop_listener(
     if kept:
         by_node[node_id] = kept
     return len(listeners) - len(kept)
+
+
+@dataclass
+class MediumStats:
+    """Aggregate channel statistics for a run, read as
+    ``transport.medium.stats`` on every backend.
+
+    The fluid backends book congestion losses in ``collisions`` and
+    ambient + fading losses in ``ambient_losses``; their
+    ``half_duplex_losses`` stays 0 (the model has no half-duplex
+    effect)."""
+
+    transmissions: int = 0
+    deliveries: int = 0
+    collisions: int = 0
+    ambient_losses: int = 0
+    half_duplex_losses: int = 0
+
+    def snapshot(self) -> dict:
+        return {
+            "transmissions": self.transmissions,
+            "deliveries": self.deliveries,
+            "collisions": self.collisions,
+            "ambient_losses": self.ambient_losses,
+            "half_duplex_losses": self.half_duplex_losses,
+        }
 
 
 class SimulatorLike(Protocol):
@@ -198,8 +225,6 @@ class Transport(Protocol):
         self, node_id: int, kind: str, handler: PacketHandler
     ) -> None: ...
 
-    def clear_handlers(self, node_id: int) -> None: ...
-
     def register_overhear(
         self,
         node_id: int,
@@ -228,8 +253,6 @@ class Transport(Protocol):
     def energy(self) -> Any:
         """Radio energy ledger (:class:`repro.net.energy.EnergyModel`)."""
         ...
-
-    def reset_accounting(self) -> None: ...
 
 
 #: Recognised transport backend names.

@@ -176,11 +176,6 @@ class AggregationGateway:
             ) from None
         return await future
 
-    @property
-    def pending(self) -> int:
-        """Queries admitted but not yet handed to a round."""
-        return self._queue.qsize()
-
     # -- worker ------------------------------------------------------------------
 
     async def _serve_loop(self) -> None:

@@ -52,11 +52,6 @@ class TraceRecord:
     message: str
     fields: Dict[str, Any] = field(default_factory=dict)
 
-    def matches(self, prefix: str) -> bool:
-        """True if the record's category equals ``prefix`` or is nested
-        beneath it (``"mac"`` matches ``"mac.collision"``)."""
-        return self.category == prefix or self.category.startswith(prefix + ".")
-
     def to_json(self) -> str:
         """The record as one strict-JSON line (non-finite floats become
         ``null``; non-JSON field values fall back to ``repr``)."""
@@ -123,7 +118,6 @@ class TraceLog:
         capacity: Optional[int] = None,
     ) -> None:
         self._categories = list(categories) if categories else None
-        self._capacity = capacity
         self._records: Deque[TraceRecord] = deque(maxlen=capacity)
         self._clock: Callable[[], float] = lambda: 0.0
         self._category_totals: Counter = Counter()
@@ -146,11 +140,6 @@ class TraceLog:
         self._enabled = bool(value)
         self.on = self._enabled
         self.emit = self._emit if self._enabled else self._emit_noop
-
-    @property
-    def capacity(self) -> Optional[int]:
-        """Ring size, or None when unbounded."""
-        return self._capacity
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the time source (normally ``lambda: sim.now``)."""
@@ -192,24 +181,14 @@ class TraceLog:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
-    def count(self, prefix: str) -> int:
-        """Number of *retained* records under a category prefix."""
-        return sum(1 for r in self._records if r.matches(prefix))
-
     def category_counts(self) -> Dict[str, int]:
         """Exact category -> number of records ever kept.
 
         Counts survive capacity-ring eviction: they are lifetime totals
-        since construction (or the last :meth:`clear`), which is what the
-        telemetry layer reports per run.
+        since construction, which is what the telemetry layer reports per
+        run.
         """
         return dict(self._category_totals)
-
-    def clear(self) -> None:
-        """Drop all records and category totals (counters in kernel stats
-        are unaffected)."""
-        self._records.clear()
-        self._category_totals.clear()
 
     # -- JSONL import -------------------------------------------------------
 
@@ -220,7 +199,7 @@ class TraceLog:
         """Rebuild a (disabled) trace log from a JSONL file or lines.
 
         The returned log holds the imported records for querying —
-        iteration, ``count()``, ``category_counts()`` — but is not
+        iteration, ``len()``, ``category_counts()`` — but is not
         clock-bound and starts disabled, since it replays a past run.
         """
         if isinstance(source, (str, pathlib.Path)):

@@ -7,7 +7,6 @@ and compare them against :class:`repro.analysis.overhead.CostModel`.
 
 from repro.analysis.overhead import CostModel
 from repro.core.field import DEFAULT_FIELD
-from repro.core.shares import ShareBundle
 from repro.crypto.keys import PairwiseKeyScheme
 from repro.crypto.linksec import LinkSecurity
 from repro.net.packet import HEADER_BYTES, Packet
@@ -83,7 +82,5 @@ class TestWireCoherence:
         per_child = one_child.size_bytes - no_children.size_bytes
         assert per_child == (1 + 1 + 1 + 1) * 4
 
-    def test_share_bundle_wire_size_consistent(self):
-        bundle = ShareBundle(origin=1, eval_seed=2, values=(10, 20, 30))
-        assert bundle.wire_size() == 8 * 3 + 2
+    def test_header_size_consistent(self):
         assert HEADER_BYTES == self.model.header

@@ -2,7 +2,7 @@
 transport seam refactor (plus the per-round phase keys fixed with the
 service mode).
 
-Four historical bugs, one test class each:
+Three historical bugs, one test class each:
 
 * ``phase_bytes["tree"]`` was *overwritten* by :meth:`rebuild_tree`, so
   lifetime experiments that re-flooded after node deaths silently lost
@@ -17,9 +17,6 @@ Four historical bugs, one test class each:
 * ``_participating_heads`` dropped the base-station cluster when
   ``restrict_to_clusters`` named only remote heads, unanchoring the
   verdict's census denominator during localization subsets.
-* ``NetworkStack.reset_accounting`` reset byte counters and energy but
-  left per-node MAC statistics and medium statistics running, pairing
-  per-round byte counts with cumulative retry/collision numbers.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ import pytest
 
 from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
-from repro.net.stack import NetworkStack
-from repro.sim.kernel import Simulator
 from repro.topology.deploy import uniform_deployment
 
 
@@ -183,49 +178,3 @@ class TestParticipatingHeadsSemantics:
         participating = protocol._participating_heads(clustering)
         assert never_a_head not in participating
         assert participating == {protocol.deployment.base_station}
-
-
-class TestStackResetAccountingAllNamespaces:
-    @pytest.fixture
-    def busy_stack(self):
-        deployment = uniform_deployment(
-            20, field_size=90.0, rng=np.random.default_rng(5)
-        )
-        stack = NetworkStack(Simulator(seed=5), deployment)
-        for node in stack.node_ids():
-            for peer in stack.neighbors(node)[:3]:
-                stack.send(node, peer, "chatter", {"n": node})
-        stack.sim.run()
-        return stack
-
-    def test_reset_clears_mac_and_medium_stats(self, busy_stack):
-        assert busy_stack.medium.stats.transmissions > 0
-        assert any(
-            mac.stats.enqueued > 0 for mac in busy_stack.macs.values()
-        )
-
-        busy_stack.reset_accounting()
-
-        # The regression: counters and energy were zeroed but MAC and
-        # medium statistics kept accumulating across rounds.
-        assert busy_stack.counters.total_messages == 0
-        assert busy_stack.energy.report().total_j == 0.0
-        zero_mac = {"enqueued": 0, "sent": 0, "dropped": 0, "busy_senses": 0}
-        for mac in busy_stack.macs.values():
-            assert mac.stats.snapshot() == zero_mac
-        assert busy_stack.medium.stats.snapshot() == {
-            "transmissions": 0,
-            "deliveries": 0,
-            "collisions": 0,
-            "ambient_losses": 0,
-            "half_duplex_losses": 0,
-        }
-
-    def test_reset_is_a_fresh_period_not_a_latch(self, busy_stack):
-        busy_stack.reset_accounting()
-        src = next(iter(busy_stack.node_ids()))
-        dst = busy_stack.neighbors(src)[0]
-        busy_stack.send(src, dst, "after", {})
-        busy_stack.sim.run()
-        assert busy_stack.counters.total_messages >= 1
-        assert busy_stack.medium.stats.transmissions >= 1

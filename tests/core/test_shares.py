@@ -92,10 +92,6 @@ class TestGeneration:
         with pytest.raises(ShareAlgebraError):
             generate_share_bundles(DEFAULT_FIELD, 1, (10,), seeds, rng)
 
-    def test_wire_size(self):
-        bundle = ShareBundle(origin=1, eval_seed=2, values=(5, 6))
-        assert bundle.wire_size() == 18
-
 
 class TestAssemblyAndRecovery:
     def test_full_cluster_roundtrip(self, rng):

@@ -13,12 +13,12 @@ class TestKeyRing:
         assert Key(3) not in ring
         assert len(ring) == 2
 
-    def test_add_and_update(self):
-        ring = KeyRing()
+    def test_add(self):
+        ring = KeyRing([Key(2), Key(3)])
         ring.add(Key(1))
-        other = KeyRing([Key(2), Key(3)])
-        ring.update(other)
+        ring.add(Key(2))
         assert len(ring) == 3
+        assert Key(1) in ring
 
     def test_shared_with(self):
         a = KeyRing([Key(1), Key(2), Key(3)])
@@ -28,9 +28,6 @@ class TestKeyRing:
     def test_key_equality_by_id(self):
         assert Key(5) == Key(5)
         assert Key(5) != Key(6)
-
-    def test_key_wire_size(self):
-        assert Key(5).wire_size() == 2
 
 
 class TestPairwiseScheme:

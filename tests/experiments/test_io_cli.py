@@ -122,6 +122,17 @@ class TestCli:
         assert "mean_degree" in out
         assert (tmp_path / "t1.json").exists()
 
+    def test_quick_run_t2(self, tmp_path, capsys):
+        assert main(["run", "T2", "--quick", "--out", str(tmp_path)]) == 0
+        rows = load_rows(tmp_path / "t2.json")["rows"]
+        assert [row["aggregate"] for row in rows] == [
+            "sum",
+            "count",
+            "average",
+            "variance",
+        ]
+        assert all(row["verdict"] == "accepted" for row in rows)
+
     def test_engine_flag_lands_in_cache_key(self, tmp_path, capsys):
         """--engine batched must run green AND key its cached cells apart
         from the scalar default (regression: a shared key would let one

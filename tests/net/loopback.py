@@ -274,9 +274,6 @@ class LoopbackTransport:
     ) -> None:
         self._handlers[node_id][kind] = handler
 
-    def clear_handlers(self, node_id: int) -> None:
-        self._handlers[node_id].clear()
-
     def register_overhear(
         self,
         node_id: int,
@@ -306,10 +303,6 @@ class LoopbackTransport:
 
     def flush(self) -> None:
         """No-op burst boundary (seam parity with the real backends)."""
-
-    def reset_accounting(self) -> None:
-        self.counters.reset()
-        self.energy.reset()
 
 
 def line_topology(num_nodes: int, reach: int = 2) -> Dict[int, Tuple[int, ...]]:

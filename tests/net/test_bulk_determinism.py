@@ -281,19 +281,6 @@ def test_state_changes_settle_the_log_first(action):
         assert reference[0] > 0
 
 
-def test_reset_accounting_settles_the_log_first():
-    stack = make_bulk(seed=11)
-    stack.send_many("share", *_batch(stack, np.random.default_rng(2)))
-    assert stack._log
-    stack.reset_accounting()
-    assert not stack._log
-    stack.sim.run()
-    # Transmissions predate the reset; only receptions land after it.
-    assert stack.counters.total_messages == 0
-    assert stack.stats.transmissions == 0
-    assert stack.stats.deliveries > 0
-
-
 def test_handled_kind_through_send_many_dispatches_at_its_tick():
     stack = make_bulk(seed=11)
     calls = []
@@ -309,23 +296,6 @@ def test_handled_kind_through_send_many_dispatches_at_its_tick():
     tick_s = stack.params.bulk_tick_s
     assert 0.0123 < calls[0] <= 0.0123 + stack.params.access_jitter_s + tick_s + 0.01
     assert calls[0] / tick_s == pytest.approx(round(calls[0] / tick_s))
-
-
-def test_clear_handlers_retires_kinds():
-    stack = make_bulk(seed=11)
-    handler = lambda _node, packet: None  # noqa: E731
-    stack.register_handler(1, "share", handler)
-    stack.register_handler(1, "share", handler)  # replacement, not a second
-    stack.register_handler(2, "share", handler)
-    stack.register_handler(2, "ack", handler)
-    assert stack._handler_count == {"share": 2, "ack": 1}
-    stack.clear_handlers(2)
-    assert stack._handler_count == {"share": 1}
-    stack.clear_handlers(1)
-    stack.clear_handlers(1)
-    assert stack._handler_count == {}
-    stack.send_many("share", [1], [BROADCAST], [40])
-    assert stack._log
 
 
 def test_unicast_edge_lookup_matches_fan_out():

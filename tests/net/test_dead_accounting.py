@@ -24,7 +24,7 @@ from repro.sim.trace import TraceLog
 from tests.conftest import make_line_deployment
 from tests.counter_reads import node_tx_bytes, node_tx_messages
 from tests.net.sweep_medium import zero_distance_medium
-from tests.trace_reads import last
+from tests.trace_reads import count, last
 
 TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
@@ -68,7 +68,7 @@ class TestDeadSenderAccounting:
         stack.fail_node(0)
         stack.broadcast(0, "hello")
         sim.run()
-        assert sim.trace.count("stack.dead_tx") == 1
+        assert count(sim.trace, "stack.dead_tx") == 1
         assert stack.counters.total_messages == 0
 
     def test_alive_nodes_still_counted(self):

@@ -118,30 +118,6 @@ def test_dead_nodes_neither_send_nor_receive():
     assert node_tx_messages(stack.counters, src) == 1
 
 
-def test_reset_accounting_clears_all_namespaces():
-    stack = make_fluid()
-    for node in stack.node_ids():
-        for peer in stack.neighbors(node)[:2]:
-            stack.send(node, peer, "ping")
-    stack.sim.run()
-    assert stack.counters.total_bytes > 0
-    assert stack.stats.transmissions > 0
-    assert any(stack.energy.spent(n) > 0 for n in stack.node_ids())
-
-    stack.reset_accounting()
-    assert stack.counters.total_bytes == 0
-    assert stack.stats.snapshot() == {
-        "transmissions": 0,
-        "deliveries": 0,
-        "collisions": 0,
-        "ambient_losses": 0,
-        "half_duplex_losses": 0,
-    }
-    assert all(stack.energy.spent(n) == 0.0 for n in stack.node_ids())
-    # The MediumStats-compatible view aliases the same (reset) object.
-    assert stack.medium.stats.transmissions == 0
-
-
 def test_congestion_grows_with_degree():
     params = FluidParams()
     stack = make_fluid(params=params)

@@ -205,7 +205,7 @@ def test_fail_node_flushes_banked_rx_energy_first():
     assert stack.energy.spent(victim) > 0.0
 
 
-# -- flush / reset_accounting ---------------------------------------------------
+# -- flush ---------------------------------------------------------------------
 
 
 def test_flush_is_idempotent_and_cheap_when_empty():
@@ -309,41 +309,6 @@ def test_send_many_counts_like_per_row_sends():
     assert per_row == run(True)
     assert per_row[2]["rx_messages"] > 0
     assert {b.kind for b in per_row[1]} == {"share", "hello"}
-
-
-def test_reset_accounting_clears_all_namespaces():
-    stack = make_bulk()
-    for node in stack.node_ids():
-        for peer in stack.neighbors(node)[:2]:
-            stack.send(node, peer, "ping")
-    stack.sim.run()
-    assert stack.counters.total_bytes > 0
-    assert stack.stats.transmissions > 0
-    assert any(stack.energy.spent(n) > 0 for n in stack.node_ids())
-
-    stack.reset_accounting()
-    assert stack.counters.total_bytes == 0
-    # Every MediumStats-compatible key must read zero.
-    assert stack.stats.snapshot() == {
-        "transmissions": 0,
-        "deliveries": 0,
-        "collisions": 0,
-        "ambient_losses": 0,
-        "half_duplex_losses": 0,
-    }
-    assert all(stack.energy.spent(n) == 0.0 for n in stack.node_ids())
-    assert stack.medium.stats.transmissions == 0
-
-
-def test_reset_accounting_discards_banked_rx_bytes():
-    """Bytes banked before a reset must not be charged after it: the
-    pending-rx bank belongs to the accounting namespace being zeroed."""
-    stack = make_bulk()
-    src = 1
-    stack.broadcast(src, "hello", {"depth": 0})
-    stack.flush()  # rx bytes now banked, not yet charged
-    stack.reset_accounting()
-    assert all(stack.energy.spent(n) == 0.0 for n in stack.node_ids())
 
 
 # -- parameter validation -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.packet import BROADCAST, HEADER_BYTES, Packet, payload_size
+from repro.net.packet import HEADER_BYTES, Packet, payload_size
 
 
 class TestPayloadSize:
@@ -83,14 +83,6 @@ class TestPacket:
     def test_explicit_size_below_header_rejected(self):
         with pytest.raises(ValueError):
             Packet(src=1, dst=2, kind="x", size_bytes=HEADER_BYTES - 1)
-
-    def test_broadcast_addressing(self):
-        packet = Packet(src=1, dst=BROADCAST, kind="x")
-        assert packet.is_broadcast
-
-    def test_unicast_addressing(self):
-        packet = Packet(src=1, dst=2, kind="x")
-        assert not packet.is_broadcast
 
     def test_seq_unique(self):
         packets = [Packet(src=0, dst=1, kind="x") for _ in range(10)]

@@ -55,13 +55,6 @@ class TestEnergyModel:
         assert report.total_j == pytest.approx(40.0)
         assert report.max_node_j == pytest.approx(30.0)
 
-    def test_reset(self):
-        model = EnergyModel()
-        model.account_tx(1, 10)
-        model.reset()
-        assert model.spent(1) == 0.0
-        assert model.report().total_j == 0.0
-
     def test_negative_costs_rejected(self):
         with pytest.raises(SimulationError):
             EnergyModel(tx_j_per_byte=-1.0)

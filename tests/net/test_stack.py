@@ -72,13 +72,6 @@ class TestMessaging:
         assert line_stack.energy.spent(0) > 0  # transmit
         assert line_stack.energy.spent(1) > 0  # receive
 
-    def test_reset_accounting(self, line_stack):
-        line_stack.send(0, 1, "x")
-        line_stack.sim.run()
-        line_stack.reset_accounting()
-        assert line_stack.counters.total_messages == 0
-        assert line_stack.energy.report().total_j == 0.0
-
 
 class TestMultiHopScenario:
     def test_relay_chain(self, line_stack):

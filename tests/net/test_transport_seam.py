@@ -153,27 +153,6 @@ def test_overhear_listener_receives_the_overhearing_node(small_deployment, kind)
     assert all(addressed == dst for _, addressed in calls)
 
 
-@pytest.mark.parametrize("kind", SEAM_KINDS)
-def test_clear_handlers_stops_addressed_delivery(small_deployment, kind):
-    """Only the cleared node loses its handler — even when the same
-    callable is registered on both; a frame addressed to it reaches no
-    stale one."""
-    stack = _seam_transport(kind, small_deployment)
-    src = _busy_sender(stack, peers=2)
-    cleared, kept = stack.neighbors(src)[:2]
-    heard = {cleared: [], kept: []}
-    handler = lambda node, packet: heard[node].append(packet)  # noqa: E731
-    for node in (cleared, kept):
-        stack.register_handler(node, "ping", handler)
-    stack.clear_handlers(cleared)
-    for _ in range(5):
-        for node in (cleared, kept):
-            stack.send(src, node, "ping")
-    stack.sim.run()
-    assert heard[cleared] == []
-    assert heard[kept]
-
-
 def test_phases_register_one_plain_callable_per_kind():
     """After setup and one round, every (phase, kind) is served by one
     shared callable — a bound method, never a per-node closure."""

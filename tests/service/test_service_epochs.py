@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.aggregation.functions import MaxApproxAggregate
 from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
 from repro.core.results import Verdict
@@ -140,31 +139,6 @@ class TestInPlaceExclusion:
         protocol.exclude_heads((7,))
         protocol.exclude_heads((9, 7))
         assert protocol.config.excluded_heads == (7, 9)
-
-    def test_apply_config_rejects_non_config(self):
-        protocol = make_protocol()
-        with pytest.raises(ProtocolError):
-            protocol.apply_config({"p_c": 0.3})
-
-    def test_apply_config_rebuilds_aggregate_on_name_change(self):
-        protocol = make_protocol()
-        assert protocol.aggregate.name == "sum"
-        protocol.apply_config(
-            IcpdaConfig(aggregate_name="average")
-        )
-        assert protocol.aggregate.name == "average"
-
-    def test_custom_aggregate_survives_apply_config(self):
-        custom = MaxApproxAggregate(power=3)
-        deployment = make_deployment()
-        protocol = IcpdaProtocol(
-            deployment, IcpdaConfig(), seed=SEED, aggregate=custom
-        )
-        protocol.apply_config(IcpdaConfig(aggregate_name="average"))
-        assert protocol.aggregate is custom
-        protocol.set_aggregate(custom)  # idempotent override
-        protocol.apply_config(IcpdaConfig(aggregate_name="variance"))
-        assert protocol.aggregate is custom
 
 
 class TestServiceEpochsAndCache:

@@ -1,21 +1,21 @@
 """Unit tests for the trace log."""
 
 from repro.sim.trace import TraceLog, TraceRecord
-from tests.trace_reads import last, records
+from tests.trace_reads import count, last, matches, records
 
 
 class TestTraceRecord:
     def test_matches_exact_category(self):
         record = TraceRecord(time=0.0, category="mac.drop", message="")
-        assert record.matches("mac.drop")
+        assert matches(record, "mac.drop")
 
     def test_matches_prefix(self):
         record = TraceRecord(time=0.0, category="mac.drop", message="")
-        assert record.matches("mac")
+        assert matches(record, "mac")
 
     def test_does_not_match_partial_word(self):
         record = TraceRecord(time=0.0, category="machine", message="")
-        assert not record.matches("mac")
+        assert not matches(record, "mac")
 
 
 class TestTraceLog:
@@ -51,7 +51,7 @@ class TestTraceLog:
         log.emit("a.one", "")
         log.emit("a.two", "")
         log.emit("b.one", "")
-        assert log.count("a") == 2
+        assert count(log, "a") == 2
         assert len(records(log, "b")) == 1
         assert last(log, "a").category == "a.two"
 
@@ -59,12 +59,6 @@ class TestTraceLog:
         log = TraceLog()
         assert last(log) is None
         assert last(log, "anything") is None
-
-    def test_clear(self):
-        log = TraceLog()
-        log.emit("x", "")
-        log.clear()
-        assert len(log) == 0
 
 
 class TestCategoryCounts:
@@ -81,12 +75,6 @@ class TestCategoryCounts:
             log.emit("x", "")
         assert len(log) == 2
         assert log.category_counts() == {"x": 5}
-
-    def test_clear_resets_counts(self):
-        log = TraceLog()
-        log.emit("x", "")
-        log.clear()
-        assert log.category_counts() == {}
 
 
 class TestJsonl:

@@ -178,7 +178,6 @@ def test_every_module_is_reachable_from_an_entry_point() -> None:
 #: Public defs kept although only tests call them: name -> reason.
 ALLOWED_UNREFERENCED = {
     "is_failed": "Transport seam member every backend offers (docs/TRANSPORT.md)",
-    "reset_accounting": "Transport seam member; its accounting regressions stay pinned",
     "from_jsonl": "Reader for --trace-out files, documented in README and EXPERIMENTS.md",
 }
 
@@ -244,19 +243,29 @@ def _referenced_names(root: Root) -> Set[str]:
     return names
 
 
-def _public_defs(path: pathlib.Path) -> Iterator[str]:
-    """Qualified names of the top-level functions and classes in ``path``
-    and of the top-level classes' methods that do not start with an
-    underscore."""
+#: A public def: its qualified name, its node, and its class (``None``
+#: for a top-level function or class).
+PublicDef = Tuple[str, ast.AST, Optional[ast.ClassDef]]
+
+
+def _public_def_nodes(path: pathlib.Path) -> Iterator[PublicDef]:
+    """The top-level functions and classes in ``path`` and the top-level
+    classes' methods that do not start with an underscore."""
     for node in _parse(path).body:
         if isinstance(node, (*_FUNCTIONS, ast.ClassDef)) and not node.name.startswith(
             "_"
         ):
-            yield node.name
+            yield node.name, node, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}"
+                    yield f"{node.name}.{item.name}", item, node
+
+
+def _public_defs(path: pathlib.Path) -> Iterator[str]:
+    """Qualified names of :func:`_public_def_nodes`."""
+    for qualname, _, _ in _public_def_nodes(path):
+        yield qualname
 
 
 def _referenced(modules: Dict[str, pathlib.Path], roots: List[Root]) -> Set[str]:
