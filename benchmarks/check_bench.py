@@ -15,9 +15,9 @@ hot-path regressions:
    committed quick baseline (``benchmarks/baselines/BENCH_e2e_quick.json``
    — *baselines*, not the gitignored ``results/``) — any scenario slower
    than ``--max-ratio`` (default 2.0) times the baseline fails the job,
-   and so does a ``des`` or per-frame ``fluid`` scenario whose seeded
-   counters (``transmissions``, ``deliveries``, ``events_fired``) differ
-   from the baseline's at all: those rounds are byte-deterministic, so
+   and so does any scenario whose seeded counters (``transmissions``,
+   ``deliveries``, ``events_fired``) differ from the baseline's at all:
+   every quick round is seeded and deterministic on its transport, so
    any drift there is a behaviour change, not noise;
 3. does the same for the aggregation-service benchmark
    (``run_service_bench.py`` at quick scale against
@@ -273,15 +273,15 @@ def compare(
 #: Seeded counters a fresh pinned quick scenario must reproduce exactly.
 SEEDED_COUNTERS = ("transmissions", "deliveries", "events_fired")
 #: Transports whose quick rows are held to their seeded counters.
-PINNED_TRANSPORTS = ("des", "fluid")
+PINNED_TRANSPORTS = ("des", "fluid", "fluid-bulk")
 
 
 def compare_counters(baseline: dict, fresh: dict) -> int:
     """Print drifted seeded counters; return the number of scenarios
     whose seeded counters differ from the baseline.
 
-    The ``des`` and per-frame ``fluid`` rows are held to exact counters;
-    the ``fluid-bulk`` rows are not pinned here.
+    Rows of every transport in :data:`PINNED_TRANSPORTS` are held to
+    exact counters.
     """
     drifted = 0
     for name, base_entry in sorted(baseline.items()):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.aggregation.tree import TreeBuildResult
 from repro.core.clustering import (
@@ -52,7 +52,7 @@ from repro.core.clustering import (
     ClusteringResult,
 )
 from repro.core.config import IcpdaConfig
-from repro.core.replay import EPS, Columns, FrameReplay
+from repro.core.replay import EPS, FrameReplay, Frames
 from repro.errors import ClusterFormationError
 from repro.net.packet import BROADCAST, HEADER_BYTES
 from repro.net.transport import Transport
@@ -405,15 +405,15 @@ class BatchedClusterFormation:
 
     # -- frame replay ---------------------------------------------------------
 
-    def _expand_census(self, bucket: int, by_kind: Dict[str, Columns]) -> None:
+    def _expand_census(self, bucket: int, frames: Callable[[str], Frames]) -> None:
         """Walk the census chains due in ``bucket`` up the tree: one
         census frame and one ack per hop."""
         chains = self._census_chains.pop(bucket, ())
         if not chains:
             return
         parents = self._tree.parents
-        census = by_kind.setdefault(CENSUS_KIND, ([], [], []))
-        acks = by_kind.setdefault(CENSUS_ACK_KIND, ([], [], []))
+        census = frames(CENSUS_KIND)
+        acks = frames(CENSUS_ACK_KIND)
         census_size = HEADER_BYTES + 2 * _INT + _BOOL
         ack_size = HEADER_BYTES + _INT
         for head in chains:

@@ -24,7 +24,7 @@ its readings count as loss — never as a privacy leak.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -110,8 +110,25 @@ class ExchangeResult:
 
     states: Dict[int, ClusterExchangeState] = field(default_factory=dict)
     witness_sums: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    share_log: List[ShareTransmission] = field(default_factory=list)
     fset_conflicts: List[Tuple[int, int]] = field(default_factory=list)
+    _share_log: List[ShareTransmission] = field(default_factory=list, repr=False)
+    _unbuilt: List[Callable[[], List[ShareTransmission]]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+
+    @property
+    def share_log(self) -> List[ShareTransmission]:
+        """Every share delivery, in send order. The scalar exchange
+        appends as it sends; a batched exchange's entries are built on
+        first read (:meth:`log_later`), and later reads return the same
+        list."""
+        while self._unbuilt:
+            self._share_log.extend(self._unbuilt.pop(0)())
+        return self._share_log
+
+    def log_later(self, build: Callable[[], List[ShareTransmission]]) -> None:
+        """Append ``build()``'s entries to the log when it is first read."""
+        self._unbuilt.append(build)
 
     @property
     def completed_clusters(self) -> List[int]:

@@ -18,6 +18,7 @@ replayed and no frame is lost. The contract is in docs/PERF.md
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +62,31 @@ _Event = Tuple[float, str, str, dict]
 def _value_bytes(values: np.ndarray) -> np.ndarray:
     """Wire size of each field element: 4 bytes below 2**31, else 8."""
     return np.where(values < _SMALL, 4, 8)
+
+
+def _share_log(send_at: np.ndarray, groups: List[tuple]) -> List[ShareTransmission]:
+    """The scalar exchange's share log from each cluster size's columns
+    (members, heads, ``sent``, ``hears``, send slots): one entry per
+    share sent, senders in send order (ties by slot), each sender's
+    shares in participant order, relayed by the head where the
+    recipient is out of the sender's range."""
+    rank = np.empty(len(send_at), dtype=np.int64)
+    rank[np.argsort(send_at, kind="stable")] = np.arange(len(send_at))
+    columns = []
+    for members, heads, sent, hears, slots in groups:
+        c, i, j = np.nonzero(sent)
+        relay = np.where(hears[c, i, j], -1, heads[c])
+        columns.append((rank[slots[c, i]], members[c, i], members[c, j], relay))
+    if not columns:
+        return []
+    key, origin, recipient, relay = (np.concatenate(column) for column in zip(*columns))
+    order = np.argsort(key, kind="stable")
+    return [
+        ShareTransmission(a, b, ((a, b),) if via < 0 else ((a, via), (via, b)))
+        for a, b, via in zip(
+            origin[order].tolist(), recipient[order].tolist(), relay[order].tolist()
+        )
+    ]
 
 
 class BatchedShareExchange:
@@ -113,7 +139,7 @@ class BatchedShareExchange:
         by_size: Dict[int, List[int]] = {}
         for index, state in enumerate(states):
             by_size.setdefault(len(state.participants), []).append(index)
-        logs: List[List[ShareTransmission]] = [[] for _ in range(len(send_at))]
+        logs: List[tuple] = []
         events: List[_Event] = []
         completions = []
         for size, indices in by_size.items():
@@ -129,9 +155,8 @@ class BatchedShareExchange:
                 )
             )
 
-        # The scalar run logs each member's shares when it sends them.
-        for position in np.argsort(send_at, kind="stable").tolist():
-            result.share_log.extend(logs[position])
+        # The log is built only if someone reads it (the privacy audits).
+        result.log_later(partial(_share_log, send_at, logs))
         self._fset_repeats(completions)
         for _at, category, message, fields in sorted(events, key=lambda e: e[0]):
             sim.trace.emit(category, message, **fields)
@@ -147,7 +172,7 @@ class BatchedShareExchange:
         states: List[ClusterExchangeState],
         send_at: np.ndarray,
         positions: np.ndarray,
-        logs: List[List[ShareTransmission]],
+        logs: List[tuple],
         events: List[_Event],
         result: ExchangeResult,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,7 +251,7 @@ class BatchedShareExchange:
             published = done
             frame(FSET_KIND, done, done_at, heads, BROADCAST, fset_bytes)
 
-        self._log_shares(members, heads, sent, hears, positions, logs)
+        logs.append((members, heads, sent, hears, positions))
         sums = batch.sums.tolist()
         first_gap = np.argmin(keyed, axis=2).tolist()
         for c, state in enumerate(states):
@@ -289,33 +314,6 @@ class BatchedShareExchange:
         m = members.shape[1]
         shape = (len(members), m, m)
         return np.array(hears).reshape(shape), np.array(keyed).reshape(shape)
-
-    def _log_shares(
-        self,
-        members: np.ndarray,
-        heads: np.ndarray,
-        sent: np.ndarray,
-        hears: np.ndarray,
-        positions: np.ndarray,
-        logs: List[List[ShareTransmission]],
-    ) -> None:
-        """One log entry per share sent, filed under its sender's slot."""
-        sent_rows = sent.tolist()
-        hears_rows = hears.tolist()
-        slots = positions.tolist()
-        for c, (row, head) in enumerate(zip(members.tolist(), heads.tolist())):
-            for i, origin in enumerate(row):
-                logs[slots[c][i]] = [
-                    ShareTransmission(
-                        origin,
-                        recipient,
-                        ((origin, recipient),)
-                        if hears_rows[c][i][j]
-                        else ((origin, head), (head, recipient)),
-                    )
-                    for j, recipient in enumerate(row)
-                    if sent_rows[c][i][j]
-                ]
 
     # -- replay ----------------------------------------------------------------
 

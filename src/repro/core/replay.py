@@ -30,8 +30,29 @@ EPS = 1e-4
 #: callbacks instead of one simulator event per frame.
 EMIT_BUCKET_S = 0.05
 
-#: One kind's rows within a bucket: (sources, destinations, sizes).
-Columns = Tuple[List[int], List[int], List[int]]
+#: A run of recorded frames: (sources, destinations, sizes), int64.
+Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: One kind's frames within a bucket: scalar rows staged as three lists
+#: (sources, destinations, sizes), after the array runs recorded before
+#: them. Rows keep their recording order.
+Frames = Tuple[List[int], List[int], List[int], List[Chunk]]
+
+
+def _close(frames: Frames) -> None:
+    """Move the staged scalar rows into the array runs."""
+    frames[3].append(tuple(np.array(rows, dtype=np.int64) for rows in frames[:3]))
+    for rows in frames[:3]:
+        rows.clear()
+
+
+def _columns(frames: Frames) -> Chunk:
+    """All of one kind's frames in a bucket, as three arrays."""
+    chunks = frames[3]
+    if frames[0] or not chunks:
+        _close(frames)
+    if len(chunks) == 1:
+        return chunks[0]
+    return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 class FrameReplay:
@@ -45,9 +66,10 @@ class FrameReplay:
         Phase start; bucket ``k`` covers ``[t0 + k*B, t0 + (k+1)*B)``
         and is emitted at its start.
     expand:
-        Optional ``expand(bucket, by_kind)`` hook run just before a
+        Optional ``expand(bucket, frames)`` hook run just before a
         bucket is emitted, to add rows the engine kept compact (the
-        clustering engine's census relay chains).
+        clustering engine's census relay chains); ``frames(kind)`` is
+        that kind's :data:`Frames` in the bucket.
 
     The transport is flushed once, after the last bucket: the bulk
     backend logs replayed batches nobody observes and settles them a
@@ -59,33 +81,33 @@ class FrameReplay:
         self,
         stack: Transport,
         t0: float,
-        expand: Optional[Callable[[int, Dict[str, Columns]], None]] = None,
+        expand: Optional[Callable[[int, Callable[[str], Frames]], None]] = None,
     ) -> None:
         self._stack = stack
         self._t0 = t0
         self._expand = expand
-        self._buckets: Dict[int, Dict[str, Columns]] = {}
+        self._buckets: Dict[int, Dict[str, Frames]] = {}
         self._last: Optional[int] = None
 
     def bucket_of(self, at: float) -> int:
         """Index of the bucket holding instant ``at``."""
         return math.floor((at - self._t0) / EMIT_BUCKET_S)
 
-    def _columns(self, bucket: int, kind: str) -> Columns:
+    def _frames(self, bucket: int, kind: str) -> Frames:
         by_kind = self._buckets.get(bucket)
         if by_kind is None:
             by_kind = self._buckets[bucket] = {}
-        cols = by_kind.get(kind)
-        if cols is None:
-            cols = by_kind[kind] = ([], [], [])
-        return cols
+        frames = by_kind.get(kind)
+        if frames is None:
+            frames = by_kind[kind] = ([], [], [], [])
+        return frames
 
     def record(self, at: float, src: int, dst: int, kind: str, size: int) -> None:
         """Queue one frame sent at ``at``."""
-        cols = self._columns(self.bucket_of(at), kind)
-        cols[0].append(src)
-        cols[1].append(dst)
-        cols[2].append(size)
+        frames = self._frames(self.bucket_of(at), kind)
+        frames[0].append(src)
+        frames[1].append(dst)
+        frames[2].append(size)
 
     def record_many(
         self,
@@ -102,15 +124,13 @@ class FrameReplay:
         buckets = np.floor((at - self._t0) / EMIT_BUCKET_S).astype(np.int64)
         order = np.argsort(buckets, kind="stable")
         buckets = buckets[order]
-        src_rows = src[order].tolist()
-        dst_rows = dst[order].tolist()
-        size_rows = size[order].tolist()
+        columns = [np.asarray(c, dtype=np.int64)[order] for c in (src, dst, size)]
         cuts = (np.flatnonzero(np.diff(buckets)) + 1).tolist()
-        for start, end in zip([0] + cuts, cuts + [len(src_rows)]):
-            cols = self._columns(int(buckets[start]), kind)
-            cols[0].extend(src_rows[start:end])
-            cols[1].extend(dst_rows[start:end])
-            cols[2].extend(size_rows[start:end])
+        for start, end in zip([0] + cuts, cuts + [len(order)]):
+            frames = self._frames(int(buckets[start]), kind)
+            if frames[0]:
+                _close(frames)
+            frames[3].append(tuple(column[start:end] for column in columns))
 
     def schedule(self, extra_buckets: Iterable[int] = ()) -> None:
         """Schedule one emission callback per non-empty bucket (plus
@@ -124,16 +144,17 @@ class FrameReplay:
             )
 
     def _emit(self, bucket: int) -> None:
-        # One send_many per kind: the bulk backend seals each batch
-        # vectorized, so a wave costs per-kind work instead of one Python
-        # round-trip per frame. Per-frame backends run the same per-row
-        # loop this replaces; outcomes are decided in-engine, so the
-        # replay only feeds accounting and kind grouping is unobservable.
-        by_kind = self._buckets.pop(bucket, {})
+        # One send_many per kind, as int64 columns: the bulk backend
+        # seals each batch vectorized, so a wave costs per-kind work
+        # instead of one Python round-trip per frame. Per-frame backends
+        # run the same per-row loop this replaces; outcomes are decided
+        # in-engine, so the replay only feeds accounting and kind
+        # grouping is unobservable.
         if self._expand is not None:
-            self._expand(bucket, by_kind)
+            self._expand(bucket, partial(self._frames, bucket))
+        by_kind = self._buckets.pop(bucket, {})
         stack = self._stack
-        for kind, (srcs, dsts, sizes) in by_kind.items():
-            stack.send_many(kind, srcs, dsts, sizes)
+        for kind, frames in by_kind.items():
+            stack.send_many(kind, *_columns(frames))
         if bucket == self._last:
             stack.flush()

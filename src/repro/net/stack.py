@@ -36,6 +36,7 @@ from repro.net.medium import DeliveryEntry, WirelessMedium
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
 from repro.net.transport import OverhearListener, PacketHandler, drop_listener
+from repro.net.transport import send_rows
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import Deployment
 
@@ -230,15 +231,9 @@ class NetworkStack:
         dst: Sequence[int],
         size_bytes: Sequence[int],
     ) -> None:
-        """Submit many pre-sized same-kind frames at the current instant:
-        one :meth:`send`/:meth:`broadcast` per row (row ``i`` broadcasts
-        when ``dst[i]`` is :data:`BROADCAST`). Part of the transport
-        seam; the bulk fluid backend vectorizes this."""
-        for row_src, row_dst, row_size in zip(src, dst, size_bytes):
-            if row_dst == BROADCAST:
-                self.broadcast(row_src, kind, None, size_bytes=row_size)
-            else:
-                self.send(row_src, row_dst, kind, None, size_bytes=row_size)
+        """One :meth:`send`/:meth:`broadcast` per row (see
+        :meth:`Transport.send_many <repro.net.transport.Transport.send_many>`)."""
+        send_rows(self, kind, src, dst, size_bytes)
 
     def _transmit(self, packet: Packet) -> None:
         mac = self.macs.get(packet.src)

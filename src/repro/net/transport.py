@@ -37,7 +37,10 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.net.packet import Packet
+import numpy as np
+
+from repro.errors import SimulationError
+from repro.net.packet import BROADCAST, HEADER_BYTES, Packet
 
 #: Handler signature for addressed frames: ``handler(node_id, packet)``,
 #: called with the receiving node's id.
@@ -59,6 +62,43 @@ def drop_listener(
     if kept:
         by_node[node_id] = kept
     return len(listeners) - len(kept)
+
+
+def send_many_columns(
+    src: Sequence[int], dst: Sequence[int], size_bytes: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``send_many`` call's columns as 1-D int64 arrays, checked alike
+    on every backend: :class:`SimulationError` unless 1-D and of equal
+    length, :class:`ValueError` (as ``Packet`` raises) for a size below
+    :data:`~repro.net.packet.HEADER_BYTES`."""
+    columns = tuple(
+        np.ascontiguousarray(column, dtype=np.int64)
+        for column in (src, dst, size_bytes)
+    )
+    shapes = [column.shape for column in columns]
+    if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+        raise SimulationError(f"send_many: ragged or non-1-D columns {shapes}")
+    smallest = int(columns[2].min()) if shapes[0][0] else HEADER_BYTES
+    if smallest < HEADER_BYTES:
+        raise ValueError(f"size_bytes={smallest} below header size {HEADER_BYTES}")
+    return columns
+
+
+def send_rows(
+    transport: Transport,
+    kind: str,
+    src: Sequence[int],
+    dst: Sequence[int],
+    size_bytes: Sequence[int],
+) -> None:
+    """``send_many`` on a per-frame backend: one :meth:`Transport.send`
+    or :meth:`Transport.broadcast` per row, with plain ``int`` fields."""
+    rows = zip(*(column.tolist() for column in send_many_columns(src, dst, size_bytes)))
+    for row_src, row_dst, row_size in rows:
+        if row_dst == BROADCAST:
+            transport.broadcast(row_src, kind, None, size_bytes=row_size)
+        else:
+            transport.send(row_src, row_dst, kind, None, size_bytes=row_size)
 
 
 @dataclass
@@ -199,12 +239,14 @@ class Transport(Protocol):
         keyed up at the current instant — row ``i`` is a frame from
         ``src[i]`` to ``dst[i]`` (a local broadcast when ``dst[i]`` is
         :data:`~repro.net.packet.BROADCAST`) of ``size_bytes[i]`` bytes.
+        Columns are sequences or 1-D integer arrays, checked before any
+        row is sent (:func:`send_many_columns`).
 
         Accounting-equivalent to one :meth:`send`/:meth:`broadcast` per
         row; batched replay engines use it so a 100k-node frame replay
         does not pay one Python round-trip per frame. Per-frame backends
-        implement it as exactly that loop; the bulk fluid backend seals
-        the whole batch vectorized."""
+        implement it as exactly that loop (:func:`send_rows`); the bulk
+        fluid backend seals the whole batch vectorized."""
         ...
 
     def flush(self) -> None:

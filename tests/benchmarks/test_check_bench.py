@@ -127,8 +127,9 @@ def _counted(transport, **counters):
 
 
 class TestSeededCounters:
-    """A fresh ``des`` or per-frame ``fluid`` quick row must reproduce
-    the baseline's seeded transmissions, deliveries and events exactly."""
+    """A fresh ``des``, per-frame ``fluid`` or ``fluid-bulk`` quick row
+    must reproduce the baseline's seeded transmissions, deliveries and
+    events exactly."""
 
     def test_identical_counters_pass(self, check_bench, capsys):
         scenarios = {"a": _counted("des"), "b": _counted("fluid")}
@@ -148,10 +149,11 @@ class TestSeededCounters:
         assert check_bench.compare_counters(baseline, fresh) == 1
         assert key in capsys.readouterr().out
 
-    def test_bulk_rows_are_not_pinned(self, check_bench, capsys):
+    def test_drifted_bulk_counter_fails(self, check_bench, capsys):
         baseline = {"b": _counted("fluid-bulk")}
         fresh = {"b": _counted("fluid-bulk", events_fired=1)}
-        assert check_bench.compare_counters(baseline, fresh) == 0
+        assert check_bench.compare_counters(baseline, fresh) == 1
+        assert "events_fired 1200 -> 1" in capsys.readouterr().out
 
     def test_committed_quick_baseline_pins_every_des_row(self, check_bench):
         baseline = check_bench.check_e2e_report(check_bench.QUICK_BASELINE)
@@ -173,6 +175,8 @@ class TestSeededCounters:
             "icpda_dense_small_fluid": (1955, 7613, 3144),
             "storm_dense_small_fluid": (4800, 4798, 9600),
             "icpda_huge_fluid": (595797, 1657626, 616426),
+            "icpda_huge_fluid_bulk": (599478, 1659673, 620103),
+            "icpda_mega_fluid_bulk": (4498644, 9834946, 4599699),
         }
 
 

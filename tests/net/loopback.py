@@ -26,7 +26,7 @@ import numpy as np
 from repro.metrics.counters import MessageCounters
 from repro.metrics.registry import MetricsRegistry
 from repro.net.packet import BROADCAST, Packet
-from repro.net.transport import OverhearListener, PacketHandler
+from repro.net.transport import OverhearListener, PacketHandler, send_rows
 
 
 class _FakeTrace:
@@ -238,11 +238,7 @@ class LoopbackTransport:
     ) -> None:
         """Seam parity with the real backends: one send/broadcast per
         row (row ``i`` broadcasts when ``dst[i]`` is BROADCAST)."""
-        for row_src, row_dst, row_size in zip(src, dst, size_bytes):
-            if row_dst == BROADCAST:
-                self.broadcast(row_src, kind, None, size_bytes=row_size)
-            else:
-                self.send(row_src, row_dst, kind, None, size_bytes=row_size)
+        send_rows(self, kind, src, dst, size_bytes)
 
     def _transmit(self, packet: Packet) -> None:
         if packet.src in self._dead:

@@ -205,7 +205,7 @@ def _drive(logged: bool, probe=None, log_rows=None, monkeypatch=None):
         for kind in ("share", "report"):
             stack.send_many(kind, *_batch(stack, rng))
         if logged:
-            assert stack._log and not stack._q_time
+            assert stack._log and not stack._queued()
         if probe is not None:
             seen.append(probe(stack, step))
     stack.flush()
@@ -290,7 +290,7 @@ def test_handled_kind_through_send_many_dispatches_at_its_tick():
         )
     stack.sim.run(until=0.0123)
     stack.send_many("share", *_batch(stack, np.random.default_rng(3)))
-    assert not stack._log and stack._q_time
+    assert not stack._log and stack._queued()
     stack.sim.run()
     assert calls and len(set(calls)) == 1
     tick_s = stack.params.bulk_tick_s

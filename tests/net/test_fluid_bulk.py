@@ -63,6 +63,25 @@ def test_unicast_delivers_to_destination_only():
     assert len(got) == 1 and got[0].dst == dst
 
 
+def test_equal_instants_resolve_in_seal_order():
+    """Without access jitter, same-size frames sent at one instant are
+    due at one instant and resolve in seal order: a per-frame frame
+    sealed before a ``send_many`` batch reaches the handler first, and
+    one sealed after it, last."""
+    params = FluidParams(congestion_coeff=0.0, access_jitter_s=0.0)
+    stack = make_bulk(params=params)
+    rx = next(n for n in stack.node_ids() if len(stack.neighbors(n)) >= 3)
+    first, batched, last = stack.neighbors(rx)[:3]
+    heard = []
+    stack.register_handler(rx, "ping", lambda _node, p: heard.append(p.src))
+    stack.send(first, rx, "ping", size_bytes=20)
+    stack.flush()
+    stack.send_many("ping", [batched], [rx], [20])
+    stack.send(last, rx, "ping", size_bytes=20)
+    stack.sim.run()
+    assert heard == [first, batched, last]
+
+
 def test_delivery_without_explicit_flush():
     """Unsealed frames are sealed lazily by their resolve tick: flush()
     is a boundary hint, never a delivery prerequisite."""

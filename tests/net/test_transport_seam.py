@@ -20,11 +20,13 @@ Four layers of protection:
 from __future__ import annotations
 
 import inspect
+import json
 import pathlib
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.aggregation.functions import FixedPointCodec, make_aggregate
@@ -36,6 +38,7 @@ from repro.core.integrity import ReportAndVerdictPhase
 from repro.core.intracluster import IntraClusterExchange
 from repro.crypto.keys import PairwiseKeyScheme
 from repro.crypto.linksec import LinkSecurity
+from repro.errors import SimulationError
 from repro.net.transport import Transport, create_transport
 from tests.net.loopback import FakeSim, LoopbackTransport, grid_topology, line_topology
 
@@ -151,6 +154,65 @@ def test_overhear_listener_receives_the_overhearing_node(small_deployment, kind)
     stack.sim.run()
     assert {node for node, _ in calls} == set(overhearers)
     assert all(addressed == dst for _, addressed in calls)
+
+
+@pytest.mark.parametrize("kind", SEAM_KINDS)
+def test_send_many_checks_its_columns_alike(small_deployment, kind):
+    """Every backend rejects an undersized frame with ``ValueError`` (as
+    ``Packet`` does) and ragged columns with ``SimulationError``, before
+    sending any row; numpy columns reach the handler as plain ints."""
+    stack = _seam_transport(kind, small_deployment)
+    src = _busy_sender(stack)
+    dst, other = stack.neighbors(src)[:2]
+    with pytest.raises(ValueError, match="below header size 16"):
+        stack.send_many("ping", [src, src], [dst, other], [20, 3])
+    with pytest.raises(SimulationError):
+        stack.send_many("ping", [src, other], [dst], [20, 20])
+    stack.flush()
+    stack.sim.run()
+    assert stack.counters.total_messages == 0
+    calls = []
+    stack.register_handler(dst, "ping", lambda node, packet: calls.append(packet))
+    stack.send_many("ping", np.array([src]), np.array([dst]), np.array([20]))
+    stack.flush()
+    stack.sim.run()
+    assert stack.counters.total_messages == 1
+    assert [(type(p.src), type(p.dst), type(p.size_bytes)) for p in calls] == [
+        (int, int, int)
+    ]
+
+
+@pytest.mark.parametrize("kind", ("des", "fluid"))
+def test_batched_round_writes_strict_trace_jsonl(tmp_path, kind):
+    """A batched round replays its frames through a per-frame backend as
+    array columns; its ``--trace-out`` lines stay strict JSON, with the
+    replayed kinds in them and no ``repr`` fallback for numpy scalars."""
+    from repro.experiments.cli import main
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON token {token!r}")
+
+    def leaves(value):
+        if isinstance(value, dict):
+            return [leaf for item in value.values() for leaf in leaves(item)]
+        if isinstance(value, list):
+            return [leaf for item in value for leaf in leaves(item)]
+        return [value]
+
+    traces = tmp_path / "traces"
+    argv = ["run", "F3", "--quick", "--transport", kind, "--engine", "batched"]
+    argv += ["--out", str(tmp_path / "out"), "--trace-out", str(traces)]
+    assert main(argv) == 0
+    records = [
+        json.loads(line, parse_constant=reject)
+        for path in sorted((traces / "F3").glob("cell-*.jsonl"))
+        for line in path.read_text().splitlines()
+    ]
+    assert {"tree.join", "cluster.announce"} <= {r["category"] for r in records}
+    sent = {r["fields"]["kind"] for r in records if r["category"] == "medium.tx"}
+    assert kind == "fluid" or {"census", "share", "fvalue"} <= sent
+    values = [leaf for r in records for leaf in leaves(r["fields"])]
+    assert not [v for v in values if isinstance(v, str) and v.startswith("np.")]
 
 
 def test_phases_register_one_plain_callable_per_kind():
