@@ -275,30 +275,15 @@ def m61_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(t >= _M61, t - _M61, t)
 
 
-def m61_pow(base: np.ndarray, exponent: int) -> np.ndarray:
-    """Elementwise ``base ** exponent`` in the field (exponent >= 0).
-
-    The exponent is a Python int shared by all elements — binary
-    exponentiation costs ~2 vectorized multiplies per bit, which is how
-    :func:`m61_inv` reaches Fermat inverses (exponent ``q - 2``) in ~120
-    kernel calls regardless of array size.
-    """
-    if exponent < 0:
-        raise FieldArithmeticError(
-            f"negative exponent {exponent}; use m61_inv() first"
-        )
-    base = m61_reduce(np.asarray(base, dtype=np.uint64))
-    result = np.ones_like(base)
-    while exponent:
-        if exponent & 1:
-            result = m61_mul(result, base)
-        base = m61_mul(base, base)
-        exponent >>= 1
-    return result
-
-
 def m61_inv(values: np.ndarray) -> np.ndarray:
-    """Elementwise Fermat inverse ``v ** (q - 2)`` of canonical operands.
+    """Elementwise inverse of canonical operands, any shape.
+
+    Montgomery's trick over a product tree: pairwise products are taken
+    level by level up to the root, whose inverse is one Python ``pow``
+    (Fermat, exponent ``q - 2``); each level's inverses then follow from
+    its parent's with one vectorized multiply. That is about
+    ``2 * log2(n)`` kernel calls for ``n`` elements. Inverses are unique,
+    so the result equals ``pow(v, q - 2, q)`` element by element.
 
     Raises
     ------
@@ -308,7 +293,26 @@ def m61_inv(values: np.ndarray) -> np.ndarray:
     v = m61_reduce(np.asarray(values, dtype=np.uint64))
     if np.any(v == 0):
         raise FieldArithmeticError("zero has no multiplicative inverse")
-    return m61_pow(v, MERSENNE_61 - 2)
+    if v.size == 0:
+        return v
+    # levels[0] is the flat input; each level above holds the products
+    # of adjacent pairs of the one below, an odd tail padded with one.
+    levels = [v.ravel()]
+    while levels[-1].size > 1:
+        level = levels[-1]
+        if level.size % 2:
+            level = levels[-1] = np.append(level, np.uint64(1))
+        levels.append(m61_mul(level[0::2], level[1::2]))
+    inverse = np.array(
+        [pow(int(levels[-1][0]), MERSENNE_61 - 2, MERSENNE_61)], dtype=np.uint64
+    )
+    for level in reversed(levels[:-1]):
+        # 1/a = b/(ab) and 1/b = a/(ab): each pair's inverses are its
+        # parent's inverse times the sibling.
+        # (A padded parent's last inverse belongs to its pad: dropped.)
+        siblings = level.reshape(-1, 2)[:, ::-1].ravel()
+        inverse = m61_mul(np.repeat(inverse[: level.size // 2], 2), siblings)
+    return inverse[: v.size].reshape(v.shape)
 
 
 def m61_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:

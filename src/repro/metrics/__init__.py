@@ -10,7 +10,7 @@ message/byte counters per node and message kind
 """
 
 from repro.metrics.accuracy import AccuracyResult
-from repro.metrics.counters import KindBreakdown, MessageCounters
+from repro.metrics.counters import MessageCounters
 from repro.metrics.detection import DetectionStats
 from repro.metrics.privacy import DisclosureStats
 from repro.metrics.registry import MetricsRegistry
@@ -19,7 +19,6 @@ from repro.metrics.report import Series, render_chart, render_table
 __all__ = [
     "MessageCounters",
     "MetricsRegistry",
-    "KindBreakdown",
     "AccuracyResult",
     "DisclosureStats",
     "DetectionStats",

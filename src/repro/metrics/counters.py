@@ -19,7 +19,6 @@ reduction and returns a plain Python ``int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Union
 
 import numpy as np
@@ -29,23 +28,6 @@ import numpy as np
 _FOLD_AT = 1 << 15
 
 Counts = Union[int, np.ndarray]
-
-
-@dataclass(frozen=True)
-class KindBreakdown:
-    """Totals for one message kind.
-
-    Attributes
-    ----------
-    kind:
-        Message type label (``"hello"``, ``"share"``, ...).
-    messages / bytes:
-        Frames transmitted and their byte sum (headers included).
-    """
-
-    kind: str
-    messages: int
-    bytes: int
 
 
 class _Columns:
@@ -171,20 +153,6 @@ class MessageCounters:
     def total_bytes(self) -> int:
         """All bytes transmitted in the run (headers included)."""
         return int(self._read(self._tx).bytes.sum())
-
-    def by_kind(self) -> List[KindBreakdown]:
-        """Transmit totals per message kind, sorted by descending bytes
-        (ties in first-recorded order)."""
-        tx = self._read(self._tx)
-        used = len(tx.rows)
-        messages = tx.messages[:used].sum(axis=1).tolist()
-        byte_sums = tx.bytes[:used].sum(axis=1).tolist()
-        breakdown = [
-            KindBreakdown(kind=kind, messages=messages[row], bytes=byte_sums[row])
-            for kind, row in tx.rows.items()
-        ]
-        breakdown.sort(key=lambda b: -b.bytes)
-        return breakdown
 
     @property
     def total_rx_messages(self) -> int:

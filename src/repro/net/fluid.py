@@ -43,7 +43,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -58,7 +57,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.metrics.counters import MessageCounters
-from repro.net.energy import EnergyModel
+from repro.net.energy import FOLD_AT, EnergyModel, first_seen
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
 from repro.net.transport import (
@@ -73,6 +72,9 @@ from repro.topology.spatial import compact_cell_ids
 
 #: One logged ``send_many`` call: (instant, kind, src, dst, size).
 _Call = Tuple[float, str, np.ndarray, np.ndarray, np.ndarray]
+
+#: An empty column batch.
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 #: Row bound of the bulk backend's replay log: a log this long is
 #: settled when a batch arrives at a new instant (bounds its memory).
@@ -174,33 +176,6 @@ class FluidParams:
             raise SimulationError("bulk_tick_s must be > 0")
 
 
-class _LazyRxEnergy(EnergyModel):
-    """Energy ledger that defers receive-side charges.
-
-    The fluid backend skips per-receiver Python callbacks for frames
-    nobody parses, but the *radio* at every in-range node still spent
-    receive energy. Charging ~degree dict entries per frame would undo
-    the backend's speed advantage, so the transport accumulates pending
-    rx bytes per sender and this ledger flushes them (one pass over the
-    adjacency) before any read."""
-
-    def __init__(self, flush: Callable[[], None], **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self._flush = flush
-
-    def spent(self, node_id: int) -> float:
-        self._flush()
-        return super().spent(node_id)
-
-    def snapshot(self) -> dict:
-        self._flush()
-        return super().snapshot()
-
-    def report(self):
-        self._flush()
-        return super().report()
-
-
 class FluidTransport:
     """Closed-form network backend implementing the transport seam.
 
@@ -237,7 +212,8 @@ class FluidTransport:
             )
         self.params = params if params is not None else FluidParams()
         self.counters = MessageCounters()
-        self.energy = _LazyRxEnergy(self._flush_rx_energy)
+        self.energy = EnergyModel()
+        self.energy.before_read = self._flush_rx_energy
         links = deployment.links
         #: The deployment's shared neighbor tuples (node id -> tuple).
         self.adjacency: List[Tuple[int, ...]] = links.rows
@@ -296,8 +272,14 @@ class FluidTransport:
         self._wild_overhear: Dict[int, List[OverhearListener]] = {}
         self._wild_count = 0
         self._dead: Set[int] = set()
-        #: sender -> rx bytes its neighbors owe (flushed lazily).
-        self._pending_rx: Dict[int, int] = {}
+        # Receive bytes each sender's neighbors owe, charged lazily (see
+        # _flush_rx_energy): a per-sender column, the senders in
+        # first-bank order, and per-frame rows staged as flat
+        # [sender, bytes, ...] pairs.
+        self._rx_bank = np.zeros(num_nodes, dtype=np.int64)
+        self._rx_banked = np.zeros(num_nodes, dtype=bool)
+        self._rx_order: List[np.ndarray] = []
+        self._rx_rows: List[int] = []
         # Coins are drawn from the named streams in deterministic batches
         # (one numpy call per 4096 draws) — same sequence as drawing one
         # at a time, without a Python-level Generator call per frame.
@@ -415,7 +397,11 @@ class FluidTransport:
         self._stats.transmissions += 1
         # Receive energy at every live in-range radio, deferred: the
         # bytes are banked against the sender and flushed on read.
-        self._pending_rx[src] = self._pending_rx.get(src, 0) + size
+        rows = self._rx_rows
+        rows.append(src)
+        rows.append(size)
+        if len(rows) >= FOLD_AT:
+            self._bank_rx()
         coins = self._delay_coins
         if not coins:
             coins.extend(self._delay_rng.random(4096).tolist())
@@ -594,23 +580,54 @@ class FluidTransport:
         """True if the node was crash-stopped."""
         return node_id in self._dead
 
+    def _bank_rx(
+        self, senders: np.ndarray = _NO_ROWS, num_bytes: np.ndarray = _NO_ROWS
+    ) -> None:
+        """Bank the staged per-frame rows, then ``num_bytes[i]`` against
+        each ``senders[i]``, keeping first-bank order."""
+        rows = self._rx_rows
+        if rows:
+            flat = np.array(rows, dtype=np.int64)
+            rows.clear()
+            senders = np.concatenate((flat[0::2], senders))
+            num_bytes = np.concatenate((flat[1::2], num_bytes))
+        if senders.size:
+            new = first_seen(senders, self._rx_banked)
+            if new.size:
+                self._rx_order.append(new)
+            np.add.at(self._rx_bank, senders, num_bytes)
+
     def _flush_rx_energy(self) -> None:
         """Charge banked receive bytes to each sender's live neighbors.
 
         Expected-value accounting: the DES charges rx energy only for
         clean receptions, so each neighbor is charged ``bytes * (1 -
-        link loss probability)`` rather than the raw byte total."""
-        if not self._pending_rx:
+        link loss probability)`` rather than the raw byte total. The
+        charges are staged as one batch, senders in first-bank order and
+        each sender's neighbors in adjacency order."""
+        self._bank_rx()
+        if not self._rx_order:
             return
-        account_rx = self.energy.account_rx
-        dead = self._dead
-        loss = self._loss_contended
-        for sender, total_bytes in self._pending_rx.items():
-            start = self._row_start[sender]
-            for edge, receiver in enumerate(self.adjacency[sender], start):
-                if receiver not in dead:
-                    account_rx(receiver, total_bytes * (1.0 - loss[edge]))
-        self._pending_rx.clear()
+        senders = np.concatenate(self._rx_order)
+        self._rx_order.clear()
+        owed = self._rx_bank[senders]
+        self._rx_bank[senders] = 0
+        self._rx_banked[senders] = False
+        starts = self._indptr[senders]
+        degrees = self._indptr[senders + 1] - starts
+        # Edge ids of each sender's CSR row, rows in sender order.
+        offsets = np.cumsum(degrees) - degrees
+        edges = np.repeat(starts - offsets, degrees) + np.arange(int(degrees.sum()))
+        receivers = self._indices[edges]
+        owed = np.repeat(owed, degrees)
+        if self._dead:
+            alive = ~np.isin(receivers, list(self._dead))
+            receivers, owed, edges = receivers[alive], owed[alive], edges[alive]
+        energy = self.energy
+        energy.charge_columns(
+            receivers,
+            energy.rx_j_per_byte * (owed * (1.0 - self._edge_loss_contended[edges])),
+        )
 
     def flush(self) -> None:
         """No-op: the per-frame path resolves each frame on its own event.
@@ -787,7 +804,7 @@ class BulkFluidTransport(FluidTransport):
         jitter_s = self.params.access_jitter_s
         record_tx = self.counters.record_tx
         account_tx = self.energy.account_tx
-        pending = self._pending_rx
+        bank = self._rx_rows.append
         tx_cell = self._tx_cell
         busy = self._busy_until
         stage = self._staged.append
@@ -803,7 +820,8 @@ class BulkFluidTransport(FluidTransport):
             size = packet.size_bytes
             record_tx(src, packet.kind, size)
             account_tx(src, size)
-            pending[src] = pending.get(src, 0) + size
+            bank(src)
+            bank(size)
             keyup = tx_time + coins[position] * jitter_s
             cell = tx_cell[src]
             contended = keyup < busy[cell]
@@ -813,6 +831,8 @@ class BulkFluidTransport(FluidTransport):
             code = kind_codes.setdefault(packet.kind, len(kind_codes))
             stage((end, src, packet.dst, contended, code, size, packet))
         self._stats.transmissions += count
+        if len(self._rx_rows) >= FOLD_AT:
+            self._bank_rx()
 
     def _queued(self) -> bool:
         """True if sealed frames await a resolve tick."""
@@ -922,13 +942,10 @@ class BulkFluidTransport(FluidTransport):
             call_of * self._num_nodes + src_arr, return_inverse=True
         )
         byte_sums = np.bincount(inverse, weights=sizes.astype(np.float64))
-        account_tx = self.energy.account_tx
-        pending = self._pending_rx
-        for node, node_bytes in zip(
-            (keys % self._num_nodes).tolist(), byte_sums.astype(np.int64).tolist()
-        ):
-            account_tx(node, node_bytes)
-            pending[node] = pending.get(node, 0) + node_bytes
+        senders = keys % self._num_nodes
+        energy = self.energy
+        energy.charge_columns(senders, energy.tx_j_per_byte * byte_sums)
+        self._bank_rx(senders, byte_sums.astype(np.int64))
         self._stats.transmissions += count
         radio = self.radio
         airtime = radio.turnaround_s + (8.0 * sizes) / radio.bitrate_bps

@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.metrics.counters import MessageCounters
-from repro.net.energy import EnergyModel
+from repro.net.energy import FOLD_AT, EnergyModel
 from repro.net.mac import CsmaMac, MacParams
 from repro.net.medium import DeliveryEntry, WirelessMedium
 from repro.net.packet import BROADCAST, Packet
@@ -88,15 +88,17 @@ class NetworkStack:
         # Handlers and overhear listeners, laid out as in the fluid
         # transports: node id -> kind -> handler (a list), kind -> node ->
         # listeners (kinds= hint), node -> listeners (no hint). The sweep
-        # reads these, the medium's dead set and the energy ledger
-        # directly, so all of them are mutated in place, never rebound.
+        # reads these, the medium's dead set and the energy ledger's
+        # staging lists directly, so all of them are mutated in place,
+        # never rebound.
         self._handlers: List[Dict[str, PacketHandler]] = [
             {} for _ in range(deployment.num_nodes)
         ]
         self._kind_overhear: Dict[str, Dict[int, List[OverhearListener]]] = {}
         self._wild_overhear: Dict[int, List[OverhearListener]] = {}
         self._dead = self.medium._dead
-        self._spent = self.energy._spent
+        self._rx_nodes = self.energy.staged_nodes
+        self._rx_joules = self.energy.staged_joules
         self._record_rx = self.counters.record_rx
         self._claim = sim.claim
         self.medium.attach_sweep(self._sweep)
@@ -147,8 +149,8 @@ class NetworkStack:
         wild_overhear = self._wild_overhear
         record_rx = self._record_rx
         size = packet.size_bytes
-        spent = self._spent
-        spent_get = spent.get
+        stage_node = self._rx_nodes.append
+        stage_joules = self._rx_joules.append
         rx_j = self.energy.rx_j_per_byte * size
         dst = packet.dst
         broadcast = dst == BROADCAST
@@ -165,7 +167,8 @@ class NetworkStack:
                 if receiver in dead:
                     skipped += 1
                     continue
-                spent[receiver] = spent_get(receiver, 0.0) + rx_j
+                stage_node(receiver)
+                stage_joules(rx_j)
                 if receiver in kind_overhear:
                     for listener in tuple(kind_overhear[receiver]):
                         listener(receiver, packet)
@@ -179,6 +182,8 @@ class NetworkStack:
                         handler(receiver, packet)
         finally:
             self.medium.stats.deliveries += index - start_index - skipped
+            if len(self._rx_nodes) >= FOLD_AT:
+                self.energy.fold()
             # A key that was not claimed — the next one is not due, or a
             # listener or handler raised — goes back on the heap with the
             # rest of the frame behind it, pending as its own event would be.

@@ -19,7 +19,6 @@ from repro.core.field import (
     m61_add,
     m61_inv,
     m61_mul,
-    m61_pow,
     m61_reduce,
     m61_sub,
     m61_sum,
@@ -126,17 +125,37 @@ class TestAddSub:
         ]
 
 
-class TestPowInv:
-    def test_pow_vs_scalar(self, field: PrimeField) -> None:
-        bases = _random_operands(64, seed=31)
-        for exponent in (0, 1, 2, 3, 7, 61, 1 << 20, Q - 2):
-            got = m61_pow(bases, exponent)
-            for x, z in zip(bases.tolist(), got.tolist()):
-                assert z == pow(x, exponent, Q)
+def _fermat(values) -> list:
+    return [pow(int(x), Q - 2, Q) for x in np.asarray(values).ravel().tolist()]
 
-    def test_pow_rejects_negative(self) -> None:
-        with pytest.raises(FieldArithmeticError):
-            m61_pow(np.array([3], dtype=np.uint64), -1)
+
+class TestPowInv:
+    """The product-tree inverse against big-int Fermat inverses."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 7, 31, 64, 129, 1001])
+    def test_inv_vs_fermat(self, size: int) -> None:
+        values = _random_operands(size, seed=31 + size)
+        values[values == 0] = 1
+        got = m61_inv(values)
+        assert got.dtype == np.uint64 and got.shape == (size,)
+        assert got.tolist() == _fermat(values)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 5), (3, 17), (0, 4)])
+    def test_inv_keeps_2d_shapes(self, shape) -> None:
+        values = _random_operands(int(np.prod(shape)), seed=33).reshape(shape)
+        values[values == 0] = 1
+        got = m61_inv(values)
+        assert got.shape == shape
+        assert got.ravel().tolist() == _fermat(values)
+
+    def test_inv_of_100k_elements(self) -> None:
+        rng = np.random.default_rng(35)
+        values = rng.integers(1, Q, size=100_000, dtype=np.int64).astype(np.uint64)
+        assert m61_inv(values).tolist() == _fermat(values)
+
+    def test_inv_edges(self) -> None:
+        values = np.array([v for v in EDGE_VALUES if v % Q], dtype=np.uint64)
+        assert m61_inv(values).tolist() == _fermat(values % np.uint64(Q))
 
     def test_inv_vs_scalar(self, field: PrimeField) -> None:
         values = _random_operands(64, seed=32)
@@ -149,6 +168,18 @@ class TestPowInv:
     def test_inv_rejects_zero(self) -> None:
         with pytest.raises(FieldArithmeticError):
             m61_inv(np.array([0, 5], dtype=np.uint64))
+        for position in (0, 4, 9):  # anywhere, flat or 2-D
+            values = _random_operands(10, seed=34)
+            values[values == 0] = 1
+            values[position] = 0
+            with pytest.raises(FieldArithmeticError):
+                m61_inv(values)
+            with pytest.raises(FieldArithmeticError):
+                m61_inv(values.reshape(2, 5))
+
+    def test_inv_rejects_the_modulus(self) -> None:
+        with pytest.raises(FieldArithmeticError):
+            m61_inv(np.array([5, Q], dtype=np.uint64))
 
 
 class TestSum:

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from repro.metrics import counters as counters_module
-from repro.metrics.counters import KindBreakdown, MessageCounters
-from tests.counter_reads import kind_totals, node_rx_bytes, node_tx_bytes, node_tx_messages
+from repro.metrics.counters import MessageCounters
+from tests.counter_reads import (
+    KindBreakdown,
+    by_kind,
+    kind_totals,
+    node_rx_bytes,
+    node_tx_bytes,
+    node_tx_messages,
+)
 
 
 class TestRollups:
@@ -34,7 +41,7 @@ class TestRollups:
         counters = MessageCounters()
         counters.record_tx(1, "small", 5)
         counters.record_tx(1, "big", 500)
-        breakdown = counters.by_kind()
+        breakdown = by_kind(counters)
         assert breakdown[0].kind == "big"
         assert breakdown[1].kind == "small"
         assert kind_totals(counters, "big")[1] == 500
@@ -66,7 +73,7 @@ class TestRollups:
     def test_empty_batch_registers_no_kind(self):
         counters = MessageCounters()
         counters.record_tx_columns("ghost", np.array([], dtype=np.int64), 1, [])
-        assert counters.by_kind() == []
+        assert by_kind(counters) == []
 
     def test_negative_node_ids_rejected(self):
         counters = MessageCounters()
@@ -91,14 +98,14 @@ class _ReferenceCounters:
         cell[1] += num_bytes
 
     def reads(self, nodes, kinds):
-        by_kind = {}
+        totals = {}
         for (_, kind), cell in self.tx.items():
-            agg = by_kind.setdefault(kind, [0, 0])
+            agg = totals.setdefault(kind, [0, 0])
             agg[0] += cell[0]
             agg[1] += cell[1]
         breakdown = [
             KindBreakdown(kind=kind, messages=cell[0], bytes=cell[1])
-            for kind, cell in by_kind.items()
+            for kind, cell in totals.items()
         ]
         breakdown.sort(key=lambda b: -b.bytes)
 
@@ -133,7 +140,7 @@ def _reads(counters, nodes, kinds):
         "node_rx_bytes": [node_rx_bytes(counters, n) for n in nodes],
         "kind_bytes": [kind_totals(counters, k)[1] for k in kinds],
         "kind_messages": [kind_totals(counters, k)[0] for k in kinds],
-        "by_kind": counters.by_kind(),
+        "by_kind": by_kind(counters),
     }
 
 
@@ -212,7 +219,7 @@ def test_by_kind_breaks_ties_in_first_recorded_order():
     counters.record_tx(2, "late", 10)  # first recorded, buffered
     counters.record_tx_columns("early", [1], 1, [10])
     counters.record_tx(3, "mid", 10)
-    assert [b.kind for b in counters.by_kind()] == ["late", "early", "mid"]
+    assert [b.kind for b in by_kind(counters)] == ["late", "early", "mid"]
 
 
 def test_columns_grow_past_several_doublings():
@@ -234,7 +241,7 @@ def test_columns_grow_past_several_doublings():
     assert node_tx_bytes(counters, 70001) == 0
     assert node_rx_bytes(counters, 10**9) == 0
     assert counters.total_rx_messages == 2 * len(nodes)
-    assert [b.kind for b in counters.by_kind()][:2] == ["hello", "q"]
+    assert [b.kind for b in by_kind(counters)][:2] == ["hello", "q"]
     # Each dimension grows only when it runs out.
     assert counters._rx.messages.shape == (8, 70001)
     assert counters._tx.messages.shape == (32, 70001)

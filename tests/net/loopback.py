@@ -105,9 +105,6 @@ class _NullEnergy:
     def account_tx(self, *args: Any) -> None:
         pass
 
-    def account_rx(self, *args: Any) -> None:
-        pass
-
     def spent(self, node_id: int) -> float:
         return 0.0
 

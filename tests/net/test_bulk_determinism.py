@@ -27,7 +27,7 @@ from repro.net import fluid
 from repro.net.fluid import BulkFluidTransport
 from repro.net.packet import BROADCAST
 from tests.net.test_fluid_bulk import make_bulk
-from tests.counter_reads import node_rx_bytes, node_tx_bytes, node_tx_messages
+from tests.counter_reads import by_kind, node_rx_bytes, node_tx_bytes, node_tx_messages
 
 NUM_NODES = 300
 SEED = 3
@@ -89,7 +89,7 @@ def _fingerprint(protocol, result) -> tuple:
             )
             for node in nodes
         ],
-        counters.by_kind(),
+        by_kind(counters),
         counters.snapshot(),
         stack.stats.snapshot(),
         [repr(energy.spent(node)) for node in nodes],
@@ -175,7 +175,7 @@ def _books(stack: BulkFluidTransport) -> tuple:
             )
             for node in nodes
         ],
-        counters.by_kind(),
+        by_kind(counters),
         counters.snapshot(),
         stack.medium.stats.snapshot(),
         [repr(stack.energy.spent(node)) for node in nodes],

@@ -19,7 +19,7 @@ from repro.net.fluid import BulkFluidTransport, FluidParams
 from repro.net.packet import BROADCAST
 from repro.sim.kernel import Simulator
 from repro.topology.deploy import uniform_deployment
-from tests.counter_reads import node_rx_bytes, node_tx_bytes, node_tx_messages
+from tests.counter_reads import by_kind, node_rx_bytes, node_tx_bytes, node_tx_messages
 
 
 def make_bulk(seed=7, num_nodes=80, params=None, radio=None):
@@ -319,7 +319,7 @@ def test_send_many_counts_like_per_row_sends():
                 )
                 for node in stack.node_ids()
             ],
-            counters.by_kind(),
+            by_kind(counters),
             counters.snapshot(),
             stack.stats.snapshot(),
         )

@@ -1,5 +1,6 @@
 """Unit tests for radio parameters and energy accounting."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DeploymentError, SimulationError
@@ -41,8 +42,7 @@ class TestEnergyModel:
     def test_tx_and_rx_accumulate(self):
         model = EnergyModel(tx_j_per_byte=2.0, rx_j_per_byte=1.0)
         model.account_tx(1, 10)
-        model.account_rx(1, 10)
-        model.account_rx(2, 5)
+        model.charge_columns(np.array([1, 2]), model.rx_j_per_byte * np.array([10, 5]))
         assert model.spent(1) == pytest.approx(30.0)
         assert model.spent(2) == pytest.approx(5.0)
         assert model.spent(99) == 0.0

@@ -65,9 +65,6 @@ _DEAD_SET = (
 
 #: Public defs kept although no root runs them: qualname -> reason.
 ALLOWED_UNRUN: Dict[str, str] = {
-    "MessageCounters.by_kind": (
-        "input to the golden hash of tests/net/test_bulk_determinism.py"
-    ),
     "NetworkStack.is_failed": _DEAD_SET,
     "FluidTransport.is_failed": _DEAD_SET,
     "FluidTransport.degree": (
