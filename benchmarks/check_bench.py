@@ -15,7 +15,9 @@ hot-path regressions:
    committed quick baseline (``benchmarks/baselines/BENCH_e2e_quick.json``
    — *baselines*, not the gitignored ``results/``) — any scenario slower
    than ``--max-ratio`` (default 2.0) times the baseline fails the job,
-   and so does any scenario whose seeded counters (``transmissions``,
+   and so does any scenario faster than the baseline divided by that
+   ratio (a stale baseline, under which the slowdown gate has no
+   teeth), and any scenario whose seeded counters (``transmissions``,
    ``deliveries``, ``events_fired``) differ from the baseline's at all:
    every quick round is seeded and deterministic on its transport, so
    any drift there is a behaviour change, not noise;
@@ -222,6 +224,10 @@ def compare(
     ``baseline + min_slack``: the sub-10ms quick scenarios are dominated
     by constant scheduler noise, so a pure ratio would flap on them
     while an order-of-magnitude mistake still blows far past both bars.
+    Symmetrically, a scenario under ``baseline / max_ratio`` *and*
+    ``baseline - min_slack`` fails as stale: its baseline is so slow
+    that a ``max_ratio`` slowdown of the current code would still pass,
+    so the baseline must be re-recorded.
 
     The scenario *sets* must match exactly, in both directions: a
     scenario in the baseline but not the fresh run means a timed path
@@ -252,9 +258,14 @@ def compare(
         now = fresh_entry["best_seconds"]
         ratio = now / base
         regressed = ratio > max_ratio and now > base + min_slack
-        verdict = "REGRESSED" if regressed else "ok"
+        stale = ratio < 1.0 / max_ratio and now < base - min_slack
+        verdict = "REGRESSED" if regressed else "STALE" if stale else "ok"
         print(f"{name:24s} baseline={base:8.4f}s now={now:8.4f}s x{ratio:5.2f} {verdict}")
         if regressed:
+            regressions += 1
+        if stale:
+            print(f"FAIL {name}: stale baseline, {now:.4f}s is under "
+                  f"{base:.4f}s / {max_ratio}; re-record it")
             regressions += 1
         rss_ceiling = base_entry.get("max_peak_rss_mb")
         if rss_ceiling is not None:
@@ -306,7 +317,8 @@ def main(argv=None) -> int:
         "--max-ratio",
         type=float,
         default=2.0,
-        help="fail when a quick scenario is slower than baseline * ratio (default 2.0)",
+        help="fail when a quick scenario is slower than baseline * ratio, or "
+        "faster than baseline / ratio (a stale baseline; default 2.0)",
     )
     parser.add_argument(
         "--min-slack",
@@ -352,7 +364,8 @@ def main(argv=None) -> int:
     )
 
     if regressions:
-        print(f"{regressions} scenario(s) regressed beyond {args.max_ratio}x")
+        print(f"{regressions} scenario(s) failed: regressed beyond "
+              f"{args.max_ratio}x, stale, or drifted")
         return 1
     print(
         f"all {len(baseline)} quick e2e + {len(service_baseline)} quick "

@@ -80,8 +80,32 @@ class TestCompareThresholds:
 
     def test_faster_is_fine(self, check_bench, capsys):
         baseline = {"a": _entry(1.0)}
-        fresh = {"a": _entry(0.2)}
+        fresh = {"a": _entry(0.6)}
         assert check_bench.compare(baseline, fresh, 2.0, 0.05) == 0
+
+    def test_stale_baseline_fails(self, check_bench, capsys):
+        # Under baseline / ratio, a 2x slowdown of the current code
+        # would still pass: the baseline must be re-recorded.
+        baseline = {"a": _entry(1.0)}
+        fresh = {"a": _entry(0.2)}
+        assert check_bench.compare(baseline, fresh, 2.0, 0.05) == 1
+        out = capsys.readouterr().out
+        assert "STALE" in out and "FAIL a: stale baseline" in out
+
+    def test_stale_needs_ratio_and_slack(self, check_bench, capsys):
+        # 10x faster but within the absolute slack: noise, not staleness.
+        baseline = {"a": _entry(0.040)}
+        fresh = {"a": _entry(0.004)}
+        assert check_bench.compare(baseline, fresh, 2.0, 0.05) == 0
+
+    def test_committed_bulk_baselines_are_not_stale_by_far(self, check_bench):
+        # The re-recorded rows sit well inside the ratio; a baseline
+        # several times slower than the code it gates has no teeth.
+        rows = check_bench.check_e2e_report(check_bench.QUICK_BASELINE)
+        assert rows["icpda_mega_fluid_bulk"]["best_seconds"] < 20.0
+        assert rows["icpda_huge_fluid_bulk"]["best_seconds"] < 3.0
+        assert rows["icpda_mega_fluid_bulk"]["max_peak_rss_mb"] < 1000.0
+        assert rows["icpda_huge_fluid_bulk"]["max_peak_rss_mb"] < 300.0
 
 
 class TestPeakRssCeiling:
