@@ -427,8 +427,9 @@ def batched_lagrange_weights(field: PrimeField, seeds: np.ndarray) -> np.ndarray
     """Constant-term Lagrange weights for every cluster: ``(C, m)``.
 
     ``w[c, j] = Π_{k≠j} x_k / (x_k - x_j)`` — the batched analogue of
-    :meth:`PrimeField.lagrange_weights`, solved with one Fermat inverse
-    over the whole denominator matrix.
+    :meth:`PrimeField.lagrange_weights`, solved with one product-tree
+    inverse (:func:`~repro.core.field.m61_inv`) over the whole
+    denominator matrix.
     """
     _require_m61(field)
     seeds = _validated_seed_matrix(field, seeds)
