@@ -28,13 +28,13 @@ the round out rather than leak.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.aggregation.tree import TreeBuildResult
 from repro.core.arq import StopAndWait
 from repro.core.config import IcpdaConfig
 from repro.errors import ClusterFormationError
-from repro.net.packet import Packet
+from repro.net.packet import BROADCAST, Packet
 from repro.net.transport import Transport
 
 ANNOUNCE_KIND = "head_announce"
@@ -178,36 +178,64 @@ class ClusterFormation:
                 self._stack.register_handler(node, kind, handler)
 
         # Wave 1: election + announce.
-        bs = self._tree.root
-        self._heads.add(bs)
-        sim.schedule(0.0, self._announce, args=(bs,))
-        for node in self._tree.parents:
-            if node == bs:
-                continue
-            if self._rng.random() < self._election_probability(node) and (
-                node not in self._excluded
-            ):
-                self._heads.add(node)
-                delay = float(self._rng.uniform(0.05, WINDOW_ANNOUNCE_S * 0.8))
-                sim.schedule(delay, self._announce, args=(node,))
-
-        # Decision point: join or second-wave self-elect.
-        sim.schedule_at(t0 + WINDOW_ANNOUNCE_S, self._wave2_decisions)
-        # Late joiners toward wave-2 heads.
-        sim.schedule_at(
-            t0 + WINDOW_ANNOUNCE_S + WINDOW_JOIN_S * 0.5,
-            self._late_join_decisions,
-        )
-        # Undersized heads dissolve; their nodes re-join (merge wave).
-        t_dissolve = t0 + WINDOW_ANNOUNCE_S + WINDOW_JOIN_S
-        sim.schedule_at(t_dissolve, self._dissolve_undersized)
-        # Final membership close + member lists + census.
-        rejoin_window = WINDOW_JOIN_S * 0.7
-        sim.schedule_at(t_dissolve + rejoin_window, self._close)
-
-        sim.run(until=t_dissolve + rejoin_window + WINDOW_MEMBERLIST_S)
+        for head, delay in self._elect():
+            self._after(delay, self._announce, head)
+        sim.run(until=self._schedule_waves(t0))
         self._finalize()
         return self.result
+
+    # -- plumbing (the batched engine replaces these) -------------------------
+
+    def _at(self, when: float, callback: Callable[[], None]) -> None:
+        self._stack.sim.schedule_at(when, callback)
+
+    def _after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        self._stack.sim.schedule(delay, callback, args=args)
+
+    def _send(
+        self, src: int, dst: int, kind: str, payload: dict, delay: float = 0.0
+    ) -> None:
+        """Transmit one frame (``dst`` may be ``BROADCAST``), at once or
+        ``delay`` seconds from now."""
+        if delay:
+            self._after(delay, self._send, src, dst, kind, payload)
+        elif dst == BROADCAST:
+            self._stack.broadcast(src, kind, payload)
+        else:
+            self._stack.send(src, dst, kind, payload)
+
+    def _announce(self, node: int, delay: float = 0.0) -> None:
+        """Broadcast ``node``'s head announcement, at once or after ``delay``."""
+        if delay:
+            self._after(delay, self._announce, node)
+            return
+        self._send(node, BROADCAST, ANNOUNCE_KIND, {"head": node})
+        self._stack.sim.trace.emit(
+            "cluster.announce", f"node {node} announces head", head=node
+        )
+
+    def _publish(self, cluster: Cluster) -> None:
+        """Broadcast a closed cluster's member list (twice, for loss
+        robustness) and send its census toward the base station."""
+        head = cluster.head
+        payload = {
+            "head": head,
+            "members": list(cluster.members),
+            "active": cluster.active,
+        }
+        self._send(head, BROADCAST, MEMBER_LIST_KIND, payload)
+        self._send(
+            head,
+            BROADCAST,
+            MEMBER_LIST_KIND,
+            dict(payload),
+            0.6 + float(self._rng.uniform(0.0, 0.4)),
+        )
+        # Census toward the base station (hop-acknowledged).
+        census = {"head": head, "size": cluster.size, "active": cluster.active}
+        self._after(
+            1.2 + float(self._rng.uniform(0.0, 0.6)), self._send_census, head, census
+        )
 
     # -- wave logic ---------------------------------------------------------
 
@@ -228,14 +256,38 @@ class ClusterFormation:
         neighborhood = self._stack.degree(node) + 1
         return 1.0 / max(1, min(ADAPTIVE_TARGET_K, neighborhood))
 
-    def _announce(self, node: int) -> None:
-        self._stack.broadcast(node, ANNOUNCE_KIND, {"head": node})
-        self._stack.sim.trace.emit(
-            "cluster.announce", f"node {node} announces head", head=node
-        )
+    def _elect(self) -> Iterator[Tuple[int, float]]:
+        """Wave 1: the base station and every non-excluded node that wins
+        its election draw become heads; yields each with its announce
+        delay, in tree order after the base station (delay 0)."""
+        bs = self._tree.root
+        self._heads.add(bs)
+        yield bs, 0.0
+        for node in self._tree.parents:
+            if node == bs:
+                continue
+            if self._rng.random() < self._election_probability(node) and (
+                node not in self._excluded
+            ):
+                self._heads.add(node)
+                yield node, float(self._rng.uniform(0.05, WINDOW_ANNOUNCE_S * 0.8))
+
+    def _schedule_waves(self, t0: float) -> float:
+        """Schedule the decision points after wave 1; returns the phase
+        deadline."""
+        # Decision point: join or second-wave self-elect.
+        self._at(t0 + WINDOW_ANNOUNCE_S, self._wave2_decisions)
+        # Late joiners toward wave-2 heads.
+        self._at(t0 + WINDOW_ANNOUNCE_S + WINDOW_JOIN_S * 0.5, self._late_join_decisions)
+        # Undersized heads dissolve; their nodes re-join (merge wave).
+        t_dissolve = t0 + WINDOW_ANNOUNCE_S + WINDOW_JOIN_S
+        self._at(t_dissolve, self._dissolve_undersized)
+        # Final membership close + member lists + census.
+        t_close = t_dissolve + WINDOW_JOIN_S * 0.7
+        self._at(t_close, self._close)
+        return t_close + WINDOW_MEMBERLIST_S
 
     def _wave2_decisions(self) -> None:
-        sim = self._stack.sim
         for node in self._tree.parents:
             if node in self._heads or node == self._tree.root:
                 continue
@@ -244,8 +296,7 @@ class ClusterFormation:
             elif node not in self._excluded:
                 # Heard nothing: self-elect so sparse regions still form.
                 self._heads.add(node)
-                delay = float(self._rng.uniform(0.05, WINDOW_JOIN_S * 0.3))
-                sim.schedule(delay, self._announce, args=(node,))
+                self._announce(node, float(self._rng.uniform(0.05, WINDOW_JOIN_S * 0.3)))
 
     def _late_join_decisions(self) -> None:
         for node in self._tree.parents:
@@ -260,32 +311,27 @@ class ClusterFormation:
         choices = self._heard[node]
         head = int(choices[self._rng.integers(0, len(choices))])
         self._joined[node] = head
-        delay = float(self._rng.uniform(0.02, window))
-        self._stack.sim.schedule(delay, self._send_join, args=(node, head))
+        self._send_join(node, head, float(self._rng.uniform(0.02, window)))
 
-    def _send_join(self, node: int, head: int) -> None:
-        self._stack.send(node, head, JOIN_KIND, {"member": node})
+    def _send_join(self, node: int, head: int, delay: float = 0.0) -> None:
+        self._send(node, head, JOIN_KIND, {"member": node}, delay)
 
     def _dissolve_undersized(self) -> None:
         """Merge wave: heads that cannot reach ``k_min`` dissolve and
         everyone involved re-joins a surviving head; oversubscribed heads
         bounce their excess joiners into the same re-join window."""
-        cfg = self._config
-        sim = self._stack.sim
         self._merge_phase = True
         for head in sorted(self._heads):
             if head == self._tree.root:
                 continue  # the base station's cluster never dissolves
-            size = 1 + len(self._join_queue.get(head, []))
-            if size >= cfg.k_min:
+            if 1 + len(self._join_queue.get(head, ())) >= self._config.k_min:
                 continue
             self._dissolved.add(head)
             self._heard_dissolves.setdefault(head, set()).add(head)
-            self._stack.broadcast(head, DISSOLVE_KIND, {"head": head})
-            delay = float(self._rng.uniform(0.1, 0.5))
-            sim.schedule(delay, self._rejoin, args=(head,))
+            self._send(head, BROADCAST, DISSOLVE_KIND, {"head": head})
+            self._after(float(self._rng.uniform(0.1, 0.5)), self._rejoin, head)
         if self._dissolved:
-            sim.trace.emit(
+            self._stack.sim.trace.emit(
                 "cluster.dissolve",
                 f"{len(self._dissolved)} undersized clusters dissolved",
                 dissolved=len(self._dissolved),
@@ -322,39 +368,18 @@ class ClusterFormation:
 
     def _close(self) -> None:
         cfg = self._config
-        sim = self._stack.sim
-        for head in sorted(self._heads - self._dissolved):
+        closed = sorted(self._heads - self._dissolved)
+        for head in closed:
             joiners = self._join_queue.get(head, [])[: cfg.k_max - 1]
-            members = [head] + joiners
-            cluster = Cluster(head=head, members=members)
+            cluster = Cluster(head=head, members=[head] + joiners)
             cluster.active = cluster.size >= cfg.k_min
             self.result.clusters[head] = cluster
-            payload = {
-                "head": head,
-                "members": list(members),
-                "active": cluster.active,
-            }
-            self._stack.broadcast(head, MEMBER_LIST_KIND, payload)
-            sim.schedule(
-                0.6 + float(self._rng.uniform(0.0, 0.4)),
-                self._rebroadcast_list,
-                args=(head, dict(payload)),
-            )
-            # Census toward the base station (hop-acknowledged).
-            census = {"head": head, "size": cluster.size, "active": cluster.active}
-            sim.schedule(
-                1.2 + float(self._rng.uniform(0.0, 0.6)),
-                self._send_census,
-                args=(head, census),
-            )
-        sim.trace.emit(
+            self._publish(cluster)
+        self._stack.sim.trace.emit(
             "cluster.closed",
-            f"{len(self._heads - self._dissolved)} clusters closed",
-            clusters=len(self._heads - self._dissolved),
+            f"{len(closed)} clusters closed",
+            clusters=len(closed),
         )
-
-    def _rebroadcast_list(self, head: int, payload: dict) -> None:
-        self._stack.broadcast(head, MEMBER_LIST_KIND, payload)
 
     def _send_census(self, head: int, census: dict) -> None:
         if head == self._tree.root:
@@ -373,60 +398,20 @@ class ClusterFormation:
             (sender, parent, CENSUS_KIND, dict(census)),
         )
 
-    # -- handlers -------------------------------------------------------------
+    # -- handlers: unpack a frame, then decide --------------------------------
 
     def _on_announce(self, node: int, packet: Packet) -> None:
-        head = int(packet.payload["head"])
-        if head == node or head in self._excluded:
-            return
-        if head not in self._heard[node]:
-            self._heard[node].append(head)
-        if not self._merge_phase:
-            return
-        # A re-announce during the merge window supersedes an
-        # earlier dissolve, and leftovers join it directly.
-        dissolved = self._heard_dissolves.get(node)
-        if dissolved:
-            dissolved.discard(head)
-        if (
-            node not in self._heads
-            and self._joined.get(node) is None
-            and head not in self._rejected_from.get(node, ())
-        ):
-            self._joined[node] = head
-            delay = float(self._rng.uniform(0.05, 0.3))
-            self._stack.sim.schedule(delay, self._send_join, args=(node, head))
+        self._hear_announce(node, int(packet.payload["head"]))
 
     def _on_join(self, node: int, packet: Packet) -> None:
-        member = int(packet.payload["member"])
-        if node not in self._heads or node in self._dissolved:
-            return  # stale join to a non-head or dissolved head
-        queue = self._join_queue.setdefault(node, [])
-        if member in queue:
-            return
-        if len(queue) >= self._config.k_max - 1:
-            # Full: bounce immediately so the joiner can retry
-            # elsewhere while the window is still open.
-            self._stack.send(node, member, JOIN_REJECT_KIND, {"member": member})
-            return
-        queue.append(member)
+        self._take_join(node, int(packet.payload["member"]))
 
     def _on_join_reject(self, node: int, packet: Packet) -> None:
-        if int(packet.payload["member"]) != node or node in self._heads:
-            return
-        self._rejected_from.setdefault(node, set()).add(packet.src)
-        if self._joined.get(node) == packet.src:
-            self._joined[node] = None
-            delay = float(self._rng.uniform(0.1, 0.5))
-            self._stack.sim.schedule(delay, self._rejoin, args=(node,))
+        if int(packet.payload["member"]) == node:
+            self._take_reject(node, packet.src)
 
     def _on_dissolve(self, node: int, packet: Packet) -> None:
-        head = int(packet.payload["head"])
-        self._heard_dissolves.setdefault(node, set()).add(head)
-        if self._joined.get(node) == head and node not in self._heads:
-            self._joined[node] = None
-            delay = float(self._rng.uniform(0.1, 0.5))
-            self._stack.sim.schedule(delay, self._rejoin, args=(node,))
+        self._hear_dissolve(node, int(packet.payload["head"]))
 
     def _on_member_list(self, node: int, packet: Packet) -> None:
         members = [int(m) for m in packet.payload["members"]]
@@ -464,6 +449,56 @@ class ClusterFormation:
             int(census["size"]),
             bool(census["active"]),
         )
+
+    # -- decisions: ``node`` received a frame about ``head``/``member`` -------
+
+    def _hear_announce(self, node: int, head: int) -> None:
+        if head == node or head in self._excluded:
+            return
+        heard = self._heard[node]
+        if head not in heard:
+            heard.append(head)
+        if not self._merge_phase:
+            return
+        # A re-announce during the merge window supersedes an
+        # earlier dissolve, and leftovers join it directly.
+        dissolved = self._heard_dissolves.get(node)
+        if dissolved:
+            dissolved.discard(head)
+        if (
+            node not in self._heads
+            and self._joined.get(node) is None
+            and head not in self._rejected_from.get(node, ())
+        ):
+            self._joined[node] = head
+            self._send_join(node, head, float(self._rng.uniform(0.05, 0.3)))
+
+    def _take_join(self, node: int, member: int) -> None:
+        if node not in self._heads or node in self._dissolved:
+            return  # stale join to a non-head or dissolved head
+        queue = self._join_queue.setdefault(node, [])
+        if member in queue:
+            return
+        if len(queue) >= self._config.k_max - 1:
+            # Full: bounce immediately so the joiner can retry
+            # elsewhere while the window is still open.
+            self._send(node, member, JOIN_REJECT_KIND, {"member": member})
+            return
+        queue.append(member)
+
+    def _take_reject(self, node: int, head: int) -> None:
+        if node in self._heads:
+            return
+        self._rejected_from.setdefault(node, set()).add(head)
+        if self._joined.get(node) == head:
+            self._joined[node] = None
+            self._after(float(self._rng.uniform(0.1, 0.5)), self._rejoin, node)
+
+    def _hear_dissolve(self, node: int, head: int) -> None:
+        self._heard_dissolves.setdefault(node, set()).add(head)
+        if self._joined.get(node) == head and node not in self._heads:
+            self._joined[node] = None
+            self._after(float(self._rng.uniform(0.1, 0.5)), self._rejoin, node)
 
     # -- finalize ---------------------------------------------------------------
 

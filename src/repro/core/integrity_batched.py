@@ -34,8 +34,6 @@ alarm propagations interleave; all verdict inputs are order-insensitive.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Dict, List, Tuple
 
 from repro.core.integrity import (
@@ -48,18 +46,11 @@ from repro.core.integrity import (
     WINDOW_VERDICT_S,
     ReportAndVerdictPhase,
 )
-from repro.core.replay import EPS, FrameReplay
+from repro.core.replay import EPS, EventHeap, FrameReplay
 from repro.core.results import AlarmReason, AlarmRecord, RoundResult
 from repro.net.packet import HEADER_BYTES, Packet, payload_size
 
 _INT = 4  # wire size of one small-int payload field
-
-# In-engine event codes (heap entries are (time, seq, code, data)).
-_E_HEAD = 0  # a head transmits its (possibly mutated) report
-_E_RPT = 1  # a report frame is delivered (witnesses + addressee)
-_E_ACK = 2  # a report ack is delivered (witnesses)
-_E_FSET = 3  # an exchange-detected F-set conflict becomes an alarm
-_E_DOG = 4  # the watchdog deadline fires
 
 
 class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
@@ -74,7 +65,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
     def run(self, true_value: float, total_sensors: int) -> RoundResult:
         sim = self._stack.sim
         t0 = sim.now
-        self._now = t0
+        self._events = EventHeap(t0)
         self._replay = FrameReplay(self._stack, t0)
 
         # Draw order matches the scalar run(): abort delays, F-set alarm
@@ -114,6 +105,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         self._replay.schedule()
         sim.run(until=phase_end)
         self._replay = None
+        self._events = None
         return self._verdict(true_value, total_sensors, sim.now - t0)
 
     # -- honest fast path -----------------------------------------------------
@@ -217,40 +209,17 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         fset_events: List[Tuple[float, int, int]],
         phase_end: float,
     ) -> None:
-        self._heap: List[tuple] = []
-        self._seq = itertools.count()
+        events = self._events
         for at, member, head in fset_events:
-            self._push(at, _E_FSET, (member, head))
+            # An exchange-detected F-set conflict becomes an alarm.
+            events.push(
+                at, self._raise_alarm, member, head,
+                AlarmReason.FSET_TAMPERED, FSET_DETAIL, head,
+            )
         for head, at in send_times.items():
-            self._push(at, _E_HEAD, (head,))
-        self._push(phase_end - 1.0, _E_DOG, ())
-        heap = self._heap
-        while heap:
-            at, _s, code, data = heapq.heappop(heap)
-            if at > phase_end:
-                break  # past the phase deadline, like the scalar run()
-            self._now = at
-            if code == _E_RPT:
-                self._deliver_report(at, *data)
-            elif code == _E_ACK:
-                self._deliver_ack(*data)
-            elif code == _E_HEAD:
-                self._send_head_report(data[0])
-            elif code == _E_FSET:
-                member, head = data
-                self._raise_alarm(
-                    member,
-                    head,
-                    AlarmReason.FSET_TAMPERED,
-                    FSET_DETAIL,
-                    cluster=head,
-                )
-            else:
-                self._fire_watchdogs()
-        self._heap = []
-
-    def _push(self, at: float, code: int, data: tuple) -> None:
-        heapq.heappush(self._heap, (at, next(self._seq), code, data))
+            events.push(at, self._send_head_report, head)
+        events.push(phase_end - 1.0, self._fire_watchdogs)
+        events.run(until=phase_end)
 
     def _send_report_hop(
         self, sender: int, target: int, payload: dict, kind: str = REPORT_KIND
@@ -259,11 +228,12 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
         # enqueue the (guaranteed) delivery. No ARQ timers — the
         # reliable control plane never loses the first copy.
         size = HEADER_BYTES + payload_size(payload)
-        self._replay.record(self._now, sender, target, kind, size)
+        now = self._events.now
+        self._replay.record(now, sender, target, kind, size)
         if kind == REPORT_KIND:
-            self._push(self._now + EPS, _E_RPT, (sender, target, payload))
+            self._events.push(now + EPS, self._deliver_report, sender, target, payload)
 
-    def _deliver_report(self, at: float, src: int, dst: int, payload: dict) -> None:
+    def _deliver_report(self, src: int, dst: int, payload: dict) -> None:
         # Mirrors the lossless-transport delivery order: every audible
         # receiver overhears (in adjacency order), the addressee's
         # handler runs in its slot of that sweep.
@@ -276,13 +246,14 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             if flags.get(receiver):
                 self._witness(receiver, packet)
             if receiver == dst:
-                self._receive_report(at, src, dst, payload)
+                self._receive_report(src, dst, payload)
 
-    def _receive_report(self, at: float, src: int, dst: int, payload: dict) -> None:
+    def _receive_report(self, src: int, dst: int, payload: dict) -> None:
         payload = dict(payload)
         cluster = int(payload["cluster"])
+        at = self._events.now
         self._replay.record(at, dst, src, REPORT_ACK_KIND, HEADER_BYTES + _INT)
-        self._push(at + EPS, _E_ACK, (dst, src, cluster))
+        self._events.push(at + EPS, self._deliver_ack, dst, src, cluster)
         if not self._report_arq.take(dst, cluster):
             return
         ids = tuple(int(i) for i in payload.get("ids", (cluster,)))
@@ -354,7 +325,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             "cluster": cluster,
         }
         size = HEADER_BYTES + payload_size(payload)
-        at = self._now
+        at = self._events.now
         parents = self._tree.parents
         root = self._tree.root
         targets = []

@@ -1,20 +1,23 @@
-"""Bucketed frame replay shared by the in-process phase engines.
+"""Event heap and bucketed frame replay shared by the in-process phase engines.
 
 The batched engines (:mod:`repro.core.clustering_batched`,
 :mod:`repro.core.intracluster_batched`, :mod:`repro.core.integrity_batched`)
 decide a phase's outcome in-process, then *replay* the frames that phase
 would have put on the air through the Transport seam, so byte counters,
 the energy ledger and the bulk transports' macro-event statistics stay
-truthful. :class:`FrameReplay` collects those frames into
+truthful. An engine that decides a cascade runs it on an
+:class:`EventHeap`; :class:`FrameReplay` collects the frames into
 :data:`EMIT_BUCKET_S` time buckets and emits each bucket as one
 ``send_many`` per kind from a single simulator callback.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +48,35 @@ Frames = Tuple[List[int], List[int], List[int]]
 #: which sorts them into the int64 columns ``send_many`` takes: the
 #: recorded frames of a 100k round are held through the whole phase.
 _Batch = List[Union[int, np.ndarray]]
+
+
+class EventHeap:
+    """Callbacks due at virtual instants, run in (instant, push) order.
+
+    An in-process engine's clock: :attr:`now` is the instant of the
+    callback running (the phase start before :meth:`run`), so a decision
+    reads it where a simulated phase reads ``sim.now``.
+    """
+
+    __slots__ = ("now", "_heap", "_seq")
+
+    def __init__(self, now: float) -> None:
+        self.now = now
+        self._heap: List[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = []
+        self._seq = itertools.count()
+
+    def push(self, at: float, callback: Callable[..., None], *args: Any) -> None:
+        """Call ``callback(*args)`` at instant ``at``."""
+        heapq.heappush(self._heap, (at, next(self._seq), callback, args))
+
+    def run(self, until: float) -> None:
+        """Fire every callback due by ``until`` (including ones pushed on
+        the way); drop the rest, like a phase deadline."""
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            self.now, _, callback, args = heapq.heappop(heap)
+            callback(*args)
+        heap.clear()
 
 
 class FrameReplay:
