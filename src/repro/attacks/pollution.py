@@ -91,7 +91,12 @@ class PollutionAttack:
         if node not in self.attackers:
             return payload
         mutated = dict(payload)
-        if self.strategy is TamperStrategy.NAIVE_TOTAL:
+        consistent = (TamperStrategy.CONSISTENT_OWN, TamperStrategy.CONSISTENT_CHILD)
+        if self.strategy is TamperStrategy.NAIVE_TOTAL or (
+            # A privacy-only report (integrity_mode="none") carries no
+            # own/children itemization to keep consistent: bump the total.
+            self.strategy in consistent and "own" not in mutated
+        ):
             mutated["total"] = self._bump(mutated["total"])
         elif self.strategy is TamperStrategy.CONSISTENT_OWN:
             mutated["own"] = self._bump(mutated["own"])

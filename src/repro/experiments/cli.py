@@ -4,9 +4,9 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments run T1 [--out results/]
-    python -m repro.experiments run F4 --quick --jobs 4
+    python -m repro.experiments run F4 --quick --engine batched --transport fluid-bulk
     python -m repro.experiments run F3 --quick --trace=medium,mac --trace-out traces/
-    python -m repro.experiments run-all --quick --jobs 4 --resume
+    python -m repro.experiments run-all --quick --out results/
 
 ``--quick`` shrinks sweeps/trials to smoke-test scale; the default
 parameters match the benchmark harness. Results print as tables and,
@@ -14,12 +14,10 @@ with ``--out``, persist as JSON artifacts plus a run manifest (see
 :mod:`repro.experiments.io`).
 
 Every experiment is decomposed into independent ``(sweep point, trial)``
-cells (:mod:`repro.experiments.engine`); ``--jobs N`` fans the cells of
-each experiment across N worker processes, ``--timeout`` bounds each
-cell (one retry), and ``--resume`` reuses the on-disk cell cache so an
-interrupted sweep picks up where it left off. Artifact rows are
-identical at any ``--jobs`` level because every cell carries its own
-seed.
+cells (:mod:`repro.experiments.engine`), run one after another in this
+process. A crashing cell becomes a failure row and a nonzero exit code;
+the other cells still run. Artifact rows are identical on every run
+because every cell carries its own seed.
 """
 
 from __future__ import annotations
@@ -170,25 +168,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         "--out", type=pathlib.Path, default=None, help="JSON output directory"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per experiment (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-cell wall-clock budget; a timed-out cell is retried once",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cached cell results from a previous (interrupted) run",
-    )
-    parser.add_argument(
         "--transport",
         choices=TRANSPORT_KINDS,
         default="des",
@@ -196,9 +175,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
             "network backend for every cell (default: des). 'fluid' "
             "samples the analytic channel per frame; 'fluid-bulk' is "
             "the same model resolved in vectorized batches (large-N "
-            "sweeps, see docs/TRANSPORT.md). The choice enters each "
-            "cell's cache key via the spec context, so results from "
-            "different backends never collide in the cell cache."
+            "sweeps, see docs/TRANSPORT.md)."
         ),
     )
     parser.add_argument(
@@ -211,15 +188,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
             "and the report/verdict wave in-process and replays the "
             "frames through the transport (equal outcomes on lossless "
             "transports, seeded determinism otherwise, see "
-            "docs/PERF.md); like --transport it enters each cell's "
-            "cache key via the spec context."
+            "docs/PERF.md)."
         ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=pathlib.Path,
-        default=None,
-        help="cell cache location (default: <out>/.cellcache)",
     )
     parser.add_argument(
         "--trace",
@@ -267,12 +237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{exp_id:4} {description}")
         return 0
 
-    # Cache cells under the output directory by default; without --out
-    # (nothing persists anyway) only an explicit --cache-dir enables it.
-    cache_dir = args.cache_dir
-    if cache_dir is None and args.out is not None:
-        cache_dir = args.out / ".cellcache"
-
     # Telemetry: --trace-out implies --trace; --trace=a,b whitelists
     # category prefixes.
     telemetry = None
@@ -285,27 +249,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     def run_one(exp_id: str) -> int:
         description, full, quick = registry[exp_id]
         spec = (quick if args.quick else full)()
-        # Key cached cells by backend: "des" is the implicit default (so
-        # pre-existing caches stay valid); "fluid"/"fluid-bulk" land in
-        # the context and therefore in every cell's cache key.
+        # Cells read the transport from the spec context. Config objects
+        # in the context are rewritten in place — that is how every
+        # experiment that takes its IcpdaConfig from the spec context
+        # picks the engine up.
         if args.transport != "des":
             spec.context["transport"] = args.transport
-        # Same cache-key discipline as --transport: "scalar" is the
-        # implicit default, so only the non-default choice lands in the
-        # context. Config objects in the context are rewritten in place
-        # — that is how every experiment that takes its IcpdaConfig
-        # from the spec context picks the engine up.
         if args.engine != "scalar":
-            spec.context["engine"] = args.engine
             for key, value in spec.context.items():
                 if isinstance(value, IcpdaConfig):
                     spec.context[key] = replace(value, engine=args.engine)
         report = execute(
             spec,
-            jobs=args.jobs,
-            timeout_s=args.timeout,
-            resume=args.resume,
-            cache_dir=cache_dir,
             progress=lambda line: print(line, file=sys.stderr),
             telemetry=telemetry,
             trace_dir=args.trace_out,
@@ -315,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         manifest = report.manifest()
         print(
             f"cells: {report.done}/{report.total} ok"
-            f" ({report.cached} cached, {report.failed} failed)"
+            f" ({report.failed} failed)"
             f" in {report.wall_clock_s:.2f}s",
             file=sys.stderr,
         )

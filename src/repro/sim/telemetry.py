@@ -11,9 +11,8 @@ collector's category whitelist and capacity ring) and registers itself,
 so at cell end the collector can export merged JSONL trace lines and a
 summed metrics snapshot.
 
-Collection is per-process state, not per-thread: cells run on the main
-thread of their (worker) process, which is also what the engine's
-``SIGALRM`` timeouts already assume.
+Collection is per-process state, not per-thread: the engine runs every
+cell on the main thread of the process that calls it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,15 @@
 """Unit tests for the pollution attack plans."""
 
+import numpy as np
 import pytest
 
 from repro.attacks.pollution import PollutionAttack, TamperStrategy
+from repro.core.config import IcpdaConfig
+from repro.core.protocol import IcpdaProtocol
+from repro.core.results import Verdict
 from repro.errors import ReproError
+from repro.experiments.common import make_readings
+from repro.topology.deploy import uniform_deployment
 
 
 def report_payload():
@@ -58,6 +64,45 @@ class TestReportMutation:
         payload = report_payload()
         attack.mutate_report(5, payload)
         assert payload["total"] == [175]
+
+
+class TestPrivacyOnlyRounds:
+    """Without integrity (``integrity_mode="none"``) a head report has
+    no ``own``/``children`` itemization; the consistent strategies must
+    then tamper with the total alone instead of crashing the round."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize(
+        "strategy", [TamperStrategy.CONSISTENT_OWN, TamperStrategy.CONSISTENT_CHILD]
+    )
+    def test_consistent_tamper_bumps_total_only(self, strategy, engine):
+        deployment = uniform_deployment(150, rng=np.random.default_rng(1))
+        readings = make_readings(150, rng=np.random.default_rng(2))
+        scout = IcpdaProtocol(deployment, IcpdaConfig(engine=engine), seed=1)
+        scout.setup()
+        scout.run_round(readings)
+        heads = [h for h in scout.last_exchange.completed_clusters if h != 0][:3]
+
+        def attacked_value(tamper):
+            attack = PollutionAttack(set(heads), tamper)
+            protocol = IcpdaProtocol(
+                deployment,
+                IcpdaConfig(engine=engine, integrity_mode="none"),
+                seed=1,
+                attack_plan=attack,
+            )
+            protocol.setup()
+            result = protocol.run_round(readings)
+            assert result.verdict is Verdict.ACCEPTED
+            assert attack.tampers_performed == len(heads)
+            return result.value
+
+        assert attacked_value(strategy) == attacked_value(TamperStrategy.NAIVE_TOTAL)
+
+    def test_unitemized_payload_keeps_its_shape(self):
+        attack = PollutionAttack({5}, TamperStrategy.CONSISTENT_CHILD, magnitude=9)
+        mutated = attack.mutate_report(5, {"cluster": 5, "total": [100]})
+        assert mutated == {"cluster": 5, "total": [109]}
 
 
 class TestForwardAndDrop:

@@ -16,14 +16,11 @@ code.
 import hashlib
 
 import numpy as np
-import pytest
 
-import repro.experiments.cli as cli
 from repro.core.config import IcpdaConfig
 from repro.core.protocol import IcpdaProtocol
 from repro.core.results import Verdict
 from repro.experiments.common import make_readings
-from repro.experiments.density import density_spec
 from repro.net.radio import RadioParams
 from repro.topology.deploy import uniform_deployment
 
@@ -140,36 +137,3 @@ class TestDenseRoundByteIdentity:
         _assert_same_run(first, second)
         assert first["verdict"] is Verdict.REJECTED_MISMATCH
         _assert_matches_golden(first, GOLDEN_LOSSY)
-
-
-@pytest.fixture
-def dense_registry(monkeypatch):
-    registry = {
-        "D1": ("density quick", None, lambda: density_spec(sizes=(120,), trials=2)),
-    }
-    monkeypatch.setattr(cli, "_registry", lambda: dict(registry))
-
-
-class TestParallelByteIdentity:
-    def test_jobs2_artifacts_identical_to_serial(self, tmp_path, dense_registry):
-        """A ``--jobs 2`` engine run writes the same bytes as serial."""
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        assert cli.main(["run-all", "--quick", "--out", str(serial_dir)]) == 0
-        assert (
-            cli.main(
-                ["run-all", "--quick", "--jobs", "2", "--out", str(parallel_dir)]
-            )
-            == 0
-        )
-        serial = {
-            p.name: p.read_bytes()
-            for p in sorted(serial_dir.glob("*.json"))
-            if not p.name.endswith(".manifest.json")
-        }
-        parallel = {
-            p.name: p.read_bytes()
-            for p in sorted(parallel_dir.glob("*.json"))
-            if not p.name.endswith(".manifest.json")
-        }
-        assert serial and serial == parallel

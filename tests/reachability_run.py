@@ -19,11 +19,10 @@ adding a root that reaches it.
 
 The hook is a ``sitecustomize`` module on ``PYTHONPATH``, so it also
 runs inside child interpreters (the spawned scenarios of
-``run_e2e_bench.py``, perfbench's per-workload processes) and survives
-into forked ``--jobs`` workers, which dump through a patched
-``os._exit``. Each process appends ``file<TAB>first line<TAB>name`` per
-code object it ran; a decorated def's code starts at its first
-decorator, as the AST reports it.
+``run_e2e_bench.py``, perfbench's per-workload processes). Each process
+appends ``file<TAB>first line<TAB>name`` per code object it ran at
+exit; a decorated def's code starts at its first decorator, as the AST
+reports it.
 
 Not collected by pytest; the ``reachability`` CI job runs it from the
 repository root::
@@ -125,15 +124,8 @@ def _dump():
 
 
 if _SRC and _OUT:
-    _exit = os._exit
-
-    def _dump_and_exit(status):
-        _dump()
-        _exit(status)
-
     # Registered first, so it runs last among the atexit handlers.
     atexit.register(_dump)
-    os._exit = _dump_and_exit
     threading.setprofile(_hook)
     sys.setprofile(_hook)
 '''
@@ -155,13 +147,9 @@ def roots(work: pathlib.Path) -> List[Tuple[str, List[str]]]:
     smoke = work / "service_smoke.py"
     smoke.write_text(_ci_script("service-smoke"))
     cli = ["-m", "repro.experiments"]
-    resume = cli + ["run", "T1", "--quick", "--resume", "--out", str(work / "t1")]
     bulk = ["--engine", "batched", "--transport", "fluid-bulk"]
     return [
-        (
-            "run-all",
-            cli + ["run-all", "--quick", "--jobs", "1", "--out", str(work / "all")],
-        ),
+        ("run-all", cli + ["run-all", "--quick", "--out", str(work / "all")]),
         *(
             (f"examples/{path.name}", [str(path)])
             for path in sorted((REPO / "examples").glob("*.py"))
@@ -191,9 +179,6 @@ def roots(work: pathlib.Path) -> List[Tuple[str, List[str]]]:
             cli
             + ["run", "F6", "--quick", *bulk, "--trace-out", str(work / "traces-bulk")],
         ),
-        ("T1 --resume, cold cache", resume),
-        ("T1 --resume, warm cache", resume),
-        ("A3 with two forked workers", cli + ["run", "A3", "--quick", "--jobs", "2"]),
         ("F10 on fluid", cli + ["run", "F10", "--quick", "--transport", "fluid"]),
         ("F10 batched on fluid-bulk", cli + ["run", "F10", "--quick", *bulk]),
         (

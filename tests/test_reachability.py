@@ -2,15 +2,13 @@
 
 The job itself runs every entry point under a profile hook and takes
 minutes, so tier-1 checks its parts on planted trees: the hook records
-what a root runs, also in threads, forked workers and child
-interpreters; a def only a test calls is flagged although the static
-guard keeps it; structural members are exempt; and the allow-list names
-only defs that exist.
+what a root runs, also in threads and child interpreters; a def only a
+test calls is flagged although the static guard keeps it; structural
+members are exempt; and the allow-list names only defs that exist.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
@@ -102,8 +100,7 @@ def test_job_flags_a_test_only_def_whose_name_is_a_common_word(
     assert unrun_defs(ran, modules) == ["repro.widget.Widget.add"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need fork")
-def test_hook_records_threads_forked_workers_and_child_interpreters(
+def test_hook_records_threads_and_child_interpreters(
     tmp_path: pathlib.Path,
 ) -> None:
     modules = _planted(
@@ -112,12 +109,10 @@ def test_hook_records_threads_forked_workers_and_child_interpreters(
             "src/repro/work.py": (
                 "def main():\n    pass\n\n"
                 "def threaded():\n    pass\n\n"
-                "def forked():\n    pass\n\n"
                 "def child():\n    pass\n\n"
                 "def never():\n    pass\n"
             ),
             "examples/demo.py": (
-                "import multiprocessing\n"
                 "import subprocess\n"
                 "import sys\n"
                 "import threading\n\n"
@@ -126,9 +121,6 @@ def test_hook_records_threads_forked_workers_and_child_interpreters(
                 "thread = threading.Thread(target=work.threaded)\n"
                 "thread.start()\n"
                 "thread.join(60)\n"
-                "worker = multiprocessing.get_context('fork').Process(target=work.forked)\n"
-                "worker.start()\n"
-                "worker.join(60)\n"
                 "subprocess.run([sys.executable, '-c', "
                 "'from repro import work; work.child()'], check=True)\n"
             ),
