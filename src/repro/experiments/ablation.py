@@ -28,7 +28,9 @@ REFERENCE_P_X = 0.05
 
 def witness_cell(params: dict, seed: int, context: dict) -> dict:
     """One paired detection trial at one witness fraction."""
-    cfg = IcpdaConfig(witness_fraction=params["witness_fraction"])
+    cfg = dataclasses.replace(
+        context["config"], witness_fraction=params["witness_fraction"]
+    )
     stats, _, _ = run_detection_trials(
         num_nodes=context["num_nodes"],
         num_attackers=1,
@@ -73,14 +75,18 @@ def witness_spec(
         return rows
 
     return ExperimentSpec(
-        "A1", witness_cell, cells, reduce, context={"num_nodes": num_nodes}
+        "A1",
+        witness_cell,
+        cells,
+        reduce,
+        context={"config": IcpdaConfig(), "num_nodes": num_nodes},
     )
 
 
 def cluster_size_cell(params: dict, seed: int, context: dict) -> dict:
     """One round with ``k_min = k_max = m`` pinned."""
     m = params["m"]
-    cfg = fixed_cluster_config(m)
+    cfg = fixed_cluster_config(m, context["config"])
     result, protocol = run_icpda_round(
         context["num_nodes"],
         cfg,
@@ -113,5 +119,9 @@ def cluster_size_spec(
         cluster_size_cell,
         cells,
         lambda outcomes: [o.value for o in outcomes],
-        context={"num_nodes": num_nodes, "p_x": REFERENCE_P_X},
+        context={
+            "config": IcpdaConfig(),
+            "num_nodes": num_nodes,
+            "p_x": REFERENCE_P_X,
+        },
     )

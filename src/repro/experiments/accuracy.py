@@ -10,6 +10,7 @@ COUNT and SUM are both measured (COUNT doubles as participation).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Sequence
 
 from repro.core.config import IcpdaConfig
@@ -98,7 +99,7 @@ def accuracy_spec(
 
 def aggregate_comparison_cell(params: dict, seed: int, context: dict) -> dict:
     """One iCPDA round with one aggregate function."""
-    cfg = IcpdaConfig(aggregate_name=params["aggregate"])
+    cfg = replace(context["config"], aggregate_name=params["aggregate"])
     result, _ = run_icpda_round(
         context["num_nodes"],
         cfg,
@@ -133,5 +134,5 @@ def aggregate_comparison_spec(
         aggregate_comparison_cell,
         cells,
         lambda outcomes: [o.value for o in outcomes],
-        context={"num_nodes": num_nodes},
+        context={"config": IcpdaConfig(), "num_nodes": num_nodes},
     )

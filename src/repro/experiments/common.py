@@ -8,6 +8,7 @@ bounded, diurnal-ish variation).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -117,10 +118,12 @@ def run_tag_round_on(
     return result, stack
 
 
-def fixed_cluster_config(m: int, **overrides) -> IcpdaConfig:
-    """A config that pins every active cluster to exactly ``m`` members
-    (``k_min = k_max = m``) — used when an experiment sweeps cluster
-    size as an independent variable.
+def fixed_cluster_config(
+    m: int, base: Optional[IcpdaConfig] = None, **overrides
+) -> IcpdaConfig:
+    """``base`` (default: a default config) with every active cluster
+    pinned to exactly ``m`` members (``k_min = k_max = m``) — used when
+    an experiment sweeps cluster size as an independent variable.
 
     The election probability adapts to the target size (``p_c = 1/m``),
     the paper family's own adaptive-parameter guidance: the expected head
@@ -129,4 +132,5 @@ def fixed_cluster_config(m: int, **overrides) -> IcpdaConfig:
     if m < 2:
         raise ReproError(f"cluster size must be >= 2, got {m}")
     overrides.setdefault("p_c", min(0.9, 1.0 / m))
-    return IcpdaConfig(k_min=m, k_max=m, **overrides)
+    base = base if base is not None else IcpdaConfig()
+    return replace(base, k_min=m, k_max=m, **overrides)

@@ -211,7 +211,9 @@ def lifetime_cell(params: dict, seed: int, context: dict) -> dict:
         outcome = run_tag_lifetime(**kwargs)
     else:
         outcome = run_icpda_lifetime(
-            rebuild_on_failure=params["scheme"] == "icpda+rebuild", **kwargs
+            config=context["config"],
+            rebuild_on_failure=params["scheme"] == "icpda+rebuild",
+            **kwargs,
         )
     return {
         "scheme": outcome["scheme"],
@@ -245,6 +247,7 @@ def lifetime_spec(
         cells,
         lambda outcomes: [o.value for o in outcomes],
         context={
+            "config": IcpdaConfig(),
             "num_nodes": num_nodes,
             "capacity_j": capacity_j,
             "max_rounds": max_rounds,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.analysis.overhead import overhead_ratio
+from repro.core.config import IcpdaConfig
 from repro.experiments.common import (
     DEFAULT_SIZES,
     fixed_cluster_config,
@@ -30,7 +31,7 @@ def overhead_cell(params: dict, seed: int, context: dict) -> dict:
     if params["scheme"] == "tag":
         _, stack = run_tag_round_on(size, seed=seed, transport=transport)
         return {"bytes": stack.counters.total_bytes}
-    cfg = fixed_cluster_config(params["m"])
+    cfg = fixed_cluster_config(params["m"], context["config"])
     _, protocol = run_icpda_round(size, cfg, seed=seed, transport=transport)
     return {
         "bytes": protocol.total_bytes(),
@@ -100,4 +101,6 @@ def overhead_spec(
             rows.append(row)
         return rows
 
-    return ExperimentSpec("F3", overhead_cell, tuple(cells), reduce)
+    return ExperimentSpec(
+        "F3", overhead_cell, tuple(cells), reduce, context={"config": IcpdaConfig()}
+    )

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.analysis.privacy import p_disclose_link
 from repro.attacks.eavesdrop import EavesdropAnalysis
+from repro.core.config import IcpdaConfig
 from repro.crypto.adversary_keys import LinkBreakModel
 from repro.experiments.common import fixed_cluster_config, run_icpda_round
 from repro.experiments.engine import CellSpec, ExperimentSpec
@@ -32,7 +33,7 @@ def privacy_cell(params: dict, seed: int, context: dict) -> List[dict]:
     published numbers.
     """
     m = params["m"]
-    cfg = fixed_cluster_config(m)
+    cfg = fixed_cluster_config(m, context["config"])
     _, protocol = run_icpda_round(
         context["num_nodes"],
         cfg,
@@ -89,6 +90,7 @@ def privacy_spec(
         cells,
         reduce,
         context={
+            "config": IcpdaConfig(),
             "num_nodes": num_nodes,
             "px_grid": tuple(px_grid),
             "draws": draws,

@@ -7,9 +7,13 @@ import pathlib
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments.cli import main
+from repro.experiments.cli import _registry, main
 from repro.experiments.engine import CellSpec, ExperimentSpec
 from repro.experiments.io import SCHEMA_VERSION, save_rows
+
+
+#: Experiments whose cells build no protocol instance (T1 only deploys).
+_BUILDS_NO_PROTOCOL = {"T1"}
 
 
 def load_rows(path):
@@ -157,6 +161,30 @@ class TestCli:
             capsys.readouterr()
             assert seen and set(seen) == {engine}
             seen.clear()
+
+    @pytest.mark.parametrize("exp_id", sorted(_registry()))
+    def test_engine_flag_reaches_every_protocol(self, exp_id, capsys, monkeypatch):
+        """Under --engine batched, every IcpdaProtocol an experiment
+        builds runs the batched engine: a cell that builds its own
+        IcpdaConfig instead of deriving it from the spec context would
+        silently run scalar. The spy stops each cell at its first
+        protocol, so the run is quick (and reports failed cells)."""
+        from repro.core.protocol import IcpdaProtocol
+
+        class Built(Exception):
+            pass
+
+        seen = []
+
+        def spy(self, deployment, config, *args, **kwargs):
+            seen.append(config.engine)
+            raise Built
+
+        monkeypatch.setattr(IcpdaProtocol, "__init__", spy)
+        main(["run", exp_id, "--quick", "--engine", "batched"])
+        capsys.readouterr()
+        assert set(seen) <= {"batched"}
+        assert bool(seen) == (exp_id not in _BUILDS_NO_PROTOCOL)
 
     def test_run_all_executes_every_entry(
         self, tmp_path, capsys, monkeypatch

@@ -208,7 +208,7 @@ def test_batched_round_writes_strict_trace_jsonl(tmp_path, kind):
         for path in sorted((traces / "F3").glob("cell-*.jsonl"))
         for line in path.read_text().splitlines()
     ]
-    assert {"tree.join", "cluster.announce"} <= {r["category"] for r in records}
+    assert {"tree.join", "cluster.closed"} <= {r["category"] for r in records}
     sent = {r["fields"]["kind"] for r in records if r["category"] == "medium.tx"}
     assert kind == "fluid" or {"census", "share", "fvalue"} <= sent
     values = [leaf for r in records for leaf in leaves(r["fields"])]

@@ -182,6 +182,10 @@ def roots(work: pathlib.Path) -> List[Tuple[str, List[str]]]:
         ("F10 on fluid", cli + ["run", "F10", "--quick", "--transport", "fluid"]),
         ("F10 batched on fluid-bulk", cli + ["run", "F10", "--quick", *bulk]),
         (
+            "F10 scalar on fluid-bulk (witnesses overhear on the bulk transport)",
+            cli + ["run", "F10", "--quick", "--transport", "fluid-bulk"],
+        ),
+        (
             "F8 on fluid (reads a fluid energy report)",
             cli + ["run", "F8", "--quick", "--transport", "fluid"],
         ),
