@@ -28,8 +28,8 @@ Determinism / equality contract (documented in docs/PERF.md):
   frames die; the batched engine assumes none do. There the contract
   weakens to seeded determinism: same seeds -> same clusters.
 * Byte accounting diverges from scalar exactly where loss would have
-  mattered: no census ARQ retransmissions are replayed, and no frame is
-  ever dropped.
+  mattered: no census ARQ retransmissions or late census forwards are
+  replayed, and no frame is ever dropped.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ _INT = 4  # wire size of one small-int payload field
 _BOOL = 1  # wire size of one bool payload field
 #: Wire size of an announce, join, reject or dissolve (one node id).
 _FRAME = HEADER_BYTES + _INT
+#: Wire size of one census record: head id, size, active flag.
+_RECORD = 2 * _INT + _BOOL
 
 
 class BatchedClusterFormation(ClusterFormation):
@@ -81,11 +83,9 @@ class BatchedClusterFormation(ClusterFormation):
         t0 = sim.now
         self._events = EventHeap(t0)
         self._replay = FrameReplay(self._stack, t0, expand=self._expand_census)
-        # Census chains are kept as head ids per replay bucket and
-        # expanded at emission time by walking the parent chain (a 100k
-        # round relays ~1M+ census hops — materializing each as a frame
-        # would dominate the engine's memory footprint).
-        self._census_chains: Dict[int, List[int]] = {}
+        # Census frames are kept as (relay, record count) per replay
+        # bucket and expanded into frame and ack rows at emission time.
+        self._census_frames: Dict[int, List[Tuple[int, int]]] = {}
         self._decisions: Dict[str, Callable[[int, int], None]] = {
             ANNOUNCE_KIND: self._hear_announce,
             JOIN_KIND: self._take_join,
@@ -118,7 +118,7 @@ class BatchedClusterFormation(ClusterFormation):
 
         # Replay the cascade's frames through the transport seam and
         # advance the clock to the same phase deadline as scalar.
-        self._replay.schedule(self._census_chains)
+        self._replay.schedule(self._census_frames)
         sim.run(until=t_end)
         self._release()
         return self.result
@@ -176,38 +176,50 @@ class BatchedClusterFormation(ClusterFormation):
         for member in cluster.members:
             cluster.informed_members.add(member)
             self.result.membership[member] = head
-        census_at = at + 1.2 + float(self._rng.uniform(0.0, 0.6))
         self.result.census_at_bs[head] = (cluster.size, cluster.active)
-        if head != self._tree.root:
-            self._census_chains.setdefault(
-                self._replay.bucket_of(census_at), []
-            ).append(head)
+
+    def _schedule_census(self) -> None:
+        """Reliable control plane: every record reaches its relay before
+        the relay's slot, so each node sends one frame in its slot with
+        the records of every closed head in its subtree, and nothing is
+        late."""
+        tree = self._tree
+        root, parents = tree.root, tree.parents
+        counts = dict.fromkeys((h for h in self.result.clusters if h != root), 1)
+        # Deepest first: a node's count is complete before it moves up.
+        for node in sorted(parents, key=tree.depths.__getitem__, reverse=True):
+            count = counts.get(node)
+            parent = parents[node]
+            if count and parent is not None and parent != root:
+                counts[parent] = counts.get(parent, 0) + count
+        now = self._events.now
+        for node, delay in self._census_slots():
+            count = counts.get(node)
+            if count:
+                self._census_frames.setdefault(
+                    self._replay.bucket_of(now + delay), []
+                ).append((node, count))
 
     # -- frame replay ---------------------------------------------------------
 
     def _expand_census(self, bucket: int, frames: Callable[[str], Frames]) -> None:
-        """Walk the census chains due in ``bucket`` up the tree: one
-        census frame and one ack per hop."""
-        chains = self._census_chains.pop(bucket, ())
-        if not chains:
+        """Expand the census frames due in ``bucket``: one frame of
+        ``count`` records and one ack per relay."""
+        due = self._census_frames.pop(bucket, ())
+        if not due:
             return
         parents = self._tree.parents
         census = frames(CENSUS_KIND)
         acks = frames(CENSUS_ACK_KIND)
-        census_size = HEADER_BYTES + 2 * _INT + _BOOL
         ack_size = HEADER_BYTES + _INT
-        for head in chains:
-            node = head
-            parent = parents.get(node)
-            while parent is not None:
-                census[0].append(node)
-                census[1].append(parent)
-                census[2].append(census_size)
-                acks[0].append(parent)
-                acks[1].append(node)
-                acks[2].append(ack_size)
-                node = parent
-                parent = parents.get(node)
+        for node, count in due:
+            parent = parents[node]
+            census[0].append(node)
+            census[1].append(parent)
+            census[2].append(HEADER_BYTES + count * _RECORD)
+            acks[0].append(parent)
+            acks[1].append(node)
+            acks[2].append(ack_size)
 
     def _release(self) -> None:
         """Drop the cascade's working state so the engine object does not
@@ -219,5 +231,5 @@ class BatchedClusterFormation(ClusterFormation):
         self._rejected_from = {}
         self._events = None
         self._replay = None
-        self._census_chains = {}
+        self._census_frames = {}
         self._decisions = {}

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.clustering import (
-    WINDOW_ANNOUNCE_S,
-    WINDOW_JOIN_S,
-    WINDOW_MEMBERLIST_S,
-)
+from repro.core.clustering import formation_window_s
 from repro.core.config import IcpdaConfig
 from repro.core.intracluster import WINDOW_EXCHANGE_S
 from repro.experiments.common import (
@@ -45,7 +41,7 @@ def latency_cell(params: dict, seed: int, context: dict) -> dict:
     icpda_seconds = protocol.sim.now - start
     icpda_energy = protocol.stack.energy.report()
 
-    formation_s = WINDOW_ANNOUNCE_S + WINDOW_JOIN_S * 1.7 + WINDOW_MEMBERLIST_S
+    formation_s = formation_window_s(protocol.tree.max_depth())
     return {
         "nodes": size,
         "tag_epoch_s": round(tag_result.duration_s, 2),
