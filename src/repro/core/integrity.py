@@ -246,7 +246,11 @@ class ReportAndVerdictPhase:
         self._armed_by_cw: Dict[Tuple[int, int], List[Tuple[int, _Expectation]]] = {}
         # Reports and aborts of one cluster share an ARQ key, so one ack
         # or one take covers both kinds.
-        self._report_arq = StopAndWait(stack, base=1.5)
+        # Reports near the root itemize many children: their retries
+        # are jittered, as census frames' are.
+        self._report_arq = StopAndWait(
+            stack, base=1.5, rng=stack.sim.rng.stream(f"report_arq.{round_id}")
+        )
         self._alarms: Dict[Tuple[int, int, str, int], AlarmRecord] = {}
         # node -> alarm keys already relayed; created on a node's first
         # alarm (most nodes never see one).
