@@ -97,7 +97,7 @@ def _registry() -> Dict[str, Tuple[str, SpecBuilder, SpecBuilder]]:
         "F5": (
             "Th selection",
             lambda: threshold_spec(),
-            lambda: threshold_spec(num_nodes=150, trials=3),
+            lambda: threshold_spec(points=((150, 400.0), (1000, 672.0)), trials=3),
         ),
         "F6": (
             "pollution detection vs attackers",

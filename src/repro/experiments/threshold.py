@@ -9,18 +9,22 @@ quantiles plus the acceptance rate a given Th would have achieved.
 Under a clean unit-disk channel the protocol's ARQ and abort accounting
 make the gap zero *as long as every census record reaches the base
 station before clustering's deadline* — a stronger result than the
-paper's small-but-nonzero differences. That condition can fail on a
-clean channel: at N=2000 on DES (950 m field, degree ~17.4, seed 2) a
-14-hop census record ran out of ARQ attempts before the deadline, and
-honest rounds showed contributors − census = +6 with no alarm. The
-experiment also sweeps a faded channel (``edge_fading``), where link
-ACKs themselves get lost and the gap becomes the loss-noise quantity Th
-exists to absorb.
+paper's small-but-nonzero differences. While each record travelled up
+alone inside a fixed 3 s window, that condition failed on a clean
+channel: at N=2000 on DES (950 m field, degree ~17) 14-hop census
+chains ran out of ARQ attempts before the deadline, and 2 of 12 honest
+rounds (seeds 0-2, four rounds each) were rejected on the census gap.
+Each relay now sends its records in one frame per depth slot under a
+depth-aware deadline, and those 12 rounds all show a gap of 0. The
+sweep therefore includes a dense point (N=1000 on 672 m, degree ~17,
+~12 hops deep). The experiment also sweeps a faded channel
+(``edge_fading``), where link ACKs themselves get lost and the gap
+becomes the loss-noise quantity Th exists to absorb.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,13 +41,18 @@ from repro.topology.deploy import uniform_deployment
 
 #: Candidate Th values the selection table sweeps.
 CANDIDATE_THS: Sequence[int] = (0, 1, 2, 3, 5, 8, 12)
+#: (nodes, field side in m) the full sweep runs: the default field, and
+#: a dense DES point at degree ~17 whose census crosses ~12 hops.
+DEFAULT_POINTS: Sequence[Tuple[int, float]] = ((400, 400.0), (1000, 672.0))
 
 
 def threshold_cell(params: dict, seed: int, context: dict) -> int:
     """One clean round: the ``|contributors − census|`` gap."""
     cfg = context["config"]
     deployment = uniform_deployment(
-        context["num_nodes"], rng=np.random.default_rng(seed)
+        params["nodes"],
+        field_size=params["field_m"],
+        rng=np.random.default_rng(seed),
     )
     radio = RadioParams(
         range_m=deployment.radio_range, edge_fading=context["edge_fading"]
@@ -57,47 +66,63 @@ def threshold_cell(params: dict, seed: int, context: dict) -> int:
     )
     protocol.setup()
     readings = make_readings(
-        context["num_nodes"], rng=np.random.default_rng(seed + 10_000)
+        params["nodes"], rng=np.random.default_rng(seed + 10_000)
     )
     result = protocol.run_round(readings, round_id=params["trial"])
     return abs(result.contributors - result.census_participants)
 
 
 def threshold_spec(
-    num_nodes: int = 400,
+    points: Sequence[Tuple[int, float]] = DEFAULT_POINTS,
     trials: int = 10,
     base_seed: int = 0,
     edge_fading: float = 0.0,
 ) -> ExperimentSpec:
-    """Cells: one clean round per trial; reduce: the Th-selection table."""
+    """Cells: one clean round per (point, trial); reduce: the
+    Th-selection table of each ``(nodes, field_m)`` point, with the
+    point's largest gap on every row."""
     cfg = IcpdaConfig(count_threshold=10**6)
+    points = tuple(points)
     cells = tuple(
-        CellSpec({"trial": trial}, base_seed + trial * 977)
+        CellSpec(
+            {"nodes": nodes, "field_m": field_m, "trial": trial},
+            base_seed + trial * 977,
+        )
+        for nodes, field_m in points
         for trial in range(trials)
     )
 
     def reduce(outcomes) -> List[dict]:
-        gaps = np.asarray([o.value for o in outcomes])
-        if not len(gaps):
-            return []
-        return [
-            {
-                "Th": th,
-                "clean_acceptance": round(float((gaps <= th).mean()), 3),
-            }
-            for th in CANDIDATE_THS
-        ]
+        rows: List[dict] = []
+        for nodes, field_m in points:
+            gaps = np.asarray(
+                [
+                    o.value
+                    for o in outcomes
+                    if (o.params["nodes"], o.params["field_m"]) == (nodes, field_m)
+                ]
+            )
+            if not len(gaps):
+                continue
+            rows += [
+                {
+                    "nodes": nodes,
+                    "field_m": field_m,
+                    "edge_fading": edge_fading,
+                    "Th": th,
+                    "clean_acceptance": round(float((gaps <= th).mean()), 3),
+                    "max_gap": int(gaps.max()),
+                }
+                for th in CANDIDATE_THS
+            ]
+        return rows
 
     return ExperimentSpec(
         "F5",
         threshold_cell,
         cells,
         reduce,
-        context={
-            "num_nodes": num_nodes,
-            "config": cfg,
-            "edge_fading": edge_fading,
-        },
+        context={"config": cfg, "edge_fading": edge_fading},
     )
 
 
@@ -106,15 +131,17 @@ def run_threshold_experiment(
     trials: int = 10,
     base_seed: int = 0,
     edge_fading: float = 0.0,
+    field_size: float = 400.0,
 ) -> dict:
-    """Returns ``{"gaps": [...], "quantiles": {...}, "th_table": rows}``.
+    """Returns ``{"gaps": [...], "quantiles": {...}, "th_table": rows}``
+    for one ``num_nodes`` x ``field_size`` point.
 
     ``th_table`` rows state, for each candidate Th, the fraction of clean
     rounds it would accept — pick the smallest Th with acceptance 1.0.
     ``edge_fading`` > 0 stresses the channel (see module docstring).
     """
     spec = threshold_spec(
-        num_nodes=num_nodes,
+        points=((num_nodes, field_size),),
         trials=trials,
         base_seed=base_seed,
         edge_fading=edge_fading,
