@@ -32,45 +32,49 @@ FIELD_M = 250.0
 RANGE_M = 50.0
 SEED = 42
 
-#: Goldens captured on the pre-optimization revision (commit 8e1c7b5);
-#: the full kernel snapshot (``max_queue_len`` included) was recorded
-#: later, on the last revision that scheduled one kernel event per
-#: receiver of a frame.
+#: Goldens first captured on the pre-optimization revision (commit
+#: 8e1c7b5), re-recorded when Phase II began merging census records at
+#: each relay (one census frame per tree node per depth slot) and
+#: jittering the census and report hops' retries: that change moves
+#: frames, events and draws, and the lossy round, which
+#: had lost two census records (107 contributors against a census of
+#: 96), now gets every record but one through and is accepted (104
+#: against 101, within Th).
 GOLDEN_CLEAN = {
-    "trace_sha256": "3a15c4ad2d9f3a784b9510cde2567df394d67349cbf895bdadb399f48b40e990",
+    "trace_sha256": "2574124b3576c7f69a26e115638586ba9b65258b922b6ada15f4b0149d2415d8",
     "medium": {
-        "transmissions": 2665,
-        "deliveries": 44355,
-        "collisions": 1156,
+        "transmissions": 2499,
+        "deliveries": 41348,
+        "collisions": 1179,
         "ambient_losses": 0,
         "half_duplex_losses": 0,
     },
     "kernel": {
-        "scheduled": 51687,
-        "fired": 51687,
+        "scheduled": 48346,
+        "fired": 48346,
         "cancelled": 0,
-        "max_queue_len": 208,
+        "max_queue_len": 227,
     },
-    "value": 74259.71,
-    "contributors": 135,
+    "value": 70309.82,
+    "contributors": 129,
 }
 GOLDEN_LOSSY = {
-    "trace_sha256": "27a3d6ab0578c12cce8f7d0a8e122ef990a08f029f3ad975e4db8f1ee2eb0abd",
+    "trace_sha256": "d1e6e741f7d413aa2610f6a15c6bd0b3305f9b045c1b83fc4c4c65c9fdab82d6",
     "medium": {
-        "transmissions": 2799,
-        "deliveries": 40005,
-        "collisions": 986,
-        "ambient_losses": 6776,
+        "transmissions": 2561,
+        "deliveries": 36343,
+        "collisions": 825,
+        "ambient_losses": 6175,
         "half_duplex_losses": 0,
     },
     "kernel": {
-        "scheduled": 47538,
-        "fired": 47538,
+        "scheduled": 43368,
+        "fired": 43368,
         "cancelled": 0,
-        "max_queue_len": 194,
+        "max_queue_len": 231,
     },
-    "value": None,
-    "contributors": 107,
+    "value": 56237.1,
+    "contributors": 104,
 }
 
 
@@ -135,5 +139,5 @@ class TestDenseRoundByteIdentity:
         first = _run_dense_round(radio=radio, kill=77)
         second = _run_dense_round(radio=radio, kill=77)
         _assert_same_run(first, second)
-        assert first["verdict"] is Verdict.REJECTED_MISMATCH
+        assert first["verdict"] is Verdict.ACCEPTED
         _assert_matches_golden(first, GOLDEN_LOSSY)
