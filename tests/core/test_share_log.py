@@ -44,7 +44,7 @@ LOOPBACK = {
 }
 
 #: Round 1 and round 2 of N=300, seed 3, batched engines on fluid-bulk.
-BULK_ROUNDS = [(1244, 298, "431f36c0ad763fbd"), (1186, 264, "1241a3cb99c43aaf")]
+BULK_ROUNDS = [(1244, 298, "431f36c0ad763fbd"), (1174, 340, "120d1fde966a6fb1")]
 
 
 def _loopback_exchange(case):

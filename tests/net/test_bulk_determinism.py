@@ -6,7 +6,9 @@ round must produce *exactly* the outputs recorded in the goldens below —
 round result, per-phase bytes, per-node per-kind tx/rx counters, channel
 statistics, per-node energy and kernel event counts. The goldens were
 captured before replayed frames were logged and settled in row-bounded
-batches; any divergence means a jitter or loss draw moved, a candidate
+batches, and re-recorded when Phase II began merging census records at
+each relay and the census and report hops began jittering their retries;
+any divergence means a jitter or loss draw moved, a candidate
 set changed, or a float accumulated in a different order.
 
 The contract tests below pin the settle triggers: a frame batch nobody
@@ -38,37 +40,37 @@ KILLED = 17
 #: mismatch is easiest to diagnose from.
 GOLDEN = {
     "batched": {
-        "sha256": "dd9b2e014dbe4553ee0b47330f38e4769c0bb68c027b1b3b5487eee9ecfedcc9",
+        "sha256": "9eea50d66ed2fb31befb4eff90315d020551267189341e1aced58891b4a41f17",
         "stats": {
-            "transmissions": 10415,
-            "deliveries": 30654,
-            "collisions": 246,
+            "transmissions": 9849,
+            "deliveries": 30076,
+            "collisions": 258,
             "ambient_losses": 0,
             "half_duplex_losses": 0,
         },
-        "fired": 11227,
+        "fired": 10663,
     },
     "batched_kill": {
-        "sha256": "2fc473596b64c32a3daced4f9d1a3778d4811e28b088577717358d6bc9e3bc43",
+        "sha256": "82e5816f1409ddda70fc0835688781fe23b9249e55e20685c92a2921aa861c0a",
         "stats": {
-            "transmissions": 10405,
-            "deliveries": 30535,
-            "collisions": 269,
+            "transmissions": 9839,
+            "deliveries": 29985,
+            "collisions": 253,
             "ambient_losses": 0,
             "half_duplex_losses": 0,
         },
-        "fired": 11217,
+        "fired": 10653,
     },
     "scalar": {
-        "sha256": "fc3d50675dc8cdd8339c4c45920152491dfd21a7cb3e55f19f0fa3284ab1f40d",
+        "sha256": "e098662d60e5fa834831dd79658d48b823cfa499e7d27422924860189dfc1ea5",
         "stats": {
-            "transmissions": 10587,
-            "deliveries": 39099,
-            "collisions": 220,
+            "transmissions": 9978,
+            "deliveries": 38489,
+            "collisions": 209,
             "ambient_losses": 0,
             "half_duplex_losses": 0,
         },
-        "fired": 16776,
+        "fired": 16355,
     },
 }
 
