@@ -196,11 +196,11 @@ class TestSeededCounters:
             and entry["transport"] != "des"
         }
         assert fluid == {
-            "icpda_dense_small_fluid": (1955, 7613, 3144),
+            "icpda_dense_small_fluid": (1868, 7520, 3103),
             "storm_dense_small_fluid": (4800, 4798, 9600),
-            "icpda_huge_fluid": (595797, 1657626, 616426),
-            "icpda_huge_fluid_bulk": (599478, 1659673, 620103),
-            "icpda_mega_fluid_bulk": (4498644, 9834946, 4599699),
+            "icpda_huge_fluid": (356133, 1423219, 376862),
+            "icpda_huge_fluid_bulk": (358150, 1423422, 378876),
+            "icpda_mega_fluid_bulk": (1787388, 7183659, 1888683),
         }
 
 
