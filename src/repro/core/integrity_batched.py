@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.core.integrity import (
+    ALARM_JITTER_S,
     ALARM_KIND,
     FSET_DETAIL,
     REPORT_ABORT_KIND,
@@ -308,7 +309,8 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
     ) -> None:
         # Overrides the scalar alarm: same trace, same alternate-route
         # draw, but the two-path tree propagation (dedup + suppression)
-        # resolves synchronously instead of via per-hop events.
+        # resolves synchronously instead of via per-hop events. Each
+        # copy's frames replay at its own send jitter, drawn as scalar.
         self._stack.sim.trace.emit(
             "icpda.alarm",
             f"witness {witness} accuses {suspect}: {reason.value}",
@@ -325,7 +327,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             "cluster": cluster,
         }
         size = HEADER_BYTES + payload_size(payload)
-        at = self._events.now
+        now = self._events.now
         parents = self._tree.parents
         root = self._tree.root
         targets = []
@@ -340,6 +342,7 @@ class BatchedReportAndVerdictPhase(ReportAndVerdictPhase):
             targets.append(int(neighbors[self._rng.integers(0, len(neighbors))]))
         key = (witness, suspect, reason.value, cluster)
         for target in targets:
+            at = now + float(self._alarm_rng.uniform(0.0, ALARM_JITTER_S))
             self._replay.record(at, witness, target, ALARM_KIND, size)
             node = target
             while True:

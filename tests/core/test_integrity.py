@@ -96,6 +96,27 @@ class TestAlarmRouting:
         result, _ = run_with(dense_deployment, attack)
         assert result.detected_pollution
 
+    def test_simultaneous_alarms_reach_the_base_station(self):
+        """A3's seed-265 trial (N=220, colluding fraction 0): the five
+        honest witnesses of head 102 raise ``own_sum_mismatch`` at the
+        same instant. Sent at once, the relayed copies from 71, 129 and
+        141 collided at the base station, which accepted the polluted
+        SUM; each copy's send jitter gets them through."""
+        from repro.attacks.scenario import AttackScenario
+
+        config = IcpdaConfig()
+        deployment = uniform_deployment(220, rng=np.random.default_rng(265))
+        readings = AttackScenario(deployment, config, seed=265).readings
+        attack = PollutionAttack({102}, TamperStrategy.CONSISTENT_OWN)
+        protocol = IcpdaProtocol(deployment, config, seed=265, attack_plan=attack)
+        protocol.setup()
+        result = protocol.run_round(readings)
+        assert result.verdict is Verdict.REJECTED_ALARM
+        assert {alarm.reason for alarm in result.alarms} == {
+            AlarmReason.OWN_SUM_MISMATCH
+        }
+        assert len({alarm.witness for alarm in result.alarms}) == 5
+
 
 class TestVerdictRules:
     def test_count_mismatch_when_census_inflated(self, dense_deployment):
