@@ -7,8 +7,9 @@ round result, per-phase bytes, per-node per-kind tx/rx counters, channel
 statistics, per-node energy and kernel event counts. The goldens were
 captured before replayed frames were logged and settled in row-bounded
 batches, and re-recorded when Phase II began merging census records at
-each relay and the census and report hops began jittering their retries;
-any divergence means a jitter or loss draw moved, a candidate
+each relay and the census and report hops began jittering their retries
+(the scalar round again when witnesses began jittering each alarm
+copy's send); any divergence means a jitter or loss draw moved, a candidate
 set changed, or a float accumulated in a different order.
 
 The contract tests below pin the settle triggers: a frame batch nobody
@@ -62,7 +63,7 @@ GOLDEN = {
         "fired": 10653,
     },
     "scalar": {
-        "sha256": "e098662d60e5fa834831dd79658d48b823cfa499e7d27422924860189dfc1ea5",
+        "sha256": "6e2ea9164ba0c7bfeef102fd3efd2e7fa28474d5f04ec77c0c9b0ca433bc7a89",
         "stats": {
             "transmissions": 9978,
             "deliveries": 38489,
@@ -70,7 +71,7 @@ GOLDEN = {
             "ambient_losses": 0,
             "half_duplex_losses": 0,
         },
-        "fired": 16355,
+        "fired": 16381,
     },
 }
 

@@ -9,7 +9,8 @@ per-node energy and kernel event counts (the fingerprint of
 ``test_bulk_determinism``). The goldens were captured while delivery
 still built a per-sender loss row on first use, and re-recorded when
 Phase II began merging census records at each relay and the census and
-report hops began jittering their retries; any divergence
+report hops began jittering their retries, and again when witnesses
+began jittering each alarm copy's send; any divergence
 means a loss coin moved, a receiver set changed, or an energy float
 accumulated in a different order.
 
@@ -46,40 +47,40 @@ EAVESDROPPERS = frozenset(range(5, NUM_NODES, 23))
 
 GOLDEN = {
     "kill": {
-        "sha256": "0d95ed8c43166f2ac0d6967d0562b1a2265986ba78b846a6e80c850e1308f34e",
+        "sha256": "959e5cf06e59b616d5fca4b6f0df7465b51933b8b208f88dfeb60489e7e163b0",
         "stats": {
-            "transmissions": 9792,
-            "deliveries": 39338,
-            "collisions": 198,
+            "transmissions": 9789,
+            "deliveries": 39275,
+            "collisions": 195,
             "ambient_losses": 0,
             "half_duplex_losses": 0,
         },
-        "fired": 15932,
+        "fired": 15945,
         "heard": 0,
     },
     "lossy": {
-        "sha256": "786c37beee671c1fb6c4f58c2b284fd1077dca96d316fbb224feedd4a902b9f6",
+        "sha256": "4eb5796d8e20453f818cd658def2b9ffedab3af768b4db313cba1a2a8136f226",
         "stats": {
-            "transmissions": 10083,
-            "deliveries": 33505,
-            "collisions": 158,
-            "ambient_losses": 7864,
+            "transmissions": 9670,
+            "deliveries": 33675,
+            "collisions": 136,
+            "ambient_losses": 7983,
             "half_duplex_losses": 0,
         },
-        "fired": 16343,
+        "fired": 15940,
         "heard": 0,
     },
     "wildcard": {
-        "sha256": "f53c1e9c03ee5c57ef22ef152be6277f9d38fa462902ede78f898b2ea89681ed",
+        "sha256": "4edd004d40378cbfa28adb31cf619d923c119a62df96553df1684abc2b00a582",
         "stats": {
-            "transmissions": 9953,
-            "deliveries": 44491,
-            "collisions": 228,
+            "transmissions": 9990,
+            "deliveries": 44536,
+            "collisions": 224,
             "ambient_losses": 0,
             "half_duplex_losses": 0,
         },
-        "fired": 16105,
-        "heard": 6703,
+        "fired": 16179,
+        "heard": 6727,
     },
 }
 

@@ -39,7 +39,8 @@ SEED = 42
 #: frames, events and draws, and the lossy round, which
 #: had lost two census records (107 contributors against a census of
 #: 96), now gets every record but one through and is accepted (104
-#: against 101, within Th).
+#: against 101, within Th). The lossy round moved again when witnesses
+#: began jittering each alarm copy's send (same value and contributors).
 GOLDEN_CLEAN = {
     "trace_sha256": "2574124b3576c7f69a26e115638586ba9b65258b922b6ada15f4b0149d2415d8",
     "medium": {
@@ -59,17 +60,17 @@ GOLDEN_CLEAN = {
     "contributors": 129,
 }
 GOLDEN_LOSSY = {
-    "trace_sha256": "d1e6e741f7d413aa2610f6a15c6bd0b3305f9b045c1b83fc4c4c65c9fdab82d6",
+    "trace_sha256": "8f965519a14025dcc76ee8a729682fa4b463dffe2d46c8a8a4b988c04d4126cc",
     "medium": {
-        "transmissions": 2561,
-        "deliveries": 36343,
-        "collisions": 825,
-        "ambient_losses": 6175,
+        "transmissions": 2571,
+        "deliveries": 36616,
+        "collisions": 677,
+        "ambient_losses": 6227,
         "half_duplex_losses": 0,
     },
     "kernel": {
-        "scheduled": 43368,
-        "fired": 43368,
+        "scheduled": 43679,
+        "fired": 43679,
         "cancelled": 0,
         "max_queue_len": 231,
     },
