@@ -3,15 +3,15 @@
 Validates the committed benchmark artifacts and guards against gross
 hot-path regressions:
 
-1. strict-parses ``BENCH_e2e.json``, ``BENCH_substrate.json`` and
-   ``BENCH_service.json`` at the repo root (schema, required
-   per-scenario/metric fields, no NaN/Inf; service scenarios must report
-   QPS, p50/p95/p99 latency in order, and >= 2 served epochs; e2e
-   scenarios reporting ``phase_seconds`` must have the phases sum to
-   roughly ``best_seconds`` — catching unclosed profiler spans and
-   double-counted phases);
+1. strict-parses ``BENCH_e2e.json`` and ``BENCH_service.json`` at the
+   repo root (schema, required per-scenario fields, no NaN/Inf; service
+   scenarios must report QPS, p50/p95/p99 latency in order, and >= 2
+   served epochs; e2e scenarios reporting ``phase_seconds`` must have
+   the phases sum to roughly ``best_seconds`` — catching unclosed
+   profiler spans and double-counted phases; quick-scale reports must
+   carry ``best_yardsticks`` on every row);
 2. runs the end-to-end benchmark at ``--scale quick`` on the current
-   checkout and compares each scenario's best wall-clock against the
+   checkout and compares each scenario's ``best_yardsticks`` against the
    committed quick baseline (``benchmarks/baselines/BENCH_e2e_quick.json``
    — *baselines*, not the gitignored ``results/``) — any scenario slower
    than ``--max-ratio`` (default 2.0) times the baseline fails the job,
@@ -24,15 +24,23 @@ hot-path regressions:
 3. does the same for the aggregation-service benchmark
    (``run_service_bench.py`` at quick scale against
    ``benchmarks/baselines/BENCH_service_quick.json``), so the serving
-   path — gateway batching, live-instance rounds, cache — is wall-clock
-   and peak-RSS gated alongside the protocol hot path.
+   path — gateway batching, live-instance rounds, cache — is
+   yardstick and peak-RSS gated alongside the protocol hot path.
 
-The 2x tolerance is deliberately loose: CI runners are noisy and shared,
-so this is a tripwire for order-of-magnitude mistakes (an accidentally
-quadratic loop, a disabled fast path), not a precision perf gate. The
-committed full-scale numbers in ``BENCH_e2e.json`` are the reference for
-real perf work; refresh them — and the quick baseline — on a quiet
-machine whenever the hot path changes intentionally.
+The gate has one unit, the yardstick (``perfbench/speed.py``): a fixed
+pure-Python loop timed every 50 ms while a scenario runs, so a row's
+yardsticks are its duration times the host speed measured inside it.
+On a shared host, other tenants slow the whole process 2-3x between
+sessions; a row's seconds then swing by that much and its yardsticks do
+not. Seconds stay in the rows for reading, never for gating.
+
+The 2x tolerance is deliberately loose: CI runners differ from the host
+the baselines came from in more than speed (cache sizes, interpreter
+build), so this is a tripwire for order-of-magnitude mistakes (an
+accidentally quadratic loop, a disabled fast path), not a precision
+perf gate. The committed full-scale numbers in ``BENCH_e2e.json`` are
+the reference for real perf work; refresh them — and the quick
+baselines — whenever the hot path changes intentionally.
 
 Run from the repo root::
 
@@ -50,14 +58,13 @@ import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 E2E_REPORT = REPO_ROOT / "BENCH_e2e.json"
-SUBSTRATE_REPORT = REPO_ROOT / "BENCH_substrate.json"
 SERVICE_REPORT = REPO_ROOT / "BENCH_service.json"
 QUICK_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "BENCH_e2e_quick.json"
 SERVICE_QUICK_BASELINE = (
     REPO_ROOT / "benchmarks" / "baselines" / "BENCH_service_quick.json"
 )
 
-#: Required fields in every e2e scenario entry / substrate metric entry.
+#: Required fields in every e2e scenario entry.
 E2E_SCENARIO_FIELDS = (
     "protocol",
     "num_nodes",
@@ -67,7 +74,6 @@ E2E_SCENARIO_FIELDS = (
     "transmissions",
     "events_fired",
 )
-SUBSTRATE_METRIC_FIELDS = ("unit", "best_seconds", "ops_per_sec", "repeats")
 #: Required fields in every aggregation-service scenario entry.
 SERVICE_SCENARIO_FIELDS = (
     "num_nodes",
@@ -83,6 +89,11 @@ SERVICE_SCENARIO_FIELDS = (
     "epochs",
     "peak_rss_mb",
 )
+#: The gate's unit: required, and positive, on every quick-scale row.
+GATED = "best_yardsticks"
+#: ``--min-slack`` default: 0.05 s at the quick baselines' recorded
+#: speed (their rows' median, about 1,200 yardsticks per second).
+MIN_SLACK_YARDSTICKS = 60.0
 
 
 def _reject_constant(token: str) -> None:
@@ -96,20 +107,30 @@ def _load_strict(path: pathlib.Path) -> dict:
     return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
-def check_e2e_report(path: pathlib.Path) -> dict:
-    """Validate a bench-e2e report; returns its scenarios mapping."""
+def _load_scenarios(path: pathlib.Path, schema: str, fields) -> dict:
+    """Parse a report of ``schema``; check that every scenario carries
+    ``fields`` (plus :data:`GATED` at quick scale) and positive times."""
     report = _load_strict(path)
-    if report.get("schema") != "bench-e2e/1":
+    if report.get("schema") != schema:
         raise SystemExit(f"{path.name}: unexpected schema {report.get('schema')!r}")
     scenarios = report.get("scenarios")
     if not isinstance(scenarios, dict) or not scenarios:
         raise SystemExit(f"{path.name}: no scenarios")
+    if report.get("scale") == "quick":
+        fields = (*fields, GATED)
     for name, entry in scenarios.items():
-        for field in E2E_SCENARIO_FIELDS:
+        for field in fields:
             if field not in entry:
                 raise SystemExit(f"{path.name}: scenario {name} missing {field!r}")
-        if entry["best_seconds"] <= 0:
+        if entry["best_seconds"] <= 0 or entry.get(GATED, 1) <= 0:
             raise SystemExit(f"{path.name}: scenario {name} has non-positive time")
+    return scenarios
+
+
+def check_e2e_report(path: pathlib.Path) -> dict:
+    """Validate a bench-e2e report; returns its scenarios mapping."""
+    scenarios = _load_scenarios(path, "bench-e2e/1", E2E_SCENARIO_FIELDS)
+    for name, entry in scenarios.items():
         phases = entry.get("phase_seconds")
         if phases is not None:
             # phase_seconds comes from the same pass best_seconds does,
@@ -133,23 +154,6 @@ def check_e2e_report(path: pathlib.Path) -> dict:
     return scenarios
 
 
-def check_substrate_report(path: pathlib.Path) -> dict:
-    """Validate a bench-substrate report; returns its metrics mapping."""
-    report = _load_strict(path)
-    if report.get("schema") != "bench-substrate/1":
-        raise SystemExit(f"{path.name}: unexpected schema {report.get('schema')!r}")
-    metrics = report.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        raise SystemExit(f"{path.name}: no metrics")
-    for name, entry in metrics.items():
-        for field in SUBSTRATE_METRIC_FIELDS:
-            if field not in entry:
-                raise SystemExit(f"{path.name}: metric {name} missing {field!r}")
-        if entry["best_seconds"] <= 0:
-            raise SystemExit(f"{path.name}: metric {name} has non-positive time")
-    return metrics
-
-
 def check_service_report(path: pathlib.Path) -> dict:
     """Validate a bench-service report; returns its scenarios mapping.
 
@@ -159,18 +163,8 @@ def check_service_report(path: pathlib.Path) -> dict:
     non-decreasing order, and at least two served epochs (one epoch
     means the run never exercised the long-lived path).
     """
-    report = _load_strict(path)
-    if report.get("schema") != "bench-service/1":
-        raise SystemExit(f"{path.name}: unexpected schema {report.get('schema')!r}")
-    scenarios = report.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
-        raise SystemExit(f"{path.name}: no scenarios")
+    scenarios = _load_scenarios(path, "bench-service/1", SERVICE_SCENARIO_FIELDS)
     for name, entry in scenarios.items():
-        for field in SERVICE_SCENARIO_FIELDS:
-            if field not in entry:
-                raise SystemExit(f"{path.name}: scenario {name} missing {field!r}")
-        if entry["best_seconds"] <= 0:
-            raise SystemExit(f"{path.name}: scenario {name} has non-positive time")
         if entry["qps"] <= 0:
             raise SystemExit(f"{path.name}: scenario {name} has non-positive qps")
         if not entry["p50_s"] <= entry["p95_s"] <= entry["p99_s"]:
@@ -220,7 +214,9 @@ def compare(
 ) -> int:
     """Print per-scenario ratios; return the number of regressions.
 
-    A scenario regresses when it exceeds ``baseline * max_ratio`` *and*
+    Every bar is in yardsticks (``best_yardsticks``); a baseline row
+    without them cannot be compared and raises ``SystemExit``. A
+    scenario regresses when it exceeds ``baseline * max_ratio`` *and*
     ``baseline + min_slack``: the sub-10ms quick scenarios are dominated
     by constant scheduler noise, so a pure ratio would flap on them
     while an order-of-magnitude mistake still blows far past both bars.
@@ -254,18 +250,22 @@ def compare(
             print(f"FAIL {name}: missing from fresh run")
             regressions += 1
             continue
-        base = base_entry["best_seconds"]
-        now = fresh_entry["best_seconds"]
+        if GATED not in base_entry:
+            raise SystemExit(f"baseline row {name} has no {GATED}; re-record "
+                             "benchmarks/baselines/ with the current runners")
+        base = base_entry[GATED]
+        now = fresh_entry[GATED]
         ratio = now / base
         regressed = ratio > max_ratio and now > base + min_slack
         stale = ratio < 1.0 / max_ratio and now < base - min_slack
         verdict = "REGRESSED" if regressed else "STALE" if stale else "ok"
-        print(f"{name:24s} baseline={base:8.4f}s now={now:8.4f}s x{ratio:5.2f} {verdict}")
+        print(f"{name:26s} baseline={base:9.1f}y now={now:9.1f}y x{ratio:5.2f} "
+              f"({fresh_entry['best_seconds']:.4f}s) {verdict}")
         if regressed:
             regressions += 1
         if stale:
-            print(f"FAIL {name}: stale baseline, {now:.4f}s is under "
-                  f"{base:.4f}s / {max_ratio}; re-record it")
+            print(f"FAIL {name}: stale baseline, {now:.1f}y is under "
+                  f"{base:.1f}y / {max_ratio}; re-record it")
             regressions += 1
         rss_ceiling = base_entry.get("max_peak_rss_mb")
         if rss_ceiling is not None:
@@ -323,9 +323,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-slack",
         type=float,
-        default=0.05,
-        help="absolute seconds a scenario must also exceed baseline by "
-        "before counting as a regression (noise floor, default 0.05)",
+        default=MIN_SLACK_YARDSTICKS,
+        help="yardsticks a scenario must also differ from its baseline by "
+        "before counting as regressed or stale (noise floor, default "
+        f"{MIN_SLACK_YARDSTICKS:g}: 0.05 s at the baselines' recorded speed)",
     )
     parser.add_argument(
         "--repeats",
@@ -341,11 +342,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scenarios = check_e2e_report(E2E_REPORT)
-    metrics = check_substrate_report(SUBSTRATE_REPORT)
     service_scenarios = check_service_report(SERVICE_REPORT)
     print(
         f"{E2E_REPORT.name}: {len(scenarios)} scenarios ok; "
-        f"{SUBSTRATE_REPORT.name}: {len(metrics)} metrics ok; "
         f"{SERVICE_REPORT.name}: {len(service_scenarios)} scenarios ok"
     )
 

@@ -9,18 +9,21 @@ under ``benchmarks/results/``.
 
 Reported per scenario:
 
-* ``best_seconds`` — wall-clock for the whole serving run (gateway
-  start, every client's full query stream, drain), best of ``--repeats``
-  passes, each on a **fresh** service (the protocol instance is
-  long-lived *within* a pass; timing must not leak state across passes);
+* ``best_yardsticks`` — the whole serving run (gateway start, every
+  client's full query stream, drain) in yardsticks, units of host speed
+  sampled while it ran, best of ``--repeats`` passes, each on a
+  **fresh** service (the protocol instance is long-lived *within* a
+  pass; timing must not leak state across passes). ``check_bench.py``
+  gates this column;
+* ``best_seconds`` — the same pass's wall-clock;
 * ``qps`` — served queries / best wall-clock;
 * ``p50_s / p95_s / p99_s`` — admission->answer latency percentiles
   over every served query of the best pass (the gateway's own record);
 * ``epochs`` / ``batches`` / ``cache_hits`` / ``rejected`` — how the
   serving actually decomposed (epochs ≥ 2 is asserted: a service run
   that collapses into one round isn't measuring the service);
-* ``peak_rss_mb`` — process high-water RSS (monotonic; attribute to the
-  largest scenario, as in ``run_e2e_bench.py``).
+* ``peak_rss_mb`` — the scenario's high-water RSS: each scenario runs in
+  a spawned subprocess of its own, as in ``run_e2e_bench.py``.
 
 Latency here is dominated by the simulated protocol round each batch
 runs, so the numbers measure batching efficiency (how many concurrent
@@ -36,16 +39,16 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import gc
 import json
 import pathlib
 import platform
-import resource
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
+from isolated import best_pass, peak_rss_mb, run_isolated
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_service.json"
@@ -140,8 +143,14 @@ def _build_service(scenario: ServiceScenario):
 
 async def _drive(scenario: ServiceScenario, gateway) -> dict:
     """Run every client's query stream; returns serving counters."""
+    from perfbench.speed import main_thread_only
     from repro.service.gateway import QueryRejected
 
+    # Rounds run on one worker thread that blocks SIGALRM, so the
+    # speedometer's samples interrupt this loop's thread, as in perfbench.
+    asyncio.get_running_loop().set_default_executor(
+        ThreadPoolExecutor(max_workers=1, initializer=main_thread_only)
+    )
     rejected = [0]
 
     async def client(index: int) -> None:
@@ -164,42 +173,42 @@ async def _drive(scenario: ServiceScenario, gateway) -> dict:
     return {"rejected": rejected[0]}
 
 
-def run_scenario(name: str, scenario: ServiceScenario, repeats: int) -> dict:
-    """Time one serving run best-of-``repeats``; returns its entry."""
+def _serve_pass(name: str, scenario: ServiceScenario):
+    """One serving run on a fresh service; returns (start, end, stats)."""
     from repro.service.gateway import AggregationGateway
 
+    service = _build_service(scenario)
+    gateway = AggregationGateway(service, max_pending=scenario.max_pending)
+    start = time.perf_counter()
+    extra = asyncio.run(_drive(scenario, gateway))
+    end = time.perf_counter()
+    assert service.epoch >= 2, (
+        f"{name}: served {service.epoch} epoch(s); a service benchmark "
+        "must cover at least two epochs on the live instance"
+    )
+    percentiles = gateway.stats.latency_percentiles()
+    return start, end, {
+        "served": gateway.stats.served,
+        "epochs": service.epoch,
+        "batches": gateway.stats.batches,
+        "largest_batch": gateway.stats.largest_batch,
+        "cache_hits": gateway.stats.cache_hits,
+        "rejected": gateway.stats.rejected + extra["rejected"],
+        "p50_s": round(percentiles["p50"], 6),
+        "p95_s": round(percentiles["p95"], 6),
+        "p99_s": round(percentiles["p99"], 6),
+        "total_bytes": service.snapshot()["total_bytes"],
+    }
+
+
+def _measure(name: str, scenario: ServiceScenario, repeats: int) -> dict:
+    """Time one serving run best-of-``repeats``; returns its entry."""
     if scenario.repeats is not None:
         repeats = scenario.repeats
-    best = float("inf")
-    best_stats: dict = {}
-    for _ in range(max(1, repeats)):
-        gc.collect()
-        service = _build_service(scenario)
-        gateway = AggregationGateway(service, max_pending=scenario.max_pending)
-        start = time.perf_counter()
-        extra = asyncio.run(_drive(scenario, gateway))
-        elapsed = time.perf_counter() - start
-        assert service.epoch >= 2, (
-            f"{name}: served {service.epoch} epoch(s); a service benchmark "
-            "must cover at least two epochs on the live instance"
-        )
-        if elapsed < best:
-            best = elapsed
-            percentiles = gateway.stats.latency_percentiles()
-            best_stats = {
-                "served": gateway.stats.served,
-                "epochs": service.epoch,
-                "batches": gateway.stats.batches,
-                "largest_batch": gateway.stats.largest_batch,
-                "cache_hits": gateway.stats.cache_hits,
-                "rejected": gateway.stats.rejected + extra["rejected"],
-                "p50_s": round(percentiles["p50"], 6),
-                "p95_s": round(percentiles["p95"], 6),
-                "p99_s": round(percentiles["p99"], 6),
-                "total_bytes": service.snapshot()["total_bytes"],
-            }
-    gc.collect()
-    entry = {
+    best, yardsticks, best_stats = best_pass(
+        repeats, lambda: _serve_pass(name, scenario)
+    )
+    return {
         "num_nodes": scenario.num_nodes,
         "field_size_m": scenario.field_size,
         "seed": scenario.seed,
@@ -209,16 +218,20 @@ def run_scenario(name: str, scenario: ServiceScenario, repeats: int) -> dict:
         "max_pending": scenario.max_pending,
         "repeats": max(1, repeats),
         "best_seconds": round(best, 6),
+        "best_yardsticks": round(yardsticks, 1),
         "qps": round(best_stats["served"] / best, 2),
-        # Process high-water RSS (monotonic; see module docstring).
-        "peak_rss_mb": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
-        ),
+        "peak_rss_mb": peak_rss_mb(),
         **best_stats,
     }
+
+
+def run_scenario(name: str, scenario: ServiceScenario, repeats: int) -> dict:
+    """Measure one serving run in a spawned subprocess of its own."""
+    entry = run_isolated(name, _measure, name, scenario, repeats)
     print(
         f"{name:24s} N={scenario.num_nodes:<5d} clients={scenario.clients:<3d} "
-        f"best={best:7.3f}s qps={entry['qps']:>7.1f} "
+        f"best={entry['best_seconds']:7.3f}s {entry['best_yardsticks']:8.1f}y "
+        f"qps={entry['qps']:>7.1f} "
         f"p50={entry['p50_s']*1000:6.1f}ms p99={entry['p99_s']*1000:6.1f}ms "
         f"epochs={entry['epochs']}"
     )
