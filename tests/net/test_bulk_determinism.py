@@ -4,7 +4,8 @@ The ``fluid-bulk`` hot path (when batches are sealed, when they are
 resolved, how replayed frames are grouped) is an optimization: a seeded
 round must produce *exactly* the outputs recorded in the goldens below —
 round result, per-phase bytes, per-node per-kind tx/rx counters, channel
-statistics, per-node energy and kernel event counts. The goldens were
+statistics, per-node energy and kernel event counts (and, for the
+``rebuild`` run, the re-flooded tree itself). The goldens were
 captured before replayed frames were logged and settled in row-bounded
 batches, and re-recorded when Phase II began merging census records at
 each relay and the census and report hops began jittering their retries
@@ -36,6 +37,9 @@ NUM_NODES = 300
 SEED = 3
 #: Node crash-stopped between the two rounds of the ``batched_kill`` run.
 KILLED = 17
+#: Relays the ``rebuild`` run kills after round 0: those with the largest
+#: subtrees, whose loss a re-flood has to route around.
+REBUILD_KILLS = 3
 
 #: sha256 of every round's fingerprint, plus the readable parts a
 #: mismatch is easiest to diagnose from.
@@ -73,7 +77,37 @@ GOLDEN = {
         },
         "fired": 16381,
     },
+    "rebuild": {
+        "sha256": "cb3e2bf3532b49097d57c131f58d824468c6aeab32a044aa2e81101f78a2b76c",
+        "stats": {
+            "transmissions": 10152,
+            "deliveries": 33784,
+            "collisions": 264,
+            "ambient_losses": 0,
+            "half_duplex_losses": 0,
+        },
+        "fired": 11271,
+    },
 }
+
+
+def _tree_print(tree) -> tuple:
+    return (
+        sorted(tree.parents.items()),
+        sorted(tree.depths.items()),
+        sorted(tree.children.items()),
+        sorted(tree.query_at.items()),
+    )
+
+
+def _largest_relays(tree, count: int) -> list:
+    """The ``count`` non-root nodes with the largest subtrees (ties to
+    the lower id)."""
+    size = {}
+    for node in sorted(tree.depths, key=tree.depths.get, reverse=True):
+        size[node] = 1 + sum(size[child] for child in tree.children[node])
+    relays = [node for node in size if node != tree.root]
+    return sorted(relays, key=lambda node: (-size[node], node))[:count]
 
 
 def _fingerprint(protocol, result) -> tuple:
@@ -101,22 +135,27 @@ def _fingerprint(protocol, result) -> tuple:
     )
 
 
-def _run(engine: str, kill=None) -> dict:
+def _run(engine: str, kill=None, rebuild: bool = False) -> dict:
     protocol = build_icpda(
         NUM_NODES, IcpdaConfig(engine=engine), seed=SEED, transport="fluid-bulk"
     )
     readings = make_readings(NUM_NODES, rng=np.random.default_rng(SEED + 10_000))
-    rounds = []
+    rounds, accepted = [], []
     for round_id in range(2):
         if kill is not None and round_id == 1:
             protocol.stack.fail_node(kill)
+        if rebuild and round_id == 1:
+            for node in _largest_relays(protocol.tree, REBUILD_KILLS):
+                protocol.stack.fail_node(node)
+            rounds.append(_tree_print(protocol.rebuild_tree()))
         result = protocol.run_round(readings, round_id=round_id)
         rounds.append(_fingerprint(protocol, result))
+        accepted.append("Verdict.ACCEPTED" in rounds[-1][0])
     return {
         "sha256": hashlib.sha256(repr(rounds).encode()).hexdigest(),
         "stats": rounds[-1][5],
         "fired": rounds[-1][-1],
-        "accepted": ["Verdict.ACCEPTED" in r[0] for r in rounds],
+        "accepted": accepted,
     }
 
 
@@ -126,6 +165,8 @@ def _run(engine: str, kill=None) -> dict:
         ("batched", "batched", None, None),
         ("batched_kill", "batched", KILLED, None),
         ("scalar", "scalar", None, None),
+        # Round 0, kill the biggest relays, re-flood Phase I, round 1.
+        ("rebuild", "batched", None, None),
         # A tiny replay-log bound settles at almost every bucket: the
         # bound trades memory for calls and must not move an output.
         ("batched", "batched", None, 64),
@@ -137,7 +178,7 @@ def test_seeded_bulk_rounds_match_golden(
 ):
     if log_rows is not None:
         monkeypatch.setattr(fluid, "_LOG_ROWS", log_rows)
-    run = _run(engine, kill)
+    run = _run(engine, kill, rebuild=name == "rebuild")
     golden = GOLDEN[name]
     assert run["stats"] == golden["stats"]
     assert run["fired"] == golden["fired"]
