@@ -145,7 +145,8 @@ class IcpdaProtocol:
         through them rot and participation collapses even though the
         survivors could still reach the base station. A rebuild floods a
         fresh HELLO — dead nodes stay silent, so the new tree routes
-        around them. Costs one flood (~2 messages/alive node).
+        around them. Costs one flood: one hello per reached node (1000
+        frames, 23000 bytes at N=1000 on every backend).
         """
         return self._build_tree()
 

@@ -55,12 +55,13 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ScheduleInPastError, SimulationError
 from repro.metrics.counters import MessageCounters
 from repro.net.energy import FOLD_AT, EnergyModel, first_seen
 from repro.net.packet import BROADCAST, Packet
 from repro.net.radio import RadioParams
 from repro.net.transport import (
+    ColumnHandler,
     MediumStats,
     OverhearListener,
     PacketHandler,
@@ -80,10 +81,21 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 #: settled when a batch arrives at a new instant (bounds its memory).
 _LOG_ROWS = 4096
 
+#: Batches up to this many rows take the contention gate's row loop,
+#: which costs less than the vectorized pass's fixed numpy overhead.
+_GATE_LOOP_ROWS = 128
+
 #: One run of the bulk resolve queue, in seal order, as columns: delivery
 #: instant, src, dst, contended flag, kind code, size, and Packet objects
-#: (``None`` where ``send_many`` queued a payload-free row).
+#: (or, where none was built, the payload to build one from: ``None``
+#: for a payload-free ``send_many`` row).
 _Chunk = Tuple[np.ndarray, ...]
+
+#: Pending future key-ups (:meth:`BulkFluidTransport.broadcast_later`),
+#: sorted by kernel key, as columns: instant, reserved seq, src, size,
+#: kind (index into ``_keyup_kinds``), latest delivery instant, the
+#: resolve tick it needs, and payloads.
+_KeyUps = Tuple[np.ndarray, ...]
 
 
 def _contention_gate(
@@ -96,8 +108,13 @@ def _contention_gate(
     taken over float ranks with each cell's lifted above every earlier
     cell's, so one ``maximum.accumulate`` serves all cells."""
     count = cells.size
-    if count == 0:
-        return np.zeros(0, dtype=bool)
+    if count <= _GATE_LOOP_ROWS:
+        contended = []
+        for cell, start, stop in zip(cells.tolist(), keyup.tolist(), end.tolist()):
+            contended.append(start < busy[cell])
+            if stop > busy[cell]:
+                busy[cell] = stop
+        return np.array(contended, dtype=bool)
     order = np.argsort(cells, kind="stable")
     by_cell = cells[order]
     first = np.flatnonzero(np.r_[True, by_cell[1:] != by_cell[:-1]])
@@ -384,12 +401,7 @@ class FluidTransport:
         if src in self._dead:
             # Same contract as the DES: a crashed radio keys up nothing
             # and its non-transmission is not counted.
-            self.sim.trace.emit(
-                "fluid.dead_tx",
-                "dead node %(node)s asked to send %(kind)s",
-                node=src,
-                kind=packet.kind,
-            )
+            self._trace_dead_tx(src, packet.kind)
             return
         size = packet.size_bytes
         self.counters.record_tx(src, packet.kind, size)
@@ -419,6 +431,14 @@ class FluidTransport:
             busy[cell] = airtime_end
         self.sim.schedule(
             airtime_end - self.sim.now, self._deliver, (packet, contended)
+        )
+
+    def _trace_dead_tx(self, node: int, kind: str) -> None:
+        self.sim.trace.emit(
+            "fluid.dead_tx",
+            "dead node %(node)s asked to send %(kind)s",
+            node=node,
+            kind=kind,
         )
 
     # -- delivery ---------------------------------------------------------------
@@ -727,6 +747,15 @@ class BulkFluidTransport(FluidTransport):
         # listener registration changes.
         self._kind_mask_cache: Dict[str, np.ndarray] = {}
         self._wild_mask = np.zeros(num_nodes, dtype=bool)
+        #: kind -> its columnar handler (see :meth:`register_columns`).
+        self._columns: Dict[str, ColumnHandler] = {}
+        # Broadcasts keyed up at future instants (see broadcast_later):
+        # the rows, the kinds they index, the seqs of the rows standing
+        # on the heap, and the kernel's cancel count when they were added.
+        self._keyups: Optional[_KeyUps] = None
+        self._keyup_kinds: List[str] = []
+        self._keyups_placed: Set[int] = set()
+        self._keyups_cancelled = 0
 
     # -- sending ----------------------------------------------------------------
 
@@ -745,12 +774,7 @@ class BulkFluidTransport(FluidTransport):
         if src in self._dead:
             # Same contract as the per-frame paths: a crashed radio keys
             # up nothing and its non-transmission is not counted.
-            self.sim.trace.emit(
-                "fluid.dead_tx",
-                "dead node %(node)s asked to send %(kind)s",
-                node=src,
-                kind=packet.kind,
-            )
+            self._trace_dead_tx(src, packet.kind)
             return
         if self._log:
             self._settle()
@@ -886,12 +910,7 @@ class BulkFluidTransport(FluidTransport):
                 # up nothing, uncounted, and consume no jitter draw.
                 if self.sim.trace.on:
                     for node in src_arr[~alive].tolist():
-                        self.sim.trace.emit(
-                            "fluid.dead_tx",
-                            "dead node %(node)s asked to send %(kind)s",
-                            node=node,
-                            kind=kind,
-                        )
+                        self._trace_dead_tx(node, kind)
                 src_arr = src_arr[alive]
                 dst_arr = dst_arr[alive]
                 sizes = sizes[alive]
@@ -922,30 +941,64 @@ class BulkFluidTransport(FluidTransport):
 
     def _seal_calls(self, calls: List[_Call], latest: float) -> None:
         """Seal ``send_many`` calls into the batch exactly as one call at
-        a time would (energy and rx bank per call and ascending sender,
-        jitter at each row's instant); ticks for ``latest`` if in flight."""
+        a time would (see :meth:`_seal_rows`); ticks for ``latest`` if in
+        flight."""
         rows = [call[2].size for call in calls]
-        instants = np.repeat([call[0] for call in calls], rows)
-        src_arr = np.concatenate([call[2] for call in calls])
-        dst_arr = np.concatenate([call[3] for call in calls])
-        sizes = np.concatenate([call[4] for call in calls])
+        kinds = list(dict.fromkeys(call[1] for call in calls))
+        end = self._seal_rows(
+            np.repeat([call[0] for call in calls], rows),
+            np.repeat(np.arange(len(calls), dtype=np.int64), rows),
+            kinds,
+            np.repeat([kinds.index(call[1]) for call in calls], rows),
+            np.concatenate([call[2] for call in calls]),
+            np.concatenate([call[3] for call in calls]),
+            np.concatenate([call[4] for call in calls]),
+            np.empty(sum(rows), dtype=object),  # all None
+        )
+        if float(end.max()) > self.sim.now:
+            self._schedule_tick(latest)
+
+    def _seal_rows(
+        self,
+        instants: np.ndarray,
+        call_of: Optional[np.ndarray],
+        kinds: List[str],
+        kind_of: np.ndarray,
+        src_arr: np.ndarray,
+        dst_arr: np.ndarray,
+        sizes: np.ndarray,
+        payloads: np.ndarray,
+    ) -> np.ndarray:
+        """Seal rows into the queue exactly as one send per row at its
+        instant would: tx counters per kind (``kinds[kind_of[i]]``, kinds
+        in first-appearance order), energy and rx bank per call
+        (``call_of``, or one call per row if None) and ascending sender,
+        one jitter block in row order keyed at each row's instant, the
+        contention gate. Returns each row's delivery instant."""
         count = int(src_arr.size)
         kind_codes = self._kind_codes
-        codes = np.repeat(
-            [kind_codes.setdefault(call[1], len(kind_codes)) for call in calls], rows
-        )
-        for kind in dict.fromkeys(call[1] for call in calls):
-            in_kind = codes == kind_codes[kind]
+        codes = np.array(
+            [kind_codes.setdefault(kind, len(kind_codes)) for kind in kinds],
+            dtype=np.int64,
+        )[kind_of]
+        for index, kind in enumerate(kinds):
+            in_kind = kind_of == index
             self.counters.record_tx_columns(kind, src_arr[in_kind], 1, sizes[in_kind])
-        call_of = np.repeat(np.arange(len(calls), dtype=np.int64), rows)
-        keys, inverse = np.unique(
-            call_of * self._num_nodes + src_arr, return_inverse=True
-        )
-        byte_sums = np.bincount(inverse, weights=sizes.astype(np.float64))
-        senders = keys % self._num_nodes
         energy = self.energy
-        energy.charge_columns(senders, energy.tx_j_per_byte * byte_sums)
-        self._bank_rx(senders, byte_sums.astype(np.int64))
+        if call_of is None:
+            energy.charge_columns(src_arr, energy.tx_j_per_byte * sizes)
+            # Staged like per-frame seals: banked at the next fold.
+            self._rx_rows.extend(np.column_stack((src_arr, sizes)).ravel().tolist())
+            if len(self._rx_rows) >= FOLD_AT:
+                self._bank_rx()
+        else:
+            keys, inverse = np.unique(
+                call_of * self._num_nodes + src_arr, return_inverse=True
+            )
+            byte_sums = np.bincount(inverse, weights=sizes.astype(np.float64))
+            senders = keys % self._num_nodes
+            energy.charge_columns(senders, energy.tx_j_per_byte * byte_sums)
+            self._bank_rx(senders, byte_sums.astype(np.int64))
         self._stats.transmissions += count
         radio = self.radio
         airtime = radio.turnaround_s + (8.0 * sizes) / radio.bitrate_bps
@@ -956,10 +1009,146 @@ class BulkFluidTransport(FluidTransport):
             self._cell_of[src_arr], keyup, end, self._busy_until
         )
         self._unstage()  # staged per-frame rows were sealed first
-        packets = np.empty(count, dtype=object)  # all None
-        self._chunks.append((end, src_arr, dst_arr, contended, codes, sizes, packets))
-        if float(end.max()) > self.sim.now:
-            self._schedule_tick(latest)
+        self._chunks.append((end, src_arr, dst_arr, contended, codes, sizes, payloads))
+        return end
+
+    def broadcast_later(
+        self,
+        kind: str,
+        src: Sequence[int],
+        delays: Sequence[float],
+        size_bytes: Sequence[int],
+        payloads: Sequence[Mapping[str, Any]],
+    ) -> None:
+        """Key up one local broadcast per row, ``delays[i]`` seconds from
+        now: the same draws, books, resolve ticks and kernel counts as one
+        kernel timer per row, scheduled now in row order, that calls
+        ``broadcast(src[i], kind, payloads[i], size_bytes=size_bytes[i])``
+        and then :meth:`flush` — without a heap entry or a one-frame seal
+        per row.
+
+        The rows take their kernel keys now (see
+        :meth:`~repro.sim.kernel.Simulator.reserve`) and wait, sorted by
+        key. When the kernel reaches the earliest, that row and every
+        later one due before the kernel's next event key up, each at its
+        own instant, and are sealed as one burst (:meth:`_key_up`), so no
+        other event sees them unsealed. A sender dead at its instant keys
+        up nothing and draws no coin."""
+        src_arr, _, sizes = send_many_columns(
+            src, np.full(len(src), BROADCAST), size_bytes
+        )
+        delays = np.asarray(delays, dtype=np.float64)
+        if delays.shape != src_arr.shape:
+            raise SimulationError("broadcast_later: delays and src differ in length")
+        count = int(src_arr.size)
+        if count == 0:
+            return
+        if not bool((delays >= 0).all()):  # NaN fails too
+            raise ScheduleInPastError("broadcast_later: negative or NaN delay")
+        if int(src_arr.min()) < 0 or int(src_arr.max()) >= self._num_nodes:
+            raise SimulationError("broadcast_later: unknown source node")
+        sim = self.sim
+        if sim.stats.cancelled != self._keyups_cancelled:
+            # discard_pending dropped the pending rows' kernel keys.
+            self._keyups, self._keyups_placed = None, set()
+            self._keyups_cancelled = sim.stats.cancelled
+        first = sim.reserve(count)
+        times = sim.now + delays
+        radio = self.radio
+        airtime = radio.turnaround_s + (8.0 * sizes) / radio.bitrate_bps
+        latest = times + self.params.access_jitter_s + airtime
+        if kind not in self._keyup_kinds:
+            self._keyup_kinds.append(kind)
+        objects = np.empty(count, dtype=object)
+        objects[:] = payloads
+        rows = (
+            times,
+            np.arange(first, first + count, dtype=np.int64),
+            src_arr,
+            sizes,
+            np.full(count, self._keyup_kinds.index(kind), dtype=np.int64),
+            latest,
+            (np.floor(latest / self._tick_s) + 1) * self._tick_s,
+            objects,
+        )
+        if self._keyups is not None:
+            rows = tuple(map(np.concatenate, zip(self._keyups, rows)))
+        order = np.lexsort((rows[1], rows[0]))
+        self._keyups = tuple(column[order] for column in rows)
+        self._place_keyup()
+
+    def _place_keyup(self) -> None:
+        """Stand the earliest pending key-up on the heap at its own key,
+        unless it already stands there."""
+        times, seqs = self._keyups[:2]
+        seq = int(seqs[0])
+        if seq not in self._keyups_placed:
+            self._keyups_placed.add(seq)
+            self.sim.schedule_at(float(times[0]), self._key_up, (), seq)
+
+    def _key_up(self) -> None:
+        """Kernel event at the earliest pending key-up's own key: key it
+        up, then every later one due before the kernel's next event
+        (:meth:`~repro.sim.kernel.Simulator.claim_many`), each at its own
+        instant, and seal the live ones as one burst after any frames
+        still unsealed."""
+        rows = self._keyups
+        times, seqs, src, sizes, kind_of, latest, ticks, payloads = rows
+        self._keyups_placed.discard(int(seqs[0]))
+        live = ~self._dead_mask[src] if self._dead else None
+        trace_dead = live is not None and self.sim.trace.on and not bool(live.all())
+        # What the first row's broadcast and flush do, in their order.
+        if trace_dead and not live[0]:
+            self._trace_dead_tx(int(src[0]), self._keyup_kinds[kind_of[0]])
+        if self._log:
+            self._settle()
+        if self._burst:
+            self._seal_burst()
+        total = int(times.size)
+        claimed, row = 1, 0
+        while True:
+            # Row ``row`` is claimed and the clock stands at its instant:
+            # trace its dead sender, or ask for its resolve tick.
+            if live is None or live[row]:
+                self._schedule_tick(float(latest[row]))
+            elif row:
+                self._trace_dead_tx(int(src[row]), self._keyup_kinds[kind_of[row]])
+            if claimed == total:
+                break
+            # The next row that acts at its instant: a live one whose tick
+            # is not yet scheduled, or a dead one to trace.
+            acts = ticks[claimed:] > self._flush_horizon
+            if live is not None:
+                acts &= live[claimed:]
+                if trace_dead:
+                    acts |= ~live[claimed:]
+            hits = np.flatnonzero(acts)
+            stop = claimed + int(hits[0]) + 1 if hits.size else total
+            claimed += self.sim.claim_many(times[claimed:stop], seqs[claimed:stop])
+            if claimed < stop or not hits.size:
+                break
+            row = stop - 1
+        keep = np.arange(claimed) if live is None else np.flatnonzero(live[:claimed])
+        if keep.size:
+            used, first = np.unique(kind_of[keep], return_index=True)
+            used = used[np.argsort(first)]
+            local = np.zeros(len(self._keyup_kinds), dtype=np.int64)
+            local[used] = np.arange(used.size)
+            self._seal_rows(
+                times[keep],
+                None,
+                [self._keyup_kinds[index] for index in used.tolist()],
+                local[kind_of[keep]],
+                src[keep],
+                np.full(keep.size, BROADCAST, dtype=np.int64),
+                sizes[keep],
+                payloads[keep],
+            )
+        if claimed == total:
+            self._keyups = None
+        else:
+            self._keyups = tuple(column[claimed:] for column in rows)
+            self._place_keyup()
 
     def _settle(self) -> None:
         """Seal the replay log and resolve what is already due, crediting
@@ -1131,19 +1320,37 @@ class BulkFluidTransport(FluidTransport):
             pair_wanted = wanted[surv_frame]
             disp_frame = surv_frame[pair_wanted]
             disp_recv = surv_recv[pair_wanted]
+        # A columnar kind's addressed pairs go to its handler in one call,
+        # after the per-pair pass; that pass keeps its pairs only for
+        # their listeners.
+        handoffs = []
+        for kind, handler in self._columns.items():
+            if kind not in kinds:
+                continue
+            mine = codes[disp_frame] == self._kind_codes[kind]
+            addressed = mine & (is_broadcast[disp_frame] | (disp_recv == dst[disp_frame]))
+            if addressed.any():
+                handoffs.append(
+                    (handler, src[disp_frame[addressed]], disp_recv[addressed])
+                )
+            if not (self._wild_count or kind_overhear.get(kind)):
+                disp_frame, disp_recv = disp_frame[~mine], disp_recv[~mine]
         if disp_frame.size:
             frame_packets = {}
             for frame in np.unique(disp_frame).tolist():
                 packet = packets[position[frame]]
-                if packet is None:
+                if type(packet) is not Packet:
                     packet = Packet(
                         src=int(src[frame]),
                         dst=int(dst[frame]),
                         kind=names[codes[frame]],
+                        payload=packet or {},
                         size_bytes=int(sizes[frame]),
                     )
                 frame_packets[frame] = packet
             self._dispatch(disp_frame.tolist(), disp_recv.tolist(), frame_packets)
+        for handler, pair_src, pair_recv in handoffs:
+            handler(pair_src, pair_recv)
         return count
 
     def _dispatch(
@@ -1154,12 +1361,13 @@ class BulkFluidTransport(FluidTransport):
     ) -> None:
         """One pass over surviving (receiver, frame) pairs: listeners
         first, then the addressed handler — per-receiver ordering
-        identical to the per-frame paths. Frames emitted by handlers
-        during the pass schedule their own resolve ticks and are sealed
-        lazily (or by an explicit flush)."""
+        identical to the per-frame paths — unless the kind is columnar.
+        Frames emitted by handlers during the pass schedule their own
+        resolve ticks and are sealed lazily (or by an explicit flush)."""
         handlers = self._handlers
         kind_overhear = self._kind_overhear
         wild_overhear = self._wild_overhear
+        columns = self._columns
         position = 0
         pair_count = len(surv_frame)
         while position < pair_count:
@@ -1168,6 +1376,7 @@ class BulkFluidTransport(FluidTransport):
             kind = packet.kind
             dst = packet.dst
             broadcast = dst == BROADCAST
+            handled = kind not in columns
             kind_listeners = kind_overhear.get(kind)
             wild = self._wild_count > 0
             while position < pair_count and surv_frame[position] == frame:
@@ -1179,7 +1388,7 @@ class BulkFluidTransport(FluidTransport):
                 if kind_listeners is not None:
                     for listener in kind_listeners.get(receiver, ()):
                         listener(receiver, packet)
-                if broadcast or receiver == dst:
+                if handled and (broadcast or receiver == dst):
                     handler = handlers[receiver].get(kind)
                     if handler is not None:
                         handler(receiver, packet)
@@ -1199,6 +1408,18 @@ class BulkFluidTransport(FluidTransport):
     def register_handler(self, node_id: int, kind: str, handler: PacketHandler) -> None:
         self._settle()
         super().register_handler(node_id, kind, handler)
+        self._handled_kinds.add(kind)
+
+    def register_columns(self, kind: str, handler: ColumnHandler) -> None:
+        """Make ``kind`` columnar: each resolve tick hands its surviving
+        addressed ``kind`` pairs to ``handler(src, recv)`` in one call, as
+        int64 arrays in dispatch order, after the tick's per-pair pass
+        (where listeners still see each pair). Per-node handlers of
+        ``kind`` are no longer called; a later call replaces ``handler``."""
+        if not kind:
+            raise SimulationError("handler kind must be non-empty")
+        self._settle()
+        self._columns[kind] = handler
         self._handled_kinds.add(kind)
 
     def register_overhear(

@@ -48,6 +48,10 @@ PacketHandler = Callable[[int, Packet], None]
 #: Listener signature for promiscuous (overheard) frames:
 #: ``listener(node_id, packet)``, called with the overhearing node's id.
 OverhearListener = Callable[[int, Packet], None]
+#: Columnar handler signature: ``handler(src, recv)``, called once per
+#: batch of addressed frames of its kind with the (sender, receiver)
+#: pairs as int64 arrays (see ``BulkFluidTransport.register_columns``).
+ColumnHandler = Callable[[np.ndarray, np.ndarray], None]
 
 
 def drop_listener(

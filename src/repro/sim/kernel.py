@@ -9,8 +9,9 @@ The kernel is intentionally small and deterministic:
   once scheduled, fires (only :meth:`Simulator.discard_pending` drops
   events, all at once);
 * many events (a frame's receptions) may stand behind one heap entry
-  via :meth:`~Simulator.reserve` and :meth:`~Simulator.claim`, still
-  firing and counting each at its own ``(time, seq)``;
+  via :meth:`~Simulator.reserve` and :meth:`~Simulator.claim` (or
+  :meth:`~Simulator.claim_many`), still firing and counting each at its
+  own ``(time, seq)``;
 * every run is reproducible because all randomness is drawn from the
   kernel's :class:`~repro.sim.rng.RngRegistry`.
 
@@ -32,6 +33,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import KernelStateError, ScheduleInPastError
 from repro.metrics.registry import MetricsRegistry
@@ -220,6 +223,23 @@ class Simulator:
         self.stats.fired += 1
         self._now = time
         return True
+
+    def claim_many(self, times: np.ndarray, seqs: np.ndarray) -> int:
+        """:meth:`claim` the reserved keys ``(times[i], seqs[i])``, sorted
+        ascending, one after another until one is not due; returns how
+        many were. The clock ends at the last one claimed."""
+        count = int(np.searchsorted(times, self._until, side="right"))
+        heap = self._heap
+        if heap and count:
+            head_time, head_seq = heap[0][0], heap[0][1]
+            before = int(np.searchsorted(times[:count], head_time, side="left"))
+            tied = int(np.searchsorted(times[:count], head_time, side="right"))
+            count = before + int(np.searchsorted(seqs[before:tied], head_seq))
+        if count:
+            self._reserved -= count
+            self.stats.fired += count
+            self._now = float(times[count - 1])
+        return count
 
     def schedule_batch(
         self,

@@ -1,9 +1,12 @@
 """The bulk transport's vectorized contention gate equals the per-row loop.
 
 ``_contention_gate`` replaces a loop that walked a sealed batch in row
-order, keeping one busy horizon per grid cell. The property compares
-the two on drawn batches: the contended flags, and the horizons left
-behind (compared by ``repr``, so the floats must be the very same).
+order, keeping one busy horizon per grid cell (it still walks batches
+of up to ``_GATE_LOOP_ROWS`` rows, so the property runs once with that
+bound at 0 to hold the vectorized pass to the loop). The property
+compares the two on drawn batches: the contended flags, and the
+horizons left behind (compared by ``repr``, so the floats must be the
+very same).
 Instants come from a small grid as well as from a continuous range, so
 ties between key-ups, airtime ends and carried horizons are common.
 """
@@ -11,9 +14,11 @@ ties between key-ups, airtime ends and carried horizons are common.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.net import fluid
 from repro.net.fluid import _contention_gate
 
 GRID = (0.0, 0.001, 0.002, 0.003)
@@ -60,14 +65,19 @@ CARRIED = [[(0, 0.0, 0.002), (1, 0.001, 0.0), (0, 0.001, 0.0)], [(0, 0.0, 0.0)]]
 @example(([-1.0, 0.002], [[]]))  # an empty batch
 @example(([0.001], [[(0, 0.001, 0.0), (0, 0.001, 0.001), (0, 0.002, 0.0)]]))
 @settings(max_examples=300, deadline=None)
-def test_vectorized_gate_equals_the_row_loop(run):
+@pytest.mark.parametrize("loop_rows", [0, fluid._GATE_LOOP_ROWS])
+def test_vectorized_gate_equals_the_row_loop(loop_rows, run):
     initial, batches = run
     busy, expected_busy = list(initial), list(initial)
-    for batch in batches:
-        cells = [cell for cell, _, _ in batch]
-        keyup = np.array([at for _, at, _ in batch], dtype=np.float64)
-        end = keyup + np.array([airtime for _, _, airtime in batch], dtype=np.float64)
-        expected = _loop(cells, keyup.tolist(), end.tolist(), expected_busy)
-        got = _contention_gate(np.array(cells, dtype=np.int64), keyup, end, busy)
-        assert got.dtype == bool and got.tolist() == expected
-        assert repr(busy) == repr(expected_busy)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fluid, "_GATE_LOOP_ROWS", loop_rows)
+        for batch in batches:
+            cells = [cell for cell, _, _ in batch]
+            keyup = np.array([at for _, at, _ in batch], dtype=np.float64)
+            end = keyup + np.array(
+                [airtime for _, _, airtime in batch], dtype=np.float64
+            )
+            expected = _loop(cells, keyup.tolist(), end.tolist(), expected_busy)
+            got = _contention_gate(np.array(cells, dtype=np.int64), keyup, end, busy)
+            assert got.dtype == bool and got.tolist() == expected
+            assert repr(busy) == repr(expected_busy)

@@ -321,6 +321,39 @@ class TestReservedKeys:
         ]
         assert sim.stats.scheduled == sim.stats.fired == 4
 
+    def test_claim_many_claims_the_due_prefix(self, sim):
+        import numpy as np
+
+        first = sim.reserve(4)
+        times = np.array([1.0, 2.0, 2.0, 3.0])
+        seqs = np.arange(first, first + 4)
+        sim.schedule(2.0, lambda: None)  # a later seq: ties at 2.0 go first
+        seen = []
+
+        def sweep():
+            seen.append(sim.claim_many(times[1:], seqs[1:]))
+            seen.append(sim.now)
+
+        sim.schedule_at(1.0, sweep, (), first)
+        sim.run()
+        assert seen == [2, 2.0]
+        assert sim.stats.fired == 4  # placed key, two claimed, the timer
+        assert sim.stats.scheduled == 5  # the key at 3.0 stays reserved
+
+    def test_claim_many_respects_the_run_window(self, sim):
+        import numpy as np
+
+        first = sim.reserve(3)
+        times = np.array([1.0, 1.2, 1.7])
+        seqs = np.arange(first, first + 3)
+        seen = []
+        sim.schedule_at(
+            1.0, lambda: seen.append(sim.claim_many(times[1:], seqs[1:])), (), first
+        )
+        sim.run(until=1.5)
+        assert seen == [1]
+        assert sim.now == 1.5
+
     def test_claim_respects_the_run_window(self, sim):
         log = []
         first = sim.reserve(2)
