@@ -3,8 +3,8 @@
 Expected shape: the share algebra carries SUM / COUNT / AVERAGE /
 VARIANCE exactly — residual error is network loss only; AVERAGE is
 loss-robust (uniform loss cancels between numerator and denominator);
-the MIN/MAX power-mean approximations land within their documented
-approximation band for a small field-safe power.
+the MIN/MAX power-mean approximations land between the smallest and
+largest reading for a small field-safe power.
 """
 
 import numpy as np
@@ -73,10 +73,9 @@ def test_t2_aggregate_functions(benchmark):
     # AVERAGE is loss-robust: accuracy ~1 despite participation < 1.
     assert abs(by_name["average"]["accuracy"] - 1.0) < 0.05
     # Power-mean MAX: the collected value tracks the power-mean ground
-    # truth (accuracy vs that truth near 1), and overshoots the *actual*
-    # maximum by at most the k=3 band, factor N^(1/3).
+    # truth (accuracy vs that truth near 1) and, being a mean, lies
+    # between the smallest reading and the *actual* maximum.
     max_row = by_name["max~ (k=3)"]
     if max_row["accuracy"] is not None:
         assert 0.8 <= max_row["accuracy"] <= 1.05
-        overshoot = max_row["value"] / max_row["true_value"]
-        assert 1.0 <= overshoot <= 250 ** (1 / 3) + 0.5
+        assert min(readings.values()) <= max_row["value"] <= max_row["true_value"]

@@ -3,11 +3,13 @@
 The paper restricts itself to *additive* aggregation (``y = Σ r_i``) and
 notes that this is not restrictive: COUNT, AVERAGE, VARIANCE and STD are
 exact combinations of additive components, and MIN/MAX are power-mean
-limits (``max ≈ (Σ x^k)^{1/k}`` for large ``k``). Every aggregate here is
-therefore expressed as
+limits (``max = lim_{k->inf} (Σ x^k / n)^{1/k}``). Every aggregate here
+is therefore expressed as
 
 * ``components(reading) -> tuple[int, ...]`` — per-sensor additive inputs,
   fixed-point encoded so arithmetic is exact;
+* ``component_keys`` — what each component sums, so aggregates that
+  share a component can carry it once (:class:`CompositeAggregate`);
 * elementwise integer addition as the only combine operation;
 * ``finalize(totals) -> float`` — decode at the base station.
 
@@ -19,9 +21,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import AggregationError
+
+#: What one component sums under the shared codec: ``("units", p)`` is
+#: Σ units^p (COUNT is p=0, SUM p=1), ``("recip", k)`` is MIN~'s scaled
+#: Σ 1/units^k. Equal keys mean equal components for every reading.
+ComponentKey = Tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -61,13 +68,16 @@ class AdditiveAggregate(ABC):
     #: Human-readable name used in results and traces.
     name: str = "abstract"
 
+    #: One :data:`ComponentKey` per component, in component order.
+    component_keys: Tuple[ComponentKey, ...] = ()
+
     def __init__(self, codec: FixedPointCodec = FixedPointCodec()) -> None:
         self.codec = codec
 
     @property
-    @abstractmethod
     def arity(self) -> int:
         """Number of additive components each sensor contributes."""
+        return len(self.component_keys)
 
     @abstractmethod
     def components(self, reading: float) -> Tuple[int, ...]:
@@ -105,10 +115,7 @@ class SumAggregate(AdditiveAggregate):
     """Exact SUM of readings."""
 
     name = "sum"
-
-    @property
-    def arity(self) -> int:
-        return 1
+    component_keys = (("units", 1),)
 
     def components(self, reading: float) -> Tuple[int, ...]:
         return (self.codec.encode(reading),)
@@ -121,10 +128,7 @@ class CountAggregate(AdditiveAggregate):
     """COUNT of participating sensors (each contributes 1)."""
 
     name = "count"
-
-    @property
-    def arity(self) -> int:
-        return 1
+    component_keys = (("units", 0),)
 
     def components(self, reading: float) -> Tuple[int, ...]:
         del reading
@@ -138,10 +142,7 @@ class AverageAggregate(AdditiveAggregate):
     """AVERAGE via the (sum, count) pair."""
 
     name = "average"
-
-    @property
-    def arity(self) -> int:
-        return 2
+    component_keys = (("units", 1), ("units", 0))
 
     def components(self, reading: float) -> Tuple[int, ...]:
         return (self.codec.encode(reading), 1)
@@ -158,10 +159,7 @@ class VarianceAggregate(AdditiveAggregate):
     construction the paper gives for non-trivially-additive statistics."""
 
     name = "variance"
-
-    @property
-    def arity(self) -> int:
-        return 3
+    component_keys = (("units", 0), ("units", 1), ("units", 2))
 
     def components(self, reading: float) -> Tuple[int, ...]:
         units = self.codec.encode(reading)
@@ -179,10 +177,17 @@ class VarianceAggregate(AdditiveAggregate):
 class _PowerMeanAggregate(AdditiveAggregate):
     """Shared machinery for the MIN/MAX power-mean approximations.
 
-    ``max(x_1..x_N) = lim_{k->inf} (Σ x_i^k)^{1/k}`` — the paper
-    approximates with a large finite ``k``. Readings must be positive for
-    the approximation to make sense; non-positive readings raise.
+    ``max(x_1..x_N) = lim_{k->inf} (Σ x_i^k / N)^{1/k}`` — the paper
+    approximates with a large finite ``k``. Dividing by the count makes
+    this the ``k``-power mean, which lies in ``[min, max]`` at every
+    ``k`` (without it the answer grows as ``N^{1/k}``); MIN uses ``-k``.
+    Each sensor contributes ``(1, power term)``. Readings must be
+    positive for the approximation to make sense; non-positive readings
+    raise.
     """
+
+    #: Key kind of the power term: Σu^k or MIN~'s reciprocal.
+    _power_key = "units"
 
     def __init__(
         self, codec: FixedPointCodec = FixedPointCodec(), power: int = 8
@@ -191,10 +196,7 @@ class _PowerMeanAggregate(AdditiveAggregate):
         if power < 1:
             raise AggregationError(f"power must be >= 1, got {power}")
         self.power = power
-
-    @property
-    def arity(self) -> int:
-        return 1
+        self.component_keys = (("units", 0), (self._power_key, power))
 
     def _encode_power(self, reading: float) -> int:
         if reading <= 0:
@@ -204,6 +206,12 @@ class _PowerMeanAggregate(AdditiveAggregate):
             )
         return self.codec.encode(reading) ** self.power
 
+    def _count_and_total(self, totals: Sequence[int]) -> Tuple[int, int]:
+        count, total = totals
+        if count <= 0 or total <= 0:
+            raise AggregationError(f"{self.name} of zero contributors is undefined")
+        return count, total
+
 
 class MaxApproxAggregate(_PowerMeanAggregate):
     """MAX approximated by the ``k``-power mean (k = ``power``)."""
@@ -211,12 +219,11 @@ class MaxApproxAggregate(_PowerMeanAggregate):
     name = "max~"
 
     def components(self, reading: float) -> Tuple[int, ...]:
-        return (self._encode_power(reading),)
+        return (1, self._encode_power(reading))
 
     def finalize(self, totals: Sequence[int]) -> float:
-        if totals[0] <= 0:
-            raise AggregationError("max~ of zero contributors is undefined")
-        return (totals[0]) ** (1.0 / self.power) / self.codec.scale
+        count, total = self._count_and_total(totals)
+        return (total / count) ** (1.0 / self.power) / self.codec.scale
 
 
 class MinApproxAggregate(_PowerMeanAggregate):
@@ -225,6 +232,7 @@ class MinApproxAggregate(_PowerMeanAggregate):
     well-conditioned integer for realistic reading magnitudes."""
 
     name = "min~"
+    _power_key = "recip"
 
     #: Extra integer headroom for the reciprocal encoding.
     _RECIP_SCALE = 10**18
@@ -234,22 +242,24 @@ class MinApproxAggregate(_PowerMeanAggregate):
 
     def components(self, reading: float) -> Tuple[int, ...]:
         units = self._encode_power(reading)
-        return (self._numerator() // units,)
+        return (1, self._numerator() // units)
 
     def finalize(self, totals: Sequence[int]) -> float:
-        if totals[0] <= 0:
-            raise AggregationError("min~ of zero contributors is undefined")
-        powered = self._numerator() / totals[0]
+        count, total = self._count_and_total(totals)
+        powered = count * self._numerator() / total
         return powered ** (1.0 / self.power) / self.codec.scale
 
 
 class CompositeAggregate(AdditiveAggregate):
     """Several aggregates computed in one round (multi-query).
 
-    Component vectors are concatenated, so one protocol round carries
-    every constituent exactly — the TAG-style "simultaneous queries"
-    feature at zero extra rounds (the per-message cost grows with total
-    arity instead).
+    The component layout is the union of the parts' :attr:`component_keys`
+    in first-seen order, so a component several parts need (COUNT inside
+    AVG, VAR and the power means; SUM inside AVG and VAR) is carried
+    once — the TAG-style "simultaneous queries" feature at zero extra
+    rounds, with the per-message cost growing with the number of
+    *distinct* components. Every part is evaluated once per reading and
+    finalised from its own columns.
 
     :meth:`finalize` returns the *first* constituent's value (so the
     composite drops into any single-valued pipeline, e.g. the protocol's
@@ -269,33 +279,32 @@ class CompositeAggregate(AdditiveAggregate):
         super().__init__(parts[0].codec)
         self.parts = list(parts)
         self.name = "+".join(part.name for part in self.parts)
-
-    @property
-    def arity(self) -> int:
-        return sum(part.arity for part in self.parts)
+        columns: Dict[ComponentKey, int] = {}
+        for part in self.parts:
+            for key in part.component_keys:
+                columns.setdefault(key, len(columns))
+        self.component_keys = tuple(columns)
+        #: Each part's component positions in the union layout.
+        self._columns = [
+            tuple(columns[key] for key in part.component_keys) for part in self.parts
+        ]
 
     def components(self, reading: float) -> Tuple[int, ...]:
-        values: Tuple[int, ...] = ()
-        for part in self.parts:
-            values = values + part.components(reading)
-        return values
-
-    def _split(self, totals: Sequence[int]):
-        offset = 0
-        for part in self.parts:
-            yield part, tuple(totals[offset : offset + part.arity])
-            offset += part.arity
+        values = [0] * len(self.component_keys)
+        for part, columns in zip(self.parts, self._columns):
+            for column, value in zip(columns, part.components(reading)):
+                values[column] = value
+        return tuple(values)
 
     def finalize(self, totals: Sequence[int]) -> float:
-        part, chunk = next(self._split(totals))
-        return part.finalize(chunk)
+        return self.parts[0].finalize([totals[c] for c in self._columns[0]])
 
     def finalize_all(self, totals: Sequence[int]) -> dict:
         """Decode every constituent: ``{name: value}``."""
-        results = {}
-        for part, chunk in self._split(totals):
-            results[part.name] = part.finalize(chunk)
-        return results
+        return {
+            part.name: part.finalize([totals[c] for c in columns])
+            for part, columns in zip(self.parts, self._columns)
+        }
 
 
 _REGISTRY = {

@@ -477,8 +477,7 @@ class ClusterFormation:
         self._hear_dissolve(node, int(packet.payload["head"]))
 
     def _on_member_list(self, node: int, packet: Packet) -> None:
-        members = [int(m) for m in packet.payload["members"]]
-        if node not in members:
+        if node not in packet.payload["members"]:
             return
         head = int(packet.payload["head"])
         if node != head and self._joined.get(node) != head:

@@ -205,6 +205,8 @@ class IntraClusterExchange:
         self._fvalue_arq = StopAndWait(stack, base=1.0)
         self._fvalue_sent: Set[int] = set()
         self._witness_fvalues: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        # (head, sorted (seed, F-value) items) -> recovered cluster sums.
+        self._recovered: Dict[tuple, Tuple[int, ...]] = {}
 
     # -- public API ------------------------------------------------------------
 
@@ -490,9 +492,7 @@ class IntraClusterExchange:
         state.fvalues_at_head[seed] = fvalue
         expected = self._expected_seeds[head]
         if frozenset(state.fvalues_at_head) == expected and not state.completed:
-            state.cluster_sums = recover_cluster_sums(
-                self._field, state.fvalues_at_head
-            )
+            state.cluster_sums = self._recover(head, state.fvalues_at_head)
             state.completed = True
             self._stack.sim.trace.emit(
                 "exchange.complete",
@@ -576,9 +576,22 @@ class IntraClusterExchange:
         expected = self._expected_seeds[head]
         known = self._witness_fvalues[node]
         if known.keys() >= expected:
-            self.result.witness_sums[node] = recover_cluster_sums(
-                self._field, {s: known[s] for s in expected}
+            self.result.witness_sums[node] = self._recover(
+                head, {s: known[s] for s in expected}
             )
+
+    def _recover(
+        self, head: int, fvalues: Dict[int, Tuple[int, ...]]
+    ) -> Tuple[int, ...]:
+        """``head``'s cluster sums from a full set of F-values, solved once
+        per distinct set: in an honest round the head and every witness
+        hold the same one, while a conflicting or tampered set gets a
+        solve of its own."""
+        key = (head, tuple(sorted(fvalues.items())))
+        sums = self._recovered.get(key)
+        if sums is None:
+            sums = self._recovered[key] = recover_cluster_sums(self._field, fvalues)
+        return sums
 
     # -- compile -----------------------------------------------------------
 

@@ -10,6 +10,7 @@ message and byte counts per kind, indexed by node id. Batched transports
 record a whole batch with one :meth:`MessageCounters.record_tx_columns` /
 :meth:`~MessageCounters.record_rx_columns` call per kind. The per-frame
 :meth:`~MessageCounters.record_tx` / :meth:`~MessageCounters.record_rx`
+(and :meth:`~MessageCounters.record_rx_many`, one broadcast's receivers)
 append to a per-kind buffer that is folded into the rows on the next
 read (or once it grows long), which keeps them cheaper than a dict cell
 update. Every read first calls the ``before_read`` hook (a transport
@@ -123,6 +124,18 @@ class MessageCounters:
             buffer = self._rx.open(kind)
         buffer.append(node_id)
         buffer.append(num_bytes)
+        if len(buffer) >= _FOLD_AT:
+            self._rx.fold()
+
+    def record_rx_many(self, nodes: List[int], kind: str, num_bytes: int) -> None:
+        """Count one ``kind`` frame of ``num_bytes`` received at each of
+        ``nodes``: the :meth:`record_rx` calls of one broadcast at once."""
+        buffer = self._rx.pending.get(kind)
+        if buffer is None:
+            buffer = self._rx.open(kind)
+        pairs = [num_bytes] * (2 * len(nodes))
+        pairs[0::2] = nodes
+        buffer += pairs
         if len(buffer) >= _FOLD_AT:
             self._rx.fold()
 

@@ -449,8 +449,8 @@ class FluidTransport:
         One loss coin per live candidate receiver whose link can lose
         the frame (none where the probability is 0), drawn in adjacency
         order; a receiver that is dead when the pass reaches it draws
-        none. Counts are summed per frame and booked even if a handler
-        raises."""
+        none. Counts are summed per frame, and a broadcast's receivers
+        counted in one call, booked even if a handler raises."""
         src = packet.src
         kind = packet.kind
         dst = packet.dst
@@ -467,6 +467,7 @@ class FluidTransport:
         kind_listeners = self._kind_overhear.get(kind)
         wild = self._wild_count > 0
         delivered = collided = dropped = 0
+        receivers: List[int] = []
         try:
             # Broadcast: every neighbor. Unicast: first any interested
             # overhearers among the sender's other neighbors, visited only
@@ -474,8 +475,6 @@ class FluidTransport:
             # listener exists) — ack/share/join traffic, which nobody
             # overhears, skips the pass — then the addressee.
             if broadcast or wild or kind_listeners is not None:
-                record_rx = self.counters.record_rx
-                size = packet.size_bytes
                 for edge, receiver in enumerate(neighbors, start):
                     if receiver in dead or receiver == dst:
                         continue
@@ -499,7 +498,7 @@ class FluidTransport:
                             continue
                     delivered += 1
                     if broadcast:
-                        record_rx(receiver, kind, size)
+                        receivers.append(receiver)
                     for listener in wilds:
                         listener(receiver, packet)
                     for listener in overhearers:
@@ -539,6 +538,8 @@ class FluidTransport:
             if handler is not None:
                 handler(dst, packet)
         finally:
+            if receivers:
+                self.counters.record_rx_many(receivers, kind, packet.size_bytes)
             stats = self._stats
             stats.deliveries += delivered
             stats.collisions += collided

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Set
 
 #: Pseudo-address for local broadcast frames.
 BROADCAST = -1
@@ -58,6 +58,11 @@ def _dict_payload_size(payload: dict) -> int:
     return total
 
 
+#: Types :func:`payload_size` has sized through their class's
+#: ``wire_size`` method.
+_WIRE_SIZED: Set[type] = set()
+
+
 def payload_size(value: Any) -> int:
     """Recursively compute the wire size in bytes of a payload value.
 
@@ -86,6 +91,11 @@ def payload_size(value: Any) -> int:
         return 4
     if kind is str:
         return len(value.encode("utf-8"))
+    # Types the chain below sizes by ``wire_size()`` (sealed values, on
+    # every share frame) skip its isinstance walk, the Mapping ABC test
+    # above all, once it has placed them.
+    if kind in _WIRE_SIZED:
+        return int(value.wire_size())
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -104,6 +114,8 @@ def payload_size(value: Any) -> int:
         return sum(payload_size(v) for v in value)
     wire_size = getattr(value, "wire_size", None)
     if callable(wire_size):
+        if callable(getattr(kind, "wire_size", None)):
+            _WIRE_SIZED.add(kind)
         return int(wire_size())
     raise TypeError(f"cannot size payload value of type {type(value).__name__}")
 

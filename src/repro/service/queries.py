@@ -3,8 +3,11 @@
 A *query* names one statistic over the current epoch's readings. The
 service batches every distinct kind pending at round start into one
 :class:`~repro.aggregation.functions.CompositeAggregate`, so a round
-carries all of them exactly (component vectors concatenate; the
-per-message cost grows with total arity, never the round count).
+carries all of them exactly. The composite lays out the union of the
+kinds' component keys, so a component several kinds share (COUNT, SUM)
+rides once: the per-message cost grows with the number of distinct
+components, never the round count. All six kinds together carry five:
+Σu, Σ1, Σu², MIN~'s Σ1/u^k and MAX~'s Σu^k.
 
 Compatibility: every kind here is additive under one shared fixed-point
 codec, so *all* kinds are mutually batchable. What is **not** batchable
@@ -32,8 +35,9 @@ from repro.aggregation.functions import (
 from repro.errors import ProtocolError
 
 #: Canonical query kinds, in the order constituents are laid out inside
-#: a batched round's composite aggregate (stable order = stable wire
-#: layout = reproducible rounds for a given batch composition).
+#: a batched round's composite aggregate (stable order = stable
+#: first-seen component layout = reproducible rounds for a given batch
+#: composition).
 QUERY_KINDS: Tuple[str, ...] = ("sum", "avg", "var", "min", "max", "count")
 
 _ALIASES = {

@@ -16,9 +16,22 @@ from repro.errors import AggregationError
 
 
 class TestAlgebra:
-    def test_arity_is_sum_of_parts(self):
+    def test_arity_counts_distinct_components(self):
         composite = CompositeAggregate([SumAggregate(), VarianceAggregate()])
-        assert composite.arity == 1 + 3
+        # VARIANCE's (count, sum, sum of squares) already holds SUM's sum.
+        assert composite.arity == 3
+        assert composite.component_keys == (
+            ("units", 1),
+            ("units", 0),
+            ("units", 2),
+        )
+
+    def test_shared_components_ride_once(self):
+        composite = CompositeAggregate([AverageAggregate(), CountAggregate()])
+        assert composite.components(2.5) == (250, 1)
+        assert composite.finalize_all(
+            composite.combine(composite.components(2.5), composite.components(3.5))
+        ) == {"average": pytest.approx(3.0), "count": 2.0}
 
     def test_components_concatenate(self):
         composite = CompositeAggregate([SumAggregate(), CountAggregate()])
@@ -64,7 +77,7 @@ class TestFactorySyntax:
     def test_plus_syntax(self):
         aggregate = make_aggregate("sum+count+variance")
         assert isinstance(aggregate, CompositeAggregate)
-        assert aggregate.arity == 5
+        assert aggregate.arity == 3
 
     def test_whitespace_tolerated(self):
         aggregate = make_aggregate("sum + count")

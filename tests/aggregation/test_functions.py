@@ -94,13 +94,18 @@ class TestPowerMeanApprox:
         aggregate = MaxApproxAggregate(power=16)
         readings = [3.0, 8.0, 5.0, 7.9]
         approx = aggregate.true_value(readings)
-        assert 8.0 <= approx < 8.9  # k-power mean overshoots slightly
+        assert 7.5 < approx <= 8.0  # a power mean never passes the max
 
     def test_min_approx_close_to_true_min(self):
         aggregate = MinApproxAggregate(power=16)
         readings = [3.0, 8.0, 5.0]
         approx = aggregate.true_value(readings)
-        assert 2.4 < approx <= 3.05
+        assert 3.0 <= approx < 3.3
+
+    @pytest.mark.parametrize("cls", [MaxApproxAggregate, MinApproxAggregate])
+    def test_power_mean_of_equal_readings_is_the_reading(self, cls):
+        # The count normalisation: no growth with N.
+        assert cls(power=3).true_value([20.0] * 1000) == pytest.approx(20.0)
 
     def test_nonpositive_reading_rejected(self):
         with pytest.raises(AggregationError):

@@ -47,6 +47,7 @@ from repro.crypto.keys import PairwiseKeyScheme
 from repro.crypto.linksec import LinkSecurity
 from repro.crypto.predistribution import RandomPredistributionScheme
 from repro.errors import ConfigError
+from repro.service.queries import build_batch_aggregate
 from repro.topology.deploy import uniform_deployment
 from tests.counter_reads import kind_totals
 from tests.net.loopback import FakeSim, LoopbackTransport, grid_topology
@@ -80,9 +81,11 @@ def _run_exchange(
     linksec=None,
     participating=None,
     clustering=None,
+    aggregate=None,
 ):
-    """One formation + exchange over a lossless ``side`` x ``side`` grid;
-    returns (exchange result, transport, trace)."""
+    """One formation + exchange over a lossless ``side`` x ``side`` grid
+    (``aggregate`` defaults to ``cfg.aggregate_name``'s); returns
+    (exchange result, transport, trace)."""
     fake = LoopbackTransport(grid_topology(side), sim=FakeSim(seed=seed))
     trace = fake.sim._trace = _RecordingTrace()
     if clustering is None:
@@ -91,9 +94,10 @@ def _run_exchange(
     if participating is not None:
         participating = participating(clustering)
     readings = {i: 10.0 + (i % 7) for i in fake.node_ids() if i != 0}
-    aggregate = make_aggregate(
-        cfg.aggregate_name, FixedPointCodec(scale=cfg.fixed_point_scale)
-    )
+    if aggregate is None:
+        aggregate = make_aggregate(
+            cfg.aggregate_name, FixedPointCodec(scale=cfg.fixed_point_scale)
+        )
     exchange = IntraClusterExchange(
         fake,
         clustering,
@@ -156,13 +160,24 @@ class TestScalarBatchedEquality:
             batched, fake_b, trace_b
         )
 
-    @pytest.mark.parametrize("aggregate_name", ["average", "variance"])
-    def test_multi_component_aggregates(self, aggregate_name: str) -> None:
+    @pytest.mark.parametrize(
+        "aggregate",
+        [
+            make_aggregate("average"),
+            make_aggregate("variance"),
+            # The served union layout: five kinds in five components.
+            build_batch_aggregate(
+                ("avg", "sum", "var", "max", "min"), IcpdaConfig().fixed_point_scale
+            )[0],
+        ],
+        ids=["average", "variance", "mixed-batch"],
+    )
+    def test_multi_component_aggregates(self, aggregate) -> None:
         scalar, fake_s, trace_s = _run_exchange(
-            IcpdaConfig(engine="scalar", aggregate_name=aggregate_name)
+            IcpdaConfig(engine="scalar"), aggregate=aggregate
         )
         batched, fake_b, trace_b = _run_exchange(
-            IcpdaConfig(engine="batched", aggregate_name=aggregate_name)
+            IcpdaConfig(engine="batched"), aggregate=aggregate
         )
         assert scalar.completed_clusters
         assert _summary(scalar) == _summary(batched)

@@ -11,12 +11,20 @@ from repro.aggregation.functions import (
     SumAggregate,
     VarianceAggregate,
 )
+from repro.service.queries import QUERY_KINDS, build_batch_aggregate
 
 reading_lists = st.lists(
     st.floats(min_value=-1000, max_value=1000, allow_nan=False),
     min_size=1,
     max_size=50,
 )
+# MIN~/MAX~ take positive readings only.
+positive_reading_lists = st.lists(
+    st.floats(min_value=0.5, max_value=1000, allow_nan=False),
+    min_size=1,
+    max_size=30,
+)
+batches = st.lists(st.sampled_from(QUERY_KINDS), min_size=1, max_size=6)
 
 
 class TestCombineAlgebra:
@@ -87,3 +95,35 @@ class TestSemantics:
         assert value >= 0.0
         expected = float(np.var(np.round(np.asarray(readings), 2)))
         assert value == pytest.approx(expected, abs=max(1e-6, expected * 1e-9))
+
+
+class TestUnionLayout:
+    """A batch's composite carries each distinct component once."""
+
+    @given(batches, positive_reading_lists)
+    @settings(max_examples=60)
+    def test_each_kind_answers_as_its_part_alone(self, batch, readings):
+        composite, order, names = build_batch_aggregate(batch, scale=100)
+        totals = composite.identity()
+        for reading in readings:
+            totals = composite.combine(totals, composite.components(reading))
+        decoded = composite.finalize_all(totals)
+        for query in order:
+            alone = build_batch_aggregate([query], scale=100)[0].parts[0]
+            assert decoded[names[query]] == alone.true_value(readings)
+
+    @given(batches, positive_reading_lists)
+    @settings(max_examples=60)
+    def test_equal_keys_mean_equal_components(self, batch, readings):
+        composite = build_batch_aggregate(batch, scale=100)[0]
+        for reading in readings:
+            carried = dict(zip(composite.component_keys, composite.components(reading)))
+            for part in composite.parts:
+                for key, value in zip(part.component_keys, part.components(reading)):
+                    assert carried[key] == value
+
+    @given(batches)
+    def test_arity_is_the_number_of_distinct_keys(self, batch):
+        composite = build_batch_aggregate(batch, scale=100)[0]
+        distinct = {key for part in composite.parts for key in part.component_keys}
+        assert composite.arity == len(distinct)

@@ -281,13 +281,40 @@ class TestServiceEpochsAndCache:
             parse_query(42)
 
 
+class TestServedExtremes:
+    def test_served_min_and_max_lie_within_the_readings_range(self):
+        """The power means are count-normalised: at N=1000 with k=3 an
+        unnormalised MAX~ read ~10x the largest reading."""
+        num_nodes = 1000
+        deployment = uniform_deployment(
+            num_nodes, field_size=700.0, rng=np.random.default_rng(1)
+        )
+
+        def readings(epoch):
+            rng = np.random.default_rng(epoch)
+            return {i: float(rng.uniform(10.0, 30.0)) for i in range(1, num_nodes)}
+
+        service = make_service(
+            deployment=deployment, readings_provider=readings, transport="fluid"
+        )
+        answers = service.serve_batch(("avg", "sum", "var", "max", "min"))
+        values = readings(1).values()
+        low, high = min(values), max(values)
+        for kind in ("min", "max"):
+            answer = answers[Query(kind)]
+            assert answer.accepted
+            assert low <= answer.value <= high, kind
+        assert answers[Query("min")].value < answers[Query("max")].value
+
+
 class TestBatchAggregateLayout:
     def test_canonical_order_and_dedup(self):
         aggregate, order, names = build_batch_aggregate(
             ("max", "sum", "avg", "sum"), scale=100
         )
         assert [q.kind for q in order] == ["sum", "avg", "max"]
-        assert aggregate.arity == 1 + 2 + 1
+        # (sum), (sum, count), (count, sum of cubes): three distinct.
+        assert aggregate.arity == 3
         assert names[Query("avg")] == "average"
 
     def test_all_kinds_batch_together(self):
