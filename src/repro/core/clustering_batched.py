@@ -50,14 +50,13 @@ from repro.core.clustering import (
 )
 from repro.core.replay import EPS, EventHeap, FrameReplay, Frames
 from repro.errors import ClusterFormationError
-from repro.net.packet import BROADCAST, HEADER_BYTES
+from repro.net.packet import BOOL_BYTES, BROADCAST, HEADER_BYTES, INT_BYTES
 
-_INT = 4  # wire size of one small-int payload field
-_BOOL = 1  # wire size of one bool payload field
-#: Wire size of an announce, join, reject or dissolve (one node id).
-_FRAME = HEADER_BYTES + _INT
+#: Wire size of an announce, join, reject, dissolve or census ack (one
+#: node id).
+_FRAME = HEADER_BYTES + INT_BYTES
 #: Wire size of one census record: head id, size, active flag.
-_RECORD = 2 * _INT + _BOOL
+_RECORD = 2 * INT_BYTES + BOOL_BYTES
 
 
 class BatchedClusterFormation(ClusterFormation):
@@ -160,7 +159,7 @@ class BatchedClusterFormation(ClusterFormation):
     def _publish(self, cluster: Cluster) -> None:
         at = self._events.now
         head = cluster.head
-        list_size = HEADER_BYTES + _INT + _INT * cluster.size + _BOOL
+        list_size = _FRAME + INT_BYTES * cluster.size + BOOL_BYTES
         self._replay.record(at, head, BROADCAST, MEMBER_LIST_KIND, list_size)
         self._replay.record(
             at + 0.6 + float(self._rng.uniform(0.0, 0.4)),
@@ -211,7 +210,6 @@ class BatchedClusterFormation(ClusterFormation):
         parents = self._tree.parents
         census = frames(CENSUS_KIND)
         acks = frames(CENSUS_ACK_KIND)
-        ack_size = HEADER_BYTES + _INT
         for node, count in due:
             parent = parents[node]
             census[0].append(node)
@@ -219,7 +217,7 @@ class BatchedClusterFormation(ClusterFormation):
             census[2].append(HEADER_BYTES + count * _RECORD)
             acks[0].append(parent)
             acks[1].append(node)
-            acks[2].append(ack_size)
+            acks[2].append(_FRAME)
 
     def _release(self) -> None:
         """Drop the cascade's working state so the engine object does not

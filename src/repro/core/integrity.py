@@ -37,7 +37,7 @@ than ``Th``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.aggregation.functions import AdditiveAggregate
 from repro.aggregation.tree import TreeBuildResult
@@ -131,6 +131,19 @@ class _Expectation:
     resolved: bool = False
 
 
+class _Plan(NamedTuple):
+    """The phase's up-front draws, consumed alike by both engines."""
+
+    #: ``(delay, head)`` per head whose exchange aborted.
+    aborts: List[Tuple[float, int]]
+    #: ``(delay, member, head)`` per F-set conflict an honest member saw.
+    alarms: List[Tuple[float, int, int]]
+    #: head -> the instant it sends its report.
+    reports: Dict[int, float]
+    #: The phase deadline.
+    end: float
+
+
 class ReportAndVerdictPhase:
     """Executes Phase IV and renders the verdict.
 
@@ -190,7 +203,7 @@ class ReportAndVerdictPhase:
         self._bs_aborted: Set[int] = set()
         bs_state = exchange.states.get(bs)
         if bs_state is not None and bs_state.completed:
-            self._absorb_at_bs(bs, bs_state.cluster_sums, bs_state.contributors, (bs,))
+            self._absorb(bs, bs, bs_state.cluster_sums, bs_state.contributors, (bs,))
 
         # Clusters that registered in the census but failed their share
         # exchange announce the abort so the BS adjusts its expectation.
@@ -218,7 +231,7 @@ class ReportAndVerdictPhase:
             self._witness_flags[bs] = False
         else:
             for node in stack.node_ids():
-                colluding = attack_plan is not None and self._plan_colludes(node)
+                colluding = attack_plan is not None and attack_plan.colludes(node)
                 self._witness_flags[node] = (
                     witnessing
                     and node != bs
@@ -289,39 +302,88 @@ class ReportAndVerdictPhase:
                 )
                 self.listeners.append((node, listener))
 
-        for head in self._aborted_heads:
-            delay = float(self._rng.uniform(0.1, 1.5))
+        plan = self._draw_plan(t0)
+        for delay, head in plan.aborts:
             sim.schedule(delay, self._send_abort, args=(head,))
-
-        # Conflicts detected during the exchange (a head publishing a
-        # falsified F-set) become hard alarms immediately — from honest
-        # members only.
-        for member, head in self._exchange.fset_conflicts:
-            if self._attack is not None and self._plan_colludes(member):
-                continue
-            delay = float(self._rng.uniform(0.1, 1.0))
-            sim.schedule(
-                delay,
-                self._raise_alarm,
-                args=(member, head, AlarmReason.FSET_TAMPERED, FSET_DETAIL, head),
-            )
-
-        max_depth = self._tree.max_depth()
-        for head, state in self._head_states.items():
-            depth = self._tree.depths.get(head, max_depth)
-            slots = max_depth - depth + 1
-            at = t0 + slots * SLOT_S + float(self._rng.uniform(0, SLOT_S * 0.5))
+        for delay, member, head in plan.alarms:
+            sim.schedule(delay, self._raise_fset_alarm, args=(member, head))
+        for head, at in plan.reports.items():
             sim.schedule_at(at, self._send_head_report, args=(head,))
-
-        phase_end = t0 + (max_depth + 2) * SLOT_S + WINDOW_VERDICT_S
-        sim.schedule_at(phase_end - 1.0, self._fire_watchdogs)
-        sim.run(until=phase_end)
+        sim.schedule_at(plan.end - 1.0, self._fire_watchdogs)
+        sim.run(until=plan.end)
 
         return self._verdict(true_value, total_sensors, sim.now - t0)
 
-    # -- head sending ---------------------------------------------------------------
+    def _draw_plan(self, t0: float) -> _Plan:
+        """Every draw the phase takes up front, in one order for both
+        engines: abort delays, F-set alarm delays, then report slots."""
+        rng = self._rng
+        aborts = [(float(rng.uniform(0.1, 1.5)), head) for head in self._aborted_heads]
+        # Conflicts detected during the exchange (a head publishing a
+        # falsified F-set) become hard alarms at once — from honest
+        # members only.
+        alarms = [
+            (float(rng.uniform(0.1, 1.0)), member, head)
+            for member, head in self._exchange.fset_conflicts
+            if self._attack is None or not self._attack.colludes(member)
+        ]
+        max_depth = self._tree.max_depth()
+        reports: Dict[int, float] = {}
+        for head in self._head_states:
+            slots = max_depth - self._tree.depths.get(head, max_depth) + 1
+            reports[head] = t0 + slots * SLOT_S + float(rng.uniform(0, SLOT_S * 0.5))
+        end = t0 + (max_depth + 2) * SLOT_S + WINDOW_VERDICT_S
+        return _Plan(aborts, alarms, reports, end)
 
-    def _send_head_report(self, head: int) -> None:
+    # -- plumbing (the batched engine replaces these) ---------------------------
+
+    def _send_report_hop(
+        self, sender: int, target: int, payload: dict, kind: str = REPORT_KIND
+    ) -> None:
+        """Send a report or abort one hop, under the hop ARQ."""
+        self._report_arq.send(
+            sender,
+            int(payload["cluster"]),
+            self._stack.send,
+            (sender, target, kind, payload),
+        )
+
+    def _send_ack(self, node: int, dst: int, cluster: int) -> None:
+        """Acknowledge a report or abort of ``cluster`` back to ``dst``."""
+        self._stack.send(node, dst, REPORT_ACK_KIND, {"cluster": cluster})
+
+    def _send_alarm(
+        self, witness: int, target: int, payload: dict, delay: float
+    ) -> None:
+        """Send one copy of an alarm to ``target``, ``delay`` from now."""
+        self._stack.sim.schedule(
+            delay, self._stack.send, (witness, target, ALARM_KIND, dict(payload))
+        )
+
+    def _on_report(self, node: int, packet: Packet) -> None:
+        self._take_report(node, packet.src, packet.payload)
+
+    def _on_report_abort(self, node: int, packet: Packet) -> None:
+        cluster = int(packet.payload["cluster"])
+        self._send_ack(node, packet.src, cluster)
+        parent = self._take_abort(node, cluster)
+        if parent is not None:
+            self._send_report_hop(node, parent, {"cluster": cluster}, REPORT_ABORT_KIND)
+
+    def _on_report_ack(self, node: int, packet: Packet) -> None:
+        self._report_arq.ack(node, int(packet.payload["cluster"]))
+
+    def _on_alarm(self, node: int, packet: Packet) -> None:
+        parent = self._relay_alarm(node, packet.payload)
+        if parent is not None:
+            self._stack.send(node, parent, ALARM_KIND, dict(packet.payload))
+
+    # -- head reports -----------------------------------------------------------
+
+    def _head_report(self, head: int) -> Tuple[dict, List[int]]:
+        """Close ``head``'s report: mark it sent and return its payload
+        (``total`` and ``contributors`` fold in every child absorbed so
+        far) and the ids of every cluster its total accounts for."""
         state = self._head_states[head]
         state.sent = True
         totals = list(state.own)
@@ -352,64 +414,41 @@ class ReportAndVerdictPhase:
                 "total": totals,
                 "contributors": contributors,
             }
+        return payload, included
+
+    def _send_head_report(self, head: int) -> None:
+        payload, _ = self._head_report(head)
         if self._attack is not None:
             payload = self._attack.mutate_report(head, payload)
         parent = self._tree.parents.get(head)
-        if parent is None:
-            return
-        self._send_report_hop(head, parent, payload)
-
-    def _plan_colludes(self, node: int) -> bool:
-        """Backwards-compatible probe of the optional colludes() hook."""
-        colludes = getattr(self._attack, "colludes", None)
-        if colludes is None:
-            return False
-        return bool(colludes(node))
+        if parent is not None:
+            self._send_report_hop(head, parent, payload)
 
     def _send_abort(self, head: int) -> None:
         parent = self._tree.parents.get(head)
-        if parent is None:
-            return
-        self._send_report_hop(head, parent, {"cluster": head}, REPORT_ABORT_KIND)
-
-    def _send_report_hop(
-        self, sender: int, target: int, payload: dict, kind: str = REPORT_KIND
-    ) -> None:
-        self._report_arq.send(
-            sender,
-            int(payload["cluster"]),
-            self._stack.send,
-            (sender, target, kind, payload),
-        )
+        if parent is not None:
+            self._send_report_hop(head, parent, {"cluster": head}, REPORT_ABORT_KIND)
 
     # -- report relaying / absorption ---------------------------------------------------
 
-    def _on_report(self, node: int, packet: Packet) -> None:
-        payload = dict(packet.payload)
+    def _take_report(self, node: int, src: int, payload: dict) -> None:
+        """``node`` received a report from ``src``: ack it; unless it is a
+        retransmission, absorb it (base station or a head yet to send),
+        or relay it to the parent — an attacker may drop or alter it."""
+        payload = dict(payload)
         cluster = int(payload["cluster"])
-        self._stack.send(node, packet.src, REPORT_ACK_KIND, {"cluster": cluster})
+        self._send_ack(node, src, cluster)
         if not self._report_arq.take(node, cluster):
             return  # duplicate from a lost ack: re-acked above, done
 
-        ids = tuple(int(i) for i in payload.get("ids", (cluster,)))
-        if node == self._tree.root:
-            self._absorb_at_bs(
+        head_state = self._head_states.get(node)
+        if node == self._tree.root or (head_state is not None and not head_state.sent):
+            self._absorb(
+                node,
                 cluster,
                 tuple(int(v) for v in payload["total"]),
                 int(payload["contributors"]),
-                ids,
-            )
-            return
-
-        head_state = self._head_states.get(node)
-        if head_state is not None and not head_state.sent:
-            head_state.children.append(
-                (
-                    cluster,
-                    tuple(int(v) for v in payload["total"]),
-                    int(payload["contributors"]),
-                    ids,
-                )
+                tuple(int(i) for i in payload.get("ids", (cluster,))),
             )
             return
 
@@ -425,30 +464,32 @@ class ReportAndVerdictPhase:
         if parent is not None:
             self._send_report_hop(node, parent, payload)
 
-    def _on_report_abort(self, node: int, packet: Packet) -> None:
-        cluster = int(packet.payload["cluster"])
-        self._stack.send(node, packet.src, REPORT_ACK_KIND, {"cluster": cluster})
+    def _take_abort(self, node: int, cluster: int) -> Optional[int]:
+        """An abort of ``cluster`` reached ``node``: the base station
+        stops expecting the cluster, any other node relays the abort.
+        Returns the next hop, or ``None``."""
         if not self._report_arq.take(node, cluster):
-            return
+            return None
         if node == self._tree.root:
             self._bs_aborted.add(cluster)
-            return
-        parent = self._tree.parents.get(node)
-        if parent is not None:
-            self._send_report_hop(
-                node, parent, dict(packet.payload), REPORT_ABORT_KIND
-            )
+            return None
+        return self._tree.parents.get(node)
 
-    def _on_report_ack(self, node: int, packet: Packet) -> None:
-        self._report_arq.ack(node, int(packet.payload["cluster"]))
-
-    def _absorb_at_bs(
+    def _absorb(
         self,
+        node: int,
         cluster: int,
         totals: Sequence[int],
         contributors: int,
         ids: Sequence[int],
     ) -> None:
+        """Credit ``cluster``'s report to ``node``: a child of the head
+        ``node``, or (once per cluster) the base station's accumulator."""
+        if node != self._tree.root:
+            self._head_states[node].children.append(
+                (cluster, totals, contributors, ids)
+            )
+            return
         if cluster in self._bs_absorbed:
             return
         self._bs_absorbed.add(cluster)
@@ -644,6 +685,16 @@ class ReportAndVerdictPhase:
             "detail": detail,
             "cluster": cluster,
         }
+        for target in self._alarm_targets(witness):
+            delay = float(self._alarm_rng.uniform(0.0, ALARM_JITTER_S))
+            self._send_alarm(witness, target, payload, delay)
+
+    def _raise_fset_alarm(self, member: int, head: int) -> None:
+        self._raise_alarm(member, head, AlarmReason.FSET_TAMPERED, FSET_DETAIL, head)
+
+    def _alarm_targets(self, witness: int) -> List[int]:
+        """The two first hops of an alarm: the witness's tree parent and
+        a random other tree-attached neighbour."""
         targets = []
         parent = self._tree.parents.get(witness)
         if parent is not None:
@@ -653,17 +704,13 @@ class ReportAndVerdictPhase:
             if n != parent and n in self._tree.parents
         ]
         if neighbors:
-            alt = int(neighbors[self._rng.integers(0, len(neighbors))])
-            targets.append(alt)
-        for target in targets:
-            self._stack.sim.schedule(
-                float(self._alarm_rng.uniform(0.0, ALARM_JITTER_S)),
-                self._stack.send,
-                (witness, target, ALARM_KIND, dict(payload)),
-            )
+            targets.append(int(neighbors[self._rng.integers(0, len(neighbors))]))
+        return targets
 
-    def _on_alarm(self, node: int, packet: Packet) -> None:
-        payload = packet.payload
+    def _relay_alarm(self, node: int, payload: dict) -> Optional[int]:
+        """An alarm copy reached ``node``: drop one ``node`` already
+        relayed, record it at the base station, or pass it to the parent
+        (an attacker may swallow it). Returns the next hop, or ``None``."""
         key = (
             int(payload["witness"]),
             int(payload["suspect"]),
@@ -672,7 +719,7 @@ class ReportAndVerdictPhase:
         )
         seen = self._alarm_seen.setdefault(node, set())
         if key in seen:
-            return
+            return None
         seen.add(key)
         if node == self._tree.root:
             if key not in self._alarms:
@@ -683,16 +730,14 @@ class ReportAndVerdictPhase:
                     detail=str(payload["detail"]),
                     cluster=key[3],
                 )
-            return
+            return None
         if self._attack is not None and self._attack.suppresses_alarm(node):
             self._stack.sim.trace.emit(
                 "attack.suppress_alarm", f"node {node} swallowed an alarm",
                 node=node,
             )
-            return
-        parent = self._tree.parents.get(node)
-        if parent is not None:
-            self._stack.send(node, parent, ALARM_KIND, dict(payload))
+            return None
+        return self._tree.parents.get(node)
 
     # -- verdict -----------------------------------------------------------------
 

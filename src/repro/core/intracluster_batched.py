@@ -42,17 +42,22 @@ from repro.core.intracluster import (
 from repro.core.replay import EPS, FrameReplay
 from repro.core.shares import batched_cluster_shares
 from repro.crypto.linksec import CIPHERTEXT_OVERHEAD_BYTES, LinkSecurity
-from repro.net.packet import BROADCAST, HEADER_BYTES
+from repro.net.packet import (
+    BROADCAST,
+    HEADER_BYTES,
+    INT32_LIMIT,
+    INT_BYTES,
+    LONG_BYTES,
+)
 from repro.net.transport import Transport
 
 # Wire sizes, as payload_size counts the scalar exchange's payloads.
-_INT = 4  # one small-int field (node ids, seeds)
-_SHARE_BYTES = HEADER_BYTES + 2 * _INT + CIPHERTEXT_OVERHEAD_BYTES  # + values
-_SHARE_ACK_BYTES = HEADER_BYTES + 2 * _INT
-_FVALUE_BYTES = HEADER_BYTES + 3 * _INT  # + values
-_FVALUE_ACK_BYTES = HEADER_BYTES + _INT
-_FSET_BYTES = HEADER_BYTES + _INT  # + one seed and one F-value per member
-_SMALL = np.uint64(2**31)
+_SHARE_BYTES = HEADER_BYTES + 2 * INT_BYTES + CIPHERTEXT_OVERHEAD_BYTES  # + values
+_SHARE_ACK_BYTES = HEADER_BYTES + 2 * INT_BYTES
+_FVALUE_BYTES = HEADER_BYTES + 3 * INT_BYTES  # + values
+_FVALUE_ACK_BYTES = HEADER_BYTES + INT_BYTES
+_FSET_BYTES = HEADER_BYTES + INT_BYTES  # + one seed and one F-value per member
+_SMALL = np.uint64(INT32_LIMIT)
 
 #: One ``exchange.*`` trace record: (virtual instant, category, message,
 #: fields); emitted in time order once the phase is decided.
@@ -60,8 +65,9 @@ _Event = Tuple[float, str, str, dict]
 
 
 def _value_bytes(values: np.ndarray) -> np.ndarray:
-    """Wire size of each field element: 4 bytes below 2**31, else 8."""
-    return np.where(values < _SMALL, 4, 8)
+    """Wire size of each (non-negative) field element, as
+    :func:`~repro.net.packet.payload_size` counts it."""
+    return np.where(values < _SMALL, INT_BYTES, LONG_BYTES)
 
 
 def _share_log(send_at: np.ndarray, groups: List[tuple]) -> List[ShareTransmission]:
@@ -245,7 +251,7 @@ class BatchedShareExchange:
         # mode) every member that hears the head's F-set.
         recovers = (hears | eye).all(axis=1)
         published = np.zeros_like(done)
-        fset_bytes = _FSET_BYTES + (_INT + f_bytes).sum(axis=1)
+        fset_bytes = _FSET_BYTES + (INT_BYTES + f_bytes).sum(axis=1)
         if self._config.integrity_mode == "witnessed":
             recovers |= hears[np.arange(count), head_pos] & ~is_head
             published = done

@@ -33,6 +33,16 @@ BROADCAST = -1
 #: Combined MAC + network header cost per frame, bytes.
 HEADER_BYTES = 16
 
+#: Wire size of a bool payload field.
+BOOL_BYTES = 1
+#: Wire size of an int payload field in ``[-INT32_LIMIT, INT32_LIMIT)``
+#: (every node id, seed and count) ...
+INT_BYTES = 4
+#: ... and of an int outside it (field elements can be).
+LONG_BYTES = 8
+INT32_LIMIT = 2**31
+_INT32_MIN = -INT32_LIMIT
+
 _PACKET_SEQ = itertools.count()
 
 
@@ -46,13 +56,13 @@ def _dict_payload_size(payload: dict) -> int:
     for value in payload.values():
         kind = type(value)
         if kind is int:
-            total += 4 if -2147483648 <= value < 2147483648 else 8
+            total += INT_BYTES if _INT32_MIN <= value < INT32_LIMIT else LONG_BYTES
         elif kind is float:
             total += 4
         elif kind is str:
             total += len(value.encode("utf-8"))
         elif kind is bool:
-            total += 1
+            total += BOOL_BYTES
         else:
             total += payload_size(value)
     return total
@@ -78,12 +88,12 @@ def payload_size(value: Any) -> int:
     if kind is dict:
         return _dict_payload_size(value)
     if kind is int:
-        return 4 if -2147483648 <= value < 2147483648 else 8
+        return INT_BYTES if _INT32_MIN <= value < INT32_LIMIT else LONG_BYTES
     if kind is tuple or kind is list:
         total = 0
         for item in value:  # a loop, not sum(genexpr): int items sized in place
             if type(item) is int:
-                total += 4 if -2147483648 <= item < 2147483648 else 8
+                total += INT_BYTES if _INT32_MIN <= item < INT32_LIMIT else LONG_BYTES
             else:
                 total += payload_size(item)
         return total
@@ -99,9 +109,9 @@ def payload_size(value: Any) -> int:
     if value is None:
         return 0
     if isinstance(value, bool):
-        return 1
+        return BOOL_BYTES
     if isinstance(value, int):
-        return 4 if -(2**31) <= value < 2**31 else 8
+        return INT_BYTES if _INT32_MIN <= value < INT32_LIMIT else LONG_BYTES
     if isinstance(value, float):
         return 4
     if isinstance(value, str):
